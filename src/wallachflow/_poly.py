@@ -1,7 +1,11 @@
 """Exact polynomial plumbing: monomial-dict polynomials, rational-root
 extraction for univariate polynomials, and truncated bivariate Taylor series.
 
-Everything here works over ``fractions.Fraction`` and stays exact.
+Everything here works over ``fractions.Fraction`` and stays exact.  Rational
+roots are found by Sturm-sequence isolation of the real roots (Basu, Pollack
+and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2) followed by
+bisection to a width at which at most one candidate fraction remains, so
+exact input keeps its rational roots whatever the size of its coefficients.
 """
 
 from __future__ import annotations
@@ -91,24 +95,6 @@ def p_eval(p: Monomials, values) -> object:
 # ---------------------------------------------------------------------------
 # univariate real root finding with exact rational-root extraction
 
-# Integerized coefficients above this size make divisor enumeration too
-# expensive; fall back to the float path.
-_RATIONAL_SEARCH_LIMIT = 10**13
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def _horner(coeffs: list[Fraction], x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in coeffs:
@@ -123,12 +109,123 @@ def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
     return out
 
 
+def _primitive(coeffs) -> list[int]:
+    """Coprime integer coefficients: ``coeffs`` times a positive rational."""
+    lcm = 1
+    for c in coeffs:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
+    g = math.gcd(*ints)
+    return [v // g for v in ints]
+
+
+def _divmod(f: list[int], g: list[int]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder (leading zeros stripped) of ``f / g``."""
+    rem = [Fraction(c) for c in f]
+    quot = []
+    while len(rem) >= len(g):
+        q = rem[0] / g[0]
+        quot.append(q)
+        for i in range(1, len(g)):
+            rem[i] -= q * g[i]
+        rem.pop(0)
+    while rem and rem[0] == 0:
+        rem.pop(0)
+    return quot, rem
+
+
+def _derivative(f: list[int]) -> list[int]:
+    n = len(f) - 1
+    return [c * (n - i) for i, c in enumerate(f[:-1])]
+
+
+def _sign_at(f: list[int], x: Fraction) -> int:
+    """Sign of ``f(x)``, from the integer ``f(n/d) * d**deg``."""
+    n, d = x.numerator, x.denominator
+    acc, dpow = f[0], 1
+    for c in f[1:]:
+        dpow *= d
+        acc = acc * n + c * dpow
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm_chain(f: list[int]) -> list[list[int]]:
+    """Sturm sequence of the square-free part ``f / gcd(f, f')``, each
+    member scaled by a positive constant to coprime integers."""
+    a, b = f, _derivative(f)
+    while b:  # Euclid: a ends as gcd(f, f')
+        a, b = b, _primitive(_divmod(a, b)[1])
+    chain = [_primitive(_divmod(f, a)[0])]
+    chain.append(_derivative(chain[0]))
+    while len(chain[-1]) > 1:
+        chain.append(_primitive([-c for c in _divmod(chain[-2], chain[-1])[1]]))
+    return chain
+
+
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    count, last = 0, 0
+    for f in chain:
+        s = _sign_at(f, x)
+        if s:
+            if s == -last:
+                count += 1
+            last = s
+    return count
+
+
+def _isolate(chain: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
+    """Intervals ``(lo, hi]``, ascending, each holding one real root of
+    ``chain[0]``: Sturm counts bisected inside the Cauchy bound."""
+    f = chain[0]
+    bound = 2 + max(abs(c) for c in f[1:]) // abs(f[0])
+    b = Fraction(1 << bound.bit_length())
+    out = []
+    stack = [(-b, b, _variations(chain, -b), _variations(chain, b))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            out.append((lo, hi))
+        elif v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            v_mid = _variations(chain, mid)
+            stack += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+    return out
+
+
+def _refine(f: list[int], lo: Fraction, hi: Fraction, width: Fraction) -> Fraction:
+    """The only root of the square-free ``f`` in ``(lo, hi]``, or a point
+    within ``width / 2`` of it.
+
+    Bisection steers by the sign at ``hi``: ``lo`` may be a root that
+    belongs to the interval below.
+    """
+    s_hi = _sign_at(f, hi)
+    if s_hi == 0:
+        return hi
+    while hi - lo >= width:
+        mid = (lo + hi) / 2
+        s = _sign_at(f, mid)
+        if s == 0:
+            return mid
+        if s == s_hi:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
 def rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]], list[Fraction]]:
     """All rational roots (with multiplicity) of a rational-coefficient
-    polynomial, plus the deflated remainder (highest degree first).
+    polynomial, ascending after a zero root, plus the deflated remainder
+    (highest degree first).
 
-    Returns ``([], coeffs)`` unchanged when the integerized coefficients are
-    too large for divisor enumeration.
+    Each real root of the square-free part is isolated by Sturm's theorem and
+    bisected to below ``1 / (2 lead**2)``, where ``lead`` leads the primitive
+    integer polynomial.  A rational root has denominator dividing ``lead``,
+    and no other fraction with denominator at most ``lead`` lies that close,
+    so ``limit_denominator(lead)`` of the midpoint is the only candidate; an
+    exact evaluation confirms it.  No divisor is enumerated, so the cost
+    grows with the bit size of the coefficients, not with their value.
     """
     coeffs = [Fraction(c) for c in coeffs]
     while coeffs and coeffs[0] == 0:
@@ -144,25 +241,12 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]], 
     if len(coeffs) <= 1:
         return found, coeffs
 
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead, const = ints[0], ints[-1]
-    if abs(lead) > _RATIONAL_SEARCH_LIMIT or abs(const) > _RATIONAL_SEARCH_LIMIT:
-        return found, coeffs
-
-    candidates = set()
-    for u in _divisors(const):
-        for v in _divisors(lead):
-            candidates.add(Fraction(u, v))
-            candidates.add(Fraction(-u, v))
-    for cand in sorted(candidates):
+    ints = _primitive(coeffs)
+    lead = abs(ints[0])
+    width = Fraction(1, 2 * lead * lead)
+    chain = _sturm_chain(ints)
+    for lo, hi in _isolate(chain):
+        cand = _refine(chain[0], lo, hi, width).limit_denominator(lead)
         mult = 0
         while len(coeffs) > 1 and _horner(coeffs, cand) == 0:
             coeffs = _deflate(coeffs, cand)
@@ -176,7 +260,8 @@ def real_roots(coeffs, exact: bool, cluster_rtol: float = 1e-8):
     """Real roots (with multiplicity) of a univariate polynomial.
 
     ``coeffs`` highest degree first.  When ``exact`` is true, rational roots
-    are split off exactly; whatever remains (and the whole problem in float
+    are split off exactly by Sturm isolation (``rational_roots``), for
+    coefficients of any size; whatever remains (and the whole problem in float
     mode) goes through the companion-matrix eigenvalue solver with a Newton
     polish, and nearby roots are clustered into multiple roots.
     """

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -55,11 +56,23 @@ def _json_value(x):
     return float(x)
 
 
+class UsageError(ValueError):
+    """Malformed command-line input (exit code 2)."""
+
+
 def _parse_triple(text: str) -> Parameters:
+    """Parse ``a1,a2,a3``: malformed or non-finite values raise ``UsageError``,
+    a triple outside the flow's domain raises a plain ``ValueError``."""
     parts = [t for t in text.split(",") if t.strip()]
     if len(parts) != 3:
-        raise ValueError("expected three comma-separated values")
-    return Parameters(*(parse_scalar(t) for t in parts))
+        raise UsageError("expected three comma-separated values")
+    try:
+        values = [parse_scalar(t) for t in parts]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"cannot parse {text!r}: {exc}") from None
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        raise UsageError("parameters must be finite")
+    return Parameters(*values)
 
 
 def _write_text(path: str | None, text: str):
@@ -126,11 +139,8 @@ def cmd_analyze(cfg: Config, args) -> int:
     try:
         p = _parse_triple(args.a)
     except ValueError as exc:
-        if "a1*a2" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DOMAIN
     if cfg.exact and not p.exact:
         print(
             "warning: decimal inputs cannot be promoted to exact rationals; "
@@ -164,7 +174,10 @@ def cmd_flow(cfg: Config, args) -> int:
         p = _parse_triple(args.a)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if "three comma" in str(exc) else EXIT_DOMAIN
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DOMAIN
+    if not (math.isfinite(args.tmax) and args.tmax > 0):
+        print("error: --tmax must be finite and positive", file=sys.stderr)
+        return EXIT_USAGE
     if not p.reduced_ok:
         print("error: flow requires a1*a2*a3 != 0", file=sys.stderr)
         return EXIT_DOMAIN
@@ -173,8 +186,8 @@ def cmd_flow(cfg: Config, args) -> int:
     starts: list[tuple[float, ...]] = []
     if args.x0 is not None:
         vals = [float(parse_scalar(t)) for t in args.x0.split(",")]
-        if len(vals) != dim or any(v <= 0 for v in vals):
-            print(f"error: --x0 needs {dim} positive values", file=sys.stderr)
+        if len(vals) != dim or not all(0 < v < math.inf for v in vals):
+            print(f"error: --x0 needs {dim} positive finite values", file=sys.stderr)
             return EXIT_USAGE
         starts.append(tuple(vals))
     if args.random_starts:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from wallachflow import cli
 from wallachflow.verify import CheckResult
 
@@ -53,6 +55,12 @@ class TestAnalyze:
         proc = run_cli(["analyze", "--a", "1,1,-1/2"])
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("triple", ["nan,0.2,0.3", "0.2,inf,0.3", "0.2,0.3,-inf", "1/0,1/6,1/6"])
+    def test_non_finite_or_malformed_triple_is_usage_error(self, triple, capsys):
+        assert cli.main(["analyze", "--a", triple]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+
 
 class TestFlow:
     def test_trajectory_csv(self, tmp_path):
@@ -75,6 +83,18 @@ class TestFlow:
     def test_nonpositive_start_rejected(self):
         proc = run_cli(["flow", "--a", "1/6,1/6,1/6", "--x0", "-1,1"])
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("tmax", ["nan", "inf", "-5", "0"])
+    def test_tmax_must_be_finite_and_positive(self, tmax, capsys):
+        rc = cli.main(["flow", "--a", "1/6,1/6,1/6", "--x0", "1,1", "--tmax", tmax])
+        assert rc == 2
+        assert "--tmax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--a", "nan,1/6,1/6", "--x0", "1,1"],
+                                      ["--a", "1/6,1/6,1/6", "--x0", "nan,1"],
+                                      ["--a", "1/6,1/6,1/6", "--x0", "1,inf"]])
+    def test_non_finite_input_rejected(self, args):
+        assert cli.main(["flow", *args, "--tmax", "1"]) == 2
 
     def test_batch_reproducible(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
