@@ -19,16 +19,17 @@ import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import equilibria as eq_mod
 from . import linearize as lin_mod
 from .blowup import blowup_linearizations
-from .core import Parameters, is_exact, parse_scalar, scalar_to_json
+from .core import Parameters, Scalar, is_exact, parse_scalar, scalar_to_json
 from .flow import MetricPoint
-from .integrate import classify_limit, integrate_flow, integrate_flow_3d
-from .surfaces import component_classify, grad_q, q1_eval, q_eval
+from .integrate import integrate_flow, integrate_flow_3d
+from .surfaces import component_classify, cube_grid, grad_q, q1_eval, q_eval, scan
 from .verify import run_all
 
 EXIT_OK = 0
@@ -41,7 +42,6 @@ EXIT_DOMAIN = 3
 class Config:
     command: str
     out: str | None = None
-    fmt: str = "json"
     exact: bool = False
     seed: int = 0
     threads: int = 1
@@ -60,19 +60,49 @@ class UsageError(ValueError):
     """Malformed command-line input (exit code 2)."""
 
 
-def _parse_triple(text: str) -> Parameters:
-    """Parse ``a1,a2,a3``: malformed or non-finite values raise ``UsageError``,
-    a triple outside the flow's domain raises a plain ``ValueError``."""
+def _parse_values(text: str, count: int, what: str) -> list[Scalar]:
+    """Parse ``count`` comma-separated scalars for the option ``what``;
+    malformed, ``x/0`` or non-finite values raise ``UsageError``."""
     parts = [t for t in text.split(",") if t.strip()]
-    if len(parts) != 3:
-        raise UsageError("expected three comma-separated values")
+    if len(parts) != count:
+        raise UsageError(f"{what} expects {count} comma-separated values")
     try:
         values = [parse_scalar(t) for t in parts]
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse {text!r}: {exc}") from None
+        raise UsageError(f"cannot parse {what} {text!r}: {exc}") from None
     if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-        raise UsageError("parameters must be finite")
-    return Parameters(*values)
+        raise UsageError(f"{what} values must be finite")
+    return values
+
+
+def _parse_triple(text: str) -> Parameters:
+    """Parse ``a1,a2,a3``: malformed or non-finite values raise ``UsageError``,
+    a triple outside the flow's domain raises a plain ``ValueError``."""
+    return Parameters(*_parse_values(text, 3, "--a"))
+
+
+def _thread_count(requested: int | None, env: str | None, cpus: int | None) -> int:
+    """Pool size from ``--threads``, else ``WALLACH_THREADS``, else 1, clamped
+    to ``[1, cpus]``; a malformed ``WALLACH_THREADS`` raises ``UsageError``."""
+    if requested is None:
+        try:
+            requested = int(env) if env is not None else 1
+        except ValueError:
+            raise UsageError(f"WALLACH_THREADS must be an integer, got {env!r}") from None
+    return max(1, min(requested, cpus or 1))
+
+
+def _map(fn, items, threads: int) -> list:
+    """``fn`` over ``items``, through a process pool when ``threads > 1``.
+    Workers ignore ``CensusWarning`` as ``main`` does."""
+    if threads <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(
+        max_workers=threads,
+        initializer=warnings.simplefilter,
+        initargs=("ignore", eq_mod.CensusWarning),
+    ) as pool:
+        return list(pool.map(fn, items))
 
 
 def _write_text(path: str | None, text: str):
@@ -136,96 +166,68 @@ def _analyze_payload(p: Parameters) -> dict:
 
 
 def cmd_analyze(cfg: Config, args) -> int:
-    try:
-        p = _parse_triple(args.a)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DOMAIN
+    p = _parse_triple(args.a)
     if cfg.exact and not p.exact:
         print(
             "warning: decimal inputs cannot be promoted to exact rationals; "
             "continuing in float mode",
             file=sys.stderr,
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", eq_mod.CensusWarning)
-        payload = _analyze_payload(p)
-    _write_text(cfg.out, json.dumps(payload, indent=2))
+    _write_text(cfg.out, json.dumps(_analyze_payload(p), indent=2))
     return EXIT_OK
 
 
 # --- flow ------------------------------------------------------------------
 
 
-def _run_one_flow(task):
-    (a, x0, tmax, rtol, three_d) = task
-    p = Parameters(*a)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", eq_mod.CensusWarning)
-        if three_d:
-            traj = integrate_flow_3d(p, MetricPoint(*x0), t_max=tmax, rel_tol=rtol)
-        else:
-            traj = integrate_flow(p, x0, t_max=tmax, rel_tol=rtol)
-    return traj
+def _run_one_flow(x0, p, rays, t_max, rel_tol, three_d):
+    if three_d:
+        return integrate_flow_3d(
+            p, MetricPoint(*x0), t_max=t_max, rel_tol=rel_tol, equilibria=rays
+        )
+    return integrate_flow(p, x0, t_max=t_max, rel_tol=rel_tol, equilibria=rays)
 
 
 def cmd_flow(cfg: Config, args) -> int:
-    try:
-        p = _parse_triple(args.a)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DOMAIN
+    p = _parse_triple(args.a)
     if not (math.isfinite(args.tmax) and args.tmax > 0):
-        print("error: --tmax must be finite and positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--tmax must be finite and positive")
     if not p.reduced_ok:
-        print("error: flow requires a1*a2*a3 != 0", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise ValueError("flow requires a1*a2*a3 != 0")
 
     dim = 3 if args.three_d else 2
     starts: list[tuple[float, ...]] = []
     if args.x0 is not None:
-        vals = [float(parse_scalar(t)) for t in args.x0.split(",")]
-        if len(vals) != dim or not all(0 < v < math.inf for v in vals):
-            print(f"error: --x0 needs {dim} positive finite values", file=sys.stderr)
-            return EXIT_USAGE
+        vals = [float(v) for v in _parse_values(args.x0, dim, "--x0")]
+        if not all(v > 0 for v in vals):
+            raise UsageError(f"--x0 needs {dim} positive finite values")
         starts.append(tuple(vals))
     if args.random_starts:
         rng = np.random.default_rng(cfg.seed)
         for _ in range(args.random_starts):
             starts.append(tuple(np.exp(rng.uniform(-0.5, 0.5, dim))))
     if not starts:
-        print("error: provide --x0 and/or --random-starts", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("provide --x0 and/or --random-starts")
 
-    tasks = [(p.a, x0, args.tmax, args.rtol, args.three_d) for x0 in starts]
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            trajectories = list(pool.map(_run_one_flow, tasks))
-    else:
-        trajectories = [_run_one_flow(t) for t in tasks]
+    run_one = partial(
+        _run_one_flow, p=p, rays=eq_mod.solve_all(p),
+        t_max=args.tmax, rel_tol=args.rtol, three_d=args.three_d,
+    )
+    trajectories = _map(run_one, starts, cfg.threads)
 
     rows = []
     summary = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", eq_mod.CensusWarning)
-        rays = eq_mod.solve_all(p)
-        targets = [
-            tuple(float(v) for v in eq_mod.normalize_unit_volume(p, r).x)[: dim]
-            for r in rays
-        ]
     for run, traj in enumerate(trajectories):
         for (t, x1, x2, x3, v) in traj.samples:
             rows.append((run, t, x1, x2, x3, v))
-        limit = classify_limit(traj, targets)
         summary.append({
             "run": run,
             "x0": list(starts[run]),
             "status": traj.status,
             "steps": len(traj.samples),
             "max_volume_drift": traj.max_volume_drift,
-            "equilibrium_id": limit.equilibrium_id,
-            "exit_face": limit.exit_face,
+            "equilibrium_id": traj.equilibrium_id,
+            "exit_face": traj.exit_face,
         })
 
     out = args.traj_out or cfg.out
@@ -250,54 +252,25 @@ def cmd_flow(cfg: Config, args) -> int:
 # --- scan and surface --------------------------------------------------------
 
 
-def _scan_chunk(task):
-    values, tol = task
-    out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", eq_mod.CensusWarning)
-        for a in values:
-            p = Parameters(*a)
-            region = component_classify(p, on_omega_tol=tol)
-            g = grad_q(p)
-            out.append((
-                a[0], a[1], a[2],
-                float(q_eval(p)), float(q1_eval(p)),
-                float(g[0]), float(g[1]), float(g[2]),
-                region.value,
-            ))
-    return out
-
-
 def cmd_scan(cfg: Config, args) -> int:
     if args.n < 2:
-        print("error: --n must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
-    axis = [(k + 0.5) / (2 * args.n) for k in range(args.n)]
-    points = [(x, y, z) for x in axis for y in axis for z in axis]
-    chunk_size = max(1, len(points) // max(1, cfg.threads * 4))
-    chunks = [
-        (points[i : i + chunk_size], cfg.tol_omega)
-        for i in range(0, len(points), chunk_size)
+        raise UsageError("--n must be at least 2")
+    points = cube_grid(args.n)
+    chunk_size = max(1, len(points) // (cfg.threads * 4))
+    chunks = [points[i : i + chunk_size] for i in range(0, len(points), chunk_size)]
+    blocks = _map(partial(scan, on_omega_tol=cfg.tol_omega), chunks, cfg.threads)
+    rows = [
+        (*s.params.a, float(s.Q), float(s.Q1), *(float(g) for g in s.gradQ), s.region.value)
+        for block in blocks for s in block
     ]
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(_scan_chunk, chunks))
-    else:
-        results = [_scan_chunk(c) for c in chunks]
 
     fields = ("a1", "a2", "a3", "Q", "Q1", "gQ1", "gQ2", "gQ3", "region")
     if args.json:
-        payload = [
-            dict(zip(fields, row)) for block in results for row in block
-        ]
-        _write_text(cfg.out, json.dumps(payload, indent=2))
+        _write_text(cfg.out, json.dumps([dict(zip(fields, row)) for row in rows], indent=2))
         return EXIT_OK
     lines = [",".join(fields)]
-    for block in results:
-        for row in block:
-            lines.append(
-                ",".join([f"{v:.17g}" for v in row[:8]] + [row[8]])
-            )
+    for row in rows:
+        lines.append(",".join([f"{v:.17g}" for v in row[:8]] + [row[8]]))
     _write_text(cfg.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -306,13 +279,11 @@ def cmd_surface(cfg: Config, args) -> int:
     try:
         index, value_text = args.fix.split("=")
         fixed = {"a1": 0, "a2": 1, "a3": 2}[index.strip()]
-        value = parse_scalar(value_text)
     except (ValueError, KeyError):
-        print("error: --fix must look like a1=1/2", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--fix must look like a1=1/2") from None
+    (value,) = _parse_values(value_text, 1, "--fix")
     if args.n < 2:
-        print("error: --n must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--n must be at least 2")
     lo, hi = args.lo, args.hi
     axis = [lo + (hi - lo) * (k + 0.5) / args.n for k in range(args.n)]
     lines = ["a1,a2,a3,Q,Q1"]
@@ -422,30 +393,32 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("WALLACH_THREADS", "1"))
-    cfg = Config(
-        command=args.command,
-        out=getattr(args, "out", None),
-        exact=getattr(args, "exact", False),
-        seed=getattr(args, "seed", 0),
-        threads=max(1, threads),
-        tol_omega=getattr(args, "tol_omega", None),
-    )
-    handler = {
-        "analyze": cmd_analyze,
-        "flow": cmd_flow,
-        "scan": cmd_scan,
-        "surface": cmd_surface,
-        "blowup": cmd_blowup,
-        "verify": cmd_verify,
-    }[cfg.command]
     try:
-        return handler(cfg, args)
+        cfg = Config(
+            command=args.command,
+            out=getattr(args, "out", None),
+            exact=getattr(args, "exact", False),
+            seed=getattr(args, "seed", 0),
+            threads=_thread_count(
+                args.threads, os.environ.get("WALLACH_THREADS"), os.cpu_count()
+            ),
+            tol_omega=getattr(args, "tol_omega", None),
+        )
+        handler = {
+            "analyze": cmd_analyze,
+            "flow": cmd_flow,
+            "scan": cmd_scan,
+            "surface": cmd_surface,
+            "blowup": cmd_blowup,
+            "verify": cmd_verify,
+        }[cfg.command]
+        # a census disagreement is a diagnostic, not output: keep stderr clean
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", eq_mod.CensusWarning)
+            return handler(cfg, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ __all__ = [
     "parse_scalar",
     "scalar_to_json",
     "scalar_repr",
-    "as_float",
     "exact_sqrt",
     "params_from_dims",
     "symmetric_functions",
@@ -36,10 +35,6 @@ __all__ = [
 def is_exact(x: Scalar) -> bool:
     """True when ``x`` carries no floating-point rounding."""
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
-def as_float(x: Scalar) -> float:
-    return float(x)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -163,13 +158,6 @@ class Parameters:
         """Parameters with coordinates reordered so position i holds a[perm[i]]."""
         a = self.a
         return Parameters(a[perm[0]], a[perm[1]], a[perm[2]])
-
-    @classmethod
-    def from_strings(cls, texts) -> "Parameters":
-        vals = [parse_scalar(t) for t in texts]
-        if len(vals) != 3:
-            raise ValueError("expected exactly three parameter values")
-        return cls(*vals)
 
     def to_json(self) -> dict:
         return {

@@ -91,7 +91,6 @@ class CaseDiscriminants:
 
     D1: Scalar | None = None
     T: Scalar | None = None
-    D3: Scalar | None = None
 
 
 def residual(p: Parameters, x: MetricPoint) -> tuple[Scalar, Scalar]:

@@ -15,15 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Parameters
+from .equilibria import normalize_unit_volume, solve_all
 from .flow import MetricPoint, log_volume, phi, vector_field_2d, vector_field_3d
 
 __all__ = [
     "Trajectory",
     "TrajectoryStatus",
-    "LimitReport",
     "integrate_flow",
     "integrate_flow_3d",
-    "classify_limit",
     "dopri_step",
 ]
 
@@ -77,14 +76,6 @@ class Trajectory:
     @property
     def final_point(self) -> tuple[float, ...]:
         return self.samples[-1][1:4]
-
-
-@dataclass(frozen=True)
-class LimitReport:
-    status: str
-    equilibrium_id: int | None
-    distance: float | None
-    exit_face: str | None
 
 
 def dopri_step(f, t: float, y: np.ndarray, h: float):
@@ -150,8 +141,8 @@ def _check_rtol(rel_tol: float):
         raise ValueError("rel_tol must lie in [1e-12, 1e-3]")
 
 
-def _domain_exit(coords: dict[str, float]) -> str | None:
-    for name, v in coords.items():
+def _domain_exit(x: tuple[float, float, float]) -> str | None:
+    for name, v in zip(("x1", "x2", "x3"), x):
         if v < _DOMAIN_LO:
             return f"{name}-min"
         if v > _DOMAIN_HI:
@@ -159,15 +150,44 @@ def _domain_exit(coords: dict[str, float]) -> str | None:
     return None
 
 
-def _known_equilibria_2d(p: Parameters, equilibria) -> list[tuple[float, float]]:
-    from .equilibria import normalize_unit_volume, solve_all
+def _drive(p: Parameters, rhs, coords, velocity, targets, y0, t_max, rel_tol) -> Trajectory:
+    """Integrate ``rhs`` from the log state ``y0`` and diagnose the run.
 
-    rays = solve_all(p) if equilibria is None else equilibria
-    out = []
-    for ray in rays:
-        m = normalize_unit_volume(p, ray)
-        out.append((float(m.x1), float(m.x2)))
-    return out
+    ``coords(y)`` maps a log state to ``(x1, x2, x3)`` and ``velocity(x)``
+    gives the chart's field there.  A run converges when that velocity is below
+    ``_FIELD_TOL`` and the point lies within ``_EQ_DIST_TOL`` (scaled) of a
+    target, compared over the target's leading coordinates.
+    """
+    traj = Trajectory()
+    v_ref: list[float] = []
+
+    def observe(t, y):
+        x = coords(y)
+        v = math.exp(log_volume(p, MetricPoint(*x)))
+        if not v_ref:
+            v_ref.append(v)
+        drift = abs(v - v_ref[0]) / abs(v_ref[0])
+        traj.max_volume_drift = max(traj.max_volume_drift, drift)
+        traj.samples.append((t, *x, v))
+        face = _domain_exit(x)
+        if face is not None:
+            return (TrajectoryStatus.LEFT_DOMAIN, face)
+        if max(abs(float(c)) for c in velocity(x)) <= _FIELD_TOL:
+            for idx, target in enumerate(targets):
+                d = max(abs(a - b) for a, b in zip(x, target)) / (
+                    1.0 + max(abs(c) for c in target)
+                )
+                if d <= _EQ_DIST_TOL:
+                    return (TrajectoryStatus.CONVERGED, idx)
+        return None
+
+    status, payload = _adaptive_integrate(rhs, y0, float(t_max), float(rel_tol), observe)
+    traj.status = status
+    if status == TrajectoryStatus.CONVERGED:
+        traj.equilibrium_id = payload
+    elif status == TrajectoryStatus.LEFT_DOMAIN:
+        traj.exit_face = payload
+    return traj
 
 
 def integrate_flow(
@@ -185,43 +205,24 @@ def integrate_flow(
     if not (x0[0] > 0 and x0[1] > 0):
         raise ValueError("initial point must be positive")
 
-    targets = _known_equilibria_2d(p, equilibria)
-    traj = Trajectory()
-    v_ref: list[float] = []
+    rays = solve_all(p) if equilibria is None else equilibria
+    targets = [
+        (float(m.x1), float(m.x2)) for m in (normalize_unit_volume(p, ray) for ray in rays)
+    ]
 
     def rhs(_t, y):
         x1, x2 = math.exp(y[0]), math.exp(y[1])
         v1, v2 = vector_field_2d(p, x1, x2)
         return (float(v1) / x1, float(v2) / x2)
 
-    def observe(t, y):
+    def coords(y):
         x1, x2 = math.exp(y[0]), math.exp(y[1])
-        x3 = float(phi(p, x1, x2))
-        v = math.exp(log_volume(p, MetricPoint(x1, x2, x3)))
-        if not v_ref:
-            v_ref.append(v)
-        drift = abs(v - v_ref[0]) / abs(v_ref[0])
-        traj.max_volume_drift = max(traj.max_volume_drift, drift)
-        traj.samples.append((t, x1, x2, x3, v))
-        face = _domain_exit({"x1": x1, "x2": x2, "x3": x3})
-        if face is not None:
-            return (TrajectoryStatus.LEFT_DOMAIN, face)
-        f1, f2 = vector_field_2d(p, x1, x2)
-        if max(abs(float(f1)), abs(float(f2))) <= _FIELD_TOL:
-            for idx, (e1, e2) in enumerate(targets):
-                d = max(abs(x1 - e1), abs(x2 - e2)) / (1.0 + max(abs(e1), abs(e2)))
-                if d <= _EQ_DIST_TOL:
-                    return (TrajectoryStatus.CONVERGED, idx)
-        return None
+        return (x1, x2, float(phi(p, x1, x2)))
 
     y0 = np.log([float(x0[0]), float(x0[1])])
-    status, payload = _adaptive_integrate(rhs, y0, float(t_max), float(rel_tol), observe)
-    traj.status = status
-    if status == TrajectoryStatus.CONVERGED:
-        traj.equilibrium_id = payload
-    elif status == TrajectoryStatus.LEFT_DOMAIN:
-        traj.exit_face = payload
-    return traj
+    return _drive(
+        p, rhs, coords, lambda x: vector_field_2d(p, x[0], x[1]), targets, y0, t_max, rel_tol
+    )
 
 
 def integrate_flow_3d(
@@ -237,74 +238,24 @@ def integrate_flow_3d(
         raise ValueError("volume tracking requires all a_i nonzero")
     _check_rtol(rel_tol)
 
-    from .equilibria import solve_all
-
-    rays = solve_all(p) if equilibria is None else equilibria
-    k_total = float(1 / p.a1 + 1 / p.a2 + 1 / p.a3)
-
-    traj = Trajectory()
-    v_ref: list[float] = []
-
     def rhs(_t, y):
         x = MetricPoint(*np.exp(y))
         v = vector_field_3d(p, x)
         return tuple(float(vi) / float(xi) for vi, xi in zip(v.v, x.x))
 
-    def targets_at_volume(lv: float) -> list[tuple[float, float, float]]:
-        out = []
-        for ray in rays:
-            lv_rep = log_volume(p, ray.rep)
-            q = math.exp((lv - lv_rep) / k_total)
-            out.append(tuple(float(c) * q for c in ray.rep.x))
-        return out
+    def coords(y):
+        return tuple(float(v) for v in np.exp(y))
 
-    def observe(t, y):
-        x = tuple(float(v) for v in np.exp(y))
-        lv = log_volume(p, MetricPoint(*x))
-        v = math.exp(lv)
-        if not v_ref:
-            v_ref.append(v)
-            v_ref.append(lv)
-        drift = abs(v - v_ref[0]) / abs(v_ref[0])
-        traj.max_volume_drift = max(traj.max_volume_drift, drift)
-        traj.samples.append((t, *x, v))
-        face = _domain_exit({"x1": x[0], "x2": x[1], "x3": x[2]})
-        if face is not None:
-            return (TrajectoryStatus.LEFT_DOMAIN, face)
-        vel = vector_field_3d(p, MetricPoint(*x)).v
-        if max(abs(float(c)) for c in vel) <= _FIELD_TOL:
-            for idx, target in enumerate(targets_at_volume(v_ref[1])):
-                d = max(abs(a - b) for a, b in zip(x, target)) / (
-                    1.0 + max(abs(c) for c in target)
-                )
-                if d <= _EQ_DIST_TOL:
-                    return (TrajectoryStatus.CONVERGED, idx)
-        return None
-
+    # the flow keeps the start's volume, so the targets are the equilibrium
+    # rays scaled onto that level set
     y0 = np.log([float(v) for v in x0.x])
-    status, payload = _adaptive_integrate(rhs, y0, float(t_max), float(rel_tol), observe)
-    traj.status = status
-    if status == TrajectoryStatus.CONVERGED:
-        traj.equilibrium_id = payload
-    elif status == TrajectoryStatus.LEFT_DOMAIN:
-        traj.exit_face = payload
-    return traj
+    lv = log_volume(p, MetricPoint(*coords(y0)))
+    k_total = float(1 / p.a1 + 1 / p.a2 + 1 / p.a3)
+    targets = []
+    for ray in solve_all(p) if equilibria is None else equilibria:
+        q = math.exp((lv - log_volume(p, ray.rep)) / k_total)
+        targets.append(tuple(float(c) * q for c in ray.rep.x))
 
-
-def classify_limit(traj: Trajectory, equilibria: list[tuple[float, ...]]) -> LimitReport:
-    """Attribute a finished trajectory to its limit: nearest equilibrium
-    within a scaled distance of 1e-5, a domain exit face, or neither."""
-    if not traj.samples:
-        raise ValueError("empty trajectory")
-    if traj.status == TrajectoryStatus.LEFT_DOMAIN:
-        return LimitReport(traj.status, None, None, traj.exit_face)
-    final = traj.final_point
-    best, best_d = None, math.inf
-    for idx, target in enumerate(equilibria):
-        pairs = list(zip(final, target))
-        d = max(abs(a - b) for a, b in pairs) / (1.0 + max(abs(b) for _, b in pairs))
-        if d < best_d:
-            best, best_d = idx, d
-    if best is not None and best_d <= 1e-5:
-        return LimitReport(traj.status, best, best_d, None)
-    return LimitReport(traj.status, None, best_d if best is not None else None, None)
+    return _drive(
+        p, rhs, coords, lambda x: vector_field_3d(p, MetricPoint(*x)).v, targets, y0, t_max, rel_tol
+    )

@@ -8,7 +8,6 @@ components the surface cuts out of the open parameter cube.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +27,8 @@ __all__ = [
     "omega_slice_a1_half",
     "component_classify",
     "census_kinds",
-    "scan_grid",
+    "cube_grid",
+    "scan",
 ]
 
 
@@ -231,42 +231,24 @@ def component_classify(p: Parameters, rays=None, on_omega_tol: float | None = No
     return Region.OUTSIDE
 
 
-def _sample(p: Parameters, on_omega_tol: float | None) -> SurfaceSample:
-    return SurfaceSample(
-        params=p,
-        Q=q_eval(p),
-        Q1=q1_eval(p),
-        gradQ=grad_q(p),
-        region=component_classify(p, on_omega_tol=on_omega_tol),
-    )
+def cube_grid(n: int) -> list[tuple[float, float, float]]:
+    """The n-per-axis midpoint grid ``(k + 1/2) / (2n)`` over the open cube
+    (0, 1/2)^3, in lexicographic order."""
+    axis = [(k + 0.5) / (2 * n) for k in range(n)]
+    return [(x, y, z) for x in axis for y in axis for z in axis]
 
 
-def _axis(lo: Scalar, hi: Scalar, n: int) -> list[Scalar]:
-    if n < 2:
-        raise ValueError("grid needs n >= 2")
-    if lo == hi:
-        return [lo]
-    if hi < lo:
-        raise ValueError("grid needs lo <= hi")
-    step = (Fraction(hi) - Fraction(lo)) / (n - 1) if not isinstance(lo, float) and not isinstance(hi, float) else (hi - lo) / (n - 1)
-    return [lo + k * step for k in range(n)]
-
-
-def scan_grid(lo: Scalar, hi: Scalar, n: int, on_omega_tol: float | None = None) -> list[SurfaceSample]:
-    """Uniform n-per-axis grid over the cube [lo, hi]^3 in lexicographic
-    order; degenerate (lo = hi) boxes collapse to the single repeated point."""
-    axis = _axis(lo, hi, n)
+def scan(points, on_omega_tol: float | None = None) -> list[SurfaceSample]:
+    """Surface values and the component label of each parameter triple; a
+    triple where the flow is undefined raises ``ValueError``."""
     samples = []
-    for a1 in axis:
-        for a2 in axis:
-            for a3 in axis:
-                try:
-                    p = Parameters(a1, a2, a3)
-                except ValueError:
-                    warnings.warn(
-                        f"skipping grid point {a1, a2, a3}: flow undefined",
-                        stacklevel=2,
-                    )
-                    continue
-                samples.append(_sample(p, on_omega_tol))
+    for a in points:
+        p = Parameters(*a)
+        samples.append(SurfaceSample(
+            params=p,
+            Q=q_eval(p),
+            Q1=q1_eval(p),
+            gradQ=grad_q(p),
+            region=component_classify(p, on_omega_tol=on_omega_tol),
+        ))
     return samples

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from wallachflow import cli
+from wallachflow.equilibria import CensusWarning
 from wallachflow.verify import CheckResult
 
 
@@ -96,6 +98,22 @@ class TestFlow:
     def test_non_finite_input_rejected(self, args):
         assert cli.main(["flow", *args, "--tmax", "1"]) == 2
 
+    @pytest.mark.parametrize("args", [["--x0", "1/0,1"], ["--x0", "abc,1"], ["--x0", "1,2,3"]])
+    def test_malformed_start_is_usage_error(self, args, capsys):
+        assert cli.main(["flow", "--a", "1/6,1/6,1/6", *args, "--tmax", "1"]) == 2
+        assert "--x0" in capsys.readouterr().err
+
+    def test_three_d_runs_carry_the_integrator_equilibrium_id(self, capsys):
+        # the 3D flow keeps the start's volume; the summary must still name
+        # the equilibrium a converged run settled on
+        rc = cli.main(["flow", "--a", "7/15,7/15,7/15", "--random-starts", "2",
+                       "--three-d", "--tmax", "50"])
+        assert rc == 0
+        runs = json.loads(capsys.readouterr().err)["runs"]
+        converged = [r for r in runs if r["status"] == "converged"]
+        assert converged
+        assert all(r["equilibrium_id"] is not None for r in converged)
+
     def test_batch_reproducible(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["flow", "--a", "7/15,7/15,7/15", "--random-starts", "3",
@@ -130,6 +148,22 @@ class TestScan:
     def test_rejects_small_n(self):
         proc = run_cli(["scan", "--n", "1"])
         assert proc.returncode == 2
+
+    def test_malformed_threads_env_var_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("WALLACH_THREADS", "two")
+        assert cli.main(["scan", "--n", "2"]) == 2
+        assert "WALLACH_THREADS" in capsys.readouterr().err
+
+    def test_thread_count_resolution(self):
+        assert cli._thread_count(None, None, 8) == 1
+        assert cli._thread_count(None, "3", 8) == 3
+        assert cli._thread_count(2, "3", 8) == 2
+        assert cli._thread_count(0, None, 8) == 1
+        # capped at the CPU count; checked on the helper, no pool is started
+        assert cli._thread_count(10**6, None, 4) == 4
+        assert cli._thread_count(None, "64", None) == 1
+        with pytest.raises(cli.UsageError):
+            cli._thread_count(None, "two", 8)
 
     def test_threads_env_var(self, tmp_path, monkeypatch):
         out = tmp_path / "scan.csv"
@@ -181,6 +215,32 @@ class TestSurfaceSlice:
     def test_bad_fix_argument(self):
         proc = run_cli(["surface", "--fix", "b2=1"])
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("fix", ["a1=1/0", "a1=abc", "a1=nan", "a1"])
+    def test_malformed_fix_value_is_usage_error(self, fix, capsys):
+        assert cli.main(["surface", "--fix", fix, "--n", "2"]) == 2
+        assert "--fix" in capsys.readouterr().err
+
+
+def _warn_census(_item):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.warn("census check", CensusWarning)
+    return len(caught)
+
+
+class TestCensusWarningsSilenced:
+    def test_no_warning_text_on_stderr(self):
+        # the first triple's Newton census misses a ray, so solve_all warns
+        for args in (["analyze", "--a", "0.30807717,0.1924551,0.49860776"],
+                     ["--threads", "2", "scan", "--n", "3"]):
+            proc = run_cli(args)
+            assert proc.returncode == 0
+            assert proc.stderr == ""
+
+    def test_pool_workers_ignore_census_warnings(self):
+        # outside main, so only the pool initializer can set the filter
+        assert cli._map(_warn_census, [0, 1], 1) == [1, 1]
+        assert cli._map(_warn_census, [0, 1], 2) == [0, 0]
 
 
 class TestBlowupCommand:

@@ -9,7 +9,6 @@ from wallachflow.equilibria import normalize_unit_volume, solve_all
 from wallachflow.flow import MetricPoint
 from wallachflow.integrate import (
     TrajectoryStatus,
-    classify_limit,
     dopri_step,
     integrate_flow,
     integrate_flow_3d,
@@ -131,16 +130,16 @@ class TestLimitClassification:
             for r in rays
         ]
         traj = integrate_flow(unstable_params, (1.0, 1.0), t_max=5.0, equilibria=rays)
-        report = classify_limit(traj, targets)
-        assert report.status == TrajectoryStatus.CONVERGED
-        assert targets[report.equilibrium_id] == (1.0, 1.0)
+        assert traj.status == TrajectoryStatus.CONVERGED
+        assert targets[traj.equilibrium_id] == (1.0, 1.0)
+        assert traj.exit_face is None
 
     def test_domain_exit_reports_face(self, unstable_params):
         # the node is unstable here, so a generic start escapes the box
         traj = integrate_flow(unstable_params, (1.4, 0.6), t_max=500.0)
         assert traj.status == TrajectoryStatus.LEFT_DOMAIN
-        report = classify_limit(traj, [])
-        assert report.exit_face is not None
+        assert traj.exit_face in {f"x{i}-{side}" for i in (1, 2, 3) for side in ("min", "max")}
+        assert traj.equilibrium_id is None
 
     def test_saddle_avoidance(self, unstable_params):
         # random starts never settle on a saddle: they reach the node or leave

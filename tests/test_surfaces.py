@@ -11,13 +11,14 @@ from wallachflow.linearize import SIGMA_ZERO_S_HIGH, SIGMA_ZERO_S_LOW
 from wallachflow.surfaces import (
     Region,
     component_classify,
+    cube_grid,
     edge_curve,
     grad_q,
     grad_q1,
     omega_slice_a1_half,
     q1_eval,
     q_eval,
-    scan_grid,
+    scan,
 )
 
 wallach = st.fractions(
@@ -189,20 +190,23 @@ class TestComponents:
 
 class TestScanGrid:
     def test_degenerate_box(self):
-        samples = scan_grid(Fraction(1, 4), Fraction(1, 4), 2)
+        samples = scan([(Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))])
         assert len(samples) == 1
         assert samples[0].Q == 0
         assert samples[0].region is Region.ON_OMEGA
 
     def test_count_and_order(self):
-        samples = scan_grid(Fraction(1, 5), Fraction(2, 5), 3)
-        assert len(samples) == 27
-        coords = [tuple(float(v) for v in s.params.a) for s in samples]
-        assert coords == sorted(coords)
+        points = cube_grid(3)
+        assert len(points) == 27 and points == sorted(points)
+        assert {v for pt in points for v in pt} == {1 / 12, 3 / 12, 5 / 12}
+        samples = scan(points)
+        assert [s.params.a for s in samples] == points
 
     def test_small_sum_is_first_component(self):
         # interior triples with a1+a2+a3 < 1/2 always classify into the
         # component of (1/6, 1/6, 1/6)
-        samples = scan_grid(Fraction(1, 20), Fraction(3, 20), 3)
+        axis = (Fraction(1, 20), Fraction(1, 10), Fraction(3, 20))
+        samples = scan([(x, y, z) for x in axis for y in axis for z in axis])
+        assert len(samples) == 27
         assert all(s.region is Region.O1 for s in samples)
         assert all(s.Q != 0 for s in samples)
