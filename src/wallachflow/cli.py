@@ -28,7 +28,7 @@ from . import linearize as lin_mod
 from .blowup import blowup_linearizations
 from .core import Parameters, Scalar, is_exact, parse_scalar, scalar_to_json
 from .flow import MetricPoint
-from .integrate import integrate_flow, integrate_flow_3d
+from .integrate import check_rtol, integrate_flow, integrate_flow_3d
 from .surfaces import component_classify, cube_grid, grad_q, q1_eval, q_eval, scan
 from .verify import run_all
 
@@ -77,8 +77,12 @@ def _parse_values(text: str, count: int, what: str) -> list[Scalar]:
 
 def _parse_triple(text: str) -> Parameters:
     """Parse ``a1,a2,a3``: malformed or non-finite values raise ``UsageError``,
-    a triple outside the flow's domain raises a plain ``ValueError``."""
-    return Parameters(*_parse_values(text, 3, "--a"))
+    a triple outside the flow's domain (including a zero parameter) raises a
+    plain ``ValueError``."""
+    p = Parameters(*_parse_values(text, 3, "--a"))
+    if not p.reduced_ok:
+        raise ValueError("a1*a2*a3 = 0: every parameter must be nonzero")
+    return p
 
 
 def _thread_count(requested: int | None, env: str | None, cpus: int | None) -> int:
@@ -192,8 +196,10 @@ def cmd_flow(cfg: Config, args) -> int:
     p = _parse_triple(args.a)
     if not (math.isfinite(args.tmax) and args.tmax > 0):
         raise UsageError("--tmax must be finite and positive")
-    if not p.reduced_ok:
-        raise ValueError("flow requires a1*a2*a3 != 0")
+    try:
+        check_rtol(args.rtol)
+    except ValueError as exc:
+        raise UsageError(f"--rtol: {exc}") from None
 
     dim = 3 if args.three_d else 2
     starts: list[tuple[float, ...]] = []
@@ -285,6 +291,8 @@ def cmd_surface(cfg: Config, args) -> int:
     if args.n < 2:
         raise UsageError("--n must be at least 2")
     lo, hi = args.lo, args.hi
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError("--lo and --hi must be finite")
     axis = [lo + (hi - lo) * (k + 0.5) / args.n for k in range(args.n)]
     lines = ["a1,a2,a3,Q,Q1"]
     for u in axis:

@@ -8,7 +8,6 @@ is the native Python semantics of the ``Fraction`` type.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,15 +19,11 @@ __all__ = [
     "Scalar",
     "Parameters",
     "LieData",
-    "DomainReport",
     "is_exact",
     "parse_scalar",
     "scalar_to_json",
-    "scalar_repr",
     "exact_sqrt",
     "params_from_dims",
-    "symmetric_functions",
-    "validate",
 ]
 
 
@@ -56,14 +51,6 @@ def scalar_to_json(x: Scalar):
     return x
 
 
-def scalar_repr(x: Scalar) -> str:
-    """Text form used by CLI output: exact as n/d, floats at 17 significant digits."""
-    if is_exact(x):
-        f = Fraction(x)
-        return f"{f.numerator}/{f.denominator}"
-    return f"{float(x):.17g}"
-
-
 def exact_sqrt(x: Scalar) -> Scalar | None:
     """Square root of a nonnegative rational if it is again rational, else None."""
     if not is_exact(x) or x < 0:
@@ -85,17 +72,6 @@ def _canonical(x: Scalar) -> Scalar:
     if isinstance(x, (Fraction, float)):
         return x
     raise TypeError(f"unsupported scalar type: {type(x).__name__}")
-
-
-@dataclass(frozen=True)
-class DomainReport:
-    """Validity flags for a parameter triple (informational, never raises)."""
-
-    s2_nonzero: bool
-    reduced_ok: bool
-    wallach_range: bool
-    interior: bool
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -154,24 +130,11 @@ class Parameters:
     def interior(self) -> bool:
         return all(0 < ai < Fraction(1, 2) for ai in self.a)
 
-    def permuted(self, perm: tuple[int, int, int]) -> "Parameters":
-        """Parameters with coordinates reordered so position i holds a[perm[i]]."""
-        a = self.a
-        return Parameters(a[perm[0]], a[perm[1]], a[perm[2]])
-
     def to_json(self) -> dict:
         return {
             "a": [scalar_to_json(v) for v in self.a],
             "s": [scalar_to_json(v) for v in (self.s1, self.s2, self.s3)],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Parameters":
-        vals = [parse_scalar(v) if isinstance(v, str) else v for v in obj["a"]]
-        return cls(*vals)
-
-    def json_str(self) -> str:
-        return json.dumps(self.to_json())
 
 
 @dataclass(frozen=True)
@@ -207,26 +170,3 @@ def params_from_dims(lie: LieData) -> Parameters:
     else:
         a = [lie.A / d for d in (lie.d1, lie.d2, lie.d3)]
     return Parameters(*a)
-
-
-def symmetric_functions(p: Parameters) -> tuple[Scalar, Scalar, Scalar]:
-    """Elementary symmetric functions ``(s1, s2, s3)`` of the parameter triple."""
-    return (p.s1, p.s2, p.s3)
-
-
-def validate(p: Parameters) -> DomainReport:
-    """Domain report for ``p``; informational, never raises."""
-    notes = []
-    if not p.reduced_ok:
-        notes.append("a1*a2*a3 = 0: the volume-reduced planar system is undefined")
-    if p.interior:
-        notes.append(
-            "all a_i in (0,1/2): no equilibrium has a zero component"
-        )
-    return DomainReport(
-        s2_nonzero=p.s2 != 0,
-        reduced_ok=p.reduced_ok,
-        wallach_range=p.wallach_range,
-        interior=p.interior,
-        notes=tuple(notes),
-    )

@@ -7,6 +7,11 @@ closed-form solvers follow the three-way case split on the parameters
 (two equal / pairwise distinct with half sum / general position via a
 quartic); ``solve_all`` dispatches, always runs the independent numeric
 census with ``x3 = 1``, and reconciles the two.
+
+``equations`` is the single source of the two equilibrium equations: the
+exact ``residual``, the census and the polish of float closed-form rays all
+evaluate it, the last two through the one damped-Newton kernel ``_newton``.
+``scale_to_log_volume`` is the single volume scaling of a ray.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "FamilyTag",
     "CaseDiscriminants",
     "CensusWarning",
+    "equations",
     "residual",
     "solve_two_equal",
     "solve_sum_half",
@@ -37,6 +43,7 @@ __all__ = [
     "solve_all",
     "newton_census",
     "normalize_unit_volume",
+    "scale_to_log_volume",
 ]
 
 # Relative distance below which two x3=1 representatives are the same ray.
@@ -93,10 +100,14 @@ class CaseDiscriminants:
     T: Scalar | None = None
 
 
-def residual(p: Parameters, x: MetricPoint) -> tuple[Scalar, Scalar]:
-    """Left-hand sides of the two homogeneous degree-2 equilibrium equations."""
-    a1, a2, a3 = p.a
-    x1, x2, x3 = x.x
+def equations(a1, a2, a3, x1, x2, x3):
+    """The two homogeneous degree-2 equilibrium equations, over any ring.
+
+    They are the first two field components with their denominators cleared:
+    ``e1 = A*x2*x3*f/a1`` and ``e2 = A*x1*x3*g/a2`` with ``(f, g, h)`` from
+    ``flow.field_components`` and ``A = a1*a2 + a1*a3 + a2*a3``.  Exact
+    scalars give exact values; numpy arrays evaluate elementwise.
+    """
     e1 = (
         (a2 + a3) * (a1 * x2 * x2 + a1 * x3 * x3 - x2 * x3)
         + (a2 * x2 + a3 * x3) * x1
@@ -108,6 +119,11 @@ def residual(p: Parameters, x: MetricPoint) -> tuple[Scalar, Scalar]:
         - (a1 * a2 + 2 * a1 * a3 + a2 * a3) * x2 * x2
     )
     return e1, e2
+
+
+def residual(p: Parameters, x: MetricPoint) -> tuple[Scalar, Scalar]:
+    """The equilibrium equations at a metric point (exact for exact input)."""
+    return equations(*p.a, *x.x)
 
 
 def _sqrt_scalar(v: Scalar) -> Scalar:
@@ -266,23 +282,8 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
 # numeric census
 
 
-def _residual_array(a: np.ndarray, x1, x2):
-    a1, a2, a3 = a
-    e1 = (
-        (a2 + a3) * (a1 * x2 * x2 + a1 - x2)
-        + (a2 * x2 + a3) * x1
-        - (a1 * a2 + a1 * a3 + 2 * a2 * a3) * x1 * x1
-    )
-    e2 = (
-        (a1 + a3) * (a2 * x1 * x1 + a2 - x1)
-        + (a1 * x1 + a3) * x2
-        - (a1 * a2 + 2 * a1 * a3 + a2 * a3) * x2 * x2
-    )
-    return e1, e2
-
-
-def _jacobian_array(a: np.ndarray, x1, x2):
-    a1, a2, a3 = a
+def _jacobian(a1, a2, a3, x1, x2):
+    """Jacobian of the x3 = 1 equations with respect to ``(x1, x2)``."""
     j11 = (a2 * x2 + a3) - 2 * (a1 * a2 + a1 * a3 + 2 * a2 * a3) * x1
     j12 = (a2 + a3) * (2 * a1 * x2 - 1) + a2 * x1
     j21 = (a1 + a3) * (2 * a2 * x1 - 1) + a1 * x2
@@ -290,27 +291,22 @@ def _jacobian_array(a: np.ndarray, x1, x2):
     return j11, j12, j21, j22
 
 
-def newton_census(
-    p: Parameters,
-    grid: int = 12,
-    box: tuple[float, float] = (0.05, 20.0),
-    max_iter: int = 80,
-) -> list[tuple[float, float]]:
-    """Damped-Newton continuation on the x3 = 1 equilibrium equations from a
-    deterministic log-uniform grid of starts; returns deduplicated roots
-    sorted by (x1, x2)."""
-    a = np.array([float(v) for v in p.a])
-    axis = np.geomspace(box[0], box[1], grid)
-    x1, x2 = [v.ravel() for v in np.meshgrid(axis, axis, indexing="ij")]
+def _newton(a: tuple[float, ...], x1: np.ndarray, x2: np.ndarray, max_iter: int, tol: float):
+    """Damped Newton on the x3 = 1 equations, elementwise from the starts
+    ``(x1, x2)``.
 
+    A point stops moving once ``max|e| <= tol * (1 + max(x1, x2))**2``; steps
+    are shortened to keep iterates positive and halved (up to 8 times) while
+    they do not decrease the residual.  Returns the final iterates.
+    """
     for _ in range(max_iter):
-        e1, e2 = _residual_array(a, x1, x2)
+        e1, e2 = equations(*a, x1, x2, 1.0)
         norm = np.maximum(np.abs(e1), np.abs(e2))
         scale = (1.0 + np.maximum(x1, x2)) ** 2
-        active = norm > 1e-14 * scale
+        active = norm > tol * scale
         if not np.any(active):
             break
-        j11, j12, j21, j22 = _jacobian_array(a, x1, x2)
+        j11, j12, j21, j22 = _jacobian(*a, x1, x2)
         det = j11 * j22 - j12 * j21
         ok = active & (np.abs(det) > 1e-300)
         det_safe = np.where(ok, det, 1.0)
@@ -326,7 +322,7 @@ def newton_census(
         # backtrack where the damped full step does not decrease the residual
         for _bt in range(8):
             n1, n2 = x1 + lam * s1, x2 + lam * s2
-            f1n, f2n = _residual_array(a, n1, n2)
+            f1n, f2n = equations(*a, n1, n2, 1.0)
             new_norm = np.maximum(np.abs(f1n), np.abs(f2n))
             worse = ok & (new_norm > norm) & (lam > 1e-6)
             if not np.any(worse):
@@ -334,8 +330,24 @@ def newton_census(
             lam = np.where(worse, lam / 2, lam)
         x1 = np.where(ok, x1 + lam * s1, x1)
         x2 = np.where(ok, x2 + lam * s2, x2)
+    return x1, x2
 
-    e1, e2 = _residual_array(a, x1, x2)
+
+def newton_census(
+    p: Parameters,
+    grid: int = 12,
+    box: tuple[float, float] = (0.05, 20.0),
+    max_iter: int = 80,
+) -> list[tuple[float, float]]:
+    """Damped-Newton continuation on the x3 = 1 equilibrium equations from a
+    deterministic log-uniform grid of starts; returns deduplicated roots
+    sorted by (x1, x2)."""
+    a = tuple(float(v) for v in p.a)
+    axis = np.geomspace(box[0], box[1], grid)
+    x1, x2 = [v.ravel() for v in np.meshgrid(axis, axis, indexing="ij")]
+    x1, x2 = _newton(a, x1, x2, max_iter, 1e-14)
+
+    e1, e2 = equations(*a, x1, x2, 1.0)
     norm = np.maximum(np.abs(e1), np.abs(e2))
     scale = (1.0 + np.maximum(np.abs(x1), np.abs(x2))) ** 2
     good = (
@@ -360,25 +372,6 @@ def newton_census(
 
 def _close(pa, pb, rtol: float = _DEDUP_RTOL) -> bool:
     return all(abs(u - v) <= rtol * (1 + abs(u)) for u, v in zip(pa, pb))
-
-
-def _polish(p: Parameters, x1: float, x2: float, iters: int = 40) -> tuple[float, float]:
-    a = np.array([float(v) for v in p.a])
-    for _ in range(iters):
-        e1, e2 = _residual_array(a, x1, x2)
-        scale = (1.0 + max(abs(x1), abs(x2))) ** 2
-        if max(abs(e1), abs(e2)) <= 1e-15 * scale:
-            break
-        j11, j12, j21, j22 = _jacobian_array(a, x1, x2)
-        det = j11 * j22 - j12 * j21
-        if det == 0:
-            break
-        d1 = -(j22 * e1 - j12 * e2) / det
-        d2 = -(-j21 * e1 + j11 * e2) / det
-        if not (np.isfinite(d1) and np.isfinite(d2)):
-            break
-        x1, x2 = x1 + d1, x2 + d2
-    return float(x1), float(x2)
 
 
 def _dispatch_closed_form(p: Parameters) -> list[EquilibriumRay] | None:
@@ -420,15 +413,15 @@ def solve_all(p: Parameters) -> list[EquilibriumRay]:
     except (ValueError, ZeroDivisionError):
         closed = []
 
-    polished: list[EquilibriumRay] = []
-    for ray in closed:
-        key = ray.key()
-        if ray.rep.exact:
-            polished.append(ray)
-            continue
-        x1, x2 = _polish(p, *key)
-        rep = MetricPoint(x1, x2, 1.0)
-        polished.append(replace(ray, rep=rep, convention="x3=1"))
+    # polish the float closed-form rays in one Newton call, keeping their order
+    floats = [i for i, ray in enumerate(closed) if not ray.rep.exact]
+    polished = list(closed)
+    if floats:
+        keys = np.array([closed[i].key() for i in floats])
+        x1, x2 = _newton(tuple(float(v) for v in p.a), keys[:, 0], keys[:, 1], 40, 1e-15)
+        for i, u, v in zip(floats, x1, x2):
+            rep = MetricPoint(float(u), float(v), 1.0)
+            polished[i] = replace(closed[i], rep=rep, convention="x3=1")
 
     # drop closed-form coincidences (distinct families can share a ray)
     merged: list[EquilibriumRay] = []
@@ -471,16 +464,20 @@ def solve_all(p: Parameters) -> list[EquilibriumRay]:
     return merged
 
 
+def scale_to_log_volume(p: Parameters, x: MetricPoint, log_v: float = 0.0) -> MetricPoint:
+    """Scale ``x`` along its ray onto the level set ``log V = log_v``.
+
+    ``V`` is homogeneous of degree ``1/a1 + 1/a2 + 1/a3``, which is nonzero
+    because ``Parameters`` rejects ``s2 == 0``.  A point already on the level
+    set is returned unchanged (so it stays exact).
+    """
+    lv = log_volume(p, x)
+    if lv == log_v:
+        return x
+    q = math.exp((log_v - lv) / float(1 / p.a1 + 1 / p.a2 + 1 / p.a3))
+    return MetricPoint(float(x.x1) * q, float(x.x2) * q, float(x.x3) * q)
+
+
 def normalize_unit_volume(p: Parameters, ray: EquilibriumRay) -> MetricPoint:
     """Scale the ray's representative onto the unit-volume surface."""
-    if not p.reduced_ok:
-        raise ValueError("unit-volume normalization requires all a_i nonzero")
-    k = 1 / p.a1 + 1 / p.a2 + 1 / p.a3
-    if k == 0:
-        raise ValueError("volume degree vanishes; no unit-volume representative")
-    rep = ray.rep
-    lv = log_volume(p, rep)
-    if lv == 0.0:
-        return rep
-    q = math.exp(-lv / float(k))
-    return MetricPoint(float(rep.x1) * q, float(rep.x2) * q, float(rep.x3) * q)
+    return scale_to_log_volume(p, ray.rep)

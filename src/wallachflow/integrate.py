@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Parameters
-from .equilibria import normalize_unit_volume, solve_all
+from .equilibria import normalize_unit_volume, scale_to_log_volume, solve_all
 from .flow import MetricPoint, log_volume, phi, vector_field_2d, vector_field_3d
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "integrate_flow",
     "integrate_flow_3d",
     "dopri_step",
+    "check_rtol",
 ]
 
 # Dormand-Prince 5(4) tableau
@@ -136,7 +137,8 @@ def _adaptive_integrate(f, y0: np.ndarray, t_max: float, rtol: float, observe):
     return (TrajectoryStatus.MAX_TIME, None)
 
 
-def _check_rtol(rel_tol: float):
+def check_rtol(rel_tol: float):
+    """Raise ``ValueError`` unless ``rel_tol`` lies in ``[1e-12, 1e-3]``."""
     if not 1e-12 <= rel_tol <= 1e-3:
         raise ValueError("rel_tol must lie in [1e-12, 1e-3]")
 
@@ -201,7 +203,7 @@ def integrate_flow(
     equilibrium, exits the positivity box, or reaches ``t_max``."""
     if not p.reduced_ok:
         raise ValueError("planar flow requires all a_i nonzero")
-    _check_rtol(rel_tol)
+    check_rtol(rel_tol)
     if not (x0[0] > 0 and x0[1] > 0):
         raise ValueError("initial point must be positive")
 
@@ -236,7 +238,7 @@ def integrate_flow_3d(
     initial value up to integration error."""
     if not p.reduced_ok:
         raise ValueError("volume tracking requires all a_i nonzero")
-    _check_rtol(rel_tol)
+    check_rtol(rel_tol)
 
     def rhs(_t, y):
         x = MetricPoint(*np.exp(y))
@@ -250,11 +252,10 @@ def integrate_flow_3d(
     # rays scaled onto that level set
     y0 = np.log([float(v) for v in x0.x])
     lv = log_volume(p, MetricPoint(*coords(y0)))
-    k_total = float(1 / p.a1 + 1 / p.a2 + 1 / p.a3)
-    targets = []
-    for ray in solve_all(p) if equilibria is None else equilibria:
-        q = math.exp((lv - log_volume(p, ray.rep)) / k_total)
-        targets.append(tuple(float(c) * q for c in ray.rep.x))
+    targets = [
+        tuple(float(c) for c in scale_to_log_volume(p, ray.rep, lv).x)
+        for ray in (solve_all(p) if equilibria is None else equilibria)
+    ]
 
     return _drive(
         p, rhs, coords, lambda x: vector_field_3d(p, MetricPoint(*x)).v, targets, y0, t_max, rel_tol

@@ -330,35 +330,34 @@ def sigma_zero_points(p: Parameters) -> list[MetricPoint]:
     return [MetricPoint(*coords)]
 
 
-def jacobian_2d_fd(p: Parameters, x1: Scalar, x2: Scalar) -> np.ndarray:
-    """Central finite-difference Jacobian of the planar field."""
-    x = np.array([float(x1), float(x2)])
-    jac = np.empty((2, 2))
-    for j in range(2):
-        h = 1e-6 * max(1.0, abs(x[j]))
+def _central_difference(field, base: np.ndarray) -> np.ndarray:
+    """Central finite-difference Jacobian of ``field`` (float array in, float
+    components out) at ``base``, with step ``1e-6 * max(1, |x_j|)``."""
+    n = len(base)
+    jac = np.empty((n, n))
+    for j in range(n):
+        h = 1e-6 * max(1.0, abs(base[j]))
         if h == 0.0:
             raise ValueError("finite-difference step underflow")
-        up = x.copy()
-        dn = x.copy()
-        up[j] += h
-        dn[j] -= h
-        fu = vector_field_2d(p, up[0], up[1])
-        fd = vector_field_2d(p, dn[0], dn[1])
-        jac[:, j] = [(float(fu[i]) - float(fd[i])) / (2 * h) for i in range(2)]
-    return jac
-
-
-def jacobian_3d_fd(p: Parameters, x: MetricPoint) -> np.ndarray:
-    """Central finite-difference Jacobian of the 3D field."""
-    base = np.array([float(v) for v in x.x])
-    jac = np.empty((3, 3))
-    for j in range(3):
-        h = 1e-6 * max(1.0, abs(base[j]))
         up = base.copy()
         dn = base.copy()
         up[j] += h
         dn[j] -= h
-        fu = vector_field_3d(p, MetricPoint(*up)).v
-        fd = vector_field_3d(p, MetricPoint(*dn)).v
-        jac[:, j] = [(float(fu[i]) - float(fd[i])) / (2 * h) for i in range(3)]
+        fu = field(up)
+        fd = field(dn)
+        jac[:, j] = [(float(fu[i]) - float(fd[i])) / (2 * h) for i in range(n)]
     return jac
+
+
+def jacobian_2d_fd(p: Parameters, x1: Scalar, x2: Scalar) -> np.ndarray:
+    """Central finite-difference Jacobian of the planar field."""
+    return _central_difference(
+        lambda x: vector_field_2d(p, x[0], x[1]), np.array([float(x1), float(x2)])
+    )
+
+
+def jacobian_3d_fd(p: Parameters, x: MetricPoint) -> np.ndarray:
+    """Central finite-difference Jacobian of the 3D field."""
+    return _central_difference(
+        lambda y: vector_field_3d(p, MetricPoint(*y)).v, np.array([float(v) for v in x.x])
+    )

@@ -63,6 +63,11 @@ class TestAnalyze:
         out, err = capsys.readouterr()
         assert out == "" and "error:" in err
 
+    def test_zero_parameter_is_domain_error(self, capsys):
+        assert cli.main(["analyze", "--a", "0,1/4,1/3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "a1*a2*a3" in err
+
 
 class TestFlow:
     def test_trajectory_csv(self, tmp_path):
@@ -97,6 +102,17 @@ class TestFlow:
                                       ["--a", "1/6,1/6,1/6", "--x0", "1,inf"]])
     def test_non_finite_input_rejected(self, args):
         assert cli.main(["flow", *args, "--tmax", "1"]) == 2
+
+    @pytest.mark.parametrize("rtol", ["1", "1e-13", "nan"])
+    def test_rtol_out_of_range_is_usage_error(self, rtol, capsys):
+        rc = cli.main(["flow", "--a", "1/6,1/6,1/6", "--x0", "1,1", "--rtol", rtol])
+        assert rc == 2
+        assert "rel_tol" in capsys.readouterr().err
+
+    def test_zero_parameter_is_domain_error(self, capsys):
+        rc = cli.main(["flow", "--a", "1/6,0,1/6", "--random-starts", "1"])
+        assert rc == 3
+        assert "a1*a2*a3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [["--x0", "1/0,1"], ["--x0", "abc,1"], ["--x0", "1,2,3"]])
     def test_malformed_start_is_usage_error(self, args, capsys):
@@ -215,6 +231,12 @@ class TestSurfaceSlice:
     def test_bad_fix_argument(self):
         proc = run_cli(["surface", "--fix", "b2=1"])
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("bound", [["--lo", "nan"], ["--hi", "inf"]])
+    def test_non_finite_bounds_are_usage_error(self, bound, capsys):
+        assert cli.main(["surface", "--fix", "a1=1/2", "--n", "2", *bound]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--lo" in err
 
     @pytest.mark.parametrize("fix", ["a1=1/0", "a1=abc", "a1=nan", "a1"])
     def test_malformed_fix_value_is_usage_error(self, fix, capsys):

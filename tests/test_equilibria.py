@@ -20,7 +20,7 @@ from wallachflow.equilibria import (
     solve_sum_half,
     solve_two_equal,
 )
-from wallachflow.flow import MetricPoint, log_volume
+from wallachflow.flow import MetricPoint, field_components, log_volume
 
 wallach = st.fractions(
     min_value=Fraction(1, 18), max_value=Fraction(9, 20), max_denominator=24
@@ -53,6 +53,44 @@ class TestResidual:
         base = residual(p, x)
         scaled = residual(p, x.scaled(lam))
         assert scaled == (lam * lam * base[0], lam * lam * base[1])
+
+
+class TestSingleSource:
+    @given(wallach, wallach, wallach,
+           st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=12),
+           st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=12),
+           st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=12))
+    @settings(max_examples=50)
+    def test_equations_are_the_field_with_denominators_cleared(self, a1, a2, a3, x1, x2, x3):
+        p = Parameters(a1, a2, a3)
+        f, g, _h = field_components(a1, a2, a3, x1, x2, x3)
+        assert residual(p, MetricPoint(x1, x2, x3)) == (
+            p.A * x2 * x3 * f / a1,
+            p.A * x1 * x3 * g / a2,
+        )
+
+    def test_float_closed_form_rays_are_polished(self):
+        # every float closed-form ray leaves the polish at the 1e-15 scaled
+        # residual, which is tighter than the census tolerance
+        rng = np.random.default_rng(2013)
+        rays_checked = 0
+        for k in range(200):
+            a = rng.uniform(0.01, 0.5, 3)
+            if k % 4 == 1:
+                a[1] = a[0]
+            elif k % 4 == 2:
+                a[2] = 0.5 - a[0] - a[1]
+                if not 0.01 < a[2] < 0.5:
+                    continue
+            p = Parameters(*(float(v) for v in a))
+            for ray in solve_all(p):
+                if ray.family_tag is FamilyTag.NUMERIC:
+                    continue
+                x = ray.rep_x3one()
+                e1, e2 = residual(p, x)
+                assert max(abs(e1), abs(e2)) <= 1e-15 * (1 + max(x.x1, x.x2)) ** 2, (a, x)
+                rays_checked += 1
+        assert rays_checked > 400
 
 
 class TestTwoEqualCase:
