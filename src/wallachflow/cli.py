@@ -6,7 +6,8 @@ batch), ``scan`` (region-classified parameter grid), ``surface`` (Q/Q1 slice
 along a coordinate plane), ``blowup`` (the degenerate-point resolution
 report), ``verify`` (the reproduction suite).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain error,
+141 (128 + SIGPIPE) when the reader of stdout goes away, as in ``| head``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+EXIT_BROKEN_PIPE = 141
 
 
 @dataclass
@@ -231,6 +233,9 @@ def cmd_flow(cfg: Config, args) -> int:
             "x0": list(starts[run]),
             "status": traj.status,
             "steps": len(traj.samples),
+            "steps_accepted": traj.steps_accepted,
+            "steps_rejected": traj.steps_rejected,
+            "field_evals": traj.field_evals,
             "max_volume_drift": traj.max_volume_drift,
             "equilibrium_id": traj.equilibrium_id,
             "exit_face": traj.exit_face,
@@ -423,10 +428,23 @@ def main(argv=None) -> int:
         # a census disagreement is a diagnostic, not output: keep stderr clean
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", eq_mod.CensusWarning)
-            return handler(cfg, args)
+            code = handler(cfg, args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DOMAIN
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout's descriptor at devnull, so
+        # that the interpreter's final flush of the rest does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # a stdout without a descriptor has nothing left to flush
+        finally:
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

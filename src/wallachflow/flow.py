@@ -19,6 +19,7 @@ __all__ = [
     "MetricPoint",
     "Velocity3",
     "b_term",
+    "normalization_weight",
     "normalization_term",
     "field_components",
     "vector_field_3d",
@@ -86,27 +87,38 @@ def _require_reduced(p: Parameters):
         raise ValueError("a1*a2*a3 = 0: operation requires all a_i nonzero")
 
 
-def normalization_term(a1, a2, a3, x1, x2, x3):
+def normalization_weight(a1, a2, a3):
+    """``1 / (1/a1 + 1/a2 + 1/a3)``, the factor of the normalization term
+    that depends on the parameters alone."""
+    return 1 / (1 / a1 + 1 / a2 + 1 / a3)
+
+
+def normalization_term(a1, a2, a3, x1, x2, x3, weight=None):
     """The scalar-curvature normalization term, over any ring with division.
 
-    Homogeneous of degree -1 in the metric coefficients.
+    Homogeneous of degree -1 in the metric coefficients.  ``weight`` is
+    ``normalization_weight(a1, a2, a3)``; a caller evaluating many points
+    may pass it precomputed.
     """
+    if weight is None:
+        weight = normalization_weight(a1, a2, a3)
     num = (
         1 / (a1 * x1)
         + 1 / (a2 * x2)
         + 1 / (a3 * x3)
         - (x1 / (x2 * x3) + x2 / (x1 * x3) + x3 / (x1 * x2))
     )
-    return num * (1 / (1 / a1 + 1 / a2 + 1 / a3))
+    return num * weight
 
 
-def field_components(a1, a2, a3, x1, x2, x3):
+def field_components(a1, a2, a3, x1, x2, x3, weight=None):
     """The three field components, over any ring with division.
 
     This is the single source of the flow formulas; the scalar, float and
-    Taylor-series evaluations all route through it.
+    Taylor-series evaluations all route through it.  ``weight`` is passed on
+    to ``normalization_term``.
     """
-    B = normalization_term(a1, a2, a3, x1, x2, x3)
+    B = normalization_term(a1, a2, a3, x1, x2, x3, weight)
     f = -1 - a1 * x1 * (x1 / (x2 * x3) - x2 / (x1 * x3) - x3 / (x1 * x2)) + x1 * B
     g = -1 - a2 * x2 * (x2 / (x1 * x3) - x3 / (x1 * x2) - x1 / (x2 * x3)) + x2 * B
     h = -1 - a3 * x3 * (x3 / (x1 * x2) - x1 / (x2 * x3) - x2 / (x1 * x3)) + x3 * B
@@ -152,10 +164,17 @@ def phi(p: Parameters, x1: Scalar, x2: Scalar) -> Scalar:
     _require_reduced(p)
     if not (x1 > 0 and x2 > 0):
         raise ValueError("phi expects positive coordinates")
+    e1, e2 = _phi_exponents(p)
+    return power(x1, e1) * power(x2, e2)
+
+
+def _phi_exponents(p: Parameters) -> tuple[Scalar, Scalar]:
+    """``phi = x1^e1 * x2^e2`` with ``(e1, e2) = (-a3/a1, -a3/a2)``, exact
+    when both parameters of an exponent are."""
     a1, a2, a3 = p.a
     e1 = -Fraction(a3) / Fraction(a1) if is_exact(a1) and is_exact(a3) else -a3 / a1
     e2 = -Fraction(a3) / Fraction(a2) if is_exact(a2) and is_exact(a3) else -a3 / a2
-    return power(x1, e1) * power(x2, e2)
+    return e1, e2
 
 
 def vector_field_2d(p: Parameters, x1: Scalar, x2: Scalar) -> tuple[Scalar, Scalar]:

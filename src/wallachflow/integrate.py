@@ -5,6 +5,11 @@ controller (safety 0.9, growth capped at 5x).  Integration happens in
 logarithmic coordinates, which keeps the metric coefficients positive
 without clipping; the conserved volume is recorded along the way as a
 quality diagnostic.
+
+The stepper works on Python floats.  Each chart converts the parameters once,
+which changes no bit of the field, and the seventh stage of an accepted step
+is reused as the next step's first and for the step's diagnosis, so a run
+costs one field evaluation at the start and six per attempted step.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .core import Parameters
 from .equilibria import normalize_unit_volume, scale_to_log_volume, solve_all
-from .flow import MetricPoint, log_volume, phi, vector_field_2d, vector_field_3d
+from .flow import MetricPoint, _phi_exponents, field_components, log_volume, normalization_weight
 
 __all__ = [
     "Trajectory",
@@ -27,10 +32,11 @@ __all__ = [
     "check_rtol",
 ]
 
-# Dormand-Prince 5(4) tableau
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 5(4) tableau: the rows of the stage matrix below its
+# diagonal, the 5th- and 4th-order weights and their difference.  The last
+# row equals the 5th-order weights, so the seventh stage is the derivative
+# at the result and serves as the next step's first (FSAL).
 _A = (
-    (),
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
@@ -40,6 +46,7 @@ _A = (
 )
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 
 _SAFETY = 0.9
 _MAX_GROWTH = 5.0
@@ -62,13 +69,22 @@ class TrajectoryStatus:
 
 @dataclass
 class Trajectory:
-    """Accepted integration steps plus the terminal diagnosis."""
+    """Accepted integration steps plus the terminal diagnosis.
+
+    ``steps_rejected`` counts every attempted step that was not accepted,
+    including retries after a stage the float field could not evaluate;
+    ``field_evals`` counts the evaluations of the field: one at the start
+    and six per attempted step, fewer when a stage ended its step early.
+    """
 
     samples: list[tuple[float, float, float, float, float]] = field(default_factory=list)
     status: str = TrajectoryStatus.MAX_TIME
     equilibrium_id: int | None = None
     exit_face: str | None = None
     max_volume_drift: float = 0.0
+    steps_accepted: int = 0
+    steps_rejected: int = 0
+    field_evals: int = 0
 
     @property
     def times(self) -> list[float]:
@@ -79,60 +95,121 @@ class Trajectory:
         return self.samples[-1][1:4]
 
 
-def dopri_step(f, t: float, y: np.ndarray, h: float):
-    """One Dormand-Prince step: the 5th-order result and the embedded
-    4th-order error estimate."""
-    k = [np.asarray(f(t, y), dtype=float)]
-    for i in range(1, 7):
-        yi = y + h * sum(aij * kj for aij, kj in zip(_A[i], k))
-        k.append(np.asarray(f(t + _C[i] * h, yi), dtype=float))
-    y5 = y + h * sum(b * kj for b, kj in zip(_B5, k))
-    err = h * sum((b5 - b4) * kj for b5, b4, kj in zip(_B5, _B4, k))
-    return y5, err, k
+def _rms(v, scale) -> float:
+    """``sqrt(mean((v / scale)**2))``, summed left to right."""
+    s = 0.0
+    for vi, si in zip(v, scale):
+        r = vi / si
+        s = s + r * r
+    return math.sqrt(s / len(v))
 
 
-def _initial_step(f, t0, y0, rtol):
-    f0 = np.asarray(f(t0, y0), dtype=float)
-    scale = rtol * (1.0 + np.abs(y0))
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
-    h = 1e-6 if d1 <= 1e-15 else 0.01 * d0 / d1
-    return min(max(h, 1e-8), 1.0)
+def dopri_step(f, y: list[float], h: float, first):
+    """One Dormand-Prince step of size ``h`` from ``y``.
+
+    ``f(y)`` returns a stage, a tuple whose first item is the derivative at
+    ``y``, or None where it cannot be evaluated; ``first`` is the stage at
+    ``y``.  Returns the 5th-order result, the embedded 4th-order error
+    estimate and the seventh stage, which is the stage at the result; or
+    None when a stage could not be evaluated.
+
+    Each weighted sum starts from 0 and runs in tableau order with the zero
+    coefficients kept, so that a non-finite stage always reaches the result.
+    """
+    (
+        (a21,),
+        (a31, a32),
+        (a41, a42, a43),
+        (a51, a52, a53, a54),
+        (a61, a62, a63, a64, a65),
+        (a71, a72, a73, a74, a75, a76),
+    ) = _A
+    k1 = first[0]
+    stage = f([u + h * (0 + a21 * q1) for u, q1 in zip(y, k1)])
+    if stage is None:
+        return None
+    k2 = stage[0]
+    stage = f([u + h * (0 + a31 * q1 + a32 * q2) for u, q1, q2 in zip(y, k1, k2)])
+    if stage is None:
+        return None
+    k3 = stage[0]
+    stage = f([
+        u + h * (0 + a41 * q1 + a42 * q2 + a43 * q3)
+        for u, q1, q2, q3 in zip(y, k1, k2, k3)
+    ])
+    if stage is None:
+        return None
+    k4 = stage[0]
+    stage = f([
+        u + h * (0 + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
+        for u, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)
+    ])
+    if stage is None:
+        return None
+    k5 = stage[0]
+    stage = f([
+        u + h * (0 + a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
+        for u, q1, q2, q3, q4, q5 in zip(y, k1, k2, k3, k4, k5)
+    ])
+    if stage is None:
+        return None
+    k6 = stage[0]
+    stage = f([
+        u + h * (0 + a71 * q1 + a72 * q2 + a73 * q3 + a74 * q4 + a75 * q5 + a76 * q6)
+        for u, q1, q2, q3, q4, q5, q6 in zip(y, k1, k2, k3, k4, k5, k6)
+    ])
+    if stage is None:
+        return None
+    k7 = stage[0]
+    b1, b2, b3, b4, b5, b6, b7 = _B5
+    e1, e2, e3, e4, e5, e6, e7 = _E
+    cols = list(zip(y, k1, k2, k3, k4, k5, k6, k7))
+    y5 = [
+        u + h * (0 + b1 * q1 + b2 * q2 + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6 + b7 * q7)
+        for u, q1, q2, q3, q4, q5, q6, q7 in cols
+    ]
+    err = [
+        h * (0 + e1 * q1 + e2 * q2 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7)
+        for _u, q1, q2, q3, q4, q5, q6, q7 in cols
+    ]
+    return y5, err, stage
 
 
-def _adaptive_integrate(f, y0: np.ndarray, t_max: float, rtol: float, observe):
-    """Drive the stepper until an observer verdict, step underflow, or t_max.
+def _integrate(f, y: list[float], first, t_max: float, rtol: float, observe, traj: Trajectory):
+    """Step from ``y``, whose stage is ``first``, until an observer verdict,
+    step underflow or ``t_max``; return the verdict.
 
-    ``observe(t, y)`` is called at every accepted step; a non-None return
-    terminates the run with that (status, payload) pair.
+    ``observe(t, x, v)`` sees every accepted step and may return a
+    (status, payload) pair that ends the run.  ``traj`` counts the steps.
     """
     t = 0.0
-    y = np.array(y0, dtype=float)
-    verdict = observe(t, y)
-    if verdict is not None:
-        return verdict
-    h = _initial_step(f, t, y, rtol)
+    scale = [rtol * (1.0 + abs(c)) for c in y]
+    d0, d1 = _rms(y, scale), _rms(first[0], scale)
+    h = min(max(1e-6 if d1 <= 1e-15 else 0.01 * d0 / d1, 1e-8), 1.0)
     err_prev = 1.0
     while t < t_max:
         h = min(h, t_max - t)
         if h < _MIN_STEP:
             return (TrajectoryStatus.STEP_UNDERFLOW, None)
-        y_new, err, _k = dopri_step(f, t, y, h)
-        if not np.all(np.isfinite(y_new)):
+        step = dopri_step(f, y, h, first)
+        if step is None or not all(map(math.isfinite, step[0])):
+            traj.steps_rejected += 1
             h *= 0.25
             continue
-        scale = rtol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        y_new, err, last = step
+        err_norm = _rms(err, [rtol * (1.0 + max(abs(u), abs(w))) for u, w in zip(y, y_new)])
         if err_norm <= 1.0:
+            traj.steps_accepted += 1
             t += h
-            y = y_new
-            verdict = observe(t, y)
+            y, first = y_new, last
+            verdict = observe(t, last[1], last[2])
             if verdict is not None:
                 return verdict
             factor = _SAFETY * max(err_norm, 1e-10) ** -_PI_ALPHA * max(err_prev, 1e-10) ** _PI_BETA
             err_prev = max(err_norm, 1e-10)
             h *= min(_MAX_GROWTH, max(_MIN_SHRINK, factor))
         else:
+            traj.steps_rejected += 1
             h *= max(_MIN_SHRINK, _SAFETY * err_norm**-_PI_ALPHA)
     return (TrajectoryStatus.MAX_TIME, None)
 
@@ -152,44 +229,113 @@ def _domain_exit(x: tuple[float, float, float]) -> str | None:
     return None
 
 
-def _drive(p: Parameters, rhs, coords, velocity, targets, y0, t_max, rel_tol) -> Trajectory:
-    """Integrate ``rhs`` from the log state ``y0`` and diagnose the run.
+def _drive(a, point, rhs, targets, y0: list[float], t_max: float, rel_tol: float) -> Trajectory:
+    """Integrate the log-coordinate flow from ``y0`` and diagnose the run.
 
-    ``coords(y)`` maps a log state to ``(x1, x2, x3)`` and ``velocity(x)``
-    gives the chart's field there.  A run converges when that velocity is below
+    ``point(y)`` maps a log state to ``(x1, x2, x3)``; ``rhs(x)`` returns the
+    derivative of the log state and the chart's velocity at ``x``; ``a``
+    holds the parameters as floats.  A stage whose point is not strictly
+    positive and finite, or whose evaluation raises ``ArithmeticError``,
+    counts as non-finite.  A run converges when the velocity is below
     ``_FIELD_TOL`` and the point lies within ``_EQ_DIST_TOL`` (scaled) of a
     target, compared over the target's leading coordinates.
     """
     traj = Trajectory()
-    v_ref: list[float] = []
+    v_ref = None
+    inf = math.inf
 
-    def observe(t, y):
-        x = coords(y)
-        v = math.exp(log_volume(p, MetricPoint(*x)))
-        if not v_ref:
-            v_ref.append(v)
-        drift = abs(v - v_ref[0]) / abs(v_ref[0])
+    def f(y):
+        traj.field_evals += 1
+        try:
+            x = point(y)
+            x1, x2, x3 = x
+            if 0 < x1 < inf and 0 < x2 < inf and 0 < x3 < inf:
+                k, v = rhs(x)
+                return k, x, v
+        except ArithmeticError:
+            pass
+        return None
+
+    def observe(t, x, v):
+        nonlocal v_ref
+        vol = math.exp(sum(math.log(xi) / ai for xi, ai in zip(x, a)))
+        if v_ref is None:
+            v_ref = vol
+        drift = abs(vol - v_ref) / abs(v_ref)
         traj.max_volume_drift = max(traj.max_volume_drift, drift)
-        traj.samples.append((t, *x, v))
+        traj.samples.append((t, *x, vol))
         face = _domain_exit(x)
         if face is not None:
             return (TrajectoryStatus.LEFT_DOMAIN, face)
-        if max(abs(float(c)) for c in velocity(x)) <= _FIELD_TOL:
+        if v is not None and max(map(abs, v)) <= _FIELD_TOL:
             for idx, target in enumerate(targets):
-                d = max(abs(a - b) for a, b in zip(x, target)) / (
+                d = max(abs(xi - ti) for xi, ti in zip(x, target)) / (
                     1.0 + max(abs(c) for c in target)
                 )
                 if d <= _EQ_DIST_TOL:
                     return (TrajectoryStatus.CONVERGED, idx)
         return None
 
-    status, payload = _adaptive_integrate(rhs, y0, float(t_max), float(rel_tol), observe)
-    traj.status = status
-    if status == TrajectoryStatus.CONVERGED:
+    first = f(y0)
+    if first is None:
+        # a start outside the box ends the run even where the field fails there
+        verdict = observe(0.0, point(y0), None)
+        if verdict is None:
+            raise ValueError("the flow field cannot be evaluated in floats at the start point")
+    else:
+        verdict = observe(0.0, first[1], first[2])
+        if verdict is None:
+            verdict = _integrate(f, y0, first, t_max, rel_tol, observe, traj)
+    traj.status, payload = verdict
+    if traj.status == TrajectoryStatus.CONVERGED:
         traj.equilibrium_id = payload
-    elif status == TrajectoryStatus.LEFT_DOMAIN:
+    elif traj.status == TrajectoryStatus.LEFT_DOMAIN:
         traj.exit_face = payload
     return traj
+
+
+def _planar_chart(p: Parameters):
+    """The planar chart in floats: the parameters, ``point`` and ``rhs``.
+
+    Mixing an exact scalar into a float operation rounds it to float there,
+    so converting the parameters once changes no bit of the field; only the
+    all-exact normalization weight and phi's exponents are computed from the
+    original scalars before they are rounded.
+    """
+    a = a1, a2, a3 = tuple(float(ai) for ai in p.a)
+    weight = float(normalization_weight(*p.a))
+    e1, e2 = (float(e) for e in _phi_exponents(p))
+
+    def point(y):
+        # x3 = phi(x1, x2), as ``flow.power`` evaluates it; a coordinate that
+        # underflowed to 0 has no logarithm, and x3 = 0 marks the point invalid
+        x1, x2 = math.exp(y[0]), math.exp(y[1])
+        if not (x1 > 0 and x2 > 0):
+            return (x1, x2, 0.0)
+        return (x1, x2, math.exp(e1 * math.log(x1)) * math.exp(e2 * math.log(x2)))
+
+    def rhs(x):
+        x1, x2, x3 = x
+        v1, v2, _v3 = field_components(a1, a2, a3, x1, x2, x3, weight)
+        return (v1 / x1, v2 / x2), (v1, v2)
+
+    return a, point, rhs
+
+
+def _chart_3d(p: Parameters):
+    """The 3D chart in floats, converted as in ``_planar_chart``."""
+    a = tuple(float(ai) for ai in p.a)
+    weight = float(normalization_weight(*p.a))
+
+    def point(y):
+        # numpy's exp, which need not agree bitwise with math.exp
+        return np.exp(y).tolist()
+
+    def rhs(x):
+        v = field_components(*a, *x, weight)
+        return [vi / xi for vi, xi in zip(v, x)], v
+
+    return a, point, rhs
 
 
 def integrate_flow(
@@ -211,20 +357,8 @@ def integrate_flow(
     targets = [
         (float(m.x1), float(m.x2)) for m in (normalize_unit_volume(p, ray) for ray in rays)
     ]
-
-    def rhs(_t, y):
-        x1, x2 = math.exp(y[0]), math.exp(y[1])
-        v1, v2 = vector_field_2d(p, x1, x2)
-        return (float(v1) / x1, float(v2) / x2)
-
-    def coords(y):
-        x1, x2 = math.exp(y[0]), math.exp(y[1])
-        return (x1, x2, float(phi(p, x1, x2)))
-
-    y0 = np.log([float(x0[0]), float(x0[1])])
-    return _drive(
-        p, rhs, coords, lambda x: vector_field_2d(p, x[0], x[1]), targets, y0, t_max, rel_tol
-    )
+    y0 = np.log([float(x0[0]), float(x0[1])]).tolist()
+    return _drive(*_planar_chart(p), targets, y0, float(t_max), float(rel_tol))
 
 
 def integrate_flow_3d(
@@ -240,23 +374,15 @@ def integrate_flow_3d(
         raise ValueError("volume tracking requires all a_i nonzero")
     check_rtol(rel_tol)
 
-    def rhs(_t, y):
-        x = MetricPoint(*np.exp(y))
-        v = vector_field_3d(p, x)
-        return tuple(float(vi) / float(xi) for vi, xi in zip(v.v, x.x))
-
-    def coords(y):
-        return tuple(float(v) for v in np.exp(y))
-
+    a, point, rhs = _chart_3d(p)
     # the flow keeps the start's volume, so the targets are the equilibrium
     # rays scaled onto that level set
-    y0 = np.log([float(v) for v in x0.x])
-    lv = log_volume(p, MetricPoint(*coords(y0)))
+    y0 = np.log([float(v) for v in x0.x]).tolist()
+    lv = log_volume(p, MetricPoint(*point(y0)))
     targets = [
         tuple(float(c) for c in scale_to_log_volume(p, ray.rep, lv).x)
         for ray in (solve_all(p) if equilibria is None else equilibria)
     ]
-
-    return _drive(
-        p, rhs, coords, lambda x: vector_field_3d(p, MetricPoint(*x)).v, targets, y0, t_max, rel_tol
-    )
+    # a trial stage that overflows is rejected like any non-finite stage
+    with np.errstate(over="ignore"):
+        return _drive(a, point, rhs, targets, y0, float(t_max), float(rel_tol))

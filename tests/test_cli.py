@@ -130,6 +130,37 @@ class TestFlow:
         assert converged
         assert all(r["equilibrium_id"] is not None for r in converged)
 
+    @pytest.mark.parametrize("args, counts", [
+        # (steps_accepted, steps_rejected, field_evals) per run
+        (["--a", "7/15,7/15,7/15", "--random-starts", "2", "--seed", "3"],
+         [(177, 0, 1063), (160, 0, 961)]),
+        (["--a", "1/6,1/4,1/3", "--x0", "1.3,0.8", "--rtol", "1e-6"], [(64, 46, 661)]),
+    ])
+    def test_summary_work_counters(self, args, counts, capsys):
+        # one evaluation at the start and six per attempted step: the seventh
+        # stage of an accepted step is the next step's first
+        assert cli.main(["--threads", "1", "flow", *args]) == 0
+        runs = json.loads(capsys.readouterr().err)["runs"]
+        assert [(r["steps_accepted"], r["steps_rejected"], r["field_evals"]) for r in runs] == counts
+        for r in runs:
+            assert r["steps"] == 1 + r["steps_accepted"]
+            assert r["field_evals"] == 1 + 6 * (r["steps_accepted"] + r["steps_rejected"])
+
+    @pytest.mark.parametrize("args, bound", [
+        (["--a", "0.01,0.01,0.49", "--random-starts", "3", "--seed", "2"], 1e-8),
+        (["--a", "1/6,1/4,1/3", "--random-starts", "3", "--rtol", "1e-3", "--three-d"], 1e-7),
+    ])
+    def test_trial_stage_outside_float_range_is_retried(self, args, bound, capsys):
+        # these runs once ended in an OverflowError traceback (planar) or a
+        # "metric coefficients must be strictly positive" domain error (3D):
+        # a trial stage left the float range and the step must shrink instead
+        assert cli.main(["flow", *args]) == 0
+        runs = json.loads(capsys.readouterr().err)["runs"]
+        assert {r["status"] for r in runs} <= {"converged", "left_domain", "max_time", "step_underflow"}
+        assert all(r["max_volume_drift"] <= bound for r in runs)
+        # an unevaluable stage ends its step early
+        assert all(r["field_evals"] <= 1 + 6 * (r["steps_accepted"] + r["steps_rejected"]) for r in runs)
+
     def test_batch_reproducible(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["flow", "--a", "7/15,7/15,7/15", "--random-starts", "3",
@@ -263,6 +294,33 @@ class TestCensusWarningsSilenced:
         # outside main, so only the pool initializer can set the filter
         assert cli._map(_warn_census, [0, 1], 1) == [1, 1]
         assert cli._map(_warn_census, [0, 1], 2) == [0, 0]
+
+
+class _ClosedPipe:
+    def write(self, _text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestClosedStdout:
+    def test_broken_pipe_exits_141(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert cli.main(["analyze", "--a", "1/6,1/4,1/3"]) == cli.EXIT_BROKEN_PIPE == 141
+        assert capsys.readouterr().err == ""
+
+    def test_reader_gone_before_output(self):
+        # as in `wallachflow analyze ... | head`: no traceback on stderr
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wallachflow.cli", "analyze", "--a", "1/6,1/4,1/3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
 
 class TestBlowupCommand:

@@ -3,12 +3,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallachflow.core import Parameters
 from wallachflow.equilibria import normalize_unit_volume, solve_all
-from wallachflow.flow import MetricPoint
+from wallachflow.flow import (
+    MetricPoint,
+    field_components,
+    normalization_weight,
+    phi,
+    vector_field_2d,
+    vector_field_3d,
+)
 from wallachflow.integrate import (
+    Trajectory,
     TrajectoryStatus,
+    _chart_3d,
+    _drive,
+    _integrate,
+    _planar_chart,
     dopri_step,
     integrate_flow,
     integrate_flow_3d,
@@ -28,16 +42,16 @@ def unstable_params():
 class TestStepper:
     def test_local_error_estimate_order(self):
         # the embedded error estimate of the 5(4) pair shrinks like h^5
-        mat = np.array([[-1.0, 2.0], [0.5, -2.0]])
+        mat = ((-1.0, 2.0), (0.5, -2.0))
 
-        def f(_t, y):
-            return mat @ y
+        def f(y):
+            return ([row[0] * y[0] + row[1] * y[1] for row in mat],)
 
-        y0 = np.array([1.0, -0.3])
+        y0 = [1.0, -0.3]
         errs = []
         for h in (0.1, 0.05, 0.025):
-            _y, err, _k = dopri_step(f, 0.0, y0, h)
-            errs.append(np.max(np.abs(err)))
+            _y, err, _last = dopri_step(f, y0, h, f(y0))
+            errs.append(max(abs(e) for e in err))
         assert errs[0] / errs[1] > 2**4.5
         assert errs[1] / errs[2] > 2**4.5
 
@@ -45,23 +59,83 @@ class TestStepper:
         # manufactured linear problem with known solution
         lam = -1.3
 
-        def f(_t, y):
-            return lam * y
-
-        from wallachflow.integrate import _adaptive_integrate
+        def f(y):
+            return ([lam * y[0]], y, None)
 
         errors = []
         for rtol in (1e-6, 1e-9):
             final = {}
 
-            def observe(t, y):
-                final["t"], final["y"] = t, float(y[0])
+            def observe(t, x, _v):
+                final["t"], final["y"] = t, x[0]
                 return None
 
-            status, _ = _adaptive_integrate(f, np.array([1.0]), 3.0, rtol, observe)
+            status, _ = _integrate(f, [1.0], f([1.0]), 3.0, rtol, observe, Trajectory())
             assert status == TrajectoryStatus.MAX_TIME
             errors.append(abs(final["y"] - math.exp(lam * final["t"])))
         assert errors[0] / max(errors[1], 1e-18) > 10
+
+    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
+    def test_seventh_stage_is_the_stage_at_the_result(self, chart):
+        # FSAL: the last row of the tableau is the 5th-order weights, so the
+        # stage the step returns is, bit for bit, the field at its result
+        _a, point, rhs = chart(Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3)))
+
+        def f(y):
+            x = point(y)
+            return (*rhs(x), x)
+
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            y = rng.uniform(-0.5, 0.5, 2 if chart is _planar_chart else 3).tolist()
+            y5, _err, last = dopri_step(f, y, float(rng.uniform(0.01, 0.5)), f(y))
+            assert last == f(y5)
+
+    def test_unevaluable_stage_fails_the_step(self):
+        # y' = 1 from 0: the stages of a step of size h reach y = h
+        def f(y):
+            return None if y[0] > 0.3 else ([1.0],)
+
+        assert dopri_step(f, [0.0], 0.5, f([0.0])) is None
+        assert dopri_step(f, [0.0], 0.1, f([0.0])) is not None
+
+
+# parameters of at least 1/50 keep phi's exponents below 25 in size, so
+# x3 = phi(x1, x2) stays far inside the float range on these coordinates
+_exact = st.fractions(min_value=Fraction(1, 50), max_value=Fraction(1, 2), max_denominator=200)
+_float = st.floats(min_value=0.02, max_value=0.5)
+_param = st.one_of(_exact, _float)
+_coord = st.floats(min_value=0.1, max_value=10.0)
+
+
+class TestFloatCharts:
+    """The charts convert the parameters to floats once; the field they
+    evaluate must equal the exact-parameter formulas bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.tuples(_param, _param, _param), x=st.tuples(_coord, _coord, _coord))
+    def test_float_field_equals_the_formula(self, a, x):
+        p = Parameters(*a)
+        fa = tuple(float(ai) for ai in p.a)
+        weight = float(normalization_weight(*p.a))
+        assert field_components(*fa, *x, weight) == field_components(*p.a, *x)
+        _a, _point, rhs = _chart_3d(p)
+        k, v = rhs(list(x))
+        assert tuple(v) == vector_field_3d(p, MetricPoint(*x)).v
+        assert k == [vi / xi for vi, xi in zip(v, x)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.tuples(_param, _param, _param), x=st.tuples(_coord, _coord))
+    def test_planar_chart_equals_phi_and_the_planar_field(self, a, x):
+        p = Parameters(*a)
+        _a, point, rhs = _planar_chart(p)
+        y = [math.log(c) for c in x]
+        x1, x2, x3 = point(y)
+        assert (x1, x2) == (math.exp(y[0]), math.exp(y[1]))
+        assert x3 == phi(p, x1, x2)
+        k, v = rhs((x1, x2, x3))
+        assert v == vector_field_2d(p, x1, x2)
+        assert k == (v[0] / x1, v[1] / x2)
 
 
 class TestPlanarIntegration:
@@ -140,6 +214,21 @@ class TestLimitClassification:
         assert traj.status == TrajectoryStatus.LEFT_DOMAIN
         assert traj.exit_face in {f"x{i}-{side}" for i in (1, 2, 3) for side in ("min", "max")}
         assert traj.equilibrium_id is None
+
+    def test_start_beyond_the_float_range_reports_its_face(self, stable_params):
+        # x3 = phi(x1, x2) overflows here and the field cannot be evaluated,
+        # but the start lies outside the box, which ends the run
+        traj = integrate_flow(stable_params, (1e-300, 1e-300))
+        assert traj.status == TrajectoryStatus.LEFT_DOMAIN
+        assert traj.exit_face == "x1-min"
+        assert len(traj.samples) == 1 and traj.field_evals == 1
+
+    def test_start_inside_the_box_where_the_field_fails_is_an_error(self):
+        def rhs(_x):
+            raise ZeroDivisionError
+
+        with pytest.raises(ValueError, match="start point"):
+            _drive((1.0, 1.0, 1.0), lambda _y: (1.0, 1.0, 1.0), rhs, [], [0.0, 0.0], 1.0, 1e-6)
 
     def test_saddle_avoidance(self, unstable_params):
         # random starts never settle on a saddle: they reach the node or leave
