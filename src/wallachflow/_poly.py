@@ -1,19 +1,19 @@
-"""Exact polynomial plumbing: monomial-dict polynomials, rational-root
-extraction for univariate polynomials, and truncated bivariate Taylor series.
+"""Exact polynomial plumbing: monomial-dict polynomials, real roots of
+univariate polynomials, and truncated bivariate Taylor series.
 
-Everything here works over ``fractions.Fraction`` and stays exact.  Rational
-roots are found by Sturm-sequence isolation of the real roots (Basu, Pollack
-and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2) followed by
-bisection to a width at which at most one candidate fraction remains, so
-exact input keeps its rational roots whatever the size of its coefficients.
+``real_roots`` is the one real-root finder, for exact and float input alike;
+``rational_roots`` keeps the rational roots of exact input exact.  Both
+isolate roots by Sturm sequences (Basu, Pollack and Roy, *Algorithms in Real
+Algebraic Geometry*, ch. 2) and refine them by exact signs on a dyadic grid.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
-import numpy as np
+from .core import is_exact
 
 Monomials = dict  # exponent tuple -> Fraction coefficient
 
@@ -46,9 +46,6 @@ def p_scale(p: Monomials, c) -> Monomials:
     if not c:
         return {}
     return {m: v * c for m, v in p.items()}
-
-def p_sub(p: Monomials, q: Monomials) -> Monomials:
-    return p_add(p, p_scale(q, -1))
 
 def p_mul(p: Monomials, q: Monomials) -> Monomials:
     out: Monomials = {}
@@ -139,44 +136,43 @@ def _derivative(f: list[int]) -> list[int]:
     return [c * (n - i) for i, c in enumerate(f[:-1])]
 
 
-def _sign_at(f: list[int], x: Fraction) -> int:
-    """Sign of ``f(x)``, from the integer ``f(n/d) * d**deg``."""
-    n, d = x.numerator, x.denominator
+def _gcd(f: list, g: list) -> list:
+    """A greatest common divisor of ``f`` and ``g`` (Euclid, primitive
+    remainders); ``g`` may be empty, the zero polynomial."""
+    while g:
+        f, g = g, _primitive(_divmod(f, g)[1])
+    return f
+
+
+def _value_at(f: list[int], n: int, d: int) -> int:
+    """The integer ``f(n/d) * d**deg``."""
     acc, dpow = f[0], 1
     for c in f[1:]:
         dpow *= d
         acc = acc * n + c * dpow
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
 def _sturm_chain(f: list[int]) -> list[list[int]]:
-    """Sturm sequence of the square-free part ``f / gcd(f, f')``, each
-    member scaled by a positive constant to coprime integers."""
-    a, b = f, _derivative(f)
-    while b:  # Euclid: a ends as gcd(f, f')
-        a, b = b, _primitive(_divmod(a, b)[1])
-    chain = [_primitive(_divmod(f, a)[0])]
-    chain.append(_derivative(chain[0]))
+    """Sturm sequence of the square-free ``f``, each member after ``f`` and
+    ``f'`` scaled by a positive constant to coprime integers."""
+    chain = [f, _derivative(f)]
     while len(chain[-1]) > 1:
         chain.append(_primitive([-c for c in _divmod(chain[-2], chain[-1])[1]]))
     return chain
 
 
 def _variations(chain: list[list[int]], x: Fraction) -> int:
-    count, last = 0, 0
-    for f in chain:
-        s = _sign_at(f, x)
-        if s:
-            if s == -last:
-                count += 1
-            last = s
-    return count
+    """Sign changes along ``chain`` at ``x``, zeros skipped."""
+    n, d = x.numerator, x.denominator
+    signs = [v > 0 for f in chain if (v := _value_at(f, n, d))]
+    return sum(map(operator.ne, signs, signs[1:]))
 
 
-def _isolate(chain: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
-    """Intervals ``(lo, hi]``, ascending, each holding one real root of
-    ``chain[0]``: Sturm counts bisected inside the Cauchy bound."""
-    f = chain[0]
+def _isolate(f: list[int]) -> list[tuple[Fraction, Fraction]]:
+    """Intervals ``(lo, hi]``, ascending, each holding one real root of the
+    square-free ``f``: Sturm counts bisected inside the Cauchy bound."""
+    chain = _sturm_chain(f)
     bound = 2 + max(abs(c) for c in f[1:]) // abs(f[0])
     b = Fraction(1 << bound.bit_length())
     out = []
@@ -192,26 +188,38 @@ def _isolate(chain: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def _refine(f: list[int], lo: Fraction, hi: Fraction, width: Fraction) -> Fraction:
-    """The only root of the square-free ``f`` in ``(lo, hi]``, or a point
-    within ``width / 2`` of it.
+def _refine(f: list[int], lo: Fraction, hi: Fraction, bits: int) -> Fraction:
+    """The only root of the square-free ``f`` in ``(lo, hi]``, or the grid
+    point ``m / D`` just above it, where ``D`` is a power of 2 of at least
+    ``2**bits`` (``lo`` and ``hi`` are dyadic).
 
-    Bisection steers by the sign at ``hi``: ``lo`` may be a root that
-    belongs to the interval below.
+    Exact signs keep the bracket on the grid, steering by the sign at ``hi``
+    since ``lo`` may be the root below.  Once the bracket has one sign and a
+    width of at most half its size, the next point is Newton's step from the
+    last one, exact in grid units, or one unit towards the middle when that
+    step is shorter than one unit.  A step that leaves the bracket, and every
+    step after the 40th, is a bisection.
     """
-    s_hi = _sign_at(f, hi)
-    if s_hi == 0:
-        return hi
-    while hi - lo >= width:
-        mid = (lo + hi) / 2
-        s = _sign_at(f, mid)
-        if s == 0:
-            return mid
-        if s == s_hi:
-            hi = mid
+    D = max(lo.denominator, hi.denominator, 1 << bits)
+    a, b = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
+    df, v_b = _derivative(f), _value_at(f, b, D)
+    m, steps = (a + b) // 2, 0
+    while v_b and b - a > 1:
+        v, dv = _value_at(f, m, D), _value_at(df, m, D)
+        if v == 0:
+            return Fraction(m, D)
+        if (v > 0) == (v_b > 0):
+            b = m
         else:
-            lo = mid
-    return (lo + hi) / 2
+            a = m
+        last, m, steps = m, (a + b) // 2, steps + 1
+        if dv and steps < 40 and 2 * (b - a) <= max(-a, b):
+            newton = last - v // dv  # f(x)/f'(x) in grid units is v/dv
+            if newton == last:
+                newton += 1 if last == a else -1
+            if a < newton < b:
+                m = newton
+    return Fraction(b, D)
 
 
 def rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]], list[Fraction]]:
@@ -220,12 +228,13 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]], 
     (highest degree first).
 
     Each real root of the square-free part is isolated by Sturm's theorem and
-    bisected to below ``1 / (2 lead**2)``, where ``lead`` leads the primitive
+    refined to within ``1 / (4 lead**2)``, where ``lead`` leads the primitive
     integer polynomial.  A rational root has denominator dividing ``lead``,
-    and no other fraction with denominator at most ``lead`` lies that close,
-    so ``limit_denominator(lead)`` of the midpoint is the only candidate; an
-    exact evaluation confirms it.  No divisor is enumerated, so the cost
-    grows with the bit size of the coefficients, not with their value.
+    and no other fraction with denominator at most ``lead`` lies within
+    ``1 / lead**2`` of it, so ``limit_denominator(lead)`` of the refined
+    point is the only candidate; an exact evaluation confirms it.  No divisor
+    is enumerated, so the cost grows with the bit size of the coefficients,
+    not with their value.
     """
     coeffs = [Fraction(c) for c in coeffs]
     while coeffs and coeffs[0] == 0:
@@ -243,10 +252,9 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]], 
 
     ints = _primitive(coeffs)
     lead = abs(ints[0])
-    width = Fraction(1, 2 * lead * lead)
-    chain = _sturm_chain(ints)
-    for lo, hi in _isolate(chain):
-        cand = _refine(chain[0], lo, hi, width).limit_denominator(lead)
+    square_free = _primitive(_divmod(ints, _gcd(ints, _derivative(ints)))[0])
+    for lo, hi in _isolate(square_free):
+        cand = _refine(square_free, lo, hi, (4 * lead * lead).bit_length()).limit_denominator(lead)
         mult = 0
         while len(coeffs) > 1 and _horner(coeffs, cand) == 0:
             coeffs = _deflate(coeffs, cand)
@@ -256,52 +264,53 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]], 
     return found, coeffs
 
 
-def real_roots(coeffs, exact: bool, cluster_rtol: float = 1e-8):
-    """Real roots (with multiplicity) of a univariate polynomial.
+def _square_free(f: list[int]) -> list[tuple[list[int], int]]:
+    """Musser's square-free factorization: pairs ``(factor, k)`` of coprime,
+    square-free, non-constant factors, ``f`` being a constant times the
+    product of the ``factor**k``."""
+    out, k = [], 1
+    g = _gcd(f, _derivative(f))
+    b = _divmod(f, g)[0]  # the product of every factor
+    while len(b) > 1:
+        h = _gcd(b, g)  # the product of the factors of multiplicity above k
+        q = _divmod(b, h)[0]
+        if len(q) > 1:
+            out.append((_primitive(q), k))
+        b, g, k = h, _divmod(g, h)[0], k + 1
+    return out
 
-    ``coeffs`` highest degree first.  When ``exact`` is true, rational roots
-    are split off exactly by Sturm isolation (``rational_roots``), for
-    coefficients of any size; whatever remains (and the whole problem in float
-    mode) goes through the companion-matrix eigenvalue solver with a Newton
-    polish, and nearby roots are clustered into multiple roots.
+
+def real_roots(coeffs) -> list[tuple[object, int]]:
+    """Real roots of a univariate polynomial (highest degree first), ascending,
+    each with its multiplicity.
+
+    Every float is a dyadic rational, so the coefficients are converted to
+    ``Fraction`` exactly and the roots are those of that exact polynomial.
+    When every coefficient is exact, the rational roots are split off by
+    ``rational_roots`` and returned as ``Fraction``.  The other roots are
+    isolated by Sturm's theorem in each factor of the square-free
+    factorization, whose index is their exact multiplicity, and refined by
+    ``_refine`` to within ``2**-55`` relative before rounding to a float; a
+    root beyond the float range is an infinity.
     """
+    rest = [Fraction(c) for c in coeffs]
     roots: list[tuple[object, int]] = []
-    rest = [Fraction(c) for c in coeffs] if exact else [float(c) for c in coeffs]
-    if exact:
+    if all(map(is_exact, coeffs)):
         roots, rest = rational_roots(rest)
-    else:
-        while rest and rest[0] == 0:
-            rest = rest[1:]
+    while rest and rest[0] == 0:
+        rest = rest[1:]
     if len(rest) > 1:
-        arr = np.array([float(c) for c in rest])
-        complex_roots = np.roots(arr)
-        scale = max(1.0, float(np.max(np.abs(complex_roots))) if len(complex_roots) else 1.0)
-        real = [r.real for r in complex_roots if abs(r.imag) <= 1e-7 * scale]
-        real = [_newton_polish_poly(arr, r) for r in real]
-        real.sort()
-        i = 0
-        while i < len(real):
-            j = i
-            while j + 1 < len(real) and abs(real[j + 1] - real[i]) <= cluster_rtol * (1 + abs(real[i])):
-                j += 1
-            cluster = real[i : j + 1]
-            roots.append((sum(cluster) / len(cluster), len(cluster)))
-            i = j + 1
-    return sorted(roots, key=lambda rm: float(rm[0]))
-
-
-def _newton_polish_poly(coeffs: np.ndarray, x: float, iters: int = 3) -> float:
-    der = np.polyder(coeffs)
-    for _ in range(iters):
-        fx = np.polyval(coeffs, x)
-        dx = np.polyval(der, x)
-        if dx == 0:
-            break
-        step = fx / dx
-        if not np.isfinite(step):
-            break
-        x -= step
-    return x
+        for factor, mult in _square_free(_primitive(rest)):
+            # grid step 2**-55 of |root| >= |lowest nonzero coefficient| / (2 max|c|)
+            tail = next(c for c in reversed(factor) if c)
+            bits = 57 + max(map(abs, factor)).bit_length() - abs(tail).bit_length()
+            for lo, hi in _isolate(factor):
+                root = _refine(factor, lo, hi, bits)
+                try:
+                    roots.append((float(root), mult))
+                except OverflowError:
+                    roots.append((math.inf if root > 0 else -math.inf, mult))
+    return sorted(roots, key=lambda rm: rm[0])
 
 
 def quartic_discriminant_coeffs(a, b, c, d, e):
@@ -358,9 +367,6 @@ class Series2:
 
     def coeff(self, i: int, j: int) -> Fraction:
         return self.c.get((i, j), Fraction(0))
-
-    def homogeneous_part(self, degree: int) -> dict:
-        return {k: v for k, v in self.c.items() if sum(k) == degree}
 
     def __add__(self, other):
         other = _coerce(other, self.order)

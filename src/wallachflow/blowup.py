@@ -183,7 +183,7 @@ def _delta_cubic(parts: QuadraticPart) -> list[Fraction]:
 def delta_u_roots() -> tuple[Fraction, Fraction, Fraction]:
     """The three real roots of the blow-up direction cubic, sorted."""
     parts = shifted_quadratic_parts()
-    roots = real_roots(_delta_cubic(parts), exact=True)
+    roots = real_roots(_delta_cubic(parts))
     flat = []
     for r, m in roots:
         flat.extend([r] * m)

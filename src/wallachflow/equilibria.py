@@ -247,8 +247,8 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
     """Rays for pairwise distinct parameters with sum != 1/2, via the quartic.
 
     Representatives keep the ``(1, t, s)`` parametrization (``convention
-    "x1=1"``); ill-conditioned multiple roots are reported with their
-    multiplicity rather than dropped.
+    "x1=1"``); a multiple root of the quartic is reported once, with its
+    exact multiplicity.
     """
     a1, a2, a3 = p.a
     if a1 == a2 or a1 == a3 or a2 == a3:
@@ -257,10 +257,8 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
         raise ValueError("general case expects a1+a2+a3 != 1/2")
     coeffs = quartic_coefficients(p)
     rays = []
-    # cluster width ~ sqrt(machine eps): double roots of a float quartic are
-    # only determined to that accuracy by the companion-matrix eigenvalues
-    for s, mult in real_roots(coeffs, exact=p.exact, cluster_rtol=3e-7):
-        if s <= 0:
+    for s, mult in real_roots(coeffs):
+        if not 0 < s < math.inf:  # s = inf: x1 = x3/s is below the float range
             continue
         try:
             t = _t_from_s(p, s)

@@ -277,15 +277,15 @@ def _drive(a, point, rhs, targets, y0: list[float], t_max: float, rel_tol: float
         return None
 
     first = f(y0)
-    if first is None:
+    try:
         # a start outside the box ends the run even where the field fails there
-        verdict = observe(0.0, point(y0), None)
-        if verdict is None:
+        verdict = observe(0.0, *(first[1:] if first else (point(y0), None)))
+    except (ArithmeticError, ValueError):
+        raise ValueError("the start point's x3 or volume is outside the float range") from None
+    if verdict is None:
+        if first is None:
             raise ValueError("the flow field cannot be evaluated in floats at the start point")
-    else:
-        verdict = observe(0.0, first[1], first[2])
-        if verdict is None:
-            verdict = _integrate(f, y0, first, t_max, rel_tol, observe, traj)
+        verdict = _integrate(f, y0, first, t_max, rel_tol, observe, traj)
     traj.status, payload = verdict
     if traj.status == TrajectoryStatus.CONVERGED:
         traj.equilibrium_id = payload

@@ -46,10 +46,6 @@ def _census(p: Parameters):
     return out
 
 
-def _fail(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, False, detail)
-
-
 def _expect(cond: bool, problems: list[str], message: str):
     if not cond:
         problems.append(message)

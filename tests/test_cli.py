@@ -44,6 +44,18 @@ class TestAnalyze:
         assert len(payload["equilibria"]) == 3
         assert sorted(e["multiplicity"] for e in payload["equilibria"]) == [1, 1, 2]
 
+    @pytest.mark.parametrize("triple, multiplicities", [
+        # near the face a1 -> 1/2 a complex pair of the quartic once passed
+        # for a real root and merged with one into a multiplicity 3
+        ("0.49999999,1/6,1/3", [1, 1]),
+        # the double root of the exact A9 triple splits in its dyadic quartic
+        ("0.1388888888888889,0.16666666666666666,0.25", [1, 1, 1, 1]),
+    ])
+    def test_float_triple_multiplicities(self, triple, multiplicities, capsys):
+        assert cli.main(["analyze", "--a", triple]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [e["multiplicity"] for e in payload["equilibria"]] == multiplicities
+
     def test_decimal_under_exact_warns(self):
         proc = run_cli(["analyze", "--a", "0.2,0.3,0.4", "--exact"])
         assert proc.returncode == 0
@@ -161,13 +173,29 @@ class TestFlow:
         # an unevaluable stage ends its step early
         assert all(r["field_evals"] <= 1 + 6 * (r["steps_accepted"] + r["steps_rejected"]) for r in runs)
 
+    @pytest.mark.parametrize("args", [
+        ["--a", "1/6,1/4,1/3", "--x0", "1e300,1e-300"],
+        ["--a", "0.01,0.01,0.49", "--x0", "1e5,1e4,1", "--three-d"],
+    ])
+    def test_start_outside_float_range_is_domain_error(self, args, capsys):
+        # x3 of the planar start and the volume of the 3D start overflow a
+        # float; both once ended in an OverflowError traceback
+        assert cli.main(["flow", *args]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "float range" in err
+
     def test_batch_reproducible(self, tmp_path):
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        # the CSV and the summary are byte-identical from run to run and
+        # across thread counts
         args = ["flow", "--a", "7/15,7/15,7/15", "--random-starts", "3",
                 "--seed", "5", "--tmax", "3"]
-        run_cli([*args, "--out", str(out1)])
-        run_cli([*args, "--out", str(out2)])
-        assert out1.read_bytes() == out2.read_bytes()
+        outputs = []
+        for i, threads in enumerate(("1", "1", "2")):
+            out = tmp_path / f"{i}.csv"
+            proc = run_cli(["--threads", threads, *args, "--out", str(out)])
+            assert proc.returncode == 0
+            outputs.append((out.read_bytes(), proc.stdout))
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestScan:
