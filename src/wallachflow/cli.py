@@ -431,8 +431,9 @@ def main(argv=None) -> int:
             code = handler(cfg, args)
         sys.stdout.flush()
         return code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError) as exc:
+        reason = exc if isinstance(exc, ValueError) else "a value left the float range"
+        print(f"error: {reason}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DOMAIN
     except BrokenPipeError:
         # stdout's reader is gone: point stdout's descriptor at devnull, so

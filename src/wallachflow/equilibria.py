@@ -1,16 +1,16 @@
 """Equilibrium rays of the flow: closed-form case analysis plus a generic
-multi-start Newton census.
+census by exact elimination.
 
 Equilibria form positive rays (the defining equations are homogeneous of
 degree 2), so each family is reported through one representative.  The
 closed-form solvers follow the three-way case split on the parameters
 (two equal / pairwise distinct with half sum / general position via a
-quartic); ``solve_all`` dispatches, always runs the independent numeric
-census with ``x3 = 1``, and reconciles the two.
+quartic); ``solve_all`` dispatches, always runs the independent ``census``
+with ``x3 = 1``, and reconciles the two.
 
 ``equations`` is the single source of the two equilibrium equations: the
-exact ``residual``, the census and the polish of float closed-form rays all
-evaluate it, the last two through the one damped-Newton kernel ``_newton``.
+exact ``residual``, the census (over exact polynomials) and the
+damped-Newton polish ``_newton`` of float closed-form rays all evaluate it.
 ``scale_to_log_volume`` is the single volume scaling of a ray.
 """
 
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._poly import quartic_discriminant_coeffs, real_roots
+from ._poly import Series2, quartic_discriminant_coeffs, real_roots
 from .core import Parameters, Scalar, exact_sqrt, is_exact
 from .flow import MetricPoint, log_volume
 
@@ -41,7 +41,7 @@ __all__ = [
     "quartic_discriminant",
     "solve_general",
     "solve_all",
-    "newton_census",
+    "census",
     "normalize_unit_volume",
     "scale_to_log_volume",
 ]
@@ -50,6 +50,9 @@ __all__ = [
 _DEDUP_RTOL = 1e-8
 # Acceptable polished residual, relative to the degree-2 scale of the point.
 _RESIDUAL_TOL = 1e-12
+# In the census chart x2 = u - x1/3, L = 0 at a root of the resultant for four
+# triples with denominators <= 12 (549 with u = x2); ``census`` serves them.
+_SHEAR = Fraction(1, 3)
 
 
 class FamilyTag(enum.Enum):
@@ -277,7 +280,7 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
 
 
 # ---------------------------------------------------------------------------
-# numeric census
+# census by elimination, and the Newton polish of float rays
 
 
 def _jacobian(a1, a2, a3, x1, x2):
@@ -331,41 +334,40 @@ def _newton(a: tuple[float, ...], x1: np.ndarray, x2: np.ndarray, max_iter: int,
     return x1, x2
 
 
-def newton_census(
-    p: Parameters,
-    grid: int = 12,
-    box: tuple[float, float] = (0.05, 20.0),
-    max_iter: int = 80,
-) -> list[tuple[float, float]]:
-    """Damped-Newton continuation on the x3 = 1 equilibrium equations from a
-    deterministic log-uniform grid of starts; returns deduplicated roots
-    sorted by (x1, x2)."""
-    a = tuple(float(v) for v in p.a)
-    axis = np.geomspace(box[0], box[1], grid)
-    x1, x2 = [v.ravel() for v in np.meshgrid(axis, axis, indexing="ij")]
-    x1, x2 = _newton(a, x1, x2, max_iter, 1e-14)
+def census(p: Parameters) -> list[tuple[float, float]]:
+    """The sorted positive solutions ``(x1, x2)`` of the x3 = 1 equations.
 
-    e1, e2 = equations(*a, x1, x2, 1.0)
-    norm = np.maximum(np.abs(e1), np.abs(e2))
-    scale = (1.0 + np.maximum(np.abs(x1), np.abs(x2))) ** 2
-    good = (
-        np.isfinite(x1)
-        & np.isfinite(x2)
-        & (norm <= _RESIDUAL_TOL * scale)
-        & (x1 > 1e-6)
-        & (x2 > 1e-6)
-        & (x1 < 1e6)
-        & (x2 < 1e6)
+    In the chart ``x2 = u - x1/3`` both equations are quadratics in ``x1``
+    with constant leading terms; at each real root ``u`` of their resultant
+    (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*), the
+    solutions are the positive roots of the first that pass ``_RESIDUAL_TOL``.
+    An identically zero resultant, a curve of equilibria, raises ``ValueError``.
+    """
+    x1, u = Series2.var(0), Series2.var(1)
+    e1, e2 = equations(*map(Fraction, p.a), x1, u - _SHEAR * x1, 1)
+    # e = p*x1**2 + b*x1 + c with constant p, linear b and quadratic c in u
+    (p1, b1, c1), (p2, b2, c2) = (
+        [Series2({(0, j): e.coeff(i, j) for j in range(3)}) for i in (2, 1, 0)] for e in (e1, e2)
     )
-    points = sorted(zip(x1[good], x2[good]))
+    m, l, n = p1 * c2 - p2 * c1, p1 * b2 - p2 * b1, b2 * c1 - b1 * c2
+    res = m * m + l * n if p1.c or p2.c else n  # else two linear equations
+    coeffs = [res.coeff(0, j) for j in range(4, -1, -1)]
+    if not any(coeffs):
+        raise ValueError(f"the equilibria form a curve for a={tuple(map(float, p.a))}")
+    a = tuple(float(v) for v in p.a)
     out: list[tuple[float, float]] = []
-    for pt in points:
-        if out and _close(out[-1], pt):
+    for v, _mult in real_roots(coeffs):
+        if not abs(v) < math.inf:  # a root beyond the float range
             continue
-        if any(_close(q, pt) for q in out):
-            continue
-        out.append((float(pt[0]), float(pt[1])))
-    return out
+        v = Fraction(v)  # exact: the roots of a nearly double quadratic are ill-conditioned
+        for r, _mult in real_roots([sum(e1.coeff(i, j) * v**j for j in range(3 - i)) for i in (2, 1, 0)]):
+            if not 0 < r < math.inf:
+                continue
+            pt = (float(r), float(v - _SHEAR * Fraction(r)))
+            fits = max(map(abs, equations(*a, *pt, 1.0))) <= _RESIDUAL_TOL * (1 + max(pt)) ** 2
+            if pt[1] > 0 and fits and not any(_close(q, pt) for q in out):
+                out.append(pt)
+    return sorted(out)
 
 
 def _close(pa, pb, rtol: float = _DEDUP_RTOL) -> bool:
@@ -400,8 +402,8 @@ def _dispatch_closed_form(p: Parameters) -> list[EquilibriumRay] | None:
 
 
 def solve_all(p: Parameters) -> list[EquilibriumRay]:
-    """All equilibrium rays: closed-form case results merged against an
-    independent Newton multi-start census, polished and deduplicated.
+    """All equilibrium rays: closed-form case results merged against the
+    independent ``census``, polished and deduplicated.
 
     Emits a ``CensusWarning`` when the two routes disagree, and when a
     parameter triple in (0, 1/2]^3 yields a count outside 1..4.
@@ -427,21 +429,15 @@ def solve_all(p: Parameters) -> list[EquilibriumRay]:
         if not any(_close(ray.key(), other.key()) for other in merged):
             merged.append(ray)
 
-    numeric = newton_census(p)
+    numeric = census(p)
     unmatched_closed = [
         ray for ray in merged
         if not any(_close(ray.key(), pt, rtol=1e-5) for pt in numeric)
     ]
-    # Newton iterates smear around ill-conditioned (multiple) roots, where a
-    # whole neighborhood passes the residual tolerance; absorb anything close
-    # to a known ray or to an already-kept extra point.
-    extra: list[tuple[float, float]] = []
-    for pt in numeric:
-        if any(_close(ray.key(), pt, rtol=1e-4) for ray in merged):
-            continue
-        if any(_close(q, pt, rtol=1e-4) for q in extra):
-            continue
-        extra.append(pt)
+    extra = [
+        pt for pt in numeric
+        if not any(_close(ray.key(), pt, rtol=1e-5) for ray in merged)
+    ]
     if closed and (extra or unmatched_closed):
         warnings.warn(
             f"closed-form census ({len(merged)} rays) and numeric census "

@@ -280,6 +280,8 @@ def _drive(a, point, rhs, targets, y0: list[float], t_max: float, rel_tol: float
     try:
         # a start outside the box ends the run even where the field fails there
         verdict = observe(0.0, *(first[1:] if first else (point(y0), None)))
+        if not all(map(math.isfinite, traj.samples[0])):
+            raise OverflowError
     except (ArithmeticError, ValueError):
         raise ValueError("the start point's x3 or volume is outside the float range") from None
     if verdict is None:

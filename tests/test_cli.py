@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -79,6 +80,19 @@ class TestAnalyze:
         assert cli.main(["analyze", "--a", "0,1/4,1/3"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and "a1*a2*a3" in err
+
+    @pytest.mark.parametrize("triple", ["-1/2,1/2,1/2", "1/2,-1/2,1/2", "1/2,1/2,-1/2"])
+    def test_curve_of_equilibria_is_domain_error(self, triple, capsys):
+        assert cli.main(["analyze", f"--a={triple}"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "form a curve" in err
+
+    def test_overflow_is_domain_error(self, capsys):
+        # the quartic's coefficients overflow a float; this once ended in
+        # an OverflowError traceback
+        assert cli.main(["analyze", "--a", "1e200,2e200,3e200"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: a value left the float range\n"
 
 
 class TestFlow:
@@ -176,10 +190,12 @@ class TestFlow:
     @pytest.mark.parametrize("args", [
         ["--a", "1/6,1/4,1/3", "--x0", "1e300,1e-300"],
         ["--a", "0.01,0.01,0.49", "--x0", "1e5,1e4,1", "--three-d"],
+        ["--a", "7/15,7/15,7/15", "--x0", "1e-300,1e-300"],
     ])
     def test_start_outside_float_range_is_domain_error(self, args, capsys):
-        # x3 of the planar start and the volume of the 3D start overflow a
-        # float; both once ended in an OverflowError traceback
+        # x3 of the planar starts and the volume of the 3D start overflow a
+        # float; the first two once ended in an OverflowError traceback, the
+        # third in a CSV row of infinities
         assert cli.main(["flow", *args]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "float range" in err
@@ -311,8 +327,14 @@ def _warn_census(_item):
 
 class TestCensusWarningsSilenced:
     def test_no_warning_text_on_stderr(self):
-        # the first triple's Newton census misses a ray, so solve_all warns
-        for args in (["analyze", "--a", "0.30807717,0.1924551,0.49860776"],
+        # on the edge (1/2, 1/2, c) with 8c^2 < 1 no positive ray exists, so
+        # solve_all warns about the empty census
+        from wallachflow.core import Parameters
+        from wallachflow.equilibria import solve_all
+
+        with pytest.warns(CensusWarning, match="census count 0"):
+            assert solve_all(Parameters(Fraction(1, 2), Fraction(1, 2), Fraction(1, 3))) == []
+        for args in (["analyze", "--a", "1/2,1/2,1/3"],
                      ["--threads", "2", "scan", "--n", "3"]):
             proc = run_cli(args)
             assert proc.returncode == 0

@@ -10,7 +10,7 @@ from wallachflow.core import Parameters
 from wallachflow.equilibria import (
     CensusWarning,
     FamilyTag,
-    newton_census,
+    census,
     normalize_unit_volume,
     quartic_coefficients,
     quartic_discriminant,
@@ -73,7 +73,8 @@ class TestSingleSource:
         # every float closed-form ray leaves the polish at the 1e-15 scaled
         # residual, which is tighter than the census tolerance; a quarter of
         # the triples lie near a face a_i -> 1/2, where the quartic has a
-        # huge root, and only two equal parameters give a multiple ray
+        # huge root that the census must find as well, and only two equal
+        # parameters give a multiple ray
         rng = np.random.default_rng(2013)
         rays_checked = 0
         for k in range(200):
@@ -88,9 +89,7 @@ class TestSingleSource:
                 a[rng.integers(3)] = 0.5 - 10.0 ** -rng.uniform(4, 12)
             p = Parameters(*(float(v) for v in a))
             with warnings.catch_warnings():
-                # near a face the census misses rays outside its box; only
-                # the closed-form rays are checked here
-                warnings.simplefilter("ignore", CensusWarning)
+                warnings.simplefilter("error", CensusWarning)
                 rays = solve_all(p)
             for ray in rays:
                 if k % 4 != 1:
@@ -320,14 +319,67 @@ class TestSolveAll:
                 rays = solve_all(Parameters(a1, a2, a3))
                 assert len(rays) == 4
 
-    def test_census_found_by_newton_alone(self):
+    def test_census_alone_finds_every_ray(self):
         p = Parameters(Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))
-        points = newton_census(p)
-        assert len(points) == 4
-        assert all(
-            max(abs(float(v)) for v in residual(p, MetricPoint(x1, x2, 1.0))) < 1e-10
-            for x1, x2 in points
-        )
+        points = census(p)
+        assert points == [(0.5, 0.5), (1.0, 1.0), (1.0, 2.0), (2.0, 1.0)]
+        assert all(residual(p, MetricPoint(Fraction(x1), Fraction(x2), 1)) == (0, 0) for x1, x2 in points)
+
+    @pytest.mark.parametrize("a, count", [
+        ((0.30807717, 0.1924551, 0.49860776), 2),
+        ((0.3521891, 0.41073044, 0.49093233), 4),
+    ])
+    def test_census_finds_rays_far_from_the_unit_box(self, a, count):
+        # each triple has a ray near (358, 358) or (54, 54), which a
+        # search restricted to a box around (1, 1) misses
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CensusWarning)
+            rays = solve_all(Parameters(*a))
+        assert len(rays) == count
+        assert FamilyTag.NUMERIC not in {r.family_tag for r in rays}
+        assert max(r.key()[0] for r in rays) > 50
+
+    def test_census_shared_chart_line_adds_no_ray(self):
+        # at (3/10, 1/10, 1/10) two rays share one value of x2 + x1/3, so
+        # a perturbation puts two nearly equal roots on the resultant
+        p = Parameters(*(v * (1 + 2**-50) for v in (0.3, 0.1, 0.1)))
+        assert len(census(p)) == 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CensusWarning)
+            assert len(solve_all(p)) == 4
+
+    def test_census_keeps_the_ray_of_a_nearly_double_root(self):
+        # at the second ray the first equation has two roots x1 within 2e-5
+        # of each other; rounding its coefficients to floats moved the ray's
+        # root by 2e-11 and failed the residual bound
+        p = Parameters(0.19685981713741588, 0.4999999146235119, 0.23944226898753626)
+        points = census(p)
+        assert len(points) == 2 and abs(points[1][0] - 1.1720046101) < 1e-9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CensusWarning)
+            assert len(solve_all(p)) == 2
+
+    def test_census_with_two_linear_equations(self):
+        # here both equations lose their x1**2 term in the chart of the
+        # census, so the resultant is that of two linear equations
+        p = Parameters(Fraction(-1, 5), Fraction(1, 5), Fraction(-7, 50))
+        (x1, x2), = census(p)
+        assert abs(x1 - 1.0175542754065698) < 1e-14 and abs(x2 - 0.6175542754065698) < 1e-14
+
+    @pytest.mark.parametrize("a", [
+        (Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2)),
+        (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2)),
+        (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)),
+    ])
+    def test_curve_of_equilibria_is_an_error(self, a):
+        # both equations share the factor x1 - x2 - x3 (up to order), so
+        # the rays of that plane form a curve of equilibria at x3 = 1 and
+        # the resultant vanishes identically
+        p = Parameters(*a)
+        with pytest.raises(ValueError, match="curve"):
+            census(p)
+        with pytest.raises(ValueError, match="curve"):
+            solve_all(p)
 
 
 class TestNormalizeUnitVolume:
