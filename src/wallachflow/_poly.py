@@ -1,10 +1,24 @@
 """Exact polynomial plumbing: monomial-dict polynomials, real roots of
 univariate polynomials, and truncated bivariate Taylor series.
 
-``real_roots`` is the one real-root finder, for exact and float input alike;
-``rational_roots`` keeps the rational roots of exact input exact.  Both
-isolate roots by Sturm sequences (Basu, Pollack and Roy, *Algorithms in Real
-Algebraic Geometry*, ch. 2) and refine them by exact signs on a dyadic grid.
+``real_roots`` is the one real-root finder, for exact and float input alike,
+and it makes one pass.  The coefficients become one primitive integer
+polynomial, which is factored square-free once (Musser's method); the roots
+of each factor are isolated once by its Sturm sequence (Basu, Pollack and
+Roy, *Algorithms in Real Algebraic Geometry*, ch. 2) and refined by exact
+signs on a dyadic grid.  The remainder sequences are integer
+pseudo-divisions, so no ``Fraction`` is built on the way.
+
+Exact input keeps its rational roots exact: the census and the closed forms
+substitute a root back into exact equations, and a rounded root would make
+them inexact.  Each isolating interval of a factor is therefore tested for
+a rational root, whose denominator divides the factor's leading coefficient.
+Before that test a screen reduces the factor modulo a few small primes that
+do not divide its leading coefficient.  A rational root ``p/q`` has ``q``
+prime to such a prime ``l``, so ``p * q^-1`` is a root modulo ``l``; a factor
+without a root modulo one of them has no rational root, and its roots go
+straight to the float grid.  The screen never changes an answer, only which
+factors skip the exact test.
 """
 
 from __future__ import annotations
@@ -16,6 +30,7 @@ from fractions import Fraction
 from .core import is_exact
 
 Monomials = dict  # exponent tuple -> Fraction coefficient
+_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -90,20 +105,10 @@ def p_eval(p: Monomials, values) -> object:
 
 
 # ---------------------------------------------------------------------------
-# univariate real root finding with exact rational-root extraction
+# univariate real root finding on primitive integer polynomials
 
-def _horner(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(out[-1] * root + c)
-    return out
+# The primes of the rational-root screen of ``real_roots``.
+_SCREEN_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _primitive(coeffs) -> list[int]:
@@ -116,19 +121,24 @@ def _primitive(coeffs) -> list[int]:
     return [v // g for v in ints]
 
 
-def _divmod(f: list[int], g: list[int]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder (leading zeros stripped) of ``f / g``."""
-    rem = [Fraction(c) for c in f]
-    quot = []
+def _divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division: ``(q, r, c)`` with ``c*f == q*g + r``,
+    ``deg r < deg g`` (leading zeros of ``r`` stripped) and ``c`` a positive
+    power of ``|g[0]|``.  ``c`` is 1 when the primitive ``g`` divides ``f``
+    (Gauss's lemma: the quotient has integer coefficients)."""
+    rem, quot, c = list(f), [], 1
+    lead, scale = g[0], abs(g[0])
     while len(rem) >= len(g):
-        q = rem[0] / g[0]
+        if rem[0] % lead:
+            rem, quot, c = [v * scale for v in rem], [v * scale for v in quot], c * scale
+        q = rem[0] // lead
         quot.append(q)
         for i in range(1, len(g)):
             rem[i] -= q * g[i]
         rem.pop(0)
     while rem and rem[0] == 0:
         rem.pop(0)
-    return quot, rem
+    return quot, rem, c
 
 
 def _derivative(f: list[int]) -> list[int]:
@@ -136,12 +146,12 @@ def _derivative(f: list[int]) -> list[int]:
     return [c * (n - i) for i, c in enumerate(f[:-1])]
 
 
-def _gcd(f: list, g: list) -> list:
-    """A greatest common divisor of ``f`` and ``g`` (Euclid, primitive
-    remainders); ``g`` may be empty, the zero polynomial."""
+def _gcd(f: list[int], g: list[int]) -> list[int]:
+    """The primitive greatest common divisor of ``f`` and ``g`` (Euclid,
+    primitive remainders); ``g`` may be empty, the zero polynomial."""
     while g:
         f, g = g, _primitive(_divmod(f, g)[1])
-    return f
+    return _primitive(f)
 
 
 def _value_at(f: list[int], n: int, d: int) -> int:
@@ -222,48 +232,6 @@ def _refine(f: list[int], lo: Fraction, hi: Fraction, bits: int) -> Fraction:
     return Fraction(b, D)
 
 
-def rational_roots(coeffs: list[Fraction]) -> tuple[list[tuple[Fraction, int]], list[Fraction]]:
-    """All rational roots (with multiplicity) of a rational-coefficient
-    polynomial, ascending after a zero root, plus the deflated remainder
-    (highest degree first).
-
-    Each real root of the square-free part is isolated by Sturm's theorem and
-    refined to within ``1 / (4 lead**2)``, where ``lead`` leads the primitive
-    integer polynomial.  A rational root has denominator dividing ``lead``,
-    and no other fraction with denominator at most ``lead`` lies within
-    ``1 / lead**2`` of it, so ``limit_denominator(lead)`` of the refined
-    point is the only candidate; an exact evaluation confirms it.  No divisor
-    is enumerated, so the cost grows with the bit size of the coefficients,
-    not with their value.
-    """
-    coeffs = [Fraction(c) for c in coeffs]
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-    found: list[tuple[Fraction, int]] = []
-    # zero roots first
-    zero_mult = 0
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-        zero_mult += 1
-    if zero_mult:
-        found.append((Fraction(0), zero_mult))
-    if len(coeffs) <= 1:
-        return found, coeffs
-
-    ints = _primitive(coeffs)
-    lead = abs(ints[0])
-    square_free = _primitive(_divmod(ints, _gcd(ints, _derivative(ints)))[0])
-    for lo, hi in _isolate(square_free):
-        cand = _refine(square_free, lo, hi, (4 * lead * lead).bit_length()).limit_denominator(lead)
-        mult = 0
-        while len(coeffs) > 1 and _horner(coeffs, cand) == 0:
-            coeffs = _deflate(coeffs, cand)
-            mult += 1
-        if mult:
-            found.append((cand, mult))
-    return found, coeffs
-
-
 def _square_free(f: list[int]) -> list[tuple[list[int], int]]:
     """Musser's square-free factorization: pairs ``(factor, k)`` of coprime,
     square-free, non-constant factors, ``f`` being a constant times the
@@ -280,36 +248,86 @@ def _square_free(f: list[int]) -> list[tuple[list[int], int]]:
     return out
 
 
+def _may_have_rational_root(f: list[int]) -> bool:
+    """False when ``f`` has no root modulo a prime of ``_SCREEN_PRIMES`` that
+    does not divide its leading coefficient, and so no rational root."""
+    for ell in _SCREEN_PRIMES:
+        if f[0] % ell == 0:
+            continue
+        mods = [c % ell for c in f]
+        for x in range(ell):
+            acc = 0
+            for c in mods:
+                acc = (acc * x + c) % ell
+            if not acc:
+                break
+        else:
+            return False
+    return True
+
+
+def _rational_root(f: list[int], lo: Fraction, hi: Fraction) -> Fraction | None:
+    """The root of the square-free ``f`` in ``(lo, hi]`` if it is rational.
+
+    Its denominator divides ``lead = |f[0]|``, and no other fraction with
+    denominator at most ``lead`` lies within ``1 / lead**2`` of it, so
+    ``limit_denominator(lead)`` of the root refined to within
+    ``1 / (4 lead**2)`` is the only candidate; an integer evaluation inside
+    ``(lo, hi]`` confirms it (outside, it would be another root).  No divisor
+    is enumerated, so the cost grows with the bit size of the coefficients,
+    not with their value.
+    """
+    lead = abs(f[0])
+    cand = _refine(f, lo, hi, (4 * lead * lead).bit_length()).limit_denominator(lead)
+    if lo < cand <= hi and _value_at(f, cand.numerator, cand.denominator) == 0:
+        return cand
+    return None
+
+
 def real_roots(coeffs) -> list[tuple[object, int]]:
     """Real roots of a univariate polynomial (highest degree first), ascending,
     each with its multiplicity.
 
     Every float is a dyadic rational, so the coefficients are converted to
     ``Fraction`` exactly and the roots are those of that exact polynomial.
-    When every coefficient is exact, the rational roots are split off by
-    ``rational_roots`` and returned as ``Fraction``.  The other roots are
-    isolated by Sturm's theorem in each factor of the square-free
-    factorization, whose index is their exact multiplicity, and refined by
-    ``_refine`` to within ``2**-55`` relative before rounding to a float; a
-    root beyond the float range is an infinity.
+    Its primitive integer form is factored square-free once, the index of a
+    factor being the exact multiplicity of its roots, and the roots of each
+    factor are isolated once by Sturm's theorem.  When every coefficient is
+    exact, each rational root is returned as that ``Fraction``: the
+    isolating intervals of a factor are tested by ``_rational_root`` unless
+    ``_may_have_rational_root`` rules every rational root out.  The other
+    roots are refined by ``_refine`` to within ``2**-55`` relative (on the
+    grid of the factor with its rational roots divided out) and rounded to a
+    float; a root beyond the float range is an infinity.
     """
     rest = [Fraction(c) for c in coeffs]
-    roots: list[tuple[object, int]] = []
-    if all(map(is_exact, coeffs)):
-        roots, rest = rational_roots(rest)
     while rest and rest[0] == 0:
         rest = rest[1:]
-    if len(rest) > 1:
-        for factor, mult in _square_free(_primitive(rest)):
-            # grid step 2**-55 of |root| >= |lowest nonzero coefficient| / (2 max|c|)
-            tail = next(c for c in reversed(factor) if c)
-            bits = 57 + max(map(abs, factor)).bit_length() - abs(tail).bit_length()
-            for lo, hi in _isolate(factor):
-                root = _refine(factor, lo, hi, bits)
-                try:
-                    roots.append((float(root), mult))
-                except OverflowError:
-                    roots.append((math.inf if root > 0 else -math.inf, mult))
+    if len(rest) <= 1:
+        return []
+    exact = all(map(is_exact, coeffs))
+    roots: list[tuple[object, int]] = []
+    for factor, mult in _square_free(_primitive(rest)):
+        intervals = _isolate(factor)
+        floating = intervals
+        if exact and _may_have_rational_root(factor):
+            floating = []
+            for lo, hi in intervals:
+                root = _rational_root(factor, lo, hi)
+                if root is None:
+                    floating.append((lo, hi))
+                else:
+                    roots.append((root, mult))
+                    factor = _divmod(factor, [root.denominator, -root.numerator])[0]
+        # grid step 2**-55 of |root| >= |lowest nonzero coefficient| / (2 max|c|)
+        tail = next(c for c in reversed(factor) if c)
+        bits = 57 + max(map(abs, factor)).bit_length() - abs(tail).bit_length()
+        for lo, hi in floating:
+            root = _refine(factor, lo, hi, bits)
+            try:
+                roots.append((float(root), mult))
+            except OverflowError:
+                roots.append((math.inf if root > 0 else -math.inf, mult))
     return sorted(roots, key=lambda rm: rm[0])
 
 
@@ -354,7 +372,15 @@ class Series2:
         if c:
             for (i, j), v in c.items():
                 if i + j <= order and v:
-                    self.c[(i, j)] = Fraction(v)
+                    self.c[(i, j)] = v if isinstance(v, Fraction) else Fraction(v)
+
+    @classmethod
+    def _of(cls, c: dict, order: int) -> "Series2":
+        """The series of ``c``, already truncated at ``order`` and holding
+        nonzero ``Fraction``s only, as the ring operations build it."""
+        out = object.__new__(cls)
+        out.c, out.order = c, order
+        return out
 
     @classmethod
     def const(cls, v, order: int = 4) -> "Series2":
@@ -366,23 +392,25 @@ class Series2:
         return cls({key: Fraction(1)}, order)
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self.c.get((i, j), Fraction(0))
+        return self.c.get((i, j), _ZERO)
 
     def __add__(self, other):
         other = _coerce(other, self.order)
+        if other.order > self.order:
+            other = Series2(other.c, self.order)
         out = dict(self.c)
         for k, v in other.c.items():
-            s = out.get(k, Fraction(0)) + v
+            s = out[k] + v if k in out else v
             if s:
                 out[k] = s
             else:
-                out.pop(k, None)
-        return Series2(out, self.order)
+                del out[k]
+        return Series2._of(out, self.order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series2({k: -v for k, v in self.c.items()}, self.order)
+        return Series2._of({k: -v for k, v in self.c.items()}, self.order)
 
     def __sub__(self, other):
         return self + (-_coerce(other, self.order))
@@ -398,13 +426,13 @@ class Series2:
                 i, j = i1 + i2, j1 + j2
                 if i + j > self.order:
                     continue
-                k = (i, j)
-                s = out.get(k, Fraction(0)) + v1 * v2
+                k, v = (i, j), v1 * v2
+                s = out[k] + v if k in out else v
                 if s:
                     out[k] = s
                 else:
-                    out.pop(k, None)
-        return Series2(out, self.order)
+                    del out[k]
+        return Series2._of(out, self.order)
 
     __rmul__ = __mul__
 

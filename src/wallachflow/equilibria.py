@@ -155,7 +155,8 @@ def solve_two_equal(b: Scalar, c: Scalar) -> tuple[list[EquilibriumRay], CaseDis
     if d1 >= 0:
         root = _sqrt_scalar(d1)
         mult = 2 if d1 == 0 else 1
-        mus = {1 - root, 1 + root} if d1 != 0 else {1 + root}
+        # 1 - root as (1 - d1) / (1 + root): no cancellation as c -> 1/2
+        mus = {4 * (1 - 2 * c) * (b + c) / (1 + root), 1 + root} if d1 != 0 else {1 + root}
         for mu in sorted(mus, key=float):
             if mu <= 0:
                 continue
@@ -171,7 +172,8 @@ def solve_two_equal(b: Scalar, c: Scalar) -> tuple[list[EquilibriumRay], CaseDis
         disc = mid * mid - 4 * lead * lead  # equals T * (1 + 2c)
         root = _sqrt_scalar(disc)
         mult = 2 if t_disc == 0 else 1
-        rs = {(mid - root) / (2 * lead), (mid + root) / (2 * lead)} if disc != 0 else {mid / (2 * lead)}
+        # the roots are reciprocal; (mid - root) / (2*lead) cancels as b -> 1/2
+        rs = {2 * lead / (mid + root), (mid + root) / (2 * lead)} if disc != 0 else {mid / (2 * lead)}
         for r in sorted(rs, key=float):
             if r <= 0:
                 continue

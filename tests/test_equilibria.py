@@ -139,6 +139,21 @@ class TestTwoEqualCase:
         with pytest.raises(ValueError):
             solve_two_equal(Fraction(3, 5), Fraction(1, 4))
 
+    def test_small_roots_near_the_faces_keep_their_digits(self):
+        # near c = 1/2 (diagonal) and b = 1/2 (off-diagonal) one root of each
+        # quadratic is tiny; as a difference of nearly equal floats it kept
+        # only 4 or 5 digits at 1/2 - 10**-12
+        half, eps = Fraction(1, 2), Fraction(1, 10**12)
+        b, c = Fraction(1, 30), half - eps
+        rays, _ = solve_two_equal(b, c)
+        small, large = sorted(float(r.rep.x1) for r in rays if r.family_tag is FamilyTag.TWO_EQUAL_DIAGONAL)
+        # x1 = 2(b+c)/mu and the roots mu multiply to 4(1-2c)(b+c)
+        assert abs(small * large / float((b + c) / (1 - 2 * c)) - 1) < 1e-14
+        rays, _ = solve_two_equal(half - eps, Fraction(1, 3))
+        ratios = [float(r.rep.x1 / r.rep.x2) for r in rays if r.family_tag is FamilyTag.TWO_EQUAL_OFF_DIAGONAL]
+        # the ratios x1/x2 of the two rays are reciprocal
+        assert len(ratios) == 2 and abs(ratios[0] * ratios[1] - 1) < 1e-14
+
     @given(wallach, wallach)
     @settings(max_examples=40)
     def test_all_returned_rays_are_equilibria(self, b, c):
@@ -254,6 +269,16 @@ class TestSolveGeneral:
         rays = solve_general(p)
         assert len(rays) == 1
         assert abs(rays[0].key()[0] - 2.388049347) < 1e-8
+
+    def test_exact_triple_near_two_faces_has_no_ray(self):
+        # near the edge (1/2, 1/2, 1/3), where 8c^2 < 1 leaves no ray; the
+        # quartic's primitive coefficients have 1001 to 1401 digits
+        half = Fraction(1, 2)
+        p = Parameters(half - Fraction(1, 10**400), half - Fraction(1, 10**300), Fraction(1, 3))
+        assert solve_general(p) == []
+        assert census(p) == []
+        with pytest.warns(CensusWarning, match="count 0"):
+            assert solve_all(p) == []
 
 
 class TestSolveAll:

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallachflow._poly import rational_roots, real_roots
+from wallachflow._poly import (
+    _SCREEN_PRIMES,
+    _divmod,
+    _gcd,
+    _isolate,
+    _may_have_rational_root,
+    _sturm_chain,
+    _variations,
+    real_roots,
+)
 from wallachflow.core import Parameters
 from wallachflow.equilibria import quartic_coefficients
 
@@ -33,37 +42,42 @@ def _assert_matches_sympy(coeffs):
         value = float(sympy.N(want, 30))
         assert abs(float(root) - value) <= 1e-12 * abs(value)
         if exact and want.is_rational:
+            assert isinstance(root, Fraction)
             assert root == Fraction(int(want.p), int(want.q))
         else:
             assert isinstance(root, float)
 
 
+def _rational_part(found):
+    return [(r, m) for r, m in found if isinstance(r, Fraction)]
+
+
 class TestKnownRoots:
     def test_a9_double_root(self):
         p = Parameters(Fraction(5, 36), Fraction(1, 6), Fraction(1, 4))
-        found, rest = rational_roots(quartic_coefficients(p))
-        assert found == [(Fraction(3, 5), 2)]
-        assert len(rest) == 3
+        found = real_roots(quartic_coefficients(p))
+        assert _rational_part(found) == [(Fraction(3, 5), 2)]
+        assert [(type(r), m) for r, m in found] == [(Fraction, 2), (float, 1), (float, 1)]
 
     def test_neighbouring_roots_both_found(self):
         # the isolating interval of 55/39 starts at the root 1
         p = Parameters(Fraction(2, 7), Fraction(1, 2), Fraction(2, 9))
-        found, _ = rational_roots(quartic_coefficients(p))
-        assert found == [(Fraction(1), 1), (Fraction(55, 39), 1)]
+        found = real_roots(quartic_coefficients(p))
+        assert _rational_part(found) == found == [(Fraction(1), 1), (Fraction(55, 39), 1)]
 
     def test_coefficients_beyond_divisor_enumeration(self):
         # (p*x - q)(x^2 + 1) with the Mersenne primes p = 2^61-1, q = 2^89-1
         p, q = 2**61 - 1, 2**89 - 1
-        found, rest = rational_roots([p, -q, p, -q])
-        assert found == [(Fraction(q, p), 1)]
-        assert rest == [p, 0, p]
+        found = real_roots([p, -q, p, -q])
+        assert _rational_part(found) == found == [(Fraction(q, p), 1)]
 
-    def test_zero_root_listed_first(self):
+    def test_zero_root_exact_in_order(self):
         # x^2 (x + 1) (x - 2) (x^2 - 2)
         coeffs = _mul(_mul([1, 0, 0], [1, 1]), _mul([1, -2], [1, 0, -2]))
-        found, rest = rational_roots(coeffs)
-        assert found == [(0, 2), (-1, 1), (2, 1)]
-        assert rest == [1, 0, -2]
+        found = real_roots(coeffs)
+        assert _rational_part(found) == [(-1, 1), (0, 2), (2, 1)]
+        assert [m for _, m in found] == [1, 1, 2, 1, 1]
+        _assert_matches_sympy(coeffs)
 
     def test_float_a9_quartic_has_four_simple_roots(self):
         # rounding 5/36 splits the double root 3/5 of the exact quartic into
@@ -86,9 +100,98 @@ class TestKnownRoots:
         assert real_roots([1, 0, -2 * 10**700]) == [(-math.inf, 1), (math.inf, 1)]
 
     def test_degenerate_inputs(self):
-        assert rational_roots([0, 0, 3]) == ([], [3])
-        assert rational_roots([]) == ([], [])
-        assert rational_roots([Fraction(2, 3), Fraction(1, 2)]) == ([(Fraction(-3, 4), 1)], [Fraction(2, 3)])
+        assert real_roots([0, 0, 3]) == []
+        assert real_roots([]) == []
+        assert real_roots([Fraction(2, 3), Fraction(1, 2)]) == [(Fraction(-3, 4), 1)]
+
+    def test_roots_modulo_every_prime_but_none_rational(self):
+        # (x^2 - 2)(x^2 - 3)(x^2 - 6): one of 2, 3 and 6 is a square modulo
+        # every prime, so only the exact test can tell there is no rational root
+        coeffs = _mul(_mul([1, 0, -2], [1, 0, -3]), [1, 0, -6])
+        assert [(type(r), m) for r, m in real_roots(coeffs)] == [(float, 1)] * 6
+        _assert_matches_sympy(coeffs)
+
+    def test_lead_divisible_by_every_screen_prime(self):
+        # (L*x - 1)(x^2 + 1) with L = 11*13*...*37, the product of the
+        # screen's primes: the screen can try none of them
+        lead = 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
+        assert real_roots(_mul([lead, -1], [1, 0, 1])) == [(Fraction(1, lead), 1)]
+
+
+class TestScreen:
+    def test_passes_a_polynomial_with_roots_modulo_every_prime(self):
+        assert _may_have_rational_root([1, 0, -11, 0, 36, 0, -36])
+        assert _may_have_rational_root([math.prod(_SCREEN_PRIMES), -1])
+
+    def test_rejects_a_polynomial_without_a_root_modulo_a_prime(self):
+        # 2 is not a square modulo 11
+        assert not _may_have_rational_root([1, 0, -2])
+        assert not _may_have_rational_root([-3, 0, 6])
+
+    @given(
+        st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 40)), min_size=1, max_size=3),
+        st.sampled_from([[1], [1, 0, 1], [-1, 0, 2]]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_never_rejects_a_rational_root(self, roots, cofactor):
+        poly = cofactor
+        for p, q in roots:
+            poly = _mul(poly, [q, -p])
+        assert _may_have_rational_root([int(c) for c in poly])
+
+
+def _int_mul(f, g):
+    return [int(c) for c in _mul(f, g)] if f and g else []
+
+
+def _int_add(f, g):
+    n = max(len(f), len(g))
+    out = [u + v for u, v in zip([0] * (n - len(f)) + f, [0] * (n - len(g)) + g)]
+    while out and out[0] == 0:
+        out.pop(0)
+    return out
+
+
+int_poly_st = st.lists(st.integers(-60, 60), min_size=1, max_size=7).filter(lambda f: f[0] != 0)
+
+
+class TestIntegerRemainders:
+    @given(int_poly_st, int_poly_st)
+    @settings(max_examples=100, deadline=None)
+    def test_pseudo_division_identity(self, f, g):
+        q, r, c = _divmod(f, g)
+        assert c > 0
+        assert len(r) < len(g)
+        assert _int_add(_int_mul(q, g), r) == [c * v for v in f]
+        assert all(type(v) is int for v in q + r)
+
+    def test_primitive_divisor_divides_exactly(self):
+        # Gauss's lemma: a primitive divisor leaves c = 1
+        g = [-6, 4, 9]
+        assert _divmod(_int_mul(g, [5, -7, 2]), g) == ([5, -7, 2], [], 1)
+
+    def test_gcd_is_primitive(self):
+        assert _gcd([4, 0, -4], [8]) == [1]
+        assert _gcd([6, 0, -6], []) == [1, 0, -1]
+        assert _gcd(_int_mul([2, -3], [1, 0, 1]), _int_mul([4, -6], [1, 5])) in ([2, -3], [-2, 3])
+
+    @given(st.lists(st.integers(-60, 60), min_size=2, max_size=7).filter(lambda f: f[0] != 0))
+    @settings(max_examples=60, deadline=None)
+    def test_sturm_count_matches_sympy_for_negative_leads(self, f):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        poly = sympy.Poly(f, x).sqf_part()
+        if poly.LC() > 0:
+            poly = -poly
+        square_free = [int(c) for c in poly.all_coeffs()]
+        intervals = _isolate(square_free)
+        assert len(intervals) == poly.count_roots()
+        chain = _sturm_chain(square_free)
+        for lo, hi in intervals:
+            ends = [sympy.Rational(v.numerator, v.denominator) for v in (lo, hi)]
+            # the roots in (lo, hi]: lo may be the root below
+            assert poly.count_roots(*ends) - (poly.eval(ends[0]) == 0) == 1
+            assert _variations(chain, lo) - _variations(chain, hi) == 1
 
 
 roots_st = st.builds(Fraction, st.integers(-200, 200), st.integers(1, 30))
@@ -109,23 +212,17 @@ def planted_polynomials(draw):
 class TestSympyOracle:
     @given(planted_polynomials())
     @settings(max_examples=50, deadline=None)
-    def test_roots_and_remainder_match_sympy(self, coeffs):
+    def test_rational_roots_match_sympy(self, coeffs):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], x, domain="QQ")
         expected = []
-        divisor = sympy.Poly(1, x, domain="QQ")
         for factor, mult in poly.factor_list()[1]:
             if factor.degree() == 1:
                 r = -factor.nth(0) / factor.nth(1)
                 expected.append((Fraction(int(r.p), int(r.q)), mult))
-                divisor *= sympy.Poly(x - r, x, domain="QQ") ** mult
-        quotient, remainder = sympy.div(poly, divisor)
-        assert remainder.is_zero
-
-        found, rest = rational_roots(coeffs)
-        assert sorted(found) == sorted(expected)
-        assert rest == [Fraction(int(c.p), int(c.q)) for c in quotient.all_coeffs()]
+        assert _rational_part(real_roots(coeffs)) == sorted(expected)
+        _assert_matches_sympy(coeffs)
 
 
 @st.composite
