@@ -30,7 +30,7 @@ from .blowup import blowup_linearizations
 from .core import Parameters, Scalar, is_exact, parse_scalar, scalar_to_json
 from .flow import MetricPoint
 from .integrate import check_rtol, integrate_flow, integrate_flow_3d
-from .surfaces import component_classify, cube_grid, grad_q, q1_eval, q_eval, scan
+from .surfaces import classify_region, cube_grid, grad_q, q1_eval, q_eval, scan
 from .verify import run_all
 
 EXIT_OK = 0
@@ -126,13 +126,14 @@ def _write_text(path: str | None, text: str):
 
 def _analyze_payload(p: Parameters) -> dict:
     rays = eq_mod.solve_all(p)
-    region = component_classify(p, rays=rays) if p.interior else None
     entries = []
+    kinds = []
     notes: list[str] = []
     for ray in rays:
         norm = ray.as_x3one()
         lin = lin_mod.linearize_at(p, norm)
         cls = lin_mod.classify(lin)
+        kinds.append(cls.kind)
         unit = eq_mod.normalize_unit_volume(p, norm)
         entries.append({
             "rep": [_json_value(v) for v in ray.rep.x],
@@ -153,6 +154,8 @@ def _analyze_payload(p: Parameters) -> dict:
                 "degenerate equilibrium: run the `blowup` command for the "
                 "resolved local phase portrait"
             )
+    q = q_eval(p)
+    region = classify_region(p, q, lambda: kinds) if p.interior else None
     return {
         "parameters": {
             **p.to_json(),
@@ -161,7 +164,7 @@ def _analyze_payload(p: Parameters) -> dict:
             "wallach_range": p.wallach_range,
         },
         "surface": {
-            "Q": _json_value(q_eval(p)),
+            "Q": _json_value(q),
             "Q1": _json_value(q1_eval(p)),
             "grad_Q": [_json_value(v) for v in grad_q(p)],
             "region": region.value if region is not None else None,
@@ -266,13 +269,32 @@ def cmd_flow(cfg: Config, args) -> int:
 def cmd_scan(cfg: Config, args) -> int:
     if args.n < 2:
         raise UsageError("--n must be at least 2")
+    if cfg.tol_omega is not None and not (math.isfinite(cfg.tol_omega) and cfg.tol_omega >= 0):
+        raise UsageError("--tol-omega must be finite and non-negative")
     points = cube_grid(args.n)
-    chunk_size = max(1, len(points) // (cfg.threads * 4))
-    chunks = [points[i : i + chunk_size] for i in range(0, len(points), chunk_size)]
-    blocks = _map(partial(scan, on_omega_tol=cfg.tol_omega), chunks, cfg.threads)
+    # a chunk holds whole permutation orbits, so that no two workers run the
+    # census of the same sorted triple
+    orbits: dict[tuple, list[int]] = {}
+    for i, a in enumerate(points):
+        orbits.setdefault(tuple(sorted(a)), []).append(i)
+    orbit_list = list(orbits.values())
+    per_chunk = max(1, len(orbit_list) // (cfg.threads * 4))
+    chunks = [
+        [i for orbit in orbit_list[k : k + per_chunk] for i in orbit]
+        for k in range(0, len(orbit_list), per_chunk)
+    ]
+    blocks = _map(
+        partial(scan, on_omega_tol=cfg.tol_omega),
+        [[points[i] for i in chunk] for chunk in chunks],
+        cfg.threads,
+    )
+    samples = [None] * len(points)
+    for chunk, block in zip(chunks, blocks):
+        for i, s in zip(chunk, block):
+            samples[i] = s
     rows = [
         (*s.params.a, float(s.Q), float(s.Q1), *(float(g) for g in s.gradQ), s.region.value)
-        for block in blocks for s in block
+        for s in samples
     ]
 
     fields = ("a1", "a2", "a3", "Q", "Q1", "gQ1", "gQ2", "gQ3", "region")
@@ -382,7 +404,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", type=int, required=True, help="points per axis")
     ps.add_argument("--out", default=None)
     ps.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    ps.add_argument("--tol-omega", type=float, default=None)
+    ps.add_argument("--tol-omega", type=float, default=None,
+                    help="|Q| at or below which a point is on Omega "
+                    "(default 1e-10 * (1 + max|a_i|)^12)")
 
     pu = sub.add_parser("surface", help="Q/Q1 slice along a coordinate plane")
     pu.add_argument("--fix", required=True, help="fixed coordinate, e.g. a1=1/2")

@@ -8,8 +8,10 @@ components the surface cuts out of the open parameter cube.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from ._poly import p_add, p_const, p_diff, p_eval, p_mul, p_pow, p_scale, p_var
 from .core import Parameters, Scalar
@@ -25,6 +27,7 @@ __all__ = [
     "grad_q1",
     "edge_curve",
     "omega_slice_a1_half",
+    "classify_region",
     "component_classify",
     "census_kinds",
     "cube_grid",
@@ -186,14 +189,19 @@ def omega_slice_a1_half(a2: Scalar, a3: Scalar) -> Scalar:
     )
 
 
-def _on_omega(p: Parameters, tol: float | None) -> bool:
-    q = q_eval(p)
+def _on_omega(p: Parameters, q: Scalar, tol: float | None) -> bool:
+    """Whether ``q = q_eval(p)`` puts ``p`` on the degeneracy surface: exactly
+    zero for exact input, within ``tol`` (default scaled to ``p``) for floats."""
     if p.exact:
         return q == 0
     if tol is None:
         scale = (1.0 + max(abs(float(v)) for v in p.a)) ** 12
         tol = 1e-10 * scale
     return abs(float(q)) <= tol
+
+
+def _kinds_key(kinds) -> tuple[PointKind, ...]:
+    return tuple(sorted(kinds, key=lambda k: k.value))
 
 
 def census_kinds(p: Parameters, rays=None) -> list[PointKind]:
@@ -206,29 +214,37 @@ def census_kinds(p: Parameters, rays=None) -> list[PointKind]:
     for ray in rays:
         lin = linearize_at(p, ray.as_x3one())
         kinds.append(classify(lin).kind)
-    return sorted(kinds, key=lambda k: k.value)
+    return list(_kinds_key(kinds))
+
+
+# One unstable node plus three saddles marks the component of (1/6, 1/6, 1/6);
+# a stable node plus three saddles the component of (7/15, 7/15, 7/15); two
+# saddles the component of (1/6, 1/4, 1/3).
+_REGION_BY_KINDS = {
+    _kinds_key([PointKind.UNSTABLE_NODE] + [PointKind.SADDLE] * 3): Region.O1,
+    _kinds_key([PointKind.STABLE_NODE] + [PointKind.SADDLE] * 3): Region.O2,
+    _kinds_key([PointKind.SADDLE] * 2): Region.O3,
+}
+
+
+def classify_region(
+    p: Parameters,
+    q: Scalar,
+    kinds: Callable[[], list[PointKind]],
+    on_omega_tol: float | None = None,
+) -> Region:
+    """The region of ``p``, given ``q = q_eval(p)``: ``ON_OMEGA`` on the
+    degeneracy surface, else the component that the equilibrium kinds mark,
+    or ``OUTSIDE``. ``kinds()`` returns those kinds, in any order; it is
+    called only off the surface, so a caller pays for no census there."""
+    if _on_omega(p, q, on_omega_tol):
+        return Region.ON_OMEGA
+    return _REGION_BY_KINDS.get(_kinds_key(kinds()), Region.OUTSIDE)
 
 
 def component_classify(p: Parameters, rays=None, on_omega_tol: float | None = None) -> Region:
-    """Label a parameter triple by its equilibrium census.
-
-    One unstable node plus three saddles marks the component of
-    (1/6, 1/6, 1/6); a stable node plus three saddles the component of
-    (7/15, 7/15, 7/15); two saddles the component of (1/6, 1/4, 1/3).
-    """
-    if _on_omega(p, on_omega_tol):
-        return Region.ON_OMEGA
-    kinds = census_kinds(p, rays)
-    saddles = kinds.count(PointKind.SADDLE)
-    if kinds == sorted([PointKind.SADDLE] * 2, key=lambda k: k.value):
-        return Region.O3
-    if saddles == 3 and len(kinds) == 4:
-        rest = [k for k in kinds if k is not PointKind.SADDLE]
-        if rest == [PointKind.UNSTABLE_NODE]:
-            return Region.O1
-        if rest == [PointKind.STABLE_NODE]:
-            return Region.O2
-    return Region.OUTSIDE
+    """Label a parameter triple by its equilibrium census (``classify_region``)."""
+    return classify_region(p, q_eval(p), lambda: census_kinds(p, rays), on_omega_tol)
 
 
 def cube_grid(n: int) -> list[tuple[float, float, float]]:
@@ -240,15 +256,29 @@ def cube_grid(n: int) -> list[tuple[float, float, float]]:
 
 def scan(points, on_omega_tol: float | None = None) -> list[SurfaceSample]:
     """Surface values and the component label of each parameter triple; a
-    triple where the flow is undefined raises ``ValueError``."""
+    triple where the flow is undefined raises ``ValueError``.
+
+    ``Q``, ``Q1``, ``gradQ`` and the test for the degeneracy surface are
+    computed per point. A permutation of a triple only relabels the modules,
+    so the label off the surface is computed once per permutation orbit:
+    from the census of the sorted triple, whatever the order of ``points``.
+    """
+    orbit_kinds: dict[tuple, list[PointKind]] = {}
+
+    def kinds(key):
+        if key not in orbit_kinds:
+            orbit_kinds[key] = census_kinds(Parameters(*key))
+        return orbit_kinds[key]
+
     samples = []
     for a in points:
         p = Parameters(*a)
+        q = q_eval(p)
         samples.append(SurfaceSample(
             params=p,
-            Q=q_eval(p),
+            Q=q,
             Q1=q1_eval(p),
             gradQ=grad_q(p),
-            region=component_classify(p, on_omega_tol=on_omega_tol),
+            region=classify_region(p, q, partial(kinds, tuple(sorted(p.a))), on_omega_tol),
         ))
     return samples

@@ -263,6 +263,17 @@ class TestScan:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 9
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_bad_tol_omega_is_usage_error(self, tol, capsys):
+        assert cli.main(["scan", "--n", "2", f"--tol-omega={tol}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--tol-omega" in err
+
+    def test_zero_tol_omega_is_accepted(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert cli.main(["scan", "--n", "2", "--tol-omega", "0", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 9
+
     def test_json_mirror(self, tmp_path):
         out = tmp_path / "scan.json"
         proc = run_cli(["scan", "--n", "2", "--json", "--out", str(out)])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wallachflow import equilibria
 from wallachflow.core import Parameters
 from wallachflow.linearize import SIGMA_ZERO_S_HIGH, SIGMA_ZERO_S_LOW
 from wallachflow.surfaces import (
@@ -210,3 +211,47 @@ class TestScanGrid:
         assert len(samples) == 27
         assert all(s.region is Region.O1 for s in samples)
         assert all(s.Q != 0 for s in samples)
+
+
+def _orbit_triples():
+    sixth, quarter, third = Fraction(1, 6), Fraction(1, 4), Fraction(1, 3)
+    near_face = Fraction(1, 2) - Fraction(1, 10**12)
+    return [
+        *_perms((sixth, quarter, third)),
+        *_perms((Fraction(2, 17), Fraction(1, 8), Fraction(2, 17))),
+        *_perms((Fraction(1, 30), near_face, Fraction(1, 30))),
+        (quarter, quarter, quarter),
+    ]
+
+
+class TestScanOrbits:
+    def test_matches_per_point_classification(self):
+        # one census per permutation orbit gives each point what the
+        # per-point functions give it
+        points = cube_grid(4) + _orbit_triples()
+        samples = scan(points)
+        assert [s.params.a for s in samples] == [Parameters(*a).a for a in points]
+        for s in samples:
+            p = s.params
+            assert s.Q == q_eval(p), p.a
+            assert s.Q1 == q1_eval(p), p.a
+            assert s.gradQ == grad_q(p), p.a
+            assert s.region is component_classify(p), p.a
+
+    @pytest.mark.parametrize("n, censuses", [(3, 9), (4, 20)])
+    def test_one_census_per_orbit_off_omega(self, n, censuses, monkeypatch):
+        # n = 3: 10 sorted triples, one of them (1/4, 1/4, 1/4) on Omega;
+        # n = 4: 20 sorted triples, none on Omega. In reverse order each
+        # orbit is first met as an unsorted triple.
+        seen = []
+        solve_all = equilibria.solve_all
+
+        def counting(p, *args, **kwargs):
+            seen.append(p.a)
+            return solve_all(p, *args, **kwargs)
+
+        monkeypatch.setattr(equilibria, "solve_all", counting)
+        scan(cube_grid(n)[::-1])
+        assert len(seen) == censuses
+        assert len(set(seen)) == censuses
+        assert all(list(a) == sorted(a) for a in seen)
