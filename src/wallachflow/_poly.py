@@ -93,17 +93,6 @@ def p_diff(p: Monomials, var: int) -> Monomials:
             out[tuple(m)] = c * e
     return out
 
-def p_eval(p: Monomials, values) -> object:
-    total = 0
-    for mono, c in p.items():
-        term = c
-        for v, e in zip(values, mono):
-            if e:
-                term = term * v**e
-        total = total + term
-    return total
-
-
 # ---------------------------------------------------------------------------
 # univariate real root finding on primitive integer polynomials
 

@@ -30,7 +30,7 @@ from .blowup import blowup_linearizations
 from .core import Parameters, Scalar, is_exact, parse_scalar, scalar_to_json
 from .flow import MetricPoint
 from .integrate import check_rtol, integrate_flow, integrate_flow_3d
-from .surfaces import classify_region, cube_grid, grad_q, q1_eval, q_eval, scan
+from .surfaces import classify_region, cube_grid, q1_eval, q_and_grad, q_eval, scan
 from .verify import run_all
 
 EXIT_OK = 0
@@ -154,7 +154,7 @@ def _analyze_payload(p: Parameters) -> dict:
                 "degenerate equilibrium: run the `blowup` command for the "
                 "resolved local phase portrait"
             )
-    q = q_eval(p)
+    q, grad = q_and_grad(p)
     region = classify_region(p, q, lambda: kinds) if p.interior else None
     return {
         "parameters": {
@@ -166,7 +166,7 @@ def _analyze_payload(p: Parameters) -> dict:
         "surface": {
             "Q": _json_value(q),
             "Q1": _json_value(q1_eval(p)),
-            "grad_Q": [_json_value(v) for v in grad_q(p)],
+            "grad_Q": [_json_value(v) for v in grad],
             "region": region.value if region is not None else None,
         },
         "equilibria": entries,
@@ -201,6 +201,8 @@ def cmd_flow(cfg: Config, args) -> int:
     p = _parse_triple(args.a)
     if not (math.isfinite(args.tmax) and args.tmax > 0):
         raise UsageError("--tmax must be finite and positive")
+    if args.random_starts < 0:
+        raise UsageError("--random-starts must be non-negative")
     try:
         check_rtol(args.rtol)
     except ValueError as exc:

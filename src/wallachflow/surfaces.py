@@ -8,12 +8,13 @@ components the surface cuts out of the open parameter cube.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from ._poly import p_add, p_const, p_diff, p_eval, p_mul, p_pow, p_scale, p_var
+from ._poly import p_add, p_const, p_diff, p_mul, p_pow, p_scale, p_var
 from .core import Parameters, Scalar
 from .linearize import PointKind, classify, linearize_at
 
@@ -23,6 +24,7 @@ __all__ = [
     "EdgeCurvePoint",
     "q_eval",
     "grad_q",
+    "q_and_grad",
     "q1_eval",
     "grad_q1",
     "edge_curve",
@@ -121,24 +123,111 @@ def _build_q_polynomial():
 
 _Q_POLY = _build_q_polynomial()
 _Q_GRAD = tuple(p_diff(_Q_POLY, i) for i in range(3))
+# Q has weighted degree at most _Q_WEIGHT for the weights (1, 2, 3) of
+# (s1, s2, s3), and d/ds_k lowers that bound by k.
+_Q_WEIGHT = max(e1 + 2 * e2 + 3 * e3 for e1, e2, e3 in _Q_POLY)
 
 
-def q_eval(p: Parameters) -> Scalar:
-    """The degeneracy polynomial, evaluated through (s1, s2, s3)."""
-    return p_eval(_Q_POLY, (p.s1, p.s2, p.s3))
+@dataclass(frozen=True)
+class _Kernel:
+    """A polynomial of (s1, s2, s3) with integer coefficients, laid out for
+    evaluation from power tables, in the monomial order of its dict.
+
+    ``exact`` holds ``(c, e1, e2, e3, k)``: with ``s_j = N_j / D^j`` the
+    monomial is ``c N1^e1 N2^e2 N3^e3 D^k / D^w``, where ``w`` is the
+    weighted-degree bound the kernel was built for. ``floats`` holds
+    ``(float(c), e1, e2, e3)``. ``top`` is the highest exponent of each
+    ``s_j``.
+    """
+
+    exact: tuple[tuple[int, int, int, int, int], ...]
+    floats: tuple[tuple[float, int, int, int], ...]
+    top: tuple[int, int, int]
 
 
-def grad_q(p: Parameters) -> tuple[Scalar, Scalar, Scalar]:
-    """Exact gradient of the degeneracy polynomial in the parameters, via the
-    chain rule through the symmetric functions."""
-    a1, a2, a3 = p.a
-    s = (p.s1, p.s2, p.s3)
-    ds1, ds2, ds3 = (p_eval(g, s) for g in _Q_GRAD)
+def _kernel(poly, weight: int) -> _Kernel:
+    return _Kernel(
+        exact=tuple(
+            (int(c), e1, e2, e3, weight - e1 - 2 * e2 - 3 * e3)
+            for (e1, e2, e3), c in poly.items()
+        ),
+        floats=tuple((float(c), *mono) for mono, c in poly.items()),
+        top=tuple(max(mono[j] for mono in poly) for j in range(3)),
+    )
+
+
+_Q_KERNEL = _kernel(_Q_POLY, _Q_WEIGHT)
+_GRAD_KERNELS = tuple(_kernel(g, _Q_WEIGHT - k) for k, g in enumerate(_Q_GRAD, 1))
+
+
+def _exact_sum(terms, n1, n2, n3, d) -> int:
+    total = 0
+    for c, e1, e2, e3, k in terms:
+        total += c * n1[e1] * n2[e2] * n3[e3] * d[k]
+    return total
+
+
+def _float_sum(terms, s1, s2, s3) -> float:
+    # a zero exponent multiplies by s**0 = 1.0, which changes no bit
+    total = 0
+    for c, e1, e2, e3 in terms:
+        total = total + c * s1[e1] * s2[e2] * s3[e3]
+    return total
+
+
+def _chain(ds1, ds2, ds3, a1, a2, a3) -> tuple:
+    """The gradient in the parameters from the partials in (s1, s2, s3)."""
     return (
         ds1 + ds2 * (a2 + a3) + ds3 * (a2 * a3),
         ds1 + ds2 * (a1 + a3) + ds3 * (a1 * a3),
         ds1 + ds2 * (a1 + a2) + ds3 * (a1 * a2),
     )
+
+
+def _evaluate(p: Parameters, with_q: bool, with_grad: bool):
+    """``(Q, gradQ)`` at ``p``, each ``None`` unless asked for, from one set
+    of power tables that reach the exponents the asked polynomials use.
+
+    Exact input: ``D`` is the lcm of the denominators of the ``a_i`` and
+    ``A_i = D a_i``, so ``s_j = N_j / D^j`` with integer ``N_j``. The sums run
+    in ``int``s and each value is one ``Fraction``. Float input: the tables
+    hold ``s_j ** e``, so a power that leaves the float range raises
+    ``OverflowError``, and each monomial is ``float(c) * s1**e1 * ...`` in
+    the same order as the ``Fraction`` coefficients' float fallback.
+    """
+    kernels = ((_Q_KERNEL,) if with_q else ()) + (_GRAD_KERNELS if with_grad else ())
+    top = [max(k.top[j] for k in kernels) for j in range(3)]
+    if not p.exact:
+        tables = [[s**e for e in range(t + 1)] for s, t in zip((p.s1, p.s2, p.s3), top)]
+        sums = [_float_sum(k.floats, *tables) for k in kernels]
+        return (sums[0] if with_q else None), (_chain(*sums[-3:], *p.a) if with_grad else None)
+    d = math.lcm(*(a.denominator for a in p.a))
+    A1, A2, A3 = (a.numerator * (d // a.denominator) for a in p.a)
+    bases = (A1 + A2 + A3, A1 * A2 + A1 * A3 + A2 * A3, A1 * A2 * A3, d)
+    tables = [[b**e for e in range(t + 1)] for b, t in zip(bases, (*top, _Q_WEIGHT))]
+    sums = [_exact_sum(k.exact, *tables) for k in kernels]
+    d_pow = tables[3]
+    q = Fraction(sums[0], d_pow[_Q_WEIGHT]) if with_q else None
+    if not with_grad:
+        return q, None
+    return q, tuple(Fraction(g, d_pow[_Q_WEIGHT - 1]) for g in _chain(*sums[-3:], A1, A2, A3))
+
+
+def q_eval(p: Parameters) -> Scalar:
+    """The degeneracy polynomial, evaluated through (s1, s2, s3): a
+    ``Fraction`` for exact input, a ``float`` for float input."""
+    return _evaluate(p, True, False)[0]
+
+
+def grad_q(p: Parameters) -> tuple[Scalar, Scalar, Scalar]:
+    """Exact gradient of the degeneracy polynomial in the parameters, via the
+    chain rule through the symmetric functions."""
+    return _evaluate(p, False, True)[1]
+
+
+def q_and_grad(p: Parameters) -> tuple[Scalar, tuple[Scalar, Scalar, Scalar]]:
+    """``(q_eval(p), grad_q(p))`` from one set of power tables."""
+    return _evaluate(p, True, True)
 
 
 def q1_eval(p: Parameters) -> Scalar:
@@ -273,12 +362,12 @@ def scan(points, on_omega_tol: float | None = None) -> list[SurfaceSample]:
     samples = []
     for a in points:
         p = Parameters(*a)
-        q = q_eval(p)
+        q, grad = q_and_grad(p)
         samples.append(SurfaceSample(
             params=p,
             Q=q,
             Q1=q1_eval(p),
-            gradQ=grad_q(p),
+            gradQ=grad,
             region=classify_region(p, q, partial(kinds, tuple(sorted(p.a))), on_omega_tol),
         ))
     return samples

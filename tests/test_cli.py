@@ -135,6 +135,13 @@ class TestFlow:
         assert rc == 2
         assert "rel_tol" in capsys.readouterr().err
 
+    def test_negative_random_starts_is_usage_error(self, capsys):
+        rc = cli.main(["flow", "--a", "1/6,1/4,1/3", "--random-starts", "-3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--random-starts must be non-negative" in err
+        assert "provide --x0" not in err
+
     def test_zero_parameter_is_domain_error(self, capsys):
         rc = cli.main(["flow", "--a", "1/6,0,1/6", "--random-starts", "1"])
         assert rc == 3
@@ -328,6 +335,13 @@ class TestSurfaceSlice:
     def test_malformed_fix_value_is_usage_error(self, fix, capsys):
         assert cli.main(["surface", "--fix", fix, "--n", "2"]) == 2
         assert "--fix" in capsys.readouterr().err
+
+    def test_overflow_is_domain_error(self, capsys):
+        # Q's powers of s1 leave the float range; the slice is not written
+        assert cli.main(["surface", "--fix", "a1=1e200", "--n", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a value left the float range\n"
 
 
 def _warn_census(_item):

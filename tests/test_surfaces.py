@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,8 @@ from wallachflow import equilibria
 from wallachflow.core import Parameters
 from wallachflow.linearize import SIGMA_ZERO_S_HIGH, SIGMA_ZERO_S_LOW
 from wallachflow.surfaces import (
+    _Q_GRAD,
+    _Q_POLY,
     Region,
     component_classify,
     cube_grid,
@@ -18,6 +21,7 @@ from wallachflow.surfaces import (
     grad_q1,
     omega_slice_a1_half,
     q1_eval,
+    q_and_grad,
     q_eval,
     scan,
 )
@@ -80,6 +84,98 @@ class TestDegeneracyPolynomial:
             a_dn[i] -= h
             fd = (float(q_eval(Parameters(*a_up))) - float(q_eval(Parameters(*a_dn)))) / (2 * h)
             assert abs(fd - g[i]) <= 1e-6 * max(1.0, abs(g[i]))
+
+
+def _monomial_sum(poly, values):
+    """Reference evaluation: ``c * v**e`` per factor with the ``Fraction``
+    coefficients of ``poly``, summed in its dict order."""
+    total = 0
+    for mono, c in poly.items():
+        term = c
+        for v, e in zip(values, mono):
+            if e:
+                term = term * v**e
+        total = total + term
+    return total
+
+
+def _reference_grad(p):
+    a1, a2, a3 = p.a
+    ds1, ds2, ds3 = (_monomial_sum(g, (p.s1, p.s2, p.s3)) for g in _Q_GRAD)
+    return (
+        ds1 + ds2 * (a2 + a3) + ds3 * (a2 * a3),
+        ds1 + ds2 * (a1 + a3) + ds3 * (a1 * a3),
+        ds1 + ds2 * (a1 + a2) + ds3 * (a1 * a2),
+    )
+
+
+def _float_parity_triples():
+    rng = random.Random(0)
+    near_face = []
+    for k in range(1, 17):
+        h = 0.5 - 10.0**-k
+        near_face += [(h, 0.3, 0.2), (0.1, h, 0.45), (h, h, 0.05), (h, h, h)]
+    uniform = [tuple(rng.uniform(1e-3, 0.5) for _ in range(3)) for _ in range(300)]
+    return cube_grid(9) + uniform + near_face
+
+
+def _exact_parity_triples():
+    rng = random.Random(0)
+    triples = []
+    for _ in range(200):
+        triples.append(tuple(
+            Fraction(rng.randint(1, d // 2), d) for d in (rng.randint(2, 120) for _ in range(3))
+        ))
+    return triples + [
+        (Fraction(13, 97), Fraction(17, 89), Fraction(23, 101)),
+        (Fraction(1, 30), Fraction(1, 2) - Fraction(1, 10**12), Fraction(1, 30)),
+    ]
+
+
+class TestKernelParity:
+    """The power-table kernels give what evaluating the monomials of Q and
+    its partials one term at a time gives: equal ``Fraction``s for exact
+    input, the same bits for float input."""
+
+    def test_float_input_bit_for_bit(self):
+        for a in _float_parity_triples():
+            p = Parameters(*a)
+            q_ref = _monomial_sum(_Q_POLY, (p.s1, p.s2, p.s3))
+            grad_ref = _reference_grad(p)
+            q, grad = q_and_grad(p)
+            for got in (q, q_eval(p)):
+                assert type(got) is float and got.hex() == q_ref.hex(), a
+            for got in (grad, grad_q(p)):
+                assert all(type(g) is float for g in got), a
+                assert [g.hex() for g in got] == [g.hex() for g in grad_ref], a
+
+    def test_exact_input_equal_fractions(self):
+        for a in _exact_parity_triples():
+            p = Parameters(*a)
+            q_ref = _monomial_sum(_Q_POLY, (p.s1, p.s2, p.s3))
+            grad_ref = _reference_grad(p)
+            q, grad = q_and_grad(p)
+            for got in (q, q_eval(p)):
+                assert type(got) is Fraction and got == q_ref, a
+            for got in (grad, grad_q(p)):
+                assert all(type(g) is Fraction for g in got), a
+                assert got == grad_ref, a
+
+    def test_overflow_raises_where_the_terms_overflow(self):
+        p = Parameters(1e200, 0.25, 0.25)
+        with pytest.raises(OverflowError):
+            _monomial_sum(_Q_POLY, (p.s1, p.s2, p.s3))
+        for fn in (q_eval, grad_q, q_and_grad):
+            with pytest.raises(OverflowError):
+                fn(p)
+        # s1 ~ 1e55: s1**6, in Q, leaves the float range; s1**5, the highest
+        # power in the partials, does not
+        p = Parameters(1e55, 1e-30, 1e-30)
+        with pytest.raises(OverflowError):
+            q_eval(p)
+        with pytest.raises(OverflowError):
+            q_and_grad(p)
+        assert [g.hex() for g in grad_q(p)] == [g.hex() for g in _reference_grad(p)]
 
 
 class TestEdgeCurves:
