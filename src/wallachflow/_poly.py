@@ -1,5 +1,11 @@
-"""Exact polynomial plumbing: monomial-dict polynomials, real roots of
+"""Exact polynomial plumbing: multivariate polynomials, real roots of
 univariate polynomials, and truncated bivariate Taylor series.
+
+``Poly`` is a dict from exponent tuples to ``Fraction`` coefficients with
+the ring operators ``+``, ``-``, ``*`` and ``**`` (a scalar operand is a
+constant) and ``diff``.  Ring-generic formulas evaluate over it once, at
+import, to lay out their monomials: the degeneracy polynomial of
+``surfaces`` and the census equations of ``equilibria``.
 
 ``real_roots`` is the one real-root finder, for exact and float input alike,
 and it makes one pass.  The coefficients become one primitive integer
@@ -29,69 +35,97 @@ from fractions import Fraction
 
 from .core import is_exact
 
-Monomials = dict  # exponent tuple -> Fraction coefficient
 _ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
-# multivariate monomial-dict polynomials
+# multivariate polynomials
 
 
-def p_const(c, nvars: int) -> Monomials:
-    return {(0,) * nvars: Fraction(c)} if c else {}
+class Poly(dict):
+    """A polynomial in ``nvars`` variables: a dict from exponent tuples to
+    nonzero ``Fraction`` coefficients, with the ring operators.
 
-def p_var(i: int, nvars: int) -> Monomials:
-    e = [0] * nvars
-    e[i] = 1
-    return {tuple(e): Fraction(1)}
+    A scalar operand is the constant polynomial.  Sums keep the monomial
+    order of the left operand and append new monomials in the order of the
+    right one; products run over the left operand's monomials first.
+    """
 
-def p_add(*polys: Monomials) -> Monomials:
-    out: Monomials = {}
-    for p in polys:
-        for mono, c in p.items():
-            s = out.get(mono, Fraction(0)) + c
+    __slots__ = ("nvars",)
+
+    def __init__(self, terms, nvars: int):
+        super().__init__(terms)
+        self.nvars = nvars
+
+    @classmethod
+    def const(cls, c, nvars: int) -> "Poly":
+        return cls({(0,) * nvars: Fraction(c)} if c else {}, nvars)
+
+    @classmethod
+    def var(cls, i: int, nvars: int) -> "Poly":
+        e = [0] * nvars
+        e[i] = 1
+        return cls({tuple(e): Fraction(1)}, nvars)
+
+    def _lift(self, other) -> "Poly":
+        return other if isinstance(other, Poly) else Poly.const(other, self.nvars)
+
+    def __add__(self, other) -> "Poly":
+        out = Poly(self, self.nvars)
+        for mono, c in self._lift(other).items():
+            s = out.get(mono, _ZERO) + c
             if s:
                 out[mono] = s
             else:
                 out.pop(mono, None)
-    return out
+        return out
 
-def p_scale(p: Monomials, c) -> Monomials:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {m: v * c for m, v in p.items()}
+    def __radd__(self, other) -> "Poly":
+        return self._lift(other) + self
 
-def p_mul(p: Monomials, q: Monomials) -> Monomials:
-    out: Monomials = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            mono = tuple(a + b for a, b in zip(m1, m2))
-            s = out.get(mono, Fraction(0)) + c1 * c2
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-    return out
+    def __neg__(self) -> "Poly":
+        return Poly({m: -c for m, c in self.items()}, self.nvars)
 
-def p_pow(p: Monomials, n: int) -> Monomials:
-    if n == 0:
-        nvars = len(next(iter(p))) if p else 1
-        return p_const(1, nvars)
-    out = p
-    for _ in range(n - 1):
-        out = p_mul(out, p)
-    return out
+    def __sub__(self, other) -> "Poly":
+        return self + -self._lift(other)
 
-def p_diff(p: Monomials, var: int) -> Monomials:
-    out: Monomials = {}
-    for mono, c in p.items():
-        e = mono[var]
-        if e:
-            m = list(mono)
-            m[var] = e - 1
-            out[tuple(m)] = c * e
-    return out
+    def __rsub__(self, other) -> "Poly":
+        return self._lift(other) + -self
+
+    def __mul__(self, other) -> "Poly":
+        if not isinstance(other, Poly):
+            c = Fraction(other)
+            return Poly({m: v * c for m, v in self.items()} if c else {}, self.nvars)
+        out = Poly({}, self.nvars)
+        for m1, c1 in self.items():
+            for m2, c2 in other.items():
+                mono = tuple(a + b for a, b in zip(m1, m2))
+                s = out.get(mono, _ZERO) + c1 * c2
+                if s:
+                    out[mono] = s
+                else:
+                    out.pop(mono, None)
+        return out
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "Poly":
+        if n == 0:
+            return Poly.const(1, self.nvars)
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
+
+    def diff(self, var: int) -> "Poly":
+        out = Poly({}, self.nvars)
+        for mono, c in self.items():
+            e = mono[var]
+            if e:
+                m = list(mono)
+                m[var] = e - 1
+                out[tuple(m)] = c * e
+        return out
 
 # ---------------------------------------------------------------------------
 # univariate real root finding on primitive integer polynomials
@@ -100,14 +134,10 @@ def p_diff(p: Monomials, var: int) -> Monomials:
 _SCREEN_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _primitive(coeffs) -> list[int]:
-    """Coprime integer coefficients: ``coeffs`` times a positive rational."""
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
-    g = math.gcd(*ints)
-    return [v // g for v in ints]
+def _primitive(coeffs: list[int]) -> list[int]:
+    """Coprime integer coefficients: ``coeffs`` divided by their gcd."""
+    g = math.gcd(*coeffs)
+    return [v // g for v in coeffs]
 
 
 def _divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int], int]:
@@ -278,8 +308,10 @@ def real_roots(coeffs) -> list[tuple[object, int]]:
     each with its multiplicity.
 
     Every float is a dyadic rational, so the coefficients are converted to
-    ``Fraction`` exactly and the roots are those of that exact polynomial.
-    Its primitive integer form is factored square-free once, the index of a
+    ``Fraction`` exactly and the roots are those of that exact polynomial;
+    a list of ``int``s is used as it is.  Over a common denominator the
+    coefficients are integers, and their primitive form (divided by their
+    gcd) is factored square-free once, the index of a
     factor being the exact multiplicity of its roots, and the roots of each
     factor are isolated once by Sturm's theorem.  When every coefficient is
     exact, each rational root is returned as that ``Fraction``: the
@@ -289,7 +321,12 @@ def real_roots(coeffs) -> list[tuple[object, int]]:
     grid of the factor with its rational roots divided out) and rounded to a
     float; a root beyond the float range is an infinity.
     """
-    rest = [Fraction(c) for c in coeffs]
+    if all(type(c) is int for c in coeffs):
+        rest = list(coeffs)
+    else:
+        fracs = [Fraction(c) for c in coeffs]
+        lcm = math.lcm(*(c.denominator for c in fracs))
+        rest = [c.numerator * (lcm // c.denominator) for c in fracs]
     while rest and rest[0] == 0:
         rest = rest[1:]
     if len(rest) <= 1:

@@ -203,6 +203,8 @@ def cmd_flow(cfg: Config, args) -> int:
         raise UsageError("--tmax must be finite and positive")
     if args.random_starts < 0:
         raise UsageError("--random-starts must be non-negative")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     try:
         check_rtol(args.rtol)
     except ValueError as exc:

@@ -9,9 +9,11 @@ quartic); ``solve_all`` dispatches, always runs the independent ``census``
 with ``x3 = 1``, and reconciles the two.
 
 ``equations`` is the single source of the two equilibrium equations: the
-exact ``residual``, the census (over exact polynomials) and the
-damped-Newton polish ``_newton`` of float closed-form rays all evaluate it.
-``scale_to_log_volume`` is the single volume scaling of a ray.
+exact ``residual``, the census and the damped-Newton polish ``_newton`` of
+float closed-form rays all evaluate it.  The census evaluates it once, at
+import, over ``_poly.Poly`` in its sheared chart, and runs each triple in
+integers from that layout.  ``scale_to_log_volume`` is the single volume
+scaling of a ray.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._poly import Series2, quartic_discriminant_coeffs, real_roots
+from ._poly import Poly, quartic_discriminant_coeffs, real_roots
 from .core import Parameters, Scalar, exact_sqrt, is_exact
 from .flow import MetricPoint, log_volume
 
@@ -336,6 +338,48 @@ def _newton(a: tuple[float, ...], x1: np.ndarray, x2: np.ndarray, max_iter: int,
     return x1, x2
 
 
+def _census_layout():
+    """The two equations in the census chart, laid out once: for each
+    equation and each ``(i, j)``, the monomials ``(c, e1, e2, e3)`` of the
+    coefficient of ``x1**i * u**j``, which is ``sum(c * a1**e1 * a2**e2 *
+    a3**e3) / 9`` (the shear's 1/3 enters at most squared).  Every monomial
+    has degree 1 or 2 in the parameters."""
+    a1, a2, a3, x1, u = (Poly.var(k, 5) for k in range(5))
+    layout = []
+    for e in equations(a1, a2, a3, x1, u - _SHEAR * x1, 1):
+        rows = [[[] for _j in range(3 - i)] for i in range(3)]
+        for (e1, e2, e3, i, j), c in (9 * e).items():
+            rows[i][j].append((int(c), e1, e2, e3))
+        layout.append(rows)
+    return layout
+
+
+_CENSUS_LAYOUT = _census_layout()
+
+
+def _census_rows(a: tuple[Fraction, ...]) -> list[list[list[int]]]:
+    """The census coefficients of both equations at ``a``, each times
+    ``9 * D**2``, where ``D`` is the lcm of the denominators of ``a``:
+    with ``A_i = D * a_i`` a monomial is ``c * A**e * D**(2 - |e|)``."""
+    d = math.lcm(*(v.denominator for v in a))
+    p1, p2, p3 = ((1, A, A * A) for A in (v.numerator * (d // v.denominator) for v in a))
+    d_pow = (d * d, d, 1)
+    return [
+        [[sum(c * p1[e1] * p2[e2] * p3[e3] * d_pow[e1 + e2 + e3] for c, e1, e2, e3 in terms) for terms in row]
+         for row in rows]
+        for rows in _CENSUS_LAYOUT
+    ]
+
+
+def _mul(f: list[int], g: list[int]) -> list[int]:
+    """The product of two polynomials, lowest degree first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, u in enumerate(f):
+        for j, v in enumerate(g):
+            out[i + j] += u * v
+    return out
+
+
 def census(p: Parameters) -> list[tuple[float, float]]:
     """The sorted positive solutions ``(x1, x2)`` of the x3 = 1 equations.
 
@@ -344,29 +388,39 @@ def census(p: Parameters) -> list[tuple[float, float]]:
     (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*), the
     solutions are the positive roots of the first that pass ``_RESIDUAL_TOL``.
     An identically zero resultant, a curve of equilibria, raises ``ValueError``.
+
+    The arithmetic is in integers: ``_CENSUS_LAYOUT`` holds the monomials of
+    ``equations`` in that chart, and one common denominator of the ``a_i``
+    turns every coefficient into an ``int`` (``_census_rows``).  The
+    resultant and the quadratic at a root ``u = N/M`` (each coefficient times
+    ``M**2``) are positive multiples of the exact ones, so ``real_roots``
+    sees the same primitive polynomials.
     """
-    x1, u = Series2.var(0), Series2.var(1)
-    e1, e2 = equations(*map(Fraction, p.a), x1, u - _SHEAR * x1, 1)
-    # e = p*x1**2 + b*x1 + c with constant p, linear b and quadratic c in u
-    (p1, b1, c1), (p2, b2, c2) = (
-        [Series2({(0, j): e.coeff(i, j) for j in range(3)}) for i in (2, 1, 0)] for e in (e1, e2)
-    )
-    m, l, n = p1 * c2 - p2 * c1, p1 * b2 - p2 * b1, b2 * c1 - b1 * c2
-    res = m * m + l * n if p1.c or p2.c else n  # else two linear equations
-    coeffs = [res.coeff(0, j) for j in range(4, -1, -1)]
-    if not any(coeffs):
+    a = tuple(map(Fraction, p.a))
+    (c1, b1, (p1,)), (c2, b2, (p2,)) = rows = _census_rows(a)
+    # e = p*x1**2 + b*x1 + c with constant p, linear b and quadratic c in u,
+    # each lowest degree first
+    m = [p1 * v2 - p2 * v1 for v1, v2 in zip(c1, c2)]
+    l = [p1 * v2 - p2 * v1 for v1, v2 in zip(b1, b2)]
+    n = [x - y for x, y in zip(_mul(b2, c1), _mul(b1, c2))]
+    res = [x + y for x, y in zip(_mul(m, m), _mul(l, n))] if p1 or p2 else n  # else two linear equations
+    if not any(res):
         raise ValueError(f"the equilibria form a curve for a={tuple(map(float, p.a))}")
-    a = tuple(float(v) for v in p.a)
+    fa = tuple(float(v) for v in a)
     out: list[tuple[float, float]] = []
-    for v, _mult in real_roots(coeffs):
+    for v, _mult in real_roots(res[::-1]):
         if not abs(v) < math.inf:  # a root beyond the float range
             continue
-        v = Fraction(v)  # exact: the roots of a nearly double quadratic are ill-conditioned
-        for r, _mult in real_roots([sum(e1.coeff(i, j) * v**j for j in range(3 - i)) for i in (2, 1, 0)]):
+        # exact: the roots of a nearly double quadratic are ill-conditioned
+        num, den = v.as_integer_ratio()
+        u_pow = [den * den, num * den, num * num]
+        quadratic = [sum(c * w for c, w in zip(row, u_pow)) for row in rows[0]][::-1]
+        v = Fraction(num, den)
+        for r, _mult in real_roots(quadratic):
             if not 0 < r < math.inf:
                 continue
             pt = (float(r), float(v - _SHEAR * Fraction(r)))
-            fits = max(map(abs, equations(*a, *pt, 1.0))) <= _RESIDUAL_TOL * (1 + max(pt)) ** 2
+            fits = max(map(abs, equations(*fa, *pt, 1.0))) <= _RESIDUAL_TOL * (1 + max(pt)) ** 2
             if pt[1] > 0 and fits and not any(_close(q, pt) for q in out):
                 out.append(pt)
     return sorted(out)

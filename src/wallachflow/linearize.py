@@ -49,7 +49,7 @@ SIGMA_ZERO_S_HIGH = math.sqrt(2.0) / 2.0
 _EQUILIBRIUM_RESIDUAL_TOL = 1e-8
 
 # Dimensionless degeneracy threshold; below it a float classification is
-# flagged near-degenerate instead of being trusted as a exact sign.
+# flagged near-degenerate instead of being trusted as an exact sign.
 _NEAR_DEGENERATE_TOL = 1e-9
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from ._poly import p_add, p_const, p_diff, p_mul, p_pow, p_scale, p_var
+from ._poly import Poly
 from .core import Parameters, Scalar
 from .linearize import PointKind, classify, linearize_at
 
@@ -62,67 +62,27 @@ class EdgeCurvePoint:
     params: Parameters
 
 
-def _build_q_polynomial():
+def _build_q_polynomial() -> Poly:
     """The degree-12 degeneracy polynomial, expanded once into monomials in
     the elementary symmetric functions (s1, s2, s3)."""
-    s1, s2, s3 = (p_var(i, 3) for i in range(3))
-    one = p_const(1, 3)
-
-    def lin(*pairs, const=0):
-        terms = [p_scale(v, c) for c, v in pairs]
-        if const:
-            terms.append(p_scale(one, const))
-        return p_add(*terms)
-
-    f_a = lin((2, s1), (4, s3), const=-1)
-    f_b = p_add(
-        p_scale(p_pow(s1, 5), 64),
-        p_scale(p_pow(s1, 4), -64),
-        p_scale(p_pow(s1, 3), 8),
-        p_scale(p_pow(s1, 2), 12),
-        p_scale(s1, -6),
-        one,
-        p_scale(p_mul(s3, p_pow(s1, 2)), 240),
-        p_scale(p_mul(s3, s1), -240),
-        p_scale(p_mul(p_pow(s3, 2), s1), -1536),
-        p_scale(p_pow(s3, 3), -4096),
-        p_scale(s3, 60),
-        p_scale(p_pow(s3, 2), 768),
+    s1, s2, s3 = (Poly.var(i, 3) for i in range(3))
+    f_a = 2 * s1 + 4 * s3 - 1
+    f_b = (
+        64 * s1**5 - 64 * s1**4 + 8 * s1**3 + 12 * s1**2 - 6 * s1 + 1
+        + 240 * s3 * s1**2 - 240 * s3 * s1 - 1536 * s3**2 * s1
+        - 4096 * s3**3 + 60 * s3 + 768 * s3**2
     )
-    term1 = p_mul(f_a, f_b)
-
-    term2 = p_scale(
-        p_mul(
-            p_mul(s1, f_a),
-            p_mul(
-                p_mul(lin((2, s1), (-32, s3), const=-1), lin((10, s1), (32, s3), const=-5)),
-                s2,
-            ),
-        ),
-        -8,
-    )
-
-    bracket3 = p_add(
-        p_scale(one, 13),
-        p_scale(s1, -52),
-        p_scale(p_mul(s3, s1), 640),
-        p_scale(p_pow(s3, 2), 1024),
-        p_scale(s3, -320),
-        p_scale(p_pow(s1, 2), 52),
-    )
-    term3 = p_scale(p_mul(p_mul(p_pow(s1, 2), bracket3), p_pow(s2, 2)), -16)
-
-    term4 = p_scale(
-        p_mul(p_mul(lin((2, s1), const=-1), lin((2, s1), (-32, s3), const=-1)), p_pow(s2, 3)),
-        64,
-    )
-    term5 = p_scale(p_mul(p_mul(s1, lin((2, s1), const=-1)), p_pow(s2, 4)), 2048)
-
-    return p_add(term1, term2, term3, term4, term5)
+    term1 = f_a * f_b
+    term2 = -8 * ((s1 * f_a) * ((2 * s1 - 32 * s3 - 1) * (10 * s1 + 32 * s3 - 5) * s2))
+    bracket3 = 13 - 52 * s1 + 640 * s3 * s1 + 1024 * s3**2 - 320 * s3 + 52 * s1**2
+    term3 = -16 * (s1**2 * bracket3 * s2**2)
+    term4 = 64 * ((2 * s1 - 1) * (2 * s1 - 32 * s3 - 1) * s2**3)
+    term5 = 2048 * (s1 * (2 * s1 - 1) * s2**4)
+    return term1 + term2 + term3 + term4 + term5
 
 
 _Q_POLY = _build_q_polynomial()
-_Q_GRAD = tuple(p_diff(_Q_POLY, i) for i in range(3))
+_Q_GRAD = tuple(_Q_POLY.diff(i) for i in range(3))
 # Q has weighted degree at most _Q_WEIGHT for the weights (1, 2, 3) of
 # (s1, s2, s3), and d/ds_k lowers that bound by k.
 _Q_WEIGHT = max(e1 + 2 * e2 + 3 * e3 for e1, e2, e3 in _Q_POLY)

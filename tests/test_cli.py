@@ -142,6 +142,14 @@ class TestFlow:
         assert "--random-starts must be non-negative" in err
         assert "provide --x0" not in err
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        # checked before numpy's generator, which rejects it as a domain error
+        rc = cli.main(["flow", "--a", "1/6,1/4,1/3", "--random-starts", "1", "--seed", "-1"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "--seed must be non-negative" in err
+        assert out == ""
+
     def test_zero_parameter_is_domain_error(self, capsys):
         rc = cli.main(["flow", "--a", "1/6,0,1/6", "--random-starts", "1"])
         assert rc == 3

@@ -1,3 +1,5 @@
+import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -6,11 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wallachflow._poly import Series2, real_roots
 from wallachflow.core import Parameters
 from wallachflow.equilibria import (
+    _RESIDUAL_TOL,
+    _SHEAR,
     CensusWarning,
     FamilyTag,
+    _close,
     census,
+    equations,
     normalize_unit_volume,
     quartic_coefficients,
     quartic_discriminant,
@@ -21,6 +28,7 @@ from wallachflow.equilibria import (
     solve_two_equal,
 )
 from wallachflow.flow import MetricPoint, field_components, log_volume
+from wallachflow.surfaces import cube_grid
 
 wallach = st.fractions(
     min_value=Fraction(1, 18), max_value=Fraction(9, 20), max_denominator=24
@@ -405,6 +413,89 @@ class TestSolveAll:
             census(p)
         with pytest.raises(ValueError, match="curve"):
             solve_all(p)
+
+
+def _series_census(p):
+    """The census as it was built over ``Series2``: the resultant and the
+    quadratic at each root term by term in ``Fraction``s."""
+    x1, u = Series2.var(0), Series2.var(1)
+    e1, e2 = equations(*map(Fraction, p.a), x1, u - _SHEAR * x1, 1)
+    (p1, b1, c1), (p2, b2, c2) = (
+        [Series2({(0, j): e.coeff(i, j) for j in range(3)}) for i in (2, 1, 0)] for e in (e1, e2)
+    )
+    m, l, n = p1 * c2 - p2 * c1, p1 * b2 - p2 * b1, b2 * c1 - b1 * c2
+    res = m * m + l * n if p1.c or p2.c else n
+    coeffs = [res.coeff(0, j) for j in range(4, -1, -1)]
+    if not any(coeffs):
+        raise ValueError("the equilibria form a curve")
+    a = tuple(float(v) for v in p.a)
+    out = []
+    for v, _mult in real_roots(coeffs):
+        if not abs(v) < math.inf:
+            continue
+        v = Fraction(v)
+        for r, _mult in real_roots([sum(e1.coeff(i, j) * v**j for j in range(3 - i)) for i in (2, 1, 0)]):
+            if not 0 < r < math.inf:
+                continue
+            pt = (float(r), float(v - _SHEAR * Fraction(r)))
+            fits = max(map(abs, equations(*a, *pt, 1.0))) <= _RESIDUAL_TOL * (1 + max(pt)) ** 2
+            if pt[1] > 0 and fits and not any(_close(q, pt) for q in out):
+                out.append(pt)
+    return sorted(out)
+
+
+def _float_bits(points):
+    return [tuple((type(v), v.hex()) for v in pt) for pt in points]
+
+
+class TestCensusParity:
+    """The integer census returns what the ``Series2`` construction
+    returns, to the last bit of every coordinate."""
+
+    def _check(self, triples):
+        for a in triples:
+            p = Parameters(*a)
+            assert _float_bits(census(p)) == _float_bits(_series_census(p)), a
+
+    def test_scan_orbits(self):
+        self._check(sorted({tuple(sorted(a)) for a in cube_grid(9)}))
+
+    def test_uniform_floats(self):
+        rng = random.Random(11)
+        self._check([tuple(rng.uniform(1e-3, 0.5) for _ in range(3)) for _ in range(300)])
+
+    def test_near_face_floats(self):
+        triples = []
+        for k in range(1, 17):
+            h = 0.5 - 10.0**-k
+            triples += [(h, 0.3, 0.2), (0.1, h, 0.45), (h, h, 0.05), (h, h, h)]
+        self._check(triples)
+
+    def test_exact_triples(self):
+        rng = random.Random(12)
+        triples = [
+            tuple(Fraction(rng.randint(1, d // 2), d) for d in (rng.randint(2, 60) for _ in range(3)))
+            for _ in range(200)
+        ]
+        self._check(triples + [
+            (Fraction(13, 97), Fraction(17, 89), Fraction(23, 101)),
+            (Fraction(1, 30), Fraction(1, 2) - Fraction(1, 10**12), Fraction(1, 30)),
+            (Fraction(-1, 5), Fraction(1, 5), Fraction(-7, 50)),
+            # only the first equation loses its x1**2 term in the chart
+            (Fraction(-3, 8), Fraction(1, 6), Fraction(1, 6)),
+        ])
+
+    @pytest.mark.parametrize("a", [
+        (Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2)),
+        (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2)),
+        (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)),
+    ])
+    def test_curves_raise_in_both(self, a):
+        p = Parameters(*a)
+        with pytest.raises(ValueError, match="curve"):
+            _series_census(p)
+        with pytest.raises(ValueError, match="curve"):
+            census(p)
 
 
 class TestNormalizeUnitVolume:

@@ -225,6 +225,58 @@ class TestSympyOracle:
         _assert_matches_sympy(coeffs)
 
 
+def _int_form(coeffs):
+    """``coeffs`` times a positive integer: an ``int`` list, not primitive."""
+    lcm = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    return [int(Fraction(c) * lcm * 6) for c in coeffs]
+
+
+def _bits(found):
+    return [(type(r), r.hex() if isinstance(r, float) else r, m) for r, m in found]
+
+
+def _assert_int_input_agrees(coeffs):
+    """An ``int`` list gives what the equal ``Fraction`` list gives, and what
+    the exact polynomial it is a positive multiple of gives."""
+    ints = _int_form(coeffs)
+    assert all(type(c) is int for c in ints)
+    found = _bits(real_roots(ints))
+    assert found == _bits(real_roots([Fraction(c) for c in ints]))
+    assert found == _bits(real_roots(coeffs))
+
+
+# the exact polynomials of ``TestKnownRoots``
+KNOWN_EXACT = [
+    quartic_coefficients(Parameters(Fraction(5, 36), Fraction(1, 6), Fraction(1, 4))),
+    quartic_coefficients(Parameters(Fraction(2, 7), Fraction(1, 2), Fraction(2, 9))),
+    [2**61 - 1, -(2**89 - 1), 2**61 - 1, -(2**89 - 1)],
+    _mul(_mul([1, 0, 0], [1, 1]), _mul([1, -2], [1, 0, -2])),
+    [1, 0, 0, 0, -2 * 10**400],
+    [1, 0, -2 * 10**700],
+    [0, 0, 3],
+    [],
+    [Fraction(2, 3), Fraction(1, 2)],
+    _mul(_mul([1, 0, -2], [1, 0, -3]), [1, 0, -6]),
+    _mul([11 * 13 * 17 * 19 * 23 * 29 * 31 * 37, -1], [1, 0, 1]),
+]
+
+
+class TestIntegerInput:
+    @pytest.mark.parametrize("coeffs", KNOWN_EXACT)
+    def test_known_polynomials(self, coeffs):
+        _assert_int_input_agrees(coeffs)
+
+    def test_rational_roots_stay_fractions(self):
+        # the A9 quartic in integers keeps its exact double root 3/5
+        ints = _int_form(KNOWN_EXACT[0])
+        assert _rational_part(real_roots(ints)) == [(Fraction(3, 5), 2)]
+
+    @given(planted_polynomials())
+    @settings(max_examples=50, deadline=None)
+    def test_planted_polynomials(self, coeffs):
+        _assert_int_input_agrees(coeffs)
+
+
 @st.composite
 def planted_real_polynomials(draw):
     """Degree <= 6: a cofactor times planted linear factors ``x - r`` and
