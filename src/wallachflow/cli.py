@@ -18,11 +18,8 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
 
 from . import equilibria as eq_mod
 from . import linearize as lin_mod
@@ -31,7 +28,6 @@ from .core import Parameters, Scalar, is_exact, parse_scalar, scalar_to_json
 from .flow import MetricPoint
 from .integrate import check_rtol, integrate_flow, integrate_flow_3d
 from .surfaces import classify_region, cube_grid, q1_eval, q_and_grad, q_eval, scan
-from .verify import run_all
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -103,6 +99,8 @@ def _map(fn, items, threads: int) -> list:
     Workers ignore ``CensusWarning`` as ``main`` does."""
     if threads <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=threads,
         initializer=warnings.simplefilter,
@@ -218,6 +216,8 @@ def cmd_flow(cfg: Config, args) -> int:
             raise UsageError(f"--x0 needs {dim} positive finite values")
         starts.append(tuple(vals))
     if args.random_starts:
+        import numpy as np
+
         rng = np.random.default_rng(cfg.seed)
         for _ in range(args.random_starts):
             starts.append(tuple(np.exp(rng.uniform(-0.5, 0.5, dim))))
@@ -354,6 +354,8 @@ def cmd_blowup(cfg: Config, _args) -> int:
 
 
 def cmd_verify(cfg: Config, args) -> int:
+    from .verify import run_all
+
     results = run_all()
     if args.json:
         payload = [

@@ -24,8 +24,6 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
 from ._poly import Poly, quartic_discriminant_coeffs, real_roots
 from .core import Parameters, Scalar, exact_sqrt, is_exact
 from .flow import MetricPoint, log_volume
@@ -111,7 +109,8 @@ def equations(a1, a2, a3, x1, x2, x3):
     They are the first two field components with their denominators cleared:
     ``e1 = A*x2*x3*f/a1`` and ``e2 = A*x1*x3*g/a2`` with ``(f, g, h)`` from
     ``flow.field_components`` and ``A = a1*a2 + a1*a3 + a2*a3``.  Exact
-    scalars give exact values; numpy arrays evaluate elementwise.
+    scalars give exact values, Python floats the values ``_newton`` polishes
+    with, and ``_poly.Poly`` the polynomials the census lays out.
     """
     e1 = (
         (a2 + a3) * (a1 * x2 * x2 + a1 * x3 * x3 - x2 * x3)
@@ -296,46 +295,49 @@ def _jacobian(a1, a2, a3, x1, x2):
     return j11, j12, j21, j22
 
 
-def _newton(a: tuple[float, ...], x1: np.ndarray, x2: np.ndarray, max_iter: int, tol: float):
-    """Damped Newton on the x3 = 1 equations, elementwise from the starts
-    ``(x1, x2)``.
+def _newton(a: tuple[float, ...], x1: float, x2: float, max_iter: int, tol: float):
+    """Damped Newton on the x3 = 1 equations from the float start ``(x1, x2)``.
 
-    A point stops moving once ``max|e| <= tol * (1 + max(x1, x2))**2``; steps
-    are shortened to keep iterates positive and halved (up to 8 times) while
-    they do not decrease the residual.  Returns the final iterates.
+    The point stops moving once ``max|e| <= tol * (1 + max(x1, x2))**2``;
+    steps are shortened to keep iterates positive and halved (up to 8 times)
+    while they do not decrease the residual.  Returns the final iterate.
+    ``_max`` and ``_min`` propagate NaN like numpy's ``maximum`` and
+    ``minimum``, and the square is ``t * t``: the tests check the iterates
+    bit for bit against the same kernel written elementwise in numpy.
     """
     for _ in range(max_iter):
         e1, e2 = equations(*a, x1, x2, 1.0)
-        norm = np.maximum(np.abs(e1), np.abs(e2))
-        scale = (1.0 + np.maximum(x1, x2)) ** 2
-        active = norm > tol * scale
-        if not np.any(active):
+        norm = _max(abs(e1), abs(e2))
+        t = 1.0 + _max(x1, x2)
+        if not norm > tol * (t * t):
             break
         j11, j12, j21, j22 = _jacobian(*a, x1, x2)
         det = j11 * j22 - j12 * j21
-        ok = active & (np.abs(det) > 1e-300)
-        det_safe = np.where(ok, det, 1.0)
-        s1 = -(j22 * e1 - j12 * e2) / det_safe
-        s2 = -(-j21 * e1 + j11 * e2) / det_safe
-        s1 = np.where(ok, s1, 0.0)
-        s2 = np.where(ok, s2, 0.0)
+        if not abs(det) > 1e-300:
+            break
+        s1 = -(j22 * e1 - j12 * e2) / det
+        s2 = -(-j21 * e1 + j11 * e2) / det
         # keep iterates strictly positive
-        lam = np.ones_like(x1)
+        lam = 1.0
         for xv, sv in ((x1, s1), (x2, s2)):
-            bad = sv < -0.9 * xv
-            lam = np.where(bad, np.minimum(lam, -0.9 * xv / np.where(bad, sv, -1.0)), lam)
-        # backtrack where the damped full step does not decrease the residual
+            if sv < -0.9 * xv:
+                lam = _min(lam, -0.9 * xv / sv)
+        # backtrack while the damped full step does not decrease the residual
         for _bt in range(8):
-            n1, n2 = x1 + lam * s1, x2 + lam * s2
-            f1n, f2n = equations(*a, n1, n2, 1.0)
-            new_norm = np.maximum(np.abs(f1n), np.abs(f2n))
-            worse = ok & (new_norm > norm) & (lam > 1e-6)
-            if not np.any(worse):
+            f1n, f2n = equations(*a, x1 + lam * s1, x2 + lam * s2, 1.0)
+            if not (_max(abs(f1n), abs(f2n)) > norm and lam > 1e-6):
                 break
-            lam = np.where(worse, lam / 2, lam)
-        x1 = np.where(ok, x1 + lam * s1, x1)
-        x2 = np.where(ok, x2 + lam * s2, x2)
+            lam = lam / 2
+        x1, x2 = x1 + lam * s1, x2 + lam * s2
     return x1, x2
+
+
+def _max(x: float, y: float) -> float:
+    return x if x >= y or x != x else y
+
+
+def _min(x: float, y: float) -> float:
+    return x if x <= y or x != x else y
 
 
 def _census_layout():
@@ -469,15 +471,13 @@ def solve_all(p: Parameters) -> list[EquilibriumRay]:
     except (ValueError, ZeroDivisionError):
         closed = []
 
-    # polish the float closed-form rays in one Newton call, keeping their order
-    floats = [i for i, ray in enumerate(closed) if not ray.rep.exact]
-    polished = list(closed)
-    if floats:
-        keys = np.array([closed[i].key() for i in floats])
-        x1, x2 = _newton(tuple(float(v) for v in p.a), keys[:, 0], keys[:, 1], 40, 1e-15)
-        for i, u, v in zip(floats, x1, x2):
-            rep = MetricPoint(float(u), float(v), 1.0)
-            polished[i] = replace(closed[i], rep=rep, convention="x3=1")
+    # polish the float closed-form rays, keeping their order
+    a = tuple(float(v) for v in p.a)
+    polished = [
+        ray if ray.rep.exact
+        else replace(ray, rep=MetricPoint(*_newton(a, *ray.key(), 40, 1e-15), 1.0), convention="x3=1")
+        for ray in closed
+    ]
 
     # drop closed-form coincidences (distinct families can share a ray)
     merged: list[EquilibriumRay] = []

@@ -6,18 +6,18 @@ logarithmic coordinates, which keeps the metric coefficients positive
 without clipping; the conserved volume is recorded along the way as a
 quality diagnostic.
 
-The stepper works on Python floats.  Each chart converts the parameters once,
-which changes no bit of the field, and the seventh stage of an accepted step
-is reused as the next step's first and for the step's diagnosis, so a run
-costs one field evaluation at the start and six per attempted step.
+The stepper and both charts work on Python floats and the ``math`` module,
+so a run's bits do not depend on a vectorized ``exp`` kernel.  Each chart
+converts the parameters once, which changes no bit of the field, and the
+seventh stage of an accepted step is reused as the next step's first and for
+the step's diagnosis, so a run costs one field evaluation at the start and
+six per attempted step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .core import Parameters
 from .equilibria import normalize_unit_volume, scale_to_log_volume, solve_all
@@ -330,8 +330,8 @@ def _chart_3d(p: Parameters):
     weight = float(normalization_weight(*p.a))
 
     def point(y):
-        # numpy's exp, which need not agree bitwise with math.exp
-        return np.exp(y).tolist()
+        # an overflow raises OverflowError, which rejects the stage
+        return [math.exp(u) for u in y]
 
     def rhs(x):
         v = field_components(*a, *x, weight)
@@ -359,7 +359,7 @@ def integrate_flow(
     targets = [
         (float(m.x1), float(m.x2)) for m in (normalize_unit_volume(p, ray) for ray in rays)
     ]
-    y0 = np.log([float(x0[0]), float(x0[1])]).tolist()
+    y0 = [math.log(float(x0[0])), math.log(float(x0[1]))]
     return _drive(*_planar_chart(p), targets, y0, float(t_max), float(rel_tol))
 
 
@@ -379,12 +379,10 @@ def integrate_flow_3d(
     a, point, rhs = _chart_3d(p)
     # the flow keeps the start's volume, so the targets are the equilibrium
     # rays scaled onto that level set
-    y0 = np.log([float(v) for v in x0.x]).tolist()
+    y0 = [math.log(float(v)) for v in x0.x]
     lv = log_volume(p, MetricPoint(*point(y0)))
     targets = [
         tuple(float(c) for c in scale_to_log_volume(p, ray.rep, lv).x)
         for ray in (solve_all(p) if equilibria is None else equilibria)
     ]
-    # a trial stage that overflows is rejected like any non-finite stage
-    with np.errstate(over="ignore"):
-        return _drive(a, point, rhs, targets, y0, float(t_max), float(rel_tol))
+    return _drive(a, point, rhs, targets, y0, float(t_max), float(rel_tol))

@@ -17,10 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .core import Parameters, Scalar, exact_sqrt, is_exact
-from .flow import MetricPoint, vector_field_2d, vector_field_3d
+from .flow import MetricPoint
 
 __all__ = [
     "Linearization",
@@ -35,8 +33,6 @@ __all__ = [
     "sigma_minimizing_point",
     "sigma_zero_family",
     "sigma_zero_points",
-    "jacobian_2d_fd",
-    "jacobian_3d_fd",
     "SIGMA_ZERO_S_LOW",
     "SIGMA_ZERO_S_HIGH",
 ]
@@ -328,36 +324,3 @@ def sigma_zero_points(p: Parameters) -> list[MetricPoint]:
     coords = [2.0 * s2 * q] * 3
     coords[k - 1] = (1.0 - 2.0 * s2) * q
     return [MetricPoint(*coords)]
-
-
-def _central_difference(field, base: np.ndarray) -> np.ndarray:
-    """Central finite-difference Jacobian of ``field`` (float array in, float
-    components out) at ``base``, with step ``1e-6 * max(1, |x_j|)``."""
-    n = len(base)
-    jac = np.empty((n, n))
-    for j in range(n):
-        h = 1e-6 * max(1.0, abs(base[j]))
-        if h == 0.0:
-            raise ValueError("finite-difference step underflow")
-        up = base.copy()
-        dn = base.copy()
-        up[j] += h
-        dn[j] -= h
-        fu = field(up)
-        fd = field(dn)
-        jac[:, j] = [(float(fu[i]) - float(fd[i])) / (2 * h) for i in range(n)]
-    return jac
-
-
-def jacobian_2d_fd(p: Parameters, x1: Scalar, x2: Scalar) -> np.ndarray:
-    """Central finite-difference Jacobian of the planar field."""
-    return _central_difference(
-        lambda x: vector_field_2d(p, x[0], x[1]), np.array([float(x1), float(x2)])
-    )
-
-
-def jacobian_3d_fd(p: Parameters, x: MetricPoint) -> np.ndarray:
-    """Central finite-difference Jacobian of the 3D field."""
-    return _central_difference(
-        lambda y: vector_field_3d(p, MetricPoint(*y)).v, np.array([float(v) for v in x.x])
-    )

@@ -4,6 +4,8 @@ Each check re-derives one published-result cluster from scratch (exact
 census values, surface closed forms, the blow-up report, conservation and
 classification behavior) and reports pass/fail with a detail string.  The
 CLI ``verify`` command and the acceptance tests both run this registry.
+The finite-difference Jacobians of A10 live here, next to their only user;
+like numpy, this module is loaded only by ``verify``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from . import blowup as blowup_mod
 from . import equilibria as eq_mod
 from . import linearize as lin_mod
-from .core import Parameters
-from .flow import MetricPoint
+from .core import Parameters, Scalar
+from .flow import MetricPoint, vector_field_2d, vector_field_3d
 from .integrate import integrate_flow, integrate_flow_3d
 from .linearize import PointKind, classify
 from .surfaces import Region, component_classify, cube_grid, grad_q1, q1_eval, q_eval, scan
@@ -392,6 +394,39 @@ def check_double_root_case() -> CheckResult:
                        "exact zero discriminant; 3 rays with one double root")
 
 
+def _central_difference(field, base: np.ndarray) -> np.ndarray:
+    """Central finite-difference Jacobian of ``field`` (float array in, float
+    components out) at ``base``, with step ``1e-6 * max(1, |x_j|)``."""
+    n = len(base)
+    jac = np.empty((n, n))
+    for j in range(n):
+        h = 1e-6 * max(1.0, abs(base[j]))
+        if h == 0.0:
+            raise ValueError("finite-difference step underflow")
+        up = base.copy()
+        dn = base.copy()
+        up[j] += h
+        dn[j] -= h
+        fu = field(up)
+        fd = field(dn)
+        jac[:, j] = [(float(fu[i]) - float(fd[i])) / (2 * h) for i in range(n)]
+    return jac
+
+
+def jacobian_2d_fd(p: Parameters, x1: Scalar, x2: Scalar) -> np.ndarray:
+    """Central finite-difference Jacobian of the planar field."""
+    return _central_difference(
+        lambda x: vector_field_2d(p, x[0], x[1]), np.array([float(x1), float(x2)])
+    )
+
+
+def jacobian_3d_fd(p: Parameters, x: MetricPoint) -> np.ndarray:
+    """Central finite-difference Jacobian of the 3D field."""
+    return _central_difference(
+        lambda y: vector_field_3d(p, MetricPoint(*y)).v, np.array([float(v) for v in x.x])
+    )
+
+
 def check_jacobian_cross_check() -> CheckResult:
     """Finite-difference Jacobians agree with the closed forms at every
     equilibrium of the three census cases; the 3D Jacobian is rank-deficient."""
@@ -405,13 +440,13 @@ def check_jacobian_cross_check() -> CheckResult:
         for ray in eq_mod.solve_all(p):
             v1 = eq_mod.normalize_unit_volume(p, ray)
             lin = lin_mod.linearize_at(p, v1)
-            jac = lin_mod.jacobian_2d_fd(p, v1.x1, v1.x2)
+            jac = jacobian_2d_fd(p, v1.x1, v1.x2)
             tr, det = float(np.trace(jac)), float(np.linalg.det(jac))
             _expect(abs(tr - float(lin.rho)) <= 1e-6, problems,
                     f"{tuple(map(float, p.a))} {ray.key()}: FD trace {tr} vs {float(lin.rho)}")
             _expect(abs(det - float(lin.delta)) <= 1e-6, problems,
                     f"{tuple(map(float, p.a))} {ray.key()}: FD det {det} vs {float(lin.delta)}")
-            jac3 = lin_mod.jacobian_3d_fd(p, v1)
+            jac3 = jacobian_3d_fd(p, v1)
             eigs = np.linalg.eigvals(jac3)
             scale = max(1.0, float(np.max(np.abs(eigs))))
             _expect(float(np.min(np.abs(eigs))) <= 1e-6 * scale, problems,

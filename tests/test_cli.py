@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -228,6 +229,19 @@ class TestFlow:
             outputs.append((out.read_bytes(), proc.stdout))
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("three_d, x0", [
+        (False, [["0x1.221d1b5de0f68p+0", "0x1.7cd83366b51ddp+0"],
+                 ["0x1.51435607c67c5p+0", "0x1.84fb445bc9131p-1"]]),
+        (True, [["0x1.221d1b5de0f68p+0", "0x1.7cd83366b51ddp+0", "0x1.51435607c67c5p+0"],
+                ["0x1.84fb445bc9131p-1", "0x1.a34285f269838p-1", "0x1.73f07b59cd056p+0"]]),
+    ])
+    def test_random_starts_are_pinned(self, three_d, x0, capsys):
+        # the seeded PCG64 starts are numpy's, imported only for this branch
+        args = ["flow", "--a", "1/6,1/4,1/3", "--random-starts", "2", "--seed", "7", "--tmax", "1"]
+        assert cli.main(args + ["--three-d"] * three_d) == 0
+        runs = json.loads(capsys.readouterr().err)["runs"]
+        assert [[v.hex() for v in r["x0"]] for r in runs] == x0
+
 
 class TestScan:
     def test_row_count_and_order(self, tmp_path):
@@ -406,6 +420,44 @@ class TestClosedStdout:
         assert err == b""
 
 
+class TestImportPath:
+    """numpy, ``verify`` and the process pool load only for the commands
+    that use them, so a one-shot command does not pay for them at start-up."""
+
+    LAZY = ("numpy", "wallachflow.verify", "concurrent.futures.process")
+
+    def _loaded_after(self, body: str) -> list[str]:
+        code = (
+            "import contextlib, io, sys\n"
+            "import wallachflow.cli as cli\n"
+            f"{body}\n"
+            f"print(','.join(m for m in {self.LAZY!r} if m in sys.modules))\n"
+        )
+        # without WALLACH_THREADS every command below runs serially
+        env = {k: v for k, v in os.environ.items() if k != "WALLACH_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return [m for m in proc.stdout.strip().split(",") if m]
+
+    def test_import_loads_none_of_them(self):
+        assert self._loaded_after("") == []
+
+    def test_serial_commands_without_random_starts_load_none_of_them(self):
+        commands = [
+            # irrational rays, polished by the damped Newton of equilibria
+            ["analyze", "--a", "1/6,1/4,1/3"],
+            ["analyze", "--a", "13/97,17/89,23/101", "--exact"],
+            ["--threads", "1", "scan", "--n", "3"],
+            ["flow", "--a", "7/15,7/15,7/15", "--x0", "1.05,0.95,1", "--three-d", "--tmax", "2"],
+        ]
+        body = (
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+        )
+        assert self._loaded_after(body) == []
+
+
 class TestBlowupCommand:
     def test_report(self):
         proc = run_cli(["blowup"])
@@ -424,7 +476,7 @@ class TestVerifyCommand:
             calls["ran"] = True
             return [CheckResult("A0", True, "fine", 0.01)]
 
-        monkeypatch.setattr("wallachflow.cli.run_all", fake_run_all)
+        monkeypatch.setattr("wallachflow.verify.run_all", fake_run_all)
         rc = cli.main(["verify"])
         assert rc == 0 and calls["ran"]
         out = capsys.readouterr().out
@@ -433,7 +485,7 @@ class TestVerifyCommand:
         def failing_run_all():
             return [CheckResult("A0", False, "broken", 0.01)]
 
-        monkeypatch.setattr("wallachflow.cli.run_all", failing_run_all)
+        monkeypatch.setattr("wallachflow.verify.run_all", failing_run_all)
         rc = cli.main(["verify", "--json"])
         assert rc == 1
 

@@ -2,12 +2,15 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_closed_cube import triples as closed_cube_triples
+from wallachflow import equilibria as eq_mod
 from wallachflow._poly import Series2, real_roots
 from wallachflow.core import Parameters
 from wallachflow.equilibria import (
@@ -16,6 +19,9 @@ from wallachflow.equilibria import (
     CensusWarning,
     FamilyTag,
     _close,
+    _dispatch_closed_form,
+    _jacobian,
+    _newton,
     census,
     equations,
     normalize_unit_volume,
@@ -517,3 +523,130 @@ class TestNormalizeUnitVolume:
         p = Parameters(Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))
         ray = [r for r in solve_all(p) if r.key() == (1.0, 1.0)][0]
         assert normalize_unit_volume(p, ray).x == (1, 1, 1)
+
+
+def _numpy_newton(a, x1, x2, max_iter, tol):
+    """``_newton`` written elementwise over numpy arrays of starts, which it
+    polishes in one call: the bit-for-bit reference for the scalar kernel."""
+    for _ in range(max_iter):
+        e1, e2 = equations(*a, x1, x2, 1.0)
+        norm = np.maximum(np.abs(e1), np.abs(e2))
+        scale = (1.0 + np.maximum(x1, x2)) ** 2
+        active = norm > tol * scale
+        if not np.any(active):
+            break
+        j11, j12, j21, j22 = _jacobian(*a, x1, x2)
+        det = j11 * j22 - j12 * j21
+        ok = active & (np.abs(det) > 1e-300)
+        det_safe = np.where(ok, det, 1.0)
+        s1 = -(j22 * e1 - j12 * e2) / det_safe
+        s2 = -(-j21 * e1 + j11 * e2) / det_safe
+        s1 = np.where(ok, s1, 0.0)
+        s2 = np.where(ok, s2, 0.0)
+        lam = np.ones_like(x1)
+        for xv, sv in ((x1, s1), (x2, s2)):
+            bad = sv < -0.9 * xv
+            lam = np.where(bad, np.minimum(lam, -0.9 * xv / np.where(bad, sv, -1.0)), lam)
+        for _bt in range(8):
+            n1, n2 = x1 + lam * s1, x2 + lam * s2
+            f1n, f2n = equations(*a, n1, n2, 1.0)
+            new_norm = np.maximum(np.abs(f1n), np.abs(f2n))
+            worse = ok & (new_norm > norm) & (lam > 1e-6)
+            if not np.any(worse):
+                break
+            lam = np.where(worse, lam / 2, lam)
+        x1 = np.where(ok, x1 + lam * s1, x1)
+        x2 = np.where(ok, x2 + lam * s2, x2)
+    return x1, x2
+
+
+def _ray_bits(rays):
+    return [
+        (r.family_tag, r.multiplicity, r.convention,
+         tuple(v.hex() if isinstance(v, float) else repr(v) for v in r.rep.x))
+        for r in rays
+    ]
+
+
+def _reference_solve_all(p):
+    """``solve_all`` with every float closed-form ray polished by
+    ``_numpy_newton`` in one call."""
+    try:
+        closed = _dispatch_closed_form(p) or []
+    except (ValueError, ZeroDivisionError):
+        closed = []
+    starts = [ray.key() for ray in closed if not ray.rep.exact]
+    table = {}
+    if starts:
+        keys = np.array(starts)
+        x1, x2 = _numpy_newton(tuple(float(v) for v in p.a), keys[:, 0], keys[:, 1], 40, 1e-15)
+        table = {k: (float(u), float(v)) for k, u, v in zip(starts, x1, x2)}
+    with mock.patch.object(eq_mod, "_newton", lambda a, u, v, *_: table[(u, v)]):
+        return solve_all(p)
+
+
+def _outcome(solve, p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CensusWarning)
+        try:
+            return _ray_bits(solve(p))
+        except ValueError as exc:
+            return repr(exc)
+
+
+class TestNewtonParity:
+    """``solve_all`` with the scalar polish returns the rays of
+    ``_reference_solve_all``, to the last bit of every coordinate."""
+
+    def _check(self, triples):
+        for a in triples:
+            p = Parameters(*a)
+            assert _outcome(solve_all, p) == _outcome(_reference_solve_all, p), a
+
+    def test_uniform_floats(self):
+        # a slice of the 1000-triple uniform stress set
+        self._check(np.random.default_rng(0).uniform(1e-3, 0.5, (1000, 3))[:250].tolist())
+
+    def test_near_face_floats(self):
+        # a slice of the 800-triple near-face stress set: one parameter at
+        # 1/2 - 10^-u, and every fourth triple with two equal parameters
+        rng = np.random.default_rng(1)
+        triples = []
+        for k in range(150):
+            a = rng.uniform(1e-3, 0.5, 3)
+            a[rng.integers(3)] = 0.5 - 10.0 ** -rng.uniform(1, 12)
+            if k % 4 == 0:
+                a[(k // 4) % 3] = a[(k // 4 + 1) % 3]
+            triples.append(a.tolist())
+        self._check(triples)
+
+    def test_exact_triples(self):
+        values = sorted({Fraction(n, d) for d in range(1, 13) for n in range(1, d // 2 + 1)})
+        rng = random.Random(3)
+        self._check([tuple(rng.choice(values) for _ in range(3)) for _ in range(200)])
+
+    def test_two_equal_towards_the_half_edge(self):
+        # (b, b, c) in every slot order with b, c -> 1/2, in floats and exactly
+        triples = []
+        for j in range(1, 13):
+            for k in range(1, 13, 3):
+                for b, c in ((0.5 - 10.0**-j, 0.5 - 10.0**-k),
+                             (Fraction(1, 2) - Fraction(1, 10**j), Fraction(1, 2) - Fraction(1, 10**k))):
+                    triples += [(b, b, c), (b, c, b), (c, b, b)]
+        self._check(triples)
+
+    def test_kernel_from_far_starts(self):
+        # starts far from the rays, where the positivity damping and the
+        # backtracking act; the closed-form starts above seldom need them
+        rng = np.random.default_rng(4)
+        for a in rng.uniform(1e-3, 0.5, (60, 3)).tolist():
+            starts = np.exp(rng.uniform(-4.0, 4.0, (20, 2)))
+            want = _numpy_newton(tuple(a), starts[:, 0], starts[:, 1], 40, 1e-15)
+            for k, (u, v) in enumerate(starts.tolist()):
+                got = _newton(tuple(a), u, v, 40, 1e-15)
+                assert [x.hex() for x in got] == [float(w[k]).hex() for w in want], (a, u, v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(closed_cube_triples)
+    def test_closed_cube(self, a):
+        self._check([a])

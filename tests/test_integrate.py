@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wallachflow import cli
+from wallachflow import integrate as integrate_mod
 from wallachflow.core import Parameters
 from wallachflow.equilibria import normalize_unit_volume, solve_all
 from wallachflow.flow import (
@@ -227,6 +229,33 @@ class TestLimitClassification:
 
         with pytest.raises(ValueError, match="start point"):
             _drive((1.0, 1.0, 1.0), lambda _y: (1.0, 1.0, 1.0), rhs, [], [0.0, 0.0], 1.0, 1e-6)
+
+    def test_3d_stage_beyond_the_float_range_is_rejected(self, stable_params, monkeypatch):
+        # math.exp raises OverflowError at this log state; the stage function
+        # counts the evaluation and rejects the stage instead of raising
+        a, point, rhs = _chart_3d(stable_params)
+        with pytest.raises(OverflowError):
+            point([800.0, 0.0, 0.0])
+        seen = {}
+
+        def drive_one_stage(f, _y0, _first, _t_max, _rel_tol, _observe, traj):
+            before = traj.field_evals
+            seen["stage"] = f([800.0, 0.0, 0.0])
+            seen["counted"] = traj.field_evals - before
+            return (TrajectoryStatus.MAX_TIME, None)
+
+        monkeypatch.setattr(integrate_mod, "_integrate", drive_one_stage)
+        traj = _drive(a, point, rhs, [], [0.0, 0.0, 0.0], 1.0, 1e-6)
+        assert seen == {"stage": None, "counted": 1}
+        assert traj.status == TrajectoryStatus.MAX_TIME
+
+    def test_3d_start_at_the_largest_float_is_a_domain_error(self, capsys):
+        # the start's volume leaves the float range
+        argv = ["flow", "--a", "1/6,1/4,1/3", "--three-d", "--x0", "1.7976931348623157e308,1,1"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the start point's x3 or volume is outside the float range\n"
 
     def test_saddle_avoidance(self, unstable_params):
         # random starts never settle on a saddle: they reach the node or leave

@@ -17,14 +17,13 @@ from wallachflow.linearize import (
     f1,
     f2,
     g_matrix,
-    jacobian_2d_fd,
-    jacobian_3d_fd,
     linearize_at,
     sigma_expression,
     sigma_minimizing_point,
     sigma_zero_family,
     sigma_zero_points,
 )
+from wallachflow.verify import jacobian_2d_fd, jacobian_3d_fd
 
 wallach = st.fractions(
     min_value=Fraction(1, 18), max_value=Fraction(9, 20), max_denominator=24
