@@ -3,20 +3,38 @@
 The trace and determinant of the planar Jacobian at an equilibrium are
 rational functions of the point and the parameters: ``rho = 2*F1/(A*x1*x2*x3)``
 and ``delta = F2/(A^2*x1^2*x2^2*x3^2)`` for two fixed homogeneous polynomial
-forms F1 (degree 2) and F2 (degree 4).  This avoids differentiating the
-composed planar field and keeps rational inputs exact.  Both scale simply
-under rescaling of the representative (rho ~ 1/lam, delta ~ 1/lam^2), so
-signs and the resulting classification do not depend on the chosen
-representative.
+forms F1 (degree 2) and F2 (degree 4).  The discriminant is
+``sigma = rho^2 - 4*delta = 4*G/(x1*x2*x3)^2``, where G is the quadratic form
+of ``g_matrix`` in the squared coordinates (``F1^2 - F2 = A^2 G``).  This
+avoids differentiating the composed planar field and keeps rational inputs
+exact.  Both rho and delta scale simply under rescaling of the
+representative (rho ~ 1/lam, delta ~ 1/lam^2), so signs and the resulting
+classification do not depend on the chosen representative.
+
+``f1``, ``f2`` and ``g_matrix`` are the one source of the three forms.  For
+exact parameters ``linearize_at`` evaluates them from a layout of their
+monomials in ``(a, x)``, built once, on first use, by evaluating them over
+``_poly.Poly``.  Each call clears the ``a_i`` to one common denominator
+``D`` and sums the coefficient of every x-monomial in ``int``s.  An exact ray
+is then evaluated in integers, so rho, delta and sigma are the same
+``Fraction``s as the forms give.  At a float ray each coefficient is rounded
+once and each form is one float sum of its terms, and sigma comes from G,
+which does not cancel as ``rho^2 - 4*delta`` does near a node/focus
+boundary.  Float
+parameters evaluate ``f1`` and ``f2`` directly, with
+``sigma = rho^2 - 4*delta``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
+from ._poly import Poly
 from .core import Parameters, Scalar, exact_sqrt, is_exact
 from .flow import MetricPoint
 
@@ -147,6 +165,13 @@ def g_matrix(p: Parameters) -> list[list[Scalar]]:
     ]
 
 
+def _g_form(p: Parameters, x: MetricPoint) -> Scalar:
+    """The quadratic form of ``g_matrix`` at the squared coordinates."""
+    m = g_matrix(p)
+    sq = [xi * xi for xi in x.x]
+    return sum(m[i][j] * sq[i] * sq[j] for i in range(3) for j in range(3))
+
+
 def sigma_expression(p: Parameters, x: MetricPoint) -> Scalar:
     """``sigma = rho^2 - 4*delta`` as an explicit quadratic form in the squared
     coordinates; valid at every positive point, equilibrium or not.
@@ -155,10 +180,113 @@ def sigma_expression(p: Parameters, x: MetricPoint) -> Scalar:
     where G is the quadratic form of ``g_matrix``; sigma is four times the
     form value divided by the squared coordinate product.
     """
-    m = g_matrix(p)
-    sq = [xi * xi for xi in x.x]
-    g = sum(m[i][j] * sq[i] * sq[j] for i in range(3) for j in range(3))
-    return 4 * g / (sq[0] * sq[1] * sq[2])
+    x1, x2, x3 = x.x
+    return 4 * _g_form(p, x) / ((x1 * x1) * (x2 * x2) * (x3 * x3))
+
+
+@dataclass(frozen=True)
+class _Form:
+    """A form homogeneous of ``degree`` in ``x``, by its x-monomials.
+
+    The coefficient of ``x1**i * x2**j * x3**l``, for ``(i, j, l) =
+    monos[m]``, is ``sum(c * v[n] for c, n in zip(*rows[m])) / scale``, where
+    ``v`` holds the values of the layout's parameter monomials.
+    """
+
+    monos: tuple[tuple[int, int, int], ...]
+    rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    scale: int
+    degree: int
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """F1, F2 and G over one list of monomials in ``(a1, a2, a3, A)``.
+
+    ``A`` stays a variable, as the forms are written, and has weight 2.  With
+    ``a_i = N_i / D`` and ``A = N_A / D**2``, the monomial ``(e1, e2, e3, eA,
+    k)`` of ``a_monos`` is ``N1**e1 * N2**e2 * N3**e3 * N_A**eA * D**k``
+    over ``D**weight``, where ``weight`` is the highest weighted degree.
+    """
+
+    a_monos: tuple[tuple[int, int, int, int, int], ...]
+    weight: int
+    forms: tuple[_Form, _Form, _Form]
+
+
+def _build_layout() -> _Layout:
+    """F1, F2 and G, each evaluated once over ``Poly`` in ``(a1, a2, a3, A,
+    x1, x2, x3)``, with each form's coefficients cleared to integers."""
+    a1, a2, a3, A, x1, x2, x3 = (Poly.var(k, 7) for k in range(7))
+    p = SimpleNamespace(a=(a1, a2, a3), A=A)
+    x = SimpleNamespace(x=(x1, x2, x3), x1=x1, x2=x2, x3=x3)
+    index: dict[tuple[int, ...], int] = {}
+    forms = []
+    for poly in (f1(p, x), f2(p, x), _g_form(p, x)):
+        scale = math.lcm(*(c.denominator for c in poly.values()))
+        rows: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+        for mono, c in poly.items():
+            cs, ns = rows.setdefault(mono[4:], ([], []))
+            cs.append(int(c * scale))
+            ns.append(index.setdefault(mono[:4], len(index)))
+        forms.append(_Form(
+            monos=tuple(rows),
+            rows=tuple((tuple(cs), tuple(ns)) for cs, ns in rows.values()),
+            scale=scale,
+            degree=sum(next(iter(rows))),
+        ))
+    weight = max(e1 + e2 + e3 + 2 * ea for e1, e2, e3, ea in index)
+    return _Layout(
+        a_monos=tuple((*e, weight - e[0] - e[1] - e[2] - 2 * e[3]) for e in index),
+        weight=weight,
+        forms=tuple(forms),
+    )
+
+
+# Built on first use: expanding F2 takes milliseconds, which a command that
+# never linearizes at exact parameters should not pay at import.
+_LAYOUT: _Layout | None = None
+
+
+def _laid_out_forms(p: Parameters, x: MetricPoint) -> list[Scalar]:
+    """``[F1, F2, G]`` at ``x`` for exact ``p``, from the layout.
+
+    ``D`` is the lcm of the denominators of the ``a_i``, and each
+    coefficient is an ``int`` sum over ``scale * D**weight``.  An exact
+    ``x`` is cleared to integers over the lcm ``M`` of its denominators, and
+    each form is one ``Fraction``.  A float ``x`` gets each coefficient
+    rounded once, and each form is the ``math.fsum`` of its float terms,
+    which rounds alike on every Python version (``sum`` of floats changed in
+    3.12).  It lies within ``gamma_11 * sum(|terms|)`` of the exact form at
+    ``x`` (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3).
+    """
+    global _LAYOUT
+    if _LAYOUT is None:
+        _LAYOUT = _build_layout()
+    w = _LAYOUT.weight
+    d = math.lcm(*(v.denominator for v in p.a))
+    n1, n2, n3 = (v.numerator * (d // v.denominator) for v in p.a)
+    p1, p2, p3, pa, pd = ([b**e for e in range(w + 1)] for b in (n1, n2, n3, n1 * n2 + n1 * n3 + n2 * n3, d))
+    values = [p1[e1] * p2[e2] * p3[e3] * pa[ea] * pd[k] for e1, e2, e3, ea, k in _LAYOUT.a_monos]
+    value = values.__getitem__
+    out: list[Scalar] = []
+    exact = x.exact
+    if exact:
+        m = math.lcm(*(v.denominator for v in x.x))
+        xs = [v.numerator * (m // v.denominator) for v in x.x]
+    else:
+        xs = [float(v) for v in x.x]
+    top = max(form.degree for form in _LAYOUT.forms)
+    t1, t2, t3 = ([v**e for e in range(top + 1)] for v in xs)
+    for form in _LAYOUT.forms:
+        coeffs = [sum(map(operator.mul, cs, map(value, ns))) for cs, ns in form.rows]
+        den = form.scale * pd[w]
+        if exact:
+            num = sum(c * t1[i] * t2[j] * t3[l] for c, (i, j, l) in zip(coeffs, form.monos))
+            out.append(Fraction(num, den * m**form.degree))
+            continue
+        out.append(math.fsum(c / den * t1[i] * t2[j] * t3[l] for c, (i, j, l) in zip(coeffs, form.monos)))
+    return out
 
 
 def sigma_minimizing_point(p: Parameters) -> MetricPoint:
@@ -202,10 +330,14 @@ def linearize_at(p: Parameters, point) -> Linearization:
     The values refer to the representative as given; rescaling it rescales
     rho and delta but never their signs.
     """
-    from .equilibria import residual  # deferred: equilibria imports flow too
+    from .equilibria import equations, residual  # deferred: equilibria imports flow too
 
     x = point.rep if hasattr(point, "rep") else point
-    r1, r2 = residual(p, x)
+    if p.exact and not x.exact:
+        # a float ray is checked at the float a_i, as the census checks it
+        r1, r2 = equations(*map(float, p.a), *map(float, x.x))
+    else:
+        r1, r2 = residual(p, x)
     scale = (1 + max(abs(float(v)) for v in x.x)) ** 2
     if max(abs(float(r1)), abs(float(r2))) > _EQUILIBRIUM_RESIDUAL_TOL * scale:
         raise ValueError(
@@ -215,9 +347,15 @@ def linearize_at(p: Parameters, point) -> Linearization:
 
     A = p.A
     prod = x.x1 * x.x2 * x.x3
-    rho = 2 * f1(p, x) / (A * prod)
-    delta = f2(p, x) / (A * A * prod * prod)
-    sigma = rho * rho - 4 * delta
+    if p.exact:
+        form1, form2, g = _laid_out_forms(p, x)
+        rho = 2 * form1 / (A * prod)
+        delta = form2 / (A * A * prod * prod)
+        sigma = 4 * g / (prod * prod)
+    else:
+        rho = 2 * f1(p, x) / (A * prod)
+        delta = f2(p, x) / (A * A * prod * prod)
+        sigma = rho * rho - 4 * delta
     lam1, lam2 = _eigenvalues(rho, sigma, delta)
     measure = abs(float(delta)) * float(prod) ** 2 / float(A) ** 2
     return Linearization(

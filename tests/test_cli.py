@@ -442,6 +442,11 @@ class TestImportPath:
     def test_import_loads_none_of_them(self):
         assert self._loaded_after("") == []
 
+    def test_import_does_not_build_the_linearization_layout(self):
+        # the layout of F1, F2 and G is built on the first exact linearization
+        body = "import wallachflow.linearize as lin\nassert lin._LAYOUT is None"
+        assert self._loaded_after(body) == []
+
     def test_serial_commands_without_random_starts_load_none_of_them(self):
         commands = [
             # irrational rays, polished by the damped Newton of equilibria
@@ -491,15 +496,18 @@ class TestVerifyCommand:
 
     def test_mutated_determinant_form_fails_census_check(self, monkeypatch):
         # perturbing the quartic coefficient of the determinant form must
-        # break the exact census criterion
+        # break the exact census criterion; exact parameters evaluate F2 from
+        # a layout built from f2, so the layout is rebuilt under the patch
+        # (monkeypatch restores the unperturbed one afterwards)
         import wallachflow.linearize as lin_mod
         from wallachflow.verify import check_census_two_saddles
 
         original = lin_mod.f2
 
         def perturbed(p, x):
-            return original(p, x) + 1e-6 * float(x.x1) ** 4
+            return original(p, x) + x.x1**4 * Fraction(1, 10**6)
 
         monkeypatch.setattr(lin_mod, "f2", perturbed)
+        monkeypatch.setattr(lin_mod, "_LAYOUT", None)
         result = check_census_two_saddles()
         assert not result.passed

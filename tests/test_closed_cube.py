@@ -4,13 +4,16 @@ faces, near-faces and the empty edge included."""
 import itertools
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wallachflow._poly import Poly
 from wallachflow.core import Parameters
 from wallachflow.equilibria import _RESIDUAL_TOL, CensusWarning, census, residual, solve_all
 from wallachflow.flow import MetricPoint
+from wallachflow.linearize import _g_form, _laid_out_forms, f1, f2, linearize_at
 from wallachflow.surfaces import census_kinds, component_classify
 
 HALF = Fraction(1, 2)
@@ -60,3 +63,62 @@ def test_census_rays_and_labels_over_the_closed_cube(a):
         q_rays = _rays(q)
         assert census_kinds(q, q_rays) == kinds, (a, order)
         assert component_classify(q, q_rays) == label, (a, order)
+
+
+def _gamma(n: int) -> Fraction:
+    """Higham's ``gamma_n = n u / (1 - n u)`` for binary64, ``u = 2**-53``."""
+    u = Fraction(1, 2**53)
+    return n * u / (1 - n * u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triples)
+@example((HALF, Fraction(1, 3), HALF))
+# the diagonal node lies near the node/focus boundary
+@example((Fraction(2, 17), Fraction(1, 8), Fraction(2, 17)))
+@example((HALF - Fraction(1, 10**12), Fraction(1, 3), HALF - Fraction(1, 10**12)))
+# at the float triple two of the rays are no equilibria
+@example((Fraction(49999999, 10**8), Fraction(1, 30), HALF))
+def test_laid_out_forms_over_the_closed_cube(a):
+    p = Parameters(*a)
+    A = p.A
+    # F1, F2 and G at exact a as polynomials in x, straight from the
+    # ring-generic forms
+    xs = SimpleNamespace(x=tuple(Poly.var(k, 3) for k in range(3)))
+    polys = [form(p, xs) for form in (f1, f2, _g_form)]
+    for ray in _rays(p):
+        x = ray.rep_x3one()
+        lin = linearize_at(p, x)
+        if x.exact:
+            prod = x.x1 * x.x2 * x.x3
+            assert lin.rho == 2 * f1(p, x) / (A * prod), (a, ray)
+            assert lin.delta == f2(p, x) / (A * A * prod * prod), (a, ray)
+            assert lin.sigma == lin.rho**2 - 4 * lin.delta, (a, ray)
+            assert all(isinstance(v, Fraction) for v in (lin.rho, lin.delta, lin.sigma))
+            continue
+        # at a float ray each term is a coefficient rounded once times three
+        # powers (each within 2u) in three products, so within gamma_10 of its
+        # exact value, and the float sum rounds once more: the laid-out form
+        # is within gamma_11 * sum |terms| of the exact form at that point
+        xq = tuple(map(Fraction, x.x))
+        for got, poly in zip(_laid_out_forms(p, x), polys):
+            terms = [c * xq[0] ** i * xq[1] ** j * xq[2] ** k for (i, j, k), c in poly.items()]
+            err = abs(Fraction(got) - sum(terms))
+            assert err <= _gamma(11) * sum(map(abs, terms)), (a, ray, poly)
+
+    # float parameters keep the ring-generic forms and sigma = rho^2 - 4 delta
+    pf = Parameters(*map(float, a))
+    for ray in _rays(pf):
+        x = ray.rep_x3one()
+        try:
+            lin = linearize_at(pf, x)
+        except ValueError:
+            # near a face the float closed form can return a ray that is no
+            # equilibrium, e.g. at (0.49999999, 1/30, 1/2); the residual test
+            # rejects it
+            assert max(map(abs, residual(pf, x))) > 1e-8, (a, ray)
+            continue
+        prod = x.x1 * x.x2 * x.x3
+        rho = 2 * f1(pf, x) / (pf.A * prod)
+        delta = f2(pf, x) / (pf.A * pf.A * prod * prod)
+        assert (lin.rho, lin.delta, lin.sigma) == (rho, delta, rho * rho - 4 * delta), (a, ray)
