@@ -50,6 +50,10 @@ __all__ = [
 _DEDUP_RTOL = 1e-8
 # Acceptable polished residual, relative to the degree-2 scale of the point.
 _RESIDUAL_TOL = 1e-12
+# Residual, relative to the same scale, up to which a point counts as an
+# equilibrium: ``linearize_at`` refuses a point beyond it, and ``solve_all``
+# drops an unconfirmed float closed-form ray beyond it.
+_EQUILIBRIUM_RESIDUAL_TOL = 1e-8
 # In the census chart x2 = u - x1/3, L = 0 at a root of the resultant for four
 # triples with denominators <= 12 (549 with u = x2); ``census`` serves them.
 _SHEAR = Fraction(1, 3)
@@ -128,6 +132,14 @@ def equations(a1, a2, a3, x1, x2, x3):
 def residual(p: Parameters, x: MetricPoint) -> tuple[Scalar, Scalar]:
     """The equilibrium equations at a metric point (exact for exact input)."""
     return equations(*p.a, *x.x)
+
+
+def _residual_fits(r: tuple[Scalar, Scalar], x: tuple[Scalar, ...]) -> bool:
+    """Whether the residual ``r`` of ``equations`` at the point ``x`` lets
+    ``x`` count as an equilibrium: no component exceeds
+    ``_EQUILIBRIUM_RESIDUAL_TOL * (1 + max |x_i|)^2``."""
+    scale = (1 + max(abs(float(v)) for v in x)) ** 2
+    return not max(abs(float(r[0])), abs(float(r[1]))) > _EQUILIBRIUM_RESIDUAL_TOL * scale
 
 
 def _sqrt_scalar(v: Scalar) -> Scalar:
@@ -464,7 +476,9 @@ def solve_all(p: Parameters) -> list[EquilibriumRay]:
     independent ``census``, polished and deduplicated.
 
     Emits a ``CensusWarning`` when the two routes disagree, and when a
-    parameter triple in (0, 1/2]^3 yields a count outside 1..4.
+    parameter triple in (0, 1/2]^3 yields a count outside 1..4.  A float
+    closed-form ray that the census does not confirm and that is no
+    equilibrium at the float parameters is dropped.
     """
     try:
         closed = _dispatch_closed_form(p) or []
@@ -501,6 +515,11 @@ def solve_all(p: Parameters) -> list[EquilibriumRay]:
             CensusWarning,
             stacklevel=2,
         )
+    merged = [
+        ray for ray in merged
+        if ray.rep.exact or ray not in unmatched_closed
+        or _residual_fits(equations(*a, *ray.rep.x), ray.rep.x)
+    ]
     for x1, x2 in extra:
         merged.append(EquilibriumRay(MetricPoint(x1, x2, 1.0), FamilyTag.NUMERIC))
 

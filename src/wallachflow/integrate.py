@@ -8,10 +8,13 @@ quality diagnostic.
 
 The stepper and both charts work on Python floats and the ``math`` module,
 so a run's bits do not depend on a vectorized ``exp`` kernel.  Each chart
-converts the parameters once, which changes no bit of the field, and the
-seventh stage of an accepted step is reused as the next step's first and for
-the step's diagnosis, so a run costs one field evaluation at the start and
-six per attempted step.
+converts the parameters once, which changes no bit of the field, and hands
+the stepper one stage function: a single call that counts the evaluation,
+maps the log state to the point, tests it and evaluates
+``flow.field_components`` there (see ``_drive``).  The seventh stage of an
+accepted step is reused as the next step's first and for the step's
+diagnosis, so a run costs one field evaluation at the start and six per
+attempted step.
 """
 
 from __future__ import annotations
@@ -229,36 +232,32 @@ def _domain_exit(x: tuple[float, float, float]) -> str | None:
     return None
 
 
-def _drive(a, point, rhs, targets, y0: list[float], t_max: float, rel_tol: float) -> Trajectory:
-    """Integrate the log-coordinate flow from ``y0`` and diagnose the run.
+def _drive(
+    traj: Trajectory, a, point, stage, targets, y0: list[float], t_max: float, rel_tol: float
+) -> Trajectory:
+    """Integrate the log-coordinate flow from ``y0`` into ``traj`` and
+    diagnose the run.
 
-    ``point(y)`` maps a log state to ``(x1, x2, x3)``; ``rhs(x)`` returns the
-    derivative of the log state and the chart's velocity at ``x``; ``a``
-    holds the parameters as floats.  A stage whose point is not strictly
-    positive and finite, or whose evaluation raises ``ArithmeticError``,
-    counts as non-finite.  A run converges when the velocity is below
+    ``a`` holds the parameters as floats, and ``point`` and ``stage`` are a
+    chart's (see ``_planar_chart``).  ``stage(y)`` is the one call the
+    stepper makes per field evaluation: it counts the evaluation on
+    ``traj`` and returns ``(k, x, v)``, the derivative of the log state, the
+    point ``(x1, x2, x3)`` and the chart's velocity, or None where the point
+    is not strictly positive and finite or the evaluation raises
+    ``ArithmeticError``.  ``point(y)`` maps a log state to its point; it
+    serves only the start, where a point outside the box ends the run even
+    if the field fails there.  A run converges when the velocity is below
     ``_FIELD_TOL`` and the point lies within ``_EQ_DIST_TOL`` (scaled) of a
     target, compared over the target's leading coordinates.
     """
-    traj = Trajectory()
     v_ref = None
-    inf = math.inf
-
-    def f(y):
-        traj.field_evals += 1
-        try:
-            x = point(y)
-            x1, x2, x3 = x
-            if 0 < x1 < inf and 0 < x2 < inf and 0 < x3 < inf:
-                k, v = rhs(x)
-                return k, x, v
-        except ArithmeticError:
-            pass
-        return None
+    a1, a2, a3 = a
 
     def observe(t, x, v):
         nonlocal v_ref
-        vol = math.exp(sum(math.log(xi) / ai for xi, ai in zip(x, a)))
+        # log V summed left to right, as ``sum`` did before Python 3.12
+        x1, x2, x3 = x
+        vol = math.exp(math.log(x1) / a1 + math.log(x2) / a2 + math.log(x3) / a3)
         if v_ref is None:
             v_ref = vol
         drift = abs(vol - v_ref) / abs(v_ref)
@@ -276,7 +275,7 @@ def _drive(a, point, rhs, targets, y0: list[float], t_max: float, rel_tol: float
                     return (TrajectoryStatus.CONVERGED, idx)
         return None
 
-    first = f(y0)
+    first = stage(y0)
     try:
         # a start outside the box ends the run even where the field fails there
         verdict = observe(0.0, *(first[1:] if first else (point(y0), None)))
@@ -287,7 +286,7 @@ def _drive(a, point, rhs, targets, y0: list[float], t_max: float, rel_tol: float
     if verdict is None:
         if first is None:
             raise ValueError("the flow field cannot be evaluated in floats at the start point")
-        verdict = _integrate(f, y0, first, t_max, rel_tol, observe, traj)
+        verdict = _integrate(stage, y0, first, t_max, rel_tol, observe, traj)
     traj.status, payload = verdict
     if traj.status == TrajectoryStatus.CONVERGED:
         traj.equilibrium_id = payload
@@ -296,8 +295,9 @@ def _drive(a, point, rhs, targets, y0: list[float], t_max: float, rel_tol: float
     return traj
 
 
-def _planar_chart(p: Parameters):
-    """The planar chart in floats: the parameters, ``point`` and ``rhs``.
+def _planar_chart(p: Parameters, traj: Trajectory):
+    """The planar chart in floats: the parameters, ``point`` and the stage
+    function, which counts its evaluations on ``traj`` (see ``_drive``).
 
     Mixing an exact scalar into a float operation rounds it to float there,
     so converting the parameters once changes no bit of the field; only the
@@ -307,37 +307,56 @@ def _planar_chart(p: Parameters):
     a = a1, a2, a3 = tuple(float(ai) for ai in p.a)
     weight = float(normalization_weight(*p.a))
     e1, e2 = (float(e) for e in _phi_exponents(p))
+    exp, log, inf = math.exp, math.log, math.inf
 
     def point(y):
         # x3 = phi(x1, x2), as ``flow.power`` evaluates it; a coordinate that
         # underflowed to 0 has no logarithm, and x3 = 0 marks the point invalid
-        x1, x2 = math.exp(y[0]), math.exp(y[1])
+        x1, x2 = exp(y[0]), exp(y[1])
         if not (x1 > 0 and x2 > 0):
             return (x1, x2, 0.0)
-        return (x1, x2, math.exp(e1 * math.log(x1)) * math.exp(e2 * math.log(x2)))
+        return (x1, x2, exp(e1 * log(x1)) * exp(e2 * log(x2)))
 
-    def rhs(x):
-        x1, x2, x3 = x
-        v1, v2, _v3 = field_components(a1, a2, a3, x1, x2, x3, weight)
-        return (v1 / x1, v2 / x2), (v1, v2)
+    def stage(y):
+        # ``point`` and the field in one frame, with the same operations
+        traj.field_evals += 1
+        try:
+            x1, x2 = exp(y[0]), exp(y[1])
+            if 0 < x1 < inf and 0 < x2 < inf:
+                x3 = exp(e1 * log(x1)) * exp(e2 * log(x2))
+                if 0 < x3 < inf:
+                    v1, v2, _v3 = field_components(a1, a2, a3, x1, x2, x3, weight)
+                    return (v1 / x1, v2 / x2), (x1, x2, x3), (v1, v2)
+        except ArithmeticError:
+            pass
+        return None
 
-    return a, point, rhs
+    return a, point, stage
 
 
-def _chart_3d(p: Parameters):
-    """The 3D chart in floats, converted as in ``_planar_chart``."""
-    a = tuple(float(ai) for ai in p.a)
+def _chart_3d(p: Parameters, traj: Trajectory):
+    """The 3D chart in floats, converted and shaped as ``_planar_chart``."""
+    a = a1, a2, a3 = tuple(float(ai) for ai in p.a)
     weight = float(normalization_weight(*p.a))
+    exp, inf = math.exp, math.inf
 
     def point(y):
         # an overflow raises OverflowError, which rejects the stage
-        return [math.exp(u) for u in y]
+        return [exp(u) for u in y]
 
-    def rhs(x):
-        v = field_components(*a, *x, weight)
-        return [vi / xi for vi, xi in zip(v, x)], v
+    def stage(y):
+        traj.field_evals += 1
+        try:
+            y1, y2, y3 = y
+            x1, x2, x3 = exp(y1), exp(y2), exp(y3)
+            if 0 < x1 < inf and 0 < x2 < inf and 0 < x3 < inf:
+                v = v1, v2, v3 = field_components(a1, a2, a3, x1, x2, x3, weight)
+                return (v1 / x1, v2 / x2, v3 / x3), (x1, x2, x3), v
+        except ArithmeticError:
+            pass
+        return None
 
-    return a, point, rhs
+    return a, point, stage
 
 
 def integrate_flow(
@@ -360,7 +379,8 @@ def integrate_flow(
         (float(m.x1), float(m.x2)) for m in (normalize_unit_volume(p, ray) for ray in rays)
     ]
     y0 = [math.log(float(x0[0])), math.log(float(x0[1]))]
-    return _drive(*_planar_chart(p), targets, y0, float(t_max), float(rel_tol))
+    traj = Trajectory()
+    return _drive(traj, *_planar_chart(p, traj), targets, y0, float(t_max), float(rel_tol))
 
 
 def integrate_flow_3d(
@@ -376,7 +396,8 @@ def integrate_flow_3d(
         raise ValueError("volume tracking requires all a_i nonzero")
     check_rtol(rel_tol)
 
-    a, point, rhs = _chart_3d(p)
+    traj = Trajectory()
+    a, point, stage = _chart_3d(p, traj)
     # the flow keeps the start's volume, so the targets are the equilibrium
     # rays scaled onto that level set
     y0 = [math.log(float(v)) for v in x0.x]
@@ -385,4 +406,4 @@ def integrate_flow_3d(
         tuple(float(c) for c in scale_to_log_volume(p, ray.rep, lv).x)
         for ray in (solve_all(p) if equilibria is None else equilibria)
     ]
-    return _drive(a, point, rhs, targets, y0, float(t_max), float(rel_tol))
+    return _drive(traj, a, point, stage, targets, y0, float(t_max), float(rel_tol))

@@ -17,12 +17,12 @@ monomials in ``(a, x)``, built once, on first use, by evaluating them over
 ``_poly.Poly``.  Each call clears the ``a_i`` to one common denominator
 ``D`` and sums the coefficient of every x-monomial in ``int``s.  An exact ray
 is then evaluated in integers, so rho, delta and sigma are the same
-``Fraction``s as the forms give.  At a float ray each coefficient is rounded
-once and each form is one float sum of its terms, and sigma comes from G,
-which does not cancel as ``rho^2 - 4*delta`` does near a node/focus
-boundary.  Float
-parameters evaluate ``f1`` and ``f2`` directly, with
-``sigma = rho^2 - 4*delta``.
+``Fraction``s as the forms give.  The layout also holds the two equilibrium
+``equations``, which check an exact ray's residual in the same integers.  At
+a float ray each coefficient is rounded once and each form is one float sum
+of its terms, and sigma comes from G, which does not cancel as
+``rho^2 - 4*delta`` does near a node/focus boundary.  Float parameters
+evaluate ``f1`` and ``f2`` directly, with ``sigma = rho^2 - 4*delta``.
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ __all__ = [
 # Open interval of the family parameter for the two-equal sigma=0 family.
 SIGMA_ZERO_S_LOW = math.sqrt(2.0 * math.sqrt(2.0) - 2.0) / 2.0
 SIGMA_ZERO_S_HIGH = math.sqrt(2.0) / 2.0
-
-# Residual bound (on degree-2-normalized residuals) accepted as "is an equilibrium".
-_EQUILIBRIUM_RESIDUAL_TOL = 1e-8
 
 # Dimensionless degeneracy threshold; below it a float classification is
 # flagged near-degenerate instead of being trusted as an exact sign.
@@ -201,7 +198,8 @@ class _Form:
 
 @dataclass(frozen=True)
 class _Layout:
-    """F1, F2 and G over one list of monomials in ``(a1, a2, a3, A)``.
+    """F1, F2, G and the two equilibrium equations over one list of
+    monomials in ``(a1, a2, a3, A)``.
 
     ``A`` stays a variable, as the forms are written, and has weight 2.  With
     ``a_i = N_i / D`` and ``A = N_A / D**2``, the monomial ``(e1, e2, e3, eA,
@@ -211,18 +209,21 @@ class _Layout:
 
     a_monos: tuple[tuple[int, int, int, int, int], ...]
     weight: int
-    forms: tuple[_Form, _Form, _Form]
+    forms: tuple[_Form, ...]
 
 
 def _build_layout() -> _Layout:
-    """F1, F2 and G, each evaluated once over ``Poly`` in ``(a1, a2, a3, A,
-    x1, x2, x3)``, with each form's coefficients cleared to integers."""
+    """F1, F2, G and ``equations``, each evaluated once over ``Poly`` in
+    ``(a1, a2, a3, A, x1, x2, x3)``, with each form's coefficients cleared to
+    integers."""
+    from .equilibria import equations  # deferred as in ``linearize_at``
+
     a1, a2, a3, A, x1, x2, x3 = (Poly.var(k, 7) for k in range(7))
     p = SimpleNamespace(a=(a1, a2, a3), A=A)
     x = SimpleNamespace(x=(x1, x2, x3), x1=x1, x2=x2, x3=x3)
     index: dict[tuple[int, ...], int] = {}
     forms = []
-    for poly in (f1(p, x), f2(p, x), _g_form(p, x)):
+    for poly in (f1(p, x), f2(p, x), _g_form(p, x), *equations(a1, a2, a3, x1, x2, x3)):
         scale = math.lcm(*(c.denominator for c in poly.values()))
         rows: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
         for mono, c in poly.items():
@@ -249,7 +250,8 @@ _LAYOUT: _Layout | None = None
 
 
 def _laid_out_forms(p: Parameters, x: MetricPoint) -> list[Scalar]:
-    """``[F1, F2, G]`` at ``x`` for exact ``p``, from the layout.
+    """``[F1, F2, G, e1, e2]`` at ``x`` for exact ``p``, from the layout,
+    where ``(e1, e2)`` are the equilibrium ``equations``.
 
     ``D`` is the lcm of the denominators of the ``a_i``, and each
     coefficient is an ``int`` sum over ``scale * D**weight``.  An exact
@@ -330,16 +332,20 @@ def linearize_at(p: Parameters, point) -> Linearization:
     The values refer to the representative as given; rescaling it rescales
     rho and delta but never their signs.
     """
-    from .equilibria import equations, residual  # deferred: equilibria imports flow too
+    # deferred: equilibria imports flow too
+    from .equilibria import _residual_fits, equations, residual
 
     x = point.rep if hasattr(point, "rep") else point
-    if p.exact and not x.exact:
+    # an exact ray is checked with the laid-out equations, in integers
+    laid_out = _laid_out_forms(p, x) if p.exact and x.exact else None
+    if laid_out is not None:
+        r1, r2 = laid_out[3:]
+    elif p.exact:
         # a float ray is checked at the float a_i, as the census checks it
         r1, r2 = equations(*map(float, p.a), *map(float, x.x))
     else:
         r1, r2 = residual(p, x)
-    scale = (1 + max(abs(float(v)) for v in x.x)) ** 2
-    if max(abs(float(r1)), abs(float(r2))) > _EQUILIBRIUM_RESIDUAL_TOL * scale:
+    if not _residual_fits((r1, r2), x.x):
         raise ValueError(
             f"point {tuple(float(v) for v in x.x)} is not an equilibrium "
             f"(residual {float(r1):.3e}, {float(r2):.3e})"
@@ -348,7 +354,7 @@ def linearize_at(p: Parameters, point) -> Linearization:
     A = p.A
     prod = x.x1 * x.x2 * x.x3
     if p.exact:
-        form1, form2, g = _laid_out_forms(p, x)
+        form1, form2, g = (laid_out or _laid_out_forms(p, x))[:3]
         rho = 2 * form1 / (A * prod)
         delta = form2 / (A * A * prod * prod)
         sigma = 4 * g / (prod * prod)

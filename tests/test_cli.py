@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -57,6 +58,23 @@ class TestAnalyze:
         assert cli.main(["analyze", "--a", triple]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert [e["multiplicity"] for e in payload["equilibria"]] == multiplicities
+
+    def test_spurious_closed_form_rays_are_dropped(self, capsys):
+        # the general quartic gives three float rays here, two of them with
+        # residuals of about 0.23 and -0.46, which the census does not find;
+        # this once exited 3 when linearize_at refused them
+        from wallachflow.core import Parameters
+        from wallachflow.equilibria import solve_all
+
+        assert cli.main(["analyze", "--a", "0.49999999,0.03333333333333333,0.5"]) == 0
+        rays = json.loads(capsys.readouterr().out)["equilibria"]
+        assert len(rays) == 1
+        exact = Parameters(Fraction(49999999, 100000000), Fraction(1, 30), Fraction(1, 2))
+        (ref,) = solve_all(exact)
+        for got, want in zip(rays[0]["x3_one"], ref.rep_x3one().x):
+            assert abs(got - float(want)) <= 1e-8 * float(want)
+        with pytest.warns(CensusWarning, match="disagree"):
+            assert len(solve_all(Parameters(0.49999999, 0.03333333333333333, 0.5))) == 1
 
     def test_decimal_under_exact_warns(self):
         proc = run_cli(["analyze", "--a", "0.2,0.3,0.4", "--exact"])
@@ -241,6 +259,33 @@ class TestFlow:
         assert cli.main(args + ["--three-d"] * three_d) == 0
         runs = json.loads(capsys.readouterr().err)["runs"]
         assert [[v.hex() for v in r["x0"]] for r in runs] == x0
+
+    @pytest.mark.parametrize("args, digest", [
+        (["--a", "1/6,1/4,1/3"],
+         "2535d6aba2704ad52ab15b2351ac4c306928c68e49794fa7b0789f2ceedbe617"),
+        (["--a", "1/6,1/4,1/3", "--three-d"],
+         "1606b08ee560da3153c2e42d6865ef3297fc44f959687a8b7cebb4ed060a11c6"),
+        (["--a", "0.17,0.26,0.33"],
+         "9c7c11bfbbe004ce573decf23d79c291c5c6cb7ab79d8c559c31c7c100bfe51a"),
+        (["--a", "0.17,0.26,0.33", "--three-d"],
+         "4a57313397c1113e12b58fade54bbc8e2fb2195c396eeb353aa6e438b007d48d"),
+        # 125 rejected steps over the three runs
+        (["--a", "1/6,1/4,1/3", "--rtol", "1e-6"],
+         "d5bb6a0893eadc68d2549c0f4633926b80500960ffd2f2eefb57d38a5331e392"),
+    ], ids=["planar-exact", "3d-exact", "planar-float", "3d-float", "rtol-1e-6"])
+    def test_flow_output_bits_are_pinned(self, args, digest, capsys):
+        # SHA-256 of stdout + stderr: every CSV coordinate, volume, drift and
+        # work counter, so any change to the order of the stage arithmetic
+        # shows; the first start is checked apart, since numpy draws it
+        argv = ["--threads", "1", "flow", *args, "--random-starts", "3", "--seed", "5"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        runs = json.loads(err)["runs"]
+        first = ["0x1.5b4c09408af8ap+0", "0x1.5c519ebebd9b4p+0", "0x1.03f41c9b94059p+0"]
+        assert [v.hex() for v in runs[0]["x0"]] == first[:len(runs[0]["x0"])]
+        if "--rtol" in args:
+            assert sum(r["steps_rejected"] for r in runs) == 125
+        assert hashlib.sha256((out + err).encode()).hexdigest() == digest
 
 
 class TestScan:

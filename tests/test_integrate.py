@@ -81,12 +81,8 @@ class TestStepper:
     def test_seventh_stage_is_the_stage_at_the_result(self, chart):
         # FSAL: the last row of the tableau is the 5th-order weights, so the
         # stage the step returns is, bit for bit, the field at its result
-        _a, point, rhs = chart(Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3)))
-
-        def f(y):
-            x = point(y)
-            return (*rhs(x), x)
-
+        p = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3))
+        _a, _point, f = chart(p, Trajectory())
         rng = np.random.default_rng(5)
         for _ in range(20):
             y = rng.uniform(-0.5, 0.5, 2 if chart is _planar_chart else 3).tolist()
@@ -121,21 +117,23 @@ class TestFloatCharts:
         fa = tuple(float(ai) for ai in p.a)
         weight = float(normalization_weight(*p.a))
         assert field_components(*fa, *x, weight) == field_components(*p.a, *x)
-        _a, _point, rhs = _chart_3d(p)
-        k, v = rhs(list(x))
-        assert tuple(v) == vector_field_3d(p, MetricPoint(*x)).v
-        assert k == [vi / xi for vi, xi in zip(v, x)]
+        _a, point, stage = _chart_3d(p, Trajectory())
+        y = [math.log(c) for c in x]
+        k, xs, v = stage(y)
+        assert list(xs) == point(y) == [math.exp(u) for u in y]
+        assert tuple(v) == vector_field_3d(p, MetricPoint(*xs)).v
+        assert list(k) == [vi / xi for vi, xi in zip(v, xs)]
 
     @settings(max_examples=300, deadline=None)
     @given(a=st.tuples(_param, _param, _param), x=st.tuples(_coord, _coord))
     def test_planar_chart_equals_phi_and_the_planar_field(self, a, x):
         p = Parameters(*a)
-        _a, point, rhs = _planar_chart(p)
+        _a, point, stage = _planar_chart(p, Trajectory())
         y = [math.log(c) for c in x]
-        x1, x2, x3 = point(y)
+        k, (x1, x2, x3), v = stage(y)
+        assert (x1, x2, x3) == point(y)
         assert (x1, x2) == (math.exp(y[0]), math.exp(y[1]))
         assert x3 == phi(p, x1, x2)
-        k, v = rhs((x1, x2, x3))
         assert v == vector_field_2d(p, x1, x2)
         assert k == (v[0] / x1, v[1] / x2)
 
@@ -223,17 +221,25 @@ class TestLimitClassification:
         with pytest.raises(ValueError, match="float range"):
             integrate_flow(stable_params, (1e-300, 1e-300))
 
-    def test_start_inside_the_box_where_the_field_fails_is_an_error(self):
-        def rhs(_x):
+    def test_start_inside_the_box_where_the_field_fails_is_an_error(self, stable_params, monkeypatch):
+        # each chart's stage function rejects the ArithmeticError of the
+        # field, and the start at x = (1, 1, 1) lies inside the box
+        def field_components(*_args):
             raise ZeroDivisionError
 
-        with pytest.raises(ValueError, match="start point"):
-            _drive((1.0, 1.0, 1.0), lambda _y: (1.0, 1.0, 1.0), rhs, [], [0.0, 0.0], 1.0, 1e-6)
+        monkeypatch.setattr(integrate_mod, "field_components", field_components)
+        for chart, y0 in ((_planar_chart, [0.0, 0.0]), (_chart_3d, [0.0, 0.0, 0.0])):
+            traj = Trajectory()
+            a, point, stage = chart(stable_params, traj)
+            with pytest.raises(ValueError, match="start point"):
+                _drive(traj, a, point, stage, [], y0, 1.0, 1e-6)
+            assert traj.field_evals == 1
 
     def test_3d_stage_beyond_the_float_range_is_rejected(self, stable_params, monkeypatch):
         # math.exp raises OverflowError at this log state; the stage function
         # counts the evaluation and rejects the stage instead of raising
-        a, point, rhs = _chart_3d(stable_params)
+        traj = Trajectory()
+        a, point, stage = _chart_3d(stable_params, traj)
         with pytest.raises(OverflowError):
             point([800.0, 0.0, 0.0])
         seen = {}
@@ -245,7 +251,7 @@ class TestLimitClassification:
             return (TrajectoryStatus.MAX_TIME, None)
 
         monkeypatch.setattr(integrate_mod, "_integrate", drive_one_stage)
-        traj = _drive(a, point, rhs, [], [0.0, 0.0, 0.0], 1.0, 1e-6)
+        assert _drive(traj, a, point, stage, [], [0.0, 0.0, 0.0], 1.0, 1e-6) is traj
         assert seen == {"stage": None, "counted": 1}
         assert traj.status == TrajectoryStatus.MAX_TIME
 

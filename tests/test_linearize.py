@@ -13,6 +13,7 @@ from wallachflow.linearize import (
     SIGMA_ZERO_S_HIGH,
     SIGMA_ZERO_S_LOW,
     PointKind,
+    _laid_out_forms,
     classify,
     f1,
     f2,
@@ -101,6 +102,23 @@ class TestLinearizeAt:
         p = Parameters(Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))
         with pytest.raises(ValueError):
             linearize_at(p, MetricPoint(Fraction(3, 2), 1, 1))
+
+    @pytest.mark.parametrize("a, x", [
+        ((Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)), (Fraction(3, 2), 1, 1)),
+        ((Fraction(1, 6), Fraction(1, 4), Fraction(1, 3)), (Fraction(4, 5), Fraction(3, 5), Fraction(1, 10**9))),
+    ])
+    def test_exact_residual_check_runs_on_the_laid_out_equations(self, a, x):
+        # the same Fractions as ``equations``, so the same message
+        p, pt = Parameters(*a), MetricPoint(*x)
+        r1, r2 = residual(p, pt)
+        assert _laid_out_forms(p, pt)[3:] == [r1, r2]
+        message = (
+            f"point {tuple(float(v) for v in pt.x)} is not an equilibrium "
+            f"(residual {float(r1):.3e}, {float(r2):.3e})"
+        )
+        with pytest.raises(ValueError) as info:
+            linearize_at(p, pt)
+        assert str(info.value) == message
 
     def test_scale_law(self):
         p = Parameters(Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))
