@@ -9,11 +9,12 @@ import, to lay out their monomials: the degeneracy polynomial of
 
 ``real_roots`` is the one real-root finder, for exact and float input alike,
 and it makes one pass.  The coefficients become one primitive integer
-polynomial, which is factored square-free once (Musser's method); the roots
-of each factor are isolated once by its Sturm sequence (Basu, Pollack and
-Roy, *Algorithms in Real Algebraic Geometry*, ch. 2) and refined by exact
-signs on a dyadic grid.  The remainder sequences are integer
-pseudo-divisions, so no ``Fraction`` is built on the way.
+polynomial ``f`` with one integer remainder sequence of ``f`` and ``f'``:
+when it ends in a nonzero constant it is the Sturm sequence of the
+square-free ``f`` (Basu, Pollack and Roy, *Algorithms in Real Algebraic
+Geometry*, ch. 2), and only a nonconstant gcd calls Musser's square-free
+factorization.  Roots are isolated and refined by exact signs on integer
+dyadic grids, a point ``n / 2**k`` being the pair ``(n, k)``.
 
 Exact input keeps its rational roots exact: the census and the closed forms
 substitute a root back into exact equations, and a rounded root would make
@@ -165,62 +166,65 @@ def _derivative(f: list[int]) -> list[int]:
     return [c * (n - i) for i, c in enumerate(f[:-1])]
 
 
+def _remainders(f: list[int], g: list[int]) -> list[list[int]]:
+    """``f, g, -prem, ...`` made primitive after ``g``, up to the first member
+    that is constant (``f``, ``g`` coprime) or zero (the one before is their
+    gcd).  For ``g = f'`` and a constant end it is the Sturm sequence of f."""
+    seq = [f, g]
+    while len(seq[-1]) > 1:
+        seq.append(_primitive([-c for c in _divmod(seq[-2], seq[-1])[1]]))
+    return seq
+
+
 def _gcd(f: list[int], g: list[int]) -> list[int]:
-    """The primitive greatest common divisor of ``f`` and ``g`` (Euclid,
-    primitive remainders); ``g`` may be empty, the zero polynomial."""
-    while g:
-        f, g = g, _primitive(_divmod(f, g)[1])
-    return _primitive(f)
+    """The primitive greatest common divisor of ``f`` and ``g``; ``g`` may be
+    empty, the zero polynomial."""
+    *_, r, last = _remainders(f, g)
+    return _primitive(last or r)
 
 
-def _value_at(f: list[int], n: int, d: int) -> int:
-    """The integer ``f(n/d) * d**deg``."""
-    acc, dpow = f[0], 1
+def _value_at(f: list[int], n: int, k: int) -> int:
+    """The integer ``f(n / 2**k) * 2**(k * deg)``."""
+    acc, shift = f[0], 0
     for c in f[1:]:
-        dpow *= d
-        acc = acc * n + c * dpow
+        shift += k
+        acc = acc * n + (c << shift)
     return acc
 
 
-def _sturm_chain(f: list[int]) -> list[list[int]]:
-    """Sturm sequence of the square-free ``f``, each member after ``f`` and
-    ``f'`` scaled by a positive constant to coprime integers."""
-    chain = [f, _derivative(f)]
-    while len(chain[-1]) > 1:
-        chain.append(_primitive([-c for c in _divmod(chain[-2], chain[-1])[1]]))
-    return chain
-
-
-def _variations(chain: list[list[int]], x: Fraction) -> int:
-    """Sign changes along ``chain`` at ``x``, zeros skipped."""
-    n, d = x.numerator, x.denominator
-    signs = [v > 0 for f in chain if (v := _value_at(f, n, d))]
+def _variations(chain: list[list[int]], n: int, k: int) -> int:
+    """Sign changes along ``chain`` at ``n / 2**k``, zeros skipped."""
+    signs = [v > 0 for f in chain if (v := _value_at(f, n, k))]
     return sum(map(operator.ne, signs, signs[1:]))
 
 
-def _isolate(f: list[int]) -> list[tuple[Fraction, Fraction]]:
-    """Intervals ``(lo, hi]``, ascending, each holding one real root of the
-    square-free ``f``: Sturm counts bisected inside the Cauchy bound."""
-    chain = _sturm_chain(f)
+def _isolate(chain: list[list[int]]) -> list[tuple[int, int, int]]:
+    """Intervals ``(lo, hi, k)``, ascending, each ``(lo/2**k, hi/2**k]``
+    holding one real root of the square-free ``chain[0]`` of Sturm sequence
+    ``chain``: Sturm counts bisected inside the Cauchy bound, with ``k`` the
+    least exponent that writes both ends as integers."""
+    f = chain[0]
     bound = 2 + max(abs(c) for c in f[1:]) // abs(f[0])
-    b = Fraction(1 << bound.bit_length())
+    b = 1 << bound.bit_length()
     out = []
-    stack = [(-b, b, _variations(chain, -b), _variations(chain, b))]
+    stack = [(-b, b, 0, _variations(chain, -b, 0), _variations(chain, b, 0))]
     while stack:
-        lo, hi, v_lo, v_hi = stack.pop()
+        lo, hi, k, v_lo, v_hi = stack.pop()
         if v_lo - v_hi == 1:
-            out.append((lo, hi))
+            out.append((lo, hi, k))
         elif v_lo - v_hi > 1:
-            mid = (lo + hi) / 2
-            v_mid = _variations(chain, mid)
-            stack += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+            if hi - lo == 1:
+                lo, hi, k = 2 * lo, 2 * hi, k + 1
+            mid = (lo + hi) // 2
+            v_mid = _variations(chain, mid, k)
+            stack += [(mid, hi, k, v_mid, v_hi), (lo, mid, k, v_lo, v_mid)]
     return out
 
 
-def _refine(f: list[int], lo: Fraction, hi: Fraction, bits: int) -> Fraction:
-    """The only root of the square-free ``f`` in ``(lo, hi]``, or the grid
-    point ``m / D`` just above it, where ``D`` is a power of 2 of at least
-    ``2**bits`` (``lo`` and ``hi`` are dyadic).
+def _refine(f: list[int], df: list[int], lo: int, hi: int, k: int, bits: int) -> tuple[int, int]:
+    """``(m, K)``: the only root ``m / 2**K`` of the square-free ``f`` in
+    ``(lo / 2**k, hi / 2**k]``, or the point ``m / 2**K`` just above it on
+    the grid ``K = max(k, bits)``; ``df`` is ``f'``.
 
     Exact signs keep the bracket on the grid, steering by the sign at ``hi``
     since ``lo`` may be the root below.  Once the bracket has one sign and a
@@ -229,14 +233,14 @@ def _refine(f: list[int], lo: Fraction, hi: Fraction, bits: int) -> Fraction:
     step is shorter than one unit.  A step that leaves the bracket, and every
     step after the 40th, is a bisection.
     """
-    D = max(lo.denominator, hi.denominator, 1 << bits)
-    a, b = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
-    df, v_b = _derivative(f), _value_at(f, b, D)
+    K = max(k, bits)
+    a, b = lo << (K - k), hi << (K - k)
+    v_b = _value_at(f, b, K)
     m, steps = (a + b) // 2, 0
     while v_b and b - a > 1:
-        v, dv = _value_at(f, m, D), _value_at(df, m, D)
+        v, dv = _value_at(f, m, K), _value_at(df, m, K)
         if v == 0:
-            return Fraction(m, D)
+            return m, K
         if (v > 0) == (v_b > 0):
             b = m
         else:
@@ -248,7 +252,7 @@ def _refine(f: list[int], lo: Fraction, hi: Fraction, bits: int) -> Fraction:
                 newton += 1 if last == a else -1
             if a < newton < b:
                 m = newton
-    return Fraction(b, D)
+    return b, K
 
 
 def _square_free(f: list[int]) -> list[tuple[list[int], int]]:
@@ -285,21 +289,26 @@ def _may_have_rational_root(f: list[int]) -> bool:
     return True
 
 
-def _rational_root(f: list[int], lo: Fraction, hi: Fraction) -> Fraction | None:
-    """The root of the square-free ``f`` in ``(lo, hi]`` if it is rational.
+def _rational_root(f: list[int], df: list[int], lo: int, hi: int, k: int) -> tuple[Fraction, list[int]] | None:
+    """The root of the square-free ``f`` in ``(lo/2**k, hi/2**k]`` and ``f``
+    divided by its linear factor, if that root is rational (``df = f'``).
 
     Its denominator divides ``lead = |f[0]|``, and no other fraction with
     denominator at most ``lead`` lies within ``1 / lead**2`` of it, so
     ``limit_denominator(lead)`` of the root refined to within
-    ``1 / (4 lead**2)`` is the only candidate; an integer evaluation inside
-    ``(lo, hi]`` confirms it (outside, it would be another root).  No divisor
+    ``1 / (4 lead**2)`` is the only candidate; an exact division inside
+    the interval confirms it (outside, it would be another root).  No divisor
     is enumerated, so the cost grows with the bit size of the coefficients,
     not with their value.
     """
     lead = abs(f[0])
-    cand = _refine(f, lo, hi, (4 * lead * lead).bit_length()).limit_denominator(lead)
-    if lo < cand <= hi and _value_at(f, cand.numerator, cand.denominator) == 0:
-        return cand
+    m, K = _refine(f, df, lo, hi, k, (4 * lead * lead).bit_length())
+    cand = Fraction(m, 1 << K).limit_denominator(lead)
+    p, q = cand.numerator, cand.denominator
+    if lo * q < p << k <= hi * q:
+        quot, rem, _c = _divmod(f, [q, -p])
+        if not rem:
+            return cand, quot
     return None
 
 
@@ -310,16 +319,17 @@ def real_roots(coeffs) -> list[tuple[object, int]]:
     Every float is a dyadic rational, so the coefficients are converted to
     ``Fraction`` exactly and the roots are those of that exact polynomial;
     a list of ``int``s is used as it is.  Over a common denominator the
-    coefficients are integers, and their primitive form (divided by their
-    gcd) is factored square-free once, the index of a
-    factor being the exact multiplicity of its roots, and the roots of each
-    factor are isolated once by Sturm's theorem.  When every coefficient is
-    exact, each rational root is returned as that ``Fraction``: the
-    isolating intervals of a factor are tested by ``_rational_root`` unless
-    ``_may_have_rational_root`` rules every rational root out.  The other
-    roots are refined by ``_refine`` to within ``2**-55`` relative (on the
-    grid of the factor with its rational roots divided out) and rounded to a
-    float; a root beyond the float range is an infinity.
+    coefficients are integers.  Their primitive form (divided by their gcd)
+    is square-free when its remainder sequence with its derivative ends in a
+    constant, or else factored square-free, the index of a factor being the
+    exact multiplicity of its roots; each factor's roots are isolated once by
+    Sturm's theorem.  When every coefficient is exact, each rational root is
+    returned as that ``Fraction``: the isolating intervals of a factor are
+    tested by ``_rational_root`` unless ``_may_have_rational_root`` rules
+    every rational root out.  The other roots are refined by ``_refine`` to
+    within ``2**-55`` relative (on the grid of the factor with its rational
+    roots divided out) and rounded to a float; a root beyond the float range
+    is an infinity.
     """
     if all(type(c) is int for c in coeffs):
         rest = list(coeffs)
@@ -332,28 +342,32 @@ def real_roots(coeffs) -> list[tuple[object, int]]:
     if len(rest) <= 1:
         return []
     exact = all(map(is_exact, coeffs))
+    f = _primitive(rest)
+    chain = _remainders(f, _derivative(f))
+    chains = [(chain, 1)] if chain[-1] else [(_remainders(g, _derivative(g)), k) for g, k in _square_free(f)]
     roots: list[tuple[object, int]] = []
-    for factor, mult in _square_free(_primitive(rest)):
-        intervals = _isolate(factor)
+    for chain, mult in chains:
+        factor, df = chain[:2]
+        intervals = _isolate(chain)
         floating = intervals
         if exact and _may_have_rational_root(factor):
             floating = []
-            for lo, hi in intervals:
-                root = _rational_root(factor, lo, hi)
-                if root is None:
-                    floating.append((lo, hi))
+            for interval in intervals:
+                found = _rational_root(factor, df, *interval)
+                if found is None:
+                    floating.append(interval)
                 else:
-                    roots.append((root, mult))
-                    factor = _divmod(factor, [root.denominator, -root.numerator])[0]
+                    roots.append((found[0], mult))
+                    factor, df = found[1], _derivative(found[1])
         # grid step 2**-55 of |root| >= |lowest nonzero coefficient| / (2 max|c|)
         tail = next(c for c in reversed(factor) if c)
         bits = 57 + max(map(abs, factor)).bit_length() - abs(tail).bit_length()
-        for lo, hi in floating:
-            root = _refine(factor, lo, hi, bits)
+        for interval in floating:
+            m, K = _refine(factor, df, *interval, bits)
             try:
-                roots.append((float(root), mult))
+                roots.append((m / (1 << K), mult))
             except OverflowError:
-                roots.append((math.inf if root > 0 else -math.inf, mult))
+                roots.append((math.inf if m > 0 else -math.inf, mult))
     return sorted(roots, key=lambda rm: rm[0])
 
 

@@ -6,8 +6,9 @@ batch), ``scan`` (region-classified parameter grid), ``surface`` (Q/Q1 slice
 along a coordinate plane), ``blowup`` (the degenerate-point resolution
 report), ``verify`` (the reproduction suite).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain error,
-141 (128 + SIGPIPE) when the reader of stdout goes away, as in ``| head``.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including an
+``--out`` path that cannot be written), 3 domain error, 141 (128 + SIGPIPE)
+when the reader of stdout goes away, as in ``| head``.
 """
 
 from __future__ import annotations
@@ -115,8 +116,11 @@ def _write_text(path: str | None, text: str):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 # --- analyze ----------------------------------------------------------------

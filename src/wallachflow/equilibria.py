@@ -494,21 +494,16 @@ def solve_all(p: Parameters) -> list[EquilibriumRay]:
     ]
 
     # drop closed-form coincidences (distinct families can share a ray)
-    merged: list[EquilibriumRay] = []
+    merged: list[tuple[tuple[float, float], EquilibriumRay]] = []
     for ray in polished:
-        if not any(_close(ray.key(), other.key()) for other in merged):
-            merged.append(ray)
+        key = ray.key()
+        if not any(_close(key, other) for other, _ in merged):
+            merged.append((key, ray))
 
     numeric = census(p)
-    unmatched_closed = [
-        ray for ray in merged
-        if not any(_close(ray.key(), pt, rtol=1e-5) for pt in numeric)
-    ]
-    extra = [
-        pt for pt in numeric
-        if not any(_close(ray.key(), pt, rtol=1e-5) for ray in merged)
-    ]
-    if closed and (extra or unmatched_closed):
+    unmatched = [not any(_close(key, pt, rtol=1e-5) for pt in numeric) for key, _ in merged]
+    extra = [pt for pt in numeric if not any(_close(key, pt, rtol=1e-5) for key, _ in merged)]
+    if closed and (extra or any(unmatched)):
         warnings.warn(
             f"closed-form census ({len(merged)} rays) and numeric census "
             f"({len(numeric)} roots) disagree for a={tuple(map(float, p.a))}",
@@ -516,21 +511,22 @@ def solve_all(p: Parameters) -> list[EquilibriumRay]:
             stacklevel=2,
         )
     merged = [
-        ray for ray in merged
-        if ray.rep.exact or ray not in unmatched_closed
+        (key, ray) for (key, ray), lone in zip(merged, unmatched)
+        if ray.rep.exact or not lone
         or _residual_fits(equations(*a, *ray.rep.x), ray.rep.x)
     ]
     for x1, x2 in extra:
-        merged.append(EquilibriumRay(MetricPoint(x1, x2, 1.0), FamilyTag.NUMERIC))
+        ray = EquilibriumRay(MetricPoint(x1, x2, 1.0), FamilyTag.NUMERIC)
+        merged.append((ray.key(), ray))
 
-    merged.sort(key=lambda r: r.key())
+    merged.sort(key=lambda kr: kr[0])
     if p.wallach_range and not 1 <= len(merged) <= 4:
         warnings.warn(
             f"census count {len(merged)} outside 1..4 for parameters in (0,1/2]^3",
             CensusWarning,
             stacklevel=2,
         )
-    return merged
+    return [ray for _, ray in merged]
 
 
 def scale_to_log_volume(p: Parameters, x: MetricPoint, log_v: float = 0.0) -> MetricPoint:

@@ -378,6 +378,43 @@ class TestScan:
         assert checked > 0
 
 
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("argv, digest", [
+        (["--threads", "1", "scan", "--n", "9"],
+         "54bd27613a37501228c1674b53a8bc2b55027321a6411b4c9852a472c2b9207e"),
+        (["analyze", "--a", "1/6,1/4,1/3", "--exact"],
+         "4cffb0a118239e139312996e1b53437dff73b68cb876a8c189157d7294894659"),
+        (["analyze", "--a", "13/97,17/89,23/101", "--exact"],
+         "8cf2e89ad03bd8c5cfe3cc7f35b9ba21afdcbad9db786320f4b97c7f0fcc94fb"),
+        (["analyze", "--a", "2/17,1/8,2/17", "--exact"],
+         "4b08bcc1edc0bcf801ed67c661a3322844a4a0d9cfe2de7bf803ab58123560dd"),
+    ], ids=["scan-9", "analyze-reference", "analyze-large-coefficients", "analyze-near-focus"])
+    def test_output_bits_are_pinned(self, argv, digest, capsys):
+        # SHA-256 of stdout: every census root, rounded once, shows in it
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--a", "1/6,1/4,1/3"],
+        ["flow", "--a", "1/6,1/4,1/3", "--x0", "1.05,0.95", "--tmax", "1"],
+        ["scan", "--n", "2"],
+        ["surface", "--fix", "a1=1/2", "--n", "2"],
+        ["blowup"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_is_a_usage_error(self, argv, where, tmp_path, capsys):
+        path = tmp_path / "missing" / "x" if where == "missing-directory" else tmp_path
+        assert cli.main([*argv, "--out", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}")
+        assert "Traceback" not in err
+
+
 class TestSurfaceSlice:
     def test_fixed_plane(self, tmp_path):
         out = tmp_path / "slice.csv"

@@ -1,21 +1,28 @@
+import contextlib
+import io
 import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wallachflow import blowup, cli, equilibria
 from wallachflow._poly import (
     _SCREEN_PRIMES,
+    _derivative,
     _divmod,
     _gcd,
     _isolate,
     _may_have_rational_root,
-    _sturm_chain,
+    _primitive,
+    _remainders,
     _variations,
     real_roots,
 )
-from wallachflow.core import Parameters
+from wallachflow.core import Parameters, is_exact
 from wallachflow.equilibria import quartic_coefficients
 
 
@@ -175,6 +182,14 @@ class TestIntegerRemainders:
         assert _gcd([6, 0, -6], []) == [1, 0, -1]
         assert _gcd(_int_mul([2, -3], [1, 0, 1]), _int_mul([4, -6], [1, 5])) in ([2, -3], [-2, 3])
 
+    def test_remainder_sequence_ends_in_the_gcd(self):
+        # coprime: a nonzero constant; otherwise [] after the gcd
+        f = _int_mul([2, -3], [1, 0, 1])
+        assert _remainders(f, _derivative(f))[-1] in ([1], [-1])
+        g = _int_mul(f, [2, -3])
+        *_, r, last = _remainders(g, _derivative(g))
+        assert last == [] and r in ([2, -3], [-2, 3])
+
     @given(st.lists(st.integers(-60, 60), min_size=2, max_size=7).filter(lambda f: f[0] != 0))
     @settings(max_examples=60, deadline=None)
     def test_sturm_count_matches_sympy_for_negative_leads(self, f):
@@ -184,14 +199,17 @@ class TestIntegerRemainders:
         if poly.LC() > 0:
             poly = -poly
         square_free = [int(c) for c in poly.all_coeffs()]
-        intervals = _isolate(square_free)
+        chain = _remainders(square_free, _derivative(square_free))
+        assert len(chain[-1]) == 1 and chain[-1][0] != 0
+        intervals = _isolate(chain)
         assert len(intervals) == poly.count_roots()
-        chain = _sturm_chain(square_free)
-        for lo, hi in intervals:
-            ends = [sympy.Rational(v.numerator, v.denominator) for v in (lo, hi)]
+        for lo, hi, k in intervals:
+            ends = [sympy.Rational(v, 2**k) for v in (lo, hi)]
             # the roots in (lo, hi]: lo may be the root below
             assert poly.count_roots(*ends) - (poly.eval(ends[0]) == 0) == 1
-            assert _variations(chain, lo) - _variations(chain, hi) == 1
+            assert _variations(chain, lo, k) - _variations(chain, hi, k) == 1
+            # k is the least exponent of the two ends, the grid of _refine
+            assert k == 0 or lo % 2 or hi % 2
 
 
 roots_st = st.builds(Fraction, st.integers(-200, 200), st.integers(1, 30))
@@ -298,3 +316,199 @@ class TestRealRootsSympyOracle:
     @settings(max_examples=60, deadline=None)
     def test_roots_and_multiplicities_match_sympy(self, coeffs):
         _assert_matches_sympy(coeffs)
+
+
+# --- the Fraction/Sturm/Musser path that ``real_roots`` replaced, kept as the
+# reference: Fraction endpoints, a Sturm chain separate from the gcd of
+# ``f`` and ``f'``, and Musser's factorization of every input
+
+
+def _ref_gcd(f, g):
+    while g:
+        f, g = g, _primitive(_divmod(f, g)[1])
+    return _primitive(f)
+
+
+def _ref_value_at(f, n, d):
+    acc, dpow = f[0], 1
+    for c in f[1:]:
+        dpow *= d
+        acc = acc * n + c * dpow
+    return acc
+
+
+def _ref_sturm_chain(f):
+    chain = [f, _derivative(f)]
+    while len(chain[-1]) > 1:
+        chain.append(_primitive([-c for c in _divmod(chain[-2], chain[-1])[1]]))
+    return chain
+
+
+def _ref_variations(chain, x):
+    signs = [v > 0 for f in chain if (v := _ref_value_at(f, x.numerator, x.denominator))]
+    return sum(map(operator.ne, signs, signs[1:]))
+
+
+def _ref_isolate(f):
+    chain = _ref_sturm_chain(f)
+    bound = 2 + max(abs(c) for c in f[1:]) // abs(f[0])
+    b = Fraction(1 << bound.bit_length())
+    out = []
+    stack = [(-b, b, _ref_variations(chain, -b), _ref_variations(chain, b))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo - v_hi == 1:
+            out.append((lo, hi))
+        elif v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            v_mid = _ref_variations(chain, mid)
+            stack += [(mid, hi, v_mid, v_hi), (lo, mid, v_lo, v_mid)]
+    return out
+
+
+def _ref_refine(f, lo, hi, bits):
+    D = max(lo.denominator, hi.denominator, 1 << bits)
+    a, b = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
+    df, v_b = _derivative(f), _ref_value_at(f, b, D)
+    m, steps = (a + b) // 2, 0
+    while v_b and b - a > 1:
+        v, dv = _ref_value_at(f, m, D), _ref_value_at(df, m, D)
+        if v == 0:
+            return Fraction(m, D)
+        if (v > 0) == (v_b > 0):
+            b = m
+        else:
+            a = m
+        last, m, steps = m, (a + b) // 2, steps + 1
+        if dv and steps < 40 and 2 * (b - a) <= max(-a, b):
+            newton = last - v // dv
+            if newton == last:
+                newton += 1 if last == a else -1
+            if a < newton < b:
+                m = newton
+    return Fraction(b, D)
+
+
+def _ref_square_free(f):
+    out, k = [], 1
+    g = _ref_gcd(f, _derivative(f))
+    b = _divmod(f, g)[0]
+    while len(b) > 1:
+        h = _ref_gcd(b, g)
+        q = _divmod(b, h)[0]
+        if len(q) > 1:
+            out.append((_primitive(q), k))
+        b, g, k = h, _divmod(g, h)[0], k + 1
+    return out
+
+
+def _ref_rational_root(f, lo, hi):
+    lead = abs(f[0])
+    cand = _ref_refine(f, lo, hi, (4 * lead * lead).bit_length()).limit_denominator(lead)
+    if lo < cand <= hi and _ref_value_at(f, cand.numerator, cand.denominator) == 0:
+        return cand
+    return None
+
+
+def _reference_real_roots(coeffs):
+    if all(type(c) is int for c in coeffs):
+        rest = list(coeffs)
+    else:
+        fracs = [Fraction(c) for c in coeffs]
+        lcm = math.lcm(*(c.denominator for c in fracs))
+        rest = [c.numerator * (lcm // c.denominator) for c in fracs]
+    while rest and rest[0] == 0:
+        rest = rest[1:]
+    if len(rest) <= 1:
+        return []
+    exact = all(map(is_exact, coeffs))
+    roots = []
+    for factor, mult in _ref_square_free(_primitive(rest)):
+        intervals = _ref_isolate(factor)
+        floating = intervals
+        if exact and _may_have_rational_root(factor):
+            floating = []
+            for lo, hi in intervals:
+                root = _ref_rational_root(factor, lo, hi)
+                if root is None:
+                    floating.append((lo, hi))
+                else:
+                    roots.append((root, mult))
+                    factor = _divmod(factor, [root.denominator, -root.numerator])[0]
+        tail = next(c for c in reversed(factor) if c)
+        bits = 57 + max(map(abs, factor)).bit_length() - abs(tail).bit_length()
+        for lo, hi in floating:
+            root = _ref_refine(factor, lo, hi, bits)
+            try:
+                roots.append((float(root), mult))
+            except OverflowError:
+                roots.append((math.inf if root > 0 else -math.inf, mult))
+    return sorted(roots, key=lambda rm: rm[0])
+
+
+def _recorded_inputs(monkeypatch, argv):
+    """Every coefficient list that ``cli.main(argv)`` hands to ``real_roots``."""
+    seen = []
+
+    def record(coeffs):
+        seen.append(list(coeffs))
+        return real_roots(coeffs)
+
+    monkeypatch.setattr(equilibria, "real_roots", record)
+    monkeypatch.setattr(blowup, "real_roots", record)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    monkeypatch.undo()
+    return seen
+
+
+def _seeded_polynomials(seed=1, count=100):
+    """Integer polynomials with repeated rational and irrational factors,
+    negative leads and large coefficients, and their float images; and
+    polynomials with a root or a coefficient beyond the float range."""
+    rng = random.Random(seed)
+    out = [
+        [1, 0, -2 * 10**700], [-3, 0, 2 * 10**700], [1, 0, 0, 0, -2 * 10**400],
+        _int_mul([3, -7], [1, 0, -2 * 10**700]),
+    ]
+    for _ in range(count):
+        poly = [rng.choice([-1, 1]) * rng.randint(1, 2**rng.randint(1, 80))]
+        for _ in range(rng.randint(1, 3)):
+            q, p = rng.randint(1, 2**rng.randint(1, 40)), rng.randint(-(2**40), 2**40)
+            factor = rng.choice([[q, -p], [q, 0, -abs(p) - 1], [q, p, rng.randint(-50, 50)]])
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                poly = _int_mul(poly, factor)
+        out.append(poly)
+        out.append([float(c) for c in poly] if max(map(abs, poly)) < 2**1000 else poly[::-1])
+    return out
+
+
+class TestReferenceParity:
+    """``real_roots`` on integer dyadic grids gives what the Fraction/Sturm/
+    Musser path gives: the same types, ``float.hex`` or ``Fraction`` values
+    and multiplicities."""
+
+    def _assert_parity(self, corpus):
+        for coeffs in corpus:
+            assert _bits(real_roots(coeffs)) == _bits(_reference_real_roots(coeffs)), coeffs
+
+    def test_scan_inputs(self, monkeypatch):
+        corpus = _recorded_inputs(monkeypatch, ["--threads", "1", "scan", "--n", "9"])
+        # 164 census quartics and their quadratics
+        assert len(corpus) > 500
+        self._assert_parity(corpus)
+
+    def test_large_coefficient_triple(self, monkeypatch):
+        corpus = _recorded_inputs(monkeypatch, ["analyze", "--a", "13/97,17/89,23/101", "--exact"])
+        assert corpus
+        self._assert_parity(corpus)
+
+    def test_seeded_polynomials(self):
+        corpus = _seeded_polynomials()
+        found = [real_roots(c) for c in corpus]
+        # the corpus has repeated roots, rational roots and infinite roots
+        assert any(m > 1 for f in found for _, m in f)
+        assert any(type(r) is Fraction for f in found for r, _ in f)
+        assert any(r in (-math.inf, math.inf) for f in found for r, _ in f)
+        self._assert_parity(corpus)
+        self._assert_parity(KNOWN_EXACT)
