@@ -7,9 +7,11 @@ constant) and ``diff``.  Ring-generic formulas evaluate over it once, at
 import, to lay out their monomials: the degeneracy polynomial of
 ``surfaces`` and the census equations of ``equilibria``.
 
-``real_roots`` is the one real-root finder, for exact and float input alike,
-and it makes one pass.  The coefficients become one primitive integer
-polynomial ``f`` with one integer remainder sequence of ``f`` and ``f'``:
+``root_brackets`` is the one real-root finder, and it makes one pass:
+``real_roots`` rounds its roots to floats, for exact and float input alike,
+and the census of ``equilibria`` takes rays from its isolating intervals.
+The input is one primitive integer polynomial ``f``, with one integer
+remainder sequence of ``f`` and ``f'``:
 when it ends in a nonzero constant it is the Sturm sequence of the
 square-free ``f`` (Basu, Pollack and Roy, *Algorithms in Real Algebraic
 Geometry*, ch. 2), and only a nonconstant gcd calls Musser's square-free
@@ -312,40 +314,24 @@ def _rational_root(f: list[int], df: list[int], lo: int, hi: int, k: int) -> tup
     return None
 
 
-def real_roots(coeffs) -> list[tuple[object, int]]:
-    """Real roots of a univariate polynomial (highest degree first), ascending,
-    each with its multiplicity.
+def float_bits(f: list[int]) -> int:
+    """The grid of ``_refine`` that puts every nonzero root of ``f`` within
+    ``2**-55`` relative: ``|root| >= |lowest nonzero coefficient| / (2 max|c|)``."""
+    tail = next(c for c in reversed(f) if c)
+    return 57 + max(map(abs, f)).bit_length() - abs(tail).bit_length()
 
-    Every float is a dyadic rational, so the coefficients are converted to
-    ``Fraction`` exactly and the roots are those of that exact polynomial;
-    a list of ``int``s is used as it is.  Over a common denominator the
-    coefficients are integers.  Their primitive form (divided by their gcd)
-    is square-free when its remainder sequence with its derivative ends in a
-    constant, or else factored square-free, the index of a factor being the
-    exact multiplicity of its roots; each factor's roots are isolated once by
-    Sturm's theorem.  When every coefficient is exact, each rational root is
-    returned as that ``Fraction``: the isolating intervals of a factor are
-    tested by ``_rational_root`` unless ``_may_have_rational_root`` rules
-    every rational root out.  The other roots are refined by ``_refine`` to
-    within ``2**-55`` relative (on the grid of the factor with its rational
-    roots divided out) and rounded to a float; a root beyond the float range
-    is an infinity.
-    """
-    if all(type(c) is int for c in coeffs):
-        rest = list(coeffs)
-    else:
-        fracs = [Fraction(c) for c in coeffs]
-        lcm = math.lcm(*(c.denominator for c in fracs))
-        rest = [c.numerator * (lcm // c.denominator) for c in fracs]
-    while rest and rest[0] == 0:
-        rest = rest[1:]
-    if len(rest) <= 1:
-        return []
-    exact = all(map(is_exact, coeffs))
-    f = _primitive(rest)
+
+def root_brackets(f: list[int], exact: bool = True) -> list[tuple[object, int, list[int], list[int]]]:
+    """The real roots of the integer ``f`` (highest degree first), unordered,
+    as ``(root, mult, factor, df)``: the roots of each square-free factor of
+    its primitive form isolated by Sturm's theorem, with ``exact`` a rational
+    root as its ``Fraction`` (``factor``, ``df`` ``None``), any other as its
+    isolating interval ``(lo, hi, k)`` of ``factor`` (rational roots divided
+    out) with ``df = factor'``, ready for ``_refine``."""
+    f = _primitive(f)
     chain = _remainders(f, _derivative(f))
     chains = [(chain, 1)] if chain[-1] else [(_remainders(g, _derivative(g)), k) for g, k in _square_free(f)]
-    roots: list[tuple[object, int]] = []
+    roots = []
     for chain, mult in chains:
         factor, df = chain[:2]
         intervals = _isolate(chain)
@@ -357,17 +343,47 @@ def real_roots(coeffs) -> list[tuple[object, int]]:
                 if found is None:
                     floating.append(interval)
                 else:
-                    roots.append((found[0], mult))
+                    roots.append((found[0], mult, None, None))
                     factor, df = found[1], _derivative(found[1])
-        # grid step 2**-55 of |root| >= |lowest nonzero coefficient| / (2 max|c|)
-        tail = next(c for c in reversed(factor) if c)
-        bits = 57 + max(map(abs, factor)).bit_length() - abs(tail).bit_length()
-        for interval in floating:
-            m, K = _refine(factor, df, *interval, bits)
-            try:
-                roots.append((m / (1 << K), mult))
-            except OverflowError:
-                roots.append((math.inf if m > 0 else -math.inf, mult))
+        roots += [(interval, mult, factor, df) for interval in floating]
+    return roots
+
+
+def real_roots(coeffs) -> list[tuple[object, int]]:
+    """Real roots of a univariate polynomial (highest degree first), ascending,
+    each with its multiplicity.
+
+    Every float is a dyadic rational, so the coefficients are converted to
+    ``Fraction`` exactly and the roots are those of that exact polynomial;
+    a list of ``int``s is used as it is.  Over a common denominator the
+    coefficients are integers.  Their primitive form (divided by their gcd)
+    is square-free when its remainder sequence with its derivative ends in a
+    constant, or else factored square-free, the index of a factor being the
+    exact multiplicity of its roots (``root_brackets``).  When every
+    coefficient is exact, a rational root is returned as that ``Fraction``.
+    The other roots are refined to within ``2**-55`` relative and rounded to
+    a float; a root beyond the float range is an infinity.
+    """
+    if all(type(c) is int for c in coeffs):
+        rest = list(coeffs)
+    else:
+        fracs = [Fraction(c) for c in coeffs]
+        lcm = math.lcm(*(c.denominator for c in fracs))
+        rest = [c.numerator * (lcm // c.denominator) for c in fracs]
+    while rest and rest[0] == 0:
+        rest = rest[1:]
+    if len(rest) <= 1:
+        return []
+    roots = []
+    for root, mult, factor, df in root_brackets(rest, all(map(is_exact, coeffs))):
+        if factor is None:
+            roots.append((root, mult))
+            continue
+        m, K = _refine(factor, df, *root, float_bits(factor))
+        try:
+            roots.append((m / (1 << K), mult))
+        except OverflowError:
+            roots.append((math.inf if m > 0 else -math.inf, mult))
     return sorted(roots, key=lambda rm: rm[0])
 
 

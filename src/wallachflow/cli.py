@@ -152,9 +152,11 @@ def _analyze_payload(p: Parameters) -> dict:
             "near_degenerate": cls.near_degenerate,
         })
         if cls.kind is lin_mod.PointKind.DEGENERATE:
-            notes.append(
+            notes.append(  # `blowup` resolves the point of 1/4, 1/4, 1/4 only
                 "degenerate equilibrium: run the `blowup` command for the "
                 "resolved local phase portrait"
+                if all(v == 0.25 for v in p.a)
+                else "degenerate equilibrium: the type of this ray is not resolved"
             )
     q, grad = q_and_grad(p)
     region = classify_region(p, q, lambda: kinds) if p.interior else None

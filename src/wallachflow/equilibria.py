@@ -1,19 +1,18 @@
-"""Equilibrium rays of the flow: closed-form case analysis plus a generic
-census by exact elimination.
+"""Equilibrium rays of the flow: a census by exact elimination, labelled by
+a closed-form case analysis.
 
 Equilibria form positive rays (the defining equations are homogeneous of
-degree 2), so each family is reported through one representative.  The
-closed-form solvers follow the three-way case split on the parameters
-(two equal / pairwise distinct with half sum / general position via a
-quartic); ``solve_all`` dispatches, always runs the independent ``census``
-with ``x3 = 1``, and reconciles the two.
+degree 2), so each family is reported through one representative.
+``census`` takes every ray, with its multiplicity, from the roots of one
+resultant, exactly or correctly rounded.  The closed-form solvers follow the
+three-way case split on the parameters (two equal / pairwise distinct with
+half sum / general position via a quartic); ``solve_all`` dispatches, labels
+the census rays with their families, and warns where the two disagree.
 
 ``equations`` is the single source of the two equilibrium equations: the
-exact ``residual``, the census and the damped-Newton polish ``_newton`` of
-float closed-form rays all evaluate it.  The census evaluates it once, at
-import, over ``_poly.Poly`` in its sheared chart, and runs each triple in
-integers from that layout.  ``scale_to_log_volume`` is the single volume
-scaling of a ray.
+exact ``residual`` evaluates it, and the census lays it out once, at import,
+over ``_poly.Poly`` in its sheared chart and runs each triple in integers.
+``scale_to_log_volume`` is the single volume scaling of a ray.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ._poly import Poly, quartic_discriminant_coeffs, real_roots
+from ._poly import Poly, _refine, float_bits, quartic_discriminant_coeffs, real_roots, root_brackets
 from .core import Parameters, Scalar, exact_sqrt, is_exact
 from .flow import MetricPoint, log_volume
 
@@ -48,15 +47,13 @@ __all__ = [
 
 # Relative distance below which two x3=1 representatives are the same ray.
 _DEDUP_RTOL = 1e-8
-# Acceptable polished residual, relative to the degree-2 scale of the point.
-_RESIDUAL_TOL = 1e-12
-# Residual, relative to the same scale, up to which a point counts as an
-# equilibrium: ``linearize_at`` refuses a point beyond it, and ``solve_all``
-# drops an unconfirmed float closed-form ray beyond it.
-_EQUILIBRIUM_RESIDUAL_TOL = 1e-8
+# Relative distance up to which a float closed-form ray labels a census ray.
+_LABEL_RTOL = 1e-5
 # In the census chart x2 = u - x1/3, L = 0 at a root of the resultant for four
 # triples with denominators <= 12 (549 with u = x2); ``census`` serves them.
 _SHEAR = Fraction(1, 3)
+# Doublings after which ``_ray`` takes a lower corner: the value is a rounding midpoint.
+_MAX_DOUBLINGS = 6
 
 
 class FamilyTag(enum.Enum):
@@ -113,8 +110,8 @@ def equations(a1, a2, a3, x1, x2, x3):
     They are the first two field components with their denominators cleared:
     ``e1 = A*x2*x3*f/a1`` and ``e2 = A*x1*x3*g/a2`` with ``(f, g, h)`` from
     ``flow.field_components`` and ``A = a1*a2 + a1*a3 + a2*a3``.  Exact
-    scalars give exact values, Python floats the values ``_newton`` polishes
-    with, and ``_poly.Poly`` the polynomials the census lays out.
+    scalars give exact values, Python floats float residuals, and
+    ``_poly.Poly`` the polynomials the census lays out.
     """
     e1 = (
         (a2 + a3) * (a1 * x2 * x2 + a1 * x3 * x3 - x2 * x3)
@@ -132,14 +129,6 @@ def equations(a1, a2, a3, x1, x2, x3):
 def residual(p: Parameters, x: MetricPoint) -> tuple[Scalar, Scalar]:
     """The equilibrium equations at a metric point (exact for exact input)."""
     return equations(*p.a, *x.x)
-
-
-def _residual_fits(r: tuple[Scalar, Scalar], x: tuple[Scalar, ...]) -> bool:
-    """Whether the residual ``r`` of ``equations`` at the point ``x`` lets
-    ``x`` count as an equilibrium: no component exceeds
-    ``_EQUILIBRIUM_RESIDUAL_TOL * (1 + max |x_i|)^2``."""
-    scale = (1 + max(abs(float(v)) for v in x)) ** 2
-    return not max(abs(float(r[0])), abs(float(r[1]))) > _EQUILIBRIUM_RESIDUAL_TOL * scale
 
 
 def _sqrt_scalar(v: Scalar) -> Scalar:
@@ -226,24 +215,21 @@ def solve_sum_half(p: Parameters) -> list[EquilibriumRay]:
 def quartic_coefficients(p: Parameters) -> list[Scalar]:
     """Coefficients ``[c4, c3, c2, c1, c0]`` of the general-position quartic in
     ``s = x3/x1`` (exact for exact parameters)."""
-    a1, a2, a3 = p.a
-    c4 = (a2 + a3) ** 2 * (2 * a1 - 1) * (2 * a1 + 1)
-    c3 = (a2 + a3) * (2 * a2 + 4 * a1 * a3 + 1 - 4 * a1 * a1)
+    return _quartic(*p.a, 1)
+
+
+def _quartic(a1, a2, a3, one) -> list:
+    """``quartic_coefficients`` homogenized by ``one``: at ``(A_i, D)`` with
+    ``A_i = D * a_i`` they are the coefficients at ``a`` times ``D**4``."""
+    o2, o3 = one * one, one * one * one
+    c4 = (a2 + a3) ** 2 * (2 * a1 - one) * (2 * a1 + one)
+    c3 = (a2 + a3) * (2 * a2 * o2 + 4 * a1 * a3 * one + o3 - 4 * a1 * a1 * one)
     c2 = (
-        2 * a1 * a1
-        + 2 * a3 * a3
-        - 8 * a1 * a2 * a2 * a3
-        - 2 * a2 * a2
-        - 8 * a1 * a1 * a2 * a3
-        - 2 * a2
-        - 8 * a1 * a2 * a3 * a3
-        - 2 * a1 * a3
-        - a1
-        - a3
-        - 8 * a1 * a1 * a3 * a3
+        2 * (a1 * a1 + a3 * a3 - a2 * a2 - a1 * a3) * o2 - (a1 + 2 * a2 + a3) * o3
+        - 8 * a1 * a2 * a3 * (a1 + a2 + a3) - 8 * a1 * a1 * a3 * a3
     )
-    c1 = (a1 + a2) * (4 * a1 * a3 + 2 * a2 + 1 - 4 * a3 * a3)
-    c0 = (2 * a3 - 1) * (2 * a3 + 1) * (a1 + a2) ** 2
+    c1 = (a1 + a2) * (4 * a1 * a3 * one + 2 * a2 * o2 + o3 - 4 * a3 * a3 * one)
+    c0 = (2 * a3 - one) * (2 * a3 + one) * (a1 + a2) ** 2
     return [c4, c3, c2, c1, c0]
 
 
@@ -252,112 +238,48 @@ def quartic_discriminant(p: Parameters) -> Scalar:
     return quartic_discriminant_coeffs(*quartic_coefficients(p))
 
 
-def _t_from_s(p: Parameters, s: Scalar) -> Scalar:
-    a1, a2, a3 = p.a
-    den = (a2 + a3) * s - (a1 + a2)
-    if den == 0:
-        raise ZeroDivisionError("degenerate ray parametrization")
-    num = 2 * a1 * (a2 + a3) * s * s + (a3 - a1) * s - 2 * a3 * (a1 + a2)
-    return num / den
-
-
 def solve_general(p: Parameters) -> list[EquilibriumRay]:
     """Rays for pairwise distinct parameters with sum != 1/2, via the quartic.
 
     Representatives keep the ``(1, t, s)`` parametrization (``convention
     "x1=1"``); a multiple root of the quartic is reported once, with its
-    exact multiplicity.
+    exact multiplicity.  The quartic and ``t`` are integers over the exact
+    (for floats, dyadic) parameters: in floats a tiny ``t`` near a face
+    ``a_i -> 1/2`` could come out negative.
     """
     a1, a2, a3 = p.a
     if a1 == a2 or a1 == a3 or a2 == a3:
         raise ValueError("general case expects pairwise distinct parameters")
     if p.s1 == Fraction(1, 2):
         raise ValueError("general case expects a1+a2+a3 != 1/2")
-    coeffs = quartic_coefficients(p)
+    a = tuple(map(Fraction, p.a))
+    d = math.lcm(*(v.denominator for v in a))
+    a1, a2, a3 = (v.numerator * (d // v.denominator) for v in a)
     rays = []
-    for s, mult in real_roots(coeffs):
+    for s, mult in real_roots(_quartic(a1, a2, a3, d)):
         if not 0 < s < math.inf:  # s = inf: x1 = x3/s is below the float range
             continue
-        try:
-            t = _t_from_s(p, s)
-        except ZeroDivisionError:
-            warnings.warn(
-                f"quartic root s={float(s):.17g} hits the degenerate parametrization",
-                CensusWarning,
-                stacklevel=2,
-            )
+        n, m = s.as_integer_ratio()
+        num = 2 * a1 * (a2 + a3) * n * n + (a3 - a1) * d * n * m - 2 * a3 * (a1 + a2) * m * m
+        den = ((a2 + a3) * n - (a1 + a2) * m) * d * m  # t = num / den
+        if den == 0:
+            warnings.warn(f"quartic root s={float(s):.17g} hits the degenerate parametrization", CensusWarning, 2)
             continue
-        if t <= 0:
+        if num * den <= 0:
             continue
-        rep = MetricPoint(1 if is_exact(s) else 1.0, t, s)
+        rep = MetricPoint(1, Fraction(num, den), s) if p.exact and is_exact(s) else MetricPoint(1.0, num / den, float(s))
         rays.append(EquilibriumRay(rep, FamilyTag.GENERAL_QUARTIC, mult, convention="x1=1"))
     return rays
 
 
 # ---------------------------------------------------------------------------
-# census by elimination, and the Newton polish of float rays
-
-
-def _jacobian(a1, a2, a3, x1, x2):
-    """Jacobian of the x3 = 1 equations with respect to ``(x1, x2)``."""
-    j11 = (a2 * x2 + a3) - 2 * (a1 * a2 + a1 * a3 + 2 * a2 * a3) * x1
-    j12 = (a2 + a3) * (2 * a1 * x2 - 1) + a2 * x1
-    j21 = (a1 + a3) * (2 * a2 * x1 - 1) + a1 * x2
-    j22 = (a1 * x1 + a3) - 2 * (a1 * a2 + 2 * a1 * a3 + a2 * a3) * x2
-    return j11, j12, j21, j22
-
-
-def _newton(a: tuple[float, ...], x1: float, x2: float, max_iter: int, tol: float):
-    """Damped Newton on the x3 = 1 equations from the float start ``(x1, x2)``.
-
-    The point stops moving once ``max|e| <= tol * (1 + max(x1, x2))**2``;
-    steps are shortened to keep iterates positive and halved (up to 8 times)
-    while they do not decrease the residual.  Returns the final iterate.
-    ``_max`` and ``_min`` propagate NaN like numpy's ``maximum`` and
-    ``minimum``, and the square is ``t * t``: the tests check the iterates
-    bit for bit against the same kernel written elementwise in numpy.
-    """
-    for _ in range(max_iter):
-        e1, e2 = equations(*a, x1, x2, 1.0)
-        norm = _max(abs(e1), abs(e2))
-        t = 1.0 + _max(x1, x2)
-        if not norm > tol * (t * t):
-            break
-        j11, j12, j21, j22 = _jacobian(*a, x1, x2)
-        det = j11 * j22 - j12 * j21
-        if not abs(det) > 1e-300:
-            break
-        s1 = -(j22 * e1 - j12 * e2) / det
-        s2 = -(-j21 * e1 + j11 * e2) / det
-        # keep iterates strictly positive
-        lam = 1.0
-        for xv, sv in ((x1, s1), (x2, s2)):
-            if sv < -0.9 * xv:
-                lam = _min(lam, -0.9 * xv / sv)
-        # backtrack while the damped full step does not decrease the residual
-        for _bt in range(8):
-            f1n, f2n = equations(*a, x1 + lam * s1, x2 + lam * s2, 1.0)
-            if not (_max(abs(f1n), abs(f2n)) > norm and lam > 1e-6):
-                break
-            lam = lam / 2
-        x1, x2 = x1 + lam * s1, x2 + lam * s2
-    return x1, x2
-
-
-def _max(x: float, y: float) -> float:
-    return x if x >= y or x != x else y
-
-
-def _min(x: float, y: float) -> float:
-    return x if x <= y or x != x else y
+# census by elimination
 
 
 def _census_layout():
-    """The two equations in the census chart, laid out once: for each
-    equation and each ``(i, j)``, the monomials ``(c, e1, e2, e3)`` of the
-    coefficient of ``x1**i * u**j``, which is ``sum(c * a1**e1 * a2**e2 *
-    a3**e3) / 9`` (the shear's 1/3 enters at most squared).  Every monomial
-    has degree 1 or 2 in the parameters."""
+    """The two equations in the census chart, laid out once: per equation and
+    ``(i, j)`` the monomials ``(c, e1, e2, e3)`` of the coefficient of ``x1**i
+    * u**j``, ``sum(c * a1**e1 * a2**e2 * a3**e3) / 9``, of degree 1 or 2."""
     a1, a2, a3, x1, u = (Poly.var(k, 5) for k in range(5))
     layout = []
     for e in equations(a1, a2, a3, x1, u - _SHEAR * x1, 1):
@@ -394,49 +316,113 @@ def _mul(f: list[int], g: list[int]) -> list[int]:
     return out
 
 
-def census(p: Parameters) -> list[tuple[float, float]]:
-    """The sorted positive solutions ``(x1, x2)`` of the x3 = 1 equations.
+def _hull(f: list[int], lo: int, hi: int, k: int) -> tuple[int, int]:
+    """Integer bounds on ``f(x) * 2**(2*k)`` over ``[lo/2**k, hi/2**k]`` for
+    ``f`` of degree at most 2 (lowest degree first), by interval Horner."""
+    a = b = f[2]
+    for j in (1, 0):
+        ends = (a * lo, a * hi, b * lo, b * hi)
+        c = f[j] << (k * (2 - j))
+        a, b = min(ends) + c, max(ends) + c
+    return a, b
 
-    In the chart ``x2 = u - x1/3`` both equations are quadratics in ``x1``
-    with constant leading terms; at each real root ``u`` of their resultant
-    (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*), the
-    solutions are the positive roots of the first that pass ``_RESIDUAL_TOL``.
-    An identically zero resultant, a curve of equilibria, raises ``ValueError``.
 
-    The arithmetic is in integers: ``_CENSUS_LAYOUT`` holds the monomials of
-    ``equations`` in that chart, and one common denominator of the ``a_i``
-    turns every coefficient into an ``int`` (``_census_rows``).  The
-    resultant and the quadratic at a root ``u = N/M`` (each coefficient times
-    ``M**2``) are positive multiples of the exact ones, so ``real_roots``
-    sees the same primitive polynomials.
+def _ray(num: list[int], den: list[int], factor: list[int], df: list[int], root: tuple[int, int, int]):
+    """``x1 = -num(u)/den(u)`` and ``x2 = u - x1/3 = (num + 3 u den) / (3
+    den)``, free of cancellation, correctly rounded at the root ``u`` of
+    ``factor`` in its isolating interval ``root`` (Ziv's loop: refine it,
+    enclose the coordinates by interval Horner, double the precision until
+    each enclosure rounds to one float), or ``None`` for a ray that is not
+    positive or leaves the float range."""
+    num2 = [num[0], num[1] + 3 * den[0], num[2] + 3 * den[1]]
+    bits = float_bits(factor)
+    lo, hi, k = root
+    for doubling in range(_MAX_DOUBLINGS + 1):
+        hi, k = _refine(factor, df, lo, hi, k, bits)
+        lo = hi - 1
+        dens = _hull(den, lo, hi, k)
+        if dens[0] > 0 or dens[1] < 0:
+            try:  # the floats the corners round to: int/int rounds correctly
+                x1 = {-v / w for v in _hull(num, lo, hi, k) for w in dens}
+                x2 = {v / (3 * w) for v in _hull(num2, lo, hi, k) for w in dens}
+            except OverflowError:
+                return None
+            if not (max(x1) > 0 and max(x2) > 0):
+                return None
+            if len(x1) == len(x2) == 1 or doubling == _MAX_DOUBLINGS:
+                return min(x1), min(x2)
+        bits *= 2
+    return None
+
+
+def _on_line(rows: list[list[list[int]]], u: Fraction, mult: int):
+    """The rays at a root ``u`` of the resultant where ``l(u) = m(u) = 0``:
+    the roots ``x1`` of the first equation that does not vanish on the line,
+    exact when rational.  A lone root takes the multiplicity of ``u``; two
+    take 1 each, as on the double root ``u = 5/3`` at ``3/10, 1/10, 1/10``."""
+    num, den = u.numerator, u.denominator
+    u_pow = [den * den, num * den, num * num]
+    for eq in rows:
+        quadratic = [sum(c * w for c, w in zip(row, u_pow)) for row in eq][::-1]
+        if any(quadratic):
+            break
+    roots = [r for r, _mult in real_roots(quadratic)]
+    out = []
+    for r in roots:
+        x2 = u - _SHEAR * Fraction(r)
+        if 0 < r < math.inf and x2 > 0:
+            out.append((r, x2 if is_exact(r) else float(x2), mult if len(roots) == 1 else 1))
+    return out
+
+
+def census(p: Parameters) -> list[tuple[Scalar, Scalar, int]]:
+    """The positive solutions of the x3 = 1 equations, sorted, as ``(x1, x2,
+    multiplicity)``.
+
+    In the chart ``x2 = u - x1/3`` both equations are ``p*x1**2 + b(u)*x1 +
+    c(u)`` with constant ``p``, with integer coefficients from
+    ``_census_rows``.  Eliminating ``x1**2`` gives ``l(u)*x1 + m(u) = 0``,
+    and their resultant ``m**2 + l*n`` (Basu, Pollack and Roy) is the only
+    polynomial solved: a real root ``u`` with ``l(u) != 0`` carries exactly
+    one solution, ``x1 = -m(u)/l(u)`` (a rational univariate representation,
+    Rouillier 1999), of intersection multiplicity that of ``u``.  A rational
+    ``u`` gives ``Fraction``s (rounded once for float parameters), any other
+    ``u`` correctly rounded floats from ``_ray``.  Where ``l(u) = m(u) = 0``,
+    as at ``1/4, 1/4, 1/4``, ``_on_line`` solves one equation on the line
+    ``u``.  A curve of equilibria (zero resultant) raises ``ValueError``.
     """
     a = tuple(map(Fraction, p.a))
     (c1, b1, (p1,)), (c2, b2, (p2,)) = rows = _census_rows(a)
-    # e = p*x1**2 + b*x1 + c with constant p, linear b and quadratic c in u,
-    # each lowest degree first
+    # e = p*x1**2 + b*x1 + c: constant p, linear b, quadratic c in u, lowest degree first
     m = [p1 * v2 - p2 * v1 for v1, v2 in zip(c1, c2)]
-    l = [p1 * v2 - p2 * v1 for v1, v2 in zip(b1, b2)]
+    l = [p1 * v2 - p2 * v1 for v1, v2 in zip(b1, b2)] + [0]
     n = [x - y for x, y in zip(_mul(b2, c1), _mul(b1, c2))]
-    res = [x + y for x, y in zip(_mul(m, m), _mul(l, n))] if p1 or p2 else n  # else two linear equations
+    if p1 or p2:
+        res = [x + y for x, y in zip(_mul(m, m), _mul(l[:2], n))]
+    else:  # two linear equations: x1 = -c/b from one with b != 0
+        res = n
+        m, l = (c1, b1 + [0]) if any(b1) else (c2, b2 + [0])
     if not any(res):
         raise ValueError(f"the equilibria form a curve for a={tuple(map(float, p.a))}")
-    fa = tuple(float(v) for v in a)
-    out: list[tuple[float, float]] = []
-    for v, _mult in real_roots(res[::-1]):
-        if not abs(v) < math.inf:  # a root beyond the float range
-            continue
-        # exact: the roots of a nearly double quadratic are ill-conditioned
-        num, den = v.as_integer_ratio()
-        u_pow = [den * den, num * den, num * num]
-        quadratic = [sum(c * w for c, w in zip(row, u_pow)) for row in rows[0]][::-1]
-        v = Fraction(num, den)
-        for r, _mult in real_roots(quadratic):
-            if not 0 < r < math.inf:
-                continue
-            pt = (float(r), float(v - _SHEAR * Fraction(r)))
-            fits = max(map(abs, equations(*fa, *pt, 1.0))) <= _RESIDUAL_TOL * (1 + max(pt)) ** 2
-            if pt[1] > 0 and fits and not any(_close(q, pt) for q in out):
-                out.append(pt)
+    while not res[-1]:
+        res.pop()
+    out = []
+    for root, mult, factor, df in root_brackets(res[::-1]) if len(res) > 1 else ():
+        if factor is None and l[0] + l[1] * root:
+            x1 = -(m[0] + (m[1] + m[2] * root) * root) / (l[0] + l[1] * root)
+            if x1 > 0 and root - _SHEAR * x1 > 0:
+                out.append((x1, root - _SHEAR * x1, mult))
+        elif factor is not None and any(l):
+            ray = _ray(m, l, factor, df, root)
+            out += [(*ray, mult)] if ray else []
+        else:  # l(u) = m(u) = 0; l vanishes identically only for a negative a_i,
+            # and an irrational u is then rounded to within 2**-55
+            if factor is not None:
+                top, k = _refine(factor, df, *root, float_bits(factor))
+                root = Fraction(top, 1 << k)
+            out += _on_line(rows, root, mult)
+    if not p.exact:
+        out = [(float(x1), float(x2), mult) for x1, x2, mult in out]
     return sorted(out)
 
 
@@ -472,61 +458,50 @@ def _dispatch_closed_form(p: Parameters) -> list[EquilibriumRay] | None:
 
 
 def solve_all(p: Parameters) -> list[EquilibriumRay]:
-    """All equilibrium rays: closed-form case results merged against the
-    independent ``census``, polished and deduplicated.
-
-    Emits a ``CensusWarning`` when the two routes disagree, and when a
-    parameter triple in (0, 1/2]^3 yields a count outside 1..4.  A float
-    closed-form ray that the census does not confirm and that is no
-    equilibrium at the float parameters is dropped.
-    """
+    """The rays of ``census``, values and multiplicities, labelled by the
+    closed forms: each closed-form ray (but one within ``_DEDUP_RTOL`` of an
+    earlier one) labels the nearest unlabelled census ray within
+    ``_LABEL_RTOL``, keeping its representative if exact (it must equal the
+    census ray), or else taking the census value in convention ``"x3=1"``.
+    Unlabelled census rays are ``NUMERIC``, and closed-form rays that label
+    none are dropped.  ``CensusWarning`` marks a disagreement, and a count
+    outside 1..4 for parameters in (0, 1/2]^3."""
     try:
-        closed = _dispatch_closed_form(p) or []
+        closed = _dispatch_closed_form(p)
     except (ValueError, ZeroDivisionError):
-        closed = []
-
-    # polish the float closed-form rays, keeping their order
-    a = tuple(float(v) for v in p.a)
-    polished = [
-        ray if ray.rep.exact
-        else replace(ray, rep=MetricPoint(*_newton(a, *ray.key(), 40, 1e-15), 1.0), convention="x3=1")
-        for ray in closed
-    ]
-
-    # drop closed-form coincidences (distinct families can share a ray)
-    merged: list[tuple[tuple[float, float], EquilibriumRay]] = []
-    for ray in polished:
-        key = ray.key()
-        if not any(_close(key, other) for other, _ in merged):
-            merged.append((key, ray))
-
+        closed = None
     numeric = census(p)
-    unmatched = [not any(_close(key, pt, rtol=1e-5) for pt in numeric) for key, _ in merged]
-    extra = [pt for pt in numeric if not any(_close(key, pt, rtol=1e-5) for key, _ in merged)]
-    if closed and (extra or any(unmatched)):
-        warnings.warn(
-            f"closed-form census ({len(merged)} rays) and numeric census "
-            f"({len(numeric)} roots) disagree for a={tuple(map(float, p.a))}",
-            CensusWarning,
-            stacklevel=2,
-        )
-    merged = [
-        (key, ray) for (key, ray), lone in zip(merged, unmatched)
-        if ray.rep.exact or not lone
-        or _residual_fits(equations(*a, *ray.rep.x), ray.rep.x)
+    keys = [(float(x1), float(x2)) for x1, x2, _mult in numeric]
+    labels: list[EquilibriumRay | None] = [None] * len(numeric)
+    seen: list[tuple[float, float]] = []
+    agree = True
+    for ray in closed or []:
+        key = ray.key()
+        if any(_close(key, other) for other in seen):
+            continue
+        seen.append(key)
+        near = [i for i, k in enumerate(keys) if labels[i] is None and _close(key, k, rtol=_LABEL_RTOL)]
+        if not near:
+            agree = False
+            continue
+        i = min(near, key=lambda i: max(abs(u - v) / (1 + abs(u)) for u, v in zip(key, keys[i])))
+        x1, x2, mult = numeric[i]
+        if ray.rep.exact:
+            agree &= ray.rep_x3one().x[:2] == (x1, x2)
+            labels[i] = replace(ray, multiplicity=mult)
+        else:
+            labels[i] = replace(ray, rep=MetricPoint(x1, x2, 1.0), multiplicity=mult, convention="x3=1")
+    rays = [
+        label or EquilibriumRay(MetricPoint(x1, x2, 1 if is_exact(x1) else 1.0), FamilyTag.NUMERIC, mult)
+        for (x1, x2, mult), label in zip(numeric, labels)
     ]
-    for x1, x2 in extra:
-        ray = EquilibriumRay(MetricPoint(x1, x2, 1.0), FamilyTag.NUMERIC)
-        merged.append((ray.key(), ray))
-
-    merged.sort(key=lambda kr: kr[0])
-    if p.wallach_range and not 1 <= len(merged) <= 4:
-        warnings.warn(
-            f"census count {len(merged)} outside 1..4 for parameters in (0,1/2]^3",
-            CensusWarning,
-            stacklevel=2,
-        )
-    return [ray for _, ray in merged]
+    if closed is not None and not (agree and all(labels)):
+        warnings.warn(f"closed-form census ({len(seen)} rays) and numeric census ({len(numeric)} roots) "
+                      f"disagree for a={tuple(map(float, p.a))}", CensusWarning, 2)
+    rays.sort(key=EquilibriumRay.key)
+    if p.wallach_range and not 1 <= len(rays) <= 4:
+        warnings.warn(f"census count {len(rays)} outside 1..4 for parameters in (0,1/2]^3", CensusWarning, 2)
+    return rays
 
 
 def scale_to_log_volume(p: Parameters, x: MetricPoint, log_v: float = 0.0) -> MetricPoint:

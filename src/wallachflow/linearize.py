@@ -62,6 +62,8 @@ SIGMA_ZERO_S_HIGH = math.sqrt(2.0) / 2.0
 # Dimensionless degeneracy threshold; below it a float classification is
 # flagged near-degenerate instead of being trusted as an exact sign.
 _NEAR_DEGENERATE_TOL = 1e-9
+# Residual over ``(1 + max |x_i|)^2`` up to which a point is an equilibrium.
+_EQUILIBRIUM_RESIDUAL_TOL = 1e-8
 
 
 class PointKind(enum.Enum):
@@ -333,7 +335,7 @@ def linearize_at(p: Parameters, point) -> Linearization:
     rho and delta but never their signs.
     """
     # deferred: equilibria imports flow too
-    from .equilibria import _residual_fits, equations, residual
+    from .equilibria import equations, residual
 
     x = point.rep if hasattr(point, "rep") else point
     # an exact ray is checked with the laid-out equations, in integers
@@ -345,7 +347,8 @@ def linearize_at(p: Parameters, point) -> Linearization:
         r1, r2 = equations(*map(float, p.a), *map(float, x.x))
     else:
         r1, r2 = residual(p, x)
-    if not _residual_fits((r1, r2), x.x):
+    scale = (1 + max(abs(float(v)) for v in x.x)) ** 2
+    if max(abs(float(r1)), abs(float(r2))) > _EQUILIBRIUM_RESIDUAL_TOL * scale:
         raise ValueError(
             f"point {tuple(float(v) for v in x.x)} is not an equilibrium "
             f"(residual {float(r1):.3e}, {float(r2):.3e})"

@@ -1,0 +1,58 @@
+"""The BENCH recorder (``bench/record.py``): its work counters at the
+benchmark's TINY sizes, which count calls and so are the same on every
+host, and its comparison of two BENCH files."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+record = _load("bench_record", ROOT / "bench" / "record.py")
+workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+
+
+def _counters(census, real_roots, linearize_at, field_components, field_evals=0, accepted=0, rejected=0):
+    return {
+        "equilibria.census": census,
+        "_poly.real_roots": real_roots,
+        "linearize.linearize_at": linearize_at,
+        "flow.field_components": field_components,
+        "flow.field_evals": field_evals,
+        "flow.steps_accepted": accepted,
+        "flow.steps_rejected": rejected,
+    }
+
+
+@pytest.mark.parametrize("name, counters, replayed, skipped", [
+    # the --threads 2 scan runs in pool workers and is skipped
+    ("scan", _counters(9, 1, 24, 0), 1, 1),
+    # field_components: the blowup report
+    ("analyze", _counters(14, 11, 35, 3), 15, 0),
+    ("flow", _counters(8, 4, 0, 2030, 2030, 337, 0), 8, 0),
+])
+def test_tiny_counters(name, counters, replayed, skipped):
+    calls = [{"argv": c.argv, "threads": c.threads} for c in workloads.WORKLOADS[name](1, workloads.TINY)]
+    got = record.replay(calls)
+    assert got == {"counters": counters, "replayed_calls": replayed, "skipped_calls": skipped}
+
+
+def test_compare_prints_ratios():
+    old = {"commit": "a", "workloads": {"scan": {"metrics": {"pass_ref_s": 0.2}, "counters": {"x": 4, "y": 0}}}}
+    new = {"commit": "b", "workloads": {"scan": {"metrics": {"pass_ref_s": 0.1}, "counters": {"x": 2, "y": 0}},
+                                        "flow": {"metrics": {}, "counters": {}}}}
+    lines = record.compare(old, new)
+    assert lines[0] == "# a -> b"
+    assert [line.split()[0] for line in lines[1:]] == ["scan.pass_ref_s", "scan.x", "scan.y"]
+    assert [line.split()[-1] for line in lines[1:]] == ["x0.500", "x0.500", "x-"]

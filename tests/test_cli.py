@@ -41,6 +41,18 @@ class TestAnalyze:
         assert payload["equilibria"][0]["classification"] == "degenerate"
         assert any("blowup" in n for n in payload["notes"])
 
+    @pytest.mark.parametrize("triple, ray, mult", [
+        ("5/24,5/24,1/6", ["3/4", "3/4", "1/1"], 2),
+        ("1/8,1/8,17/56", ["2/1", "2/1", "1/1"], 3),
+    ])
+    def test_unresolved_degenerate_ray_does_not_mention_blowup(self, triple, ray, mult, capsys):
+        # `blowup` resolves 1/4,1/4,1/4 only
+        assert cli.main(["analyze", "--a", triple, "--exact"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        (degenerate,) = [e for e in payload["equilibria"] if e["classification"] == "degenerate"]
+        assert degenerate["x3_one"] == ray and degenerate["multiplicity"] == mult
+        assert payload["notes"] == ["degenerate equilibrium: the type of this ray is not resolved"]
+
     def test_double_root_census(self):
         proc = run_cli(["analyze", "--a", "5/36,1/6,1/4"])
         payload = json.loads(proc.stdout)
@@ -60,11 +72,13 @@ class TestAnalyze:
         assert [e["multiplicity"] for e in payload["equilibria"]] == multiplicities
 
     def test_spurious_closed_form_rays_are_dropped(self, capsys):
-        # the general quartic gives three float rays here, two of them with
-        # residuals of about 0.23 and -0.46, which the census does not find;
-        # this once exited 3 when linearize_at refused them
+        # the general quartic in float coefficients gave three float rays
+        # here, two of them with residuals of about 0.23 and -0.46, which the
+        # census does not find; this once exited 3 when linearize_at refused
+        # them.  The quartic of the dyadic parameters, in integers, has the
+        # one ray only
         from wallachflow.core import Parameters
-        from wallachflow.equilibria import solve_all
+        from wallachflow.equilibria import solve_all, solve_general
 
         assert cli.main(["analyze", "--a", "0.49999999,0.03333333333333333,0.5"]) == 0
         rays = json.loads(capsys.readouterr().out)["equilibria"]
@@ -73,8 +87,11 @@ class TestAnalyze:
         (ref,) = solve_all(exact)
         for got, want in zip(rays[0]["x3_one"], ref.rep_x3one().x):
             assert abs(got - float(want)) <= 1e-8 * float(want)
-        with pytest.warns(CensusWarning, match="disagree"):
-            assert len(solve_all(Parameters(0.49999999, 0.03333333333333333, 0.5))) == 1
+        p = Parameters(0.49999999, 0.03333333333333333, 0.5)
+        assert len(solve_general(p)) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CensusWarning)
+            assert len(solve_all(p)) == 1
 
     def test_decimal_under_exact_warns(self):
         proc = run_cli(["analyze", "--a", "0.2,0.3,0.4", "--exact"])
@@ -383,11 +400,11 @@ class TestPinnedOutputs:
         (["--threads", "1", "scan", "--n", "9"],
          "54bd27613a37501228c1674b53a8bc2b55027321a6411b4c9852a472c2b9207e"),
         (["analyze", "--a", "1/6,1/4,1/3", "--exact"],
-         "4cffb0a118239e139312996e1b53437dff73b68cb876a8c189157d7294894659"),
+         "98fc3fb339e3bf3bb11ebf2f6cc70273f1397394478529fca591e7c39fd9f139"),
         (["analyze", "--a", "13/97,17/89,23/101", "--exact"],
-         "8cf2e89ad03bd8c5cfe3cc7f35b9ba21afdcbad9db786320f4b97c7f0fcc94fb"),
+         "0cfa2e5af552efea5371e8de82991f52a414301986ebcc7e8bf5866b5f2776c3"),
         (["analyze", "--a", "2/17,1/8,2/17", "--exact"],
-         "4b08bcc1edc0bcf801ed67c661a3322844a4a0d9cfe2de7bf803ab58123560dd"),
+         "8de1fd15191938d7bce6d56e4f98d43f608f4d003b7915bebfb35c8b5e616351"),
     ], ids=["scan-9", "analyze-reference", "analyze-large-coefficients", "analyze-near-focus"])
     def test_output_bits_are_pinned(self, argv, digest, capsys):
         # SHA-256 of stdout: every census root, rounded once, shows in it

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from wallachflow._poly import Poly
 from wallachflow.core import Parameters
-from wallachflow.equilibria import _RESIDUAL_TOL, CensusWarning, census, residual, solve_all
+from wallachflow.equilibria import CensusWarning, census, residual, solve_all
 from wallachflow.flow import MetricPoint
 from wallachflow.linearize import _g_form, _laid_out_forms, f1, f2, linearize_at
 from wallachflow.surfaces import census_kinds, component_classify
 
 HALF = Fraction(1, 2)
+# residual of a ray, relative to (1 + max(x1, x2))^2, that its rounding allows
+RESIDUAL_TOL = 1e-12
 
 value = st.fractions(min_value=Fraction(1, 60), max_value=HALF, max_denominator=60)
 near_half = st.builds(lambda k: HALF - Fraction(1, 10**k), st.integers(3, 12))
@@ -54,7 +56,7 @@ def test_census_rays_and_labels_over_the_closed_cube(a):
     for ray in rays:
         x1, x2, _ = (Fraction(v) for v in ray.rep_x3one().x)
         e = residual(p, MetricPoint(x1, x2, 1))
-        assert max(abs(float(v)) for v in e) <= _RESIDUAL_TOL * (1 + float(max(x1, x2))) ** 2, (a, ray)
+        assert max(abs(float(v)) for v in e) <= RESIDUAL_TOL * (1 + float(max(x1, x2))) ** 2, (a, ray)
 
     kinds = census_kinds(p, rays)
     label = component_classify(p, rays)

@@ -1,27 +1,25 @@
+import itertools
 import math
 import random
 import warnings
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_closed_cube import triples as closed_cube_triples
 from wallachflow import equilibria as eq_mod
 from wallachflow._poly import Series2, real_roots
 from wallachflow.core import Parameters
 from wallachflow.equilibria import (
-    _RESIDUAL_TOL,
     _SHEAR,
     CensusWarning,
+    EquilibriumRay,
     FamilyTag,
-    _close,
     _dispatch_closed_form,
-    _jacobian,
-    _newton,
     census,
     equations,
     normalize_unit_volume,
@@ -34,6 +32,7 @@ from wallachflow.equilibria import (
     solve_two_equal,
 )
 from wallachflow.flow import MetricPoint, field_components, log_volume
+from wallachflow.linearize import linearize_at
 from wallachflow.surfaces import cube_grid
 
 wallach = st.fractions(
@@ -84,9 +83,9 @@ class TestSingleSource:
         )
 
     def test_float_closed_form_rays_are_polished(self):
-        # every float closed-form ray leaves the polish at the 1e-15 scaled
-        # residual, which is tighter than the census tolerance; a quarter of
-        # the triples lie near a face a_i -> 1/2, where the quartic has a
+        # every float closed-form ray takes the correctly rounded census ray
+        # it labels, whose float residual is within 1e-15 scaled; a quarter
+        # of the triples lie near a face a_i -> 1/2, where the quartic has a
         # huge root that the census must find as well, and only two equal
         # parameters give a multiple ray
         rng = np.random.default_rng(2013)
@@ -284,15 +283,21 @@ class TestSolveGeneral:
         assert len(rays) == 1
         assert abs(rays[0].key()[0] - 2.388049347) < 1e-8
 
-    def test_exact_triple_near_two_faces_has_no_ray(self):
+    def test_exact_triple_near_two_faces_has_one_tiny_ray(self):
         # near the edge (1/2, 1/2, 1/3), where 8c^2 < 1 leaves no ray; the
-        # quartic's primitive coefficients have 1001 to 1401 digits
+        # quartic's primitive coefficients have 1001 to 1401 digits.  One ray
+        # is left near the edge, with x2 about 2 (1/2 - a2) = 2e-300 (a
+        # 3000-bit mpmath findroot gives x1 = 1 + 4e-601 and x2 = (2 +
+        # 3.6e-300) 1e-300); both routes keep it only because they divide
+        # exact values
         half = Fraction(1, 2)
         p = Parameters(half - Fraction(1, 10**400), half - Fraction(1, 10**300), Fraction(1, 3))
-        assert solve_general(p) == []
-        assert census(p) == []
-        with pytest.warns(CensusWarning, match="count 0"):
-            assert solve_all(p) == []
+        assert [r.key() for r in solve_general(p)] == [(1.0, 2e-300)]
+        assert census(p) == [(1.0, 2e-300, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CensusWarning)
+            (ray,) = solve_all(p)
+        assert ray.family_tag is FamilyTag.GENERAL_QUARTIC and ray.rep.x == (1.0, 2e-300, 1.0)
 
 
 class TestSolveAll:
@@ -358,11 +363,26 @@ class TestSolveAll:
                 rays = solve_all(Parameters(a1, a2, a3))
                 assert len(rays) == 4
 
+    def test_unconfirmed_closed_form_rays(self):
+        # a closed-form ray that no census ray confirms is dropped, and the
+        # disagreement warns; so does a closed form that finds no ray
+        p = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3))
+        closed, want = _dispatch_closed_form(p), solve_all(p)
+        for x in ((3.0, 0.5, 1.0), (Fraction(3), Fraction(1, 2), 1)):
+            stray = EquilibriumRay(MetricPoint(*x), FamilyTag.GENERAL_QUARTIC)
+            with mock.patch.object(eq_mod, "_dispatch_closed_form", lambda _p: closed + [stray]):
+                with pytest.warns(CensusWarning, match="disagree"):
+                    assert solve_all(p) == want
+        with mock.patch.object(eq_mod, "_dispatch_closed_form", lambda _p: []):
+            with pytest.warns(CensusWarning, match="disagree"):
+                assert [r.family_tag for r in solve_all(p)] == [FamilyTag.NUMERIC] * 2
+
     def test_census_alone_finds_every_ray(self):
         p = Parameters(Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))
         points = census(p)
-        assert points == [(0.5, 0.5), (1.0, 1.0), (1.0, 2.0), (2.0, 1.0)]
-        assert all(residual(p, MetricPoint(Fraction(x1), Fraction(x2), 1)) == (0, 0) for x1, x2 in points)
+        assert points == [(0.5, 0.5, 1), (1, 1, 1), (1, 2, 1), (2, 1, 1)]
+        assert all(isinstance(v, Fraction) for pt in points for v in pt[:2])
+        assert all(residual(p, MetricPoint(x1, x2, 1)) == (0, 0) for x1, x2, _ in points)
 
     @pytest.mark.parametrize("a, count", [
         ((0.30807717, 0.1924551, 0.49860776), 2),
@@ -383,6 +403,10 @@ class TestSolveAll:
         # a perturbation puts two nearly equal roots on the resultant
         p = Parameters(*(v * (1 + 2**-50) for v in (0.3, 0.1, 0.1)))
         assert len(census(p)) == 4
+        # exactly, both rays lie on the line of the double root u = 5/3
+        exact = census(Parameters(Fraction(3, 10), Fraction(1, 10), Fraction(1, 10)))
+        assert exact == [(Fraction(1, 3), Fraction(2, 3), 1), (Fraction(1, 2), 1, 1),
+                         (Fraction(1, 2), Fraction(3, 2), 1), (2, 1, 1)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", CensusWarning)
             assert len(solve_all(p)) == 4
@@ -402,8 +426,23 @@ class TestSolveAll:
         # here both equations lose their x1**2 term in the chart of the
         # census, so the resultant is that of two linear equations
         p = Parameters(Fraction(-1, 5), Fraction(1, 5), Fraction(-7, 50))
-        (x1, x2), = census(p)
+        (x1, x2, _mult), = census(p)
         assert abs(x1 - 1.0175542754065698) < 1e-14 and abs(x2 - 0.6175542754065698) < 1e-14
+
+    @pytest.mark.parametrize("a, ray", [
+        ((Fraction(1), Fraction(1, 3), Fraction(-5, 6)), (Fraction(9, 8), Fraction(1, 8))),
+        ((Fraction(83, 90), Fraction(1, 10), Fraction(-5, 6)), (1.4512601006023367, 0.140783384036625)),
+    ])
+    def test_census_where_the_eliminated_equation_is_constant(self, a, ray):
+        # with a3 = -5/6 and a1 = a2/3 + 8/9, l vanishes identically and the
+        # eliminated equation is m(u) = 0: the rays lie on the lines of its
+        # roots, a rational and an irrational one here
+        p = Parameters(*a)
+        ((x1, x2, mult),) = census(p)
+        assert mult == 1
+        assert abs(x1 - ray[0]) <= 1e-15 * ray[0] and abs(x2 - ray[1]) <= 1e-14 * ray[1]
+        e = residual(p, MetricPoint(Fraction(x1), Fraction(x2), 1))
+        assert max(map(abs, e)) <= 1e-15
 
     @pytest.mark.parametrize("a", [
         (Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2)),
@@ -421,9 +460,18 @@ class TestSolveAll:
             solve_all(p)
 
 
+def _mpf(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
 def _series_census(p):
-    """The census as it was built over ``Series2``: the resultant and the
-    quadratic at each root term by term in ``Fraction``s."""
+    """The census rebuilt apart from the integer layout: ``m``, ``l`` and the
+    resultant ``m**2 + l*n`` over ``Series2`` in ``Fraction``s, its real
+    roots and their multiplicities by ``real_roots``, each irrational root
+    refined to 400 bits by mpmath (Newton's step times the multiplicity),
+    and ``x1 = -m(u)/l(u)``, ``x2 = u - x1/3`` rounded once.  Where ``l(u) =
+    0`` the rays are the roots of the first equation on the line ``u``; in
+    the triples checked here such a line holds one ray at most."""
     x1, u = Series2.var(0), Series2.var(1)
     e1, e2 = equations(*map(Fraction, p.a), x1, u - _SHEAR * x1, 1)
     (p1, b1, c1), (p2, b2, c2) = (
@@ -431,32 +479,51 @@ def _series_census(p):
     )
     m, l, n = p1 * c2 - p2 * c1, p1 * b2 - p2 * b1, b2 * c1 - b1 * c2
     res = m * m + l * n if p1.c or p2.c else n
+    if not (p1.c or p2.c):  # two linear equations: x1 = -c/b from one of them
+        m, l = (c1, b1) if b1.c else (c2, b2)
     coeffs = [res.coeff(0, j) for j in range(4, -1, -1)]
     if not any(coeffs):
         raise ValueError("the equilibria form a curve")
-    a = tuple(float(v) for v in p.a)
     out = []
-    for v, _mult in real_roots(coeffs):
+    for v, mult in real_roots(coeffs):
         if not abs(v) < math.inf:
             continue
-        v = Fraction(v)
-        for r, _mult in real_roots([sum(e1.coeff(i, j) * v**j for j in range(3 - i)) for i in (2, 1, 0)]):
-            if not 0 < r < math.inf:
-                continue
-            pt = (float(r), float(v - _SHEAR * Fraction(r)))
-            fits = max(map(abs, equations(*a, *pt, 1.0))) <= _RESIDUAL_TOL * (1 + max(pt)) ** 2
-            if pt[1] > 0 and fits and not any(_close(q, pt) for q in out):
-                out.append(pt)
+        if isinstance(v, Fraction):
+            lv = sum(l.coeff(0, j) * v**j for j in range(2))
+            if lv == 0:
+                quads = [[sum(e.coeff(i, j) * v**j for j in range(3 - i)) for i in (2, 1, 0)] for e in (e1, e2)]
+                quad = quads[0] if any(quads[0]) else quads[1]
+                pts = [(r, v - _SHEAR * Fraction(r)) for r, _m in real_roots(quad)]
+            else:
+                r = -sum(m.coeff(0, j) * v**j for j in range(3)) / lv
+                pts = [(r, v - _SHEAR * r)]
+        else:
+            with mpmath.workprec(400):
+                f = [_mpf(c) for c in coeffs]
+                df = [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]
+                w = mpmath.mpf(v)
+                for _ in range(12):
+                    fw = mpmath.polyval(f, w)
+                    if not fw:
+                        break
+                    w -= mult * fw / mpmath.polyval(df, w)
+                mw, lw = (sum(_mpf(s.coeff(0, j)) * w**j for j in range(3)) for s in (m, l))
+                r = -mw / lw
+                pts = [(float(r), float(w - r / 3))]
+        for r, x2 in pts:
+            if 0 < r < math.inf and 0 < x2 < math.inf:
+                out.append((r, x2, mult) if p.exact else (float(r), float(x2), mult))
     return sorted(out)
 
 
 def _float_bits(points):
-    return [tuple((type(v), v.hex()) for v in pt) for pt in points]
+    return [(*((type(v), v.hex() if isinstance(v, float) else v) for v in pt[:2]), pt[2]) for pt in points]
 
 
 class TestCensusParity:
     """The integer census returns what the ``Series2`` construction
-    returns, to the last bit of every coordinate."""
+    returns: the same exact rays, the same multiplicities, and float
+    coordinates to the last bit."""
 
     def _check(self, triples):
         for a in triples:
@@ -525,128 +592,99 @@ class TestNormalizeUnitVolume:
         assert normalize_unit_volume(p, ray).x == (1, 1, 1)
 
 
-def _numpy_newton(a, x1, x2, max_iter, tol):
-    """``_newton`` written elementwise over numpy arrays of starts, which it
-    polishes in one call: the bit-for-bit reference for the scalar kernel."""
-    for _ in range(max_iter):
-        e1, e2 = equations(*a, x1, x2, 1.0)
-        norm = np.maximum(np.abs(e1), np.abs(e2))
-        scale = (1.0 + np.maximum(x1, x2)) ** 2
-        active = norm > tol * scale
-        if not np.any(active):
-            break
-        j11, j12, j21, j22 = _jacobian(*a, x1, x2)
-        det = j11 * j22 - j12 * j21
-        ok = active & (np.abs(det) > 1e-300)
-        det_safe = np.where(ok, det, 1.0)
-        s1 = -(j22 * e1 - j12 * e2) / det_safe
-        s2 = -(-j21 * e1 + j11 * e2) / det_safe
-        s1 = np.where(ok, s1, 0.0)
-        s2 = np.where(ok, s2, 0.0)
-        lam = np.ones_like(x1)
-        for xv, sv in ((x1, s1), (x2, s2)):
-            bad = sv < -0.9 * xv
-            lam = np.where(bad, np.minimum(lam, -0.9 * xv / np.where(bad, sv, -1.0)), lam)
-        for _bt in range(8):
-            n1, n2 = x1 + lam * s1, x2 + lam * s2
-            f1n, f2n = equations(*a, n1, n2, 1.0)
-            new_norm = np.maximum(np.abs(f1n), np.abs(f2n))
-            worse = ok & (new_norm > norm) & (lam > 1e-6)
-            if not np.any(worse):
-                break
-            lam = np.where(worse, lam / 2, lam)
-        x1 = np.where(ok, x1 + lam * s1, x1)
-        x2 = np.where(ok, x2 + lam * s2, x2)
-    return x1, x2
+class TestMultiplicity:
+    """The multiplicity of a ray is that of its root in the census
+    resultant, which is its intersection multiplicity."""
 
+    @pytest.mark.parametrize("a, ray, mult", [
+        # on Omega with grad Q = 0: the off-diagonal pair merges into the
+        # diagonal ray, a triple root u = 8/3 of the resultant
+        ((Fraction(1, 8), Fraction(1, 8), Fraction(17, 56)), (2, 2), 3),
+        # all four rays merge: u = 4/3 has multiplicity 4
+        ((Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)), (1, 1), 4),
+        # D1 = 0: a double diagonal ray
+        ((Fraction(5, 24), Fraction(5, 24), Fraction(1, 6)), (Fraction(3, 4), Fraction(3, 4)), 2),
+    ])
+    def test_degenerate_rays(self, a, ray, mult):
+        p = Parameters(*a)
+        (got,) = [r for r in solve_all(p) if r.rep_x3one().x[:2] == ray]
+        assert got.rep.exact and got.multiplicity == mult
+        assert linearize_at(p, got.as_x3one()).delta == 0
 
-def _ray_bits(rays):
-    return [
-        (r.family_tag, r.multiplicity, r.convention,
-         tuple(v.hex() if isinstance(v, float) else repr(v) for v in r.rep.x))
-        for r in rays
-    ]
+    def test_double_root_of_the_general_quartic(self):
+        rays = solve_all(Parameters(Fraction(5, 36), Fraction(1, 6), Fraction(1, 4)))
+        assert [r.multiplicity for r in rays] == [1, 1, 2]
 
-
-def _reference_solve_all(p):
-    """``solve_all`` with every float closed-form ray polished by
-    ``_numpy_newton`` in one call."""
-    try:
-        closed = _dispatch_closed_form(p) or []
-    except (ValueError, ZeroDivisionError):
-        closed = []
-    starts = [ray.key() for ray in closed if not ray.rep.exact]
-    table = {}
-    if starts:
-        keys = np.array(starts)
-        x1, x2 = _numpy_newton(tuple(float(v) for v in p.a), keys[:, 0], keys[:, 1], 40, 1e-15)
-        table = {k: (float(u), float(v)) for k, u, v in zip(starts, x1, x2)}
-    with mock.patch.object(eq_mod, "_newton", lambda a, u, v, *_: table[(u, v)]):
-        return solve_all(p)
-
-
-def _outcome(solve, p):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CensusWarning)
-        try:
-            return _ray_bits(solve(p))
-        except ValueError as exc:
-            return repr(exc)
-
-
-class TestNewtonParity:
-    """``solve_all`` with the scalar polish returns the rays of
-    ``_reference_solve_all``, to the last bit of every coordinate."""
-
-    def _check(self, triples):
-        for a in triples:
-            p = Parameters(*a)
-            assert _outcome(solve_all, p) == _outcome(_reference_solve_all, p), a
-
-    def test_uniform_floats(self):
-        # a slice of the 1000-triple uniform stress set
-        self._check(np.random.default_rng(0).uniform(1e-3, 0.5, (1000, 3))[:250].tolist())
-
-    def test_near_face_floats(self):
-        # a slice of the 800-triple near-face stress set: one parameter at
-        # 1/2 - 10^-u, and every fourth triple with two equal parameters
-        rng = np.random.default_rng(1)
-        triples = []
-        for k in range(150):
-            a = rng.uniform(1e-3, 0.5, 3)
-            a[rng.integers(3)] = 0.5 - 10.0 ** -rng.uniform(1, 12)
-            if k % 4 == 0:
-                a[(k // 4) % 3] = a[(k // 4 + 1) % 3]
-            triples.append(a.tolist())
-        self._check(triples)
-
-    def test_exact_triples(self):
+    def test_exact_triples_with_small_denominators(self):
+        # every orbit of triples in (0, 1/2]^3 with denominators <= 12: a ray
+        # has delta = 0 exactly when it is a multiple intersection, and the
+        # multiplicities sum to at most the degree 4 of the resultant
         values = sorted({Fraction(n, d) for d in range(1, 13) for n in range(1, d // 2 + 1)})
-        rng = random.Random(3)
-        self._check([tuple(rng.choice(values) for _ in range(3)) for _ in range(200)])
+        degenerate = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CensusWarning)
+            for a in itertools.combinations_with_replacement(values, 3):
+                p = Parameters(*a)
+                rays = solve_all(p)
+                assert sum(r.multiplicity for r in rays) <= 4, a
+                for ray in rays:
+                    flat = linearize_at(p, ray.as_x3one()).delta == 0
+                    assert flat == (ray.multiplicity >= 2), (a, ray)
+                    if flat:
+                        degenerate[a] = ray.multiplicity
+        assert degenerate == {
+            (Fraction(1, 4),) * 3: 4,
+            (Fraction(1, 3), Fraction(5, 12), Fraction(5, 12)): 2,
+        }
 
-    def test_two_equal_towards_the_half_edge(self):
-        # (b, b, c) in every slot order with b, c -> 1/2, in floats and exactly
+
+def _mp_rounded(a, x1, x2):
+    """The solution of the x3 = 1 equations near ``(x1, x2)``, by a 300-bit
+    mpmath ``findroot`` on the equations written out apart from
+    ``equations``, rounded once to floats."""
+    with mpmath.workprec(300):
+        a1, a2, a3 = (_mpf(Fraction(v)) for v in a)
+
+        def eqs(y1, y2):
+            return (
+                (a2 + a3) * (a1 * y2**2 + a1 - y2) + (a2 * y2 + a3) * y1 - (a1 * a2 + a1 * a3 + 2 * a2 * a3) * y1**2,
+                (a1 + a3) * (a2 * y1**2 + a2 - y1) + (a1 * y1 + a3) * y2 - (a1 * a2 + 2 * a1 * a3 + a2 * a3) * y2**2,
+            )
+
+        root = mpmath.findroot(eqs, (mpmath.mpf(x1), mpmath.mpf(x2)))
+        return float(root[0]), float(root[1])
+
+
+class TestCorrectRounding:
+    """Every float coordinate of a census ray is its exact value rounded
+    once, checked against mpmath."""
+
+    def test_tiny_coordinate_near_a_face(self):
+        # x2 is about 2 (1/2 - a2); as u - x1/3 in floats it kept 6 digits
+        a = (Fraction(1, 30), Fraction(1, 2) - Fraction(1, 10**12), Fraction(1, 30))
+        rays = census(Parameters(*a))
+        tiny = [x2 for _x1, x2, _m in rays if x2 < 1e-6]
+        assert tiny == [2.0000000000021333e-12]
+        assert _mp_rounded(a, 1.0, tiny[0]) == (1.0, 2.0000000000021333e-12)
+        assert min(r.rep.x2 for r in solve_all(Parameters(*a))) == 2.0000000000021333e-12
+
+    def test_seeded_float_triples(self):
+        # half uniform, half with one parameter at 1/2 - 10^-u, u in (1, 12)
+        rng = random.Random(2026)
         triples = []
-        for j in range(1, 13):
-            for k in range(1, 13, 3):
-                for b, c in ((0.5 - 10.0**-j, 0.5 - 10.0**-k),
-                             (Fraction(1, 2) - Fraction(1, 10**j), Fraction(1, 2) - Fraction(1, 10**k))):
-                    triples += [(b, b, c), (b, c, b), (c, b, b)]
-        self._check(triples)
-
-    def test_kernel_from_far_starts(self):
-        # starts far from the rays, where the positivity damping and the
-        # backtracking act; the closed-form starts above seldom need them
-        rng = np.random.default_rng(4)
-        for a in rng.uniform(1e-3, 0.5, (60, 3)).tolist():
-            starts = np.exp(rng.uniform(-4.0, 4.0, (20, 2)))
-            want = _numpy_newton(tuple(a), starts[:, 0], starts[:, 1], 40, 1e-15)
-            for k, (u, v) in enumerate(starts.tolist()):
-                got = _newton(tuple(a), u, v, 40, 1e-15)
-                assert [x.hex() for x in got] == [float(w[k]).hex() for w in want], (a, u, v)
-
-    @settings(max_examples=100, deadline=None)
-    @given(closed_cube_triples)
-    def test_closed_cube(self, a):
-        self._check([a])
+        for k in range(120):
+            a = [rng.uniform(1e-3, 0.5) for _ in range(3)]
+            if k % 2:
+                a[rng.randrange(3)] = 0.5 - 10.0 ** -rng.uniform(1, 12)
+            triples.append(tuple(a))
+        checked = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CensusWarning)
+            for a in triples:
+                p = Parameters(*a)
+                rays = census(p)
+                assert [r.rep.x[:2] for r in solve_all(p)] == [(x1, x2) for x1, x2, _m in rays], a
+                for x1, x2, _m in rays:
+                    assert _mp_rounded(a, x1, x2) == (x1, x2), (a, x1, x2)
+                    checked += 1
+        assert checked > 250

@@ -21,6 +21,7 @@ from wallachflow._poly import (
     _remainders,
     _variations,
     real_roots,
+    root_brackets,
 )
 from wallachflow.core import Parameters, is_exact
 from wallachflow.equilibria import quartic_coefficients
@@ -447,14 +448,20 @@ def _reference_real_roots(coeffs):
 
 
 def _recorded_inputs(monkeypatch, argv):
-    """Every coefficient list that ``cli.main(argv)`` hands to ``real_roots``."""
+    """Every coefficient list that ``cli.main(argv)`` hands to ``real_roots``,
+    and every census resultant, which goes to ``root_brackets``."""
     seen = []
 
     def record(coeffs):
         seen.append(list(coeffs))
         return real_roots(coeffs)
 
+    def record_brackets(f, exact=True):
+        seen.append(list(f))
+        return root_brackets(f, exact)
+
     monkeypatch.setattr(equilibria, "real_roots", record)
+    monkeypatch.setattr(equilibria, "root_brackets", record_brackets)
     monkeypatch.setattr(blowup, "real_roots", record)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
@@ -494,8 +501,8 @@ class TestReferenceParity:
 
     def test_scan_inputs(self, monkeypatch):
         corpus = _recorded_inputs(monkeypatch, ["--threads", "1", "scan", "--n", "9"])
-        # 164 census quartics and their quadratics
-        assert len(corpus) > 500
+        # 164 census resultants and the general-position quartics
+        assert len(corpus) > 200
         self._assert_parity(corpus)
 
     def test_large_coefficient_triple(self, monkeypatch):
