@@ -100,28 +100,32 @@ def normalization_term(a1, a2, a3, x1, x2, x3, weight=None):
     ``normalization_weight(a1, a2, a3)``; a caller evaluating many points
     may pass it precomputed.
     """
+    return _normalization(
+        a1, a2, a3, x1, x2, x3, x1 / (x2 * x3), x2 / (x1 * x3), x3 / (x1 * x2), weight
+    )
+
+
+def _normalization(a1, a2, a3, x1, x2, x3, r1, r2, r3, weight):
+    """``normalization_term`` from the ratios ``r1 = x1/(x2 x3)``,
+    ``r2 = x2/(x1 x3)`` and ``r3 = x3/(x1 x2)``."""
     if weight is None:
         weight = normalization_weight(a1, a2, a3)
-    num = (
-        1 / (a1 * x1)
-        + 1 / (a2 * x2)
-        + 1 / (a3 * x3)
-        - (x1 / (x2 * x3) + x2 / (x1 * x3) + x3 / (x1 * x2))
-    )
-    return num * weight
+    return (1 / (a1 * x1) + 1 / (a2 * x2) + 1 / (a3 * x3) - (r1 + r2 + r3)) * weight
 
 
 def field_components(a1, a2, a3, x1, x2, x3, weight=None):
     """The three field components, over any ring with division.
 
     This is the single source of the flow formulas; the scalar, float and
-    Taylor-series evaluations all route through it.  ``weight`` is passed on
-    to ``normalization_term``.
+    Taylor-series evaluations all route through it.  The three ratios
+    ``x_i / (x_j x_k)`` are computed once and shared with the normalization
+    term; ``weight`` is passed on to it.
     """
-    B = normalization_term(a1, a2, a3, x1, x2, x3, weight)
-    f = -1 - a1 * x1 * (x1 / (x2 * x3) - x2 / (x1 * x3) - x3 / (x1 * x2)) + x1 * B
-    g = -1 - a2 * x2 * (x2 / (x1 * x3) - x3 / (x1 * x2) - x1 / (x2 * x3)) + x2 * B
-    h = -1 - a3 * x3 * (x3 / (x1 * x2) - x1 / (x2 * x3) - x2 / (x1 * x3)) + x3 * B
+    r1, r2, r3 = x1 / (x2 * x3), x2 / (x1 * x3), x3 / (x1 * x2)
+    B = _normalization(a1, a2, a3, x1, x2, x3, r1, r2, r3, weight)
+    f = -1 - a1 * x1 * (r1 - r2 - r3) + x1 * B
+    g = -1 - a2 * x2 * (r2 - r3 - r1) + x2 * B
+    h = -1 - a3 * x3 * (r3 - r1 - r2) + x3 * B
     return f, g, h
 
 

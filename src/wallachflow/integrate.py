@@ -7,14 +7,16 @@ without clipping; the conserved volume is recorded along the way as a
 quality diagnostic.
 
 The stepper and both charts work on Python floats and the ``math`` module,
-so a run's bits do not depend on a vectorized ``exp`` kernel.  Each chart
-converts the parameters once, which changes no bit of the field, and hands
-the stepper one stage function: a single call that counts the evaluation,
-maps the log state to the point, tests it and evaluates
-``flow.field_components`` there (see ``_drive``).  The seventh stage of an
-accepted step is reused as the next step's first and for the step's
-diagnosis, so a run costs one field evaluation at the start and six per
-attempted step.
+so a run's bits do not depend on a vectorized ``exp`` kernel.  The step is
+straight-line scalar code for each chart's size, 2 or 3 components; every
+weighted sum starts from 0 and runs in tableau order, zero coefficients
+included.  Each chart converts the parameters once, which changes no bit of
+the field, and hands the stepper one stage function: a single call that
+counts the evaluation, maps the log state to the point, tests it and
+evaluates ``flow.field_components`` there (see ``_drive``).  The seventh
+stage of an accepted step is reused as the next step's first and for the
+step's diagnosis, so a run costs one field evaluation at the start and six
+per attempted step.
 """
 
 from __future__ import annotations
@@ -47,9 +49,20 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_BHAT = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_E = tuple(b - bhat for b, bhat in zip(_B, _BHAT))
+# the same coefficients as scalars, for the straight-line step
+(
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+    (_A71, _A72, _A73, _A74, _A75, _A76),
+) = _A
+_B1, _B2, _B3, _B4, _B5, _B6, _B7 = _B
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
 
 _SAFETY = 0.9
 _MAX_GROWTH = 5.0
@@ -108,7 +121,8 @@ def _rms(v, scale) -> float:
 
 
 def dopri_step(f, y: list[float], h: float, first):
-    """One Dormand-Prince step of size ``h`` from ``y``.
+    """One Dormand-Prince step of size ``h`` from ``y``, a state of 2 or 3
+    components (the planar or the 3D chart).
 
     ``f(y)`` returns a stage, a tuple whose first item is the derivative at
     ``y``, or None where it cannot be evaluated; ``first`` is the stage at
@@ -116,64 +130,137 @@ def dopri_step(f, y: list[float], h: float, first):
     estimate and the seventh stage, which is the stage at the result; or
     None when a stage could not be evaluated.
 
-    Each weighted sum starts from 0 and runs in tableau order with the zero
-    coefficients kept, so that a non-finite stage always reaches the result.
+    The step is written out as straight-line code for each of the two
+    sizes; any other size raises ``ValueError``.  Each weighted sum starts
+    from 0 and runs in tableau order with the zero coefficients kept, so
+    that a non-finite stage always reaches the result and a zero sum keeps
+    its sign.
     """
-    (
-        (a21,),
-        (a31, a32),
-        (a41, a42, a43),
-        (a51, a52, a53, a54),
-        (a61, a62, a63, a64, a65),
-        (a71, a72, a73, a74, a75, a76),
-    ) = _A
-    k1 = first[0]
-    stage = f([u + h * (0 + a21 * q1) for u, q1 in zip(y, k1)])
-    if stage is None:
-        return None
-    k2 = stage[0]
-    stage = f([u + h * (0 + a31 * q1 + a32 * q2) for u, q1, q2 in zip(y, k1, k2)])
-    if stage is None:
-        return None
-    k3 = stage[0]
+    if len(y) == 2:
+        ua, ub = y
+        k1a, k1b = first[0]
+        stage = f([
+            ua + h * (0 + _A21 * k1a),
+            ub + h * (0 + _A21 * k1b),
+        ])
+        if stage is None:
+            return None
+        k2a, k2b = stage[0]
+        stage = f([
+            ua + h * (0 + _A31 * k1a + _A32 * k2a),
+            ub + h * (0 + _A31 * k1b + _A32 * k2b),
+        ])
+        if stage is None:
+            return None
+        k3a, k3b = stage[0]
+        stage = f([
+            ua + h * (0 + _A41 * k1a + _A42 * k2a + _A43 * k3a),
+            ub + h * (0 + _A41 * k1b + _A42 * k2b + _A43 * k3b),
+        ])
+        if stage is None:
+            return None
+        k4a, k4b = stage[0]
+        stage = f([
+            ua + h * (0 + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
+            ub + h * (0 + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
+        ])
+        if stage is None:
+            return None
+        k5a, k5b = stage[0]
+        stage = f([
+            ua + h * (0 + _A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
+            ub + h * (0 + _A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
+        ])
+        if stage is None:
+            return None
+        k6a, k6b = stage[0]
+        stage = f([
+            ua + h * (0 + _A71 * k1a + _A72 * k2a + _A73 * k3a
+                      + _A74 * k4a + _A75 * k5a + _A76 * k6a),
+            ub + h * (0 + _A71 * k1b + _A72 * k2b + _A73 * k3b
+                      + _A74 * k4b + _A75 * k5b + _A76 * k6b),
+        ])
+        if stage is None:
+            return None
+        k7a, k7b = stage[0]
+        y5 = [
+            ua + h * (0 + _B1 * k1a + _B2 * k2a + _B3 * k3a + _B4 * k4a
+                      + _B5 * k5a + _B6 * k6a + _B7 * k7a),
+            ub + h * (0 + _B1 * k1b + _B2 * k2b + _B3 * k3b + _B4 * k4b
+                      + _B5 * k5b + _B6 * k6b + _B7 * k7b),
+        ]
+        err = [
+            h * (0 + _E1 * k1a + _E2 * k2a + _E3 * k3a + _E4 * k4a
+                 + _E5 * k5a + _E6 * k6a + _E7 * k7a),
+            h * (0 + _E1 * k1b + _E2 * k2b + _E3 * k3b + _E4 * k4b
+                 + _E5 * k5b + _E6 * k6b + _E7 * k7b),
+        ]
+        return y5, err, stage
+    ua, ub, uc = y
+    k1a, k1b, k1c = first[0]
     stage = f([
-        u + h * (0 + a41 * q1 + a42 * q2 + a43 * q3)
-        for u, q1, q2, q3 in zip(y, k1, k2, k3)
+        ua + h * (0 + _A21 * k1a),
+        ub + h * (0 + _A21 * k1b),
+        uc + h * (0 + _A21 * k1c),
     ])
     if stage is None:
         return None
-    k4 = stage[0]
+    k2a, k2b, k2c = stage[0]
     stage = f([
-        u + h * (0 + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
-        for u, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)
+        ua + h * (0 + _A31 * k1a + _A32 * k2a),
+        ub + h * (0 + _A31 * k1b + _A32 * k2b),
+        uc + h * (0 + _A31 * k1c + _A32 * k2c),
     ])
     if stage is None:
         return None
-    k5 = stage[0]
+    k3a, k3b, k3c = stage[0]
     stage = f([
-        u + h * (0 + a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
-        for u, q1, q2, q3, q4, q5 in zip(y, k1, k2, k3, k4, k5)
+        ua + h * (0 + _A41 * k1a + _A42 * k2a + _A43 * k3a),
+        ub + h * (0 + _A41 * k1b + _A42 * k2b + _A43 * k3b),
+        uc + h * (0 + _A41 * k1c + _A42 * k2c + _A43 * k3c),
     ])
     if stage is None:
         return None
-    k6 = stage[0]
+    k4a, k4b, k4c = stage[0]
     stage = f([
-        u + h * (0 + a71 * q1 + a72 * q2 + a73 * q3 + a74 * q4 + a75 * q5 + a76 * q6)
-        for u, q1, q2, q3, q4, q5, q6 in zip(y, k1, k2, k3, k4, k5, k6)
+        ua + h * (0 + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
+        ub + h * (0 + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
+        uc + h * (0 + _A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c),
     ])
     if stage is None:
         return None
-    k7 = stage[0]
-    b1, b2, b3, b4, b5, b6, b7 = _B5
-    e1, e2, e3, e4, e5, e6, e7 = _E
-    cols = list(zip(y, k1, k2, k3, k4, k5, k6, k7))
+    k5a, k5b, k5c = stage[0]
+    stage = f([
+        ua + h * (0 + _A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
+        ub + h * (0 + _A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
+        uc + h * (0 + _A61 * k1c + _A62 * k2c + _A63 * k3c + _A64 * k4c + _A65 * k5c),
+    ])
+    if stage is None:
+        return None
+    k6a, k6b, k6c = stage[0]
+    stage = f([
+        ua + h * (0 + _A71 * k1a + _A72 * k2a + _A73 * k3a + _A74 * k4a + _A75 * k5a + _A76 * k6a),
+        ub + h * (0 + _A71 * k1b + _A72 * k2b + _A73 * k3b + _A74 * k4b + _A75 * k5b + _A76 * k6b),
+        uc + h * (0 + _A71 * k1c + _A72 * k2c + _A73 * k3c + _A74 * k4c + _A75 * k5c + _A76 * k6c),
+    ])
+    if stage is None:
+        return None
+    k7a, k7b, k7c = stage[0]
     y5 = [
-        u + h * (0 + b1 * q1 + b2 * q2 + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6 + b7 * q7)
-        for u, q1, q2, q3, q4, q5, q6, q7 in cols
+        ua + h * (0 + _B1 * k1a + _B2 * k2a + _B3 * k3a + _B4 * k4a
+                  + _B5 * k5a + _B6 * k6a + _B7 * k7a),
+        ub + h * (0 + _B1 * k1b + _B2 * k2b + _B3 * k3b + _B4 * k4b
+                  + _B5 * k5b + _B6 * k6b + _B7 * k7b),
+        uc + h * (0 + _B1 * k1c + _B2 * k2c + _B3 * k3c + _B4 * k4c
+                  + _B5 * k5c + _B6 * k6c + _B7 * k7c),
     ]
     err = [
-        h * (0 + e1 * q1 + e2 * q2 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7)
-        for _u, q1, q2, q3, q4, q5, q6, q7 in cols
+        h * (0 + _E1 * k1a + _E2 * k2a + _E3 * k3a + _E4 * k4a
+             + _E5 * k5a + _E6 * k6a + _E7 * k7a),
+        h * (0 + _E1 * k1b + _E2 * k2b + _E3 * k3b + _E4 * k4b
+             + _E5 * k5b + _E6 * k6b + _E7 * k7b),
+        h * (0 + _E1 * k1c + _E2 * k2c + _E3 * k3c + _E4 * k4c
+             + _E5 * k5c + _E6 * k6c + _E7 * k7c),
     ]
     return y5, err, stage
 
@@ -191,9 +278,11 @@ def _integrate(f, y: list[float], first, t_max: float, rtol: float, observe, tra
     h = min(max(1e-6 if d1 <= 1e-15 else 0.01 * d0 / d1, 1e-8), 1.0)
     err_prev = 1.0
     while t < t_max:
-        h = min(h, t_max - t)
+        # the test precedes the clip to t_max, so a last step shorter than
+        # _MIN_STEP is still taken and the run ends at t_max
         if h < _MIN_STEP:
             return (TrajectoryStatus.STEP_UNDERFLOW, None)
+        h = min(h, t_max - t)
         step = dopri_step(f, y, h, first)
         if step is None or not all(map(math.isfinite, step[0])):
             traj.steps_rejected += 1

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 from fractions import Fraction
 
@@ -5,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wallachflow import blowup, cli, flow
 from wallachflow.core import Parameters
 from wallachflow.flow import (
     MetricPoint,
     b_term,
+    field_components,
     log_volume,
+    normalization_term,
+    normalization_weight,
     phi,
     vector_field_2d,
     vector_field_3d,
@@ -166,3 +172,72 @@ class TestVectorField2D:
             vector_field_2d(p, -1, 1)
         with pytest.raises(ValueError):
             MetricPoint(0, 1, 1)
+
+
+def _reference_field(a1, a2, a3, x1, x2, x3, weight=None):
+    """The field with each ratio ``x_i / (x_j x_k)`` written out four times,
+    as it was before ``field_components`` shared them: the oracle of the
+    shared form.  Returns the normalization term and the three components."""
+    if weight is None:
+        weight = normalization_weight(a1, a2, a3)
+    B = (
+        1 / (a1 * x1)
+        + 1 / (a2 * x2)
+        + 1 / (a3 * x3)
+        - (x1 / (x2 * x3) + x2 / (x1 * x3) + x3 / (x1 * x2))
+    ) * weight
+    f = -1 - a1 * x1 * (x1 / (x2 * x3) - x2 / (x1 * x3) - x3 / (x1 * x2)) + x1 * B
+    g = -1 - a2 * x2 * (x2 / (x1 * x3) - x3 / (x1 * x2) - x1 / (x2 * x3)) + x2 * B
+    h = -1 - a3 * x3 * (x3 / (x1 * x2) - x1 / (x2 * x3) - x2 / (x1 * x3)) + x3 * B
+    return B, (f, g, h)
+
+
+_float_param = st.floats(min_value=0.01, max_value=0.5)
+_float_coord = st.floats(min_value=1e-3, max_value=1e3)
+
+
+class TestSharedRatios:
+    """``field_components`` computes each ratio once; its values must be,
+    bit for bit, those of the formulas with every ratio written out."""
+
+    @staticmethod
+    def assert_same(a, x, weight=None):
+        B, fgh = _reference_field(*a, *x, weight)
+        # repr tells -0.0 from 0.0 and compares Fractions exactly
+        assert repr(field_components(*a, *x, weight)) == repr(fgh)
+        assert repr(normalization_term(*a, *x, weight)) == repr(B)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.tuples(*[st.one_of(wallach_rationals, _float_param)] * 3),
+        x=st.tuples(_float_coord, _float_coord, _float_coord),
+    )
+    def test_float_points(self, a, x):
+        self.assert_same(a, x)
+        # the charts' form: float parameters and the exact weight rounded once
+        self.assert_same(tuple(map(float, a)), x, float(normalization_weight(*a)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=triple(), x=triple(positive_rationals))
+    def test_fraction_points(self, a, x):
+        self.assert_same(a, x)
+
+    def test_blowup_report(self, monkeypatch):
+        # the blow-up evaluates the field on Taylor series (Series2)
+        def report():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["blowup"]) == 0
+            return out.getvalue()
+
+        calls = []
+
+        def reference(*args):
+            calls.append(args)
+            return _reference_field(*args)[1]
+
+        shared = report()
+        monkeypatch.setattr(flow, "field_components", reference)
+        monkeypatch.setattr(blowup, "field_components", reference)
+        assert report() == shared
+        assert calls

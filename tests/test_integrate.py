@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallachflow import cli
+from wallachflow import flow as flow_mod
 from wallachflow import integrate as integrate_mod
 from wallachflow.core import Parameters
 from wallachflow.equilibria import normalize_unit_volume, solve_all
@@ -58,11 +61,12 @@ class TestStepper:
         assert errs[1] / errs[2] > 2**4.5
 
     def test_global_error_tracks_tolerance(self):
-        # manufactured linear problem with known solution
+        # manufactured linear problem with known solution, on two equal
+        # components because the stepper takes a chart's 2 or 3
         lam = -1.3
 
         def f(y):
-            return ([lam * y[0]], y, None)
+            return ([lam * y[0], lam * y[1]], y, None)
 
         errors = []
         for rtol in (1e-6, 1e-9):
@@ -70,9 +74,10 @@ class TestStepper:
 
             def observe(t, x, _v):
                 final["t"], final["y"] = t, x[0]
+                assert x[1] == x[0]
                 return None
 
-            status, _ = _integrate(f, [1.0], f([1.0]), 3.0, rtol, observe, Trajectory())
+            status, _ = _integrate(f, [1.0, 1.0], f([1.0, 1.0]), 3.0, rtol, observe, Trajectory())
             assert status == TrajectoryStatus.MAX_TIME
             errors.append(abs(final["y"] - math.exp(lam * final["t"])))
         assert errors[0] / max(errors[1], 1e-18) > 10
@@ -90,12 +95,248 @@ class TestStepper:
             assert last == f(y5)
 
     def test_unevaluable_stage_fails_the_step(self):
-        # y' = 1 from 0: the stages of a step of size h reach y = h
+        # y' = (1, 1) from 0: the stages of a step of size h reach y = h
         def f(y):
-            return None if y[0] > 0.3 else ([1.0],)
+            return None if y[0] > 0.3 else ([1.0, 1.0],)
 
-        assert dopri_step(f, [0.0], 0.5, f([0.0])) is None
-        assert dopri_step(f, [0.0], 0.1, f([0.0])) is not None
+        assert dopri_step(f, [0.0, 0.0], 0.5, f([0.0, 0.0])) is None
+        assert dopri_step(f, [0.0, 0.0], 0.1, f([0.0, 0.0])) is not None
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_only_the_chart_sizes_are_stepped(self, n):
+        def f(y):
+            return ([1.0] * n,)
+
+        with pytest.raises(ValueError):
+            dopri_step(f, [0.0] * n, 0.1, f([0.0] * n))
+
+
+def _reference_step(f, y, h, first):
+    """The Dormand-Prince step as comprehensions over the components, for
+    any size: the oracle of the straight-line ``dopri_step``.  Each weighted
+    sum starts from 0 and runs in tableau order, zero coefficients kept."""
+    (
+        (a21,),
+        (a31, a32),
+        (a41, a42, a43),
+        (a51, a52, a53, a54),
+        (a61, a62, a63, a64, a65),
+        (a71, a72, a73, a74, a75, a76),
+    ) = integrate_mod._A
+    k1 = first[0]
+    stage = f([u + h * (0 + a21 * q1) for u, q1 in zip(y, k1)])
+    if stage is None:
+        return None
+    k2 = stage[0]
+    stage = f([u + h * (0 + a31 * q1 + a32 * q2) for u, q1, q2 in zip(y, k1, k2)])
+    if stage is None:
+        return None
+    k3 = stage[0]
+    stage = f([
+        u + h * (0 + a41 * q1 + a42 * q2 + a43 * q3)
+        for u, q1, q2, q3 in zip(y, k1, k2, k3)
+    ])
+    if stage is None:
+        return None
+    k4 = stage[0]
+    stage = f([
+        u + h * (0 + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
+        for u, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)
+    ])
+    if stage is None:
+        return None
+    k5 = stage[0]
+    stage = f([
+        u + h * (0 + a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
+        for u, q1, q2, q3, q4, q5 in zip(y, k1, k2, k3, k4, k5)
+    ])
+    if stage is None:
+        return None
+    k6 = stage[0]
+    stage = f([
+        u + h * (0 + a71 * q1 + a72 * q2 + a73 * q3 + a74 * q4 + a75 * q5 + a76 * q6)
+        for u, q1, q2, q3, q4, q5, q6 in zip(y, k1, k2, k3, k4, k5, k6)
+    ])
+    if stage is None:
+        return None
+    k7 = stage[0]
+    b1, b2, b3, b4, b5, b6, b7 = integrate_mod._B
+    e1, e2, e3, e4, e5, e6, e7 = integrate_mod._E
+    cols = list(zip(y, k1, k2, k3, k4, k5, k6, k7))
+    y5 = [
+        u + h * (0 + b1 * q1 + b2 * q2 + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6 + b7 * q7)
+        for u, q1, q2, q3, q4, q5, q6, q7 in cols
+    ]
+    err = [
+        h * (0 + e1 * q1 + e2 * q2 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7)
+        for _u, q1, q2, q3, q4, q5, q6, q7 in cols
+    ]
+    return y5, err, stage
+
+
+def _bits(obj):
+    """``obj`` with every float replaced by its 8 bytes, so that NaNs and
+    signed zeros compare bit for bit."""
+    if isinstance(obj, float):
+        return struct.pack("<d", obj)
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_bits(o) for o in obj)
+    return obj
+
+
+def _constant_field(n, bad_call=None, bad_value=math.nan, component=0):
+    """``y' = (1, 2, 3)[:n]`` whatever ``y``, except that call ``bad_call``
+    (0 is the first stage) puts ``bad_value`` in one component."""
+    calls = []
+
+    def f(y):
+        k = [1.0, 2.0, 3.0][:n]
+        if len(calls) == bad_call:
+            k[component] = bad_value
+        calls.append(y)
+        return (k, y, None)
+
+    return f
+
+
+class TestStraightLineStep:
+    """``dopri_step`` against the comprehension form it replaced."""
+
+    @pytest.mark.parametrize("a", ["1/6,1/4,1/3", "0.17,0.26,0.33", "0.01,0.01,0.49"])
+    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
+    def test_equals_the_reference_bit_for_bit(self, chart, a):
+        p = Parameters(*(Fraction(s) if "/" in s else float(s) for s in a.split(",")))
+        _a, _point, stage = chart(p, Trajectory())
+        n = 2 if chart is _planar_chart else 3
+        rng = np.random.default_rng(17)
+        failed = 0
+        for _ in range(200):
+            y = rng.uniform(-3.0, 3.0, n).tolist()
+            first = stage(y)
+            if first is None:
+                continue
+            h = float(10 ** rng.uniform(-8, 1))
+            # the stage inputs must agree too
+            inputs, ref_inputs = [], []
+            got = dopri_step(lambda u: inputs.append(u) or stage(u), y, h, first)
+            ref = _reference_step(lambda u: ref_inputs.append(u) or stage(u), y, h, first)
+            assert _bits((got, inputs)) == _bits((ref, ref_inputs))
+            failed += got is None
+        # the draws include steps whose stages leave the float range
+        assert 0 < failed < 200
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("weights", [0, 1, 2, 3, 4, 5, "_B", "_E"])
+    def test_a_zero_sum_starts_from_0(self, n, weights):
+        # each stage is a zero with the sign that makes its weighted term in
+        # one sum -0.0 (row ``weights`` of the stage matrix, the 5th-order
+        # weights or the error weights); a sum that starts from 0 turns that
+        # into +0.0, and so does the state -0.0 it is added to
+        if isinstance(weights, str):
+            row = getattr(integrate_mod, weights)
+        else:
+            row = integrate_mod._A[weights]
+        signs = [-0.0 if w >= 0 else 0.0 for w in row] + [-0.0] * (7 - len(row))
+
+        def run(step):
+            calls = []
+
+            def f(y):
+                k = [signs[len(calls)]] * n
+                calls.append(y)
+                return (k, y, None)
+
+            return step(f, [-0.0] * n, 0.5, f([-0.0] * n)), calls
+
+        got, inputs = run(dopri_step)
+        assert _bits((got, inputs)) == _bits(run(_reference_step))
+        y5, err, _last = got
+        if weights == "_B":
+            zero = y5
+        elif weights == "_E":
+            zero = err
+        else:
+            zero = inputs[1 + weights]  # inputs[0] is the start's stage
+        assert [math.copysign(1.0, v) for v in zero] == [1.0] * n
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bad_call", range(1, 7))
+    def test_a_stage_that_cannot_be_evaluated_fails_the_step(self, n, bad_call):
+        # stage bad_call + 1 (stages 2 to 7) returns None; no later one runs
+        calls = []
+
+        def f(y):
+            calls.append(y)
+            return None if len(calls) == bad_call else ([1.0] * n,)
+
+        assert dopri_step(f, [0.0] * n, 0.1, ([1.0] * n,)) is None
+        assert len(calls) == bad_call
+        calls.clear()
+        assert _reference_step(f, [0.0] * n, 0.1, ([1.0] * n,)) is None
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bad_call", range(7))
+    @pytest.mark.parametrize("bad_value", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_stage_reaches_the_result(self, n, bad_call, bad_value):
+        # the derivative does not depend on y, so a non-finite stage 2 or 7
+        # reaches y5 only through its zero weight, which must be kept
+        for component in range(n):
+            f = _constant_field(n, bad_call, bad_value, component)
+            first = f([0.0] * n)
+            step = dopri_step(f, [0.0] * n, 0.1, first)
+            g = _constant_field(n, bad_call, bad_value, component)
+            assert _bits(step) == _bits(_reference_step(g, [0.0] * n, 0.1, g([0.0] * n)))
+            y5, err, _last = step
+            assert not math.isfinite(y5[component])
+            assert not all(map(math.isfinite, err))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bad_call", range(1, 7))
+    def test_the_driver_rejects_a_step_with_a_non_finite_stage(self, n, bad_call):
+        # call 0 is the start's stage, calls 1 to 6 are stages 2 to 7 of the
+        # first attempted step; that step is rejected and the run goes on
+        f = _constant_field(n, bad_call)
+        traj = Trajectory()
+        status, _ = _integrate(f, [0.0] * n, f([0.0] * n), 1.0, 1e-6, lambda *_: None, traj)
+        assert status == TrajectoryStatus.MAX_TIME
+        assert traj.steps_rejected == 1
+        assert traj.steps_accepted > 0
+
+
+class TestRunStatus:
+    def test_a_run_within_the_least_step_of_tmax_ends_at_tmax(self, stable_params):
+        # t_max below _MIN_STEP once ended "step_underflow" with no step
+        for t_max in (1e-20, 0.5 * integrate_mod._MIN_STEP):
+            traj = integrate_flow(stable_params, (1.05, 0.95), t_max=t_max)
+            assert traj.status == TrajectoryStatus.MAX_TIME
+            assert traj.steps_accepted == 1
+            assert traj.times == [0.0, t_max]
+
+    def test_tiny_tmax_from_the_command_line(self, capsys):
+        argv = ["flow", "--a", "1/6,1/4,1/3", "--x0", "1.05,0.95", "--tmax", "1e-20"]
+        assert cli.main(argv) == 0
+        (run,) = json.loads(capsys.readouterr().err)["runs"]
+        assert (run["status"], run["steps"]) == ("max_time", 2)
+
+    def test_a_stage_that_fails_everywhere_ends_step_underflow(self, stable_params, monkeypatch):
+        # the field works at the start only, so every step is retried at a
+        # quarter of its size until the size drops below _MIN_STEP
+        evals = []
+
+        def field_components(*args):
+            evals.append(args)
+            if len(evals) > 1:
+                raise ZeroDivisionError
+            return flow_mod.field_components(*args)
+
+        monkeypatch.setattr(integrate_mod, "field_components", field_components)
+        for x0 in ((1.05, 0.95), MetricPoint(1.05, 0.95, 1.0)):
+            evals.clear()
+            run = integrate_flow if isinstance(x0, tuple) else integrate_flow_3d
+            traj = run(stable_params, x0, t_max=1.0)
+            assert traj.status == TrajectoryStatus.STEP_UNDERFLOW
+            assert traj.steps_accepted == 0 and traj.steps_rejected > 0
+            assert traj.field_evals == 1 + traj.steps_rejected
 
 
 # parameters of at least 1/50 keep phi's exponents below 25 in size, so
