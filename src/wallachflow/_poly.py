@@ -1,11 +1,15 @@
-"""Exact polynomial plumbing: multivariate polynomials, real roots of
-univariate polynomials, and truncated bivariate Taylor series.
+"""Exact polynomial plumbing: multivariate polynomials and truncated power
+series, and real roots of univariate polynomials.
 
-``Poly`` is a dict from exponent tuples to ``Fraction`` coefficients with
-the ring operators ``+``, ``-``, ``*`` and ``**`` (a scalar operand is a
-constant) and ``diff``.  Ring-generic formulas evaluate over it once, at
-import, to lay out their monomials: the degeneracy polynomial of
-``surfaces`` and the census equations of ``equilibria``.
+``Poly`` is the one polynomial type: a dict from exponent tuples to
+``Fraction`` coefficients with the ring operators ``+``, ``-``, ``*`` and
+``**`` (a scalar operand is a constant) and ``diff``.  Ring-generic formulas
+evaluate over it once, at import, to lay out their monomials: the degeneracy
+polynomial of ``surfaces`` and the census equations of ``equilibria``.  An
+optional ``order`` makes it a power series truncated at that total degree,
+and ``inverse`` (with ``/``) divides by a series with a nonzero constant
+term through the geometric series; ``blowup`` expands the flow field at its
+degenerate point that way.
 
 ``root_brackets`` is the one real-root finder, and it makes one pass:
 ``real_roots`` rounds its roots to floats, for exact and float input alike,
@@ -49,33 +53,50 @@ class Poly(dict):
     """A polynomial in ``nvars`` variables: a dict from exponent tuples to
     nonzero ``Fraction`` coefficients, with the ring operators.
 
-    A scalar operand is the constant polynomial.  Sums keep the monomial
-    order of the left operand and append new monomials in the order of the
-    right one; products run over the left operand's monomials first.
+    With an ``order`` it is a power series truncated at that total degree:
+    the constructor and every operation drop the monomials above it, an
+    operation on two orders keeps the lower one, and ``diff`` lowers it by
+    one.  ``None`` means no truncation.  A scalar operand is the constant
+    polynomial.  Sums keep the monomial order of the left operand and append
+    new monomials in the order of the right one; products run over the left
+    operand's monomials first.
     """
 
-    __slots__ = ("nvars",)
+    __slots__ = ("nvars", "order")
 
-    def __init__(self, terms, nvars: int):
+    def __init__(self, terms, nvars: int, order: int | None = None):
+        if order is not None:
+            terms = {m: c for m, c in terms.items() if sum(m) <= order}
         super().__init__(terms)
         self.nvars = nvars
+        self.order = order
 
     @classmethod
-    def const(cls, c, nvars: int) -> "Poly":
-        return cls({(0,) * nvars: Fraction(c)} if c else {}, nvars)
+    def const(cls, c, nvars: int, order: int | None = None) -> "Poly":
+        return cls({(0,) * nvars: Fraction(c)} if c else {}, nvars, order)
 
     @classmethod
-    def var(cls, i: int, nvars: int) -> "Poly":
+    def var(cls, i: int, nvars: int, order: int | None = None) -> "Poly":
         e = [0] * nvars
         e[i] = 1
-        return cls({tuple(e): Fraction(1)}, nvars)
+        return cls({tuple(e): Fraction(1)}, nvars, order)
 
     def _lift(self, other) -> "Poly":
-        return other if isinstance(other, Poly) else Poly.const(other, self.nvars)
+        return other if isinstance(other, Poly) else Poly.const(other, self.nvars, self.order)
+
+    def _meet(self, other: "Poly") -> int | None:
+        """The lower truncation order of ``self`` and ``other``."""
+        if self.order is None or other.order is None:
+            return other.order if self.order is None else self.order
+        return min(self.order, other.order)
 
     def __add__(self, other) -> "Poly":
-        out = Poly(self, self.nvars)
-        for mono, c in self._lift(other).items():
+        other = self._lift(other)
+        order = self._meet(other)
+        out = Poly(self, self.nvars, order)
+        for mono, c in other.items():
+            if order is not None and sum(mono) > order:
+                continue
             s = out.get(mono, _ZERO) + c
             if s:
                 out[mono] = s
@@ -87,7 +108,7 @@ class Poly(dict):
         return self._lift(other) + self
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.items()}, self.nvars)
+        return Poly({m: -c for m, c in self.items()}, self.nvars, self.order)
 
     def __sub__(self, other) -> "Poly":
         return self + -self._lift(other)
@@ -98,11 +119,14 @@ class Poly(dict):
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             c = Fraction(other)
-            return Poly({m: v * c for m, v in self.items()} if c else {}, self.nvars)
-        out = Poly({}, self.nvars)
+            return Poly({m: v * c for m, v in self.items()} if c else {}, self.nvars, self.order)
+        order = self._meet(other)
+        out = Poly({}, self.nvars, order)
         for m1, c1 in self.items():
             for m2, c2 in other.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
+                if order is not None and sum(mono) > order:
+                    continue
                 s = out.get(mono, _ZERO) + c1 * c2
                 if s:
                     out[mono] = s
@@ -114,14 +138,14 @@ class Poly(dict):
 
     def __pow__(self, n: int) -> "Poly":
         if n == 0:
-            return Poly.const(1, self.nvars)
+            return Poly.const(1, self.nvars, self.order)
         out = self
         for _ in range(n - 1):
             out = out * self
         return out
 
     def diff(self, var: int) -> "Poly":
-        out = Poly({}, self.nvars)
+        out = Poly({}, self.nvars, None if self.order is None else self.order - 1)
         for mono, c in self.items():
             e = mono[var]
             if e:
@@ -129,6 +153,32 @@ class Poly(dict):
                 m[var] = e - 1
                 out[tuple(m)] = c * e
         return out
+
+    def inverse(self) -> "Poly":
+        """``1 / self`` by the geometric series ``1/(c0 (1 + u)) = sum
+        (-u)**k / c0``, which ends at ``k = order``: ``u`` has no constant
+        term, so ``u**k`` starts at degree ``k``.  The constant term ``c0``
+        must be nonzero, and a polynomial without an order must be constant."""
+        c0 = self.get((0,) * self.nvars)
+        if not c0:
+            raise ZeroDivisionError("series has zero constant term")
+        u = self * (1 / c0) - 1
+        if not u:
+            return Poly.const(1 / c0, self.nvars, self.order)
+        if self.order is None:
+            raise ValueError("the inverse of a nonconstant polynomial needs an order")
+        out = term = Poly.const(1, self.nvars, self.order)
+        for _ in range(self.order):
+            term = term * -u
+            out = out + term
+        return out * (1 / c0)
+
+    def __truediv__(self, other) -> "Poly":
+        return self * self._lift(other).inverse()
+
+    def __rtruediv__(self, other) -> "Poly":
+        return self._lift(other) * self.inverse()
+
 
 # ---------------------------------------------------------------------------
 # univariate real root finding on primitive integer polynomials
@@ -407,120 +457,3 @@ def quartic_discriminant_coeffs(a, b, c, d, e):
         - 4 * b**2 * c**3 * e
         + b**2 * c**2 * d**2
     )
-
-
-# ---------------------------------------------------------------------------
-# truncated bivariate Taylor series with exact coefficients
-
-
-class Series2:
-    """Bivariate power series truncated at a fixed total degree.
-
-    Supports the ring operations plus division by series with nonzero
-    constant term, which is all the flow field needs.
-    """
-
-    __slots__ = ("c", "order")
-
-    def __init__(self, c: dict | None = None, order: int = 4):
-        self.order = order
-        self.c = {}
-        if c:
-            for (i, j), v in c.items():
-                if i + j <= order and v:
-                    self.c[(i, j)] = v if isinstance(v, Fraction) else Fraction(v)
-
-    @classmethod
-    def _of(cls, c: dict, order: int) -> "Series2":
-        """The series of ``c``, already truncated at ``order`` and holding
-        nonzero ``Fraction``s only, as the ring operations build it."""
-        out = object.__new__(cls)
-        out.c, out.order = c, order
-        return out
-
-    @classmethod
-    def const(cls, v, order: int = 4) -> "Series2":
-        return cls({(0, 0): Fraction(v)}, order)
-
-    @classmethod
-    def var(cls, which: int, order: int = 4) -> "Series2":
-        key = (1, 0) if which == 0 else (0, 1)
-        return cls({key: Fraction(1)}, order)
-
-    def coeff(self, i: int, j: int) -> Fraction:
-        return self.c.get((i, j), _ZERO)
-
-    def __add__(self, other):
-        other = _coerce(other, self.order)
-        if other.order > self.order:
-            other = Series2(other.c, self.order)
-        out = dict(self.c)
-        for k, v in other.c.items():
-            s = out[k] + v if k in out else v
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return Series2._of(out, self.order)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series2._of({k: -v for k, v in self.c.items()}, self.order)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other, self.order))
-
-    def __rsub__(self, other):
-        return _coerce(other, self.order) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other, self.order)
-        out: dict = {}
-        for (i1, j1), v1 in self.c.items():
-            for (i2, j2), v2 in other.c.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > self.order:
-                    continue
-                k, v = (i, j), v1 * v2
-                s = out[k] + v if k in out else v
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return Series2._of(out, self.order)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Series2":
-        c0 = self.coeff(0, 0)
-        if c0 == 0:
-            raise ZeroDivisionError("series has zero constant term")
-        u = Series2(
-            {k: v / c0 for k, v in self.c.items() if k != (0, 0)}, self.order
-        )
-        # geometric series: 1/(c0 (1+u)) = (1/c0) * sum (-u)^k
-        out = Series2.const(1, self.order)
-        term = Series2.const(1, self.order)
-        for _ in range(self.order):
-            term = term * (-u)
-            if not term.c:
-                break
-            out = out + term
-        return Series2({k: v / c0 for k, v in out.c.items()}, self.order)
-
-    def __truediv__(self, other):
-        return self * _coerce(other, self.order).inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other, self.order) * self.inverse()
-
-    def __repr__(self):
-        terms = sorted(self.c.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        return " + ".join(f"{v}*x^{i}*y^{j}" for (i, j), v in terms) or "0"
-
-
-def _coerce(v, order: int) -> Series2:
-    if isinstance(v, Series2):
-        return v
-    return Series2.const(v, order)

@@ -10,7 +10,9 @@ sectors.
 
 The Taylor coefficients are computed exactly: on this parameter triple the
 volume constraint gives ``x3 = 1/(x1*x2)``, so the composed planar field is
-a rational function and expands through exact truncated series arithmetic.
+a rational function.  It is expanded once, as ``Poly`` series truncated at
+total degree 3, and the quadratic and cubic jets are read from that one
+expansion.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._poly import Series2, real_roots
+from ._poly import Poly, real_roots
 from .core import Parameters
 from .flow import field_components, vector_field_2d
 
@@ -95,38 +97,32 @@ class BlowupReport:
         }
 
 
-def shifted_taylor(order: int = 4) -> tuple[Series2, Series2]:
-    """Exact Taylor series of the shifted planar field components at (1, 1)."""
-    x = Series2.var(0, order)
-    y = Series2.var(1, order)
-    x1 = 1 + x
-    x2 = 1 + y
+def shifted_taylor() -> tuple[Poly, Poly]:
+    """Exact Taylor series to total degree 3 of the shifted planar field
+    components at (1, 1), in ``x = x1 - 1`` and ``y = x2 - 1``."""
+    x, y = Poly.var(0, 2, 3), Poly.var(1, 2, 3)
+    x1, x2 = 1 + x, 1 + y
     x3 = (x1 * x2).inverse()  # unit volume: the exponents are all -1 here
-    a = DEGENERATE_PARAMETERS.a
-    f, g, _h = field_components(*a, x1, x2, x3)
+    f, g, _h = field_components(*DEGENERATE_PARAMETERS.a, x1, x2, x3)
     return f, g
 
 
-def shifted_quadratic_parts() -> QuadraticPart:
-    """Degree-2 jets of the shifted field, extracted exactly and checked
+def shifted_quadratic_parts(series: tuple[Poly, Poly] | None = None) -> QuadraticPart:
+    """Degree-2 jets of the shifted field (of ``series``, the pair that
+    ``shifted_taylor`` returns, expanded here when not given), checked
     against their known closed forms.  A mismatch means the field formulas
     and the jet expansion have diverged, so it raises rather than returns."""
-    f, g = shifted_taylor(order=2)
-    for series, expected, name in ((f, _EXPECTED_P2, "P2"), (g, _EXPECTED_Q2, "Q2")):
-        low = {k: v for k, v in series.c.items() if sum(k) <= 1}
+    f, g = series if series is not None else shifted_taylor()
+    jets = []
+    for s, expected, name in ((f, _EXPECTED_P2, "P2"), (g, _EXPECTED_Q2, "Q2")):
+        low = {k: v for k, v in s.items() if sum(k) <= 1}
         if low:
             raise RuntimeError(f"{name}: shifted field has nonzero linear jet {low}")
-        got = {
-            "xx": series.coeff(2, 0),
-            "xy": series.coeff(1, 1),
-            "yy": series.coeff(0, 2),
-        }
+        got = {"xx": s.get((2, 0), 0), "xy": s.get((1, 1), 0), "yy": s.get((0, 2), 0)}
         if got != expected:
             raise RuntimeError(f"{name}: quadratic jet {got} != expected {expected}")
-    return QuadraticPart(
-        p_xx=f.coeff(2, 0), p_xy=f.coeff(1, 1), p_yy=f.coeff(0, 2),
-        q_xx=g.coeff(2, 0), q_xy=g.coeff(1, 1), q_yy=g.coeff(0, 2),
-    )
+        jets += got.values()
+    return QuadraticPart(*jets)
 
 
 def quadratic_parts_fd() -> QuadraticPart:
@@ -180,10 +176,10 @@ def _delta_cubic(parts: QuadraticPart) -> list[Fraction]:
     ]
 
 
-def delta_u_roots() -> tuple[Fraction, Fraction, Fraction]:
-    """The three real roots of the blow-up direction cubic, sorted."""
-    parts = shifted_quadratic_parts()
-    roots = real_roots(_delta_cubic(parts))
+def delta_u_roots(parts: QuadraticPart | None = None) -> tuple[Fraction, Fraction, Fraction]:
+    """The three real roots of the blow-up direction cubic of ``parts``
+    (``shifted_quadratic_parts()`` when not given), sorted."""
+    roots = real_roots(_delta_cubic(parts if parts is not None else shifted_quadratic_parts()))
     flat = []
     for r, m in roots:
         flat.extend([r] * m)
@@ -200,17 +196,12 @@ def blowup_linearizations() -> BlowupReport:
     entry is the cubic-jet combination ``Q3(1,u) - u*P3(1,u)``.  Every
     ``beta_i`` must be nonzero, making each point a saddle.
     """
-    f, g = shifted_taylor(order=3)
-    parts = shifted_quadratic_parts()
-    roots = delta_u_roots()
+    f, g = series = shifted_taylor()
+    parts = shifted_quadratic_parts(series)
+    roots = delta_u_roots(parts)
 
-    def cubic_dir(series: Series2, u: Fraction) -> Fraction:
-        return (
-            series.coeff(3, 0)
-            + series.coeff(2, 1) * u
-            + series.coeff(1, 2) * u * u
-            + series.coeff(0, 3) * u**3
-        )
+    def cubic_dir(s: Poly, u: Fraction) -> Fraction:
+        return sum(s.get((3 - k, k), 0) * u**k for k in range(4))
 
     # derivative of Delta(u), for the exact triangular-diagonal consistency check
     c3, c2, c1, _c0 = _delta_cubic(parts)

@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from functools import partial
 
 from . import equilibria as eq_mod
@@ -35,16 +34,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_BROKEN_PIPE = 141
-
-
-@dataclass
-class Config:
-    command: str
-    out: str | None = None
-    exact: bool = False
-    seed: int = 0
-    threads: int = 1
-    tol_omega: float | None = None
 
 
 def _json_value(x):
@@ -178,15 +167,15 @@ def _analyze_payload(p: Parameters) -> dict:
     }
 
 
-def cmd_analyze(cfg: Config, args) -> int:
+def cmd_analyze(args) -> int:
     p = _parse_triple(args.a)
-    if cfg.exact and not p.exact:
+    if args.exact and not p.exact:
         print(
             "warning: decimal inputs cannot be promoted to exact rationals; "
             "continuing in float mode",
             file=sys.stderr,
         )
-    _write_text(cfg.out, json.dumps(_analyze_payload(p), indent=2))
+    _write_text(args.out, json.dumps(_analyze_payload(p), indent=2))
     return EXIT_OK
 
 
@@ -201,7 +190,7 @@ def _run_one_flow(x0, p, rays, t_max, rel_tol, three_d):
     return integrate_flow(p, x0, t_max=t_max, rel_tol=rel_tol, equilibria=rays)
 
 
-def cmd_flow(cfg: Config, args) -> int:
+def cmd_flow(args) -> int:
     p = _parse_triple(args.a)
     if not (math.isfinite(args.tmax) and args.tmax > 0):
         raise UsageError("--tmax must be finite and positive")
@@ -224,9 +213,11 @@ def cmd_flow(cfg: Config, args) -> int:
     if args.random_starts:
         import numpy as np
 
-        rng = np.random.default_rng(cfg.seed)
+        # math.exp, not numpy's CPU-dispatched one: the same draws give the
+        # same starts on every host
+        rng = np.random.default_rng(args.seed)
         for _ in range(args.random_starts):
-            starts.append(tuple(np.exp(rng.uniform(-0.5, 0.5, dim))))
+            starts.append(tuple(map(math.exp, rng.uniform(-0.5, 0.5, dim).tolist())))
     if not starts:
         raise UsageError("provide --x0 and/or --random-starts")
 
@@ -234,7 +225,7 @@ def cmd_flow(cfg: Config, args) -> int:
         _run_one_flow, p=p, rays=eq_mod.solve_all(p),
         t_max=args.tmax, rel_tol=args.rtol, three_d=args.three_d,
     )
-    trajectories = _map(run_one, starts, cfg.threads)
+    trajectories = _map(run_one, starts, args.threads)
 
     rows = []
     summary = []
@@ -254,7 +245,6 @@ def cmd_flow(cfg: Config, args) -> int:
             "exit_face": traj.exit_face,
         })
 
-    out = args.traj_out or cfg.out
     if len(trajectories) == 1:
         lines = ["t,x1,x2,x3,V"]
         for _run, t, x1, x2, x3, v in rows:
@@ -265,21 +255,19 @@ def cmd_flow(cfg: Config, args) -> int:
             lines.append(
                 f"{run},{t:.17g},{x1:.17g},{x2:.17g},{x3:.17g},{v:.17g}"
             )
-    _write_text(out, "\n".join(lines) + "\n")
-    if out is not None:
-        print(json.dumps({"runs": summary}, indent=2))
-    else:
-        print(json.dumps({"runs": summary}, indent=2), file=sys.stderr)
+    _write_text(args.out, "\n".join(lines) + "\n")
+    # the summary goes to stderr when the CSV takes stdout
+    print(json.dumps({"runs": summary}, indent=2), file=sys.stderr if args.out is None else sys.stdout)
     return EXIT_OK
 
 
 # --- scan and surface --------------------------------------------------------
 
 
-def cmd_scan(cfg: Config, args) -> int:
+def cmd_scan(args) -> int:
     if args.n < 2:
         raise UsageError("--n must be at least 2")
-    if cfg.tol_omega is not None and not (math.isfinite(cfg.tol_omega) and cfg.tol_omega >= 0):
+    if args.tol_omega is not None and not (math.isfinite(args.tol_omega) and args.tol_omega >= 0):
         raise UsageError("--tol-omega must be finite and non-negative")
     points = cube_grid(args.n)
     # a chunk holds whole permutation orbits, so that no two workers run the
@@ -288,15 +276,15 @@ def cmd_scan(cfg: Config, args) -> int:
     for i, a in enumerate(points):
         orbits.setdefault(tuple(sorted(a)), []).append(i)
     orbit_list = list(orbits.values())
-    per_chunk = max(1, len(orbit_list) // (cfg.threads * 4))
+    per_chunk = max(1, len(orbit_list) // (args.threads * 4))
     chunks = [
         [i for orbit in orbit_list[k : k + per_chunk] for i in orbit]
         for k in range(0, len(orbit_list), per_chunk)
     ]
     blocks = _map(
-        partial(scan, on_omega_tol=cfg.tol_omega),
+        partial(scan, on_omega_tol=args.tol_omega),
         [[points[i] for i in chunk] for chunk in chunks],
-        cfg.threads,
+        args.threads,
     )
     samples = [None] * len(points)
     for chunk, block in zip(chunks, blocks):
@@ -309,16 +297,16 @@ def cmd_scan(cfg: Config, args) -> int:
 
     fields = ("a1", "a2", "a3", "Q", "Q1", "gQ1", "gQ2", "gQ3", "region")
     if args.json:
-        _write_text(cfg.out, json.dumps([dict(zip(fields, row)) for row in rows], indent=2))
+        _write_text(args.out, json.dumps([dict(zip(fields, row)) for row in rows], indent=2))
         return EXIT_OK
     lines = [",".join(fields)]
     for row in rows:
         lines.append(",".join([f"{v:.17g}" for v in row[:8]] + [row[8]]))
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_surface(cfg: Config, args) -> int:
+def cmd_surface(args) -> int:
     try:
         index, value_text = args.fix.split("=")
         fixed = {"a1": 0, "a2": 1, "a3": 2}[index.strip()]
@@ -346,20 +334,20 @@ def cmd_surface(cfg: Config, args) -> int:
                     + [f"{float(q_eval(p)):.17g}", f"{float(q1_eval(p)):.17g}"]
                 )
             )
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 # --- blowup and verify -------------------------------------------------------
 
 
-def cmd_blowup(cfg: Config, _args) -> int:
+def cmd_blowup(args) -> int:
     report = blowup_linearizations()
-    _write_text(cfg.out, json.dumps(report.to_json(), indent=2))
+    _write_text(args.out, json.dumps(report.to_json(), indent=2))
     return EXIT_OK
 
 
-def cmd_verify(cfg: Config, args) -> int:
+def cmd_verify(args) -> int:
     from .verify import run_all
 
     results = run_all()
@@ -373,14 +361,14 @@ def cmd_verify(cfg: Config, args) -> int:
             }
             for r in results
         ]
-        _write_text(cfg.out, json.dumps(payload, indent=2))
+        _write_text(args.out, json.dumps(payload, indent=2))
     else:
         width = max(len(r.name) for r in results)
         lines = []
         for r in results:
             flag = "PASS" if r.passed else "FAIL"
             lines.append(f"{r.name:<{width}}  {flag}  {r.seconds:7.2f}s  {r.detail}")
-        _write_text(cfg.out, "\n".join(lines) + "\n")
+        _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
@@ -410,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--tmax", type=float, default=50.0)
     pf.add_argument("--rtol", type=float, default=1e-10)
     pf.add_argument("--three-d", action="store_true", help="integrate the unreduced 3D flow")
-    pf.add_argument("--out", dest="traj_out", default=None, help="trajectory CSV path")
+    pf.add_argument("--out", default=None, help="trajectory CSV path")
 
     ps = sub.add_parser("scan", help="classified grid scan of the open parameter cube")
     ps.add_argument("--n", type=int, required=True, help="points per axis")
@@ -443,16 +431,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = Config(
-            command=args.command,
-            out=getattr(args, "out", None),
-            exact=getattr(args, "exact", False),
-            seed=getattr(args, "seed", 0),
-            threads=_thread_count(
-                args.threads, os.environ.get("WALLACH_THREADS"), os.cpu_count()
-            ),
-            tol_omega=getattr(args, "tol_omega", None),
-        )
+        # the handlers read the resolved pool size
+        args.threads = _thread_count(args.threads, os.environ.get("WALLACH_THREADS"), os.cpu_count())
         handler = {
             "analyze": cmd_analyze,
             "flow": cmd_flow,
@@ -460,11 +440,11 @@ def main(argv=None) -> int:
             "surface": cmd_surface,
             "blowup": cmd_blowup,
             "verify": cmd_verify,
-        }[cfg.command]
+        }[args.command]
         # a census disagreement is a diagnostic, not output: keep stderr clean
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", eq_mod.CensusWarning)
-            code = handler(cfg, args)
+            code = handler(args)
         sys.stdout.flush()
         return code
     except (ValueError, OverflowError) as exc:

@@ -23,6 +23,7 @@ __all__ = [
     "parse_scalar",
     "scalar_to_json",
     "exact_sqrt",
+    "sqrt_scalar",
     "params_from_dims",
 ]
 
@@ -61,6 +62,15 @@ def exact_sqrt(x: Scalar) -> Scalar | None:
     if rn * rn == f.numerator and rd * rd == f.denominator:
         return Fraction(rn, rd)
     return None
+
+
+def sqrt_scalar(x: Scalar) -> Scalar:
+    """Square root of a nonnegative scalar: exact when ``exact_sqrt`` finds
+    one, else a float."""
+    if x < 0:
+        raise ValueError("negative radicand")
+    r = exact_sqrt(x)
+    return r if r is not None else math.sqrt(float(x))
 
 
 def _canonical(x: Scalar) -> Scalar:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ._poly import Poly, _refine, float_bits, quartic_discriminant_coeffs, real_roots, root_brackets
-from .core import Parameters, Scalar, exact_sqrt, is_exact
+from .core import Parameters, Scalar, is_exact, sqrt_scalar
 from .flow import MetricPoint, log_volume
 
 __all__ = [
@@ -131,14 +131,6 @@ def residual(p: Parameters, x: MetricPoint) -> tuple[Scalar, Scalar]:
     return equations(*p.a, *x.x)
 
 
-def _sqrt_scalar(v: Scalar) -> Scalar:
-    """Square root, exact when the radicand is an exact perfect square."""
-    if v < 0:
-        raise ValueError("negative radicand")
-    r = exact_sqrt(v) if is_exact(v) else None
-    return r if r is not None else math.sqrt(float(v))
-
-
 def solve_two_equal(b: Scalar, c: Scalar) -> tuple[list[EquilibriumRay], CaseDiscriminants]:
     """Rays for parameters ``(b, b, c)`` with ``b, c`` in (0, 1/2].
 
@@ -155,7 +147,7 @@ def solve_two_equal(b: Scalar, c: Scalar) -> tuple[list[EquilibriumRay], CaseDis
     t_disc = 1 - 4 * b - 2 * c + 16 * b * b * (b + c)
 
     if d1 >= 0:
-        root = _sqrt_scalar(d1)
+        root = sqrt_scalar(d1)
         mult = 2 if d1 == 0 else 1
         # 1 - root as (1 - d1) / (1 + root): no cancellation as c -> 1/2
         mus = {4 * (1 - 2 * c) * (b + c) / (1 + root), 1 + root} if d1 != 0 else {1 + root}
@@ -172,7 +164,7 @@ def solve_two_equal(b: Scalar, c: Scalar) -> tuple[list[EquilibriumRay], CaseDis
         lead = (b + c) * (1 - 4 * b * b)
         mid = 1 - 2 * b + 8 * b * b * (b + c)
         disc = mid * mid - 4 * lead * lead  # equals T * (1 + 2c)
-        root = _sqrt_scalar(disc)
+        root = sqrt_scalar(disc)
         mult = 2 if t_disc == 0 else 1
         # the roots are reciprocal; (mid - root) / (2*lead) cancels as b -> 1/2
         rs = {2 * lead / (mid + root), (mid + root) / (2 * lead)} if disc != 0 else {mid / (2 * lead)}
@@ -186,14 +178,18 @@ def solve_two_equal(b: Scalar, c: Scalar) -> tuple[list[EquilibriumRay], CaseDis
     return rays, CaseDiscriminants(D1=d1, T=t_disc)
 
 
+def _sums_to_half(p: Parameters) -> bool:
+    """``a1 + a2 + a3 = 1/2``: exactly for exact input, within 1e-12 for float."""
+    return p.s1 == Fraction(1, 2) if p.exact else abs(float(p.s1) - 0.5) <= 1e-12
+
+
 def solve_sum_half(p: Parameters) -> list[EquilibriumRay]:
     """The four closed-form families when the parameters sum to 1/2.
 
     Requires pairwise distinct parameters in (0, 1/2).
     """
     a1, a2, a3 = p.a
-    sum_ok = p.s1 == Fraction(1, 2) if p.exact else abs(float(p.s1) - 0.5) <= 1e-12
-    if not sum_ok:
+    if not _sums_to_half(p):
         raise ValueError("sum-half case expects a1+a2+a3 = 1/2")
     if a1 == a2 or a1 == a3 or a2 == a3:
         raise ValueError("sum-half case expects pairwise distinct parameters")
@@ -449,11 +445,8 @@ def _dispatch_closed_form(p: Parameters) -> list[EquilibriumRay] | None:
                 rep = MetricPoint(rep.x1 / rep.x3, rep.x2 / rep.x3, rep.x3 / rep.x3)
                 out.append(replace(ray, rep=rep))
             return out
-    sum_is_half = (p.s1 == half) if p.exact else abs(float(p.s1) - 0.5) <= 1e-12
-    if sum_is_half:
-        if p.interior:
-            return solve_sum_half(p)
-        return None
+    if _sums_to_half(p):
+        return solve_sum_half(p) if p.interior else None
     return solve_general(p)
 
 

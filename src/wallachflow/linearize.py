@@ -35,7 +35,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from ._poly import Poly
-from .core import Parameters, Scalar, exact_sqrt, is_exact
+from .core import Parameters, Scalar, is_exact, sqrt_scalar
 from .flow import MetricPoint
 
 __all__ = [
@@ -300,8 +300,7 @@ def sigma_minimizing_point(p: Parameters) -> MetricPoint:
     for pair_sum in (a2 + a3, a1 + a3, a1 + a2):
         if pair_sum <= 0:
             raise ValueError("pairwise parameter sums must be positive")
-        r = exact_sqrt(pair_sum)
-        coords.append(r if r is not None else math.sqrt(float(pair_sum)))
+        coords.append(sqrt_scalar(pair_sum))
     return MetricPoint(*coords)
 
 
@@ -315,9 +314,7 @@ def _eigenvalues(rho: Scalar, sigma: Scalar, delta: Scalar):
     if not is_exact(sigma) and -_sigma_rounding_allowance(rho, delta) <= sigma < 0:
         sigma = 0.0
     if sigma >= 0:
-        root = exact_sqrt(sigma) if is_exact(sigma) else None
-        if root is None:
-            root = math.sqrt(float(sigma))
+        root = sqrt_scalar(sigma)
         lam_a = (rho - root) / 2
         lam_b = (rho + root) / 2
     else:

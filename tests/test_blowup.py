@@ -22,11 +22,18 @@ class TestQuadraticParts:
             assert abs(getattr(fd, name) - float(getattr(exact, name))) < 1e-8
 
     def test_shifted_field_has_no_linear_part(self):
-        f, g = shifted_taylor(order=2)
+        f, g = shifted_taylor()
         for series in (f, g):
-            assert series.coeff(0, 0) == 0
-            assert series.coeff(1, 0) == 0
-            assert series.coeff(0, 1) == 0
+            assert series.order == 3
+            assert series.get((0, 0), 0) == 0
+            assert series.get((1, 0), 0) == 0
+            assert series.get((0, 1), 0) == 0
+
+    def test_parts_of_a_given_expansion(self):
+        series = shifted_taylor()
+        parts = shifted_quadratic_parts(series)
+        assert parts == shifted_quadratic_parts()
+        assert delta_u_roots(parts) == delta_u_roots()
 
 
 class TestDirectionCubic:

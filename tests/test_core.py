@@ -11,6 +11,7 @@ from wallachflow.core import (
     params_from_dims,
     parse_scalar,
     scalar_to_json,
+    sqrt_scalar,
 )
 
 rationals = st.fractions(
@@ -39,6 +40,15 @@ class TestScalar:
         assert exact_sqrt(Fraction(169, 225)) == Fraction(13, 15)
         assert exact_sqrt(Fraction(2)) is None
         assert exact_sqrt(2.0) is None
+
+    def test_sqrt_scalar(self):
+        # exact when the root is rational, else the float root
+        assert sqrt_scalar(Fraction(169, 225)) == Fraction(13, 15)
+        assert type(sqrt_scalar(Fraction(169, 225))) is Fraction
+        assert sqrt_scalar(Fraction(2)) == 2**0.5
+        assert sqrt_scalar(4.0) == 2.0 and type(sqrt_scalar(4.0)) is float
+        with pytest.raises(ValueError, match="negative radicand"):
+            sqrt_scalar(Fraction(-1, 4))
 
 
 class TestParameters:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallachflow import equilibria as eq_mod
-from wallachflow._poly import Series2, real_roots
+from wallachflow._poly import Poly, real_roots
 from wallachflow.core import Parameters
 from wallachflow.equilibria import (
     _SHEAR,
@@ -466,22 +466,22 @@ def _mpf(q: Fraction):
 
 def _series_census(p):
     """The census rebuilt apart from the integer layout: ``m``, ``l`` and the
-    resultant ``m**2 + l*n`` over ``Series2`` in ``Fraction``s, its real
+    resultant ``m**2 + l*n`` over untruncated ``Poly`` in ``Fraction``s, its real
     roots and their multiplicities by ``real_roots``, each irrational root
     refined to 400 bits by mpmath (Newton's step times the multiplicity),
     and ``x1 = -m(u)/l(u)``, ``x2 = u - x1/3`` rounded once.  Where ``l(u) =
     0`` the rays are the roots of the first equation on the line ``u``; in
     the triples checked here such a line holds one ray at most."""
-    x1, u = Series2.var(0), Series2.var(1)
+    x1, u = Poly.var(0, 2), Poly.var(1, 2)
     e1, e2 = equations(*map(Fraction, p.a), x1, u - _SHEAR * x1, 1)
     (p1, b1, c1), (p2, b2, c2) = (
-        [Series2({(0, j): e.coeff(i, j) for j in range(3)}) for i in (2, 1, 0)] for e in (e1, e2)
+        [Poly({(0, j): c for j in range(3) if (c := e.get((i, j)))}, 2) for i in (2, 1, 0)] for e in (e1, e2)
     )
     m, l, n = p1 * c2 - p2 * c1, p1 * b2 - p2 * b1, b2 * c1 - b1 * c2
-    res = m * m + l * n if p1.c or p2.c else n
-    if not (p1.c or p2.c):  # two linear equations: x1 = -c/b from one of them
-        m, l = (c1, b1) if b1.c else (c2, b2)
-    coeffs = [res.coeff(0, j) for j in range(4, -1, -1)]
+    res = m * m + l * n if p1 or p2 else n
+    if not (p1 or p2):  # two linear equations: x1 = -c/b from one of them
+        m, l = (c1, b1) if b1 else (c2, b2)
+    coeffs = [res.get((0, j), Fraction(0)) for j in range(4, -1, -1)]
     if not any(coeffs):
         raise ValueError("the equilibria form a curve")
     out = []
@@ -489,13 +489,13 @@ def _series_census(p):
         if not abs(v) < math.inf:
             continue
         if isinstance(v, Fraction):
-            lv = sum(l.coeff(0, j) * v**j for j in range(2))
+            lv = sum(l.get((0, j), 0) * v**j for j in range(2))
             if lv == 0:
-                quads = [[sum(e.coeff(i, j) * v**j for j in range(3 - i)) for i in (2, 1, 0)] for e in (e1, e2)]
+                quads = [[sum(e.get((i, j), 0) * v**j for j in range(3 - i)) for i in (2, 1, 0)] for e in (e1, e2)]
                 quad = quads[0] if any(quads[0]) else quads[1]
                 pts = [(r, v - _SHEAR * Fraction(r)) for r, _m in real_roots(quad)]
             else:
-                r = -sum(m.coeff(0, j) * v**j for j in range(3)) / lv
+                r = -sum(m.get((0, j), 0) * v**j for j in range(3)) / lv
                 pts = [(r, v - _SHEAR * r)]
         else:
             with mpmath.workprec(400):
@@ -507,7 +507,7 @@ def _series_census(p):
                     if not fw:
                         break
                     w -= mult * fw / mpmath.polyval(df, w)
-                mw, lw = (sum(_mpf(s.coeff(0, j)) * w**j for j in range(3)) for s in (m, l))
+                mw, lw = (sum(_mpf(s.get((0, j), Fraction(0))) * w**j for j in range(3)) for s in (m, l))
                 r = -mw / lw
                 pts = [(float(r), float(w - r / 3))]
         for r, x2 in pts:
@@ -521,7 +521,7 @@ def _float_bits(points):
 
 
 class TestCensusParity:
-    """The integer census returns what the ``Series2`` construction
+    """The integer census returns what the ``Poly`` construction
     returns: the same exact rays, the same multiplicities, and float
     coordinates to the last bit."""
 

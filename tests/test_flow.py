@@ -223,7 +223,8 @@ class TestSharedRatios:
         self.assert_same(a, x)
 
     def test_blowup_report(self, monkeypatch):
-        # the blow-up evaluates the field on Taylor series (Series2)
+        # the blow-up evaluates the field once, on Taylor series (``Poly``
+        # truncated at total degree 3)
         def report():
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
@@ -240,4 +241,4 @@ class TestSharedRatios:
         monkeypatch.setattr(flow, "field_components", reference)
         monkeypatch.setattr(blowup, "field_components", reference)
         assert report() == shared
-        assert calls
+        assert len(calls) == 1

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from wallachflow import blowup, cli, equilibria
 from wallachflow._poly import (
     _SCREEN_PRIMES,
+    Poly,
     _derivative,
     _divmod,
     _gcd,
@@ -519,3 +520,118 @@ class TestReferenceParity:
         assert any(r in (-math.inf, math.inf) for f in found for r, _ in f)
         self._assert_parity(corpus)
         self._assert_parity(KNOWN_EXACT)
+
+
+# --- Poly and its truncated series against sympy ------------------------------
+
+
+def _random_poly(rng, nvars, order=None, unit=False):
+    """A ``Poly`` of total degree at most 3 with small random rational
+    coefficients; with ``unit`` its constant term is nonzero."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        mono = [0] * nvars
+        for _ in range(rng.randint(0, 3)):
+            mono[rng.randrange(nvars)] += 1
+        terms[tuple(mono)] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    if unit:
+        terms[(0,) * nvars] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+    return Poly({m: c for m, c in terms.items() if c}, nvars, order)
+
+
+def _sympy_terms(expr, syms):
+    """The monomials of a sympy polynomial as a dict of ``Fraction``s."""
+    sympy = pytest.importorskip("sympy")
+    poly = sympy.Poly(sympy.expand(expr), *syms)
+    return {m: Fraction(int(c.p), int(c.q)) for m, c in poly.as_dict().items() if c}
+
+
+def _to_sympy(poly, syms):
+    sympy = pytest.importorskip("sympy")
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**e for x, e in zip(syms, m)))
+         for m, c in poly.items()),
+        sympy.Integer(0),
+    )
+
+
+def _truncated(terms, order):
+    return {m: c for m, c in terms.items() if sum(m) <= order}
+
+
+@pytest.fixture(params=[2, 3], ids=["2-vars", "3-vars"])
+def syms(request):
+    sympy = pytest.importorskip("sympy")
+    return sympy.symbols(f"x0:{request.param}")
+
+
+class TestPolyAgainstSympy:
+    """``Poly``'s ring operations, its truncation at ``order`` and its
+    series inverse on random rational polynomials, against sympy."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ring_operations(self, seed, syms):
+        rng, n = random.Random(seed), len(syms)
+        p, q = _random_poly(rng, n), _random_poly(rng, n)
+        c = Fraction(rng.randint(-7, 7), rng.randint(1, 3))
+        sp, sq = _to_sympy(p, syms), _to_sympy(q, syms)
+        cases = [
+            (p + q, sp + sq), (p - q, sp - sq), (p * q, sp * sq), (-p, -sp),
+            (p + c, sp + c), (c - p, c - sp), (c * p, c * sp), (p ** 3, sp**3), (p ** 0, 1),
+        ]
+        cases += [(p.diff(i), sp.diff(x)) for i, x in enumerate(syms)]
+        for got, want in cases:
+            assert got == _sympy_terms(want, syms)
+            assert all(got.values()) and got.nvars == n and got.order is None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_truncation_drops_exactly_the_monomials_above_order(self, seed, syms):
+        rng, n = random.Random(seed), len(syms)
+        p, q = _random_poly(rng, n), _random_poly(rng, n)
+        sp, sq = _to_sympy(p, syms), _to_sympy(q, syms)
+        for order in range(5):
+            pt, qt = Poly(p, n, order), Poly(q, n, order)
+            assert pt == _truncated(p, order)
+            for got, want in ((pt + qt, sp + sq), (pt - 1, sp - 1), (pt * qt, sp * sq), (pt ** 2, sp**2)):
+                assert got.order == order
+                assert got == _truncated(_sympy_terms(want, syms), order)
+            # the lower order wins, and a derivative knows one degree less
+            assert (pt * Poly(q, n, order + 2)).order == order
+            assert (pt + q).order == order
+            assert pt.diff(0) == _truncated(_sympy_terms(sp.diff(syms[0]), syms), order - 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("order", [0, 2, 3])
+    def test_inverse_is_the_taylor_series(self, seed, order, syms):
+        sympy = pytest.importorskip("sympy")
+        rng, n = random.Random(seed), len(syms)
+        p, q = _random_poly(rng, n, order, unit=True), _random_poly(rng, n, order)
+        t = sympy.Symbol("t")
+        scaled = {x: t * x for x in syms}
+        sp, sq = _to_sympy(p, syms).subs(scaled), _to_sympy(q, syms).subs(scaled)
+
+        def series(expr):
+            # the terms of degree at most ``order`` in x, as powers of t
+            return _sympy_terms(sympy.series(expr, t, 0, order + 1).removeO().subs(t, 1), syms)
+
+        assert p.inverse() == series(1 / sp)
+        assert q / p == series(sq / sp)
+        assert 3 / p == series(3 / sp)
+        assert p / 2 == series(sp / 2)
+        assert (p * p.inverse()) == {(0,) * n: 1}
+
+    def test_inverse_of_zero_constant_term_raises(self):
+        x, y = Poly.var(0, 2, 3), Poly.var(1, 2, 3)
+        for series in (x + y * y, Poly({}, 2, 3), x * 0):
+            with pytest.raises(ZeroDivisionError):
+                series.inverse()
+            with pytest.raises(ZeroDivisionError):
+                1 / series
+        with pytest.raises(ZeroDivisionError):
+            (1 + x) / 0
+
+    def test_inverse_without_order(self):
+        # a constant inverts exactly; 1/(1 + x) has no polynomial form
+        assert Poly.const(4, 2).inverse() == {(0, 0): Fraction(1, 4)}
+        with pytest.raises(ValueError):
+            (1 + Poly.var(0, 2)).inverse()
