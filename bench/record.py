@@ -10,9 +10,10 @@ subprocess, and reads the record that run writes to
 ``.perfbench/<workload>-seed<N>-trace0.json``. It then replays the recorded
 ``--threads 1`` argument lists once in-process, through
 ``wallachflow.cli.main``, with counting wrappers on ``equilibria.census``,
-``_poly.real_roots``, ``linearize.linearize_at`` and
-``flow.field_components``, and sums ``field_evals``, ``steps_accepted`` and
-``steps_rejected`` from the ``flow`` summaries. Calls at other thread counts
+``_poly.real_roots``, ``_poly._rational_root`` (the exact rational-root
+refinements), ``linearize.linearize_at`` and ``flow.field_components``, and
+sums ``field_evals``, ``steps_accepted`` and ``steps_rejected`` from the
+``flow`` summaries. Calls at other thread counts
 run their work in pool workers, out of the wrappers' sight, and are
 skipped. The counters do not depend on the host.
 
@@ -45,6 +46,7 @@ WORKLOADS = ("scan", "analyze", "flow")
 COUNTED = (
     ("equilibria", "census"),
     ("_poly", "real_roots"),
+    ("_poly", "_rational_root"),
     ("linearize", "linearize_at"),
     ("flow", "field_components"),
 )

@@ -31,7 +31,8 @@ do not divide its leading coefficient.  A rational root ``p/q`` has ``q``
 prime to such a prime ``l``, so ``p * q^-1`` is a root modulo ``l``; a factor
 without a root modulo one of them has no rational root, and its roots go
 straight to the float grid.  The screen never changes an answer, only which
-factors skip the exact test.
+factors skip the exact test.  Callers that round every root, such as the
+census at float parameters, skip the test with ``exact=False``.
 """
 
 from __future__ import annotations
@@ -377,7 +378,9 @@ def root_brackets(f: list[int], exact: bool = True) -> list[tuple[object, int, l
     its primitive form isolated by Sturm's theorem, with ``exact`` a rational
     root as its ``Fraction`` (``factor``, ``df`` ``None``), any other as its
     isolating interval ``(lo, hi, k)`` of ``factor`` (rational roots divided
-    out) with ``df = factor'``, ready for ``_refine``."""
+    out) with ``df = factor'``, ready for ``_refine``.  Without ``exact`` no
+    rational root is searched for: every root is an isolating interval of
+    its square-free factor, for callers that round the roots anyway."""
     f = _primitive(f)
     chain = _remainders(f, _derivative(f))
     chains = [(chain, 1)] if chain[-1] else [(_remainders(g, _derivative(g)), k) for g, k in _square_free(f)]
@@ -399,7 +402,7 @@ def root_brackets(f: list[int], exact: bool = True) -> list[tuple[object, int, l
     return roots
 
 
-def real_roots(coeffs) -> list[tuple[object, int]]:
+def real_roots(coeffs, exact: bool | None = None) -> list[tuple[object, int]]:
     """Real roots of a univariate polynomial (highest degree first), ascending,
     each with its multiplicity.
 
@@ -409,10 +412,13 @@ def real_roots(coeffs) -> list[tuple[object, int]]:
     coefficients are integers.  Their primitive form (divided by their gcd)
     is square-free when its remainder sequence with its derivative ends in a
     constant, or else factored square-free, the index of a factor being the
-    exact multiplicity of its roots (``root_brackets``).  When every
-    coefficient is exact, a rational root is returned as that ``Fraction``.
-    The other roots are refined to within ``2**-55`` relative and rounded to
-    a float; a root beyond the float range is an infinity.
+    exact multiplicity of its roots (``root_brackets``).  With ``exact``, a
+    rational root is returned as that ``Fraction``; it defaults to whether
+    every coefficient is exact, and ``False`` skips the rational-root search
+    of ``root_brackets`` for integer coefficients whose roots the caller
+    rounds anyway.  The other roots are refined to within ``2**-55``
+    relative and rounded to a float; a root beyond the float range is an
+    infinity.
     """
     if all(type(c) is int for c in coeffs):
         rest = list(coeffs)
@@ -425,7 +431,9 @@ def real_roots(coeffs) -> list[tuple[object, int]]:
     if len(rest) <= 1:
         return []
     roots = []
-    for root, mult, factor, df in root_brackets(rest, all(map(is_exact, coeffs))):
+    if exact is None:
+        exact = all(map(is_exact, coeffs))
+    for root, mult, factor, df in root_brackets(rest, exact):
         if factor is None:
             roots.append((root, mult))
             continue

@@ -15,6 +15,9 @@ from typing import Union
 
 Scalar = Union[int, Fraction, float]
 
+# 1/2 for exact scalars; a float compares with 0.5, exactly and without a Fraction
+_HALF = Fraction(1, 2)
+
 __all__ = [
     "Scalar",
     "Parameters",
@@ -134,11 +137,11 @@ class Parameters:
 
     @property
     def wallach_range(self) -> bool:
-        return all(0 < ai <= Fraction(1, 2) for ai in self.a)
+        return all(0 < ai <= (0.5 if type(ai) is float else _HALF) for ai in self.a)
 
     @property
     def interior(self) -> bool:
-        return all(0 < ai < Fraction(1, 2) for ai in self.a)
+        return all(0 < ai < (0.5 if type(ai) is float else _HALF) for ai in self.a)
 
     def to_json(self) -> dict:
         return {

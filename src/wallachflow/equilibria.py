@@ -85,11 +85,15 @@ class EquilibriumRay:
     convention: str = "x3=1"
 
     def rep_x3one(self) -> MetricPoint:
-        """The x3 = 1 representative of the ray (exact for exact reps)."""
+        """The x3 = 1 representative of the ray (exact for exact reps); the
+        representative itself when it is one already."""
+        if self.convention == "x3=1" and self.rep.x3 == 1:
+            return self.rep
         return MetricPoint(self.rep.x1 / self.rep.x3, self.rep.x2 / self.rep.x3, self.rep.x3 / self.rep.x3)
 
     def as_x3one(self) -> "EquilibriumRay":
-        return replace(self, rep=self.rep_x3one(), convention="x3=1")
+        rep = self.rep_x3one()
+        return self if rep is self.rep else replace(self, rep=rep, convention="x3=1")
 
     def key(self) -> tuple[float, float]:
         r = self.rep_x3one()
@@ -241,7 +245,8 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
     "x1=1"``); a multiple root of the quartic is reported once, with its
     exact multiplicity.  The quartic and ``t`` are integers over the exact
     (for floats, dyadic) parameters: in floats a tiny ``t`` near a face
-    ``a_i -> 1/2`` could come out negative.
+    ``a_i -> 1/2`` could come out negative.  At float parameters no rational
+    root is searched for: every ``s`` is rounded, and ``t`` follows from it.
     """
     a1, a2, a3 = p.a
     if a1 == a2 or a1 == a3 or a2 == a3:
@@ -252,7 +257,7 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
     d = math.lcm(*(v.denominator for v in a))
     a1, a2, a3 = (v.numerator * (d // v.denominator) for v in a)
     rays = []
-    for s, mult in real_roots(_quartic(a1, a2, a3, d)):
+    for s, mult in real_roots(_quartic(a1, a2, a3, d), p.exact):
         if not 0 < s < math.inf:  # s = inf: x1 = x3/s is below the float range
             continue
         n, m = s.as_integer_ratio()
@@ -351,6 +356,21 @@ def _ray(num: list[int], den: list[int], factor: list[int], df: list[int], root:
     return None
 
 
+def _root_at(factor: list[int], root: tuple[int, int, int], u: Fraction) -> bool:
+    """Whether ``u`` is the root of ``factor`` in its isolating interval
+    ``root``, by exact evaluation homogeneous in ``u``'s numerator and
+    denominator."""
+    lo, hi, k = root
+    n, d = u.numerator, u.denominator
+    if not lo * d < n << k <= hi * d:
+        return False
+    acc, d_pow = factor[0], 1
+    for c in factor[1:]:
+        d_pow *= d
+        acc = acc * n + c * d_pow
+    return acc == 0
+
+
 def _on_line(rows: list[list[list[int]]], u: Fraction, mult: int):
     """The rays at a root ``u`` of the resultant where ``l(u) = m(u) = 0``:
     the roots ``x1`` of the first equation that does not vanish on the line,
@@ -381,11 +401,18 @@ def census(p: Parameters) -> list[tuple[Scalar, Scalar, int]]:
     and their resultant ``m**2 + l*n`` (Basu, Pollack and Roy) is the only
     polynomial solved: a real root ``u`` with ``l(u) != 0`` carries exactly
     one solution, ``x1 = -m(u)/l(u)`` (a rational univariate representation,
-    Rouillier 1999), of intersection multiplicity that of ``u``.  A rational
-    ``u`` gives ``Fraction``s (rounded once for float parameters), any other
-    ``u`` correctly rounded floats from ``_ray``.  Where ``l(u) = m(u) = 0``,
-    as at ``1/4, 1/4, 1/4``, ``_on_line`` solves one equation on the line
-    ``u``.  A curve of equilibria (zero resultant) raises ``ValueError``.
+    Rouillier 1999), of intersection multiplicity that of ``u``.  At exact
+    parameters a rational ``u`` gives ``Fraction``s and any other ``u``
+    correctly rounded floats from ``_ray``.  Float parameters want floats
+    only, so no rational root is searched for and every ``u`` goes to
+    ``_ray``, which rounds a rational ray as ``float`` rounds its
+    ``Fraction`` except exactly halfway between two floats, where it takes
+    the lower one after ``_MAX_DOUBLINGS``.
+    Where ``l(u) = m(u) = 0``, as at ``1/4, 1/4, 1/4``, ``_on_line`` solves
+    one equation on the line ``u``.  As ``l`` is linear, that ``u`` is
+    ``u0 = -l0/l1`` (or ``l = 0``): a root whose isolating interval holds
+    ``u0`` is tested at ``u0`` exactly.  A curve of equilibria (zero
+    resultant) raises ``ValueError``.
     """
     a = tuple(map(Fraction, p.a))
     (c1, b1, (p1,)), (c2, b2, (p2,)) = rows = _census_rows(a)
@@ -403,7 +430,10 @@ def census(p: Parameters) -> list[tuple[Scalar, Scalar, int]]:
     while not res[-1]:
         res.pop()
     out = []
-    for root, mult, factor, df in root_brackets(res[::-1]) if len(res) > 1 else ():
+    u0 = Fraction(-l[0], l[1]) if l[1] else None
+    for root, mult, factor, df in root_brackets(res[::-1], p.exact) if len(res) > 1 else ():
+        if factor is not None and u0 is not None and _root_at(factor, root, u0):
+            root, factor = u0, None
         if factor is None and l[0] + l[1] * root:
             x1 = -(m[0] + (m[1] + m[2] * root) * root) / (l[0] + l[1] * root)
             if x1 > 0 and root - _SHEAR * x1 > 0:
@@ -502,13 +532,18 @@ def scale_to_log_volume(p: Parameters, x: MetricPoint, log_v: float = 0.0) -> Me
 
     ``V`` is homogeneous of degree ``1/a1 + 1/a2 + 1/a3``, which is nonzero
     because ``Parameters`` rejects ``s2 == 0``.  A point already on the level
-    set is returned unchanged (so it stays exact).
+    set is returned unchanged (so it stays exact).  ``OverflowError`` when
+    the factor or a scaled coordinate is not a positive finite float, as for
+    a subnormal ``a_i``, whose ``1/a_i`` is infinite.
     """
     lv = log_volume(p, x)
     if lv == log_v:
         return x
     q = math.exp((log_v - lv) / float(1 / p.a1 + 1 / p.a2 + 1 / p.a3))
-    return MetricPoint(float(x.x1) * q, float(x.x2) * q, float(x.x3) * q)
+    scaled = (q, float(x.x1) * q, float(x.x2) * q, float(x.x3) * q)
+    if not all(0 < v < math.inf for v in scaled):  # NaN fails too
+        raise OverflowError("the volume scaling left the float range")
+    return MetricPoint(*scaled[1:])
 
 
 def normalize_unit_volume(p: Parameters, ray: EquilibriumRay) -> MetricPoint:

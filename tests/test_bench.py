@@ -23,10 +23,12 @@ record = _load("bench_record", ROOT / "bench" / "record.py")
 workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
 
 
-def _counters(census, real_roots, linearize_at, field_components, field_evals=0, accepted=0, rejected=0):
+def _counters(census, real_roots, rational_root, linearize_at, field_components, field_evals=0, accepted=0,
+              rejected=0):
     return {
         "equilibria.census": census,
         "_poly.real_roots": real_roots,
+        "_poly._rational_root": rational_root,
         "linearize.linearize_at": linearize_at,
         "flow.field_components": field_components,
         "flow.field_evals": field_evals,
@@ -36,11 +38,12 @@ def _counters(census, real_roots, linearize_at, field_components, field_evals=0,
 
 
 @pytest.mark.parametrize("name, counters, replayed, skipped", [
-    # the --threads 2 scan runs in pool workers and is skipped
-    ("scan", _counters(9, 1, 24, 0), 1, 1),
+    # the --threads 2 scan runs in pool workers and is skipped; its float
+    # censuses search no rational root
+    ("scan", _counters(9, 1, 0, 24, 0), 1, 1),
     # field_components: the blowup report, which expands the field once
-    ("analyze", _counters(14, 11, 35, 1), 15, 0),
-    ("flow", _counters(8, 4, 0, 2030, 2030, 337, 0), 8, 0),
+    ("analyze", _counters(14, 11, 24, 35, 1), 15, 0),
+    ("flow", _counters(8, 4, 24, 0, 2030, 2030, 337, 0), 8, 0),
 ])
 def test_tiny_counters(name, counters, replayed, skipped):
     calls = [{"argv": c.argv, "threads": c.threads} for c in workloads.WORKLOADS[name](1, workloads.TINY)]

@@ -131,6 +131,13 @@ class TestAnalyze:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: a value left the float range\n"
 
+    def test_subnormal_parameter_is_overflow(self, capsys):
+        # 1/a1 is infinite, so the unit-volume scaling factor is NaN; this
+        # once read "metric coefficients must be strictly positive"
+        assert cli.main(["analyze", "--a", "1e-310,0.2,0.3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: a value left the float range\n"
+
 
 class TestFlow:
     def test_trajectory_csv(self, tmp_path):

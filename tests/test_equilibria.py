@@ -470,8 +470,11 @@ def _series_census(p):
     roots and their multiplicities by ``real_roots``, each irrational root
     refined to 400 bits by mpmath (Newton's step times the multiplicity),
     and ``x1 = -m(u)/l(u)``, ``x2 = u - x1/3`` rounded once.  Where ``l(u) =
-    0`` the rays are the roots of the first equation on the line ``u``; in
-    the triples checked here such a line holds one ray at most."""
+    0`` the rays are the roots of the first equation on the line ``u``.  The
+    multiplicity of ``u`` is the sum of the intersection multiplicities of
+    the points on its line (complex ones included): a lone point takes all
+    of it, and two points on a double root take 1 each; no other split
+    occurs in the triples checked here."""
     x1, u = Poly.var(0, 2), Poly.var(1, 2)
     e1, e2 = equations(*map(Fraction, p.a), x1, u - _SHEAR * x1, 1)
     (p1, b1, c1), (p2, b2, c2) = (
@@ -493,10 +496,12 @@ def _series_census(p):
             if lv == 0:
                 quads = [[sum(e.get((i, j), 0) * v**j for j in range(3 - i)) for i in (2, 1, 0)] for e in (e1, e2)]
                 quad = quads[0] if any(quads[0]) else quads[1]
-                pts = [(r, v - _SHEAR * Fraction(r)) for r, _m in real_roots(quad)]
+                on_line = real_roots(quad)
+                assert len(on_line) in (0, 1, mult), (p.a, v, mult)
+                pts = [(r, v - _SHEAR * Fraction(r), mult // len(on_line)) for r, _m in on_line]
             else:
                 r = -sum(m.get((0, j), 0) * v**j for j in range(3)) / lv
-                pts = [(r, v - _SHEAR * r)]
+                pts = [(r, v - _SHEAR * r, mult)]
         else:
             with mpmath.workprec(400):
                 f = [_mpf(c) for c in coeffs]
@@ -509,10 +514,10 @@ def _series_census(p):
                     w -= mult * fw / mpmath.polyval(df, w)
                 mw, lw = (sum(_mpf(s.get((0, j), Fraction(0))) * w**j for j in range(3)) for s in (m, l))
                 r = -mw / lw
-                pts = [(float(r), float(w - r / 3))]
-        for r, x2 in pts:
+                pts = [(float(r), float(w - r / 3), mult)]
+        for r, x2, k in pts:
             if 0 < r < math.inf and 0 < x2 < math.inf:
-                out.append((r, x2, mult) if p.exact else (float(r), float(x2), mult))
+                out.append((r, x2, k) if p.exact else (float(r), float(x2), k))
     return sorted(out)
 
 
@@ -543,6 +548,17 @@ class TestCensusParity:
             h = 0.5 - 10.0**-k
             triples += [(h, 0.3, 0.2), (0.1, h, 0.45), (h, h, 0.05), (h, h, h)]
         self._check(triples)
+
+    def test_on_line_floats(self):
+        # every ordered n/64 float triple whose resultant has a root on the
+        # line l(u) = 0: no rational root is searched for at float
+        # parameters, so only the test at u0 = -l0/l1 finds these rays
+        self._check([
+            (0.25, 0.25, 0.25), (0.1875, 0.0625, 0.25), (0.046875, 0.015625, 0.4375),
+            (0.09375, 0.03125, 0.375), (0.140625, 0.046875, 0.3125), (0.234375, 0.078125, 0.1875),
+            (0.28125, 0.09375, 0.125), (0.328125, 0.109375, 0.0625), (0.03125, 0.3125, 0.5),
+            (0.3125, 0.34375, 0.5),
+        ])
 
     def test_exact_triples(self):
         rng = random.Random(12)

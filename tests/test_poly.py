@@ -453,9 +453,9 @@ def _recorded_inputs(monkeypatch, argv):
     and every census resultant, which goes to ``root_brackets``."""
     seen = []
 
-    def record(coeffs):
+    def record(coeffs, exact=None):
         seen.append(list(coeffs))
-        return real_roots(coeffs)
+        return real_roots(coeffs, exact)
 
     def record_brackets(f, exact=True):
         seen.append(list(f))
