@@ -6,9 +6,11 @@
 
 Run from anywhere; the checkout is the parent of this file's directory. For
 each workload it runs ``perfbench/run.py --trace 0`` unchanged, as a
-subprocess, and reads the record that run writes to
-``.perfbench/<workload>-seed<N>-trace0.json``. It then replays the recorded
-``--threads 1`` argument lists once in-process, through
+subprocess, ``RUNS`` (3) times, and reads the record each run writes to
+``.perfbench/<workload>-seed<N>-trace0.json``. Each end-to-end metric is
+stored as the median of the runs: a single run's ``setup_s`` is one sample,
+and a ratio of two such samples is mostly noise. It then replays the
+recorded ``--threads 1`` argument lists once in-process, through
 ``wallachflow.cli.main``, with counting wrappers on ``equilibria.census``,
 ``_poly.real_roots``, ``_poly._rational_root`` (the exact rational-root
 refinements), ``linearize.linearize_at`` and ``flow.field_components``, and
@@ -20,8 +22,9 @@ skipped. The counters do not depend on the host.
 The result goes to ``BENCH_<commit>.json`` in the checkout, where
 ``<commit>`` is the short hash of the checked-out commit,
 with ``-dirty`` when ``src/`` differs from it. It holds the environment of
-the run (``PYTHONDONTWRITEBYTECODE`` included), the end-to-end metrics and
-the counters. ``--compare`` prints the ratios new/old of every metric and
+the run (``PYTHONDONTWRITEBYTECODE`` included), the number of runs, the
+median end-to-end metrics, the operations attempted and failed over all
+runs, and the counters. ``--compare`` prints the ratios new/old of every metric and
 counter, against the new recording or between two given files.
 
 Only the standard library is used here; the benchmark itself needs what the
@@ -35,6 +38,7 @@ import contextlib
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 from collections import Counter
@@ -42,6 +46,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("scan", "analyze", "flow")
+# benchmark runs per workload; each end-to-end metric keeps their median
+RUNS = 3
 # (module, function) pairs whose calls are counted during the replay
 COUNTED = (
     ("equilibria", "census"),
@@ -144,17 +150,23 @@ def record(workloads: list[str], seed: int, seconds: float) -> dict:
         "workloads": {},
     }
     for name in workloads:
-        summary, rec = run_benchmark(name, seed, seconds)
+        runs = [run_benchmark(name, seed, seconds) for _ in range(RUNS)]
+        summaries = [summary for summary, _rec in runs]
+        rec = runs[0][1]
         if out["environment"] is None:
             out["environment"] = {
                 **rec["environment"],
                 "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             }
         out["workloads"][name] = {
-            "correct": summary["correct"],
-            "attempted": summary["attempted"],
-            "failed": summary["failed"],
-            "metrics": {k: v["value"] for k, v in summary["metrics"].items()},
+            "correct": all(s["correct"] for s in summaries),
+            "attempted": sum(s["attempted"] for s in summaries),
+            "failed": sum(s["failed"] for s in summaries),
+            "runs": RUNS,
+            "metrics": {
+                k: statistics.median(s["metrics"][k]["value"] for s in summaries)
+                for k in summaries[0]["metrics"]
+            },
             **replay(rec["calls"]),
         }
     return out

@@ -227,11 +227,13 @@ def cmd_flow(args) -> int:
     )
     trajectories = _map(run_one, starts, args.threads)
 
-    rows = []
+    single = len(trajectories) == 1
+    lines = ["t,x1,x2,x3,V" if single else "run,t,x1,x2,x3,V"]
     summary = []
     for run, traj in enumerate(trajectories):
-        for (t, x1, x2, x3, v) in traj.samples:
-            rows.append((run, t, x1, x2, x3, v))
+        # one format per row: "%.17g" prints each value as f"{value:.17g}" does
+        fmt = ("" if single else f"{run},") + "%.17g,%.17g,%.17g,%.17g,%.17g"
+        lines.extend([fmt % sample for sample in traj.samples])
         summary.append({
             "run": run,
             "x0": list(starts[run]),
@@ -245,16 +247,6 @@ def cmd_flow(args) -> int:
             "exit_face": traj.exit_face,
         })
 
-    if len(trajectories) == 1:
-        lines = ["t,x1,x2,x3,V"]
-        for _run, t, x1, x2, x3, v in rows:
-            lines.append(f"{t:.17g},{x1:.17g},{x2:.17g},{x3:.17g},{v:.17g}")
-    else:
-        lines = ["run,t,x1,x2,x3,V"]
-        for run, t, x1, x2, x3, v in rows:
-            lines.append(
-                f"{run},{t:.17g},{x1:.17g},{x2:.17g},{x3:.17g},{v:.17g}"
-            )
     _write_text(args.out, "\n".join(lines) + "\n")
     # the summary goes to stderr when the CSV takes stdout
     print(json.dumps({"runs": summary}, indent=2), file=sys.stderr if args.out is None else sys.stdout)

@@ -105,27 +105,29 @@ def normalization_term(a1, a2, a3, x1, x2, x3, weight=None):
     )
 
 
-def _normalization(a1, a2, a3, x1, x2, x3, r1, r2, r3, weight):
+def _normalization(a1, a2, a3, x1, x2, x3, r1, r2, r3, weight, one=1):
     """``normalization_term`` from the ratios ``r1 = x1/(x2 x3)``,
-    ``r2 = x2/(x1 x3)`` and ``r3 = x3/(x1 x2)``."""
+    ``r2 = x2/(x1 x3)`` and ``r3 = x3/(x1 x2)``; ``one`` is the ring's unit."""
     if weight is None:
         weight = normalization_weight(a1, a2, a3)
-    return (1 / (a1 * x1) + 1 / (a2 * x2) + 1 / (a3 * x3) - (r1 + r2 + r3)) * weight
+    return (one / (a1 * x1) + one / (a2 * x2) + one / (a3 * x3) - (r1 + r2 + r3)) * weight
 
 
-def field_components(a1, a2, a3, x1, x2, x3, weight=None):
+def field_components(a1, a2, a3, x1, x2, x3, weight=None, one=1):
     """The three field components, over any ring with division.
 
     This is the single source of the flow formulas; the scalar, float and
     Taylor-series evaluations all route through it.  The three ratios
     ``x_i / (x_j x_k)`` are computed once and shared with the normalization
-    term; ``weight`` is passed on to it.
+    term; ``weight`` is passed on to it.  ``one`` is the unit the constants
+    are written in: a float caller may pass ``1.0``, which gives the same
+    bits as the default ``1`` without an int-float conversion per operation.
     """
     r1, r2, r3 = x1 / (x2 * x3), x2 / (x1 * x3), x3 / (x1 * x2)
-    B = _normalization(a1, a2, a3, x1, x2, x3, r1, r2, r3, weight)
-    f = -1 - a1 * x1 * (r1 - r2 - r3) + x1 * B
-    g = -1 - a2 * x2 * (r2 - r3 - r1) + x2 * B
-    h = -1 - a3 * x3 * (r3 - r1 - r2) + x3 * B
+    B = _normalization(a1, a2, a3, x1, x2, x3, r1, r2, r3, weight, one)
+    f = -one - a1 * x1 * (r1 - r2 - r3) + x1 * B
+    g = -one - a2 * x2 * (r2 - r3 - r1) + x2 * B
+    h = -one - a3 * x3 * (r3 - r1 - r2) + x3 * B
     return f, g, h
 
 

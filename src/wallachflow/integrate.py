@@ -11,12 +11,13 @@ so a run's bits do not depend on a vectorized ``exp`` kernel.  The step is
 straight-line scalar code for each chart's size, 2 or 3 components; every
 weighted sum starts from 0 and runs in tableau order, zero coefficients
 included.  Each chart converts the parameters once, which changes no bit of
-the field, and hands the stepper one stage function: a single call that
-counts the evaluation, maps the log state to the point, tests it and
-evaluates ``flow.field_components`` there (see ``_drive``).  The seventh
-stage of an accepted step is reused as the next step's first and for the
-step's diagnosis, so a run costs one field evaluation at the start and six
-per attempted step.
+the field, and hands the stepper one stage function: a single call, with
+the log state's components as positional arguments, that counts the
+evaluation, maps the log state to the point, tests it and evaluates
+``flow.field_components`` there in the float unit ``1.0`` (see ``_drive``).
+The seventh stage of an accepted step is reused as the next step's first
+and for the step's diagnosis, so a run costs one field evaluation at the
+start and six per attempted step.
 """
 
 from __future__ import annotations
@@ -124,11 +125,12 @@ def dopri_step(f, y: list[float], h: float, first):
     """One Dormand-Prince step of size ``h`` from ``y``, a state of 2 or 3
     components (the planar or the 3D chart).
 
-    ``f(y)`` returns a stage, a tuple whose first item is the derivative at
-    ``y``, or None where it cannot be evaluated; ``first`` is the stage at
-    ``y``.  Returns the 5th-order result, the embedded 4th-order error
-    estimate and the seventh stage, which is the stage at the result; or
-    None when a stage could not be evaluated.
+    ``f(*y)``, called with the state's components as positional arguments,
+    returns a stage, a tuple whose first item is the derivative at ``y``, or
+    None where it cannot be evaluated; ``first`` is the stage at ``y``.
+    Returns the 5th-order result, the embedded 4th-order error estimate and
+    the seventh stage, which is the stage at the result; or None when a
+    stage could not be evaluated.
 
     The step is written out as straight-line code for each of the two
     sizes; any other size raises ``ValueError``.  Each weighted sum starts
@@ -139,47 +141,35 @@ def dopri_step(f, y: list[float], h: float, first):
     if len(y) == 2:
         ua, ub = y
         k1a, k1b = first[0]
-        stage = f([
-            ua + h * (0 + _A21 * k1a),
-            ub + h * (0 + _A21 * k1b),
-        ])
+        stage = f(ua + h * (0 + _A21 * k1a),
+                  ub + h * (0 + _A21 * k1b))
         if stage is None:
             return None
         k2a, k2b = stage[0]
-        stage = f([
-            ua + h * (0 + _A31 * k1a + _A32 * k2a),
-            ub + h * (0 + _A31 * k1b + _A32 * k2b),
-        ])
+        stage = f(ua + h * (0 + _A31 * k1a + _A32 * k2a),
+                  ub + h * (0 + _A31 * k1b + _A32 * k2b))
         if stage is None:
             return None
         k3a, k3b = stage[0]
-        stage = f([
-            ua + h * (0 + _A41 * k1a + _A42 * k2a + _A43 * k3a),
-            ub + h * (0 + _A41 * k1b + _A42 * k2b + _A43 * k3b),
-        ])
+        stage = f(ua + h * (0 + _A41 * k1a + _A42 * k2a + _A43 * k3a),
+                  ub + h * (0 + _A41 * k1b + _A42 * k2b + _A43 * k3b))
         if stage is None:
             return None
         k4a, k4b = stage[0]
-        stage = f([
-            ua + h * (0 + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
-            ub + h * (0 + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
-        ])
+        stage = f(ua + h * (0 + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
+                  ub + h * (0 + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b))
         if stage is None:
             return None
         k5a, k5b = stage[0]
-        stage = f([
-            ua + h * (0 + _A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
-            ub + h * (0 + _A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
-        ])
+        stage = f(ua + h * (0 + _A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
+                  ub + h * (0 + _A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b))
         if stage is None:
             return None
         k6a, k6b = stage[0]
-        stage = f([
-            ua + h * (0 + _A71 * k1a + _A72 * k2a + _A73 * k3a
-                      + _A74 * k4a + _A75 * k5a + _A76 * k6a),
-            ub + h * (0 + _A71 * k1b + _A72 * k2b + _A73 * k3b
-                      + _A74 * k4b + _A75 * k5b + _A76 * k6b),
-        ])
+        stage = f(ua + h * (0 + _A71 * k1a + _A72 * k2a + _A73 * k3a
+                            + _A74 * k4a + _A75 * k5a + _A76 * k6a),
+                  ub + h * (0 + _A71 * k1b + _A72 * k2b + _A73 * k3b
+                            + _A74 * k4b + _A75 * k5b + _A76 * k6b))
         if stage is None:
             return None
         k7a, k7b = stage[0]
@@ -198,51 +188,42 @@ def dopri_step(f, y: list[float], h: float, first):
         return y5, err, stage
     ua, ub, uc = y
     k1a, k1b, k1c = first[0]
-    stage = f([
-        ua + h * (0 + _A21 * k1a),
-        ub + h * (0 + _A21 * k1b),
-        uc + h * (0 + _A21 * k1c),
-    ])
+    stage = f(ua + h * (0 + _A21 * k1a),
+              ub + h * (0 + _A21 * k1b),
+              uc + h * (0 + _A21 * k1c))
     if stage is None:
         return None
     k2a, k2b, k2c = stage[0]
-    stage = f([
-        ua + h * (0 + _A31 * k1a + _A32 * k2a),
-        ub + h * (0 + _A31 * k1b + _A32 * k2b),
-        uc + h * (0 + _A31 * k1c + _A32 * k2c),
-    ])
+    stage = f(ua + h * (0 + _A31 * k1a + _A32 * k2a),
+              ub + h * (0 + _A31 * k1b + _A32 * k2b),
+              uc + h * (0 + _A31 * k1c + _A32 * k2c))
     if stage is None:
         return None
     k3a, k3b, k3c = stage[0]
-    stage = f([
-        ua + h * (0 + _A41 * k1a + _A42 * k2a + _A43 * k3a),
-        ub + h * (0 + _A41 * k1b + _A42 * k2b + _A43 * k3b),
-        uc + h * (0 + _A41 * k1c + _A42 * k2c + _A43 * k3c),
-    ])
+    stage = f(ua + h * (0 + _A41 * k1a + _A42 * k2a + _A43 * k3a),
+              ub + h * (0 + _A41 * k1b + _A42 * k2b + _A43 * k3b),
+              uc + h * (0 + _A41 * k1c + _A42 * k2c + _A43 * k3c))
     if stage is None:
         return None
     k4a, k4b, k4c = stage[0]
-    stage = f([
-        ua + h * (0 + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
-        ub + h * (0 + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
-        uc + h * (0 + _A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c),
-    ])
+    stage = f(ua + h * (0 + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
+              ub + h * (0 + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
+              uc + h * (0 + _A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c))
     if stage is None:
         return None
     k5a, k5b, k5c = stage[0]
-    stage = f([
-        ua + h * (0 + _A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
-        ub + h * (0 + _A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
-        uc + h * (0 + _A61 * k1c + _A62 * k2c + _A63 * k3c + _A64 * k4c + _A65 * k5c),
-    ])
+    stage = f(ua + h * (0 + _A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
+              ub + h * (0 + _A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
+              uc + h * (0 + _A61 * k1c + _A62 * k2c + _A63 * k3c + _A64 * k4c + _A65 * k5c))
     if stage is None:
         return None
     k6a, k6b, k6c = stage[0]
-    stage = f([
-        ua + h * (0 + _A71 * k1a + _A72 * k2a + _A73 * k3a + _A74 * k4a + _A75 * k5a + _A76 * k6a),
-        ub + h * (0 + _A71 * k1b + _A72 * k2b + _A73 * k3b + _A74 * k4b + _A75 * k5b + _A76 * k6b),
-        uc + h * (0 + _A71 * k1c + _A72 * k2c + _A73 * k3c + _A74 * k4c + _A75 * k5c + _A76 * k6c),
-    ])
+    stage = f(ua + h * (0 + _A71 * k1a + _A72 * k2a + _A73 * k3a
+                        + _A74 * k4a + _A75 * k5a + _A76 * k6a),
+              ub + h * (0 + _A71 * k1b + _A72 * k2b + _A73 * k3b
+                        + _A74 * k4b + _A75 * k5b + _A76 * k6b),
+              uc + h * (0 + _A71 * k1c + _A72 * k2c + _A73 * k3c
+                        + _A74 * k4c + _A75 * k5c + _A76 * k6c))
     if stage is None:
         return None
     k7a, k7b, k7c = stage[0]
@@ -282,14 +263,21 @@ def _integrate(f, y: list[float], first, t_max: float, rtol: float, observe, tra
         # _MIN_STEP is still taken and the run ends at t_max
         if h < _MIN_STEP:
             return (TrajectoryStatus.STEP_UNDERFLOW, None)
-        h = min(h, t_max - t)
+        if t_max - t < h:
+            h = t_max - t
         step = dopri_step(f, y, h, first)
         if step is None or not all(map(math.isfinite, step[0])):
             traj.steps_rejected += 1
             h *= 0.25
             continue
         y_new, err, last = step
-        err_norm = _rms(err, [rtol * (1.0 + max(abs(u), abs(w))) for u, w in zip(y, y_new)])
+        # _rms(err, rtol * (1 + max(|u|, |w|))) in one loop, summed in _rms's order
+        s = 0.0
+        for u, w, e in zip(y, y_new, err):
+            u, w = abs(u), abs(w)
+            r = e / (rtol * (1.0 + (w if w > u else u)))
+            s = s + r * r
+        err_norm = math.sqrt(s / len(err))
         if err_norm <= 1.0:
             traj.steps_accepted += 1
             t += h
@@ -328,7 +316,7 @@ def _drive(
     diagnose the run.
 
     ``a`` holds the parameters as floats, and ``point`` and ``stage`` are a
-    chart's (see ``_planar_chart``).  ``stage(y)`` is the one call the
+    chart's (see ``_planar_chart``).  ``stage(*y)`` is the one call the
     stepper makes per field evaluation: it counts the evaluation on
     ``traj`` and returns ``(k, x, v)``, the derivative of the log state, the
     point ``(x1, x2, x3)`` and the chart's velocity, or None where the point
@@ -341,6 +329,7 @@ def _drive(
     """
     v_ref = None
     a1, a2, a3 = a
+    lo, hi = _DOMAIN_LO, _DOMAIN_HI
 
     def observe(t, x, v):
         nonlocal v_ref
@@ -352,9 +341,11 @@ def _drive(
         drift = abs(vol - v_ref) / abs(v_ref)
         traj.max_volume_drift = max(traj.max_volume_drift, drift)
         traj.samples.append((t, *x, vol))
-        face = _domain_exit(x)
-        if face is not None:
-            return (TrajectoryStatus.LEFT_DOMAIN, face)
+        # a NaN coordinate fails the range test, and _domain_exit names no face for it
+        if not (lo <= x1 <= hi and lo <= x2 <= hi and lo <= x3 <= hi):
+            face = _domain_exit(x)
+            if face is not None:
+                return (TrajectoryStatus.LEFT_DOMAIN, face)
         if v is not None and max(map(abs, v)) <= _FIELD_TOL:
             for idx, target in enumerate(targets):
                 d = max(abs(xi - ti) for xi, ti in zip(x, target)) / (
@@ -364,7 +355,7 @@ def _drive(
                     return (TrajectoryStatus.CONVERGED, idx)
         return None
 
-    first = stage(y0)
+    first = stage(*y0)
     try:
         # a start outside the box ends the run even where the field fails there
         verdict = observe(0.0, *(first[1:] if first else (point(y0), None)))
@@ -389,9 +380,11 @@ def _planar_chart(p: Parameters, traj: Trajectory):
     function, which counts its evaluations on ``traj`` (see ``_drive``).
 
     Mixing an exact scalar into a float operation rounds it to float there,
-    so converting the parameters once changes no bit of the field; only the
-    all-exact normalization weight and phi's exponents are computed from the
-    original scalars before they are rounded.
+    so converting the parameters once, and passing the field the unit
+    ``1.0``, changes no bit of the field; only the all-exact normalization
+    weight and phi's exponents are computed from the original scalars before
+    they are rounded.  The stage takes the log state's components as
+    positional arguments, ``stage(ya, yb)``.
     """
     a = a1, a2, a3 = tuple(float(ai) for ai in p.a)
     weight = float(normalization_weight(*p.a))
@@ -406,15 +399,15 @@ def _planar_chart(p: Parameters, traj: Trajectory):
             return (x1, x2, 0.0)
         return (x1, x2, exp(e1 * log(x1)) * exp(e2 * log(x2)))
 
-    def stage(y):
+    def stage(ya, yb):
         # ``point`` and the field in one frame, with the same operations
         traj.field_evals += 1
         try:
-            x1, x2 = exp(y[0]), exp(y[1])
+            x1, x2 = exp(ya), exp(yb)
             if 0 < x1 < inf and 0 < x2 < inf:
                 x3 = exp(e1 * log(x1)) * exp(e2 * log(x2))
                 if 0 < x3 < inf:
-                    v1, v2, _v3 = field_components(a1, a2, a3, x1, x2, x3, weight)
+                    v1, v2, _v3 = field_components(a1, a2, a3, x1, x2, x3, weight, 1.0)
                     return (v1 / x1, v2 / x2), (x1, x2, x3), (v1, v2)
         except ArithmeticError:
             pass
@@ -433,13 +426,12 @@ def _chart_3d(p: Parameters, traj: Trajectory):
         # an overflow raises OverflowError, which rejects the stage
         return [exp(u) for u in y]
 
-    def stage(y):
+    def stage(y1, y2, y3):
         traj.field_evals += 1
         try:
-            y1, y2, y3 = y
             x1, x2, x3 = exp(y1), exp(y2), exp(y3)
             if 0 < x1 < inf and 0 < x2 < inf and 0 < x3 < inf:
-                v = v1, v2, v3 = field_components(a1, a2, a3, x1, x2, x3, weight)
+                v = v1, v2, v3 = field_components(a1, a2, a3, x1, x2, x3, weight, 1.0)
                 return (v1 / x1, v2 / x2, v3 / x3), (x1, x2, x3), v
         except ArithmeticError:
             pass

@@ -59,3 +59,28 @@ def test_compare_prints_ratios():
     assert lines[0] == "# a -> b"
     assert [line.split()[0] for line in lines[1:]] == ["scan.pass_ref_s", "scan.x", "scan.y"]
     assert [line.split()[-1] for line in lines[1:]] == ["x0.500", "x0.500", "x-"]
+
+
+def test_record_keeps_the_median_of_three_runs(monkeypatch):
+    # one run's setup_s is a single sample; the BENCH file keeps the median
+    # of record.RUNS runs of each workload, and replays the calls once
+    values = iter([0.3, 0.1, 0.2, 5.0, 4.0, 6.0])
+    seen = []
+
+    def run_benchmark(workload, seed, seconds):
+        seen.append((workload, seed, seconds))
+        v = next(values)
+        summary = {"correct": v != 4.0, "attempted": 2, "failed": int(v == 6.0),
+                   "metrics": {"setup_s": {"value": v}, "pass_ref_s": {"value": 10 * v}}}
+        return summary, {"environment": {"python": "x"}, "calls": []}
+
+    monkeypatch.setattr(record, "run_benchmark", run_benchmark)
+    out = record.record(["scan", "flow"], 7, 0.5)
+    assert seen == [("scan", 7, 0.5)] * 3 + [("flow", 7, 0.5)] * 3
+    scan, flow = out["workloads"]["scan"], out["workloads"]["flow"]
+    assert scan["runs"] == flow["runs"] == record.RUNS == 3
+    assert scan["metrics"] == {"setup_s": 0.2, "pass_ref_s": 2.0}
+    assert flow["metrics"] == {"setup_s": 5.0, "pass_ref_s": 50.0}
+    assert (scan["correct"], scan["attempted"], scan["failed"]) == (True, 6, 0)
+    assert (flow["correct"], flow["attempted"], flow["failed"]) == (False, 6, 1)
+    assert scan["replayed_calls"] == scan["skipped_calls"] == 0

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,9 +10,12 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallachflow import cli
 from wallachflow.equilibria import CensusWarning
+from wallachflow.integrate import Trajectory
 from wallachflow.verify import CheckResult
 
 
@@ -137,6 +142,59 @@ class TestAnalyze:
         assert cli.main(["analyze", "--a", "1e-310,0.2,0.3"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err == "error: a value left the float range\n"
+
+
+def _flow_csv(runs):
+    """The CSV ``flow`` prints for runs with the given samples: the
+    integrator is replaced by one that returns them."""
+    samples = iter(runs)
+
+    def run_one(_x0, **_kwargs):
+        return Trajectory(samples=list(next(samples)))
+
+    argv = ["--threads", "1", "flow", "--a", "1/6,1/4,1/3", "--x0", "1,1"]
+    argv += ["--random-starts", str(len(runs) - 1)] if len(runs) > 1 else []
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        mp.setattr(cli, "_run_one_flow", run_one)
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def _fstring_csv(runs):
+    """The same CSV written with one f-string per value, as ``flow`` wrote it
+    before it formatted each row with one ``%``."""
+    if len(runs) == 1:
+        lines = ["t,x1,x2,x3,V"]
+        lines += [f"{t:.17g},{x1:.17g},{x2:.17g},{x3:.17g},{v:.17g}" for t, x1, x2, x3, v in runs[0]]
+    else:
+        lines = ["run,t,x1,x2,x3,V"]
+        lines += [
+            f"{run},{t:.17g},{x1:.17g},{x2:.17g},{x3:.17g},{v:.17g}"
+            for run, samples in enumerate(runs) for t, x1, x2, x3, v in samples
+        ]
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                   math.inf, -math.inf, math.nan, 0.1, 1 / 3, 1.7976931348623157e308)
+
+
+class TestFlowCsvFormat:
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    def test_special_values(self, n_runs):
+        # each special value in each column, and rows that mix them
+        rows = [(v,) * 5 for v in _SPECIAL_FLOATS]
+        rows += [tuple(_SPECIAL_FLOATS[(k + j) % len(_SPECIAL_FLOATS)] for j in range(5))
+                 for k in range(len(_SPECIAL_FLOATS))]
+        runs = [rows[k:] for k in range(n_runs)]
+        assert _flow_csv(runs) == _fstring_csv(runs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.tuples(*[st.floats()] * 5), max_size=4), min_size=1, max_size=3))
+    def test_any_floats(self, runs):
+        assert _flow_csv(runs) == _fstring_csv(runs)
 
 
 class TestFlow:

@@ -222,6 +222,23 @@ class TestSharedRatios:
     def test_fraction_points(self, a, x):
         self.assert_same(a, x)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.tuples(*[_float_param] * 3),
+        x=st.tuples(*[st.floats(min_value=1e-150, max_value=1e150)] * 3),
+        weighted=st.booleans(),
+    )
+    def test_float_unit(self, a, x, weighted):
+        # the float charts write the constants as 1.0; an int 1 is converted
+        # to 1.0 in each float operation, so the bits are the same
+        weight = float(normalization_weight(*a)) if weighted else None
+        assert repr(field_components(*a, *x, weight, 1.0)) == repr(field_components(*a, *x, weight))
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=triple(), x=triple(positive_rationals))
+    def test_default_unit_stays_exact(self, a, x):
+        assert all(type(c) is Fraction for c in field_components(*a, *x))
+
     def test_blowup_report(self, monkeypatch):
         # the blow-up evaluates the field once, on Taylor series (``Poly``
         # truncated at total degree 3)

@@ -25,6 +25,7 @@ from wallachflow.integrate import (
     Trajectory,
     TrajectoryStatus,
     _chart_3d,
+    _domain_exit,
     _drive,
     _integrate,
     _planar_chart,
@@ -49,13 +50,13 @@ class TestStepper:
         # the embedded error estimate of the 5(4) pair shrinks like h^5
         mat = ((-1.0, 2.0), (0.5, -2.0))
 
-        def f(y):
+        def f(*y):
             return ([row[0] * y[0] + row[1] * y[1] for row in mat],)
 
         y0 = [1.0, -0.3]
         errs = []
         for h in (0.1, 0.05, 0.025):
-            _y, err, _last = dopri_step(f, y0, h, f(y0))
+            _y, err, _last = dopri_step(f, y0, h, f(*y0))
             errs.append(max(abs(e) for e in err))
         assert errs[0] / errs[1] > 2**4.5
         assert errs[1] / errs[2] > 2**4.5
@@ -65,7 +66,7 @@ class TestStepper:
         # components because the stepper takes a chart's 2 or 3
         lam = -1.3
 
-        def f(y):
+        def f(*y):
             return ([lam * y[0], lam * y[1]], y, None)
 
         errors = []
@@ -77,7 +78,7 @@ class TestStepper:
                 assert x[1] == x[0]
                 return None
 
-            status, _ = _integrate(f, [1.0, 1.0], f([1.0, 1.0]), 3.0, rtol, observe, Trajectory())
+            status, _ = _integrate(f, [1.0, 1.0], f(1.0, 1.0), 3.0, rtol, observe, Trajectory())
             assert status == TrajectoryStatus.MAX_TIME
             errors.append(abs(final["y"] - math.exp(lam * final["t"])))
         assert errors[0] / max(errors[1], 1e-18) > 10
@@ -91,24 +92,24 @@ class TestStepper:
         rng = np.random.default_rng(5)
         for _ in range(20):
             y = rng.uniform(-0.5, 0.5, 2 if chart is _planar_chart else 3).tolist()
-            y5, _err, last = dopri_step(f, y, float(rng.uniform(0.01, 0.5)), f(y))
-            assert last == f(y5)
+            y5, _err, last = dopri_step(f, y, float(rng.uniform(0.01, 0.5)), f(*y))
+            assert last == f(*y5)
 
     def test_unevaluable_stage_fails_the_step(self):
         # y' = (1, 1) from 0: the stages of a step of size h reach y = h
-        def f(y):
+        def f(*y):
             return None if y[0] > 0.3 else ([1.0, 1.0],)
 
-        assert dopri_step(f, [0.0, 0.0], 0.5, f([0.0, 0.0])) is None
-        assert dopri_step(f, [0.0, 0.0], 0.1, f([0.0, 0.0])) is not None
+        assert dopri_step(f, [0.0, 0.0], 0.5, f(0.0, 0.0)) is None
+        assert dopri_step(f, [0.0, 0.0], 0.1, f(0.0, 0.0)) is not None
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_only_the_chart_sizes_are_stepped(self, n):
-        def f(y):
+        def f(*y):
             return ([1.0] * n,)
 
         with pytest.raises(ValueError):
-            dopri_step(f, [0.0] * n, 0.1, f([0.0] * n))
+            dopri_step(f, [0.0] * n, 0.1, f(*[0.0] * n))
 
 
 def _reference_step(f, y, h, first):
@@ -124,36 +125,36 @@ def _reference_step(f, y, h, first):
         (a71, a72, a73, a74, a75, a76),
     ) = integrate_mod._A
     k1 = first[0]
-    stage = f([u + h * (0 + a21 * q1) for u, q1 in zip(y, k1)])
+    stage = f(*[u + h * (0 + a21 * q1) for u, q1 in zip(y, k1)])
     if stage is None:
         return None
     k2 = stage[0]
-    stage = f([u + h * (0 + a31 * q1 + a32 * q2) for u, q1, q2 in zip(y, k1, k2)])
+    stage = f(*[u + h * (0 + a31 * q1 + a32 * q2) for u, q1, q2 in zip(y, k1, k2)])
     if stage is None:
         return None
     k3 = stage[0]
-    stage = f([
+    stage = f(*[
         u + h * (0 + a41 * q1 + a42 * q2 + a43 * q3)
         for u, q1, q2, q3 in zip(y, k1, k2, k3)
     ])
     if stage is None:
         return None
     k4 = stage[0]
-    stage = f([
+    stage = f(*[
         u + h * (0 + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
         for u, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)
     ])
     if stage is None:
         return None
     k5 = stage[0]
-    stage = f([
+    stage = f(*[
         u + h * (0 + a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
         for u, q1, q2, q3, q4, q5 in zip(y, k1, k2, k3, k4, k5)
     ])
     if stage is None:
         return None
     k6 = stage[0]
-    stage = f([
+    stage = f(*[
         u + h * (0 + a71 * q1 + a72 * q2 + a73 * q3 + a74 * q4 + a75 * q5 + a76 * q6)
         for u, q1, q2, q3, q4, q5, q6 in zip(y, k1, k2, k3, k4, k5, k6)
     ])
@@ -189,7 +190,7 @@ def _constant_field(n, bad_call=None, bad_value=math.nan, component=0):
     (0 is the first stage) puts ``bad_value`` in one component."""
     calls = []
 
-    def f(y):
+    def f(*y):
         k = [1.0, 2.0, 3.0][:n]
         if len(calls) == bad_call:
             k[component] = bad_value
@@ -212,14 +213,14 @@ class TestStraightLineStep:
         failed = 0
         for _ in range(200):
             y = rng.uniform(-3.0, 3.0, n).tolist()
-            first = stage(y)
+            first = stage(*y)
             if first is None:
                 continue
             h = float(10 ** rng.uniform(-8, 1))
             # the stage inputs must agree too
             inputs, ref_inputs = [], []
-            got = dopri_step(lambda u: inputs.append(u) or stage(u), y, h, first)
-            ref = _reference_step(lambda u: ref_inputs.append(u) or stage(u), y, h, first)
+            got = dopri_step(lambda *u: inputs.append(u) or stage(*u), y, h, first)
+            ref = _reference_step(lambda *u: ref_inputs.append(u) or stage(*u), y, h, first)
             assert _bits((got, inputs)) == _bits((ref, ref_inputs))
             failed += got is None
         # the draws include steps whose stages leave the float range
@@ -241,12 +242,12 @@ class TestStraightLineStep:
         def run(step):
             calls = []
 
-            def f(y):
+            def f(*y):
                 k = [signs[len(calls)]] * n
                 calls.append(y)
                 return (k, y, None)
 
-            return step(f, [-0.0] * n, 0.5, f([-0.0] * n)), calls
+            return step(f, [-0.0] * n, 0.5, f(*[-0.0] * n)), calls
 
         got, inputs = run(dopri_step)
         assert _bits((got, inputs)) == _bits(run(_reference_step))
@@ -265,7 +266,7 @@ class TestStraightLineStep:
         # stage bad_call + 1 (stages 2 to 7) returns None; no later one runs
         calls = []
 
-        def f(y):
+        def f(*y):
             calls.append(y)
             return None if len(calls) == bad_call else ([1.0] * n,)
 
@@ -282,10 +283,10 @@ class TestStraightLineStep:
         # reaches y5 only through its zero weight, which must be kept
         for component in range(n):
             f = _constant_field(n, bad_call, bad_value, component)
-            first = f([0.0] * n)
+            first = f(*[0.0] * n)
             step = dopri_step(f, [0.0] * n, 0.1, first)
             g = _constant_field(n, bad_call, bad_value, component)
-            assert _bits(step) == _bits(_reference_step(g, [0.0] * n, 0.1, g([0.0] * n)))
+            assert _bits(step) == _bits(_reference_step(g, [0.0] * n, 0.1, g(*[0.0] * n)))
             y5, err, _last = step
             assert not math.isfinite(y5[component])
             assert not all(map(math.isfinite, err))
@@ -297,7 +298,7 @@ class TestStraightLineStep:
         # first attempted step; that step is rejected and the run goes on
         f = _constant_field(n, bad_call)
         traj = Trajectory()
-        status, _ = _integrate(f, [0.0] * n, f([0.0] * n), 1.0, 1e-6, lambda *_: None, traj)
+        status, _ = _integrate(f, [0.0] * n, f(*[0.0] * n), 1.0, 1e-6, lambda *_: None, traj)
         assert status == TrajectoryStatus.MAX_TIME
         assert traj.steps_rejected == 1
         assert traj.steps_accepted > 0
@@ -360,7 +361,7 @@ class TestFloatCharts:
         assert field_components(*fa, *x, weight) == field_components(*p.a, *x)
         _a, point, stage = _chart_3d(p, Trajectory())
         y = [math.log(c) for c in x]
-        k, xs, v = stage(y)
+        k, xs, v = stage(*y)
         assert list(xs) == point(y) == [math.exp(u) for u in y]
         assert tuple(v) == vector_field_3d(p, MetricPoint(*xs)).v
         assert list(k) == [vi / xi for vi, xi in zip(v, xs)]
@@ -371,7 +372,7 @@ class TestFloatCharts:
         p = Parameters(*a)
         _a, point, stage = _planar_chart(p, Trajectory())
         y = [math.log(c) for c in x]
-        k, (x1, x2, x3), v = stage(y)
+        k, (x1, x2, x3), v = stage(*y)
         assert (x1, x2, x3) == point(y)
         assert (x1, x2) == (math.exp(y[0]), math.exp(y[1]))
         assert x3 == phi(p, x1, x2)
@@ -456,6 +457,38 @@ class TestLimitClassification:
         assert traj.exit_face in {f"x{i}-{side}" for i in (1, 2, 3) for side in ("min", "max")}
         assert traj.equilibrium_id is None
 
+    @pytest.mark.parametrize("i", range(3))
+    @pytest.mark.parametrize("value, side", [
+        (1e-8, None),
+        (1e8, None),
+        (math.nextafter(1e-8, 0.0), "min"),
+        (math.nextafter(1e8, math.inf), "max"),
+        (math.nan, None),
+    ])
+    def test_the_box_is_closed(self, i, value, side, monkeypatch):
+        # the driver tests the range first and asks _domain_exit for the
+        # face only outside it; a NaN fails the range test but has no face
+        x = tuple(value if j == i else 1.0 for j in range(3))
+        face = None if side is None else f"x{i + 1}-{side}"
+        assert _domain_exit(x) == face
+        asked = []
+        monkeypatch.setattr(integrate_mod, "_domain_exit", lambda x: asked.append(x) or _domain_exit(x))
+        calls = []
+
+        def stage(*y):
+            # a start at (1, 1, 1), then x at every later stage
+            calls.append(y)
+            return ((0.0, 0.0), (1.0, 1.0, 1.0) if len(calls) == 1 else x, (1.0, 1.0))
+
+        traj = Trajectory()
+        _drive(traj, (1.0, 1.0, 1.0), None, stage, [], [0.0, 0.0], 1.0, 1e-6)
+        assert traj.exit_face == face
+        assert bool(asked) == (not 1e-8 <= value <= 1e8)
+        if face is None:
+            assert traj.status == TrajectoryStatus.MAX_TIME and traj.steps_accepted > 1
+        else:
+            assert traj.status == TrajectoryStatus.LEFT_DOMAIN and traj.steps_accepted == 1
+
     def test_start_beyond_the_float_range_is_an_error(self, stable_params):
         # x3 = phi(x1, x2) overflows here, so the start and its volume have
         # no float value, although the start also lies outside the box
@@ -487,7 +520,7 @@ class TestLimitClassification:
 
         def drive_one_stage(f, _y0, _first, _t_max, _rel_tol, _observe, traj):
             before = traj.field_evals
-            seen["stage"] = f([800.0, 0.0, 0.0])
+            seen["stage"] = f(800.0, 0.0, 0.0)
             seen["counted"] = traj.field_evals - before
             return (TrajectoryStatus.MAX_TIME, None)
 
