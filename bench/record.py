@@ -11,7 +11,8 @@ subprocess, ``RUNS`` (3) times, and reads the record each run writes to
 stored as the median of the runs: a single run's ``setup_s`` is one sample,
 and a ratio of two such samples is mostly noise. It then replays the
 recorded ``--threads 1`` argument lists once in-process, through
-``wallachflow.cli.main``, with counting wrappers on ``equilibria.census``,
+``wallachflow.cli.main``, with counting wrappers on the census
+(``equilibria._census``, counted as ``equilibria.census``),
 ``_poly.real_roots``, ``_poly._rational_root`` (the exact rational-root
 refinements), ``linearize.linearize_at`` and ``flow.field_components``, and
 sums ``field_evals``, ``steps_accepted`` and ``steps_rejected`` from the
@@ -48,14 +49,16 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("scan", "analyze", "flow")
 # benchmark runs per workload; each end-to-end metric keeps their median
 RUNS = 3
-# (module, function) pairs whose calls are counted during the replay
-COUNTED = (
-    ("equilibria", "census"),
-    ("_poly", "real_roots"),
-    ("_poly", "_rational_root"),
-    ("linearize", "linearize_at"),
-    ("flow", "field_components"),
-)
+# counter name -> (module, function) whose calls it counts during the replay;
+# a census runs in ``equilibria._census``, which ``census`` and ``solve_all``
+# both call
+COUNTED = {
+    "equilibria.census": ("equilibria", "_census"),
+    "_poly.real_roots": ("_poly", "real_roots"),
+    "_poly._rational_root": ("_poly", "_rational_root"),
+    "linearize.linearize_at": ("linearize", "linearize_at"),
+    "flow.field_components": ("flow", "field_components"),
+}
 FLOW_SUMS = ("field_evals", "steps_accepted", "steps_rejected")
 
 
@@ -95,9 +98,8 @@ def counting(counts: Counter):
 
     modules = [m for name, m in list(sys.modules.items()) if name.startswith("wallachflow") and m]
     patched = []
-    for owner, name in COUNTED:
+    for key, (owner, name) in COUNTED.items():
         original = getattr(sys.modules[f"wallachflow.{owner}"], name)
-        key = f"{owner}.{name}"
 
         def counted(*args, _original=original, _key=key, **kwargs):
             counts[_key] += 1
@@ -122,7 +124,7 @@ def replay(calls: list[dict]) -> dict:
         sys.path.insert(0, str(ROOT / "src"))
     from wallachflow import cli
 
-    counts: Counter = Counter({f"{owner}.{name}": 0 for owner, name in COUNTED})
+    counts: Counter = Counter(dict.fromkeys(COUNTED, 0))
     counts.update({f"flow.{key}": 0 for key in FLOW_SUMS})
     replayed = 0
     with counting(counts):

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-import warnings
+from fractions import Fraction
 from functools import partial
 
 from . import equilibria as eq_mod
@@ -48,14 +48,19 @@ class UsageError(ValueError):
     """Malformed command-line input (exit code 2)."""
 
 
-def _parse_values(text: str, count: int, what: str) -> list[Scalar]:
-    """Parse ``count`` comma-separated scalars for the option ``what``;
-    malformed, ``x/0`` or non-finite values raise ``UsageError``."""
+def _parse_values(text: str, count: int, what: str, exact: bool = False) -> list[Scalar]:
+    """Parse ``count`` comma-separated scalars for the option ``what``, with
+    ``exact`` a decimal literal as the decimal fraction it writes;
+    malformed, ``x/0`` or non-finite values, and under ``exact`` an exponent
+    beyond 400 (``1e-100000000`` would build ``10**100000000``; every float
+    is within ``10**±400``), raise ``UsageError``."""
     parts = [t for t in text.split(",") if t.strip()]
     if len(parts) != count:
         raise UsageError(f"{what} expects {count} comma-separated values")
     try:
-        values = [parse_scalar(t) for t in parts]
+        if exact and max(abs(int(t.lower().partition("e")[2] or 0)) for t in parts) > 400:
+            raise ValueError("exponent beyond 400")
+        values = [Fraction(t) if exact else parse_scalar(t) for t in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse {what} {text!r}: {exc}") from None
     if any(isinstance(v, float) and not math.isfinite(v) for v in values):
@@ -63,11 +68,11 @@ def _parse_values(text: str, count: int, what: str) -> list[Scalar]:
     return values
 
 
-def _parse_triple(text: str) -> Parameters:
-    """Parse ``a1,a2,a3``: malformed or non-finite values raise ``UsageError``,
-    a triple outside the flow's domain (including a zero parameter) raises a
-    plain ``ValueError``."""
-    p = Parameters(*_parse_values(text, 3, "--a"))
+def _parse_triple(text: str, exact: bool = False) -> Parameters:
+    """Parse ``a1,a2,a3`` (exactly, with ``exact``): malformed or non-finite
+    values raise ``UsageError``, a triple outside the flow's domain
+    (including a zero parameter) raises a plain ``ValueError``."""
+    p = Parameters(*_parse_values(text, 3, "--a", exact))
     if not p.reduced_ok:
         raise ValueError("a1*a2*a3 = 0: every parameter must be nonzero")
     return p
@@ -85,17 +90,12 @@ def _thread_count(requested: int | None, env: str | None, cpus: int | None) -> i
 
 
 def _map(fn, items, threads: int) -> list:
-    """``fn`` over ``items``, through a process pool when ``threads > 1``.
-    Workers ignore ``CensusWarning`` as ``main`` does."""
+    """``fn`` over ``items``, through a process pool when ``threads > 1``."""
     if threads <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(
-        max_workers=threads,
-        initializer=warnings.simplefilter,
-        initargs=("ignore", eq_mod.CensusWarning),
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
 
@@ -168,13 +168,7 @@ def _analyze_payload(p: Parameters) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    p = _parse_triple(args.a)
-    if args.exact and not p.exact:
-        print(
-            "warning: decimal inputs cannot be promoted to exact rationals; "
-            "continuing in float mode",
-            file=sys.stderr,
-        )
+    p = _parse_triple(args.a, args.exact)
     _write_text(args.out, json.dumps(_analyze_payload(p), indent=2))
     return EXIT_OK
 
@@ -379,7 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="equilibria and surface data for one triple")
     pa.add_argument("--a", required=True, help="parameters, e.g. 1/6,1/6,1/6 or 0.2,0.3,0.4")
-    pa.add_argument("--exact", action="store_true", help="insist on exact rational arithmetic")
+    pa.add_argument("--exact", action="store_true",
+                    help="read decimals exactly: 0.17 is 17/100, not the nearest float")
     pa.add_argument("--out", default=None)
 
     pf = sub.add_parser("flow", help="integrate trajectories")
@@ -433,10 +428,7 @@ def main(argv=None) -> int:
             "blowup": cmd_blowup,
             "verify": cmd_verify,
         }[args.command]
-        # a census disagreement is a diagnostic, not output: keep stderr clean
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", eq_mod.CensusWarning)
-            code = handler(args)
+        code = handler(args)
         sys.stdout.flush()
         return code
     except (ValueError, OverflowError) as exc:

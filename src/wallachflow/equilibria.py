@@ -6,8 +6,9 @@ degree 2), so each family is reported through one representative.
 ``census`` takes every ray, with its multiplicity, from the roots of one
 resultant, exactly or correctly rounded.  The closed-form solvers follow the
 three-way case split on the parameters (two equal / pairwise distinct with
-half sum / general position via a quartic); ``solve_all`` dispatches, labels
-the census rays with their families, and warns where the two disagree.
+half sum / general position via a quartic) and stay as references.
+``solve_all`` labels each census ray without solving again: a family is a
+set of lines, tested exactly at the ray's census root.
 
 ``equations`` is the single source of the two equilibrium equations: the
 exact ``residual`` evaluates it, and the census lays it out once, at import,
@@ -23,7 +24,8 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ._poly import Poly, _refine, float_bits, quartic_discriminant_coeffs, real_roots, root_brackets
+from ._poly import Poly, _derivative, _gcd, _refine, _remainders, _variations, float_bits, real_roots, root_brackets
+from ._poly import quartic_discriminant_coeffs
 from .core import Parameters, Scalar, is_exact, sqrt_scalar
 from .flow import MetricPoint, log_volume
 
@@ -45,10 +47,6 @@ __all__ = [
     "scale_to_log_volume",
 ]
 
-# Relative distance below which two x3=1 representatives are the same ray.
-_DEDUP_RTOL = 1e-8
-# Relative distance up to which a float closed-form ray labels a census ray.
-_LABEL_RTOL = 1e-5
 # In the census chart x2 = u - x1/3, L = 0 at a root of the resultant for four
 # triples with denominators <= 12 (549 with u = x2); ``census`` serves them.
 _SHEAR = Fraction(1, 3)
@@ -68,7 +66,8 @@ class FamilyTag(enum.Enum):
 
 
 class CensusWarning(UserWarning):
-    """Closed-form and numeric equilibrium censuses disagree."""
+    """A quartic root that ``solve_general`` cannot parametrize.  ``solve_all``
+    emits none; ``perfbench/tracing.py`` counts it around ``solve_all``."""
 
 
 @dataclass(frozen=True)
@@ -182,9 +181,16 @@ def solve_two_equal(b: Scalar, c: Scalar) -> tuple[list[EquilibriumRay], CaseDis
     return rays, CaseDiscriminants(D1=d1, T=t_disc)
 
 
-def _sums_to_half(p: Parameters) -> bool:
-    """``a1 + a2 + a3 = 1/2``: exactly for exact input, within 1e-12 for float."""
-    return p.s1 == Fraction(1, 2) if p.exact else abs(float(p.s1) - 0.5) <= 1e-12
+def _sums_to_half(a) -> bool:
+    """``a1 + a2 + a3 = 1/2`` exactly, for floats in their dyadic values."""
+    return sum(map(Fraction, a)) == Fraction(1, 2)
+
+
+def _sum_half_rays(a1, a2) -> list[tuple]:
+    """The ``x3 = 1`` points ``(x1, x2)`` of the four sum-half families."""
+    w, w2 = 2 * (a1 + a2), 2 * (1 - a1 - a2)
+    return [((1 - 2 * a1) / w, (1 - 2 * a2) / w), ((1 - 2 * a1) / w2, (1 - 2 * a2) / w2),
+            ((1 - 2 * a1) / w, (1 + 2 * a2) / w), ((1 + 2 * a1) / w, (1 - 2 * a2) / w)]
 
 
 def solve_sum_half(p: Parameters) -> list[EquilibriumRay]:
@@ -193,23 +199,14 @@ def solve_sum_half(p: Parameters) -> list[EquilibriumRay]:
     Requires pairwise distinct parameters in (0, 1/2).
     """
     a1, a2, a3 = p.a
-    if not _sums_to_half(p):
+    if not _sums_to_half(p.a):
         raise ValueError("sum-half case expects a1+a2+a3 = 1/2")
     if a1 == a2 or a1 == a3 or a2 == a3:
         raise ValueError("sum-half case expects pairwise distinct parameters")
     if not p.interior:
         raise ValueError("sum-half case expects parameters in (0, 1/2)")
-    tags = (FamilyTag.SUM_HALF_1, FamilyTag.SUM_HALF_2, FamilyTag.SUM_HALF_3, FamilyTag.SUM_HALF_4)
-    triples = [
-        (1 - 2 * a1, 1 - 2 * a2, 2 * (a1 + a2)),
-        (1 - 2 * a1, 1 - 2 * a2, 2 * (1 - a1 - a2)),
-        (1 - 2 * a1, 1 + 2 * a2, 2 * (a1 + a2)),
-        (1 + 2 * a1, 1 - 2 * a2, 2 * (a1 + a2)),
-    ]
-    rays = []
-    for tag, (u, v, w) in zip(tags, triples):
-        rays.append(EquilibriumRay(MetricPoint(u / w, v / w, w / w), tag))
-    return rays
+    return [EquilibriumRay(MetricPoint(x1, x2, 1 if is_exact(x1) else 1.0), FamilyTag(f"sum_half_{k}"))
+            for k, (x1, x2) in enumerate(_sum_half_rays(a1, a2), 1)]
 
 
 def quartic_coefficients(p: Parameters) -> list[Scalar]:
@@ -251,7 +248,7 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
     a1, a2, a3 = p.a
     if a1 == a2 or a1 == a3 or a2 == a3:
         raise ValueError("general case expects pairwise distinct parameters")
-    if p.s1 == Fraction(1, 2):
+    if _sums_to_half(p.a):
         raise ValueError("general case expects a1+a2+a3 != 1/2")
     a = tuple(map(Fraction, p.a))
     d = math.lcm(*(v.denominator for v in a))
@@ -391,29 +388,12 @@ def _on_line(rows: list[list[list[int]]], u: Fraction, mult: int):
     return out
 
 
-def census(p: Parameters) -> list[tuple[Scalar, Scalar, int]]:
-    """The positive solutions of the x3 = 1 equations, sorted, as ``(x1, x2,
-    multiplicity)``.
-
-    In the chart ``x2 = u - x1/3`` both equations are ``p*x1**2 + b(u)*x1 +
-    c(u)`` with constant ``p``, with integer coefficients from
-    ``_census_rows``.  Eliminating ``x1**2`` gives ``l(u)*x1 + m(u) = 0``,
-    and their resultant ``m**2 + l*n`` (Basu, Pollack and Roy) is the only
-    polynomial solved: a real root ``u`` with ``l(u) != 0`` carries exactly
-    one solution, ``x1 = -m(u)/l(u)`` (a rational univariate representation,
-    Rouillier 1999), of intersection multiplicity that of ``u``.  At exact
-    parameters a rational ``u`` gives ``Fraction``s and any other ``u``
-    correctly rounded floats from ``_ray``.  Float parameters want floats
-    only, so no rational root is searched for and every ``u`` goes to
-    ``_ray``, which rounds a rational ray as ``float`` rounds its
-    ``Fraction`` except exactly halfway between two floats, where it takes
-    the lower one after ``_MAX_DOUBLINGS``.
-    Where ``l(u) = m(u) = 0``, as at ``1/4, 1/4, 1/4``, ``_on_line`` solves
-    one equation on the line ``u``.  As ``l`` is linear, that ``u`` is
-    ``u0 = -l0/l1`` (or ``l = 0``): a root whose isolating interval holds
-    ``u0`` is tested at ``u0`` exactly.  A curve of equilibria (zero
-    resultant) raises ``ValueError``.
-    """
+def _census(p: Parameters) -> tuple[list[tuple[Scalar, Scalar, int, tuple | None]], list[int], list[int]]:
+    """The rays of ``census``, sorted but not yet rounded at float
+    parameters, as ``(x1, x2, multiplicity, bracket)``, with the ``m`` and
+    ``l`` of the chart.  ``bracket`` is ``(factor, root)`` for a ray that
+    ``_ray`` took from the isolating interval ``root`` of ``factor``, and
+    ``None`` for a rational root or a ray of ``_on_line``."""
     a = tuple(map(Fraction, p.a))
     (c1, b1, (p1,)), (c2, b2, (p2,)) = rows = _census_rows(a)
     # e = p*x1**2 + b*x1 + c: constant p, linear b, quadratic c in u, lowest degree first
@@ -437,94 +417,121 @@ def census(p: Parameters) -> list[tuple[Scalar, Scalar, int]]:
         if factor is None and l[0] + l[1] * root:
             x1 = -(m[0] + (m[1] + m[2] * root) * root) / (l[0] + l[1] * root)
             if x1 > 0 and root - _SHEAR * x1 > 0:
-                out.append((x1, root - _SHEAR * x1, mult))
+                out.append((x1, root - _SHEAR * x1, mult, None))
         elif factor is not None and any(l):
             ray = _ray(m, l, factor, df, root)
-            out += [(*ray, mult)] if ray else []
+            out += [(*ray, mult, (factor, root))] if ray else []
         else:  # l(u) = m(u) = 0; l vanishes identically only for a negative a_i,
             # and an irrational u is then rounded to within 2**-55
             if factor is not None:
                 top, k = _refine(factor, df, *root, float_bits(factor))
                 root = Fraction(top, 1 << k)
-            out += _on_line(rows, root, mult)
-    if not p.exact:
-        out = [(float(x1), float(x2), mult) for x1, x2, mult in out]
-    return sorted(out)
+            out += [(*ray, None) for ray in _on_line(rows, root, mult)]
+    return sorted(out, key=lambda r: r[:3] if p.exact else (float(r[0]), float(r[1]), r[2])), m, l
 
 
-def _close(pa, pb, rtol: float = _DEDUP_RTOL) -> bool:
-    return all(abs(u - v) <= rtol * (1 + abs(u)) for u, v in zip(pa, pb))
+def census(p: Parameters) -> list[tuple[Scalar, Scalar, int]]:
+    """The positive solutions of the x3 = 1 equations, sorted, as ``(x1, x2,
+    multiplicity)``.
+
+    In the chart ``x2 = u - x1/3`` both equations are ``p*x1**2 + b(u)*x1 +
+    c(u)`` with constant ``p``, with integer coefficients from
+    ``_census_rows``.  Eliminating ``x1**2`` gives ``l(u)*x1 + m(u) = 0``,
+    and their resultant ``m**2 + l*n`` (Basu, Pollack and Roy) is the only
+    polynomial solved: a real root ``u`` with ``l(u) != 0`` carries exactly
+    one solution, ``x1 = -m(u)/l(u)`` (a rational univariate representation,
+    Rouillier 1999), of intersection multiplicity that of ``u``.  At exact
+    parameters a rational ``u`` gives ``Fraction``s and any other ``u``
+    correctly rounded floats from ``_ray``.  Float parameters want floats
+    only, so no rational root is searched for and every ``u`` goes to
+    ``_ray``, which rounds a rational ray as ``float`` rounds its
+    ``Fraction`` except exactly halfway between two floats, where it takes
+    the lower one after ``_MAX_DOUBLINGS``.
+    Where ``l(u) = m(u) = 0``, as at ``1/4, 1/4, 1/4``, ``_on_line`` solves
+    one equation on the line ``u``.  As ``l`` is linear, that ``u`` is
+    ``u0 = -l0/l1`` (or ``l = 0``): a root whose isolating interval holds
+    ``u0`` is tested at ``u0`` exactly.  A curve of equilibria (zero
+    resultant) raises ``ValueError``.
+    """
+    rays = [ray[:3] for ray in _census(p)[0]]
+    return rays if p.exact else [(float(x1), float(x2), mult) for x1, x2, mult in rays]
 
 
-def _dispatch_closed_form(p: Parameters) -> list[EquilibriumRay] | None:
+def _lies_on(line: tuple, ray: tuple, m: list[int], l: list[int]) -> bool:
+    """Whether the ray ``(x1, x2, mult, bracket)`` of ``_census`` (with its
+    chart's ``m``, ``l``) lies on ``alpha*x1 + beta*x2 + gamma = 0``, for
+    the rational ``line = (alpha, beta, gamma)``, decided exactly.
+
+    Exact coordinates are substituted; a float one without a bracket is an
+    irrational root of ``_on_line`` on a rational line ``u``, and so on no
+    rational line crossing it (each family of ``_families`` has one).  A
+    bracketed ray is ``x1 = -m(u)/l(u)``, ``x2 = u - x1/3`` with ``l(u) !=
+    0``, so it is on the line iff its ``u`` is a root of ``c = (beta -
+    3*alpha)*m + 3*(beta*u + gamma)*l``, of degree at most 2: iff
+    ``gcd(factor, c)`` has a root in the isolating interval (a Sturm count;
+    Basu, Pollack and Roy ch. 10).
+    """
+    alpha, beta, gamma = line
+    x1, x2, _mult, bracket = ray
+    if bracket is None:
+        return is_exact(x1) and alpha * x1 + beta * x2 + gamma == 0
+    d = math.lcm(*(w.denominator for w in line))
+    alpha, beta, gamma = (int(w * d) for w in line)
+    c = [(beta - 3 * alpha) * mj + 3 * (gamma * lj + beta * lk) for mj, lj, lk in zip(m, l, [0] + l)]
+    while c and not c[-1]:
+        c.pop()
+    factor, (lo, hi, k) = bracket
+    g = _gcd(factor, c[::-1])
+    if len(g) < 2:
+        return False
+    chain = _remainders(g, _derivative(g))
+    return _variations(chain, lo, k) > _variations(chain, hi, k)
+
+
+def _families(p: Parameters) -> tuple[list[tuple[FamilyTag, list[tuple]]], FamilyTag]:
+    """The closed-form case of ``p`` as ``(families, other)``: a ray takes the
+    tag of the first family ``(tag, lines)`` it lies on every line of, or
+    ``other``.  Two equal parameters in (0, 1/2] (the pair first found, in
+    the order of the lines ``x1 = x2``, ``x1 = 1``, ``x2 = 1``) have the
+    diagonal family on their line.  Pairwise distinct ones in (0, 1/2) whose
+    exact, or for floats dyadic, values sum to 1/2 have four rational rays
+    ``(y1, y2)``, each on its lines ``x2 + x1/3 = y2 + y1/3`` and ``x1 =
+    y1``.  In general position every ray is ``general_quartic``; no case
+    covers the rest.
+    """
     a = p.a
-    half = Fraction(1, 2)
-    # two equal parameters: rotate the equal pair into the leading slots
-    for perm in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        if a[perm[0]] == a[perm[1]]:
-            b, c = a[perm[0]], a[perm[2]]
-            if not (0 < b <= half and 0 < c <= half):
-                return None
-            rays, _disc = solve_two_equal(b, c)
-            out = []
-            for ray in rays:
-                coords = [None, None, None]
-                for i, src in enumerate(perm):
-                    coords[src] = ray.rep.x[i]
-                rep = MetricPoint(*coords)
-                rep = MetricPoint(rep.x1 / rep.x3, rep.x2 / rep.x3, rep.x3 / rep.x3)
-                out.append(replace(ray, rep=rep))
-            return out
-    if _sums_to_half(p):
-        return solve_sum_half(p) if p.interior else None
-    return solve_general(p)
+    for (i, j), line in (((0, 1), (1, -1, 0)), ((0, 2), (1, 0, -1)), ((1, 2), (0, 1, -1))):
+        if a[i] == a[j]:
+            if not p.wallach_range:
+                return [], FamilyTag.NUMERIC
+            return [(FamilyTag.TWO_EQUAL_DIAGONAL, [line])], FamilyTag.TWO_EQUAL_OFF_DIAGONAL
+    if not _sums_to_half(a):
+        return [], FamilyTag.GENERAL_QUARTIC
+    if not p.interior:
+        return [], FamilyTag.NUMERIC
+    families = [(FamilyTag(f"sum_half_{k}"), [(1, 3, -y1 - 3 * y2), (1, 0, -y1)])
+                for k, (y1, y2) in enumerate(_sum_half_rays(*map(Fraction, a[:2])), 1)]
+    return families, FamilyTag.NUMERIC
 
 
 def solve_all(p: Parameters) -> list[EquilibriumRay]:
     """The rays of ``census``, values and multiplicities, labelled by the
-    closed forms: each closed-form ray (but one within ``_DEDUP_RTOL`` of an
-    earlier one) labels the nearest unlabelled census ray within
-    ``_LABEL_RTOL``, keeping its representative if exact (it must equal the
-    census ray), or else taking the census value in convention ``"x3=1"``.
-    Unlabelled census rays are ``NUMERIC``, and closed-form rays that label
-    none are dropped.  ``CensusWarning`` marks a disagreement, and a count
-    outside 1..4 for parameters in (0, 1/2]^3."""
-    try:
-        closed = _dispatch_closed_form(p)
-    except (ValueError, ZeroDivisionError):
-        closed = None
-    numeric = census(p)
-    keys = [(float(x1), float(x2)) for x1, x2, _mult in numeric]
-    labels: list[EquilibriumRay | None] = [None] * len(numeric)
-    seen: list[tuple[float, float]] = []
-    agree = True
-    for ray in closed or []:
-        key = ray.key()
-        if any(_close(key, other) for other in seen):
-            continue
-        seen.append(key)
-        near = [i for i, k in enumerate(keys) if labels[i] is None and _close(key, k, rtol=_LABEL_RTOL)]
-        if not near:
-            agree = False
-            continue
-        i = min(near, key=lambda i: max(abs(u - v) / (1 + abs(u)) for u, v in zip(key, keys[i])))
-        x1, x2, mult = numeric[i]
-        if ray.rep.exact:
-            agree &= ray.rep_x3one().x[:2] == (x1, x2)
-            labels[i] = replace(ray, multiplicity=mult)
+    closed-form case of ``p`` with exact line tests; ``numeric`` where no
+    case covers ``p``.  Rays of the general quartic with exact coordinates
+    keep the representative ``(1, x2/x1, 1/x1)``, convention ``"x1=1"``;
+    every other ray is its census point with ``x3 = 1``."""
+    families, other = _families(p)
+    rays, m, l = _census(p)
+    out = []
+    for ray in rays:
+        tag = next((tag for tag, lines in families if all(_lies_on(ln, ray, m, l) for ln in lines)), other)
+        x1, x2, mult = ray[:3] if p.exact else (float(ray[0]), float(ray[1]), ray[2])
+        if tag is FamilyTag.GENERAL_QUARTIC and is_exact(x1):
+            out.append(EquilibriumRay(MetricPoint(1, x2 / x1, 1 / x1), tag, mult, convention="x1=1"))
         else:
-            labels[i] = replace(ray, rep=MetricPoint(x1, x2, 1.0), multiplicity=mult, convention="x3=1")
-    rays = [
-        label or EquilibriumRay(MetricPoint(x1, x2, 1 if is_exact(x1) else 1.0), FamilyTag.NUMERIC, mult)
-        for (x1, x2, mult), label in zip(numeric, labels)
-    ]
-    if closed is not None and not (agree and all(labels)):
-        warnings.warn(f"closed-form census ({len(seen)} rays) and numeric census ({len(numeric)} roots) "
-                      f"disagree for a={tuple(map(float, p.a))}", CensusWarning, 2)
-    rays.sort(key=EquilibriumRay.key)
-    if p.wallach_range and not 1 <= len(rays) <= 4:
-        warnings.warn(f"census count {len(rays)} outside 1..4 for parameters in (0,1/2]^3", CensusWarning, 2)
-    return rays
+            out.append(EquilibriumRay(MetricPoint(x1, x2, 1 if is_exact(x1) else 1.0), tag, mult))
+    out.sort(key=EquilibriumRay.key)
+    return out
 
 
 def scale_to_log_volume(p: Parameters, x: MetricPoint, log_v: float = 0.0) -> MetricPoint:

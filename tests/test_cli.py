@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallachflow import cli
-from wallachflow.equilibria import CensusWarning
 from wallachflow.integrate import Trajectory
 from wallachflow.verify import CheckResult
 
@@ -84,7 +83,7 @@ class TestAnalyze:
         # them.  The quartic of the dyadic parameters, in integers, has the
         # one ray only
         from wallachflow.core import Parameters
-        from wallachflow.equilibria import solve_all, solve_general
+        from wallachflow.equilibria import FamilyTag, solve_all, solve_general
 
         assert cli.main(["analyze", "--a", "0.49999999,0.03333333333333333,0.5"]) == 0
         rays = json.loads(capsys.readouterr().out)["equilibria"]
@@ -95,14 +94,24 @@ class TestAnalyze:
             assert abs(got - float(want)) <= 1e-8 * float(want)
         p = Parameters(0.49999999, 0.03333333333333333, 0.5)
         assert len(solve_general(p)) == 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CensusWarning)
-            assert len(solve_all(p)) == 1
+        assert [(r.family_tag, r.multiplicity) for r in solve_all(p)] == [(FamilyTag.GENERAL_QUARTIC, 1)]
 
-    def test_decimal_under_exact_warns(self):
-        proc = run_cli(["analyze", "--a", "0.2,0.3,0.4", "--exact"])
-        assert proc.returncode == 0
-        assert "float mode" in proc.stderr
+    @pytest.mark.parametrize("triple", ["0.1,0.17,0.23", "1e-1,17e-2,2.3E-1"])
+    def test_decimals_under_exact_are_decimal_fractions(self, triple, capsys):
+        # 0.1 + 0.17 + 0.23 is 1/2 exactly, so the four sum-half families
+        # show, with exact coordinates
+        assert cli.main(["analyze", "--a", triple, "--exact"]) == 0
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert err == ""
+        assert payload["parameters"]["a"] == ["1/10", "17/100", "23/100"]
+        assert payload["parameters"]["exact"] is True
+        rays = payload["equilibria"]
+        assert sorted(e["family"] for e in rays) == ["sum_half_1", "sum_half_2", "sum_half_3", "sum_half_4"]
+        assert all("/" in v for e in rays for v in e["x3_one"])
+        # without --exact a decimal is the nearest float
+        assert cli.main(["analyze", "--a", triple]) == 0
+        assert json.loads(capsys.readouterr().out)["parameters"]["exact"] is False
 
     def test_usage_error(self):
         proc = run_cli(["analyze", "--a", "1,2"])
@@ -112,11 +121,18 @@ class TestAnalyze:
         proc = run_cli(["analyze", "--a", "1,1,-1/2"])
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("flags", [[], ["--exact"]], ids=["float", "exact"])
     @pytest.mark.parametrize("triple", ["nan,0.2,0.3", "0.2,inf,0.3", "0.2,0.3,-inf", "1/0,1/6,1/6"])
-    def test_non_finite_or_malformed_triple_is_usage_error(self, triple, capsys):
-        assert cli.main(["analyze", "--a", triple]) == 2
+    def test_non_finite_or_malformed_triple_is_usage_error(self, triple, flags, capsys):
+        assert cli.main(["analyze", "--a", triple, *flags]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "error:" in err
+
+    @pytest.mark.parametrize("triple", ["1e-100000000,0.2,0.3", "0.2,1E+401,0.3", "0.2,0.3,1e9999999999"])
+    def test_huge_exponent_under_exact_is_usage_error(self, triple, capsys):
+        assert cli.main(["analyze", "--a", triple, "--exact"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "exponent" in err
 
     def test_zero_parameter_is_domain_error(self, capsys):
         assert cli.main(["analyze", "--a", "0,1/4,1/3"]) == 3
@@ -459,20 +475,16 @@ class TestScan:
         # two equilibria
         out = tmp_path / "scan.csv"
         run_cli(["scan", "--n", "4", "--out", str(out)])
-        import warnings
-
         from wallachflow.core import Parameters
-        from wallachflow.equilibria import CensusWarning, solve_all
+        from wallachflow.equilibria import solve_all
 
         rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
         checked = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CensusWarning)
-            for row in rows:
-                if row[8] == "O3" and checked < 5:
-                    p = Parameters(*(float(v) for v in row[:3]))
-                    assert len(solve_all(p)) == 2
-                    checked += 1
+        for row in rows:
+            if row[8] == "O3" and checked < 5:
+                p = Parameters(*(float(v) for v in row[:3]))
+                assert len(solve_all(p)) == 2
+                checked += 1
         assert checked > 0
 
 
@@ -548,31 +560,22 @@ class TestSurfaceSlice:
         assert err == "error: a value left the float range\n"
 
 
-def _warn_census(_item):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.warn("census check", CensusWarning)
-    return len(caught)
-
-
 class TestCensusWarningsSilenced:
     def test_no_warning_text_on_stderr(self):
-        # on the edge (1/2, 1/2, c) with 8c^2 < 1 no positive ray exists, so
-        # solve_all warns about the empty census
+        # on the edge (1/2, 1/2, c) with 8c^2 < 1 no positive ray exists;
+        # solve_all warns of nothing, there or anywhere
         from wallachflow.core import Parameters
         from wallachflow.equilibria import solve_all
 
-        with pytest.warns(CensusWarning, match="census count 0"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert solve_all(Parameters(Fraction(1, 2), Fraction(1, 2), Fraction(1, 3))) == []
+        assert caught == []
         for args in (["analyze", "--a", "1/2,1/2,1/3"],
                      ["--threads", "2", "scan", "--n", "3"]):
             proc = run_cli(args)
             assert proc.returncode == 0
             assert proc.stderr == ""
-
-    def test_pool_workers_ignore_census_warnings(self):
-        # outside main, so only the pool initializer can set the filter
-        assert cli._map(_warn_census, [0, 1], 1) == [1, 1]
-        assert cli._map(_warn_census, [0, 1], 2) == [0, 0]
 
 
 class _ClosedPipe:

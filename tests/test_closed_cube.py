@@ -2,7 +2,7 @@
 faces, near-faces and the empty edge included."""
 
 import itertools
-import warnings
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wallachflow._poly import Poly
 from wallachflow.core import Parameters
-from wallachflow.equilibria import CensusWarning, census, residual, solve_all
+from wallachflow.equilibria import census, residual, solve_all
 from wallachflow.flow import MetricPoint
 from wallachflow.linearize import _g_form, _laid_out_forms, f1, f2, linearize_at
 from wallachflow.surfaces import census_kinds, component_classify
@@ -34,13 +34,6 @@ triples = st.builds(
 )
 
 
-def _rays(p: Parameters):
-    with warnings.catch_warnings():
-        # an empty census warns; the counts are checked here instead
-        warnings.simplefilter("ignore", CensusWarning)
-        return solve_all(p)
-
-
 @settings(max_examples=100, deadline=None)
 @given(triples)
 @example((HALF, Fraction(1, 3), HALF))
@@ -49,7 +42,7 @@ def _rays(p: Parameters):
 @example((HALF - Fraction(1, 10**12), Fraction(1, 3), HALF - Fraction(1, 10**12)))
 def test_census_rays_and_labels_over_the_closed_cube(a):
     p = Parameters(*a)
-    rays = _rays(p)
+    rays = solve_all(p)
     assert len(census(p)) == len(rays), a
     if a.count(HALF) >= 2 and 8 * min(a) ** 2 < 1:
         assert rays == []
@@ -60,11 +53,14 @@ def test_census_rays_and_labels_over_the_closed_cube(a):
 
     kinds = census_kinds(p, rays)
     label = component_classify(p, rays)
+    tags = Counter(r.family_tag for r in rays)
     for order in itertools.permutations(range(3)):
         q = Parameters(*(a[i] for i in order))
-        q_rays = _rays(q)
+        q_rays = solve_all(q)
         assert census_kinds(q, q_rays) == kinds, (a, order)
         assert component_classify(q, q_rays) == label, (a, order)
+        # a permutation only relabels the modules, and the families with them
+        assert Counter(r.family_tag for r in q_rays) == tags, (a, order)
 
 
 def _gamma(n: int) -> Fraction:
@@ -88,7 +84,7 @@ def test_laid_out_forms_over_the_closed_cube(a):
     # ring-generic forms
     xs = SimpleNamespace(x=tuple(Poly.var(k, 3) for k in range(3)))
     polys = [form(p, xs) for form in (f1, f2, _g_form)]
-    for ray in _rays(p):
+    for ray in solve_all(p):
         x = ray.rep_x3one()
         lin = linearize_at(p, x)
         if x.exact:
@@ -112,10 +108,10 @@ def test_laid_out_forms_over_the_closed_cube(a):
 
     # float parameters keep the ring-generic forms and sigma = rho^2 - 4 delta
     pf = Parameters(*map(float, a))
-    for ray in _rays(pf):
-        # near a face the float closed form can return a ray that is no
-        # equilibrium, e.g. at (0.49999999, 1/30, 1/2); solve_all drops it,
-        # so every ray linearizes
+    for ray in solve_all(pf):
+        # every ray is a census ray, so it linearizes, also near a face where
+        # a float closed form returned rays that are no equilibria, e.g. at
+        # (0.49999999, 1/30, 1/2)
         x = ray.rep_x3one()
         lin = linearize_at(pf, x)
         prod = x.x1 * x.x2 * x.x3

@@ -1,9 +1,9 @@
 import itertools
 import math
 import random
-import warnings
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -11,15 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallachflow import equilibria as eq_mod
 from wallachflow._poly import Poly, real_roots
 from wallachflow.core import Parameters
 from wallachflow.equilibria import (
     _SHEAR,
-    CensusWarning,
-    EquilibriumRay,
     FamilyTag,
-    _dispatch_closed_form,
     census,
     equations,
     normalize_unit_volume,
@@ -42,6 +38,46 @@ wallach = st.fractions(
 
 def keys(rays):
     return sorted(r.key() for r in rays)
+
+
+def tag_weights(rays) -> Counter:
+    """The multiplicities of ``rays`` summed per family."""
+    out = Counter()
+    for ray in rays:
+        out[ray.family_tag] += ray.multiplicity
+    return out
+
+
+def closed_form(p: Parameters) -> list:
+    """The rays of the public closed form of the case of ``p``: two equal
+    parameters, a dyadic sum of 1/2, or general position."""
+    a = p.a
+    for perm in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        if a[perm[0]] == a[perm[1]]:
+            # the closed form puts the equal pair first
+            rays = solve_two_equal(a[perm[0]], a[perm[2]])[0]
+            return [replace(r, rep=MetricPoint(*(r.rep.x[perm.index(i)] for i in range(3)))) for r in rays]
+    if sum(map(Fraction, a)) == Fraction(1, 2):
+        return solve_sum_half(p)
+    return solve_general(p)
+
+
+def assert_matches(reference, rays, tol: float = 1e-8, tags: bool = True):
+    """Each ray of ``reference`` has a ray of ``rays`` whose ``x3 = 1``
+    coordinates are within ``tol * (1 + |x|)`` of its own, of its family and
+    with the same per-family multiplicities if ``tags``."""
+    if tags:
+        assert tag_weights(rays) == tag_weights(reference)
+    for ref in reference:
+        assert any(
+            (ray.family_tag is ref.family_tag or not tags)
+            and all(abs(u - v) <= tol * (1 + abs(u)) for u, v in zip(ref.key(), ray.key()))
+            for ray in rays
+        ), ref
+
+
+def assert_matches_closed_form(p: Parameters, rays):
+    assert_matches(closed_form(p), rays)
 
 
 class TestResidual:
@@ -101,14 +137,11 @@ class TestSingleSource:
             elif k % 4 == 3:
                 a[rng.integers(3)] = 0.5 - 10.0 ** -rng.uniform(4, 12)
             p = Parameters(*(float(v) for v in a))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", CensusWarning)
-                rays = solve_all(p)
+            rays = solve_all(p)
+            assert FamilyTag.NUMERIC not in {r.family_tag for r in rays}, a
             for ray in rays:
                 if k % 4 != 1:
                     assert ray.multiplicity == 1, (a, ray)
-                if ray.family_tag is FamilyTag.NUMERIC:
-                    continue
                 x = ray.rep_x3one()
                 e1, e2 = residual(p, x)
                 assert max(abs(e1), abs(e2)) <= 1e-15 * (1 + max(x.x1, x.x2)) ** 2, (a, x)
@@ -294,9 +327,7 @@ class TestSolveGeneral:
         p = Parameters(half - Fraction(1, 10**400), half - Fraction(1, 10**300), Fraction(1, 3))
         assert [r.key() for r in solve_general(p)] == [(1.0, 2e-300)]
         assert census(p) == [(1.0, 2e-300, 1)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CensusWarning)
-            (ray,) = solve_all(p)
+        (ray,) = solve_all(p)
         assert ray.family_tag is FamilyTag.GENERAL_QUARTIC and ray.rep.x == (1.0, 2e-300, 1.0)
 
 
@@ -335,47 +366,82 @@ class TestSolveAll:
 
     def test_closed_form_and_census_agree_two_equal(self):
         rng = np.random.default_rng(123)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CensusWarning)
-            for _ in range(400):
-                b, c = rng.uniform(0.05, 0.48, 2)
-                solve_all(Parameters(b, b, c))
+        for _ in range(400):
+            b, c = rng.uniform(0.05, 0.48, 2)
+            p = Parameters(b, b, c)
+            assert_matches_closed_form(p, solve_all(p))
 
     def test_closed_form_and_census_agree_general(self):
         rng = np.random.default_rng(124)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CensusWarning)
-            for _ in range(400):
-                a = rng.uniform(0.05, 0.48, 3)
-                solve_all(Parameters(*a))
+        for _ in range(400):
+            a = rng.uniform(0.05, 0.48, 3)
+            p = Parameters(*a)
+            assert_matches_closed_form(p, solve_all(p))
 
     def test_closed_form_and_census_agree_sum_half(self):
+        # a3 = 0.5 - a1 - a2 rounds: where the dyadic sum misses 1/2 the
+        # triple is in general position, and its four rays are quartic rays
+        # (near the plane solve_general itself is no reference: it finds a
+        # wrong ray, so they are compared with the rays on the plane)
         rng = np.random.default_rng(125)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CensusWarning)
-            n = 0
-            while n < 200:
-                a1, a2 = rng.uniform(0.05, 0.3, 2)
-                a3 = 0.5 - a1 - a2
-                if not 0.05 < a3 < 0.48:
-                    continue
-                n += 1
-                rays = solve_all(Parameters(a1, a2, a3))
-                assert len(rays) == 4
+        n = on_plane = 0
+        while n < 200:
+            a1, a2 = rng.uniform(0.05, 0.3, 2)
+            a3 = 0.5 - a1 - a2
+            if not 0.05 < a3 < 0.48:
+                continue
+            n += 1
+            p = Parameters(a1, a2, a3)
+            rays = solve_all(p)
+            assert len(rays) == 4
+            if sum(map(Fraction, p.a)) == Fraction(1, 2):
+                on_plane += 1
+                assert_matches_closed_form(p, rays)
+            else:
+                assert tag_weights(rays) == {FamilyTag.GENERAL_QUARTIC: 4}, (a1, a2, a3)
+                b1, b2 = Fraction(a1), Fraction(a2)
+                assert_matches(solve_sum_half(Parameters(b1, b2, Fraction(1, 2) - b1 - b2)), rays, tags=False)
+        assert 0 < on_plane < n
 
-    def test_unconfirmed_closed_form_rays(self):
-        # a closed-form ray that no census ray confirms is dropped, and the
-        # disagreement warns; so does a closed form that finds no ray
-        p = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3))
-        closed, want = _dispatch_closed_form(p), solve_all(p)
-        for x in ((3.0, 0.5, 1.0), (Fraction(3), Fraction(1, 2), 1)):
-            stray = EquilibriumRay(MetricPoint(*x), FamilyTag.GENERAL_QUARTIC)
-            with mock.patch.object(eq_mod, "_dispatch_closed_form", lambda _p: closed + [stray]):
-                with pytest.warns(CensusWarning, match="disagree"):
-                    assert solve_all(p) == want
-        with mock.patch.object(eq_mod, "_dispatch_closed_form", lambda _p: []):
-            with pytest.warns(CensusWarning, match="disagree"):
-                assert [r.family_tag for r in solve_all(p)] == [FamilyTag.NUMERIC] * 2
+    @pytest.mark.parametrize("a, tags", [
+        # D1 = 0 at 5/24, 5/24, 1/6: just off it two diagonal rays lie 1.1e-8
+        # apart (relative); in floats D1 cancels to 0 in the closed form
+        ((0.2083333333333333, 0.2083333333333333, 0.16666666666666666),
+         {FamilyTag.TWO_EQUAL_DIAGONAL: 2, FamilyTag.TWO_EQUAL_OFF_DIAGONAL: 2}),
+        # a grid point of scan --n 20, with the diagonal x2 = x3
+        ((0.1875, 0.2125, 0.2125),
+         {FamilyTag.TWO_EQUAL_DIAGONAL: 2, FamilyTag.TWO_EQUAL_OFF_DIAGONAL: 2}),
+        # just below 17/56 on T = 0: two off-diagonal rays near (2, 2)
+        ((0.125, 0.125, 0.30357142857142855),
+         {FamilyTag.TWO_EQUAL_DIAGONAL: 2, FamilyTag.TWO_EQUAL_OFF_DIAGONAL: 2}),
+    ])
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "dyadic"])
+    def test_close_rays_keep_their_families(self, a, tags, exact):
+        p = Parameters(*(map(Fraction, a) if exact else a))
+        rays = solve_all(p)
+        assert Counter(r.family_tag for r in rays) == tags
+        assert all(r.multiplicity == 1 for r in rays)
+
+    def test_diagonal_rays_on_the_curve_t_zero(self):
+        # (b, b, c) with c on T = 0 rounded to a float: the mirror pair of
+        # off-diagonal rays lies within about 1e-8 of the diagonal ray
+        rng = random.Random(3)
+        for _ in range(400):
+            b = rng.uniform(0.005, 0.305)
+            c = (1 - 4 * b + 16 * b**3) / (2 - 16 * b * b)
+            rays = solve_all(Parameters(b, b, c))
+            tags = {r.rep.x[:2]: r.family_tag for r in rays}
+            for (x1, x2), tag in tags.items():
+                assert (tag is FamilyTag.TWO_EQUAL_DIAGONAL) == (x1 == x2), (b, c, x1, x2)
+                assert tags.get((x2, x1), tag) is tag, (b, c, x1, x2)
+
+    def test_sum_half_rays_sharing_a_chart_line(self):
+        # a1 = 3 a2 puts the rays of families 3 and 4 on one line x2 + x1/3 = u
+        for a in [(Fraction(3, 16), Fraction(1, 16), Fraction(1, 4)), (0.1875, 0.0625, 0.25)]:
+            p = Parameters(*a)
+            got = {r.family_tag: r.rep.x for r in solve_all(p)}
+            want = {r.family_tag: r.rep.x for r in solve_sum_half(Parameters(*map(Fraction, a)))}
+            assert got == (want if p.exact else {t: tuple(map(float, x)) for t, x in want.items()})
 
     def test_census_alone_finds_every_ray(self):
         p = Parameters(Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))
@@ -391,9 +457,7 @@ class TestSolveAll:
     def test_census_finds_rays_far_from_the_unit_box(self, a, count):
         # each triple has a ray near (358, 358) or (54, 54), which a
         # search restricted to a box around (1, 1) misses
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CensusWarning)
-            rays = solve_all(Parameters(*a))
+        rays = solve_all(Parameters(*a))
         assert len(rays) == count
         assert FamilyTag.NUMERIC not in {r.family_tag for r in rays}
         assert max(r.key()[0] for r in rays) > 50
@@ -407,9 +471,9 @@ class TestSolveAll:
         exact = census(Parameters(Fraction(3, 10), Fraction(1, 10), Fraction(1, 10)))
         assert exact == [(Fraction(1, 3), Fraction(2, 3), 1), (Fraction(1, 2), 1, 1),
                          (Fraction(1, 2), Fraction(3, 2), 1), (2, 1, 1)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CensusWarning)
-            assert len(solve_all(p)) == 4
+        rays = solve_all(p)
+        assert len(rays) == 4
+        assert_matches_closed_form(p, rays)
 
     def test_census_keeps_the_ray_of_a_nearly_double_root(self):
         # at the second ray the first equation has two roots x1 within 2e-5
@@ -418,9 +482,9 @@ class TestSolveAll:
         p = Parameters(0.19685981713741588, 0.4999999146235119, 0.23944226898753626)
         points = census(p)
         assert len(points) == 2 and abs(points[1][0] - 1.1720046101) < 1e-9
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CensusWarning)
-            assert len(solve_all(p)) == 2
+        rays = solve_all(p)
+        assert len(rays) == 2
+        assert_matches_closed_form(p, rays)
 
     def test_census_with_two_linear_equations(self):
         # here both equations lose their x1**2 term in the chart of the
@@ -637,17 +701,18 @@ class TestMultiplicity:
         # multiplicities sum to at most the degree 4 of the resultant
         values = sorted({Fraction(n, d) for d in range(1, 13) for n in range(1, d // 2 + 1)})
         degenerate = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CensusWarning)
-            for a in itertools.combinations_with_replacement(values, 3):
-                p = Parameters(*a)
-                rays = solve_all(p)
-                assert sum(r.multiplicity for r in rays) <= 4, a
-                for ray in rays:
-                    flat = linearize_at(p, ray.as_x3one()).delta == 0
-                    assert flat == (ray.multiplicity >= 2), (a, ray)
-                    if flat:
-                        degenerate[a] = ray.multiplicity
+        for a in itertools.combinations_with_replacement(values, 3):
+            p = Parameters(*a)
+            rays = solve_all(p)
+            assert sum(r.multiplicity for r in rays) <= 4, a
+            # a closed-form case covers every triple of (0, 1/2]^3 but the
+            # pairwise distinct ones on a face with sum 1/2, and there are none
+            assert FamilyTag.NUMERIC not in {r.family_tag for r in rays}, a
+            for ray in rays:
+                flat = linearize_at(p, ray.as_x3one()).delta == 0
+                assert flat == (ray.multiplicity >= 2), (a, ray)
+                if flat:
+                    degenerate[a] = ray.multiplicity
         assert degenerate == {
             (Fraction(1, 4),) * 3: 4,
             (Fraction(1, 3), Fraction(5, 12), Fraction(5, 12)): 2,
@@ -694,13 +759,13 @@ class TestCorrectRounding:
                 a[rng.randrange(3)] = 0.5 - 10.0 ** -rng.uniform(1, 12)
             triples.append(tuple(a))
         checked = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CensusWarning)
-            for a in triples:
-                p = Parameters(*a)
-                rays = census(p)
-                assert [r.rep.x[:2] for r in solve_all(p)] == [(x1, x2) for x1, x2, _m in rays], a
-                for x1, x2, _m in rays:
-                    assert _mp_rounded(a, x1, x2) == (x1, x2), (a, x1, x2)
-                    checked += 1
+        for a in triples:
+            p = Parameters(*a)
+            rays = census(p)
+            labelled = solve_all(p)
+            assert [r.rep.x[:2] for r in labelled] == [(x1, x2) for x1, x2, _m in rays], a
+            assert_matches_closed_form(p, labelled)
+            for x1, x2, _m in rays:
+                assert _mp_rounded(a, x1, x2) == (x1, x2), (a, x1, x2)
+                checked += 1
         assert checked > 250

@@ -26,6 +26,7 @@ from wallachflow._poly import (
 )
 from wallachflow.core import Parameters, is_exact
 from wallachflow.equilibria import quartic_coefficients
+from wallachflow.surfaces import cube_grid
 
 
 def _mul(f, g):
@@ -502,7 +503,15 @@ class TestReferenceParity:
 
     def test_scan_inputs(self, monkeypatch):
         corpus = _recorded_inputs(monkeypatch, ["--threads", "1", "scan", "--n", "9"])
-        # 164 census resultants and the general-position quartics
+        # the 164 census resultants of the scan, and the quartics that
+        # solve_general solves at its orbits in general position
+        assert len(corpus) == 164
+        monkeypatch.setattr(equilibria, "real_roots",
+                            lambda coeffs, exact=None: corpus.append(list(coeffs)) or real_roots(coeffs, exact))
+        for a in sorted({tuple(sorted(a)) for a in cube_grid(9)}):
+            if len(set(a)) == 3:
+                equilibria.solve_general(Parameters(*a))
+        monkeypatch.undo()
         assert len(corpus) > 200
         self._assert_parity(corpus)
 
