@@ -14,7 +14,8 @@ recorded ``--threads 1`` argument lists once in-process, through
 ``wallachflow.cli.main``, with counting wrappers on the census
 (``equilibria._census``, counted as ``equilibria.census``),
 ``_poly.real_roots``, ``_poly._rational_root`` (the exact rational-root
-refinements), ``linearize.linearize_at`` and ``flow.field_components``, and
+refinements), ``linearize.linearize_at`` and the field evaluations
+(``flow._field``, counted as ``flow.field_components``), and
 sums ``field_evals``, ``steps_accepted`` and ``steps_rejected`` from the
 ``flow`` summaries. Calls at other thread counts
 run their work in pool workers, out of the wrappers' sight, and are
@@ -51,13 +52,14 @@ WORKLOADS = ("scan", "analyze", "flow")
 RUNS = 3
 # counter name -> (module, function) whose calls it counts during the replay;
 # a census runs in ``equilibria._census``, which ``census`` and ``solve_all``
-# both call
+# both call, and a field evaluation in ``flow._field``, which
+# ``field_components`` and the float charts of ``integrate`` call
 COUNTED = {
     "equilibria.census": ("equilibria", "_census"),
     "_poly.real_roots": ("_poly", "real_roots"),
     "_poly._rational_root": ("_poly", "_rational_root"),
     "linearize.linearize_at": ("linearize", "linearize_at"),
-    "flow.field_components": ("flow", "field_components"),
+    "flow.field_components": ("flow", "_field"),
 }
 FLOW_SUMS = ("field_evals", "steps_accepted", "steps_rejected")
 

@@ -50,7 +50,7 @@ __all__ = [
 # In the census chart x2 = u - x1/3, L = 0 at a root of the resultant for four
 # triples with denominators <= 12 (549 with u = x2); ``census`` serves them.
 _SHEAR = Fraction(1, 3)
-# Doublings after which ``_ray`` takes a lower corner: the value is a rounding midpoint.
+# Doublings after which ``_enclose`` takes a lower corner: the value is a rounding midpoint.
 _MAX_DOUBLINGS = 6
 
 
@@ -240,10 +240,14 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
 
     Representatives keep the ``(1, t, s)`` parametrization (``convention
     "x1=1"``); a multiple root of the quartic is reported once, with its
-    exact multiplicity.  The quartic and ``t`` are integers over the exact
-    (for floats, dyadic) parameters: in floats a tiny ``t`` near a face
-    ``a_i -> 1/2`` could come out negative.  At float parameters no rational
-    root is searched for: every ``s`` is rounded, and ``t`` follows from it.
+    exact multiplicity.  The quartic and ``t = num(s)/den(s)`` are integers
+    over the exact (for floats, dyadic) parameters.  A rational root ``s``
+    gives ``t`` exactly; any other root gives ``t`` and ``s`` correctly
+    rounded from the root's isolating interval by ``_enclose``, so ``t``
+    keeps its digits where ``den`` nearly vanishes, next to the sum-half
+    plane, and a tiny ``t`` near a face ``a_i -> 1/2`` its sign.  At float
+    parameters no rational root is searched for, except the root of ``den``,
+    which is tested exactly (it is no ray).
     """
     a1, a2, a3 = p.a
     if a1 == a2 or a1 == a3 or a2 == a3:
@@ -253,21 +257,37 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
     a = tuple(map(Fraction, p.a))
     d = math.lcm(*(v.denominator for v in a))
     a1, a2, a3 = (v.numerator * (d // v.denominator) for v in a)
+    # t = num(s) / den(s), lowest degree first
+    num = [-2 * a3 * (a1 + a2), (a3 - a1) * d, 2 * a1 * (a2 + a3)]
+    den = [-(a1 + a2) * d, (a2 + a3) * d, 0]
+    s_pole = Fraction(a1 + a2, a2 + a3) if a2 + a3 else None
+    quartic = _quartic(a1, a2, a3, d)
+    while quartic and not quartic[0]:
+        quartic.pop(0)
     rays = []
-    for s, mult in real_roots(_quartic(a1, a2, a3, d), p.exact):
-        if not 0 < s < math.inf:  # s = inf: x1 = x3/s is below the float range
-            continue
-        n, m = s.as_integer_ratio()
-        num = 2 * a1 * (a2 + a3) * n * n + (a3 - a1) * d * n * m - 2 * a3 * (a1 + a2) * m * m
-        den = ((a2 + a3) * n - (a1 + a2) * m) * d * m  # t = num / den
-        if den == 0:
-            warnings.warn(f"quartic root s={float(s):.17g} hits the degenerate parametrization", CensusWarning, 2)
-            continue
-        if num * den <= 0:
-            continue
-        rep = MetricPoint(1, Fraction(num, den), s) if p.exact and is_exact(s) else MetricPoint(1.0, num / den, float(s))
+    for s, mult, factor, df in root_brackets(quartic, p.exact) if len(quartic) > 1 else ():
+        if factor is not None and s_pole is not None and _root_at(factor, s, s_pole):
+            s, factor = s_pole, None
+        if factor is not None:
+            # over the common denominator den: s = s den(s) / den(s), and
+            # den has no s**2 term
+            ray = _enclose(factor, df, s, den, (num, [0, den[0], den[1]]))
+            if ray is None:
+                continue
+            rep = MetricPoint(1.0, *ray)
+        else:  # only an exact p or s = s_pole gives a rational s
+            if not s > 0:
+                continue
+            t_num, t_den = (c[0] + (c[1] + c[2] * s) * s for c in (num, den))
+            if t_den == 0:
+                warnings.warn(f"quartic root s={float(s):.17g} hits the degenerate parametrization", CensusWarning, 2)
+                continue
+            t = t_num / t_den
+            if not t > 0:
+                continue
+            rep = MetricPoint(1, t, s)
         rays.append(EquilibriumRay(rep, FamilyTag.GENERAL_QUARTIC, mult, convention="x1=1"))
-    return rays
+    return sorted(rays, key=lambda r: r.rep.x3)
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +348,21 @@ def _hull(f: list[int], lo: int, hi: int, k: int) -> tuple[int, int]:
 def _ray(num: list[int], den: list[int], factor: list[int], df: list[int], root: tuple[int, int, int]):
     """``x1 = -num(u)/den(u)`` and ``x2 = u - x1/3 = (num + 3 u den) / (3
     den)``, free of cancellation, correctly rounded at the root ``u`` of
-    ``factor`` in its isolating interval ``root`` (Ziv's loop: refine it,
-    enclose the coordinates by interval Horner, double the precision until
-    each enclosure rounds to one float), or ``None`` for a ray that is not
+    ``factor`` in its isolating interval ``root`` by ``_enclose`` (over the
+    common denominator ``3 den``), or ``None`` for a ray that is not
     positive or leaves the float range."""
+    num1 = [-3 * num[0], -3 * num[1], -3 * num[2]]
     num2 = [num[0], num[1] + 3 * den[0], num[2] + 3 * den[1]]
+    return _enclose(factor, df, root, [3 * den[0], 3 * den[1], 3 * den[2]], (num1, num2))
+
+
+def _enclose(factor: list[int], df: list[int], root: tuple[int, int, int], den: list[int], nums) -> tuple | None:
+    """The values ``num(u)/den(u)`` for the ``num`` in ``nums``, correctly
+    rounded to floats at the root ``u`` of ``factor`` in its isolating
+    interval ``root``, or ``None`` when one is not positive or leaves the
+    float range; every polynomial is of degree at most 2, lowest degree
+    first.  Ziv's loop: refine the interval, enclose each value by interval
+    Horner, double the precision until each enclosure rounds to one float."""
     bits = float_bits(factor)
     lo, hi, k = root
     for doubling in range(_MAX_DOUBLINGS + 1):
@@ -341,14 +371,13 @@ def _ray(num: list[int], den: list[int], factor: list[int], df: list[int], root:
         dens = _hull(den, lo, hi, k)
         if dens[0] > 0 or dens[1] < 0:
             try:  # the floats the corners round to: int/int rounds correctly
-                x1 = {-v / w for v in _hull(num, lo, hi, k) for w in dens}
-                x2 = {v / (3 * w) for v in _hull(num2, lo, hi, k) for w in dens}
+                values = [{v / w for v in _hull(num, lo, hi, k) for w in dens} for num in nums]
             except OverflowError:
                 return None
-            if not (max(x1) > 0 and max(x2) > 0):
+            if min(map(max, values)) <= 0:
                 return None
-            if len(x1) == len(x2) == 1 or doubling == _MAX_DOUBLINGS:
-                return min(x1), min(x2)
+            if doubling == _MAX_DOUBLINGS or max(map(len, values)) == 1:
+                return tuple(map(min, values))
         bits *= 2
     return None
 

@@ -100,35 +100,39 @@ def normalization_term(a1, a2, a3, x1, x2, x3, weight=None):
     ``normalization_weight(a1, a2, a3)``; a caller evaluating many points
     may pass it precomputed.
     """
-    return _normalization(
-        a1, a2, a3, x1, x2, x3, x1 / (x2 * x3), x2 / (x1 * x3), x3 / (x1 * x2), weight
-    )
-
-
-def _normalization(a1, a2, a3, x1, x2, x3, r1, r2, r3, weight, one=1):
-    """``normalization_term`` from the ratios ``r1 = x1/(x2 x3)``,
-    ``r2 = x2/(x1 x3)`` and ``r3 = x3/(x1 x2)``; ``one`` is the ring's unit."""
-    if weight is None:
-        weight = normalization_weight(a1, a2, a3)
-    return (one / (a1 * x1) + one / (a2 * x2) + one / (a3 * x3) - (r1 + r2 + r3)) * weight
+    return _field(a1, a2, a3, x1, x2, x3, weight)[3]
 
 
 def field_components(a1, a2, a3, x1, x2, x3, weight=None, one=1):
     """The three field components, over any ring with division.
 
-    This is the single source of the flow formulas; the scalar, float and
-    Taylor-series evaluations all route through it.  The three ratios
-    ``x_i / (x_j x_k)`` are computed once and shared with the normalization
-    term; ``weight`` is passed on to it.  ``one`` is the unit the constants
-    are written in: a float caller may pass ``1.0``, which gives the same
-    bits as the default ``1`` without an int-float conversion per operation.
+    It reads ``_field``, the single source of the flow formulas, which the
+    scalar, float and Taylor-series evaluations all route through (the
+    float charts of ``integrate`` call it directly, once per evaluation).
+    ``weight`` is ``normalization_weight(a1, a2, a3)``, as for
+    ``normalization_term``.
+    ``one`` is the unit the constants are written in: a float caller may
+    pass ``1.0``, which gives the same bits as the default ``1`` without an
+    int-float conversion per operation.
     """
+    return _field(a1, a2, a3, x1, x2, x3, weight, one)[:3]
+
+
+def _field(a1, a2, a3, x1, x2, x3, weight=None, one=1):
+    """``(f, g, h, B)``: the three field components and the normalization
+    term ``B`` they share, in one frame.  The three ratios ``x_i / (x_j
+    x_k)`` are computed once; ``weight`` and ``one`` are as for
+    ``field_components``."""
     r1, r2, r3 = x1 / (x2 * x3), x2 / (x1 * x3), x3 / (x1 * x2)
-    B = _normalization(a1, a2, a3, x1, x2, x3, r1, r2, r3, weight, one)
-    f = -one - a1 * x1 * (r1 - r2 - r3) + x1 * B
-    g = -one - a2 * x2 * (r2 - r3 - r1) + x2 * B
-    h = -one - a3 * x3 * (r3 - r1 - r2) + x3 * B
-    return f, g, h
+    if weight is None:
+        weight = normalization_weight(a1, a2, a3)
+    B = (one / (a1 * x1) + one / (a2 * x2) + one / (a3 * x3) - (r1 + r2 + r3)) * weight
+    return (
+        -one - a1 * x1 * (r1 - r2 - r3) + x1 * B,
+        -one - a2 * x2 * (r2 - r3 - r1) + x2 * B,
+        -one - a3 * x3 * (r3 - r1 - r2) + x3 * B,
+        B,
+    )
 
 
 def b_term(p: Parameters, x: MetricPoint) -> Scalar:

@@ -9,12 +9,13 @@ quality diagnostic.
 The stepper and both charts work on Python floats and the ``math`` module,
 so a run's bits do not depend on a vectorized ``exp`` kernel.  The step is
 straight-line scalar code for each chart's size, 2 or 3 components; every
-weighted sum starts from 0 and runs in tableau order, zero coefficients
+weighted sum starts from 0.0 and runs in tableau order, zero coefficients
 included.  Each chart converts the parameters once, which changes no bit of
 the field, and hands the stepper one stage function: a single call, with
 the log state's components as positional arguments, that counts the
-evaluation, maps the log state to the point, tests it and evaluates
-``flow.field_components`` there in the float unit ``1.0`` (see ``_drive``).
+evaluation, maps the log state to the point, tests it and evaluates the
+field there with one call of ``flow._field``, the frame that
+``flow.field_components`` reads, in the float unit ``1.0`` (see ``_drive``).
 The seventh stage of an accepted step is reused as the next step's first
 and for the step's diagnosis, so a run costs one field evaluation at the
 start and six per attempted step.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .core import Parameters
 from .equilibria import normalize_unit_volume, scale_to_log_volume, solve_all
-from .flow import MetricPoint, _phi_exponents, field_components, log_volume, normalization_weight
+from .flow import MetricPoint, _field, _phi_exponents, log_volume, normalization_weight
 
 __all__ = [
     "Trajectory",
@@ -134,113 +135,115 @@ def dopri_step(f, y: list[float], h: float, first):
 
     The step is written out as straight-line code for each of the two
     sizes; any other size raises ``ValueError``.  Each weighted sum starts
-    from 0 and runs in tableau order with the zero coefficients kept, so
-    that a non-finite stage always reaches the result and a zero sum keeps
-    its sign.
+    from 0.0 and runs in tableau order with the zero coefficients kept, so
+    that a non-finite stage always reaches the result and a zero sum is
+    +0.0.  ``0.0 + x`` is the float add that ``0 + x`` reaches after
+    converting the int, so the bits are those of a sum from 0 in every
+    case, -0.0, NaN and the infinities included.
     """
     if len(y) == 2:
         ua, ub = y
         k1a, k1b = first[0]
-        stage = f(ua + h * (0 + _A21 * k1a),
-                  ub + h * (0 + _A21 * k1b))
+        stage = f(ua + h * (0.0 + _A21 * k1a),
+                  ub + h * (0.0 + _A21 * k1b))
         if stage is None:
             return None
         k2a, k2b = stage[0]
-        stage = f(ua + h * (0 + _A31 * k1a + _A32 * k2a),
-                  ub + h * (0 + _A31 * k1b + _A32 * k2b))
+        stage = f(ua + h * (0.0 + _A31 * k1a + _A32 * k2a),
+                  ub + h * (0.0 + _A31 * k1b + _A32 * k2b))
         if stage is None:
             return None
         k3a, k3b = stage[0]
-        stage = f(ua + h * (0 + _A41 * k1a + _A42 * k2a + _A43 * k3a),
-                  ub + h * (0 + _A41 * k1b + _A42 * k2b + _A43 * k3b))
+        stage = f(ua + h * (0.0 + _A41 * k1a + _A42 * k2a + _A43 * k3a),
+                  ub + h * (0.0 + _A41 * k1b + _A42 * k2b + _A43 * k3b))
         if stage is None:
             return None
         k4a, k4b = stage[0]
-        stage = f(ua + h * (0 + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
-                  ub + h * (0 + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b))
+        stage = f(ua + h * (0.0 + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
+                  ub + h * (0.0 + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b))
         if stage is None:
             return None
         k5a, k5b = stage[0]
-        stage = f(ua + h * (0 + _A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
-                  ub + h * (0 + _A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b))
+        stage = f(ua + h * (0.0 + _A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
+                  ub + h * (0.0 + _A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b))
         if stage is None:
             return None
         k6a, k6b = stage[0]
-        stage = f(ua + h * (0 + _A71 * k1a + _A72 * k2a + _A73 * k3a
+        stage = f(ua + h * (0.0 + _A71 * k1a + _A72 * k2a + _A73 * k3a
                             + _A74 * k4a + _A75 * k5a + _A76 * k6a),
-                  ub + h * (0 + _A71 * k1b + _A72 * k2b + _A73 * k3b
+                  ub + h * (0.0 + _A71 * k1b + _A72 * k2b + _A73 * k3b
                             + _A74 * k4b + _A75 * k5b + _A76 * k6b))
         if stage is None:
             return None
         k7a, k7b = stage[0]
         y5 = [
-            ua + h * (0 + _B1 * k1a + _B2 * k2a + _B3 * k3a + _B4 * k4a
+            ua + h * (0.0 + _B1 * k1a + _B2 * k2a + _B3 * k3a + _B4 * k4a
                       + _B5 * k5a + _B6 * k6a + _B7 * k7a),
-            ub + h * (0 + _B1 * k1b + _B2 * k2b + _B3 * k3b + _B4 * k4b
+            ub + h * (0.0 + _B1 * k1b + _B2 * k2b + _B3 * k3b + _B4 * k4b
                       + _B5 * k5b + _B6 * k6b + _B7 * k7b),
         ]
         err = [
-            h * (0 + _E1 * k1a + _E2 * k2a + _E3 * k3a + _E4 * k4a
+            h * (0.0 + _E1 * k1a + _E2 * k2a + _E3 * k3a + _E4 * k4a
                  + _E5 * k5a + _E6 * k6a + _E7 * k7a),
-            h * (0 + _E1 * k1b + _E2 * k2b + _E3 * k3b + _E4 * k4b
+            h * (0.0 + _E1 * k1b + _E2 * k2b + _E3 * k3b + _E4 * k4b
                  + _E5 * k5b + _E6 * k6b + _E7 * k7b),
         ]
         return y5, err, stage
     ua, ub, uc = y
     k1a, k1b, k1c = first[0]
-    stage = f(ua + h * (0 + _A21 * k1a),
-              ub + h * (0 + _A21 * k1b),
-              uc + h * (0 + _A21 * k1c))
+    stage = f(ua + h * (0.0 + _A21 * k1a),
+              ub + h * (0.0 + _A21 * k1b),
+              uc + h * (0.0 + _A21 * k1c))
     if stage is None:
         return None
     k2a, k2b, k2c = stage[0]
-    stage = f(ua + h * (0 + _A31 * k1a + _A32 * k2a),
-              ub + h * (0 + _A31 * k1b + _A32 * k2b),
-              uc + h * (0 + _A31 * k1c + _A32 * k2c))
+    stage = f(ua + h * (0.0 + _A31 * k1a + _A32 * k2a),
+              ub + h * (0.0 + _A31 * k1b + _A32 * k2b),
+              uc + h * (0.0 + _A31 * k1c + _A32 * k2c))
     if stage is None:
         return None
     k3a, k3b, k3c = stage[0]
-    stage = f(ua + h * (0 + _A41 * k1a + _A42 * k2a + _A43 * k3a),
-              ub + h * (0 + _A41 * k1b + _A42 * k2b + _A43 * k3b),
-              uc + h * (0 + _A41 * k1c + _A42 * k2c + _A43 * k3c))
+    stage = f(ua + h * (0.0 + _A41 * k1a + _A42 * k2a + _A43 * k3a),
+              ub + h * (0.0 + _A41 * k1b + _A42 * k2b + _A43 * k3b),
+              uc + h * (0.0 + _A41 * k1c + _A42 * k2c + _A43 * k3c))
     if stage is None:
         return None
     k4a, k4b, k4c = stage[0]
-    stage = f(ua + h * (0 + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
-              ub + h * (0 + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
-              uc + h * (0 + _A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c))
+    stage = f(ua + h * (0.0 + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
+              ub + h * (0.0 + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
+              uc + h * (0.0 + _A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c))
     if stage is None:
         return None
     k5a, k5b, k5c = stage[0]
-    stage = f(ua + h * (0 + _A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
-              ub + h * (0 + _A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
-              uc + h * (0 + _A61 * k1c + _A62 * k2c + _A63 * k3c + _A64 * k4c + _A65 * k5c))
+    stage = f(ua + h * (0.0 + _A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
+              ub + h * (0.0 + _A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
+              uc + h * (0.0 + _A61 * k1c + _A62 * k2c + _A63 * k3c + _A64 * k4c + _A65 * k5c))
     if stage is None:
         return None
     k6a, k6b, k6c = stage[0]
-    stage = f(ua + h * (0 + _A71 * k1a + _A72 * k2a + _A73 * k3a
+    stage = f(ua + h * (0.0 + _A71 * k1a + _A72 * k2a + _A73 * k3a
                         + _A74 * k4a + _A75 * k5a + _A76 * k6a),
-              ub + h * (0 + _A71 * k1b + _A72 * k2b + _A73 * k3b
+              ub + h * (0.0 + _A71 * k1b + _A72 * k2b + _A73 * k3b
                         + _A74 * k4b + _A75 * k5b + _A76 * k6b),
-              uc + h * (0 + _A71 * k1c + _A72 * k2c + _A73 * k3c
+              uc + h * (0.0 + _A71 * k1c + _A72 * k2c + _A73 * k3c
                         + _A74 * k4c + _A75 * k5c + _A76 * k6c))
     if stage is None:
         return None
     k7a, k7b, k7c = stage[0]
     y5 = [
-        ua + h * (0 + _B1 * k1a + _B2 * k2a + _B3 * k3a + _B4 * k4a
+        ua + h * (0.0 + _B1 * k1a + _B2 * k2a + _B3 * k3a + _B4 * k4a
                   + _B5 * k5a + _B6 * k6a + _B7 * k7a),
-        ub + h * (0 + _B1 * k1b + _B2 * k2b + _B3 * k3b + _B4 * k4b
+        ub + h * (0.0 + _B1 * k1b + _B2 * k2b + _B3 * k3b + _B4 * k4b
                   + _B5 * k5b + _B6 * k6b + _B7 * k7b),
-        uc + h * (0 + _B1 * k1c + _B2 * k2c + _B3 * k3c + _B4 * k4c
+        uc + h * (0.0 + _B1 * k1c + _B2 * k2c + _B3 * k3c + _B4 * k4c
                   + _B5 * k5c + _B6 * k6c + _B7 * k7c),
     ]
     err = [
-        h * (0 + _E1 * k1a + _E2 * k2a + _E3 * k3a + _E4 * k4a
+        h * (0.0 + _E1 * k1a + _E2 * k2a + _E3 * k3a + _E4 * k4a
              + _E5 * k5a + _E6 * k6a + _E7 * k7a),
-        h * (0 + _E1 * k1b + _E2 * k2b + _E3 * k3b + _E4 * k4b
+        h * (0.0 + _E1 * k1b + _E2 * k2b + _E3 * k3b + _E4 * k4b
              + _E5 * k5b + _E6 * k6b + _E7 * k7b),
-        h * (0 + _E1 * k1c + _E2 * k2c + _E3 * k3c + _E4 * k4c
+        h * (0.0 + _E1 * k1c + _E2 * k2c + _E3 * k3c + _E4 * k4c
              + _E5 * k5c + _E6 * k6c + _E7 * k7c),
     ]
     return y5, err, stage
@@ -285,12 +288,22 @@ def _integrate(f, y: list[float], first, t_max: float, rtol: float, observe, tra
             verdict = observe(t, last[1], last[2])
             if verdict is not None:
                 return verdict
-            factor = _SAFETY * max(err_norm, 1e-10) ** -_PI_ALPHA * max(err_prev, 1e-10) ** _PI_BETA
-            err_prev = max(err_norm, 1e-10)
-            h *= min(_MAX_GROWTH, max(_MIN_SHRINK, factor))
+            # the clamps are comparisons that give what max and min gave,
+            # NaN included: max(a, b) is ``b if b > a else a`` and min(a, b)
+            # is ``b if b < a else a``; err_prev is 1.0 or a clamped norm
+            if err_norm < 1e-10:
+                err_norm = 1e-10
+            factor = _SAFETY * err_norm**-_PI_ALPHA * err_prev**_PI_BETA
+            err_prev = err_norm
+            if not factor > _MIN_SHRINK:
+                factor = _MIN_SHRINK
+            elif factor > _MAX_GROWTH:
+                factor = _MAX_GROWTH
+            h *= factor
         else:
             traj.steps_rejected += 1
-            h *= max(_MIN_SHRINK, _SAFETY * err_norm**-_PI_ALPHA)
+            factor = _SAFETY * err_norm**-_PI_ALPHA
+            h *= factor if factor > _MIN_SHRINK else _MIN_SHRINK
     return (TrajectoryStatus.MAX_TIME, None)
 
 
@@ -329,24 +342,30 @@ def _drive(
     """
     v_ref = None
     a1, a2, a3 = a
-    lo, hi = _DOMAIN_LO, _DOMAIN_HI
+    lo, hi, tol = _DOMAIN_LO, _DOMAIN_HI, _FIELD_TOL
+    exp, log = math.exp, math.log
 
     def observe(t, x, v):
         nonlocal v_ref
         # log V summed left to right, as ``sum`` did before Python 3.12
         x1, x2, x3 = x
-        vol = math.exp(math.log(x1) / a1 + math.log(x2) / a2 + math.log(x3) / a3)
+        vol = exp(log(x1) / a1 + log(x2) / a2 + log(x3) / a3)
         if v_ref is None:
             v_ref = vol
         drift = abs(vol - v_ref) / abs(v_ref)
-        traj.max_volume_drift = max(traj.max_volume_drift, drift)
+        # max(traj.max_volume_drift, drift), which keeps the maximum at a NaN drift
+        if drift > traj.max_volume_drift:
+            traj.max_volume_drift = drift
         traj.samples.append((t, *x, vol))
         # a NaN coordinate fails the range test, and _domain_exit names no face for it
         if not (lo <= x1 <= hi and lo <= x2 <= hi and lo <= x3 <= hi):
             face = _domain_exit(x)
             if face is not None:
                 return (TrajectoryStatus.LEFT_DOMAIN, face)
-        if v is not None and max(map(abs, v)) <= _FIELD_TOL:
+        # max(map(abs, v)) <= tol as comparisons: a NaN first component
+        # fails it, and a later one is skipped, as max skips it; v has 2 or
+        # 3 components, so v[-1] is the last or tested twice
+        if v is not None and abs(v[0]) <= tol and not abs(v[1]) > tol and not abs(v[-1]) > tol:
             for idx, target in enumerate(targets):
                 d = max(abs(xi - ti) for xi, ti in zip(x, target)) / (
                     1.0 + max(abs(c) for c in target)
@@ -407,7 +426,7 @@ def _planar_chart(p: Parameters, traj: Trajectory):
             if 0 < x1 < inf and 0 < x2 < inf:
                 x3 = exp(e1 * log(x1)) * exp(e2 * log(x2))
                 if 0 < x3 < inf:
-                    v1, v2, _v3 = field_components(a1, a2, a3, x1, x2, x3, weight, 1.0)
+                    v1, v2, _v3, _b = _field(a1, a2, a3, x1, x2, x3, weight, 1.0)
                     return (v1 / x1, v2 / x2), (x1, x2, x3), (v1, v2)
         except ArithmeticError:
             pass
@@ -431,8 +450,8 @@ def _chart_3d(p: Parameters, traj: Trajectory):
         try:
             x1, x2, x3 = exp(y1), exp(y2), exp(y3)
             if 0 < x1 < inf and 0 < x2 < inf and 0 < x3 < inf:
-                v = v1, v2, v3 = field_components(a1, a2, a3, x1, x2, x3, weight, 1.0)
-                return (v1 / x1, v2 / x2, v3 / x3), (x1, x2, x3), v
+                v1, v2, v3, _b = _field(a1, a2, a3, x1, x2, x3, weight, 1.0)
+                return (v1 / x1, v2 / x2, v3 / x3), (x1, x2, x3), (v1, v2, v3)
         except ArithmeticError:
             pass
         return None

@@ -135,6 +135,16 @@ def _float_sum(terms, s1, s2, s3) -> float:
     return total
 
 
+def _float_sums(s: tuple[float, float, float], kernels) -> list[float]:
+    """The sums of ``kernels`` at the floats ``s = (s1, s2, s3)``, from one
+    set of power tables ``s_j ** e``.  They depend on ``s`` alone, and not
+    on the sign of a zero ``s_j``: a term with a zero factor is a zero, and
+    a sum started from 0 is never -0.0."""
+    top = [max(k.top[j] for k in kernels) for j in range(3)]
+    tables = [[v**e for e in range(t + 1)] for v, t in zip(s, top)]
+    return [_float_sum(k.floats, *tables) for k in kernels]
+
+
 def _chain(ds1, ds2, ds3, a1, a2, a3) -> tuple:
     """The gradient in the parameters from the partials in (s1, s2, s3)."""
     return (
@@ -156,11 +166,10 @@ def _evaluate(p: Parameters, with_q: bool, with_grad: bool):
     the same order as the ``Fraction`` coefficients' float fallback.
     """
     kernels = ((_Q_KERNEL,) if with_q else ()) + (_GRAD_KERNELS if with_grad else ())
-    top = [max(k.top[j] for k in kernels) for j in range(3)]
     if not p.exact:
-        tables = [[s**e for e in range(t + 1)] for s, t in zip((p.s1, p.s2, p.s3), top)]
-        sums = [_float_sum(k.floats, *tables) for k in kernels]
+        sums = _float_sums((p.s1, p.s2, p.s3), kernels)
         return (sums[0] if with_q else None), (_chain(*sums[-3:], *p.a) if with_grad else None)
+    top = [max(k.top[j] for k in kernels) for j in range(3)]
     d = math.lcm(*(a.denominator for a in p.a))
     A1, A2, A3 = (a.numerator * (d // a.denominator) for a in p.a)
     bases = (A1 + A2 + A3, A1 * A2 + A1 * A3 + A2 * A3, A1 * A2 * A3, d)
@@ -307,12 +316,17 @@ def scan(points, on_omega_tol: float | None = None) -> list[SurfaceSample]:
     """Surface values and the component label of each parameter triple; a
     triple where the flow is undefined raises ``ValueError``.
 
-    ``Q``, ``Q1``, ``gradQ`` and the test for the degeneracy surface are
-    computed per point. A permutation of a triple only relabels the modules,
-    so the label off the surface is computed once per permutation orbit:
-    from the census of the sorted triple, whatever the order of ``points``.
+    ``Q1``, ``gradQ`` and the test for the degeneracy surface are computed
+    per point. ``Q`` and the partials of ``gradQ`` in ``(s1, s2, s3)`` are
+    functions of ``(s1, s2, s3)``: at float points they are summed once per
+    distinct float key and chained to ``gradQ`` per point, which gives the
+    bits of ``q_and_grad``. A permutation of a triple only relabels the
+    modules, so the label off the surface is computed once per permutation
+    orbit: from the census of the sorted triple, whatever the order of
+    ``points``.
     """
     orbit_kinds: dict[tuple, list[PointKind]] = {}
+    key_sums: dict[tuple, list[float]] = {}
 
     def kinds(key):
         if key not in orbit_kinds:
@@ -322,7 +336,14 @@ def scan(points, on_omega_tol: float | None = None) -> list[SurfaceSample]:
     samples = []
     for a in points:
         p = Parameters(*a)
-        q, grad = q_and_grad(p)
+        if p.exact:
+            q, grad = q_and_grad(p)
+        else:
+            key = (p.s1, p.s2, p.s3)
+            if key not in key_sums:
+                key_sums[key] = _float_sums(key, (_Q_KERNEL, *_GRAD_KERNELS))
+            q, *partials = key_sums[key]
+            grad = _chain(*partials, *p.a)
         samples.append(SurfaceSample(
             params=p,
             Q=q,

@@ -308,6 +308,27 @@ class TestSolveGeneral:
         with pytest.raises(ValueError):
             solve_general(Parameters(Fraction(1, 6), Fraction(1, 6), Fraction(1, 4)))
 
+    @pytest.mark.parametrize("a", [
+        (0.09167910314904258, 0.06169656447744752, 0.34662433237350987),
+        (0.1475404440153435, 0.09490189427191044, 0.2575576617127461),
+    ])
+    def test_rays_next_to_the_sum_half_plane(self, a):
+        # the binary sum misses 1/2, and two rays nearly share s = x3/x1, where
+        # den of t = num/den nearly vanishes: t from the rounded s gave 3 rays
+        # (and 4 with one twice), one of them no equilibrium
+        p = Parameters(*a)
+        rays, ref = solve_general(p), solve_all(p)
+        assert len(rays) == len(ref) == 4
+        exact = Parameters(*map(Fraction, a))
+        matched = set()
+        for ray in rays:
+            key = ray.key()
+            matched |= {i for i, r in enumerate(ref)
+                        if all(abs(u - v) <= 1e-12 * abs(v) for u, v in zip(key, r.key()))}
+            x = MetricPoint(*map(Fraction, ray.rep_x3one().x))
+            assert all(abs(e) <= 1e-12 for e in residual(exact, x)), key
+        assert matched == set(range(4))
+
     def test_ray_beyond_float_range_is_dropped(self):
         # a1 = 1/2 - 10**-400 gives the quartic a root s = x3/x1 near 10**400,
         # whose ray has no float representative
@@ -380,9 +401,8 @@ class TestSolveAll:
 
     def test_closed_form_and_census_agree_sum_half(self):
         # a3 = 0.5 - a1 - a2 rounds: where the dyadic sum misses 1/2 the
-        # triple is in general position, and its four rays are quartic rays
-        # (near the plane solve_general itself is no reference: it finds a
-        # wrong ray, so they are compared with the rays on the plane)
+        # triple is in general position, and its four rays are quartic rays,
+        # next to the rays on the plane
         rng = np.random.default_rng(125)
         n = on_plane = 0
         while n < 200:
@@ -399,6 +419,7 @@ class TestSolveAll:
                 assert_matches_closed_form(p, rays)
             else:
                 assert tag_weights(rays) == {FamilyTag.GENERAL_QUARTIC: 4}, (a1, a2, a3)
+                assert_matches_closed_form(p, rays)
                 b1, b2 = Fraction(a1), Fraction(a2)
                 assert_matches(solve_sum_half(Parameters(b1, b2, Fraction(1, 2) - b1 - b2)), rays, tags=False)
         assert 0 < on_plane < n

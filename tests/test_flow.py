@@ -206,6 +206,8 @@ class TestSharedRatios:
         # repr tells -0.0 from 0.0 and compares Fractions exactly
         assert repr(field_components(*a, *x, weight)) == repr(fgh)
         assert repr(normalization_term(*a, *x, weight)) == repr(B)
+        # the one frame that both read, and the float charts call
+        assert repr(flow._field(*a, *x, weight)) == repr((*fgh, B))
 
     @settings(max_examples=300, deadline=None)
     @given(

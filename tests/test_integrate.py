@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import struct
@@ -115,7 +116,8 @@ class TestStepper:
 def _reference_step(f, y, h, first):
     """The Dormand-Prince step as comprehensions over the components, for
     any size: the oracle of the straight-line ``dopri_step``.  Each weighted
-    sum starts from 0 and runs in tableau order, zero coefficients kept."""
+    sum starts from the int 0, where ``dopri_step`` starts from 0.0, and
+    runs in tableau order, zero coefficients kept."""
     (
         (a21,),
         (a31, a32),
@@ -304,6 +306,82 @@ class TestStraightLineStep:
         assert traj.steps_accepted > 0
 
 
+_CLAMP_VALUES = [math.nan, math.inf, -math.inf, 1e-10, 0.2, 5.0, 0.0, -0.0, 1.0]
+
+
+class TestClampComparisons:
+    """``_integrate`` and ``_drive`` clamp by comparisons where they called
+    ``max`` and ``min``: ``max(a, b)`` is ``b if b > a else a`` and ``min(a,
+    b)`` is ``b if b < a else a``, so the bits are the same, NaN and the
+    infinities included.  The step controller's forms are written here as in
+    ``_integrate``; ``observe``'s field test runs through ``_drive``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.one_of(st.sampled_from(_CLAMP_VALUES), st.floats()))
+    def test_step_controller(self, x):
+        lo, hi = integrate_mod._MIN_SHRINK, integrate_mod._MAX_GROWTH
+        # the growth after an accepted step
+        factor = x
+        if not factor > lo:
+            factor = lo
+        elif factor > hi:
+            factor = hi
+        assert _bits(factor) == _bits(min(hi, max(lo, x)))
+        # the shrink after a rejected step
+        assert _bits(x if x > lo else lo) == _bits(max(lo, x))
+        # the floor of an accepted error norm
+        err_norm = x
+        if err_norm < 1e-10:
+            err_norm = 1e-10
+        assert _bits(err_norm) == _bits(max(x, 1e-10))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        old=st.one_of(st.sampled_from(_CLAMP_VALUES), st.floats()),
+        new=st.one_of(st.sampled_from(_CLAMP_VALUES), st.floats()),
+    )
+    def test_drift_update(self, old, new):
+        traj = Trajectory(max_volume_drift=old)
+        if new > traj.max_volume_drift:
+            traj.max_volume_drift = new
+        assert _bits(traj.max_volume_drift) == _bits(max(old, new))
+
+    def test_a_huge_error_shrinks_the_step_by_the_floor(self):
+        # stage 7 of the first step is 1e12 where every other stage is 1:
+        # it has no weight in the result but the error weight -1/40, so the
+        # error norm is about 2.5e8 and 0.9 * err_norm**-0.14 about 0.06;
+        # the retry takes h * _MIN_SHRINK
+        calls = []
+
+        def f(*y):
+            calls.append(y)
+            return ((1e12, 1e12) if len(calls) == 7 else (1.0, 1.0), y, None)
+
+        traj = Trajectory()
+        _integrate(f, [0.0, 0.0], f(0.0, 0.0), 1e-6, 1e-6, lambda *_: None, traj)
+        assert traj.steps_rejected == 1
+        # with k1 = 1 the second stage of a step from 0 is at h * _A21
+        h1, h2 = calls[1][0] / integrate_mod._A21, calls[7][0] / integrate_mod._A21
+        assert h2 / h1 == pytest.approx(integrate_mod._MIN_SHRINK, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_field_test_of_observe(self, n):
+        # the start sits on the one target with velocity v; the run
+        # converges at once iff max(map(abs, v)) <= _FIELD_TOL, which
+        # fails at a NaN first component and skips a later one
+        tol = integrate_mod._FIELD_TOL
+        values = [math.nan, math.inf, 0.0, -tol, tol, 2 * tol]
+        x = (1.0, 1.0, 1.0)
+        seen = set()
+        for v in itertools.product(values, repeat=n):
+            traj = Trajectory()
+            _drive(traj, x, None, lambda *_y, v=v: ((0.0,) * n, x, v), [x[:n]], [0.0] * n, 1e-3, 1e-6)
+            want = max(map(abs, v)) <= tol
+            assert (traj.status == TrajectoryStatus.CONVERGED) == want, v
+            seen.add((want, math.isnan(v[0]), any(map(math.isnan, v[1:]))))
+        assert seen >= {(False, True, False), (True, False, True), (False, False, True)}
+
+
 class TestRunStatus:
     def test_a_run_within_the_least_step_of_tmax_ends_at_tmax(self, stable_params):
         # t_max below _MIN_STEP once ended "step_underflow" with no step
@@ -324,13 +402,13 @@ class TestRunStatus:
         # quarter of its size until the size drops below _MIN_STEP
         evals = []
 
-        def field_components(*args):
+        def field(*args):
             evals.append(args)
             if len(evals) > 1:
                 raise ZeroDivisionError
-            return flow_mod.field_components(*args)
+            return flow_mod._field(*args)
 
-        monkeypatch.setattr(integrate_mod, "field_components", field_components)
+        monkeypatch.setattr(integrate_mod, "_field", field)
         for x0 in ((1.05, 0.95), MetricPoint(1.05, 0.95, 1.0)):
             evals.clear()
             run = integrate_flow if isinstance(x0, tuple) else integrate_flow_3d
@@ -498,10 +576,10 @@ class TestLimitClassification:
     def test_start_inside_the_box_where_the_field_fails_is_an_error(self, stable_params, monkeypatch):
         # each chart's stage function rejects the ArithmeticError of the
         # field, and the start at x = (1, 1, 1) lies inside the box
-        def field_components(*_args):
+        def field(*_args):
             raise ZeroDivisionError
 
-        monkeypatch.setattr(integrate_mod, "field_components", field_components)
+        monkeypatch.setattr(integrate_mod, "_field", field)
         for chart, y0 in ((_planar_chart, [0.0, 0.0]), (_chart_3d, [0.0, 0.0, 0.0])):
             traj = Trajectory()
             a, point, stage = chart(stable_params, traj)

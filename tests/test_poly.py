@@ -506,8 +506,8 @@ class TestReferenceParity:
         # the 164 census resultants of the scan, and the quartics that
         # solve_general solves at its orbits in general position
         assert len(corpus) == 164
-        monkeypatch.setattr(equilibria, "real_roots",
-                            lambda coeffs, exact=None: corpus.append(list(coeffs)) or real_roots(coeffs, exact))
+        monkeypatch.setattr(equilibria, "root_brackets",
+                            lambda coeffs, exact=True: corpus.append(list(coeffs)) or root_brackets(coeffs, exact))
         for a in sorted({tuple(sorted(a)) for a in cube_grid(9)}):
             if len(set(a)) == 3:
                 equilibria.solve_general(Parameters(*a))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallachflow import equilibria
+from wallachflow import equilibria, surfaces
 from wallachflow.core import Parameters
 from wallachflow.linearize import SIGMA_ZERO_S_HIGH, SIGMA_ZERO_S_LOW
 from wallachflow.surfaces import (
@@ -329,10 +329,34 @@ class TestScanOrbits:
         assert [s.params.a for s in samples] == [Parameters(*a).a for a in points]
         for s in samples:
             p = s.params
-            assert s.Q == q_eval(p), p.a
+            # repr compares the floats bit for bit, signed zeros included
+            assert repr(s.Q) == repr(q_eval(p)), p.a
             assert s.Q1 == q1_eval(p), p.a
-            assert s.gradQ == grad_q(p), p.a
+            assert repr(s.gradQ) == repr(grad_q(p)), p.a
             assert s.region is component_classify(p), p.a
+
+    def test_float_sums_once_per_key(self, monkeypatch):
+        # the permutations of a float triple may round s1 differently, so
+        # the distinct (s1, s2, s3) lie between the orbits and the points
+        counted = []
+        float_sums = surfaces._float_sums
+        monkeypatch.setattr(surfaces, "_float_sums", lambda s, kernels: counted.append(s) or float_sums(s, kernels))
+        points = cube_grid(9)
+        samples = scan(points)
+        keys = {(p.s1, p.s2, p.s3) for p in (Parameters(*a) for a in points)}
+        assert len(counted) == len(set(counted)) == len(keys) == 310
+        monkeypatch.undo()
+        assert [(repr(s.Q), repr(s.gradQ)) for s in samples] == [
+            (repr(q), repr(g)) for q, g in (q_and_grad(s.params) for s in samples)
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(s=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    def test_float_sums_ignore_the_sign_of_a_zero(self, s):
+        # -0.0 == 0.0 as a key of the scan's shared sums, so the sums must not tell them apart
+        kernels = (surfaces._Q_KERNEL, *surfaces._GRAD_KERNELS)
+        flipped = tuple(-v if v == 0 else v for v in s)
+        assert repr(surfaces._float_sums(flipped, kernels)) == repr(surfaces._float_sums(s, kernels))
 
     @pytest.mark.parametrize("n, censuses", [(3, 9), (4, 20)])
     def test_one_census_per_orbit_off_omega(self, n, censuses, monkeypatch):
