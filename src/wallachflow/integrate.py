@@ -8,14 +8,13 @@ quality diagnostic.
 
 The stepper and both charts work on Python floats and the ``math`` module,
 so a run's bits do not depend on a vectorized ``exp`` kernel.  The step is
-straight-line scalar code for each chart's size, 2 or 3 components; every
-weighted sum starts from 0.0 and runs in tableau order, zero coefficients
-included.  Each chart converts the parameters once, which changes no bit of
-the field, and hands the stepper one stage function: a single call, with
-the log state's components as positional arguments, that counts the
-evaluation, maps the log state to the point, tests it and evaluates the
-field there with one call of ``flow._field``, the frame that
-``flow.field_components`` reads, in the float unit ``1.0`` (see ``_drive``).
+straight-line code generated from the tableau (see ``dopri_step``).  Each
+chart converts the parameters once, which changes no bit of the field, and
+hands the stepper one stage function: a single call, with the log state's
+components as positional arguments, that counts the evaluation, maps the
+log state to the point, tests it and evaluates the field there with one
+call of ``flow._field``, the frame that ``flow.field_components`` reads, in
+the float unit ``1.0`` (see ``_drive``).
 The seventh stage of an accepted step is reused as the next step's first
 and for the step's diagnosis, so a run costs one field evaluation at the
 start and six per attempted step.
@@ -23,6 +22,7 @@ start and six per attempted step.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, field
 
@@ -54,17 +54,6 @@ _A = (
 _B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _BHAT = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _E = tuple(b - bhat for b, bhat in zip(_B, _BHAT))
-# the same coefficients as scalars, for the straight-line step
-(
-    (_A21,),
-    (_A31, _A32),
-    (_A41, _A42, _A43),
-    (_A51, _A52, _A53, _A54),
-    (_A61, _A62, _A63, _A64, _A65),
-    (_A71, _A72, _A73, _A74, _A75, _A76),
-) = _A
-_B1, _B2, _B3, _B4, _B5, _B6, _B7 = _B
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
 
 _SAFETY = 0.9
 _MAX_GROWTH = 5.0
@@ -105,10 +94,6 @@ class Trajectory:
     field_evals: int = 0
 
     @property
-    def times(self) -> list[float]:
-        return [s[0] for s in self.samples]
-
-    @property
     def final_point(self) -> tuple[float, ...]:
         return self.samples[-1][1:4]
 
@@ -122,8 +107,8 @@ def _rms(v, scale) -> float:
     return math.sqrt(s / len(v))
 
 
-def dopri_step(f, y: list[float], h: float, first):
-    """One Dormand-Prince step of size ``h`` from ``y``, a state of 2 or 3
+# the docstring of the generated ``dopri_step``, indented as in its text
+_STEP_DOC = """One Dormand-Prince step of size ``h`` from ``y``, a state of 2 or 3
     components (the planar or the 3D chart).
 
     ``f(*y)``, called with the state's components as positional arguments,
@@ -133,120 +118,54 @@ def dopri_step(f, y: list[float], h: float, first):
     the seventh stage, which is the stage at the result; or None when a
     stage could not be evaluated.
 
-    The step is written out as straight-line code for each of the two
-    sizes; any other size raises ``ValueError``.  Each weighted sum starts
-    from 0.0 and runs in tableau order with the zero coefficients kept, so
-    that a non-finite stage always reaches the result and a zero sum is
-    +0.0.  ``0.0 + x`` is the float add that ``0 + x`` reaches after
-    converting the int, so the bits are those of a sum from 0 in every
-    case, -0.0, NaN and the infinities included.
+    The step is straight-line code for each of the two sizes, generated
+    from the tableau; any other size raises ``ValueError``.  Each weighted
+    sum starts from 0.0 and runs in tableau order with the zero
+    coefficients kept, so a non-finite stage always reaches the result and
+    a zero sum is +0.0: the bits of a sum from the int 0, whose first add
+    converts the int to 0.0.
     """
-    if len(y) == 2:
-        ua, ub = y
-        k1a, k1b = first[0]
-        stage = f(ua + h * (0.0 + _A21 * k1a),
-                  ub + h * (0.0 + _A21 * k1b))
-        if stage is None:
-            return None
-        k2a, k2b = stage[0]
-        stage = f(ua + h * (0.0 + _A31 * k1a + _A32 * k2a),
-                  ub + h * (0.0 + _A31 * k1b + _A32 * k2b))
-        if stage is None:
-            return None
-        k3a, k3b = stage[0]
-        stage = f(ua + h * (0.0 + _A41 * k1a + _A42 * k2a + _A43 * k3a),
-                  ub + h * (0.0 + _A41 * k1b + _A42 * k2b + _A43 * k3b))
-        if stage is None:
-            return None
-        k4a, k4b = stage[0]
-        stage = f(ua + h * (0.0 + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
-                  ub + h * (0.0 + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b))
-        if stage is None:
-            return None
-        k5a, k5b = stage[0]
-        stage = f(ua + h * (0.0 + _A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
-                  ub + h * (0.0 + _A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b))
-        if stage is None:
-            return None
-        k6a, k6b = stage[0]
-        stage = f(ua + h * (0.0 + _A71 * k1a + _A72 * k2a + _A73 * k3a
-                            + _A74 * k4a + _A75 * k5a + _A76 * k6a),
-                  ub + h * (0.0 + _A71 * k1b + _A72 * k2b + _A73 * k3b
-                            + _A74 * k4b + _A75 * k5b + _A76 * k6b))
-        if stage is None:
-            return None
-        k7a, k7b = stage[0]
-        y5 = [
-            ua + h * (0.0 + _B1 * k1a + _B2 * k2a + _B3 * k3a + _B4 * k4a
-                      + _B5 * k5a + _B6 * k6a + _B7 * k7a),
-            ub + h * (0.0 + _B1 * k1b + _B2 * k2b + _B3 * k3b + _B4 * k4b
-                      + _B5 * k5b + _B6 * k6b + _B7 * k7b),
-        ]
-        err = [
-            h * (0.0 + _E1 * k1a + _E2 * k2a + _E3 * k3a + _E4 * k4a
-                 + _E5 * k5a + _E6 * k6a + _E7 * k7a),
-            h * (0.0 + _E1 * k1b + _E2 * k2b + _E3 * k3b + _E4 * k4b
-                 + _E5 * k5b + _E6 * k6b + _E7 * k7b),
-        ]
-        return y5, err, stage
-    ua, ub, uc = y
-    k1a, k1b, k1c = first[0]
-    stage = f(ua + h * (0.0 + _A21 * k1a),
-              ub + h * (0.0 + _A21 * k1b),
-              uc + h * (0.0 + _A21 * k1c))
-    if stage is None:
-        return None
-    k2a, k2b, k2c = stage[0]
-    stage = f(ua + h * (0.0 + _A31 * k1a + _A32 * k2a),
-              ub + h * (0.0 + _A31 * k1b + _A32 * k2b),
-              uc + h * (0.0 + _A31 * k1c + _A32 * k2c))
-    if stage is None:
-        return None
-    k3a, k3b, k3c = stage[0]
-    stage = f(ua + h * (0.0 + _A41 * k1a + _A42 * k2a + _A43 * k3a),
-              ub + h * (0.0 + _A41 * k1b + _A42 * k2b + _A43 * k3b),
-              uc + h * (0.0 + _A41 * k1c + _A42 * k2c + _A43 * k3c))
-    if stage is None:
-        return None
-    k4a, k4b, k4c = stage[0]
-    stage = f(ua + h * (0.0 + _A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
-              ub + h * (0.0 + _A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
-              uc + h * (0.0 + _A51 * k1c + _A52 * k2c + _A53 * k3c + _A54 * k4c))
-    if stage is None:
-        return None
-    k5a, k5b, k5c = stage[0]
-    stage = f(ua + h * (0.0 + _A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
-              ub + h * (0.0 + _A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
-              uc + h * (0.0 + _A61 * k1c + _A62 * k2c + _A63 * k3c + _A64 * k4c + _A65 * k5c))
-    if stage is None:
-        return None
-    k6a, k6b, k6c = stage[0]
-    stage = f(ua + h * (0.0 + _A71 * k1a + _A72 * k2a + _A73 * k3a
-                        + _A74 * k4a + _A75 * k5a + _A76 * k6a),
-              ub + h * (0.0 + _A71 * k1b + _A72 * k2b + _A73 * k3b
-                        + _A74 * k4b + _A75 * k5b + _A76 * k6b),
-              uc + h * (0.0 + _A71 * k1c + _A72 * k2c + _A73 * k3c
-                        + _A74 * k4c + _A75 * k5c + _A76 * k6c))
-    if stage is None:
-        return None
-    k7a, k7b, k7c = stage[0]
-    y5 = [
-        ua + h * (0.0 + _B1 * k1a + _B2 * k2a + _B3 * k3a + _B4 * k4a
-                  + _B5 * k5a + _B6 * k6a + _B7 * k7a),
-        ub + h * (0.0 + _B1 * k1b + _B2 * k2b + _B3 * k3b + _B4 * k4b
-                  + _B5 * k5b + _B6 * k6b + _B7 * k7b),
-        uc + h * (0.0 + _B1 * k1c + _B2 * k2c + _B3 * k3c + _B4 * k4c
-                  + _B5 * k5c + _B6 * k6c + _B7 * k7c),
-    ]
-    err = [
-        h * (0.0 + _E1 * k1a + _E2 * k2a + _E3 * k3a + _E4 * k4a
-             + _E5 * k5a + _E6 * k6a + _E7 * k7a),
-        h * (0.0 + _E1 * k1b + _E2 * k2b + _E3 * k3b + _E4 * k4b
-             + _E5 * k5b + _E6 * k6b + _E7 * k7b),
-        h * (0.0 + _E1 * k1c + _E2 * k2c + _E3 * k3c + _E4 * k4c
-             + _E5 * k5c + _E6 * k6c + _E7 * k7c),
-    ]
-    return y5, err, stage
+
+
+def _compile_step():
+    """``dopri_step`` generated from the tableau: for each chart size, the
+    stages, the result and the error estimate component by component (the
+    state ``ua, ub[, uc]``, stage ``i`` ``kia, kib[, kic]``), its text
+    registered in ``linecache`` so that ``traceback`` and ``inspect`` show it."""
+
+    def weighted_sum(coeffs, terms):
+        # 0.0 + c1 * t1 + ... up to the last coefficient, zeros kept, in repr literals
+        return " + ".join(["0.0", *(f"{c!r} * {t}" for c, t in zip(coeffs, terms))])
+
+    lines = ["def dopri_step(f, y, h, first):", f'    """{_STEP_DOC}"""', "    n = len(y)"]
+    for n in (2, 3):
+        u = [f"u{c}" for c in "abc"[:n]]
+        k = [[f"k{i}{c}" for c in "abc"[:n]] for i in range(1, 8)]
+        cols = list(zip(*k))  # component j of each stage
+        lines += [f"    if n == {n}:", f"        {', '.join(u)} = y", f"        {', '.join(k[0])} = first[0]"]
+        for row, ki in zip(_A, k[1:]):
+            args = [f"{uj} + h * ({weighted_sum(row, col)})" for uj, col in zip(u, cols)]
+            lines += [
+                "        stage = f(" + ",\n                  ".join(args) + ")",
+                "        if stage is None:",
+                "            return None",
+                f"        {', '.join(ki)} = stage[0]",
+            ]
+        lines.append("        y5 = [")
+        lines += [f"            {uj} + h * ({weighted_sum(_B, col)})," for uj, col in zip(u, cols)]
+        lines += ["        ]", "        err = ["]
+        lines += [f"            h * ({weighted_sum(_E, col)})," for col in cols]
+        lines += ["        ]", "        return y5, err, stage"]
+    lines.append('    raise ValueError(f"a Dormand-Prince step takes 2 or 3 components, not {n}")')
+    source = "\n".join(lines) + "\n"
+    filename = "<dopri_step>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"__name__": __name__}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["dopri_step"]
+
+
+dopri_step = _compile_step()
 
 
 def _integrate(f, y: list[float], first, t_max: float, rtol: float, observe, traj: Trajectory):
@@ -383,7 +302,8 @@ def _drive(
     except (ArithmeticError, ValueError):
         raise ValueError("the start point's x3 or volume is outside the float range") from None
     if verdict is None:
-        if first is None:
+        # a NaN first step size would never fall below _MIN_STEP
+        if first is None or not all(map(math.isfinite, first[0])):
             raise ValueError("the flow field cannot be evaluated in floats at the start point")
         verdict = _integrate(stage, y0, first, t_max, rel_tol, observe, traj)
     traj.status, payload = verdict

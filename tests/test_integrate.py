@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -103,6 +104,12 @@ class TestStepper:
 
         assert dopri_step(f, [0.0, 0.0], 0.5, f(0.0, 0.0)) is None
         assert dopri_step(f, [0.0, 0.0], 0.1, f(0.0, 0.0)) is not None
+
+    def test_the_generated_source_is_shown(self):
+        # the step is compiled from generated text, registered in linecache
+        source = inspect.getsource(dopri_step)
+        assert source.startswith("def dopri_step(f, y, h, first):\n")
+        assert "k7c = stage[0]" in source
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_only_the_chart_sizes_are_stepped(self, n):
@@ -361,7 +368,8 @@ class TestClampComparisons:
         _integrate(f, [0.0, 0.0], f(0.0, 0.0), 1e-6, 1e-6, lambda *_: None, traj)
         assert traj.steps_rejected == 1
         # with k1 = 1 the second stage of a step from 0 is at h * _A21
-        h1, h2 = calls[1][0] / integrate_mod._A21, calls[7][0] / integrate_mod._A21
+        a21 = integrate_mod._A[0][0]
+        h1, h2 = calls[1][0] / a21, calls[7][0] / a21
         assert h2 / h1 == pytest.approx(integrate_mod._MIN_SHRINK, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -389,7 +397,7 @@ class TestRunStatus:
             traj = integrate_flow(stable_params, (1.05, 0.95), t_max=t_max)
             assert traj.status == TrajectoryStatus.MAX_TIME
             assert traj.steps_accepted == 1
-            assert traj.times == [0.0, t_max]
+            assert [s[0] for s in traj.samples] == [0.0, t_max]
 
     def test_tiny_tmax_from_the_command_line(self, capsys):
         argv = ["flow", "--a", "1/6,1/4,1/3", "--x0", "1.05,0.95", "--tmax", "1e-20"]
@@ -489,7 +497,7 @@ class TestPlanarIntegration:
 
     def test_times_strictly_increasing(self, stable_params):
         traj = integrate_flow(stable_params, (0.8, 1.2), t_max=50.0)
-        times = traj.times
+        times = [s[0] for s in traj.samples]
         assert all(b > a for a, b in zip(times, times[1:]))
 
 
@@ -514,6 +522,14 @@ class TestVolumeConservation3D:
         for rtol in (1e-4, 1e-8, 1e-12):
             traj = integrate_flow_3d(stable_params, x0, t_max=20.0, rel_tol=rtol)
             assert traj.max_volume_drift <= 1e-12
+
+
+def _raising_field(*_args):
+    raise ZeroDivisionError
+
+
+def _nan_field(*_args):
+    return (math.nan,) * 4
 
 
 class TestLimitClassification:
@@ -573,12 +589,11 @@ class TestLimitClassification:
         with pytest.raises(ValueError, match="float range"):
             integrate_flow(stable_params, (1e-300, 1e-300))
 
-    def test_start_inside_the_box_where_the_field_fails_is_an_error(self, stable_params, monkeypatch):
+    @pytest.mark.parametrize("field", [_raising_field, _nan_field])
+    def test_start_inside_the_box_where_the_field_fails_is_an_error(self, stable_params, monkeypatch, field):
         # each chart's stage function rejects the ArithmeticError of the
-        # field, and the start at x = (1, 1, 1) lies inside the box
-        def field(*_args):
-            raise ZeroDivisionError
-
+        # field, a NaN derivative fails the start like it, and the start at
+        # x = (1, 1, 1) lies inside the box
         monkeypatch.setattr(integrate_mod, "_field", field)
         for chart, y0 in ((_planar_chart, [0.0, 0.0]), (_chart_3d, [0.0, 0.0, 0.0])):
             traj = Trajectory()
@@ -586,6 +601,19 @@ class TestLimitClassification:
             with pytest.raises(ValueError, match="start point"):
                 _drive(traj, a, point, stage, [], y0, 1.0, 1e-6)
             assert traj.field_evals == 1
+
+    def test_start_where_the_field_is_nan_is_an_error(self, capsys):
+        # 1 / (a1 x1) overflows and the normalization weight underflows, so
+        # the field is inf * 0 = NaN at the start, where the first step size
+        # would be NaN and no rejection would end the run
+        p = Parameters(1e-309, 1e10, 1e10)
+        with pytest.raises(ValueError, match="cannot be evaluated in floats at the start point"):
+            integrate_flow_3d(p, MetricPoint(1.0, 1.0, 1.0))
+        argv = ["flow", "--a", "1e-309,1e10,1e10", "--x0", "1,1,1", "--three-d"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the flow field cannot be evaluated in floats at the start point\n"
 
     def test_3d_stage_beyond_the_float_range_is_rejected(self, stable_params, monkeypatch):
         # math.exp raises OverflowError at this log state; the stage function
