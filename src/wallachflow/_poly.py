@@ -3,13 +3,21 @@ series, and real roots of univariate polynomials.
 
 ``Poly`` is the one polynomial type: a dict from exponent tuples to
 ``Fraction`` coefficients with the ring operators ``+``, ``-``, ``*`` and
-``**`` (a scalar operand is a constant) and ``diff``.  Ring-generic formulas
-evaluate over it once, at import, to lay out their monomials: the degeneracy
-polynomial of ``surfaces`` and the census equations of ``equilibria``.  An
-optional ``order`` makes it a power series truncated at that total degree,
-and ``inverse`` (with ``/``) divides by a series with a nonzero constant
-term through the geometric series; ``blowup`` expands the flow field at its
+``**`` (a scalar operand is a constant) and ``diff``.  An optional
+``order`` makes it a power series truncated at that total degree, and
+``inverse`` (with ``/``) divides by a series with a nonzero constant term
+through the geometric series; ``blowup`` expands the flow field at its
 degenerate point that way.
+
+``Layout`` is the one exact evaluator of polynomials at rational
+parameters: the census equations of ``equilibria``, the linearization forms
+of ``linearize`` and the degeneracy polynomial of ``surfaces`` are each
+evaluated once over ``Poly`` and laid out by monomial.  ``cleared`` puts
+rationals over the lcm ``d`` of their denominators, and ``Layout.at`` then
+sums every coefficient in integers over a power of ``d``, with no
+``Fraction`` arithmetic per term (Basu, Pollack and Roy, *Algorithms in Real
+Algebraic Geometry*).  ``cleared`` is also the one place that clears the
+denominators of a ray, a line or a coefficient list.
 
 ``root_brackets`` is the one real-root finder, and it makes one pass:
 ``real_roots`` rounds its roots to floats, for exact and float input alike,
@@ -179,6 +187,60 @@ class Poly(dict):
 
     def __rtruediv__(self, other) -> "Poly":
         return self._lift(other) * self.inverse()
+
+
+# ---------------------------------------------------------------------------
+# exact evaluation in integers
+
+
+def cleared(values) -> tuple[list[int], int]:
+    """``(ints, d)`` with ``values[i] == ints[i] / d`` and ``d`` the lcm of
+    the denominators; a float counts as its dyadic value."""
+    fracs = [Fraction(v) if isinstance(v, float) else v for v in values]
+    d = math.lcm(*(v.denominator for v in fracs))
+    return [v.numerator * (d // v.denominator) for v in fracs], d
+
+
+class Layout:
+    """Polynomials over ``Poly`` in up to four weighted parameters, followed
+    by free variables, laid out once.
+
+    With parameter ``j`` equal to ``N_j / d**weights[j]``, ``at(N, d)`` gives
+    per polynomial ``i`` and free monomial ``monos[i][m]`` the coefficient
+    times ``scales[i] * d**weight`` as an ``int``: ``scales[i]`` is the lcm
+    of the denominators of polynomial ``i``, and ``weight`` the highest
+    weighted degree of any parameter monomial.
+    """
+
+    __slots__ = ("monos", "scales", "weight", "_ones", "_tops", "_params", "_rows")
+
+    def __init__(self, polys, weights):
+        n = len(weights)
+        index: dict[tuple[int, ...], int] = {}
+        monos, scales, rows = [], [], []
+        for poly in polys:
+            ints, scale = cleared(poly.values())
+            terms: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+            for mono, c in zip(poly, ints):
+                cs, ns = terms.setdefault(mono[n:], ([], []))
+                cs.append(c)
+                ns.append(index.setdefault(mono[:n], len(index)))
+            monos.append(tuple(terms))
+            scales.append(scale)
+            rows.append(tuple((tuple(cs), tuple(ns)) for cs, ns in terms.values()))
+        degrees = [sum(map(operator.mul, e, weights)) for e in index]
+        self.monos, self.scales, self.weight = tuple(monos), tuple(scales), max(degrees, default=0)
+        # an unused parameter slot is the number 1 with exponent 0
+        self._ones = (1,) * (4 - n)
+        self._params = tuple((*e, *(0,) * (4 - n), self.weight - w) for e, w in zip(index, degrees))
+        self._tops = tuple(max((e[j] for e in self._params), default=0) for j in range(5))
+        self._rows = tuple(rows)
+
+    def at(self, numerators, d: int) -> list[list[int]]:
+        bases = (*numerators, *self._ones, d)
+        p1, p2, p3, p4, pd = ([b**e for e in range(top + 1)] for b, top in zip(bases, self._tops))
+        value = [p1[e1] * p2[e2] * p3[e3] * p4[e4] * pd[k] for e1, e2, e3, e4, k in self._params].__getitem__
+        return [[sum(map(operator.mul, cs, map(value, ns))) for cs, ns in rows] for rows in self._rows]
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +468,9 @@ def real_roots(coeffs, exact: bool | None = None) -> list[tuple[object, int]]:
     """Real roots of a univariate polynomial (highest degree first), ascending,
     each with its multiplicity.
 
-    Every float is a dyadic rational, so the coefficients are converted to
-    ``Fraction`` exactly and the roots are those of that exact polynomial;
-    a list of ``int``s is used as it is.  Over a common denominator the
-    coefficients are integers.  Their primitive form (divided by their gcd)
+    The roots are those of the exact polynomial, a float coefficient
+    counting as its dyadic value, whose coefficients ``cleared`` puts over
+    their common denominator.  Their primitive form (divided by their gcd)
     is square-free when its remainder sequence with its derivative ends in a
     constant, or else factored square-free, the index of a factor being the
     exact multiplicity of its roots (``root_brackets``).  With ``exact``, a
@@ -420,12 +481,7 @@ def real_roots(coeffs, exact: bool | None = None) -> list[tuple[object, int]]:
     relative and rounded to a float; a root beyond the float range is an
     infinity.
     """
-    if all(type(c) is int for c in coeffs):
-        rest = list(coeffs)
-    else:
-        fracs = [Fraction(c) for c in coeffs]
-        lcm = math.lcm(*(c.denominator for c in fracs))
-        rest = [c.numerator * (lcm // c.denominator) for c in fracs]
+    rest = cleared(coeffs)[0]
     while rest and rest[0] == 0:
         rest = rest[1:]
     if len(rest) <= 1:

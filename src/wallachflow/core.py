@@ -9,7 +9,7 @@ is the native Python semantics of the ``Fraction`` type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -100,9 +100,9 @@ class Parameters:
     a1: Scalar
     a2: Scalar
     a3: Scalar
-    s1: Scalar = None  # type: ignore[assignment]
-    s2: Scalar = None  # type: ignore[assignment]
-    s3: Scalar = None  # type: ignore[assignment]
+    s1: Scalar = field(init=False)
+    s2: Scalar = field(init=False)
+    s3: Scalar = field(init=False)
 
     def __post_init__(self):
         a1 = _canonical(self.a1)

@@ -12,7 +12,8 @@ set of lines, tested exactly at the ray's census root.
 
 ``equations`` is the single source of the two equilibrium equations: the
 exact ``residual`` evaluates it, and the census lays it out once, at import,
-over ``_poly.Poly`` in its sheared chart and runs each triple in integers.
+in its sheared chart as a ``_poly.Layout``, which evaluates it at each
+triple in integers.
 ``scale_to_log_volume`` is the single volume scaling of a ray.
 """
 
@@ -24,8 +25,8 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ._poly import Poly, _derivative, _gcd, _refine, _remainders, _variations, float_bits, real_roots, root_brackets
-from ._poly import quartic_discriminant_coeffs
+from ._poly import Layout, Poly, _derivative, _gcd, _refine, _remainders, _variations, cleared, float_bits, real_roots
+from ._poly import quartic_discriminant_coeffs, root_brackets
 from .core import Parameters, Scalar, is_exact, sqrt_scalar
 from .flow import MetricPoint, log_volume
 
@@ -254,9 +255,7 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
         raise ValueError("general case expects pairwise distinct parameters")
     if _sums_to_half(p.a):
         raise ValueError("general case expects a1+a2+a3 != 1/2")
-    a = tuple(map(Fraction, p.a))
-    d = math.lcm(*(v.denominator for v in a))
-    a1, a2, a3 = (v.numerator * (d // v.denominator) for v in a)
+    (a1, a2, a3), d = cleared(p.a)
     # t = num(s) / den(s), lowest degree first
     num = [-2 * a3 * (a1 + a2), (a3 - a1) * d, 2 * a1 * (a2 + a3)]
     den = [-(a1 + a2) * d, (a2 + a3) * d, 0]
@@ -294,35 +293,23 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
 # census by elimination
 
 
-def _census_layout():
-    """The two equations in the census chart, laid out once: per equation and
-    ``(i, j)`` the monomials ``(c, e1, e2, e3)`` of the coefficient of ``x1**i
-    * u**j``, ``sum(c * a1**e1 * a2**e2 * a3**e3) / 9``, of degree 1 or 2."""
-    a1, a2, a3, x1, u = (Poly.var(k, 5) for k in range(5))
-    layout = []
-    for e in equations(a1, a2, a3, x1, u - _SHEAR * x1, 1):
-        rows = [[[] for _j in range(3 - i)] for i in range(3)]
-        for (e1, e2, e3, i, j), c in (9 * e).items():
-            rows[i][j].append((int(c), e1, e2, e3))
-        layout.append(rows)
-    return layout
+# the two equations over ``Poly`` in (a1, a2, a3, x1, u), in the census chart
+_CHART = Layout(
+    equations(*(Poly.var(k, 5) for k in range(4)), Poly.var(4, 5) - _SHEAR * Poly.var(3, 5), 1), (1, 1, 1)
+)
 
 
-_CENSUS_LAYOUT = _census_layout()
-
-
-def _census_rows(a: tuple[Fraction, ...]) -> list[list[list[int]]]:
-    """The census coefficients of both equations at ``a``, each times
-    ``9 * D**2``, where ``D`` is the lcm of the denominators of ``a``:
-    with ``A_i = D * a_i`` a monomial is ``c * A**e * D**(2 - |e|)``."""
-    d = math.lcm(*(v.denominator for v in a))
-    p1, p2, p3 = ((1, A, A * A) for A in (v.numerator * (d // v.denominator) for v in a))
-    d_pow = (d * d, d, 1)
-    return [
-        [[sum(c * p1[e1] * p2[e2] * p3[e3] * d_pow[e1 + e2 + e3] for c, e1, e2, e3 in terms) for terms in row]
-         for row in rows]
-        for rows in _CENSUS_LAYOUT
-    ]
+def _census_rows(a) -> list[list[list[int]]]:
+    """``rows[e][i][j]``: the coefficient of ``x1**i * u**j`` in equation
+    ``e`` of the census chart at ``a``, an integer over the common
+    denominator of ``_CHART.at``."""
+    out = []
+    for coeffs, monos in zip(_CHART.at(*cleared(a)), _CHART.monos):
+        rows = [[0] * (3 - i) for i in range(3)]
+        for c, (i, j) in zip(coeffs, monos):
+            rows[i][j] = c
+        out.append(rows)
+    return out
 
 
 def _mul(f: list[int], g: list[int]) -> list[int]:
@@ -423,8 +410,7 @@ def _census(p: Parameters) -> tuple[list[tuple[Scalar, Scalar, int, tuple | None
     ``l`` of the chart.  ``bracket`` is ``(factor, root)`` for a ray that
     ``_ray`` took from the isolating interval ``root`` of ``factor``, and
     ``None`` for a rational root or a ray of ``_on_line``."""
-    a = tuple(map(Fraction, p.a))
-    (c1, b1, (p1,)), (c2, b2, (p2,)) = rows = _census_rows(a)
+    (c1, b1, (p1,)), (c2, b2, (p2,)) = rows = _census_rows(p.a)
     # e = p*x1**2 + b*x1 + c: constant p, linear b, quadratic c in u, lowest degree first
     m = [p1 * v2 - p2 * v1 for v1, v2 in zip(c1, c2)]
     l = [p1 * v2 - p2 * v1 for v1, v2 in zip(b1, b2)] + [0]
@@ -504,8 +490,7 @@ def _lies_on(line: tuple, ray: tuple, m: list[int], l: list[int]) -> bool:
     x1, x2, _mult, bracket = ray
     if bracket is None:
         return is_exact(x1) and alpha * x1 + beta * x2 + gamma == 0
-    d = math.lcm(*(w.denominator for w in line))
-    alpha, beta, gamma = (int(w * d) for w in line)
+    (alpha, beta, gamma), _d = cleared(line)
     c = [(beta - 3 * alpha) * mj + 3 * (gamma * lj + beta * lk) for mj, lj, lk in zip(m, l, [0] + l)]
     while c and not c[-1]:
         c.pop()

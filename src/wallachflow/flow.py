@@ -93,36 +93,32 @@ def normalization_weight(a1, a2, a3):
     return 1 / (1 / a1 + 1 / a2 + 1 / a3)
 
 
-def normalization_term(a1, a2, a3, x1, x2, x3, weight=None):
+def normalization_term(a1, a2, a3, x1, x2, x3):
     """The scalar-curvature normalization term, over any ring with division.
 
-    Homogeneous of degree -1 in the metric coefficients.  ``weight`` is
-    ``normalization_weight(a1, a2, a3)``; a caller evaluating many points
-    may pass it precomputed.
+    Homogeneous of degree -1 in the metric coefficients.
     """
-    return _field(a1, a2, a3, x1, x2, x3, weight)[3]
+    return _field(a1, a2, a3, x1, x2, x3)[3]
 
 
-def field_components(a1, a2, a3, x1, x2, x3, weight=None, one=1):
+def field_components(a1, a2, a3, x1, x2, x3):
     """The three field components, over any ring with division.
 
     It reads ``_field``, the single source of the flow formulas, which the
     scalar, float and Taylor-series evaluations all route through (the
     float charts of ``integrate`` call it directly, once per evaluation).
-    ``weight`` is ``normalization_weight(a1, a2, a3)``, as for
-    ``normalization_term``.
-    ``one`` is the unit the constants are written in: a float caller may
-    pass ``1.0``, which gives the same bits as the default ``1`` without an
-    int-float conversion per operation.
     """
-    return _field(a1, a2, a3, x1, x2, x3, weight, one)[:3]
+    return _field(a1, a2, a3, x1, x2, x3)[:3]
 
 
 def _field(a1, a2, a3, x1, x2, x3, weight=None, one=1):
     """``(f, g, h, B)``: the three field components and the normalization
     term ``B`` they share, in one frame.  The three ratios ``x_i / (x_j
-    x_k)`` are computed once; ``weight`` and ``one`` are as for
-    ``field_components``."""
+    x_k)`` are computed once.  ``weight`` is ``normalization_weight(a1, a2,
+    a3)``, which a caller evaluating many points may pass precomputed.
+    ``one`` is the unit the constants are written in: a float caller may
+    pass ``1.0``, which gives the same bits as the default ``1`` without an
+    int-float conversion per operation."""
     r1, r2, r3 = x1 / (x2 * x3), x2 / (x1 * x3), x3 / (x1 * x2)
     if weight is None:
         weight = normalization_weight(a1, a2, a3)

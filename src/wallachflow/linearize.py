@@ -12,11 +12,10 @@ representative (rho ~ 1/lam, delta ~ 1/lam^2), so signs and the resulting
 classification do not depend on the chosen representative.
 
 ``f1``, ``f2`` and ``g_matrix`` are the one source of the three forms.  For
-exact parameters ``linearize_at`` evaluates them from a layout of their
-monomials in ``(a, x)``, built once, on first use, by evaluating them over
-``_poly.Poly``.  Each call clears the ``a_i`` to one common denominator
-``D`` and sums the coefficient of every x-monomial in ``int``s.  An exact ray
-is then evaluated in integers, so rho, delta and sigma are the same
+exact parameters ``linearize_at`` evaluates them from a ``_poly.Layout`` of
+their monomials in ``(a, x)``, built once, on first use, which gives the
+coefficient of every x-monomial in integers.  An exact ray is then
+evaluated in integers, so rho, delta and sigma are the same
 ``Fraction``s as the forms give.  The layout also holds the two equilibrium
 ``equations``, which check an exact ray's residual in the same integers.  At
 a float ray each coefficient is rounded once and each form is one float sum
@@ -29,13 +28,13 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
-from ._poly import Poly
+from ._poly import Layout, Poly, cleared
 from .core import Parameters, Scalar, is_exact, sqrt_scalar
+from .equilibria import equations, residual
 from .flow import MetricPoint
 
 __all__ = [
@@ -183,113 +182,55 @@ def sigma_expression(p: Parameters, x: MetricPoint) -> Scalar:
     return 4 * _g_form(p, x) / ((x1 * x1) * (x2 * x2) * (x3 * x3))
 
 
-@dataclass(frozen=True)
-class _Form:
-    """A form homogeneous of ``degree`` in ``x``, by its x-monomials.
-
-    The coefficient of ``x1**i * x2**j * x3**l``, for ``(i, j, l) =
-    monos[m]``, is ``sum(c * v[n] for c, n in zip(*rows[m])) / scale``, where
-    ``v`` holds the values of the layout's parameter monomials.
-    """
-
-    monos: tuple[tuple[int, int, int], ...]
-    rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    scale: int
-    degree: int
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """F1, F2, G and the two equilibrium equations over one list of
-    monomials in ``(a1, a2, a3, A)``.
-
-    ``A`` stays a variable, as the forms are written, and has weight 2.  With
-    ``a_i = N_i / D`` and ``A = N_A / D**2``, the monomial ``(e1, e2, e3, eA,
-    k)`` of ``a_monos`` is ``N1**e1 * N2**e2 * N3**e3 * N_A**eA * D**k``
-    over ``D**weight``, where ``weight`` is the highest weighted degree.
-    """
-
-    a_monos: tuple[tuple[int, int, int, int, int], ...]
-    weight: int
-    forms: tuple[_Form, ...]
-
-
-def _build_layout() -> _Layout:
-    """F1, F2, G and ``equations``, each evaluated once over ``Poly`` in
-    ``(a1, a2, a3, A, x1, x2, x3)``, with each form's coefficients cleared to
-    integers."""
-    from .equilibria import equations  # deferred as in ``linearize_at``
-
+def _build_layout() -> Layout:
+    """F1, F2, G and ``equations`` over ``Poly`` in ``(a1, a2, a3, A, x1, x2,
+    x3)``, laid out with ``A`` a parameter of weight 2, as the forms are
+    written."""
     a1, a2, a3, A, x1, x2, x3 = (Poly.var(k, 7) for k in range(7))
     p = SimpleNamespace(a=(a1, a2, a3), A=A)
     x = SimpleNamespace(x=(x1, x2, x3), x1=x1, x2=x2, x3=x3)
-    index: dict[tuple[int, ...], int] = {}
-    forms = []
-    for poly in (f1(p, x), f2(p, x), _g_form(p, x), *equations(a1, a2, a3, x1, x2, x3)):
-        scale = math.lcm(*(c.denominator for c in poly.values()))
-        rows: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-        for mono, c in poly.items():
-            cs, ns = rows.setdefault(mono[4:], ([], []))
-            cs.append(int(c * scale))
-            ns.append(index.setdefault(mono[:4], len(index)))
-        forms.append(_Form(
-            monos=tuple(rows),
-            rows=tuple((tuple(cs), tuple(ns)) for cs, ns in rows.values()),
-            scale=scale,
-            degree=sum(next(iter(rows))),
-        ))
-    weight = max(e1 + e2 + e3 + 2 * ea for e1, e2, e3, ea in index)
-    return _Layout(
-        a_monos=tuple((*e, weight - e[0] - e[1] - e[2] - 2 * e[3]) for e in index),
-        weight=weight,
-        forms=tuple(forms),
-    )
+    return Layout((f1(p, x), f2(p, x), _g_form(p, x), *equations(a1, a2, a3, x1, x2, x3)), (1, 1, 1, 2))
 
 
 # Built on first use: expanding F2 takes milliseconds, which a command that
 # never linearizes at exact parameters should not pay at import.
-_LAYOUT: _Layout | None = None
+_LAYOUT: Layout | None = None
 
 
 def _laid_out_forms(p: Parameters, x: MetricPoint) -> list[Scalar]:
     """``[F1, F2, G, e1, e2]`` at ``x`` for exact ``p``, from the layout,
     where ``(e1, e2)`` are the equilibrium ``equations``.
 
-    ``D`` is the lcm of the denominators of the ``a_i``, and each
-    coefficient is an ``int`` sum over ``scale * D**weight``.  An exact
-    ``x`` is cleared to integers over the lcm ``M`` of its denominators, and
-    each form is one ``Fraction``.  A float ``x`` gets each coefficient
-    rounded once, and each form is the ``math.fsum`` of its float terms,
-    which rounds alike on every Python version (``sum`` of floats changed in
-    3.12).  It lies within ``gamma_11 * sum(|terms|)`` of the exact form at
-    ``x`` (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3).
+    Each x-monomial's coefficient is an ``int`` over ``scale * D**weight``.
+    An exact ``x`` is cleared to integers over the lcm ``M`` of its
+    denominators, and each form is one ``Fraction``.  A float ``x`` gets
+    each coefficient rounded once, and each form is the ``math.fsum`` of its
+    float terms, which rounds alike on every Python version (``sum`` of
+    floats changed in 3.12).  It lies within ``gamma_11 * sum(|terms|)`` of
+    the exact form at ``x`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3).
     """
     global _LAYOUT
     if _LAYOUT is None:
         _LAYOUT = _build_layout()
-    w = _LAYOUT.weight
-    d = math.lcm(*(v.denominator for v in p.a))
-    n1, n2, n3 = (v.numerator * (d // v.denominator) for v in p.a)
-    p1, p2, p3, pa, pd = ([b**e for e in range(w + 1)] for b in (n1, n2, n3, n1 * n2 + n1 * n3 + n2 * n3, d))
-    values = [p1[e1] * p2[e2] * p3[e3] * pa[ea] * pd[k] for e1, e2, e3, ea, k in _LAYOUT.a_monos]
-    value = values.__getitem__
-    out: list[Scalar] = []
+    (n1, n2, n3), d = cleared(p.a)
+    coeffs = _LAYOUT.at((n1, n2, n3, n1 * n2 + n1 * n3 + n2 * n3), d)
+    d_pow = d**_LAYOUT.weight
+    degrees = [sum(monos[0]) for monos in _LAYOUT.monos]
     exact = x.exact
     if exact:
-        m = math.lcm(*(v.denominator for v in x.x))
-        xs = [v.numerator * (m // v.denominator) for v in x.x]
+        xs, m = cleared(x.x)
     else:
         xs = [float(v) for v in x.x]
-    top = max(form.degree for form in _LAYOUT.forms)
-    t1, t2, t3 = ([v**e for e in range(top + 1)] for v in xs)
-    for form in _LAYOUT.forms:
-        coeffs = [sum(map(operator.mul, cs, map(value, ns))) for cs, ns in form.rows]
-        den = form.scale * pd[w]
+    t1, t2, t3 = ([v**e for e in range(max(degrees) + 1)] for v in xs)
+    out: list[Scalar] = []
+    for cs, monos, scale, degree in zip(coeffs, _LAYOUT.monos, _LAYOUT.scales, degrees):
+        den = scale * d_pow
         if exact:
-            num = sum(c * t1[i] * t2[j] * t3[l] for c, (i, j, l) in zip(coeffs, form.monos))
-            out.append(Fraction(num, den * m**form.degree))
+            num = sum(c * t1[i] * t2[j] * t3[l] for c, (i, j, l) in zip(cs, monos))
+            out.append(Fraction(num, den * m**degree))
             continue
-        out.append(math.fsum(c / den * t1[i] * t2[j] * t3[l] for c, (i, j, l) in zip(coeffs, form.monos)))
+        out.append(math.fsum(c / den * t1[i] * t2[j] * t3[l] for c, (i, j, l) in zip(cs, monos)))
     return out
 
 
@@ -331,9 +272,6 @@ def linearize_at(p: Parameters, point) -> Linearization:
     The values refer to the representative as given; rescaling it rescales
     rho and delta but never their signs.
     """
-    # deferred: equilibria imports flow too
-    from .equilibria import equations, residual
-
     x = point.rep if hasattr(point, "rep") else point
     # an exact ray is checked with the laid-out equations, in integers
     laid_out = _laid_out_forms(p, x) if p.exact and x.exact else None
@@ -380,28 +318,25 @@ def classify(lin: Linearization) -> Classification:
     ``delta < 0``: saddle.  ``delta > 0``: node when ``sigma >= 0`` (stable
     iff ``rho < 0``), focus variants when ``sigma < 0`` (impossible for
     positive-sum parameters but reachable for general real ones).
-    ``delta = 0``: degenerate, decided exactly only for exact inputs.
+    ``delta = 0`` (or NaN): degenerate, decided exactly only for exact
+    inputs.
     """
     exact = is_exact(lin.delta)
     near = False
     if not exact and lin.degeneracy_measure is not None:
         near = lin.degeneracy_measure <= _NEAR_DEGENERATE_TOL
 
-    if lin.delta == 0 and exact:
-        return Classification(PointKind.DEGENERATE, near_degenerate=True)
     if lin.delta < 0:
         return Classification(PointKind.SADDLE, near)
-    if lin.delta > 0 or (lin.delta == 0 and not exact):
-        if lin.delta == 0:
-            return Classification(PointKind.DEGENERATE, near_degenerate=True)
-        sigma_floor = 0 if exact else -_sigma_rounding_allowance(lin.rho, lin.delta)
-        if lin.sigma >= sigma_floor:
-            kind = PointKind.STABLE_NODE if lin.rho < 0 else PointKind.UNSTABLE_NODE
-            return Classification(kind, near)
-        if lin.rho == 0:
-            return Classification(PointKind.WEAK_FOCUS_OR_CENTER, near)
-        return Classification(PointKind.STRONG_FOCUS, near)
-    return Classification(PointKind.DEGENERATE, near_degenerate=True)
+    if not lin.delta > 0:  # zero of either sign, or NaN
+        return Classification(PointKind.DEGENERATE, near_degenerate=True)
+    sigma_floor = 0 if exact else -_sigma_rounding_allowance(lin.rho, lin.delta)
+    if lin.sigma >= sigma_floor:
+        kind = PointKind.STABLE_NODE if lin.rho < 0 else PointKind.UNSTABLE_NODE
+        return Classification(kind, near)
+    if lin.rho == 0:
+        return Classification(PointKind.WEAK_FOCUS_OR_CENTER, near)
+    return Classification(PointKind.STRONG_FOCUS, near)
 
 
 def sigma_zero_family(which: str, s: Scalar, k: int = 3) -> Parameters:

@@ -3,19 +3,22 @@ equilibrium has zero Jacobian determinant), the trace surface Q1 = 0 (where
 some equilibrium has zero Jacobian trace), the singular edge curves of the
 degeneracy surface, and the census-based classification of the three
 components the surface cuts out of the open parameter cube.
+
+At exact parameters Q and its partials in ``(s1, s2, s3)`` are integer sums
+from one ``_poly.Layout``.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from ._poly import Poly
+from ._poly import Layout, Poly, cleared
 from .core import Parameters, Scalar
+from .equilibria import solve_all
 from .linearize import PointKind, classify, linearize_at
 
 __all__ = [
@@ -83,48 +86,33 @@ def _build_q_polynomial() -> Poly:
 
 _Q_POLY = _build_q_polynomial()
 _Q_GRAD = tuple(_Q_POLY.diff(i) for i in range(3))
-# Q has weighted degree at most _Q_WEIGHT for the weights (1, 2, 3) of
-# (s1, s2, s3), and d/ds_k lowers that bound by k.
-_Q_WEIGHT = max(e1 + 2 * e2 + 3 * e3 for e1, e2, e3 in _Q_POLY)
+# Q and its partials for exact input; s_j has weight j.  Their coefficients
+# are integers, so every scale of the layout is 1.
+_Q_LAYOUT = Layout((_Q_POLY, *_Q_GRAD), (1, 2, 3))
 
 
 @dataclass(frozen=True)
 class _Kernel:
     """A polynomial of (s1, s2, s3) with integer coefficients, laid out for
-    evaluation from power tables, in the monomial order of its dict.
+    float evaluation from power tables, in the monomial order of its dict.
 
-    ``exact`` holds ``(c, e1, e2, e3, k)``: with ``s_j = N_j / D^j`` the
-    monomial is ``c N1^e1 N2^e2 N3^e3 D^k / D^w``, where ``w`` is the
-    weighted-degree bound the kernel was built for. ``floats`` holds
-    ``(float(c), e1, e2, e3)``. ``top`` is the highest exponent of each
-    ``s_j``.
+    ``floats`` holds ``(float(c), e1, e2, e3)``. ``top`` is the highest
+    exponent of each ``s_j``.
     """
 
-    exact: tuple[tuple[int, int, int, int, int], ...]
     floats: tuple[tuple[float, int, int, int], ...]
     top: tuple[int, int, int]
 
 
-def _kernel(poly, weight: int) -> _Kernel:
+def _kernel(poly) -> _Kernel:
     return _Kernel(
-        exact=tuple(
-            (int(c), e1, e2, e3, weight - e1 - 2 * e2 - 3 * e3)
-            for (e1, e2, e3), c in poly.items()
-        ),
         floats=tuple((float(c), *mono) for mono, c in poly.items()),
         top=tuple(max(mono[j] for mono in poly) for j in range(3)),
     )
 
 
-_Q_KERNEL = _kernel(_Q_POLY, _Q_WEIGHT)
-_GRAD_KERNELS = tuple(_kernel(g, _Q_WEIGHT - k) for k, g in enumerate(_Q_GRAD, 1))
-
-
-def _exact_sum(terms, n1, n2, n3, d) -> int:
-    total = 0
-    for c, e1, e2, e3, k in terms:
-        total += c * n1[e1] * n2[e2] * n3[e3] * d[k]
-    return total
+_Q_KERNEL = _kernel(_Q_POLY)
+_GRAD_KERNELS = tuple(map(_kernel, _Q_GRAD))
 
 
 def _float_sum(terms, s1, s2, s3) -> float:
@@ -155,31 +143,28 @@ def _chain(ds1, ds2, ds3, a1, a2, a3) -> tuple:
 
 
 def _evaluate(p: Parameters, with_q: bool, with_grad: bool):
-    """``(Q, gradQ)`` at ``p``, each ``None`` unless asked for, from one set
-    of power tables that reach the exponents the asked polynomials use.
+    """``(Q, gradQ)`` at ``p``, each ``None`` unless asked for.
 
-    Exact input: ``D`` is the lcm of the denominators of the ``a_i`` and
-    ``A_i = D a_i``, so ``s_j = N_j / D^j`` with integer ``N_j``. The sums run
-    in ``int``s and each value is one ``Fraction``. Float input: the tables
-    hold ``s_j ** e``, so a power that leaves the float range raises
-    ``OverflowError``, and each monomial is ``float(c) * s1**e1 * ...`` in
-    the same order as the ``Fraction`` coefficients' float fallback.
+    Exact input: ``s_j = N_j / D**j`` with ``a_i = A_i / D``, and
+    ``_Q_LAYOUT`` gives Q and its partials in ``s`` over ``D**w``; the
+    gradient in ``a`` is then ``_chain(P1 D**2, P2 D, P3, A)`` over
+    ``D**(w + 2)``. Float input: power tables of ``s_j ** e`` reach the
+    exponents the asked polynomials use, so a power that leaves the float
+    range raises ``OverflowError``, and each monomial is ``float(c) *
+    s1**e1 * ...`` in the same order as the ``Fraction`` coefficients'
+    float fallback.
     """
-    kernels = ((_Q_KERNEL,) if with_q else ()) + (_GRAD_KERNELS if with_grad else ())
     if not p.exact:
+        kernels = ((_Q_KERNEL,) if with_q else ()) + (_GRAD_KERNELS if with_grad else ())
         sums = _float_sums((p.s1, p.s2, p.s3), kernels)
         return (sums[0] if with_q else None), (_chain(*sums[-3:], *p.a) if with_grad else None)
-    top = [max(k.top[j] for k in kernels) for j in range(3)]
-    d = math.lcm(*(a.denominator for a in p.a))
-    A1, A2, A3 = (a.numerator * (d // a.denominator) for a in p.a)
-    bases = (A1 + A2 + A3, A1 * A2 + A1 * A3 + A2 * A3, A1 * A2 * A3, d)
-    tables = [[b**e for e in range(t + 1)] for b, t in zip(bases, (*top, _Q_WEIGHT))]
-    sums = [_exact_sum(k.exact, *tables) for k in kernels]
-    d_pow = tables[3]
-    q = Fraction(sums[0], d_pow[_Q_WEIGHT]) if with_q else None
+    (A1, A2, A3), d = cleared(p.a)
+    (q,), (p1,), (p2,), (p3,) = _Q_LAYOUT.at((A1 + A2 + A3, A1 * A2 + A1 * A3 + A2 * A3, A1 * A2 * A3), d)
+    d_pow = d**_Q_LAYOUT.weight
+    q = Fraction(q, d_pow) if with_q else None
     if not with_grad:
         return q, None
-    return q, tuple(Fraction(g, d_pow[_Q_WEIGHT - 1]) for g in _chain(*sums[-3:], A1, A2, A3))
+    return q, tuple(Fraction(g, d_pow * d * d) for g in _chain(p1 * d * d, p2 * d, p3, A1, A2, A3))
 
 
 def q_eval(p: Parameters) -> Scalar:
@@ -264,8 +249,6 @@ def _kinds_key(kinds) -> tuple[PointKind, ...]:
 
 def census_kinds(p: Parameters, rays=None) -> list[PointKind]:
     """Sorted classification kinds of all equilibria of ``p``."""
-    from .equilibria import solve_all
-
     if rays is None:
         rays = solve_all(p)
     kinds = []

@@ -65,6 +65,13 @@ class TestParameters:
         p = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3))
         assert (p.s1, p.s2, p.s3) == (Fraction(3, 4), Fraction(13, 72), Fraction(1, 72))
 
+    def test_rejects_a_fourth_argument(self):
+        # the symmetric functions are computed, never passed
+        with pytest.raises(TypeError):
+            Parameters(0.1, 0.2, 0.3, 0.4)
+        with pytest.raises(TypeError):
+            Parameters(0.1, 0.2, 0.3, s1=0.6)
+
     def test_rejects_zero_pairwise_sum(self):
         with pytest.raises(ValueError):
             Parameters(1, 1, Fraction(-1, 2))

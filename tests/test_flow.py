@@ -197,17 +197,19 @@ _float_coord = st.floats(min_value=1e-3, max_value=1e3)
 
 
 class TestSharedRatios:
-    """``field_components`` computes each ratio once; its values must be,
-    bit for bit, those of the formulas with every ratio written out."""
+    """``flow._field`` computes each ratio once; its values must be, bit for
+    bit, those of the formulas with every ratio written out."""
 
     @staticmethod
     def assert_same(a, x, weight=None):
         B, fgh = _reference_field(*a, *x, weight)
-        # repr tells -0.0 from 0.0 and compares Fractions exactly
-        assert repr(field_components(*a, *x, weight)) == repr(fgh)
-        assert repr(normalization_term(*a, *x, weight)) == repr(B)
-        # the one frame that both read, and the float charts call
+        # repr tells -0.0 from 0.0 and compares Fractions exactly; the one
+        # frame that the float charts call, with the weight they pass
         assert repr(flow._field(*a, *x, weight)) == repr((*fgh, B))
+        if weight is None:
+            # the public readers of that frame
+            assert repr(field_components(*a, *x)) == repr(fgh)
+            assert repr(normalization_term(*a, *x)) == repr(B)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -234,7 +236,7 @@ class TestSharedRatios:
         # the float charts write the constants as 1.0; an int 1 is converted
         # to 1.0 in each float operation, so the bits are the same
         weight = float(normalization_weight(*a)) if weighted else None
-        assert repr(field_components(*a, *x, weight, 1.0)) == repr(field_components(*a, *x, weight))
+        assert repr(flow._field(*a, *x, weight, 1.0)) == repr(flow._field(*a, *x, weight))
 
     @settings(max_examples=100, deadline=None)
     @given(a=triple(), x=triple(positive_rationals))

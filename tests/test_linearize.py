@@ -12,6 +12,7 @@ from wallachflow.flow import MetricPoint, phi
 from wallachflow.linearize import (
     SIGMA_ZERO_S_HIGH,
     SIGMA_ZERO_S_LOW,
+    Linearization,
     PointKind,
     _laid_out_forms,
     classify,
@@ -147,6 +148,13 @@ class TestClassify:
         p = Parameters(Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
         lin = linearize_at(p, MetricPoint(1, 1, 1))
         assert (lin.rho, lin.delta) == (0, 0)
+        cls = classify(lin)
+        assert cls.kind is PointKind.DEGENERATE and cls.near_degenerate
+
+    @pytest.mark.parametrize("delta", [0.0, -0.0, math.nan])
+    def test_float_zero_and_nan_deltas_are_degenerate(self, delta):
+        # a zero of either sign, and NaN, are neither above nor below zero
+        lin = Linearization(rho=-1.0, delta=delta, sigma=1.0, lambda1=0j, lambda2=-1 + 0j, degeneracy_measure=1.0)
         cls = classify(lin)
         assert cls.kind is PointKind.DEGENERATE and cls.near_degenerate
 

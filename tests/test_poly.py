@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from wallachflow import blowup, cli, equilibria
 from wallachflow._poly import (
     _SCREEN_PRIMES,
+    Layout,
     Poly,
     _derivative,
     _divmod,
@@ -21,6 +22,7 @@ from wallachflow._poly import (
     _primitive,
     _remainders,
     _variations,
+    cleared,
     real_roots,
     root_brackets,
 )
@@ -644,3 +646,62 @@ class TestPolyAgainstSympy:
         assert Poly.const(4, 2).inverse() == {(0, 0): Fraction(1, 4)}
         with pytest.raises(ValueError):
             (1 + Poly.var(0, 2)).inverse()
+
+
+# --- cleared and Layout, the integer evaluation of laid-out polynomials ------
+
+
+class TestCleared:
+    def test_ints(self):
+        assert cleared([3, -4, 0]) == ([3, -4, 0], 1)
+        assert cleared([]) == ([], 1)
+
+    def test_fractions(self):
+        assert cleared([Fraction(1, 6), Fraction(-3, 4), Fraction(5)]) == ([2, -9, 60], 12)
+
+    def test_floats_are_dyadic(self):
+        # 0.1 is 3602879701896397 / 2**55
+        assert cleared([0.5, 0.1, -2.0]) == ([2**54, 3602879701896397, -(2**56)], 2**55)
+
+    def test_mixed(self):
+        ints, d = cleared([Fraction(1, 3), 0.75, 2, Fraction(-5, 8)])
+        assert (ints, d) == ([8, 18, 48, -15], 24)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4),
+                              st.floats(-1e6, 1e6)), max_size=6))
+    def test_values_over_the_lcm(self, values):
+        ints, d = cleared(values)
+        assert all(type(n) is int for n in ints)
+        assert [Fraction(n, d) for n in ints] == [Fraction(v) for v in values]
+        assert d == math.lcm(*(Fraction(v).denominator for v in values))
+
+
+class TestLayout:
+    """``Layout.at`` against the coefficients that ``Poly`` gives once the
+    parameters are substituted, for the weights that the package uses."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weights=st.sampled_from([(1, 1, 1), (1, 2, 3), (1, 1, 1, 2)]),
+        seed=st.integers(0, 2**32),
+        d=st.integers(1, 60),
+        data=st.data(),
+    )
+    def test_coefficients_at_rational_parameters(self, weights, seed, d, data):
+        n = len(weights)
+        rng = random.Random(seed)
+        # parameters, then two free variables
+        polys = [_random_poly(rng, n + 2) for _ in range(3)]
+        numerators = data.draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n))
+        values = [Fraction(nj, d**w) for nj, w in zip(numerators, weights)]
+        layout = Layout(polys, weights)
+        for poly, row, monos, scale in zip(polys, layout.at(numerators, d), layout.monos, layout.scales):
+            assert scale == math.lcm(*(c.denominator for c in poly.values()))
+            expected = {}
+            for mono, c in poly.items():
+                term = c * math.prod(v**e for v, e in zip(values, mono[:n]))
+                expected[mono[n:]] = expected.get(mono[n:], 0) + term
+            assert list(monos) == list(expected)
+            assert all(type(v) is int for v in row)
+            assert [Fraction(v, scale * d**layout.weight) for v in row] == list(expected.values())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallachflow import equilibria, surfaces
+from wallachflow import surfaces
 from wallachflow.core import Parameters
 from wallachflow.linearize import SIGMA_ZERO_S_HIGH, SIGMA_ZERO_S_LOW
 from wallachflow.surfaces import (
@@ -364,13 +364,14 @@ class TestScanOrbits:
         # n = 4: 20 sorted triples, none on Omega. In reverse order each
         # orbit is first met as an unsorted triple.
         seen = []
-        solve_all = equilibria.solve_all
+        solve_all = surfaces.solve_all
 
         def counting(p, *args, **kwargs):
             seen.append(p.a)
             return solve_all(p, *args, **kwargs)
 
-        monkeypatch.setattr(equilibria, "solve_all", counting)
+        # ``census_kinds`` calls the name that ``surfaces`` imports
+        monkeypatch.setattr(surfaces, "solve_all", counting)
         scan(cube_grid(n)[::-1])
         assert len(seen) == censuses
         assert len(set(seen)) == censuses
