@@ -14,10 +14,11 @@ recorded ``--threads 1`` argument lists once in-process, through
 ``wallachflow.cli.main``, with counting wrappers on the census
 (``equilibria._census``, counted as ``equilibria.census``),
 ``_poly.real_roots``, ``_poly._rational_root`` (the exact rational-root
-refinements), ``linearize.linearize_at`` and the field evaluations
-(``flow._field``, counted as ``flow.field_components``), and
+refinements), ``linearize.linearize_at`` and the field evaluations through
+``flow._field`` (counted as ``flow.field_components``; the float charts of
+``integrate`` evaluate the field inline and are not counted there), and
 sums ``field_evals``, ``steps_accepted`` and ``steps_rejected`` from the
-``flow`` summaries. Calls at other thread counts
+``flow`` summaries, which count every evaluation of the flow runs. Calls at other thread counts
 run their work in pool workers, out of the wrappers' sight, and are
 skipped. The counters do not depend on the host.
 
@@ -52,8 +53,9 @@ WORKLOADS = ("scan", "analyze", "flow")
 RUNS = 3
 # counter name -> (module, function) whose calls it counts during the replay;
 # a census runs in ``equilibria._census``, which ``census`` and ``solve_all``
-# both call, and a field evaluation in ``flow._field``, which
-# ``field_components`` and the float charts of ``integrate`` call
+# both call, and a field evaluation outside the flow runs in ``flow._field``,
+# which ``field_components`` and ``normalization_term`` call (the float
+# charts of ``integrate`` splice the field's text into their steps instead)
 COUNTED = {
     "equilibria.census": ("equilibria", "_census"),
     "_poly.real_roots": ("_poly", "real_roots"),

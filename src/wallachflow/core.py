@@ -8,6 +8,7 @@ is the native Python semantics of the ``Fraction`` type.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,6 +75,15 @@ def sqrt_scalar(x: Scalar) -> Scalar:
         raise ValueError("negative radicand")
     r = exact_sqrt(x)
     return r if r is not None else math.sqrt(float(x))
+
+
+def _exec_source(source: str, filename: str, namespace: dict) -> dict:
+    """Run generated ``source`` in ``namespace`` and return it.  The text is
+    registered in ``linecache`` under ``filename``, so the ``traceback``
+    module and ``inspect.getsource`` show the generated lines."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
 
 
 def _canonical(x: Scalar) -> Scalar:

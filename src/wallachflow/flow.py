@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Parameters, Scalar, _canonical, is_exact
+from .core import Parameters, Scalar, _canonical, _exec_source, is_exact
 
 __all__ = [
     "MetricPoint",
@@ -104,31 +104,44 @@ def normalization_term(a1, a2, a3, x1, x2, x3):
 def field_components(a1, a2, a3, x1, x2, x3):
     """The three field components, over any ring with division.
 
-    It reads ``_field``, the single source of the flow formulas, which the
-    scalar, float and Taylor-series evaluations all route through (the
-    float charts of ``integrate`` call it directly, once per evaluation).
+    It reads ``_field``, which the scalar, float and Taylor-series
+    evaluations all route through; ``_field`` and the float charts of
+    ``integrate`` are compiled from ``_FIELD_TEXT``, the single source of the
+    flow formulas.
     """
     return _field(a1, a2, a3, x1, x2, x3)[:3]
 
 
-def _field(a1, a2, a3, x1, x2, x3, weight=None, one=1):
-    """``(f, g, h, B)``: the three field components and the normalization
-    term ``B`` they share, in one frame.  The three ratios ``x_i / (x_j
-    x_k)`` are computed once.  ``weight`` is ``normalization_weight(a1, a2,
-    a3)``, which a caller evaluating many points may pass precomputed.
-    ``one`` is the unit the constants are written in: a float caller may
-    pass ``1.0``, which gives the same bits as the default ``1`` without an
-    int-float conversion per operation."""
-    r1, r2, r3 = x1 / (x2 * x3), x2 / (x1 * x3), x3 / (x1 * x2)
-    if weight is None:
-        weight = normalization_weight(a1, a2, a3)
-    B = (one / (a1 * x1) + one / (a2 * x2) + one / (a3 * x3) - (r1 + r2 + r3)) * weight
-    return (
-        -one - a1 * x1 * (r1 - r2 - r3) + x1 * B,
-        -one - a2 * x2 * (r2 - r3 - r1) + x2 * B,
-        -one - a3 * x3 * (r3 - r1 - r2) + x3 * B,
-        B,
-    )
+# The flow's formulas as statements over the parameters ``a1, a2, a3``, the
+# point ``x1, x2, x3``, the normalization weight ``weight`` and the unit
+# ``one``: they bind the normalization term ``B`` and the components ``v1, v2,
+# v3``, computing each ratio ``x_i / (x_j x_k)`` once.  ``_field`` is compiled
+# from this text, and the float charts of ``integrate`` splice it into their
+# generated steps with the float unit ``one = 1.0``, which gives the same
+# bits as the int 1 without an int-float conversion per operation.
+_FIELD_TEXT = """\
+r1, r2, r3 = x1 / (x2 * x3), x2 / (x1 * x3), x3 / (x1 * x2)
+B = (one / (a1 * x1) + one / (a2 * x2) + one / (a3 * x3) - (r1 + r2 + r3)) * weight
+v1 = -one - a1 * x1 * (r1 - r2 - r3) + x1 * B
+v2 = -one - a2 * x2 * (r2 - r3 - r1) + x2 * B
+v3 = -one - a3 * x3 * (r3 - r1 - r2) + x3 * B
+"""
+
+_FIELD_DOC = """``(f, g, h, B)``: the three field components and the normalization
+    term ``B`` they share, in one frame, over any ring with division.
+    Compiled from ``_FIELD_TEXT`` with the unit ``one = 1`` and the weight
+    ``normalization_weight(a1, a2, a3)``.
+    """
+
+_field = _exec_source(
+    "def _field(a1, a2, a3, x1, x2, x3):\n"
+    f'    """{_FIELD_DOC}"""\n'
+    "    one, weight = 1, normalization_weight(a1, a2, a3)\n"
+    + "".join(f"    {line}\n" for line in _FIELD_TEXT.splitlines())
+    + "    return v1, v2, v3, B\n",
+    "<flow._field>",
+    globals(),
+)["_field"]
 
 
 def b_term(p: Parameters, x: MetricPoint) -> Scalar:

@@ -86,9 +86,10 @@ def _build_q_polynomial() -> Poly:
 
 _Q_POLY = _build_q_polynomial()
 _Q_GRAD = tuple(_Q_POLY.diff(i) for i in range(3))
-# Q and its partials for exact input; s_j has weight j.  Their coefficients
-# are integers, so every scale of the layout is 1.
+# Q and its partials for exact input, and Q alone for ``q_eval``; s_j has
+# weight j.  Their coefficients are integers, so every scale is 1.
 _Q_LAYOUT = Layout((_Q_POLY, *_Q_GRAD), (1, 2, 3))
+_Q_ALONE = Layout((_Q_POLY,), (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -146,24 +147,26 @@ def _evaluate(p: Parameters, with_q: bool, with_grad: bool):
     """``(Q, gradQ)`` at ``p``, each ``None`` unless asked for.
 
     Exact input: ``s_j = N_j / D**j`` with ``a_i = A_i / D``, and
-    ``_Q_LAYOUT`` gives Q and its partials in ``s`` over ``D**w``; the
-    gradient in ``a`` is then ``_chain(P1 D**2, P2 D, P3, A)`` over
-    ``D**(w + 2)``. Float input: power tables of ``s_j ** e`` reach the
-    exponents the asked polynomials use, so a power that leaves the float
-    range raises ``OverflowError``, and each monomial is ``float(c) *
-    s1**e1 * ...`` in the same order as the ``Fraction`` coefficients'
-    float fallback.
+    ``_Q_LAYOUT`` gives Q and its partials in ``s`` over ``D**w`` (Q alone
+    comes from ``_Q_ALONE``); the gradient in ``a`` is then ``_chain(P1
+    D**2, P2 D, P3, A)`` over ``D**(w + 2)``. Float input: power tables of
+    ``s_j ** e`` reach the exponents the asked polynomials use, so a power
+    that leaves the float range raises ``OverflowError``, and each monomial
+    is ``float(c) * s1**e1 * ...`` in the same order as the ``Fraction``
+    coefficients' float fallback.
     """
     if not p.exact:
         kernels = ((_Q_KERNEL,) if with_q else ()) + (_GRAD_KERNELS if with_grad else ())
         sums = _float_sums((p.s1, p.s2, p.s3), kernels)
         return (sums[0] if with_q else None), (_chain(*sums[-3:], *p.a) if with_grad else None)
     (A1, A2, A3), d = cleared(p.a)
-    (q,), (p1,), (p2,), (p3,) = _Q_LAYOUT.at((A1 + A2 + A3, A1 * A2 + A1 * A3 + A2 * A3, A1 * A2 * A3), d)
+    s = (A1 + A2 + A3, A1 * A2 + A1 * A3 + A2 * A3, A1 * A2 * A3)
+    if not with_grad:
+        ((q,),) = _Q_ALONE.at(s, d)
+        return Fraction(q, d**_Q_ALONE.weight), None
+    (q,), (p1,), (p2,), (p3,) = _Q_LAYOUT.at(s, d)
     d_pow = d**_Q_LAYOUT.weight
     q = Fraction(q, d_pow) if with_q else None
-    if not with_grad:
-        return q, None
     return q, tuple(Fraction(g, d_pow * d * d) for g in _chain(p1 * d * d, p2 * d, p3, A1, A2, A3))
 
 

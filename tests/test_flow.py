@@ -174,12 +174,11 @@ class TestVectorField2D:
             MetricPoint(0, 1, 1)
 
 
-def _reference_field(a1, a2, a3, x1, x2, x3, weight=None):
+def _reference_field(a1, a2, a3, x1, x2, x3):
     """The field with each ratio ``x_i / (x_j x_k)`` written out four times,
     as it was before ``field_components`` shared them: the oracle of the
     shared form.  Returns the normalization term and the three components."""
-    if weight is None:
-        weight = normalization_weight(a1, a2, a3)
+    weight = normalization_weight(a1, a2, a3)
     B = (
         1 / (a1 * x1)
         + 1 / (a2 * x2)
@@ -201,15 +200,13 @@ class TestSharedRatios:
     bit, those of the formulas with every ratio written out."""
 
     @staticmethod
-    def assert_same(a, x, weight=None):
-        B, fgh = _reference_field(*a, *x, weight)
+    def assert_same(a, x):
+        B, fgh = _reference_field(*a, *x)
         # repr tells -0.0 from 0.0 and compares Fractions exactly; the one
-        # frame that the float charts call, with the weight they pass
-        assert repr(flow._field(*a, *x, weight)) == repr((*fgh, B))
-        if weight is None:
-            # the public readers of that frame
-            assert repr(field_components(*a, *x)) == repr(fgh)
-            assert repr(normalization_term(*a, *x)) == repr(B)
+        # frame and its public readers
+        assert repr(flow._field(*a, *x)) == repr((*fgh, B))
+        assert repr(field_components(*a, *x)) == repr(fgh)
+        assert repr(normalization_term(*a, *x)) == repr(B)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -218,25 +215,11 @@ class TestSharedRatios:
     )
     def test_float_points(self, a, x):
         self.assert_same(a, x)
-        # the charts' form: float parameters and the exact weight rounded once
-        self.assert_same(tuple(map(float, a)), x, float(normalization_weight(*a)))
 
     @settings(max_examples=100, deadline=None)
     @given(a=triple(), x=triple(positive_rationals))
     def test_fraction_points(self, a, x):
         self.assert_same(a, x)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        a=st.tuples(*[_float_param] * 3),
-        x=st.tuples(*[st.floats(min_value=1e-150, max_value=1e150)] * 3),
-        weighted=st.booleans(),
-    )
-    def test_float_unit(self, a, x, weighted):
-        # the float charts write the constants as 1.0; an int 1 is converted
-        # to 1.0 in each float operation, so the bits are the same
-        weight = float(normalization_weight(*a)) if weighted else None
-        assert repr(flow._field(*a, *x, weight, 1.0)) == repr(flow._field(*a, *x, weight))
 
     @settings(max_examples=100, deadline=None)
     @given(a=triple(), x=triple(positive_rationals))

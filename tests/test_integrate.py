@@ -2,7 +2,10 @@ import inspect
 import itertools
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,14 +18,7 @@ from wallachflow import flow as flow_mod
 from wallachflow import integrate as integrate_mod
 from wallachflow.core import Parameters
 from wallachflow.equilibria import normalize_unit_volume, solve_all
-from wallachflow.flow import (
-    MetricPoint,
-    field_components,
-    normalization_weight,
-    phi,
-    vector_field_2d,
-    vector_field_3d,
-)
+from wallachflow.flow import MetricPoint, phi, vector_field_2d, vector_field_3d
 from wallachflow.integrate import (
     Trajectory,
     TrajectoryStatus,
@@ -80,7 +76,7 @@ class TestStepper:
                 assert x[1] == x[0]
                 return None
 
-            status, _ = _integrate(f, [1.0, 1.0], f(1.0, 1.0), 3.0, rtol, observe, Trajectory())
+            status, _ = _integrate(_step_over(f), [1.0, 1.0], f(1.0, 1.0)[0], 3.0, rtol, observe, Trajectory())
             assert status == TrajectoryStatus.MAX_TIME
             errors.append(abs(final["y"] - math.exp(lam * final["t"])))
         assert errors[0] / max(errors[1], 1e-18) > 10
@@ -90,7 +86,7 @@ class TestStepper:
         # FSAL: the last row of the tableau is the 5th-order weights, so the
         # stage the step returns is, bit for bit, the field at its result
         p = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3))
-        _a, _point, f = chart(p, Trajectory())
+        _a, _point, f, _step = chart(p, Trajectory())
         rng = np.random.default_rng(5)
         for _ in range(20):
             y = rng.uniform(-0.5, 0.5, 2 if chart is _planar_chart else 3).tolist()
@@ -194,6 +190,23 @@ def _bits(obj):
     return obj
 
 
+def _step_over(f):
+    """``step(y, h, first, rtol)`` over the stage function ``f``, shaped as
+    a chart's generated step: ``dopri_step``, the finiteness test of the
+    result and ``_rms`` of the error estimate.  The oracle of those steps,
+    and the step of the stage functions written here."""
+
+    def step(y, h, first, rtol):
+        got = dopri_step(f, y, h, (first,))
+        if got is None or not all(map(math.isfinite, got[0])):
+            return None
+        y5, err, (k7, x7, v7) = got
+        scale = [rtol * (1 + max(abs(u), abs(w))) for u, w in zip(y, y5)]
+        return y5, integrate_mod._rms(err, scale), k7, x7, v7
+
+    return step
+
+
 def _constant_field(n, bad_call=None, bad_value=math.nan, component=0):
     """``y' = (1, 2, 3)[:n]`` whatever ``y``, except that call ``bad_call``
     (0 is the first stage) puts ``bad_value`` in one component."""
@@ -216,7 +229,7 @@ class TestStraightLineStep:
     @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
     def test_equals_the_reference_bit_for_bit(self, chart, a):
         p = Parameters(*(Fraction(s) if "/" in s else float(s) for s in a.split(",")))
-        _a, _point, stage = chart(p, Trajectory())
+        _a, _point, stage, _step = chart(p, Trajectory())
         n = 2 if chart is _planar_chart else 3
         rng = np.random.default_rng(17)
         failed = 0
@@ -307,10 +320,154 @@ class TestStraightLineStep:
         # first attempted step; that step is rejected and the run goes on
         f = _constant_field(n, bad_call)
         traj = Trajectory()
-        status, _ = _integrate(f, [0.0] * n, f(*[0.0] * n), 1.0, 1e-6, lambda *_: None, traj)
+        status, _ = _integrate(_step_over(f), [0.0] * n, f(*[0.0] * n)[0], 1.0, 1e-6, lambda *_: None, traj)
         assert status == TrajectoryStatus.MAX_TIME
         assert traj.steps_rejected == 1
         assert traj.steps_accepted > 0
+
+
+@pytest.fixture
+def exp_calls(monkeypatch):
+    """``math.exp`` replaced by a counting wrapper, which charts made after
+    it bind.  ``state["bad"]`` maps a call number (from 0, counted since
+    ``state["calls"]`` was last reset) to an exception class to raise or a
+    value to return instead."""
+    state = {"calls": 0, "bad": {}}
+    exp = math.exp
+
+    def counted_exp(u):
+        i = state["calls"]
+        state["calls"] = i + 1
+        bad = state["bad"].get(i)
+        if bad is None:
+            return exp(u)
+        if isinstance(bad, type):
+            raise bad
+        return bad
+
+    monkeypatch.setattr(math, "exp", counted_exp)
+    return state
+
+
+# math.exp calls per stage of each chart: x1, x2 and phi's two factors in
+# the planar chart, x1, x2, x3 in 3D
+_EXPS_PER_STAGE = {_planar_chart: 4, _chart_3d: 3}
+# replacements of the calls of one stage, keyed by the call within the
+# stage: an exception of exp, a point outside the float range, and a point
+# (1e-200, 1e-200, 1) where x1 * x2 underflows and the field divides by 0
+_STAGE_FAILURES = {
+    _planar_chart: [{0: OverflowError}, {3: OverflowError}, {0: math.inf}, {1: math.nan}, {2: 0.0},
+                    {3: math.inf}, {0: 1e-200, 1: 1e-200, 2: 1.0, 3: 1.0}],
+    _chart_3d: [{0: OverflowError}, {2: OverflowError}, {0: math.inf}, {1: math.nan}, {2: 0.0},
+                {0: 1e-200, 1: 1e-200, 2: 1.0}],
+}
+# the seventh stage at (1e-300, 1e300, 1), where the ratio x2 / (x1 x3)
+# overflows and the field is inf - inf = NaN: every stage is evaluated, and
+# the NaN reaches the result through the stage's zero weight
+_NAN_SEVENTH_STAGE = {
+    _planar_chart: {0: 1e-300, 1: 1e300, 2: 1.0, 3: 1.0},
+    _chart_3d: {0: 1e-300, 1: 1e300, 2: 1.0},
+}
+
+
+class TestFusedSteps:
+    """Each float chart's generated ``step`` against ``_step_over`` its own
+    ``stage`` (``dopri_step``, the finiteness test and ``_rms``), bit for
+    bit, with the same count of field evaluations."""
+
+    @staticmethod
+    def _both(chart, p, y, h, rtol, exp_calls, bad=None):
+        # the oracle and the fused step, each on its own chart and Trajectory
+        results = []
+        for fused in (False, True):
+            traj = Trajectory()
+            _a, _point, stage, step = chart(p, traj)
+            exp_calls.update(calls=0, bad={})
+            first = stage(*y)[0]
+            exp_calls.update(calls=0, bad=bad or {})
+            before = traj.field_evals
+            got = (step if fused else _step_over(stage))(y, h, first, rtol)
+            if got is not None:
+                got = [list(part) if isinstance(part, (list, tuple)) else part for part in got]
+            results.append((_bits(got), traj.field_evals - before))
+        assert results[0] == results[1]
+        return results[1]
+
+    @pytest.mark.parametrize("a", ["1/6,1/4,1/3", "0.17,0.26,0.33", "0.01,0.01,0.49"])
+    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
+    def test_equals_dopri_step_bit_for_bit(self, chart, a, exp_calls):
+        p = Parameters(*(Fraction(s) if "/" in s else float(s) for s in a.split(",")))
+        n = 2 if chart is _planar_chart else 3
+        rng = np.random.default_rng(23)
+        counts = set()
+        for _ in range(200):
+            y = rng.uniform(-3.0, 3.0, n).tolist()
+            h = float(10 ** rng.uniform(-8, 1.5))
+            rtol = float(10 ** rng.uniform(-12, -3))
+            _a, _point, stage, _step = chart(p, Trajectory())
+            if stage(*y) is None:
+                continue
+            got, evals = self._both(chart, p, y, h, rtol, exp_calls)
+            counts.add((got is None, evals))
+        # the draws include steps that fail at a stage and steps that do not
+        assert (False, 6) in counts and any(failed for failed, _evals in counts)
+
+    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
+    @pytest.mark.parametrize("stage_no", range(2, 8))
+    def test_a_failed_stage_is_counted_alike(self, chart, stage_no, exp_calls):
+        p = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3))
+        y = [0.1, -0.2, 0.05][:2 if chart is _planar_chart else 3]
+        per = _EXPS_PER_STAGE[chart]
+        assert self._both(chart, p, y, 0.1, 1e-6, exp_calls)[0] is not None
+        for failure in _STAGE_FAILURES[chart]:
+            bad = {(stage_no - 2) * per + j: value for j, value in failure.items()}
+            assert self._both(chart, p, y, 0.1, 1e-6, exp_calls, bad) == (None, stage_no - 1), failure
+
+    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
+    def test_a_result_that_is_not_finite_fails_the_step(self, chart, exp_calls):
+        p = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3))
+        y = [0.1, -0.2, 0.05][:2 if chart is _planar_chart else 3]
+        per = _EXPS_PER_STAGE[chart]
+        bad = {5 * per + j: value for j, value in _NAN_SEVENTH_STAGE[chart].items()}
+        assert self._both(chart, p, y, 0.1, 1e-6, exp_calls, bad) == (None, 6)
+        # dopri_step itself evaluates every stage and returns a NaN result
+        _a, _point, stage, _step = chart(p, Trajectory())
+        exp_calls.update(calls=0, bad={})
+        first = stage(*y)
+        exp_calls.update(calls=0, bad=bad)
+        y5, _err, _last = dopri_step(stage, y, 0.1, first)
+        assert not all(map(math.isfinite, y5))
+
+    def test_the_generated_text_is_shown(self):
+        # each chart's step is compiled from text registered in linecache,
+        # with the map and the field's text spliced into each of its stages
+        p = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3))
+        field = flow_mod._FIELD_TEXT.splitlines()
+        for chart, name in ((_planar_chart, "planar"), (_chart_3d, "3d")):
+            _a, point, stage, step = chart(p, Trajectory())
+            source = inspect.getsource(step)
+            assert source.startswith("    def step(y, h, first, rtol):\n")
+            assert inspect.getsourcefile(step) == f"<{name} chart>"
+            statements = [statement for statement, _test in integrate_mod._CHARTS[name][2]]
+            for line in field + statements:
+                assert source.count(f"            {line}\n") == 6, line
+            assert "dopri_step" not in source and "_field" not in source
+            for line in field + statements:
+                assert inspect.getsource(stage).count(f"{line}\n") == 1, line
+            assert inspect.getsource(point).count(statements[-1]) == 1
+        # _field is compiled from the same text
+        source = inspect.getsource(flow_mod._field)
+        assert all(f"    {line}\n" in source for line in field)
+
+    def test_importing_the_cli_compiles_no_step(self):
+        # the chart steps and dopri_step are compiled on first use
+        code = (
+            "import wallachflow.cli, wallachflow.integrate as i\n"
+            "print(sorted(i._CHART_FACTORIES), 'dopri_step' in vars(i))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout == "[] False\n"
 
 
 _CLAMP_VALUES = [math.nan, math.inf, -math.inf, 1e-10, 0.2, 5.0, 0.0, -0.0, 1.0]
@@ -365,7 +522,7 @@ class TestClampComparisons:
             return ((1e12, 1e12) if len(calls) == 7 else (1.0, 1.0), y, None)
 
         traj = Trajectory()
-        _integrate(f, [0.0, 0.0], f(0.0, 0.0), 1e-6, 1e-6, lambda *_: None, traj)
+        _integrate(_step_over(f), [0.0, 0.0], f(0.0, 0.0)[0], 1e-6, 1e-6, lambda *_: None, traj)
         assert traj.steps_rejected == 1
         # with k1 = 1 the second stage of a step from 0 is at h * _A21
         a21 = integrate_mod._A[0][0]
@@ -383,7 +540,8 @@ class TestClampComparisons:
         seen = set()
         for v in itertools.product(values, repeat=n):
             traj = Trajectory()
-            _drive(traj, x, None, lambda *_y, v=v: ((0.0,) * n, x, v), [x[:n]], [0.0] * n, 1e-3, 1e-6)
+            stage = lambda *_y, v=v: ((0.0,) * n, x, v)  # noqa: E731
+            _drive(traj, x, None, stage, _step_over(stage), [x[:n]], [0.0] * n, 1e-3, 1e-6)
             want = max(map(abs, v)) <= tol
             assert (traj.status == TrajectoryStatus.CONVERGED) == want, v
             seen.add((want, math.isnan(v[0]), any(map(math.isnan, v[1:]))))
@@ -406,19 +564,26 @@ class TestRunStatus:
         assert (run["status"], run["steps"]) == ("max_time", 2)
 
     def test_a_stage_that_fails_everywhere_ends_step_underflow(self, stable_params, monkeypatch):
-        # the field works at the start only, so every step is retried at a
+        # the field works at the start only: once the driver steps, math.exp
+        # raises OverflowError in every stage, so every step is retried at a
         # quarter of its size until the size drops below _MIN_STEP
-        evals = []
+        stepping = []
+        exp, integrate = math.exp, integrate_mod._integrate
 
-        def field(*args):
-            evals.append(args)
-            if len(evals) > 1:
-                raise ZeroDivisionError
-            return flow_mod._field(*args)
+        def failing_exp(u):
+            if stepping:
+                raise OverflowError
+            return exp(u)
 
-        monkeypatch.setattr(integrate_mod, "_field", field)
+        def start_stepping(*args):
+            stepping.append(True)
+            return integrate(*args)
+
+        # the charts bind math.exp when they are made, inside integrate_flow
+        monkeypatch.setattr(math, "exp", failing_exp)
+        monkeypatch.setattr(integrate_mod, "_integrate", start_stepping)
         for x0 in ((1.05, 0.95), MetricPoint(1.05, 0.95, 1.0)):
-            evals.clear()
+            stepping.clear()
             run = integrate_flow if isinstance(x0, tuple) else integrate_flow_3d
             traj = run(stable_params, x0, t_max=1.0)
             assert traj.status == TrajectoryStatus.STEP_UNDERFLOW
@@ -442,21 +607,32 @@ class TestFloatCharts:
     @given(a=st.tuples(_param, _param, _param), x=st.tuples(_coord, _coord, _coord))
     def test_float_field_equals_the_formula(self, a, x):
         p = Parameters(*a)
-        fa = tuple(float(ai) for ai in p.a)
-        weight = float(normalization_weight(*p.a))
-        assert flow_mod._field(*fa, *x, weight)[:3] == field_components(*p.a, *x)
-        _a, point, stage = _chart_3d(p, Trajectory())
+        _a, point, stage, _step = _chart_3d(p, Trajectory())
         y = [math.log(c) for c in x]
         k, xs, v = stage(*y)
-        assert list(xs) == point(y) == [math.exp(u) for u in y]
-        assert tuple(v) == vector_field_3d(p, MetricPoint(*xs)).v
-        assert list(k) == [vi / xi for vi, xi in zip(v, xs)]
+        assert xs == point(y) == tuple(math.exp(u) for u in y)
+        assert _bits(v) == _bits(vector_field_3d(p, MetricPoint(*xs)).v)
+        assert _bits(k) == _bits(tuple(vi / xi for vi, xi in zip(v, xs)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.tuples(*[st.floats(min_value=0.01, max_value=0.5)] * 3),
+        x=st.tuples(*[st.floats(min_value=1e-150, max_value=1e150)] * 3),
+    )
+    def test_float_unit(self, a, x):
+        # the charts splice the field's text in with the unit 1.0; an int 1
+        # is converted to 1.0 in each float operation, so the bits are the
+        # same as flow._field's, over the float range of the field
+        p = Parameters(*a)
+        _a, _point, stage, _step = _chart_3d(p, Trajectory())
+        _k, xs, v = stage(*(math.log(c) for c in x))
+        assert _bits(v) == _bits(flow_mod._field(*p.a, *xs)[:3])
 
     @settings(max_examples=300, deadline=None)
     @given(a=st.tuples(_param, _param, _param), x=st.tuples(_coord, _coord))
     def test_planar_chart_equals_phi_and_the_planar_field(self, a, x):
         p = Parameters(*a)
-        _a, point, stage = _planar_chart(p, Trajectory())
+        _a, point, stage, _step = _planar_chart(p, Trajectory())
         y = [math.log(c) for c in x]
         k, (x1, x2, x3), v = stage(*y)
         assert (x1, x2, x3) == point(y)
@@ -524,14 +700,6 @@ class TestVolumeConservation3D:
             assert traj.max_volume_drift <= 1e-12
 
 
-def _raising_field(*_args):
-    raise ZeroDivisionError
-
-
-def _nan_field(*_args):
-    return (math.nan,) * 4
-
-
 class TestLimitClassification:
     def test_constant_trajectory(self, unstable_params):
         rays = solve_all(unstable_params)
@@ -575,7 +743,7 @@ class TestLimitClassification:
             return ((0.0, 0.0), (1.0, 1.0, 1.0) if len(calls) == 1 else x, (1.0, 1.0))
 
         traj = Trajectory()
-        _drive(traj, (1.0, 1.0, 1.0), None, stage, [], [0.0, 0.0], 1.0, 1e-6)
+        _drive(traj, (1.0, 1.0, 1.0), None, stage, _step_over(stage), [], [0.0, 0.0], 1.0, 1e-6)
         assert traj.exit_face == face
         assert bool(asked) == (not 1e-8 <= value <= 1e8)
         if face is None:
@@ -589,17 +757,18 @@ class TestLimitClassification:
         with pytest.raises(ValueError, match="float range"):
             integrate_flow(stable_params, (1e-300, 1e-300))
 
-    @pytest.mark.parametrize("field", [_raising_field, _nan_field])
-    def test_start_inside_the_box_where_the_field_fails_is_an_error(self, stable_params, monkeypatch, field):
-        # each chart's stage function rejects the ArithmeticError of the
-        # field, a NaN derivative fails the start like it, and the start at
-        # x = (1, 1, 1) lies inside the box
-        monkeypatch.setattr(integrate_mod, "_field", field)
-        for chart, y0 in ((_planar_chart, [0.0, 0.0]), (_chart_3d, [0.0, 0.0, 0.0])):
+    @pytest.mark.parametrize("a1, weight", [(0.0, 1.0), (1.0, math.nan)])
+    def test_start_inside_the_box_where_the_field_fails_is_an_error(self, a1, weight):
+        # at the start x = (1, 1, 1), inside the box, the charts' field
+        # raises ZeroDivisionError (1 / (a1 x1) at a1 = 0) or is NaN (a NaN
+        # weight): the stage rejects the ArithmeticError, a NaN derivative
+        # fails the start like it, and the field is evaluated once.  The
+        # driver's volume reads the parameters (1, 1, 1)
+        for name, y0, exponents in (("planar", [0.0, 0.0], (-1.0, -1.0)), ("3d", [0.0] * 3, ())):
             traj = Trajectory()
-            a, point, stage = chart(stable_params, traj)
-            with pytest.raises(ValueError, match="start point"):
-                _drive(traj, a, point, stage, [], y0, 1.0, 1e-6)
+            chart = integrate_mod._chart(name, traj, a1, 1.0, 1.0, weight, *exponents)
+            with pytest.raises(ValueError, match="cannot be evaluated in floats at the start point"):
+                _drive(traj, (1.0, 1.0, 1.0), *chart, [], y0, 1.0, 1e-6)
             assert traj.field_evals == 1
 
     def test_start_where_the_field_is_nan_is_an_error(self, capsys):
@@ -616,23 +785,26 @@ class TestLimitClassification:
         assert err == "error: the flow field cannot be evaluated in floats at the start point\n"
 
     def test_3d_stage_beyond_the_float_range_is_rejected(self, stable_params, monkeypatch):
-        # math.exp raises OverflowError at this log state; the stage function
-        # counts the evaluation and rejects the stage instead of raising
+        # math.exp raises OverflowError at this log state; the stage and the
+        # step count the evaluation and reject the stage instead of raising
         traj = Trajectory()
-        a, point, stage = _chart_3d(stable_params, traj)
+        a, point, stage, step = _chart_3d(stable_params, traj)
         with pytest.raises(OverflowError):
             point([800.0, 0.0, 0.0])
+        assert stage(800.0, 0.0, 0.0) is None
+        assert traj.field_evals == 1
         seen = {}
 
-        def drive_one_stage(f, _y0, _first, _t_max, _rel_tol, _observe, traj):
+        def drive_one_step(step, _y0, first, _t_max, rel_tol, _observe, traj):
+            # the step's second stage lies next to the log state 800
             before = traj.field_evals
-            seen["stage"] = f(800.0, 0.0, 0.0)
+            seen["step"] = step([800.0, 0.0, 0.0], 0.1, first, rel_tol)
             seen["counted"] = traj.field_evals - before
             return (TrajectoryStatus.MAX_TIME, None)
 
-        monkeypatch.setattr(integrate_mod, "_integrate", drive_one_stage)
-        assert _drive(traj, a, point, stage, [], [0.0, 0.0, 0.0], 1.0, 1e-6) is traj
-        assert seen == {"stage": None, "counted": 1}
+        monkeypatch.setattr(integrate_mod, "_integrate", drive_one_step)
+        assert _drive(traj, a, point, stage, step, [], [0.0, 0.0, 0.0], 1.0, 1e-6) is traj
+        assert seen == {"step": None, "counted": 1}
         assert traj.status == TrajectoryStatus.MAX_TIME
 
     def test_3d_start_at_the_largest_float_is_a_domain_error(self, capsys):

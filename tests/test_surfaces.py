@@ -161,6 +161,14 @@ class TestKernelParity:
                 assert all(type(g) is Fraction for g in got), a
                 assert got == grad_ref, a
 
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.tuples(*[st.fractions(min_value=Fraction(1, 10**4), max_value=1, max_denominator=10**4)] * 3))
+    def test_exact_q_alone_equals_the_joint_layout(self, a):
+        # exact q_eval evaluates the layout of Q alone, q_and_grad the
+        # layout of Q and its partials
+        p = Parameters(*a)
+        assert q_eval(p) == q_and_grad(p)[0]
+
     def test_overflow_raises_where_the_terms_overflow(self):
         p = Parameters(1e200, 0.25, 0.25)
         with pytest.raises(OverflowError):
