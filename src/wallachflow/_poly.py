@@ -21,14 +21,18 @@ denominators of a ray, a line or a coefficient list.
 
 ``root_brackets`` is the one real-root finder, and it makes one pass:
 ``real_roots`` rounds its roots to floats, for exact and float input alike,
-and the census of ``equilibria`` takes rays from its isolating intervals.
+and ``equilibria`` takes rays from its ``Root`` records.
 The input is one primitive integer polynomial ``f``, with one integer
 remainder sequence of ``f`` and ``f'``:
 when it ends in a nonzero constant it is the Sturm sequence of the
 square-free ``f`` (Basu, Pollack and Roy, *Algorithms in Real Algebraic
 Geometry*, ch. 2), and only a nonconstant gcd calls Musser's square-free
 factorization.  Roots are isolated and refined by exact signs on integer
-dyadic grids, a point ``n / 2**k`` being the pair ``(n, k)``.
+dyadic grids, a point ``n / 2**k`` being the pair ``(n, k)``.  A ``Root`` is
+a root that is not returned as a ``Fraction``: its square-free factor and a
+bracket that ``narrow`` refines in place.  At a ``Root``, ``sign_at`` is the
+one sign oracle of an integer polynomial (ch. 10), and ``enclose`` rounds
+quotients of integer polynomials correctly to floats.
 
 Exact input keeps its rational roots exact: the census and the closed forms
 substitute a root back into exact equations, and a rounded root would make
@@ -434,15 +438,96 @@ def float_bits(f: list[int]) -> int:
     return 57 + max(map(abs, f)).bit_length() - abs(tail).bit_length()
 
 
-def root_brackets(f: list[int], exact: bool = True) -> list[tuple[object, int, list[int], list[int]]]:
+# Doublings after which ``enclose`` takes a lower corner: the value is a rounding midpoint.
+_MAX_DOUBLINGS = 6
+
+
+class Root:
+    """A real root of the square-free integer ``factor`` (``df = factor'``),
+    the only one in its bracket ``(lo/2**k, hi/2**k]``, which ``narrow``
+    refines in place: later signs and enclosures start from the narrowest."""
+
+    __slots__ = ("factor", "df", "lo", "hi", "k")
+
+    def __init__(self, factor: list[int], df: list[int], lo: int, hi: int, k: int):
+        self.factor, self.df, self.lo, self.hi, self.k = factor, df, lo, hi, k
+
+    def narrow(self, bits: int) -> tuple[int, int]:
+        """Refine the bracket to width 1 on the grid ``max(k, bits)``; its
+        upper end ``(hi, k)``, the root or the grid point just above it."""
+        if self.hi - self.lo > 1 or self.k < bits:
+            self.hi, self.k = _refine(self.factor, self.df, self.lo, self.hi, self.k, bits)
+            self.lo = self.hi - 1
+        return self.hi, self.k
+
+    def hull(self, g: list[int]) -> tuple[int, int]:
+        """Integer bounds on ``g(x) * 2**(k * (len(g) - 1))`` over the closed
+        bracket, for integer ``g`` (highest degree first): interval Horner."""
+        lo, hi, k = self.lo, self.hi, self.k
+        a = b = g[0] if g else 0
+        for shift, c in enumerate(g[1:], 1):
+            c <<= k * shift
+            if lo >= 0:  # two products decide
+                a, b = (a * lo if a >= 0 else a * hi) + c, (b * hi if b >= 0 else b * lo) + c
+            else:
+                ends = (a * lo, a * hi, b * lo, b * hi)
+                a, b = min(ends) + c, max(ends) + c
+        return a, b
+
+
+def sign_at(g: list[int], root: Root) -> int:
+    """The sign (-1, 0 or 1) of the integer ``g`` (highest degree first) at
+    ``root``, where its hull excludes 0.  Else, on the ``float_bits`` grid,
+    ``g`` vanishes iff ``gcd(factor, g)`` has a root in the bracket (a Sturm
+    count; Basu, Pollack and Roy ch. 10), or the hull excludes 0 at doubling
+    precision."""
+    while g and not g[0]:
+        g = g[1:]
+    a, b = root.hull(g)
+    if a <= 0 <= b:
+        root.narrow(float_bits(root.factor))
+        a, b = root.hull(g)
+        if a <= 0 <= b and len(common := _gcd(root.factor, g)) > 1:
+            chain = _remainders(common, _derivative(common))
+            if _variations(chain, root.lo, root.k) > _variations(chain, root.hi, root.k):
+                return 0
+        while a <= 0 <= b:
+            root.narrow(2 * root.k)
+            a, b = root.hull(g)
+    return 1 if a > 0 else -1
+
+
+def enclose(root: Root, den: list[int], nums) -> tuple | None:
+    """The values ``num(u)/den(u)`` for the ``num`` in ``nums`` (integer
+    polynomials of one length, highest degree first), correctly rounded to
+    floats at the root ``u``, or ``None`` when one is not positive or leaves
+    the float range.  Ziv's loop: narrow, enclose each value by ``hull``,
+    double the precision until each enclosure rounds to one float."""
+    bits = float_bits(root.factor)
+    for doubling in range(_MAX_DOUBLINGS + 1):
+        root.narrow(bits)
+        dens = root.hull(den)
+        if dens[0] > 0 or dens[1] < 0:
+            try:  # the floats the corners round to: int/int rounds correctly
+                values = [{v / w for v in root.hull(num) for w in dens} for num in nums]
+            except OverflowError:
+                return None
+            if min(map(max, values)) <= 0:
+                return None
+            if doubling == _MAX_DOUBLINGS or max(map(len, values)) == 1:
+                return tuple(map(min, values))
+        bits *= 2
+    return None
+
+
+def root_brackets(f: list[int], exact: bool = True) -> list[tuple[Fraction | Root, int]]:
     """The real roots of the integer ``f`` (highest degree first), unordered,
-    as ``(root, mult, factor, df)``: the roots of each square-free factor of
-    its primitive form isolated by Sturm's theorem, with ``exact`` a rational
-    root as its ``Fraction`` (``factor``, ``df`` ``None``), any other as its
-    isolating interval ``(lo, hi, k)`` of ``factor`` (rational roots divided
-    out) with ``df = factor'``, ready for ``_refine``.  Without ``exact`` no
-    rational root is searched for: every root is an isolating interval of
-    its square-free factor, for callers that round the roots anyway."""
+    as ``(root, mult)``: the roots of each square-free factor of its
+    primitive form isolated by Sturm's theorem, with ``exact`` a rational
+    root as its ``Fraction``, any other as a ``Root`` on its isolating
+    interval of ``factor`` (rational roots divided out).  Without ``exact``
+    no rational root is searched for: every root is a ``Root`` of its
+    square-free factor, for callers that round the roots anyway."""
     f = _primitive(f)
     chain = _remainders(f, _derivative(f))
     chains = [(chain, 1)] if chain[-1] else [(_remainders(g, _derivative(g)), k) for g, k in _square_free(f)]
@@ -458,9 +543,9 @@ def root_brackets(f: list[int], exact: bool = True) -> list[tuple[object, int, l
                 if found is None:
                     floating.append(interval)
                 else:
-                    roots.append((found[0], mult, None, None))
+                    roots.append((found[0], mult))
                     factor, df = found[1], _derivative(found[1])
-        roots += [(interval, mult, factor, df) for interval in floating]
+        roots += [(Root(factor, df, *interval), mult) for interval in floating]
     return roots
 
 
@@ -477,7 +562,7 @@ def real_roots(coeffs, exact: bool | None = None) -> list[tuple[object, int]]:
     rational root is returned as that ``Fraction``; it defaults to whether
     every coefficient is exact, and ``False`` skips the rational-root search
     of ``root_brackets`` for integer coefficients whose roots the caller
-    rounds anyway.  The other roots are refined to within ``2**-55``
+    rounds anyway.  The other roots are narrowed to within ``2**-55``
     relative and rounded to a float; a root beyond the float range is an
     infinity.
     """
@@ -489,15 +574,14 @@ def real_roots(coeffs, exact: bool | None = None) -> list[tuple[object, int]]:
     roots = []
     if exact is None:
         exact = all(map(is_exact, coeffs))
-    for root, mult, factor, df in root_brackets(rest, exact):
-        if factor is None:
-            roots.append((root, mult))
-            continue
-        m, K = _refine(factor, df, *root, float_bits(factor))
-        try:
-            roots.append((m / (1 << K), mult))
-        except OverflowError:
-            roots.append((math.inf if m > 0 else -math.inf, mult))
+    for root, mult in root_brackets(rest, exact):
+        if isinstance(root, Root):
+            m, K = root.narrow(float_bits(root.factor))
+            try:
+                root = m / (1 << K)
+            except OverflowError:
+                root = math.inf if m > 0 else -math.inf
+        roots.append((root, mult))
     return sorted(roots, key=lambda rm: rm[0])
 
 

@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ._poly import Layout, Poly, _derivative, _gcd, _refine, _remainders, _variations, cleared, float_bits, real_roots
+from ._poly import Layout, Poly, Root, cleared, enclose, float_bits, real_roots, sign_at
 from ._poly import quartic_discriminant_coeffs, root_brackets
 from .core import Parameters, Scalar, is_exact, sqrt_scalar
 from .flow import MetricPoint, log_volume
@@ -51,8 +51,6 @@ __all__ = [
 # In the census chart x2 = u - x1/3, L = 0 at a root of the resultant for four
 # triples with denominators <= 12 (549 with u = x2); ``census`` serves them.
 _SHEAR = Fraction(1, 3)
-# Doublings after which ``_enclose`` takes a lower corner: the value is a rounding midpoint.
-_MAX_DOUBLINGS = 6
 
 
 class FamilyTag(enum.Enum):
@@ -244,11 +242,11 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
     exact multiplicity.  The quartic and ``t = num(s)/den(s)`` are integers
     over the exact (for floats, dyadic) parameters.  A rational root ``s``
     gives ``t`` exactly; any other root gives ``t`` and ``s`` correctly
-    rounded from the root's isolating interval by ``_enclose``, so ``t``
-    keeps its digits where ``den`` nearly vanishes, next to the sum-half
-    plane, and a tiny ``t`` near a face ``a_i -> 1/2`` its sign.  At float
-    parameters no rational root is searched for, except the root of ``den``,
-    which is tested exactly (it is no ray).
+    rounded by ``_poly.enclose``, so ``t`` keeps its digits where ``den``
+    nearly vanishes, next to the sum-half plane, and a tiny ``t`` near a
+    face ``a_i -> 1/2`` its sign.  At float parameters no rational root is
+    searched for, except the root of ``den`` (it is no ray), which
+    ``sign_at`` tests exactly.
     """
     a1, a2, a3 = p.a
     if a1 == a2 or a1 == a3 or a2 == a3:
@@ -256,28 +254,28 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
     if _sums_to_half(p.a):
         raise ValueError("general case expects a1+a2+a3 != 1/2")
     (a1, a2, a3), d = cleared(p.a)
-    # t = num(s) / den(s), lowest degree first
-    num = [-2 * a3 * (a1 + a2), (a3 - a1) * d, 2 * a1 * (a2 + a3)]
-    den = [-(a1 + a2) * d, (a2 + a3) * d, 0]
+    # t = num(s) / den(s), highest degree first
+    num = [2 * a1 * (a2 + a3), (a3 - a1) * d, -2 * a3 * (a1 + a2)]
+    den = [0, (a2 + a3) * d, -(a1 + a2) * d]
     s_pole = Fraction(a1 + a2, a2 + a3) if a2 + a3 else None
     quartic = _quartic(a1, a2, a3, d)
     while quartic and not quartic[0]:
         quartic.pop(0)
     rays = []
-    for s, mult, factor, df in root_brackets(quartic, p.exact) if len(quartic) > 1 else ():
-        if factor is not None and s_pole is not None and _root_at(factor, s, s_pole):
-            s, factor = s_pole, None
-        if factor is not None:
+    for s, mult in root_brackets(quartic, p.exact) if len(quartic) > 1 else ():
+        if isinstance(s, Root) and s_pole is not None and not sign_at([s_pole.denominator, -s_pole.numerator], s):
+            s = s_pole
+        if isinstance(s, Root):
             # over the common denominator den: s = s den(s) / den(s), and
             # den has no s**2 term
-            ray = _enclose(factor, df, s, den, (num, [0, den[0], den[1]]))
+            ray = enclose(s, den, (num, [den[1], den[2], 0]))
             if ray is None:
                 continue
             rep = MetricPoint(1.0, *ray)
         else:  # only an exact p or s = s_pole gives a rational s
             if not s > 0:
                 continue
-            t_num, t_den = (c[0] + (c[1] + c[2] * s) * s for c in (num, den))
+            t_num, t_den = ((c[0] * s + c[1]) * s + c[2] for c in (num, den))
             if t_den == 0:
                 warnings.warn(f"quartic root s={float(s):.17g} hits the degenerate parametrization", CensusWarning, 2)
                 continue
@@ -321,67 +319,13 @@ def _mul(f: list[int], g: list[int]) -> list[int]:
     return out
 
 
-def _hull(f: list[int], lo: int, hi: int, k: int) -> tuple[int, int]:
-    """Integer bounds on ``f(x) * 2**(2*k)`` over ``[lo/2**k, hi/2**k]`` for
-    ``f`` of degree at most 2 (lowest degree first), by interval Horner."""
-    a = b = f[2]
-    for j in (1, 0):
-        ends = (a * lo, a * hi, b * lo, b * hi)
-        c = f[j] << (k * (2 - j))
-        a, b = min(ends) + c, max(ends) + c
-    return a, b
-
-
-def _ray(num: list[int], den: list[int], factor: list[int], df: list[int], root: tuple[int, int, int]):
-    """``x1 = -num(u)/den(u)`` and ``x2 = u - x1/3 = (num + 3 u den) / (3
-    den)``, free of cancellation, correctly rounded at the root ``u`` of
-    ``factor`` in its isolating interval ``root`` by ``_enclose`` (over the
-    common denominator ``3 den``), or ``None`` for a ray that is not
-    positive or leaves the float range."""
-    num1 = [-3 * num[0], -3 * num[1], -3 * num[2]]
-    num2 = [num[0], num[1] + 3 * den[0], num[2] + 3 * den[1]]
-    return _enclose(factor, df, root, [3 * den[0], 3 * den[1], 3 * den[2]], (num1, num2))
-
-
-def _enclose(factor: list[int], df: list[int], root: tuple[int, int, int], den: list[int], nums) -> tuple | None:
-    """The values ``num(u)/den(u)`` for the ``num`` in ``nums``, correctly
-    rounded to floats at the root ``u`` of ``factor`` in its isolating
-    interval ``root``, or ``None`` when one is not positive or leaves the
-    float range; every polynomial is of degree at most 2, lowest degree
-    first.  Ziv's loop: refine the interval, enclose each value by interval
-    Horner, double the precision until each enclosure rounds to one float."""
-    bits = float_bits(factor)
-    lo, hi, k = root
-    for doubling in range(_MAX_DOUBLINGS + 1):
-        hi, k = _refine(factor, df, lo, hi, k, bits)
-        lo = hi - 1
-        dens = _hull(den, lo, hi, k)
-        if dens[0] > 0 or dens[1] < 0:
-            try:  # the floats the corners round to: int/int rounds correctly
-                values = [{v / w for v in _hull(num, lo, hi, k) for w in dens} for num in nums]
-            except OverflowError:
-                return None
-            if min(map(max, values)) <= 0:
-                return None
-            if doubling == _MAX_DOUBLINGS or max(map(len, values)) == 1:
-                return tuple(map(min, values))
-        bits *= 2
-    return None
-
-
-def _root_at(factor: list[int], root: tuple[int, int, int], u: Fraction) -> bool:
-    """Whether ``u`` is the root of ``factor`` in its isolating interval
-    ``root``, by exact evaluation homogeneous in ``u``'s numerator and
-    denominator."""
-    lo, hi, k = root
-    n, d = u.numerator, u.denominator
-    if not lo * d < n << k <= hi * d:
-        return False
-    acc, d_pow = factor[0], 1
-    for c in factor[1:]:
-        d_pow *= d
-        acc = acc * n + c * d_pow
-    return acc == 0
+def _ray(m: list[int], l: list[int], root: Root):
+    """``x1 = -m(u)/l(u)`` and ``x2 = u - x1/3 = (m + 3 u l) / (3 l)``, free
+    of cancellation, correctly rounded at the root ``u`` by ``enclose``
+    (over the common denominator ``3 l``), or ``None`` for a ray that is not
+    positive or leaves the float range; ``m``, ``l`` lowest degree first."""
+    num2 = [v + 3 * w for v, w in zip(m, [0] + l[:2])]
+    return enclose(root, [3 * v for v in l[::-1]], ([-3 * v for v in m[::-1]], num2[::-1]))
 
 
 def _on_line(rows: list[list[list[int]]], u: Fraction, mult: int):
@@ -404,11 +348,11 @@ def _on_line(rows: list[list[list[int]]], u: Fraction, mult: int):
     return out
 
 
-def _census(p: Parameters) -> tuple[list[tuple[Scalar, Scalar, int, tuple | None]], list[int], list[int]]:
+def _census(p: Parameters) -> tuple[list[tuple[Scalar, Scalar, int, Root | None]], list[int], list[int]]:
     """The rays of ``census``, sorted but not yet rounded at float
-    parameters, as ``(x1, x2, multiplicity, bracket)``, with the ``m`` and
-    ``l`` of the chart.  ``bracket`` is ``(factor, root)`` for a ray that
-    ``_ray`` took from the isolating interval ``root`` of ``factor``, and
+    parameters, as ``(x1, x2, multiplicity, root)``, with the ``m`` and
+    ``l`` of the chart.  ``root`` is the ``Root`` ``u`` that ``_ray`` took
+    the ray from, its bracket as narrow as ``enclose`` left it, and
     ``None`` for a rational root or a ray of ``_on_line``."""
     (c1, b1, (p1,)), (c2, b2, (p2,)) = rows = _census_rows(p.a)
     # e = p*x1**2 + b*x1 + c: constant p, linear b, quadratic c in u, lowest degree first
@@ -426,20 +370,20 @@ def _census(p: Parameters) -> tuple[list[tuple[Scalar, Scalar, int, tuple | None
         res.pop()
     out = []
     u0 = Fraction(-l[0], l[1]) if l[1] else None
-    for root, mult, factor, df in root_brackets(res[::-1], p.exact) if len(res) > 1 else ():
-        if factor is not None and u0 is not None and _root_at(factor, root, u0):
-            root, factor = u0, None
-        if factor is None and l[0] + l[1] * root:
+    for root, mult in root_brackets(res[::-1], p.exact) if len(res) > 1 else ():
+        if isinstance(root, Root) and u0 is not None and not sign_at([u0.denominator, -u0.numerator], root):
+            root = u0
+        if not isinstance(root, Root) and l[0] + l[1] * root:
             x1 = -(m[0] + (m[1] + m[2] * root) * root) / (l[0] + l[1] * root)
             if x1 > 0 and root - _SHEAR * x1 > 0:
                 out.append((x1, root - _SHEAR * x1, mult, None))
-        elif factor is not None and any(l):
-            ray = _ray(m, l, factor, df, root)
-            out += [(*ray, mult, (factor, root))] if ray else []
+        elif isinstance(root, Root) and any(l):
+            ray = _ray(m, l, root)
+            out += [(*ray, mult, root)] if ray else []
         else:  # l(u) = m(u) = 0; l vanishes identically only for a negative a_i,
             # and an irrational u is then rounded to within 2**-55
-            if factor is not None:
-                top, k = _refine(factor, df, *root, float_bits(factor))
+            if isinstance(root, Root):
+                top, k = root.narrow(float_bits(root.factor))
                 root = Fraction(top, 1 << k)
             out += [(*ray, None) for ray in _on_line(rows, root, mult)]
     return sorted(out, key=lambda r: r[:3] if p.exact else (float(r[0]), float(r[1]), r[2])), m, l
@@ -460,46 +404,37 @@ def census(p: Parameters) -> list[tuple[Scalar, Scalar, int]]:
     correctly rounded floats from ``_ray``.  Float parameters want floats
     only, so no rational root is searched for and every ``u`` goes to
     ``_ray``, which rounds a rational ray as ``float`` rounds its
-    ``Fraction`` except exactly halfway between two floats, where it takes
-    the lower one after ``_MAX_DOUBLINGS``.
+    ``Fraction`` except exactly halfway between two floats, where
+    ``_poly.enclose`` takes the lower one.
     Where ``l(u) = m(u) = 0``, as at ``1/4, 1/4, 1/4``, ``_on_line`` solves
     one equation on the line ``u``.  As ``l`` is linear, that ``u`` is
-    ``u0 = -l0/l1`` (or ``l = 0``): a root whose isolating interval holds
-    ``u0`` is tested at ``u0`` exactly.  A curve of equilibria (zero
-    resultant) raises ``ValueError``.
+    ``u0 = -l0/l1`` (or ``l = 0``): ``sign_at`` decides exactly whether a
+    ``Root`` is ``u0``.  A curve of equilibria (zero resultant) raises
+    ``ValueError``.
     """
     rays = [ray[:3] for ray in _census(p)[0]]
     return rays if p.exact else [(float(x1), float(x2), mult) for x1, x2, mult in rays]
 
 
 def _lies_on(line: tuple, ray: tuple, m: list[int], l: list[int]) -> bool:
-    """Whether the ray ``(x1, x2, mult, bracket)`` of ``_census`` (with its
+    """Whether the ray ``(x1, x2, mult, root)`` of ``_census`` (with its
     chart's ``m``, ``l``) lies on ``alpha*x1 + beta*x2 + gamma = 0``, for
     the rational ``line = (alpha, beta, gamma)``, decided exactly.
 
-    Exact coordinates are substituted; a float one without a bracket is an
+    Exact coordinates are substituted; a float one without a ``Root`` is an
     irrational root of ``_on_line`` on a rational line ``u``, and so on no
     rational line crossing it (each family of ``_families`` has one).  A
-    bracketed ray is ``x1 = -m(u)/l(u)``, ``x2 = u - x1/3`` with ``l(u) !=
-    0``, so it is on the line iff its ``u`` is a root of ``c = (beta -
-    3*alpha)*m + 3*(beta*u + gamma)*l``, of degree at most 2: iff
-    ``gcd(factor, c)`` has a root in the isolating interval (a Sturm count;
-    Basu, Pollack and Roy ch. 10).
+    ray with a ``Root`` ``u`` is ``x1 = -m(u)/l(u)``, ``x2 = u - x1/3`` with
+    ``l(u) != 0``, so it is on the line iff ``c = (beta - 3*alpha)*m +
+    3*(beta*u + gamma)*l``, of degree at most 2, vanishes at ``u``.
     """
     alpha, beta, gamma = line
-    x1, x2, _mult, bracket = ray
-    if bracket is None:
+    x1, x2, _mult, root = ray
+    if root is None:
         return is_exact(x1) and alpha * x1 + beta * x2 + gamma == 0
     (alpha, beta, gamma), _d = cleared(line)
     c = [(beta - 3 * alpha) * mj + 3 * (gamma * lj + beta * lk) for mj, lj, lk in zip(m, l, [0] + l)]
-    while c and not c[-1]:
-        c.pop()
-    factor, (lo, hi, k) = bracket
-    g = _gcd(factor, c[::-1])
-    if len(g) < 2:
-        return False
-    chain = _remainders(g, _derivative(g))
-    return _variations(chain, lo, k) > _variations(chain, hi, k)
+    return sign_at(c[::-1], root) == 0
 
 
 def _families(p: Parameters) -> tuple[list[tuple[FamilyTag, list[tuple]]], FamilyTag]:

@@ -13,7 +13,7 @@ from wallachflow._poly import Poly
 from wallachflow.core import Parameters
 from wallachflow.equilibria import census, residual, solve_all
 from wallachflow.flow import MetricPoint
-from wallachflow.linearize import _g_form, _laid_out_forms, f1, f2, linearize_at
+from wallachflow.linearize import PointKind, _g_form, _laid_out_forms, f1, f2, linearize_at
 from wallachflow.surfaces import census_kinds, component_classify
 
 HALF = Fraction(1, 2)
@@ -40,6 +40,9 @@ triples = st.builds(
 # one root of a two-equal quadratic is tiny here
 @example((Fraction(1, 30), Fraction(1, 30), HALF - Fraction(1, 10**12)))
 @example((HALF - Fraction(1, 10**12), Fraction(1, 3), HALF - Fraction(1, 10**12)))
+# one stable node (index sum +1), and a saddle and a stable node (0)
+@example((HALF, HALF, HALF))
+@example((HALF, HALF, Fraction(2, 5)))
 def test_census_rays_and_labels_over_the_closed_cube(a):
     p = Parameters(*a)
     rays = solve_all(p)
@@ -52,6 +55,10 @@ def test_census_rays_and_labels_over_the_closed_cube(a):
         assert max(abs(float(v)) for v in e) <= RESIDUAL_TOL * (1 + float(max(x1, x2))) ** 2, (a, ray)
 
     kinds = census_kinds(p, rays)
+    if PointKind.DEGENERATE not in kinds:
+        # the Poincare index sum: a saddle counts -1, a node or a focus +1
+        index_sum = sum(-1 if kind is PointKind.SADDLE else 1 for kind in kinds)
+        assert index_sum == a.count(HALF) - 2, (a, kinds)
     label = component_classify(p, rays)
     tags = Counter(r.family_tag for r in rays)
     for order in itertools.permutations(range(3)):

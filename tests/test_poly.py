@@ -14,6 +14,7 @@ from wallachflow._poly import (
     _SCREEN_PRIMES,
     Layout,
     Poly,
+    Root,
     _derivative,
     _divmod,
     _gcd,
@@ -23,8 +24,10 @@ from wallachflow._poly import (
     _remainders,
     _variations,
     cleared,
+    float_bits,
     real_roots,
     root_brackets,
+    sign_at,
 )
 from wallachflow.core import Parameters, is_exact
 from wallachflow.equilibria import quartic_coefficients
@@ -321,6 +324,133 @@ class TestRealRootsSympyOracle:
     @settings(max_examples=60, deadline=None)
     def test_roots_and_multiplicities_match_sympy(self, coeffs):
         _assert_matches_sympy(coeffs)
+
+
+# --- the sign oracle against sympy's signs at ``CRootOf`` ---------------------
+
+IRRATIONAL_FACTORS = [[1, 0, -2], [1, 0, -3], [2, 0, -7], [1, -1, -1], [1, 0, 0, -2], [3, 0, -5, 1], [1, 0, -10]]
+g_st = st.lists(st.integers(-50, 50), min_size=1, max_size=7)
+
+
+@st.composite
+def irrational_planted(draw):
+    """An integer polynomial of degree <= 7 with irrational real roots: a lead
+    times an irrational factor, and up to two more factors (irrational,
+    rational, or ``x^2 + 1`` without a real root), each of multiplicity 1-2."""
+    poly = [draw(st.sampled_from([-3, -1, 1, 2]))]
+    pool = st.sampled_from(IRRATIONAL_FACTORS + [[3, -2], [1, 5], [1, 0, 1]])
+    factors = [draw(st.sampled_from(IRRATIONAL_FACTORS)), *draw(st.lists(pool, max_size=2))]
+    for factor in factors:
+        for _ in range(draw(st.integers(1, 2))):
+            if len(poly) + len(factor) <= 9:
+                poly = _int_mul(poly, factor)
+    return poly
+
+
+def _irrational_roots(f):
+    """``(root, r, q)`` for each irrational real root of ``f``: its ``Root``
+    from ``root_brackets(f, exact=False)``, its sympy ``CRootOf`` ``r`` and
+    ``r``'s minimal polynomial ``q``."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    found = []
+    for q, _mult in sympy.Poly(f, x).factor_list()[1]:
+        for i in range(q.count_roots()) if q.degree() > 1 else ():
+            r = sympy.CRootOf(q, i, radicals=False)
+            found.append((r, q, Fraction(str(sympy.N(r, 60)))))
+    out = []
+    for root, _mult in root_brackets(f, exact=False):
+        assert isinstance(root, Root)
+        lo, hi = Fraction(root.lo, 2**root.k), Fraction(root.hi, 2**root.k)
+        # the bracket isolates one root of its square-free factor
+        factor = sympy.Poly(root.factor, x)
+        inside = [(r, q) for r, q, value in found if lo < value <= hi and factor.rem(q).is_zero]
+        if inside:
+            ((r, q),) = inside
+            out.append((root, r, q))
+    assert out
+    return out
+
+
+def _sympy_sign(g, r, q):
+    """The sign of the integer polynomial ``g`` at the ``CRootOf`` ``r`` of
+    the irreducible ``q``: 0 iff ``q`` divides ``g``, else the sign of the
+    remainder at ``r``, which is nonzero, evaluated to 60 digits."""
+    sympy = pytest.importorskip("sympy")
+    x = q.gens[0]
+    rem = sympy.Poly(g or [0], x, domain="QQ").rem(q.set_domain("QQ"))
+    if rem.is_zero:
+        return 0
+    return int(sympy.sign(sympy.N(rem.as_expr().subs(x, r), 60)))
+
+
+def _value_at_end(g, end, k):
+    """``g(end / 2**k) * 2**(k * (len(g) - 1))``, exactly."""
+    x = Fraction(end, 2**k)
+    return sum(c * x ** (len(g) - 1 - i) for i, c in enumerate(g)) * 2 ** (k * (len(g) - 1))
+
+
+class TestSignAt:
+    @given(irrational_planted(), g_st)
+    @settings(max_examples=60, deadline=None)
+    def test_sign_matches_sympy(self, f, g):
+        for root, r, q in _irrational_roots(f):
+            assert sign_at(g, root) == _sympy_sign(g, r, q), (f, g)
+
+    @given(irrational_planted(), g_st.filter(any))
+    @settings(max_examples=40, deadline=None)
+    def test_multiples_of_the_factor_vanish(self, f, h):
+        for root, _r, _q in _irrational_roots(f):
+            g = _int_mul(root.factor, h)
+            assert sign_at(g, root) == 0, (f, h)
+            assert sign_at([0, 0, *g], root) == 0, (f, h)
+
+    @pytest.mark.parametrize("f", IRRATIONAL_FACTORS + [_int_mul([1, 0, -2], [1, 0, -3])])
+    def test_a_rational_point_in_the_bracket_needs_narrowing(self, f):
+        for root, r, q in _irrational_roots(f):
+            c = Fraction(root.lo + root.hi, 2 ** (root.k + 1))
+            g = [c.denominator, -c.numerator]
+            a, b = root.hull(g)
+            assert a <= 0 <= b
+            k = root.k
+            assert sign_at(g, root) == _sympy_sign(g, r, q) != 0
+            assert root.k > k
+
+    def test_a_shared_factor_with_roots_outside_the_bracket(self):
+        # f = (x^2 - 2)(x^2 - 3): g shares x^2 - 3 with f and vanishes at an
+        # end of the float bracket of +-sqrt(2), so only the Sturm count
+        # rules out 0
+        f = _int_mul([1, 0, -2], [1, 0, -3])
+        roots = [(root, r, q) for root, r, q in _irrational_roots(f) if q.all_coeffs() == [1, 0, -2]]
+        assert len(roots) == 2
+        for root, r, q in roots:
+            end, k = root.narrow(float_bits(root.factor))
+            g = _int_mul([1, 0, -3], [2**k, -end])
+            assert len(_gcd(root.factor, g)) == 3
+            a, b = root.hull(g)
+            assert a <= 0 <= b
+            assert sign_at(g, root) == _sympy_sign(g, r, q) != 0
+
+    @given(irrational_planted(), g_st)
+    @settings(max_examples=30, deadline=None)
+    def test_leading_zeros_and_the_zero_polynomial(self, f, g):
+        for root, _r, _q in _irrational_roots(f):
+            assert sign_at([], root) == sign_at([0, 0], root) == 0
+            assert sign_at([0, 0, *g], root) == sign_at(g, root), (f, g)
+
+    @given(irrational_planted(), g_st, st.integers(0, 200))
+    @settings(max_examples=60, deadline=None)
+    def test_hull_encloses_the_ends_of_the_bracket(self, f, g, bits):
+        sympy = pytest.importorskip("sympy")
+        for root, r, _q in _irrational_roots(f):
+            for _ in range(2):
+                a, b = root.hull(g)
+                for end in (root.lo, root.hi):
+                    assert a <= _value_at_end(g, end, root.k) <= b, (f, g, root.k)
+                root.narrow(bits)
+                # the narrowed bracket still holds the root
+                value = sympy.Rational(str(sympy.N(r, 80)))
+                assert Fraction(root.lo, 2**root.k) < value <= Fraction(root.hi, 2**root.k)
 
 
 # --- the Fraction/Sturm/Musser path that ``real_roots`` replaced, kept as the
