@@ -118,13 +118,11 @@ def _write_text(path: str | None, text: str):
 def _analyze_payload(p: Parameters) -> dict:
     rays = eq_mod.solve_all(p)
     entries = []
-    kinds = []
     notes: list[str] = []
     for ray in rays:
         norm = ray.as_x3one()
         lin = lin_mod.linearize_at(p, norm)
         cls = lin_mod.classify(lin)
-        kinds.append(cls.kind)
         unit = eq_mod.normalize_unit_volume(p, norm)
         entries.append({
             "rep": [_json_value(v) for v in ray.rep.x],
@@ -148,7 +146,7 @@ def _analyze_payload(p: Parameters) -> dict:
                 else "degenerate equilibrium: the type of this ray is not resolved"
             )
     q, grad = q_and_grad(p)
-    region = classify_region(p, q, lambda: kinds) if p.interior else None
+    region = classify_region(p, q) if p.interior else None
     return {
         "parameters": {
             **p.to_json(),
@@ -256,26 +254,15 @@ def cmd_scan(args) -> int:
     if args.tol_omega is not None and not (math.isfinite(args.tol_omega) and args.tol_omega >= 0):
         raise UsageError("--tol-omega must be finite and non-negative")
     points = cube_grid(args.n)
-    # a chunk holds whole permutation orbits, so that no two workers run the
-    # census of the same sorted triple
-    orbits: dict[tuple, list[int]] = {}
-    for i, a in enumerate(points):
-        orbits.setdefault(tuple(sorted(a)), []).append(i)
-    orbit_list = list(orbits.values())
-    per_chunk = max(1, len(orbit_list) // (args.threads * 4))
-    chunks = [
-        [i for orbit in orbit_list[k : k + per_chunk] for i in orbit]
-        for k in range(0, len(orbit_list), per_chunk)
-    ]
+    # contiguous chunks: each point is labelled on its own; one chunk when
+    # serial, so that every float key is summed once
+    per_chunk = len(points) if args.threads <= 1 else -(-len(points) // (args.threads * 4))
     blocks = _map(
         partial(scan, on_omega_tol=args.tol_omega),
-        [[points[i] for i in chunk] for chunk in chunks],
+        [points[k : k + per_chunk] for k in range(0, len(points), per_chunk)],
         args.threads,
     )
-    samples = [None] * len(points)
-    for chunk, block in zip(chunks, blocks):
-        for i, s in zip(chunk, block):
-            samples[i] = s
+    samples = [s for block in blocks for s in block]
     rows = [
         (*s.params.a, float(s.Q), float(s.Q1), *(float(g) for g in s.gradQ), s.region.value)
         for s in samples

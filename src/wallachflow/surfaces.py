@@ -1,8 +1,10 @@
 """Parameter-space surfaces: the degeneracy surface Q = 0 (where some
 equilibrium has zero Jacobian determinant), the trace surface Q1 = 0 (where
 some equilibrium has zero Jacobian trace), the singular edge curves of the
-degeneracy surface, and the census-based classification of the three
-components the surface cuts out of the open parameter cube.
+degeneracy surface, and the three components the surface cuts out of the
+open parameter cube: ``classify_region`` tells them apart by the signs of Q
+and ``s1 - 3/4``, and ``component_classify``, the independent cross-check,
+by the equilibrium census.
 
 At exact parameters Q and its partials in ``(s1, s2, s3)`` are integer sums
 from one ``_poly.Layout``.
@@ -11,10 +13,8 @@ from one ``_poly.Layout``.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from ._poly import Layout, Poly, cleared
 from .core import Parameters, Scalar
@@ -159,15 +159,22 @@ def _evaluate(p: Parameters, with_q: bool, with_grad: bool):
         kernels = ((_Q_KERNEL,) if with_q else ()) + (_GRAD_KERNELS if with_grad else ())
         sums = _float_sums((p.s1, p.s2, p.s3), kernels)
         return (sums[0] if with_q else None), (_chain(*sums[-3:], *p.a) if with_grad else None)
+    if not with_grad:
+        return _exact_q(p.a), None
     (A1, A2, A3), d = cleared(p.a)
     s = (A1 + A2 + A3, A1 * A2 + A1 * A3 + A2 * A3, A1 * A2 * A3)
-    if not with_grad:
-        ((q,),) = _Q_ALONE.at(s, d)
-        return Fraction(q, d**_Q_ALONE.weight), None
     (q,), (p1,), (p2,), (p3,) = _Q_LAYOUT.at(s, d)
     d_pow = d**_Q_LAYOUT.weight
     q = Fraction(q, d_pow) if with_q else None
     return q, tuple(Fraction(g, d_pow * d * d) for g in _chain(p1 * d * d, p2 * d, p3, A1, A2, A3))
+
+
+def _exact_q(a) -> Fraction:
+    """Q at the triple ``a`` as a ``Fraction``; a float counts as its dyadic
+    value."""
+    (A1, A2, A3), d = cleared(a)
+    ((q,),) = _Q_ALONE.at((A1 + A2 + A3, A1 * A2 + A1 * A3 + A2 * A3, A1 * A2 * A3), d)
+    return Fraction(q, d**_Q_ALONE.weight)
 
 
 def q_eval(p: Parameters) -> Scalar:
@@ -235,15 +242,86 @@ def omega_slice_a1_half(a2: Scalar, a3: Scalar) -> Scalar:
     )
 
 
+def _default_tol(p: Parameters) -> float:
+    """The default ``OnOmega`` tolerance ``1e-10 (1 + max |a_i|)^12``."""
+    return 1e-10 * (1.0 + max(abs(float(v)) for v in p.a)) ** 12
+
+
 def _on_omega(p: Parameters, q: Scalar, tol: float | None) -> bool:
     """Whether ``q = q_eval(p)`` puts ``p`` on the degeneracy surface: exactly
-    zero for exact input, within ``tol`` (default scaled to ``p``) for floats."""
+    zero for exact input, within ``tol`` (default ``_default_tol(p)``) for
+    floats."""
     if p.exact:
         return q == 0
-    if tol is None:
-        scale = (1.0 + max(abs(float(v)) for v in p.a)) ** 12
-        tol = 1e-10 * scale
-    return abs(float(q)) <= tol
+    return abs(float(q)) <= (_default_tol(p) if tol is None else tol)
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+# a float s1 is two sums of three positive terms, each term also rounded on
+# conversion when it is a Fraction, so |fl(s1) - s1| <= gamma_3 s1 < 2**-50
+# for s1 < 3/2
+_S1_ERROR = 2.0**-50
+
+
+def classify_region(p: Parameters, q: Scalar, on_omega_tol: float | None = None) -> Region:
+    """The region of ``p``, given ``q = q_eval(p)``: ``ON_OMEGA`` where
+    ``_on_omega`` says so, ``OUTSIDE`` off the open cube ``(0, 1/2)^3``, and
+    otherwise ``O3`` where ``Q > 0``, ``O1`` where ``Q < 0`` and ``s1 < 3/4``,
+    and ``O2`` where ``Q < 0`` and ``s1 > 3/4``.
+
+    **Why two signs tell the components apart.** On the plane ``s1 = 3/4``
+    in the closed cube, ``Q > 0`` except at ``(1/4, 1/4, 1/4)``. There
+    ``Q = (32 s2 - 64 s3 - 5)^2 F / 32`` with
+    ``F = 24 s2^2 + 64 s2 s3 + 8 s2 - 128 s3^2 - 8 s3 + 1``. Write
+    ``a_i = 1/4 + x_i``, so that ``x1 + x2 + x3 = 0`` and ``|x_i| <= 1/4``.
+    Then ``32 s2 - 64 s3 - 5 = -8 |x|^2 - 64 x1 x2 x3``, and for ``x != 0``
+    ``|x1 x2 x3| <= |x1| (x2^2 + x3^2) / 2 < |x|^2 / 8`` (the last step is
+    strict unless ``x1 = 0``, when the product is 0), so the squared factor
+    is not zero. And ``F >= 1 - 8 s3 - 128 s3^2 >= 27/32``, because
+    ``s2, s3 >= 0`` and ``s3 <= (s1/3)^3 = 1/64``. ``Q`` has one sign on
+    each component of the open cube minus ``Omega``, so a component where
+    ``Q < 0`` cannot meet the plane and lies on one side of it. The paper's
+    three components ``O1``, ``O2`` and ``O3`` hold ``(1/6, 1/6, 1/6)``
+    (``Q < 0``, ``s1 = 1/2``), ``(7/15, 7/15, 7/15)`` (``Q < 0``,
+    ``s1 = 7/5``) and ``(1/6, 1/4, 1/3)`` (``Q > 0``). Each of the three
+    sign sets is a nonempty union of components, so each is one component.
+
+    **Certified float signs.** A float ``q`` is the recursive sum of the 42
+    terms ``c s1^e1 s2^e2 s3^e3`` at the float ``s_j``: each ``s_j`` is
+    within ``gamma_5`` of its exact value (at most five roundings per term,
+    conversions of ``Fraction`` coordinates included), each power
+    ``s_j ** e`` is faithful (within one ulp) and each ``c`` is an integer
+    below ``2**53``. So ``|q - Q| <= gamma_80 sum |c s1^e1 s2^e2 s3^e3|``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3);
+    underflow adds less than ``1e-300``. Every ``s_j`` rises in each
+    ``a_i >= 0``, so over the closed cube that bound is at most its value
+    at ``(m, m, m)``, ``m = max a_i``, which is below
+    ``_default_tol(p) / 60`` (a test proves it with ``Fraction`` interval
+    endpoints). A ``q`` above the default tolerance therefore has the sign
+    of ``Q``; a smaller one, which only a smaller ``on_omega_tol`` lets
+    through, takes the sign of ``Q`` at the dyadic parameters, and
+    ``Q = 0`` there gives ``ON_OMEGA``. The sign of ``s1 - 3/4`` is
+    certified the same way.
+    """
+    if _on_omega(p, q, on_omega_tol):
+        return Region.ON_OMEGA
+    if not p.interior:
+        return Region.OUTSIDE
+    # a float q off the default tolerance, which _on_omega has just tested
+    # when no other is given, has a certified sign
+    certified = on_omega_tol is None or p.exact or abs(q) > _default_tol(p)
+    q_sign = _sign(q) if certified else _sign(_exact_q(p.a))
+    if q_sign > 0:
+        return Region.O3
+    if q_sign == 0:
+        return Region.ON_OMEGA
+    side = p.s1 - 0.75
+    if abs(side) <= _S1_ERROR and not p.exact:
+        side = sum(map(Fraction, p.a)) - Fraction(3, 4)
+    return Region.O1 if side < 0 else Region.O2
 
 
 def _kinds_key(kinds) -> tuple[PointKind, ...]:
@@ -271,24 +349,13 @@ _REGION_BY_KINDS = {
 }
 
 
-def classify_region(
-    p: Parameters,
-    q: Scalar,
-    kinds: Callable[[], list[PointKind]],
-    on_omega_tol: float | None = None,
-) -> Region:
-    """The region of ``p``, given ``q = q_eval(p)``: ``ON_OMEGA`` on the
-    degeneracy surface, else the component that the equilibrium kinds mark,
-    or ``OUTSIDE``. ``kinds()`` returns those kinds, in any order; it is
-    called only off the surface, so a caller pays for no census there."""
-    if _on_omega(p, q, on_omega_tol):
-        return Region.ON_OMEGA
-    return _REGION_BY_KINDS.get(_kinds_key(kinds()), Region.OUTSIDE)
-
-
 def component_classify(p: Parameters, rays=None, on_omega_tol: float | None = None) -> Region:
-    """Label a parameter triple by its equilibrium census (``classify_region``)."""
-    return classify_region(p, q_eval(p), lambda: census_kinds(p, rays), on_omega_tol)
+    """The region of ``p`` by its equilibrium census, the independent
+    cross-check of ``classify_region``: ``ON_OMEGA`` as there, else the
+    component that the kinds mark, or ``OUTSIDE`` when they mark none."""
+    if _on_omega(p, q_eval(p), on_omega_tol):
+        return Region.ON_OMEGA
+    return _REGION_BY_KINDS.get(_kinds_key(census_kinds(p, rays)), Region.OUTSIDE)
 
 
 def cube_grid(n: int) -> list[tuple[float, float, float]]:
@@ -299,26 +366,16 @@ def cube_grid(n: int) -> list[tuple[float, float, float]]:
 
 
 def scan(points, on_omega_tol: float | None = None) -> list[SurfaceSample]:
-    """Surface values and the component label of each parameter triple; a
-    triple where the flow is undefined raises ``ValueError``.
+    """Surface values and the region (``classify_region``) of each parameter
+    triple; a triple where the flow is undefined raises ``ValueError``.
 
-    ``Q1``, ``gradQ`` and the test for the degeneracy surface are computed
-    per point. ``Q`` and the partials of ``gradQ`` in ``(s1, s2, s3)`` are
-    functions of ``(s1, s2, s3)``: at float points they are summed once per
-    distinct float key and chained to ``gradQ`` per point, which gives the
-    bits of ``q_and_grad``. A permutation of a triple only relabels the
-    modules, so the label off the surface is computed once per permutation
-    orbit: from the census of the sorted triple, whatever the order of
-    ``points``.
+    ``Q1``, ``gradQ`` and the region are computed per point, with no
+    equilibrium census. ``Q`` and the partials of ``gradQ`` in
+    ``(s1, s2, s3)`` are functions of ``(s1, s2, s3)``: at float points they
+    are summed once per distinct float key and chained to ``gradQ`` per
+    point, which gives the bits of ``q_and_grad``.
     """
-    orbit_kinds: dict[tuple, list[PointKind]] = {}
     key_sums: dict[tuple, list[float]] = {}
-
-    def kinds(key):
-        if key not in orbit_kinds:
-            orbit_kinds[key] = census_kinds(Parameters(*key))
-        return orbit_kinds[key]
-
     samples = []
     for a in points:
         p = Parameters(*a)
@@ -335,6 +392,6 @@ def scan(points, on_omega_tol: float | None = None) -> list[SurfaceSample]:
             Q=q,
             Q1=q1_eval(p),
             gradQ=grad,
-            region=classify_region(p, q, partial(kinds, tuple(sorted(p.a))), on_omega_tol),
+            region=classify_region(p, q, on_omega_tol),
         ))
     return samples

@@ -476,7 +476,9 @@ def check_first_integral() -> CheckResult:
 
 
 def check_component_classification() -> CheckResult:
-    """The three reference components, plus a full interior 9x9x9 grid scan."""
+    """The three reference components, a full interior 9x9x9 grid scan, and
+    the census cross-check of the scan's sign labels, once per permutation
+    orbit of the grid."""
     problems: list[str] = []
     refs = [
         (Parameters(Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)), Region.O1),
@@ -488,15 +490,25 @@ def check_component_classification() -> CheckResult:
         _expect(got is want, problems, f"{tuple(map(float, p.a))}: {got} != {want}")
 
     t0 = time.perf_counter()
-    labels: dict[str, int] = {}
-    for sample in scan(cube_grid(9)):
-        labels[sample.region.value] = labels.get(sample.region.value, 0) + 1
+    samples = scan(cube_grid(9))
     elapsed = time.perf_counter() - t0
+    labels: dict[str, int] = {}
+    orbits: dict[tuple, set[Region]] = {}
+    for sample in samples:
+        labels[sample.region.value] = labels.get(sample.region.value, 0) + 1
+        orbits.setdefault(tuple(sorted(sample.params.a)), set()).add(sample.region)
     _expect(set(labels) <= {"O1", "O2", "O3", "OnOmega"}, problems,
             f"unexpected labels {labels}")
     _expect(elapsed < 60.0, problems, f"grid scan took {elapsed:.1f}s >= 60s")
+    agree = 0
+    for a, regions in orbits.items():
+        want = component_classify(Parameters(*a))
+        agree += regions == {want}
+        _expect(regions == {want}, problems,
+                f"{a}: sign labels {sorted(r.value for r in regions)}, census {want.value}")
     return CheckResult("A12", not problems, "; ".join(problems) or
-                       f"representatives map to O1/O2/O3; 729-point scan {labels} in {elapsed:.1f}s")
+                       f"representatives map to O1/O2/O3; 729-point scan {labels} in {elapsed:.2f}s; "
+                       f"census labels agree on {agree} of {len(orbits)} orbits")
 
 
 CHECKS = [

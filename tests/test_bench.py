@@ -41,9 +41,9 @@ def _counters(census, real_roots, rational_root, linearize_at, field_components,
     # solve_all labels the census rays without a closed-form solve, so
     # real_roots and _rational_root count only the census's own calls (its
     # rational roots at exact parameters and the rays of _on_line) and the
-    # blowup report's. The --threads 2 scan runs in pool workers and is skipped; its float
-    # censuses search no rational root
-    ("scan", _counters(9, 0, 0, 24, 0), 1, 1),
+    # blowup report's. The --threads 2 scan runs in pool workers and is skipped;
+    # scan labels by the signs of Q and s1 - 3/4 and runs no census
+    ("scan", _counters(0, 0, 0, 0, 0), 1, 1),
     # field_components: the blowup report, which expands the field once
     ("analyze", _counters(14, 2, 22, 35, 1), 15, 0),
     # the float charts evaluate the field inline in their generated steps,

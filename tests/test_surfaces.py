@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallachflow import surfaces
+from wallachflow import equilibria, surfaces
+from wallachflow._poly import Poly
 from wallachflow.core import Parameters
 from wallachflow.linearize import SIGMA_ZERO_S_HIGH, SIGMA_ZERO_S_LOW
 from wallachflow.surfaces import (
     _Q_GRAD,
     _Q_POLY,
     Region,
+    classify_region,
     component_classify,
     cube_grid,
     edge_curve,
@@ -238,17 +241,24 @@ class TestFaceSlice:
         assert abs(omega_slice_a1_half(0.5, math.sqrt(2) / 4)) < 1e-12
 
     def test_three_quarter_sum_factorization(self):
-        # restricted to s1 = 3/4 the polynomial factors with a squared term
-        for a1, a2 in [(Fraction(1, 5), Fraction(3, 10)), (Fraction(1, 8), Fraction(2, 5)),
-                       (Fraction(7, 20), Fraction(3, 10))]:
-            a3 = Fraction(3, 4) - a1 - a2
-            p = Parameters(a1, a2, a3)
-            s2, s3 = p.s2, p.s3
-            factored = (
-                (24 * s2**2 + 8 * s2 + 64 * s2 * s3 - 8 * s3 - 128 * s3**2 + 1)
-                * (32 * s2 - 64 * s3 - 5) ** 2
-            )
-            assert q_eval(p) == factored / 32
+        # restricted to s1 = 3/4 the polynomial factors with a squared term,
+        # as an identity of polynomials in (s2, s3)
+        restricted = Poly({}, 3)
+        for (e1, e2, e3), c in _Q_POLY.items():
+            restricted = restricted + Poly({(0, e2, e3): c * Fraction(3, 4) ** e1}, 3)
+        s2, s3 = Poly.var(1, 3), Poly.var(2, 3)
+        f = 24 * s2**2 + 64 * s2 * s3 + 8 * s2 - 128 * s3**2 - 8 * s3 + 1
+        assert restricted == (32 * s2 - 64 * s3 - 5) ** 2 * f * Fraction(1, 32)
+
+    def test_three_quarter_sum_centred_factor(self):
+        # with a_i = 1/4 + x_i and x1 + x2 + x3 = 0 the squared factor is
+        # -8|x|^2 - 64 x1 x2 x3, which classify_region's plane lemma bounds
+        x1, x2 = Poly.var(0, 2), Poly.var(1, 2)
+        x3 = -x1 - x2
+        a1, a2, a3 = (Fraction(1, 4) + x for x in (x1, x2, x3))
+        s2, s3 = a1 * a2 + a1 * a3 + a2 * a3, a1 * a2 * a3
+        assert a1 + a2 + a3 == Poly.const(Fraction(3, 4), 2)
+        assert 32 * s2 - 64 * s3 - 5 == -8 * (x1**2 + x2**2 + x3**2) - 64 * x1 * x2 * x3
 
     def test_half_sum_has_no_interior_zeros(self):
         rng = np.random.default_rng(4)
@@ -330,8 +340,8 @@ def _orbit_triples():
 
 class TestScanOrbits:
     def test_matches_per_point_classification(self):
-        # one census per permutation orbit gives each point what the
-        # per-point functions give it
+        # the shared sums and the sign labels give each point what the
+        # per-point functions and its census give it
         points = cube_grid(4) + _orbit_triples()
         samples = scan(points)
         assert [s.params.a for s in samples] == [Parameters(*a).a for a in points]
@@ -366,21 +376,112 @@ class TestScanOrbits:
         flipped = tuple(-v if v == 0 else v for v in s)
         assert repr(surfaces._float_sums(flipped, kernels)) == repr(surfaces._float_sums(s, kernels))
 
-    @pytest.mark.parametrize("n, censuses", [(3, 9), (4, 20)])
-    def test_one_census_per_orbit_off_omega(self, n, censuses, monkeypatch):
-        # n = 3: 10 sorted triples, one of them (1/4, 1/4, 1/4) on Omega;
-        # n = 4: 20 sorted triples, none on Omega. In reverse order each
-        # orbit is first met as an unsorted triple.
-        seen = []
-        solve_all = surfaces.solve_all
+    def test_no_census(self, monkeypatch):
+        # the labels come from the signs of Q and s1 - 3/4 alone
+        calls = []
+        solve_all = equilibria.solve_all
 
         def counting(p, *args, **kwargs):
-            seen.append(p.a)
+            calls.append(p.a)
             return solve_all(p, *args, **kwargs)
 
-        # ``census_kinds`` calls the name that ``surfaces`` imports
         monkeypatch.setattr(surfaces, "solve_all", counting)
-        scan(cube_grid(n)[::-1])
-        assert len(seen) == censuses
-        assert len(set(seen)) == censuses
-        assert all(list(a) == sorted(a) for a in seen)
+        monkeypatch.setattr(equilibria, "solve_all", counting)
+        samples = scan(cube_grid(4))
+        assert calls == []
+        assert {s.region for s in samples} == {Region.O1, Region.O2, Region.O3}
+
+
+# every value in (0, 1/2) with denominator at most 12
+_TWELFTHS = sorted({Fraction(n, d) for d in range(1, 13) for n in range(1, d) if 2 * n < d})
+
+
+def _gamma(n: int) -> Fraction:
+    """Higham's ``gamma_n = n u / (1 - n u)`` for binary64, ``u = 2**-53``."""
+    u = Fraction(1, 2**53)
+    return n * u / (1 - n * u)
+
+
+def _abs_terms(a) -> Fraction:
+    """``sum |c s1^e1 s2^e2 s3^e3|`` over the monomials of Q at the exact ``a``."""
+    a1, a2, a3 = map(Fraction, a)
+    s = (a1 + a2 + a3, a1 * a2 + a1 * a3 + a2 * a3, a1 * a2 * a3)
+    return sum(abs(c) * s[0] ** e1 * s[1] ** e2 * s[2] ** e3 for (e1, e2, e3), c in _Q_POLY.items())
+
+
+# classify_region's count of roundings: a term rounds each s_j within
+# gamma_5, each power s_j ** e (e >= 2) within one ulp (two units) and makes
+# three products; the recursive sum of the 42 terms adds 41 roundings
+_ROUNDINGS = max(5 * sum(m) + 2 * sum(e >= 2 for e in m) + 3 for m in _Q_POLY) + len(_Q_POLY) - 1
+
+
+class TestSignRegions:
+    def test_reference_points(self):
+        for a, want in [((Fraction(1, 6),) * 3, Region.O1), ((Fraction(7, 15),) * 3, Region.O2),
+                        ((Fraction(1, 6), Fraction(1, 4), Fraction(1, 3)), Region.O3)]:
+            p = Parameters(*a)
+            assert classify_region(p, q_eval(p)) is want
+            pf = Parameters(*map(float, a))
+            assert classify_region(pf, q_eval(pf)) is want
+
+    def test_float_sign_is_certified(self):
+        # the float Q at 1e-300, 0.2, 0.3 is -2.2e-16 and has the wrong sign;
+        # the exact Q at the dyadic parameters is 2.65e-302
+        a = (1e-300, 0.2, 0.3)
+        assert q_eval(Parameters(*a)) < 0 < surfaces._exact_q(a)
+        assert scan([a], on_omega_tol=0)[0].region is Region.O3
+        assert component_classify(Parameters(*a), on_omega_tol=0) is Region.O3
+        # the default tolerance calls it OnOmega
+        assert scan([a])[0].region is Region.ON_OMEGA
+
+    def test_outside_means_off_the_open_cube(self):
+        points = [(0.5, 0.2, 0.3), (Fraction(1, 2), Fraction(1, 5), Fraction(3, 10)), (0.6, 0.2, 0.3),
+                  (0.2, -0.1, 0.3)]
+        assert [s.region for s in scan(points)] == [Region.OUTSIDE] * 4
+
+    def test_the_tolerance_band_of_n20(self):
+        # 11 points of the --n 20 grid lie within the default tolerance of Q
+        # though Q != 0 at their dyadic values; with no tolerance each takes
+        # the sign of its exact Q, and that gives the label of the exact census
+        band = [a for a in cube_grid(20)
+                if abs(q_eval(Parameters(*a))) <= surfaces._default_tol(Parameters(*a))]
+        assert len(band) == 11
+        for s in scan(band, on_omega_tol=0):
+            assert s.region is component_classify(Parameters(*map(Fraction, s.params.a))), s.params.a
+
+    def test_sign_labels_equal_census_labels_over_the_twelfths(self):
+        # the sorted exact triples with denominators at most 12 in the open cube
+        triples = [a for a in itertools.combinations_with_replacement(_TWELFTHS, 3)
+                   if q_eval(Parameters(*a)) != 0]
+        assert len(triples) == 2022
+        for a, s in zip(triples, scan(triples)):
+            assert s.region is component_classify(s.params), a
+
+    def test_default_tolerance_covers_the_float_error_over_the_closed_cube(self):
+        # The float Q is within gamma_K sum |terms| of Q at the exact
+        # parameters. sum |terms| rises in each a_i >= 0 and the tolerance
+        # depends on m = max a_i alone, so over [lo, hi] in m the bound is at
+        # most gamma_K sum |terms| at (hi, hi, hi) and the tolerance at least
+        # its value at lo. The float tolerance is within 2**-48 of
+        # Fraction(1e-10) (1 + m)^12.
+        assert all(c.denominator == 1 and abs(c) < 2**53 for c in _Q_POLY.values())
+        assert len(_Q_POLY) == 42 and _ROUNDINGS == 80
+        gamma = _gamma(_ROUNDINGS)
+        steps = 200
+        for k in range(steps):
+            lo, hi = Fraction(k, 2 * steps), Fraction(k + 1, 2 * steps)
+            tol = Fraction(1e-10) * (1 + lo) ** 12 * (1 - Fraction(1, 2**48))
+            assert 60 * gamma * _abs_terms((hi, hi, hi)) <= tol, (lo, hi)
+
+    def test_float_error_within_the_bound(self):
+        # the error model behind _ROUNDINGS, at seeded float triples in the
+        # closed cube and near its faces, and on the --n 20 grid
+        rng = random.Random(7)
+        gamma = _gamma(_ROUNDINGS)
+        draws = [tuple(rng.uniform(0, 0.5) for _ in range(3)) for _ in range(150)]
+        draws += [(0.5 - 10.0**-k, rng.uniform(0, 0.5), 10.0**-k) for k in range(1, 16)]
+        draws += cube_grid(20)[::97]
+        for a in draws:
+            p = Parameters(*a)
+            err = abs(Fraction(q_eval(p)) - surfaces._exact_q(a))
+            assert err <= gamma * _abs_terms(a), a
