@@ -251,17 +251,11 @@ def cmd_flow(args) -> int:
 def cmd_scan(args) -> int:
     if args.n < 2:
         raise UsageError("--n must be at least 2")
-    if args.tol_omega is not None and not (math.isfinite(args.tol_omega) and args.tol_omega >= 0):
-        raise UsageError("--tol-omega must be finite and non-negative")
     points = cube_grid(args.n)
     # contiguous chunks: each point is labelled on its own; one chunk when
     # serial, so that every float key is summed once
     per_chunk = len(points) if args.threads <= 1 else -(-len(points) // (args.threads * 4))
-    blocks = _map(
-        partial(scan, on_omega_tol=args.tol_omega),
-        [points[k : k + per_chunk] for k in range(0, len(points), per_chunk)],
-        args.threads,
-    )
+    blocks = _map(scan, [points[k : k + per_chunk] for k in range(0, len(points), per_chunk)], args.threads)
     samples = [s for block in blocks for s in block]
     rows = [
         (*s.params.a, float(s.Q), float(s.Q1), *(float(g) for g in s.gradQ), s.region.value)
@@ -378,9 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", type=int, required=True, help="points per axis")
     ps.add_argument("--out", default=None)
     ps.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-    ps.add_argument("--tol-omega", type=float, default=None,
-                    help="|Q| at or below which a point is on Omega "
-                    "(default 1e-10 * (1 + max|a_i|)^12)")
 
     pu = sub.add_parser("surface", help="Q/Q1 slice along a coordinate plane")
     pu.add_argument("--fix", required=True, help="fixed coordinate, e.g. a1=1/2")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -65,8 +64,8 @@ class FamilyTag(enum.Enum):
 
 
 class CensusWarning(UserWarning):
-    """A quartic root that ``solve_general`` cannot parametrize.  ``solve_all``
-    emits none; ``perfbench/tracing.py`` counts it around ``solve_all``."""
+    """A census warning.  The package emits none; ``perfbench/tracing.py``
+    counts it around ``solve_all``."""
 
 
 @dataclass(frozen=True)
@@ -245,8 +244,10 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
     rounded by ``_poly.enclose``, so ``t`` keeps its digits where ``den``
     nearly vanishes, next to the sum-half plane, and a tiny ``t`` near a
     face ``a_i -> 1/2`` its sign.  At float parameters no rational root is
-    searched for, except the root of ``den`` (it is no ray), which
-    ``sign_at`` tests exactly.
+    searched for.  No root is a pole of ``t``: at the root
+    ``(a1 + a2)/(a2 + a3)`` of ``den`` the quartic is
+    ``(a1 + a2)^2 (a1 - a3)^2 (2 s1 - 1)^2 / (a2 + a3)^2``, which is not zero
+    unless ``a1 = -a2``, and then that root is ``s = 0``, which is no ray.
     """
     a1, a2, a3 = p.a
     if a1 == a2 or a1 == a3 or a2 == a3:
@@ -257,14 +258,11 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
     # t = num(s) / den(s), highest degree first
     num = [2 * a1 * (a2 + a3), (a3 - a1) * d, -2 * a3 * (a1 + a2)]
     den = [0, (a2 + a3) * d, -(a1 + a2) * d]
-    s_pole = Fraction(a1 + a2, a2 + a3) if a2 + a3 else None
     quartic = _quartic(a1, a2, a3, d)
     while quartic and not quartic[0]:
         quartic.pop(0)
     rays = []
     for s, mult in root_brackets(quartic, p.exact) if len(quartic) > 1 else ():
-        if isinstance(s, Root) and s_pole is not None and not sign_at([s_pole.denominator, -s_pole.numerator], s):
-            s = s_pole
         if isinstance(s, Root):
             # over the common denominator den: s = s den(s) / den(s), and
             # den has no s**2 term
@@ -272,14 +270,10 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
             if ray is None:
                 continue
             rep = MetricPoint(1.0, *ray)
-        else:  # only an exact p or s = s_pole gives a rational s
+        else:  # only an exact p gives a rational s
             if not s > 0:
                 continue
-            t_num, t_den = ((c[0] * s + c[1]) * s + c[2] for c in (num, den))
-            if t_den == 0:
-                warnings.warn(f"quartic root s={float(s):.17g} hits the degenerate parametrization", CensusWarning, 2)
-                continue
-            t = t_num / t_den
+            t = ((num[0] * s + num[1]) * s + num[2]) / (den[1] * s + den[2])
             if not t > 0:
                 continue
             rep = MetricPoint(1, t, s)

@@ -19,9 +19,9 @@ evaluated in integers, so rho, delta and sigma are the same
 ``Fraction``s as the forms give.  The layout also holds the two equilibrium
 ``equations``, which check an exact ray's residual in the same integers.  At
 a float ray each coefficient is rounded once and each form is one float sum
-of its terms, and sigma comes from G, which does not cancel as
-``rho^2 - 4*delta`` does near a node/focus boundary.  Float parameters
-evaluate ``f1`` and ``f2`` directly, with ``sigma = rho^2 - 4*delta``.
+of its terms.  Float parameters evaluate ``f1``, ``f2`` and the G form
+directly.  In both cases sigma comes from G, which does not cancel as
+``rho^2 - 4*delta`` does near a node/focus boundary.
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ def sigma_minimizing_point(p: Parameters) -> MetricPoint:
 
 
 def _sigma_rounding_allowance(rho: Scalar, delta: Scalar) -> float:
-    """Size below which a negative float sigma is indistinguishable from the
-    rounding of ``rho^2 - 4*delta``."""
+    """Size below which a negative float sigma is indistinguishable from
+    rounding, on the scale of ``rho^2`` and ``4*delta``."""
     return 1e-12 * max(1.0, float(rho) ** 2, 4.0 * abs(float(delta)))
 
 
@@ -293,13 +293,11 @@ def linearize_at(p: Parameters, point) -> Linearization:
     prod = x.x1 * x.x2 * x.x3
     if p.exact:
         form1, form2, g = (laid_out or _laid_out_forms(p, x))[:3]
-        rho = 2 * form1 / (A * prod)
-        delta = form2 / (A * A * prod * prod)
-        sigma = 4 * g / (prod * prod)
     else:
-        rho = 2 * f1(p, x) / (A * prod)
-        delta = f2(p, x) / (A * A * prod * prod)
-        sigma = rho * rho - 4 * delta
+        form1, form2, g = f1(p, x), f2(p, x), _g_form(p, x)
+    rho = 2 * form1 / (A * prod)
+    delta = form2 / (A * A * prod * prod)
+    sigma = 4 * g / (prod * prod)
     lam1, lam2 = _eigenvalues(rho, sigma, delta)
     measure = abs(float(delta)) * float(prod) ** 2 / float(A) ** 2
     return Linearization(

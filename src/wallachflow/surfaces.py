@@ -4,7 +4,8 @@ some equilibrium has zero Jacobian trace), the singular edge curves of the
 degeneracy surface, and the three components the surface cuts out of the
 open parameter cube: ``classify_region`` tells them apart by the signs of Q
 and ``s1 - 3/4``, and ``component_classify``, the independent cross-check,
-by the equilibrium census.
+by the equilibrium census. Both put a point on the surface exactly where
+Q = 0 at its exact (for floats, dyadic) parameters.
 
 At exact parameters Q and its partials in ``(s1, s2, s3)`` are integer sums
 from one ``_poly.Layout``.
@@ -242,22 +243,28 @@ def omega_slice_a1_half(a2: Scalar, a3: Scalar) -> Scalar:
     )
 
 
-def _default_tol(p: Parameters) -> float:
-    """The default ``OnOmega`` tolerance ``1e-10 (1 + max |a_i|)^12``."""
-    return 1e-10 * (1.0 + max(abs(float(v)) for v in p.a)) ** 12
-
-
-def _on_omega(p: Parameters, q: Scalar, tol: float | None) -> bool:
-    """Whether ``q = q_eval(p)`` puts ``p`` on the degeneracy surface: exactly
-    zero for exact input, within ``tol`` (default ``_default_tol(p)``) for
-    floats."""
-    if p.exact:
-        return q == 0
-    return abs(float(q)) <= (_default_tol(p) if tol is None else tol)
+def _q_error_majorant(m: float) -> float:
+    """``1e-10 (1 + m)^12``, which majorizes the rounding error of the float
+    ``q_eval(p)`` at every ``p`` in the closed cube with ``max a_i = m``
+    (see ``classify_region``)."""
+    return 1e-10 * (1.0 + m) ** 12
 
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
+
+
+def _q_sign(p: Parameters, q: Scalar) -> int:
+    """The sign of Q at the exact parameters of ``p`` (for floats, their
+    dyadic values), given ``q = q_eval(p)``: the sign of ``q`` when ``p`` is
+    exact, or when ``p`` lies in ``(0, 1/2]^3`` and ``|q|`` is above
+    ``_q_error_majorant``; else the sign of ``_exact_q(p.a)``."""
+    if not p.exact:
+        a = p.a
+        m = max(a)
+        if not (0 < min(a) and m <= 0.5 and abs(q) > _q_error_majorant(m)):
+            q = _exact_q(a)
+    return _sign(q)
 
 
 # a float s1 is two sums of three positive terms, each term also rounded on
@@ -266,11 +273,12 @@ def _sign(x) -> int:
 _S1_ERROR = 2.0**-50
 
 
-def classify_region(p: Parameters, q: Scalar, on_omega_tol: float | None = None) -> Region:
+def classify_region(p: Parameters, q: Scalar) -> Region:
     """The region of ``p``, given ``q = q_eval(p)``: ``ON_OMEGA`` where
-    ``_on_omega`` says so, ``OUTSIDE`` off the open cube ``(0, 1/2)^3``, and
-    otherwise ``O3`` where ``Q > 0``, ``O1`` where ``Q < 0`` and ``s1 < 3/4``,
-    and ``O2`` where ``Q < 0`` and ``s1 > 3/4``.
+    ``Q = 0`` at the exact (for floats, dyadic) parameters, ``OUTSIDE``
+    elsewhere off the open cube ``(0, 1/2)^3``, and otherwise ``O3`` where
+    ``Q > 0``, ``O1`` where ``Q < 0`` and ``s1 < 3/4``, and ``O2`` where
+    ``Q < 0`` and ``s1 > 3/4``. The sign of ``Q`` is ``_q_sign``'s.
 
     **Why two signs tell the components apart.** On the plane ``s1 = 3/4``
     in the closed cube, ``Q > 0`` except at ``(1/4, 1/4, 1/4)``. There
@@ -299,25 +307,19 @@ def classify_region(p: Parameters, q: Scalar, on_omega_tol: float | None = None)
     underflow adds less than ``1e-300``. Every ``s_j`` rises in each
     ``a_i >= 0``, so over the closed cube that bound is at most its value
     at ``(m, m, m)``, ``m = max a_i``, which is below
-    ``_default_tol(p) / 60`` (a test proves it with ``Fraction`` interval
-    endpoints). A ``q`` above the default tolerance therefore has the sign
-    of ``Q``; a smaller one, which only a smaller ``on_omega_tol`` lets
-    through, takes the sign of ``Q`` at the dyadic parameters, and
-    ``Q = 0`` there gives ``ON_OMEGA``. The sign of ``s1 - 3/4`` is
-    certified the same way.
+    ``_q_error_majorant(m) / 60`` (a test proves it with ``Fraction``
+    interval endpoints). A ``q`` above the majorant therefore has the sign
+    of ``Q``; any other, and any ``q`` off the closed cube, takes the sign
+    of ``Q`` at the dyadic parameters. The sign of ``s1 - 3/4`` is certified
+    the same way.
     """
-    if _on_omega(p, q, on_omega_tol):
+    q_sign = _q_sign(p, q)
+    if q_sign == 0:
         return Region.ON_OMEGA
     if not p.interior:
         return Region.OUTSIDE
-    # a float q off the default tolerance, which _on_omega has just tested
-    # when no other is given, has a certified sign
-    certified = on_omega_tol is None or p.exact or abs(q) > _default_tol(p)
-    q_sign = _sign(q) if certified else _sign(_exact_q(p.a))
     if q_sign > 0:
         return Region.O3
-    if q_sign == 0:
-        return Region.ON_OMEGA
     side = p.s1 - 0.75
     if abs(side) <= _S1_ERROR and not p.exact:
         side = sum(map(Fraction, p.a)) - Fraction(3, 4)
@@ -349,11 +351,11 @@ _REGION_BY_KINDS = {
 }
 
 
-def component_classify(p: Parameters, rays=None, on_omega_tol: float | None = None) -> Region:
+def component_classify(p: Parameters, rays=None) -> Region:
     """The region of ``p`` by its equilibrium census, the independent
     cross-check of ``classify_region``: ``ON_OMEGA`` as there, else the
     component that the kinds mark, or ``OUTSIDE`` when they mark none."""
-    if _on_omega(p, q_eval(p), on_omega_tol):
+    if _q_sign(p, q_eval(p)) == 0:
         return Region.ON_OMEGA
     return _REGION_BY_KINDS.get(_kinds_key(census_kinds(p, rays)), Region.OUTSIDE)
 
@@ -365,7 +367,7 @@ def cube_grid(n: int) -> list[tuple[float, float, float]]:
     return [(x, y, z) for x in axis for y in axis for z in axis]
 
 
-def scan(points, on_omega_tol: float | None = None) -> list[SurfaceSample]:
+def scan(points) -> list[SurfaceSample]:
     """Surface values and the region (``classify_region``) of each parameter
     triple; a triple where the flow is undefined raises ``ValueError``.
 
@@ -392,6 +394,6 @@ def scan(points, on_omega_tol: float | None = None) -> list[SurfaceSample]:
             Q=q,
             Q1=q1_eval(p),
             gradQ=grad,
-            region=classify_region(p, q, on_omega_tol),
+            region=classify_region(p, q),
         ))
     return samples

@@ -159,6 +159,12 @@ class TestAnalyze:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: a value left the float range\n"
 
+    def test_region_takes_the_sign_of_the_exact_q(self, capsys):
+        # the float Q is -2.2e-16, a rounding of Q = 2.65e-302 at the dyadic
+        # parameters: O3, not OnOmega
+        assert cli.main(["analyze", "--a", "1e-300,0.2,0.3"]) == 0
+        assert json.loads(capsys.readouterr().out)["surface"]["region"] == "O3"
+
 
 def _flow_csv(runs):
     """The CSV ``flow`` prints for runs with the given samples: the
@@ -451,16 +457,11 @@ class TestScan:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 9
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
-    def test_bad_tol_omega_is_usage_error(self, tol, capsys):
-        assert cli.main(["scan", "--n", "2", f"--tol-omega={tol}"]) == 2
+    def test_tol_omega_is_no_option(self, capsys):
+        # OnOmega means Q = 0 at the exact parameters: there is no tolerance
+        assert cli.main(["scan", "--n", "2", "--tol-omega", "0"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "--tol-omega" in err
-
-    def test_zero_tol_omega_is_accepted(self, tmp_path):
-        out = tmp_path / "scan.csv"
-        assert cli.main(["scan", "--n", "2", "--tol-omega", "0", "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 9
 
     def test_json_mirror(self, tmp_path):
         out = tmp_path / "scan.json"

@@ -113,7 +113,7 @@ def test_laid_out_forms_over_the_closed_cube(a):
             err = abs(Fraction(got) - sum(terms))
             assert err <= _gamma(11) * sum(map(abs, terms)), (a, ray, poly)
 
-    # float parameters keep the ring-generic forms and sigma = rho^2 - 4 delta
+    # float parameters keep the ring-generic forms, sigma from the G form
     pf = Parameters(*map(float, a))
     for ray in solve_all(pf):
         # every ray is a census ray, so it linearizes, also near a face where
@@ -124,4 +124,5 @@ def test_laid_out_forms_over_the_closed_cube(a):
         prod = x.x1 * x.x2 * x.x3
         rho = 2 * f1(pf, x) / (pf.A * prod)
         delta = f2(pf, x) / (pf.A * pf.A * prod * prod)
-        assert (lin.rho, lin.delta, lin.sigma) == (rho, delta, rho * rho - 4 * delta), (a, ray)
+        sigma = 4 * _g_form(pf, x) / (prod * prod)
+        assert (lin.rho, lin.delta, lin.sigma) == (rho, delta, sigma), (a, ray)

@@ -15,6 +15,7 @@ from wallachflow._poly import Poly, real_roots
 from wallachflow.core import Parameters
 from wallachflow.equilibria import (
     _SHEAR,
+    _quartic,
     FamilyTag,
     census,
     equations,
@@ -350,6 +351,17 @@ class TestSolveGeneral:
         assert census(p) == [(1.0, 2e-300, 1)]
         (ray,) = solve_all(p)
         assert ray.family_tag is FamilyTag.GENERAL_QUARTIC and ray.rep.x == (1.0, 2e-300, 1.0)
+
+    def test_the_quartic_vanishes_at_no_pole_of_t(self):
+        # t = num(s)/den(s) has its pole at the root (a1 + a2)/(a2 + a3) of
+        # den; there the quartic is zero only where a1 = -a2, when the pole
+        # is s = 0, which is no ray
+        sympy = pytest.importorskip("sympy")
+        a1, a2, a3 = sympy.symbols("a1 a2 a3")
+        pole = (a1 + a2) / (a2 + a3)
+        value = sum(c * pole ** (4 - k) for k, c in enumerate(_quartic(a1, a2, a3, 1)))
+        want = (a1 + a2) ** 2 * (a1 - a3) ** 2 * (2 * (a1 + a2 + a3) - 1) ** 2 / (a2 + a3) ** 2
+        assert sympy.simplify(value - want) == 0
 
 
 class TestSolveAll:

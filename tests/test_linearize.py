@@ -158,6 +158,17 @@ class TestClassify:
         cls = classify(lin)
         assert cls.kind is PointKind.DEGENERATE and cls.near_degenerate
 
+    def test_float_sigma_comes_from_the_g_form(self):
+        # the diagonal node sits near the node/focus boundary, where
+        # rho^2 - 4 delta cancels to 1.6e-10 relative
+        a = (0.11764705882352941, 0.125, 0.11764705882352941)
+        p = Parameters(*a)
+        (x,) = [r.rep_x3one() for r in solve_all(p)
+                if classify(linearize_at(p, r.rep_x3one())).kind is PointKind.UNSTABLE_NODE]
+        sigma = linearize_at(p, x).sigma
+        want = sigma_expression(Parameters(*map(Fraction, a)), MetricPoint(*map(Fraction, x.x)))
+        assert abs(Fraction(sigma) - want) <= Fraction(5e-11) * want
+
     def test_float_near_zero_sigma_is_still_a_node(self):
         # float rounding drives sigma a few ulp below zero on the diagonal
         p = Parameters(1 / 6, 1 / 6, 1 / 6)

@@ -429,10 +429,17 @@ class TestSignRegions:
         # the exact Q at the dyadic parameters is 2.65e-302
         a = (1e-300, 0.2, 0.3)
         assert q_eval(Parameters(*a)) < 0 < surfaces._exact_q(a)
-        assert scan([a], on_omega_tol=0)[0].region is Region.O3
-        assert component_classify(Parameters(*a), on_omega_tol=0) is Region.O3
-        # the default tolerance calls it OnOmega
-        assert scan([a])[0].region is Region.ON_OMEGA
+        assert scan([a])[0].region is Region.O3
+        assert component_classify(Parameters(*a)) is Region.O3
+
+    def test_off_the_closed_cube_the_sign_is_exact(self):
+        # (-1/2, 1/2, 1/2) is the point t = 1/2 of the first edge curve, so
+        # Q = 0 there; 2**-40 further the float Q is still 0.0 but the exact
+        # Q is -1.1e-47, and no error bound is proved off the closed cube
+        on, off = (-0.5, 0.5, 0.5), (-0.5, 0.5, 0.5 + 2.0**-40)
+        assert edge_curve(0.5).params.a == on
+        assert q_eval(Parameters(*off)) == 0 > surfaces._exact_q(off)
+        assert [s.region for s in scan([on, off])] == [Region.ON_OMEGA, Region.OUTSIDE]
 
     def test_outside_means_off_the_open_cube(self):
         points = [(0.5, 0.2, 0.3), (Fraction(1, 2), Fraction(1, 5), Fraction(3, 10)), (0.6, 0.2, 0.3),
@@ -440,13 +447,14 @@ class TestSignRegions:
         assert [s.region for s in scan(points)] == [Region.OUTSIDE] * 4
 
     def test_the_tolerance_band_of_n20(self):
-        # 11 points of the --n 20 grid lie within the default tolerance of Q
-        # though Q != 0 at their dyadic values; with no tolerance each takes
-        # the sign of its exact Q, and that gives the label of the exact census
+        # 11 points of the --n 20 grid have a float Q within the error
+        # majorant, though Q != 0 at their dyadic values; each takes the sign
+        # of its exact Q, and that gives the label of the exact census
         band = [a for a in cube_grid(20)
-                if abs(q_eval(Parameters(*a))) <= surfaces._default_tol(Parameters(*a))]
+                if abs(q_eval(Parameters(*a))) <= surfaces._q_error_majorant(max(a))]
         assert len(band) == 11
-        for s in scan(band, on_omega_tol=0):
+        for s in scan(band):
+            assert s.region is not Region.ON_OMEGA
             assert s.region is component_classify(Parameters(*map(Fraction, s.params.a))), s.params.a
 
     def test_sign_labels_equal_census_labels_over_the_twelfths(self):
