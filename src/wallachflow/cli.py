@@ -251,15 +251,11 @@ def cmd_flow(args) -> int:
 def cmd_scan(args) -> int:
     if args.n < 2:
         raise UsageError("--n must be at least 2")
-    points = cube_grid(args.n)
-    # contiguous chunks: each point is labelled on its own; one chunk when
-    # serial, so that every float key is summed once
-    per_chunk = len(points) if args.threads <= 1 else -(-len(points) // (args.threads * 4))
-    blocks = _map(scan, [points[k : k + per_chunk] for k in range(0, len(points), per_chunk)], args.threads)
-    samples = [s for block in blocks for s in block]
+    # serial at any --threads: the pool's start-up and pickling cost more
+    # than the labels it would spread over the workers
     rows = [
         (*s.params.a, float(s.Q), float(s.Q1), *(float(g) for g in s.gradQ), s.region.value)
-        for s in samples
+        for s in scan(cube_grid(args.n))
     ]
 
     fields = ("a1", "a2", "a3", "Q", "Q1", "gQ1", "gQ2", "gQ3", "region")
@@ -349,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "three-parameter homogeneous metrics",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker pool size (default: WALLACH_THREADS or 1)")
+                        help="worker pool size of batch flow (default: WALLACH_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="equilibria and surface data for one triple")

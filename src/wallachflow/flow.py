@@ -157,11 +157,14 @@ def vector_field_3d(p: Parameters, x: MetricPoint) -> Velocity3:
 
 
 def log_volume(p: Parameters, x: MetricPoint) -> float:
-    """``log V`` evaluated in float; robust against overflow of ``V`` itself."""
+    """``log V`` evaluated in float; robust against overflow of ``V`` itself.
+    A parameter that rounds to ``0.0`` in floats, where ``1 / a_i`` leaves
+    the float range, raises ``OverflowError``."""
     _require_reduced(p)
-    return sum(
-        math.log(float(xi)) / float(ai) for xi, ai in zip(x.x, p.a)
-    )
+    a = [float(ai) for ai in p.a]
+    if 0.0 in a:
+        raise OverflowError("a parameter rounds to 0.0 in floats")
+    return sum(math.log(float(xi)) / ai for xi, ai in zip(x.x, a))
 
 
 def volume(p: Parameters, x: MetricPoint) -> Scalar:

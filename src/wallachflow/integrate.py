@@ -13,8 +13,6 @@ with one Python call per attempted step: straight-line code generated from
 the tableau, the chart's map and ``flow._FIELD_TEXT`` (see
 ``_compile_chart``), which writes each stage's map, tests, field and
 derivative inline, tests the result and computes the error norm.
-``dopri_step``, generated from the same tableau text with a stage that
-calls a function, is the oracle of those steps.
 The seventh stage of an accepted step is reused as the next step's first
 and for the step's diagnosis, so a run costs one field evaluation at the
 start and six per attempted step.
@@ -34,7 +32,6 @@ __all__ = [
     "TrajectoryStatus",
     "integrate_flow",
     "integrate_flow_3d",
-    "dopri_step",
     "check_rtol",
 ]
 
@@ -106,29 +103,10 @@ def _rms(v, scale) -> float:
     return math.sqrt(s / len(v))
 
 
-# the docstring of the generated ``dopri_step``, indented as in its text
-_STEP_DOC = """One Dormand-Prince step of size ``h`` from ``y``, a state of 2 or 3
-    components (the planar or the 3D chart).
-
-    ``f(*y)``, called with the state's components as positional arguments,
-    returns a stage, a tuple whose first item is the derivative at ``y``, or
-    None where it cannot be evaluated; ``first`` is the stage at ``y``.
-    Returns the 5th-order result, the embedded 4th-order error estimate and
-    the seventh stage, which is the stage at the result; or None when a
-    stage could not be evaluated.
-
-    The step is straight-line code for each of the two sizes, generated
-    from the tableau; any other size raises ``ValueError``.  Each weighted
-    sum starts from 0.0 and runs in tableau order with the zero
-    coefficients kept, so a non-finite stage always reaches the result and
-    a zero sum is +0.0: the bits of a sum from the int 0, whose first add
-    converts the int to 0.0.  The float charts' steps are generated from
-    the same tableau text, with each stage written inline.
-    """
-
-
 def _weighted_sum(coeffs, terms):
-    # 0.0 + c1 * t1 + ... up to the last coefficient, zeros kept, in repr literals
+    # 0.0 + c1 * t1 + ... in tableau order, in repr literals, with the zero
+    # coefficients kept: a non-finite stage always reaches the sum, and a
+    # zero sum is +0.0, the bits of a sum from the int 0
     return " + ".join(["0.0", *(f"{c!r} * {t}" for c, t in zip(coeffs, terms))])
 
 
@@ -137,19 +115,25 @@ def _names(prefix, n):
     return [prefix + c for c in "abc"[:n]]
 
 
-def _step_text(n, emit_stage):
+def _step_text(n, evaluate, k):
     """The text of a Dormand-Prince step over ``n`` components: the lines
     of stages 2 to 7, then the 5th-order result's and the error estimate's
     expressions, component by component.  The state is ``ua, ub[, uc]`` and
-    the derivative of stage ``i`` is ``kia, kib[, kic]``; ``emit_stage(i,
-    points, ki)`` writes the lines that evaluate stage ``i`` at the
-    expressions ``points`` and bind ``ki``."""
-    u = _names("u", n)
-    k = [_names(f"k{i}", n) for i in range(1, 8)]
-    cols = list(zip(*k))  # component j of each stage
+    the derivative of stage ``i`` is ``kia, kib[, kic]``.  Stage ``i`` is
+    written inline: it sets ``evals`` to the count of the stages before it,
+    binds its point to the log state ``ya, yb[, yc]``, runs the lines
+    ``evaluate`` and binds its derivative to the expression ``k``."""
+    u, ys = _names("u", n), _names("y", n)
+    ks = [_names(f"k{i}", n) for i in range(1, 8)]
+    cols = list(zip(*ks))  # component j of each stage
     lines = []
-    for i, (row, ki) in enumerate(zip(_A, k[1:]), 2):
-        lines += emit_stage(i, [f"{uj} + h * ({_weighted_sum(row, col)})" for uj, col in zip(u, cols)], ki)
+    for i, (row, ki) in enumerate(zip(_A, ks[1:]), 2):
+        lines += [
+            f"evals = {i - 1}",
+            *(f"{yj} = {uj} + h * ({_weighted_sum(row, col)})" for yj, uj, col in zip(ys, u, cols)),
+            *evaluate,
+            f"{', '.join(ki)} = {k}",
+        ]
     y5 = [f"{uj} + h * ({_weighted_sum(_B, col)})" for uj, col in zip(u, cols)]
     err = [f"h * ({_weighted_sum(_E, col)})" for col in cols]
     return lines, y5, err
@@ -157,49 +141,6 @@ def _step_text(n, emit_stage):
 
 def _indent(lines, depth):
     return [" " * depth + line for line in lines]
-
-
-def _compile_step():
-    """``dopri_step`` generated from the tableau, with a stage emitter that
-    calls ``f``: for each chart size the stages, the result and the error
-    estimate component by component."""
-
-    def call_f(_i, points, ki):
-        return [
-            "stage = f(" + ",\n          ".join(points) + ")",
-            "if stage is None:",
-            "    return None",
-            f"{', '.join(ki)} = stage[0]",
-        ]
-
-    lines = ["def dopri_step(f, y, h, first):", f'    """{_STEP_DOC}"""', "    n = len(y)"]
-    for n in (2, 3):
-        stages, y5, err = _step_text(n, call_f)
-        lines += [
-            f"    if n == {n}:",
-            f"        {', '.join(_names('u', n))} = y",
-            f"        {', '.join(_names('k1', n))} = first[0]",
-            *_indent(stages, 8),
-            "        y5 = [",
-            *(f"            {e}," for e in y5),
-            "        ]",
-            "        err = [",
-            *(f"            {e}," for e in err),
-            "        ]",
-            "        return y5, err, stage",
-        ]
-    lines.append('    raise ValueError(f"a Dormand-Prince step takes 2 or 3 components, not {n}")')
-    source = "\n".join(lines) + "\n"
-    return _exec_source(source, "<dopri_step>", {"__name__": __name__})["dopri_step"]
-
-
-def __getattr__(name: str):
-    # dopri_step, the oracle of the chart steps, is compiled on first use,
-    # as the charts are, so that importing the package does not compile it
-    if name == "dopri_step":
-        globals()[name] = step = _compile_step()
-        return step
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # The float charts: the size of the log state ``ya, yb[, yc]``, the
@@ -230,12 +171,11 @@ def _compile_chart(name: str):
       the chart's velocity, or None where the stage fails;
     - ``step(y, h, first, rtol)``, one Dormand-Prince step from ``y`` whose
       derivative is ``first``, with the map, the field and ``k = v / x`` of
-      each stage written inline, in the order of ``dopri_step``'s sums.  It
-      counts the stages it attempted on ``traj`` and returns ``(y5,
-      err_norm, k7, x7, v7)``: the result, the error norm ``_rms(err,
-      rtol * (1 + max(|u|, |w|)))`` over the state ``u`` and the result
-      ``w``, and the seventh stage; or None where a stage fails or the
-      result is not finite.
+      each stage written inline (see ``_step_text``).  It counts the
+      stages it attempted on ``traj`` and returns ``(y5, err_norm, k7, x7,
+      v7)``: the result, the error norm ``_rms(err, rtol * (1 + max(|u|,
+      |w|)))`` over the state ``u`` and the result ``w``, and the seventh
+      stage; or None where a stage fails or the result is not finite.
 
     The field is evaluated in the float unit ``one = 1.0``.  The text is
     registered in ``linecache`` under ``<name chart>``.
@@ -253,15 +193,7 @@ def _compile_chart(name: str):
         evaluate += [statement, f"if not ({test}):", "    raise ArithmeticError"]
     evaluate += _FIELD_TEXT.splitlines()
 
-    def inline(i, points, ki):
-        return [
-            f"evals = {i - 1}",
-            *(f"{yj} = {point}" for yj, point in zip(ys, points)),
-            *evaluate,
-            f"{', '.join(ki)} = {k}",
-        ]
-
-    stages, y5, err = _step_text(n, inline)
+    stages, y5, err = _step_text(n, evaluate, k)
     u, w = _names("u", n), _names("y5", n)
     norm = []
     for uj, wj, ej in zip(u, w, err):

@@ -61,7 +61,9 @@ SIGMA_ZERO_S_HIGH = math.sqrt(2.0) / 2.0
 # Dimensionless degeneracy threshold; below it a float classification is
 # flagged near-degenerate instead of being trusted as an exact sign.
 _NEAR_DEGENERATE_TOL = 1e-9
-# Residual over ``(1 + max |x_i|)^2`` up to which a point is an equilibrium.
+# Residual over ``((1 + max |x_i|) (1 + max |a_i|))^2`` up to which a point is
+# an equilibrium: the equations are of degree 2 in the coordinates and in the
+# parameters.
 _EQUILIBRIUM_RESIDUAL_TOL = 1e-8
 
 
@@ -282,7 +284,7 @@ def linearize_at(p: Parameters, point) -> Linearization:
         r1, r2 = equations(*map(float, p.a), *map(float, x.x))
     else:
         r1, r2 = residual(p, x)
-    scale = (1 + max(abs(float(v)) for v in x.x)) ** 2
+    scale = ((1 + max(abs(float(v)) for v in x.x)) * (1 + max(abs(float(ai)) for ai in p.a))) ** 2
     if max(abs(float(r1)), abs(float(r2))) > _EQUILIBRIUM_RESIDUAL_TOL * scale:
         raise ValueError(
             f"point {tuple(float(v) for v in x.x)} is not an equilibrium "

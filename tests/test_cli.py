@@ -159,6 +159,28 @@ class TestAnalyze:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: a value left the float range\n"
 
+    @pytest.mark.parametrize("command", [
+        ["analyze"],
+        ["analyze", "--exact"],
+        ["flow", "--x0", "1,1"],
+        ["flow", "--x0", "1,1,1", "--three-d"],
+    ])
+    def test_a_parameter_that_rounds_to_0_is_overflow(self, command, capsys):
+        # a1 = 10**-330 lies in the closed cube, but its float is 0.0 and
+        # 1 / a1 leaves the float range; this once ended in a
+        # ZeroDivisionError traceback
+        argv = [command[0], "--a", f"1/{10**330},1/5,1/7", *command[1:]]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: a value left the float range\n"
+
+    @pytest.mark.parametrize("triple, kind", [("1e10,2,3", "stable node"), ("1e20,0.2,0.3", "saddle")])
+    def test_large_parameters_keep_their_ray(self, triple, kind, capsys):
+        # the census ray was once refused as "not an equilibrium"
+        assert cli.main(["analyze", "--a", triple]) == 0
+        (ray,) = json.loads(capsys.readouterr().out)["equilibria"]
+        assert ray["classification"] == kind
+
     def test_region_takes_the_sign_of_the_exact_q(self, capsys):
         # the float Q is -2.2e-16, a rounding of Q = 2.65e-302 at the dyadic
         # parameters: O3, not OnOmega
@@ -645,6 +667,14 @@ class TestImportPath:
             f"for argv in {commands!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv\n"
+        )
+        assert self._loaded_after(body) == []
+
+    def test_scan_starts_no_pool_at_any_thread_count(self):
+        # scan is serial; --threads sizes the pool of batch flow alone
+        body = (
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['--threads', '2', 'scan', '--n', '3']) == 0\n"
         )
         assert self._loaded_after(body) == []
 

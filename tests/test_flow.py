@@ -131,6 +131,13 @@ class TestVolumeAndPhi:
         lv = log_volume(p, MetricPoint(3.0, 5.0, 2.0))
         assert math.isfinite(lv)
 
+    def test_a_parameter_that_rounds_to_0_is_overflow(self):
+        # 10**-330 is a positive exact parameter whose float is 0.0, where
+        # log(x) / a would divide by zero
+        p = Parameters(Fraction(1, 10**330), Fraction(1, 5), Fraction(1, 7))
+        with pytest.raises(OverflowError):
+            log_volume(p, MetricPoint(1, 1, 1))
+
 
 class TestVectorField2D:
     def test_reduces_to_zero_at_equilibrium(self):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -27,7 +28,6 @@ from wallachflow.integrate import (
     _drive,
     _integrate,
     _planar_chart,
-    dopri_step,
     integrate_flow,
     integrate_flow_3d,
 )
@@ -43,84 +43,12 @@ def unstable_params():
     return Parameters(Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))
 
 
-class TestStepper:
-    def test_local_error_estimate_order(self):
-        # the embedded error estimate of the 5(4) pair shrinks like h^5
-        mat = ((-1.0, 2.0), (0.5, -2.0))
-
-        def f(*y):
-            return ([row[0] * y[0] + row[1] * y[1] for row in mat],)
-
-        y0 = [1.0, -0.3]
-        errs = []
-        for h in (0.1, 0.05, 0.025):
-            _y, err, _last = dopri_step(f, y0, h, f(*y0))
-            errs.append(max(abs(e) for e in err))
-        assert errs[0] / errs[1] > 2**4.5
-        assert errs[1] / errs[2] > 2**4.5
-
-    def test_global_error_tracks_tolerance(self):
-        # manufactured linear problem with known solution, on two equal
-        # components because the stepper takes a chart's 2 or 3
-        lam = -1.3
-
-        def f(*y):
-            return ([lam * y[0], lam * y[1]], y, None)
-
-        errors = []
-        for rtol in (1e-6, 1e-9):
-            final = {}
-
-            def observe(t, x, _v):
-                final["t"], final["y"] = t, x[0]
-                assert x[1] == x[0]
-                return None
-
-            status, _ = _integrate(_step_over(f), [1.0, 1.0], f(1.0, 1.0)[0], 3.0, rtol, observe, Trajectory())
-            assert status == TrajectoryStatus.MAX_TIME
-            errors.append(abs(final["y"] - math.exp(lam * final["t"])))
-        assert errors[0] / max(errors[1], 1e-18) > 10
-
-    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
-    def test_seventh_stage_is_the_stage_at_the_result(self, chart):
-        # FSAL: the last row of the tableau is the 5th-order weights, so the
-        # stage the step returns is, bit for bit, the field at its result
-        p = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3))
-        _a, _point, f, _step = chart(p, Trajectory())
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            y = rng.uniform(-0.5, 0.5, 2 if chart is _planar_chart else 3).tolist()
-            y5, _err, last = dopri_step(f, y, float(rng.uniform(0.01, 0.5)), f(*y))
-            assert last == f(*y5)
-
-    def test_unevaluable_stage_fails_the_step(self):
-        # y' = (1, 1) from 0: the stages of a step of size h reach y = h
-        def f(*y):
-            return None if y[0] > 0.3 else ([1.0, 1.0],)
-
-        assert dopri_step(f, [0.0, 0.0], 0.5, f(0.0, 0.0)) is None
-        assert dopri_step(f, [0.0, 0.0], 0.1, f(0.0, 0.0)) is not None
-
-    def test_the_generated_source_is_shown(self):
-        # the step is compiled from generated text, registered in linecache
-        source = inspect.getsource(dopri_step)
-        assert source.startswith("def dopri_step(f, y, h, first):\n")
-        assert "k7c = stage[0]" in source
-
-    @pytest.mark.parametrize("n", [1, 4])
-    def test_only_the_chart_sizes_are_stepped(self, n):
-        def f(*y):
-            return ([1.0] * n,)
-
-        with pytest.raises(ValueError):
-            dopri_step(f, [0.0] * n, 0.1, f(*[0.0] * n))
-
-
 def _reference_step(f, y, h, first):
     """The Dormand-Prince step as comprehensions over the components, for
-    any size: the oracle of the straight-line ``dopri_step``.  Each weighted
-    sum starts from the int 0, where ``dopri_step`` starts from 0.0, and
-    runs in tableau order, zero coefficients kept."""
+    any size: the oracle of the charts' generated steps, which shares no
+    code with their generator.  Each weighted sum starts from the int 0,
+    where the generated steps start from 0.0, and runs in tableau order,
+    zero coefficients kept."""
     (
         (a21,),
         (a31, a32),
@@ -192,12 +120,12 @@ def _bits(obj):
 
 def _step_over(f):
     """``step(y, h, first, rtol)`` over the stage function ``f``, shaped as
-    a chart's generated step: ``dopri_step``, the finiteness test of the
-    result and ``_rms`` of the error estimate.  The oracle of those steps,
-    and the step of the stage functions written here."""
+    a chart's generated step: ``_reference_step``, the finiteness test of
+    the result and ``_rms`` of the error estimate.  The oracle of those
+    steps, and the step of the stage functions written here."""
 
     def step(y, h, first, rtol):
-        got = dopri_step(f, y, h, (first,))
+        got = _reference_step(f, y, h, (first,))
         if got is None or not all(map(math.isfinite, got[0])):
             return None
         y5, err, (k7, x7, v7) = got
@@ -222,122 +150,20 @@ def _constant_field(n, bad_call=None, bad_value=math.nan, component=0):
     return f
 
 
-class TestStraightLineStep:
-    """``dopri_step`` against the comprehension form it replaced."""
-
-    @pytest.mark.parametrize("a", ["1/6,1/4,1/3", "0.17,0.26,0.33", "0.01,0.01,0.49"])
-    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
-    def test_equals_the_reference_bit_for_bit(self, chart, a):
-        p = Parameters(*(Fraction(s) if "/" in s else float(s) for s in a.split(",")))
-        _a, _point, stage, _step = chart(p, Trajectory())
-        n = 2 if chart is _planar_chart else 3
-        rng = np.random.default_rng(17)
-        failed = 0
-        for _ in range(200):
-            y = rng.uniform(-3.0, 3.0, n).tolist()
-            first = stage(*y)
-            if first is None:
-                continue
-            h = float(10 ** rng.uniform(-8, 1))
-            # the stage inputs must agree too
-            inputs, ref_inputs = [], []
-            got = dopri_step(lambda *u: inputs.append(u) or stage(*u), y, h, first)
-            ref = _reference_step(lambda *u: ref_inputs.append(u) or stage(*u), y, h, first)
-            assert _bits((got, inputs)) == _bits((ref, ref_inputs))
-            failed += got is None
-        # the draws include steps whose stages leave the float range
-        assert 0 < failed < 200
-
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("weights", [0, 1, 2, 3, 4, 5, "_B", "_E"])
-    def test_a_zero_sum_starts_from_0(self, n, weights):
-        # each stage is a zero with the sign that makes its weighted term in
-        # one sum -0.0 (row ``weights`` of the stage matrix, the 5th-order
-        # weights or the error weights); a sum that starts from 0 turns that
-        # into +0.0, and so does the state -0.0 it is added to
-        if isinstance(weights, str):
-            row = getattr(integrate_mod, weights)
-        else:
-            row = integrate_mod._A[weights]
-        signs = [-0.0 if w >= 0 else 0.0 for w in row] + [-0.0] * (7 - len(row))
-
-        def run(step):
-            calls = []
-
-            def f(*y):
-                k = [signs[len(calls)]] * n
-                calls.append(y)
-                return (k, y, None)
-
-            return step(f, [-0.0] * n, 0.5, f(*[-0.0] * n)), calls
-
-        got, inputs = run(dopri_step)
-        assert _bits((got, inputs)) == _bits(run(_reference_step))
-        y5, err, _last = got
-        if weights == "_B":
-            zero = y5
-        elif weights == "_E":
-            zero = err
-        else:
-            zero = inputs[1 + weights]  # inputs[0] is the start's stage
-        assert [math.copysign(1.0, v) for v in zero] == [1.0] * n
-
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("bad_call", range(1, 7))
-    def test_a_stage_that_cannot_be_evaluated_fails_the_step(self, n, bad_call):
-        # stage bad_call + 1 (stages 2 to 7) returns None; no later one runs
-        calls = []
-
-        def f(*y):
-            calls.append(y)
-            return None if len(calls) == bad_call else ([1.0] * n,)
-
-        assert dopri_step(f, [0.0] * n, 0.1, ([1.0] * n,)) is None
-        assert len(calls) == bad_call
-        calls.clear()
-        assert _reference_step(f, [0.0] * n, 0.1, ([1.0] * n,)) is None
-
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("bad_call", range(7))
-    @pytest.mark.parametrize("bad_value", [math.inf, -math.inf, math.nan])
-    def test_a_non_finite_stage_reaches_the_result(self, n, bad_call, bad_value):
-        # the derivative does not depend on y, so a non-finite stage 2 or 7
-        # reaches y5 only through its zero weight, which must be kept
-        for component in range(n):
-            f = _constant_field(n, bad_call, bad_value, component)
-            first = f(*[0.0] * n)
-            step = dopri_step(f, [0.0] * n, 0.1, first)
-            g = _constant_field(n, bad_call, bad_value, component)
-            assert _bits(step) == _bits(_reference_step(g, [0.0] * n, 0.1, g(*[0.0] * n)))
-            y5, err, _last = step
-            assert not math.isfinite(y5[component])
-            assert not all(map(math.isfinite, err))
-
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("bad_call", range(1, 7))
-    def test_the_driver_rejects_a_step_with_a_non_finite_stage(self, n, bad_call):
-        # call 0 is the start's stage, calls 1 to 6 are stages 2 to 7 of the
-        # first attempted step; that step is rejected and the run goes on
-        f = _constant_field(n, bad_call)
-        traj = Trajectory()
-        status, _ = _integrate(_step_over(f), [0.0] * n, f(*[0.0] * n)[0], 1.0, 1e-6, lambda *_: None, traj)
-        assert status == TrajectoryStatus.MAX_TIME
-        assert traj.steps_rejected == 1
-        assert traj.steps_accepted > 0
-
-
 @pytest.fixture
 def exp_calls(monkeypatch):
     """``math.exp`` replaced by a counting wrapper, which charts made after
     it bind.  ``state["bad"]`` maps a call number (from 0, counted since
     ``state["calls"]`` was last reset) to an exception class to raise or a
-    value to return instead."""
-    state = {"calls": 0, "bad": {}}
+    value to return instead; ``state["args"]`` lists the arguments of the
+    calls."""
+    state = {"calls": 0, "bad": {}, "args": []}
     exp = math.exp
 
     def counted_exp(u):
         i = state["calls"]
         state["calls"] = i + 1
+        state["args"].append(u)
         bad = state["bad"].get(i)
         if bad is None:
             return exp(u)
@@ -361,41 +187,188 @@ _STAGE_FAILURES = {
     _chart_3d: [{0: OverflowError}, {2: OverflowError}, {0: math.inf}, {1: math.nan}, {2: 0.0},
                 {0: 1e-200, 1: 1e-200, 2: 1.0}],
 }
-# the seventh stage at (1e-300, 1e300, 1), where the ratio x2 / (x1 x3)
-# overflows and the field is inf - inf = NaN: every stage is evaluated, and
-# the NaN reaches the result through the stage's zero weight
-_NAN_SEVENTH_STAGE = {
-    _planar_chart: {0: 1e-300, 1: 1e300, 2: 1.0, 3: 1.0},
-    _chart_3d: {0: 1e-300, 1: 1e300, 2: 1.0},
+_P = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3))
+
+
+def _start(chart):
+    # a log state of the chart's size, away from the equilibria of _P
+    return [0.1, -0.2, 0.05][:2 if chart is _planar_chart else 3]
+
+
+def _stage_point(chart, x):
+    """The replacements of one stage's ``math.exp`` calls that put its
+    point at ``x``; the planar chart's x3 is the product of its two
+    factors."""
+    return dict(enumerate(x if chart is _chart_3d else (x[0], x[1], x[2], 1.0)))
+
+
+def _run_step(chart, p, y, h, rtol, exp_calls, bad=None, oracle=False):
+    """One step of ``chart`` at ``p`` from ``y`` on a fresh chart and
+    Trajectory, with the replacements ``bad`` in the ``math.exp`` calls of
+    the step (see ``exp_calls``): the result, the count of field
+    evaluations and the arguments of ``math.exp``, floats as bytes.  With
+    ``oracle``, the step is ``_step_over`` the chart's ``stage``."""
+    traj = Trajectory()
+    _a, _point, stage, step = chart(p, traj)
+    exp_calls.update(calls=0, bad={})
+    first = stage(*y)[0]
+    exp_calls.update(calls=0, bad=bad or {}, args=[])
+    before = traj.field_evals
+    got = (_step_over(stage) if oracle else step)(y, h, first, rtol)
+    if got is not None:
+        got = [list(part) if isinstance(part, (list, tuple)) else part for part in got]
+    return _bits(got), traj.field_evals - before, _bits(exp_calls["args"])
+
+
+class TestStepper:
+    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
+    def test_local_error_estimate_order(self, chart):
+        # the embedded error estimate of the 5(4) pair shrinks like h^5
+        _a, _point, stage, step = chart(_P, Trajectory())
+        y = _start(chart)
+        first = stage(*y)[0]
+        errs = [step(y, h, first, 1e-6)[1] for h in (0.1, 0.05, 0.025)]
+        assert errs[0] / errs[1] > 2**4.5
+        assert errs[1] / errs[2] > 2**4.5
+
+    def test_global_error_tracks_tolerance(self):
+        # manufactured linear problem with known solution, on two equal
+        # components because the stepper takes a chart's 2 or 3
+        lam = -1.3
+
+        def f(*y):
+            return ([lam * y[0], lam * y[1]], y, None)
+
+        errors = []
+        for rtol in (1e-6, 1e-9):
+            final = {}
+
+            def observe(t, x, _v):
+                final["t"], final["y"] = t, x[0]
+                assert x[1] == x[0]
+                return None
+
+            status, _ = _integrate(_step_over(f), [1.0, 1.0], f(1.0, 1.0)[0], 3.0, rtol, observe, Trajectory())
+            assert status == TrajectoryStatus.MAX_TIME
+            errors.append(abs(final["y"] - math.exp(lam * final["t"])))
+        assert errors[0] / max(errors[1], 1e-18) > 10
+
+    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
+    def test_seventh_stage_is_the_stage_at_the_result(self, chart):
+        # FSAL: the last row of the tableau is the 5th-order weights, so the
+        # stage the step returns is, bit for bit, the stage at its result
+        _a, _point, stage, step = chart(_P, Trajectory())
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            y = rng.uniform(-0.5, 0.5, 2 if chart is _planar_chart else 3).tolist()
+            y5, _err_norm, *last = step(y, float(rng.uniform(0.01, 0.5)), stage(*y)[0], 1e-6)
+            assert _bits(tuple(last)) == _bits(stage(*y5))
+
+
+# the chart whose log state has n components
+_CHART_OF_SIZE = {2: _planar_chart, 3: _chart_3d}
+# points where the derivative at _P holds inf, -inf or NaN in component i
+_NON_FINITE_POINTS = {
+    "inf": [(1e50, 1e-300, 1e50), (1e-300, 1e50, 1e50), (1e-300, 1e50, 1e50)],
+    "-inf": [(1e300, 1.0, 1.0), (1.0, 1e300, 1.0), (1.0, 1.0, 1e300)],
+    "nan": [(1e-300, 1e300, 1.0), (1e-300, 1.0, 1e50), (1e-300, 1e50, 1.0)],
 }
+
+
+class TestStraightLineStep:
+    """The straight-line step that each float chart generates from the
+    tableau, on its own; ``TestFusedSteps`` holds it to the reference."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("weights", [0, 1, 2, 3, 4, 5, "_B", "_E"])
+    def test_a_zero_sum_starts_from_0(self, n, weights):
+        # each weighted sum (row ``weights`` of the stage matrix, the
+        # 5th-order weights or the error weights) is written, for each
+        # component, 0.0 + c1 * k1 + ... in tableau order, in repr literals:
+        # a zero sum is +0.0, as a sum from the int 0 is, and the zero
+        # coefficients a72, b2, b7 and e2 are kept, so that a non-finite
+        # stage always reaches the sum
+        row = getattr(integrate_mod, weights) if isinstance(weights, str) else integrate_mod._A[weights]
+        sums = re.findall(r"h \* \(([^()]*)\)", inspect.getsource(_CHART_OF_SIZE[n](_P, Trajectory())[3]))
+        # stages 2 to 7, the result and the error estimate of each component
+        assert len(sums) == 8 * n and all(s.startswith("0.0 + ") for s in sums)
+        for c in "abc"[:n]:
+            terms = " + ".join(f"{w!r} * k{i}{c}" for i, w in enumerate(row, 1))
+            assert sums.count(f"0.0 + {terms}") == 1, c
+        assert sum(s.count(" + 0.0 * k") for s in sums) == 4 * n
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bad_call", range(1, 7))
+    def test_a_stage_that_cannot_be_evaluated_fails_the_step(self, n, bad_call, exp_calls):
+        # the first math.exp call of stage bad_call + 1 (stages 2 to 7)
+        # raises; no later one runs
+        chart = _CHART_OF_SIZE[n]
+        per, y = _EXPS_PER_STAGE[chart], _start(chart)
+        assert _run_step(chart, _P, y, 0.1, 1e-6, exp_calls)[0] is not None
+        bad = {(bad_call - 1) * per: OverflowError}
+        assert _run_step(chart, _P, y, 0.1, 1e-6, exp_calls, bad)[:2] == (None, bad_call)
+        assert exp_calls["calls"] == (bad_call - 1) * per + 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bad_call", range(7))
+    @pytest.mark.parametrize("bad_value", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_stage_reaches_the_result(self, n, bad_call, bad_value, exp_calls):
+        # the derivative of stage bad_call + 1 holds bad_value in one
+        # component: the start's is given so, a later stage sits at a point
+        # of _NON_FINITE_POINTS, and every stage after it at (1, 1, 1),
+        # whatever its log state; so stage 2 or 7 reaches the result only
+        # through its zero weight, which must be kept.  Every stage is
+        # evaluated, and the step fails on its result
+        chart = _CHART_OF_SIZE[n]
+        per, y = _EXPS_PER_STAGE[chart], _start(chart)
+        for component in range(n):
+            results = []
+            for x_bad in ((1.0, 1.0, 1.0), _NON_FINITE_POINTS[repr(bad_value)][component]):
+                traj = Trajectory()
+                _a, _point, stage, step = chart(_P, traj)
+                exp_calls.update(calls=0, bad={})
+                first = list(stage(*y)[0])
+                if bad_call == 0 and x_bad != (1.0, 1.0, 1.0):
+                    first[component] = bad_value
+                bad = {}
+                for stage_no in range(2, 8):
+                    x = x_bad if stage_no == bad_call + 1 else (1.0, 1.0, 1.0)
+                    bad.update({(stage_no - 2) * per + j: v for j, v in _stage_point(chart, x).items()})
+                exp_calls.update(calls=0, bad=bad)
+                results.append((step(y, 0.1, first, 1e-6), traj.field_evals - 1, exp_calls["calls"]))
+            assert results[0][0] is not None
+            assert results[1] == (None, 6, 6 * per), component
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bad_call", range(1, 7))
+    def test_the_driver_rejects_a_step_with_a_non_finite_stage(self, n, bad_call):
+        # call 0 is the start's stage, calls 1 to 6 are stages 2 to 7 of the
+        # first attempted step; that step is rejected and the run goes on
+        f = _constant_field(n, bad_call)
+        traj = Trajectory()
+        status, _ = _integrate(_step_over(f), [0.0] * n, f(*[0.0] * n)[0], 1.0, 1e-6, lambda *_: None, traj)
+        assert status == TrajectoryStatus.MAX_TIME
+        assert traj.steps_rejected == 1
+        assert traj.steps_accepted > 0
 
 
 class TestFusedSteps:
     """Each float chart's generated ``step`` against ``_step_over`` its own
-    ``stage`` (``dopri_step``, the finiteness test and ``_rms``), bit for
-    bit, with the same count of field evaluations."""
+    ``stage`` (``_reference_step``, the finiteness test and ``_rms``), bit
+    for bit, with the same count of field evaluations and the same
+    arguments of ``math.exp``, the log states of the stages."""
 
     @staticmethod
     def _both(chart, p, y, h, rtol, exp_calls, bad=None):
         # the oracle and the fused step, each on its own chart and Trajectory
-        results = []
-        for fused in (False, True):
-            traj = Trajectory()
-            _a, _point, stage, step = chart(p, traj)
-            exp_calls.update(calls=0, bad={})
-            first = stage(*y)[0]
-            exp_calls.update(calls=0, bad=bad or {})
-            before = traj.field_evals
-            got = (step if fused else _step_over(stage))(y, h, first, rtol)
-            if got is not None:
-                got = [list(part) if isinstance(part, (list, tuple)) else part for part in got]
-            results.append((_bits(got), traj.field_evals - before))
-        assert results[0] == results[1]
-        return results[1]
+        oracle = _run_step(chart, p, y, h, rtol, exp_calls, bad, oracle=True)
+        fused = _run_step(chart, p, y, h, rtol, exp_calls, bad)
+        assert oracle == fused
+        return fused[:2]
 
     @pytest.mark.parametrize("a", ["1/6,1/4,1/3", "0.17,0.26,0.33", "0.01,0.01,0.49"])
     @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
-    def test_equals_dopri_step_bit_for_bit(self, chart, a, exp_calls):
+    def test_equals_the_reference_bit_for_bit(self, chart, a, exp_calls):
         p = Parameters(*(Fraction(s) if "/" in s else float(s) for s in a.split(",")))
         n = 2 if chart is _planar_chart else 3
         rng = np.random.default_rng(23)
@@ -415,43 +388,42 @@ class TestFusedSteps:
     @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
     @pytest.mark.parametrize("stage_no", range(2, 8))
     def test_a_failed_stage_is_counted_alike(self, chart, stage_no, exp_calls):
-        p = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3))
-        y = [0.1, -0.2, 0.05][:2 if chart is _planar_chart else 3]
-        per = _EXPS_PER_STAGE[chart]
-        assert self._both(chart, p, y, 0.1, 1e-6, exp_calls)[0] is not None
+        per, y = _EXPS_PER_STAGE[chart], _start(chart)
+        assert self._both(chart, _P, y, 0.1, 1e-6, exp_calls)[0] is not None
         for failure in _STAGE_FAILURES[chart]:
             bad = {(stage_no - 2) * per + j: value for j, value in failure.items()}
-            assert self._both(chart, p, y, 0.1, 1e-6, exp_calls, bad) == (None, stage_no - 1), failure
+            assert self._both(chart, _P, y, 0.1, 1e-6, exp_calls, bad) == (None, stage_no - 1), failure
 
     @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
     def test_a_result_that_is_not_finite_fails_the_step(self, chart, exp_calls):
-        p = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3))
-        y = [0.1, -0.2, 0.05][:2 if chart is _planar_chart else 3]
-        per = _EXPS_PER_STAGE[chart]
-        bad = {5 * per + j: value for j, value in _NAN_SEVENTH_STAGE[chart].items()}
-        assert self._both(chart, p, y, 0.1, 1e-6, exp_calls, bad) == (None, 6)
-        # dopri_step itself evaluates every stage and returns a NaN result
-        _a, _point, stage, _step = chart(p, Trajectory())
+        # the seventh stage at (1e-300, 1e300, 1), where the ratio x2 / (x1
+        # x3) overflows and the field is inf - inf = NaN: every stage is
+        # evaluated, and the NaN reaches the result through the stage's zero
+        # weight
+        per, y = _EXPS_PER_STAGE[chart], _start(chart)
+        bad = {5 * per + j: value for j, value in _stage_point(chart, (1e-300, 1e300, 1.0)).items()}
+        assert self._both(chart, _P, y, 0.1, 1e-6, exp_calls, bad) == (None, 6)
+        # the reference evaluates every stage and returns a NaN result
+        _a, _point, stage, _step = chart(_P, Trajectory())
         exp_calls.update(calls=0, bad={})
         first = stage(*y)
         exp_calls.update(calls=0, bad=bad)
-        y5, _err, _last = dopri_step(stage, y, 0.1, first)
+        y5, _err, _last = _reference_step(stage, y, 0.1, first)
         assert not all(map(math.isfinite, y5))
 
     def test_the_generated_text_is_shown(self):
         # each chart's step is compiled from text registered in linecache,
         # with the map and the field's text spliced into each of its stages
-        p = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3))
         field = flow_mod._FIELD_TEXT.splitlines()
         for chart, name in ((_planar_chart, "planar"), (_chart_3d, "3d")):
-            _a, point, stage, step = chart(p, Trajectory())
+            _a, point, stage, step = chart(_P, Trajectory())
             source = inspect.getsource(step)
             assert source.startswith("    def step(y, h, first, rtol):\n")
             assert inspect.getsourcefile(step) == f"<{name} chart>"
             statements = [statement for statement, _test in integrate_mod._CHARTS[name][2]]
             for line in field + statements:
                 assert source.count(f"            {line}\n") == 6, line
-            assert "dopri_step" not in source and "_field" not in source
+            assert "_field" not in source
             for line in field + statements:
                 assert inspect.getsource(stage).count(f"{line}\n") == 1, line
             assert inspect.getsource(point).count(statements[-1]) == 1
@@ -460,14 +432,11 @@ class TestFusedSteps:
         assert all(f"    {line}\n" in source for line in field)
 
     def test_importing_the_cli_compiles_no_step(self):
-        # the chart steps and dopri_step are compiled on first use
-        code = (
-            "import wallachflow.cli, wallachflow.integrate as i\n"
-            "print(sorted(i._CHART_FACTORIES), 'dopri_step' in vars(i))"
-        )
+        # the chart steps are compiled on first use
+        code = "import wallachflow.cli, wallachflow.integrate as i\nprint(sorted(i._CHART_FACTORIES))"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        assert out.stdout == "[] False\n"
+        assert out.stdout == "[]\n"
 
 
 _CLAMP_VALUES = [math.nan, math.inf, -math.inf, 1e-10, 0.2, 5.0, 0.0, -0.0, 1.0]

@@ -121,6 +121,15 @@ class TestLinearizeAt:
             linearize_at(p, pt)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("a", [(1e10, 2.0, 3.0), (1e20, 0.2, 0.3)])
+    def test_residual_tolerance_scales_with_the_parameters(self, a):
+        # the equations are of degree 2 in the parameters too, so the float
+        # residual of a census ray grows with them: 1.5e-5 at 1e10 and
+        # 3.3e4 at 1e20, where the tolerance once scaled with x alone
+        p = Parameters(*a)
+        (ray,) = solve_all(p)
+        linearize_at(p, ray.as_x3one())
+
     def test_scale_law(self):
         p = Parameters(Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))
         lam = Fraction(5, 2)
