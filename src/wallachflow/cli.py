@@ -78,15 +78,9 @@ def _parse_triple(text: str, exact: bool = False) -> Parameters:
     return p
 
 
-def _thread_count(requested: int | None, env: str | None, cpus: int | None) -> int:
-    """Pool size from ``--threads``, else ``WALLACH_THREADS``, else 1, clamped
-    to ``[1, cpus]``; a malformed ``WALLACH_THREADS`` raises ``UsageError``."""
-    if requested is None:
-        try:
-            requested = int(env) if env is not None else 1
-        except ValueError:
-            raise UsageError(f"WALLACH_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(requested, cpus or 1))
+def _thread_count(requested: int | None, cpus: int | None) -> int:
+    """Pool size from ``--threads``, else 1, clamped to ``[1, cpus]``."""
+    return max(1, min(requested or 1, cpus or 1))
 
 
 def _map(fn, items, threads: int) -> list:
@@ -120,14 +114,11 @@ def _analyze_payload(p: Parameters) -> dict:
     entries = []
     notes: list[str] = []
     for ray in rays:
-        norm = ray.as_x3one()
-        lin = lin_mod.linearize_at(p, norm)
+        lin = lin_mod.linearize_at(p, ray.rep)
         cls = lin_mod.classify(lin)
-        unit = eq_mod.normalize_unit_volume(p, norm)
+        unit = eq_mod.normalize_unit_volume(p, ray)
         entries.append({
-            "rep": [_json_value(v) for v in ray.rep.x],
-            "convention": ray.convention,
-            "x3_one": [_json_value(v) for v in norm.rep.x],
+            "x3_one": [_json_value(v) for v in ray.rep.x],
             "unit_volume": [float(v) for v in unit.x],
             "family": ray.family_tag.value,
             "multiplicity": ray.multiplicity,
@@ -345,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "three-parameter homogeneous metrics",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker pool size of batch flow (default: WALLACH_THREADS or 1)")
+                        help="worker pool size of batch flow (default: 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="equilibria and surface data for one triple")
@@ -393,7 +384,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         # the handlers read the resolved pool size
-        args.threads = _thread_count(args.threads, os.environ.get("WALLACH_THREADS"), os.cpu_count())
+        args.threads = _thread_count(args.threads, os.cpu_count())
         handler = {
             "analyze": cmd_analyze,
             "flow": cmd_flow,

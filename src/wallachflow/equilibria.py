@@ -2,7 +2,7 @@
 a closed-form case analysis.
 
 Equilibria form positive rays (the defining equations are homogeneous of
-degree 2), so each family is reported through one representative.
+degree 2), so each ray is reported through its ``x3 = 1`` point.
 ``census`` takes every ray, with its multiplicity, from the roots of one
 resultant, exactly or correctly rounded.  The closed-form solvers follow the
 three-way case split on the parameters (two equal / pairwise distinct with
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ._poly import Layout, Poly, Root, cleared, enclose, float_bits, real_roots, sign_at
@@ -70,31 +70,20 @@ class CensusWarning(UserWarning):
 
 @dataclass(frozen=True)
 class EquilibriumRay:
-    """One positive equilibrium ray, reported through a representative.
-
-    ``convention`` records how the representative was normalized
-    (``"x3=1"`` or the general-case ``"x1=1"`` parametrization).
-    """
+    """One positive equilibrium ray, reported through its ``x3 = 1`` point
+    ``rep``: exact where the root it comes from is rational, correctly
+    rounded otherwise.  A ``rep`` off ``x3 = 1`` raises ``ValueError``."""
 
     rep: MetricPoint
     family_tag: FamilyTag
     multiplicity: int = 1
-    convention: str = "x3=1"
 
-    def rep_x3one(self) -> MetricPoint:
-        """The x3 = 1 representative of the ray (exact for exact reps); the
-        representative itself when it is one already."""
-        if self.convention == "x3=1" and self.rep.x3 == 1:
-            return self.rep
-        return MetricPoint(self.rep.x1 / self.rep.x3, self.rep.x2 / self.rep.x3, self.rep.x3 / self.rep.x3)
-
-    def as_x3one(self) -> "EquilibriumRay":
-        rep = self.rep_x3one()
-        return self if rep is self.rep else replace(self, rep=rep, convention="x3=1")
+    def __post_init__(self):
+        if self.rep.x3 != 1:
+            raise ValueError(f"a ray is represented by its x3 = 1 point, not x3 = {self.rep.x3}")
 
     def key(self) -> tuple[float, float]:
-        r = self.rep_x3one()
-        return (float(r.x1), float(r.x2))
+        return (float(self.rep.x1), float(self.rep.x2))
 
 
 @dataclass(frozen=True)
@@ -236,15 +225,15 @@ def quartic_discriminant(p: Parameters) -> Scalar:
 def solve_general(p: Parameters) -> list[EquilibriumRay]:
     """Rays for pairwise distinct parameters with sum != 1/2, via the quartic.
 
-    Representatives keep the ``(1, t, s)`` parametrization (``convention
-    "x1=1"``); a multiple root of the quartic is reported once, with its
+    The ray ``(1, t, s)`` is reported through its ``x3 = 1`` point ``(1/s,
+    t/s, 1)``; a multiple root of the quartic is reported once, with its
     exact multiplicity.  The quartic and ``t = num(s)/den(s)`` are integers
     over the exact (for floats, dyadic) parameters.  A rational root ``s``
-    gives ``t`` exactly; any other root gives ``t`` and ``s`` correctly
-    rounded by ``_poly.enclose``, so ``t`` keeps its digits where ``den``
-    nearly vanishes, next to the sum-half plane, and a tiny ``t`` near a
-    face ``a_i -> 1/2`` its sign.  At float parameters no rational root is
-    searched for.  No root is a pole of ``t``: at the root
+    gives the point exactly; any other root gives ``1/s`` and ``t/s``
+    correctly rounded by ``_poly.enclose``, so ``t/s`` keeps its digits
+    where ``den`` nearly vanishes, next to the sum-half plane, and a tiny
+    one near a face ``a_i -> 1/2`` its sign.  At float parameters no
+    rational root is searched for.  No root is a pole of ``t``: at the root
     ``(a1 + a2)/(a2 + a3)`` of ``den`` the quartic is
     ``(a1 + a2)^2 (a1 - a3)^2 (2 s1 - 1)^2 / (a2 + a3)^2``, which is not zero
     unless ``a1 = -a2``, and then that root is ``s = 0``, which is no ray.
@@ -264,21 +253,21 @@ def solve_general(p: Parameters) -> list[EquilibriumRay]:
     rays = []
     for s, mult in root_brackets(quartic, p.exact) if len(quartic) > 1 else ():
         if isinstance(s, Root):
-            # over the common denominator den: s = s den(s) / den(s), and
-            # den has no s**2 term
-            ray = enclose(s, den, (num, [den[1], den[2], 0]))
+            # over the common denominator s den(s): 1/s = den(s) / (s den(s)),
+            # and den has no s**2 term
+            ray = enclose(s, [den[1], den[2], 0], (den, num))
             if ray is None:
                 continue
-            rep = MetricPoint(1.0, *ray)
+            rep = MetricPoint(*ray, 1.0)
         else:  # only an exact p gives a rational s
             if not s > 0:
                 continue
             t = ((num[0] * s + num[1]) * s + num[2]) / (den[1] * s + den[2])
             if not t > 0:
                 continue
-            rep = MetricPoint(1, t, s)
-        rays.append(EquilibriumRay(rep, FamilyTag.GENERAL_QUARTIC, mult, convention="x1=1"))
-    return sorted(rays, key=lambda r: r.rep.x3)
+            rep = MetricPoint(1 / s, t / s, 1)
+        rays.append(EquilibriumRay(rep, FamilyTag.GENERAL_QUARTIC, mult))
+    return sorted(rays, key=EquilibriumRay.key)
 
 
 # ---------------------------------------------------------------------------
@@ -460,19 +449,14 @@ def _families(p: Parameters) -> tuple[list[tuple[FamilyTag, list[tuple]]], Famil
 def solve_all(p: Parameters) -> list[EquilibriumRay]:
     """The rays of ``census``, values and multiplicities, labelled by the
     closed-form case of ``p`` with exact line tests; ``numeric`` where no
-    case covers ``p``.  Rays of the general quartic with exact coordinates
-    keep the representative ``(1, x2/x1, 1/x1)``, convention ``"x1=1"``;
-    every other ray is its census point with ``x3 = 1``."""
+    case covers ``p``.  Each ray is its census point with ``x3 = 1``."""
     families, other = _families(p)
     rays, m, l = _census(p)
     out = []
     for ray in rays:
         tag = next((tag for tag, lines in families if all(_lies_on(ln, ray, m, l) for ln in lines)), other)
         x1, x2, mult = ray[:3] if p.exact else (float(ray[0]), float(ray[1]), ray[2])
-        if tag is FamilyTag.GENERAL_QUARTIC and is_exact(x1):
-            out.append(EquilibriumRay(MetricPoint(1, x2 / x1, 1 / x1), tag, mult, convention="x1=1"))
-        else:
-            out.append(EquilibriumRay(MetricPoint(x1, x2, 1 if is_exact(x1) else 1.0), tag, mult))
+        out.append(EquilibriumRay(MetricPoint(x1, x2, 1 if is_exact(x1) else 1.0), tag, mult))
     out.sort(key=EquilibriumRay.key)
     return out
 

@@ -267,14 +267,13 @@ def _eigenvalues(rho: Scalar, sigma: Scalar, delta: Scalar):
     return sorted((lam_a, lam_b), key=lambda z: abs(complex(z)))
 
 
-def linearize_at(p: Parameters, point) -> Linearization:
-    """Linearization invariants at an equilibrium representative.
+def linearize_at(p: Parameters, x: MetricPoint) -> Linearization:
+    """Linearization invariants at an equilibrium point ``x``, such as a
+    ray's ``rep``.
 
-    ``point`` may be a MetricPoint or anything with a ``rep`` attribute.
-    The values refer to the representative as given; rescaling it rescales
-    rho and delta but never their signs.
+    The values refer to the point as given; rescaling it rescales rho and
+    delta but never their signs.
     """
-    x = point.rep if hasattr(point, "rep") else point
     # an exact ray is checked with the laid-out equations, in integers
     laid_out = _laid_out_forms(p, x) if p.exact and x.exact else None
     if laid_out is not None:

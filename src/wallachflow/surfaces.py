@@ -336,7 +336,7 @@ def census_kinds(p: Parameters, rays=None) -> list[PointKind]:
         rays = solve_all(p)
     kinds = []
     for ray in rays:
-        lin = linearize_at(p, ray.as_x3one())
+        lin = linearize_at(p, ray.rep)
         kinds.append(classify(lin).kind)
     return list(_kinds_key(kinds))
 

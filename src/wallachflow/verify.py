@@ -42,8 +42,7 @@ def _census(p: Parameters):
     rays = eq_mod.solve_all(p)
     out = {}
     for ray in rays:
-        norm = ray.as_x3one()
-        out[norm.key()] = (norm, lin_mod.linearize_at(p, norm))
+        out[ray.key()] = (ray, lin_mod.linearize_at(p, ray.rep))
     return out
 
 
@@ -274,7 +273,7 @@ def _min_rho_closed_form(a1: float, a2: float, a3: float):
         return None, 0
     if not rays:
         return None, 0
-    rhos = [float(lin_mod.linearize_at(p, r.as_x3one()).rho) for r in rays]
+    rhos = [float(lin_mod.linearize_at(p, r.rep).rho) for r in rays]
     return min(rhos, key=abs), len(rhos)
 
 
@@ -352,7 +351,7 @@ def check_trace_surface() -> CheckResult:
             continue
         built += 1
         best = min(
-            abs(float(lin_mod.linearize_at(p, r.as_x3one()).rho))
+            abs(float(lin_mod.linearize_at(p, r.rep).rho))
             for r in eq_mod.solve_all(p)
         )
         _expect(best <= 1e-8, problems,
@@ -368,7 +367,7 @@ def check_trace_surface() -> CheckResult:
             continue
         n += 1
         best = min(
-            abs(float(lin_mod.linearize_at(p, r.as_x3one()).rho))
+            abs(float(lin_mod.linearize_at(p, r.rep).rho))
             for r in eq_mod.solve_all(p)
         )
         off_min = min(off_min, best)

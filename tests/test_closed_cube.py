@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from wallachflow._poly import Poly
 from wallachflow.core import Parameters
-from wallachflow.equilibria import census, residual, solve_all
+from wallachflow.equilibria import (
+    census, residual, solve_all, solve_general, solve_sum_half, solve_two_equal,
+)
 from wallachflow.flow import MetricPoint
 from wallachflow.linearize import PointKind, _g_form, _laid_out_forms, f1, f2, linearize_at
 from wallachflow.surfaces import census_kinds, component_classify
@@ -50,7 +52,7 @@ def test_census_rays_and_labels_over_the_closed_cube(a):
     if a.count(HALF) >= 2 and 8 * min(a) ** 2 < 1:
         assert rays == []
     for ray in rays:
-        x1, x2, _ = (Fraction(v) for v in ray.rep_x3one().x)
+        x1, x2, _ = (Fraction(v) for v in ray.rep.x)
         e = residual(p, MetricPoint(x1, x2, 1))
         assert max(abs(float(v)) for v in e) <= RESIDUAL_TOL * (1 + float(max(x1, x2))) ** 2, (a, ray)
 
@@ -68,6 +70,29 @@ def test_census_rays_and_labels_over_the_closed_cube(a):
         assert component_classify(q, q_rays) == label, (a, order)
         # a permutation only relabels the modules, and the families with them
         assert Counter(r.family_tag for r in q_rays) == tags, (a, order)
+
+
+def _closed_form_rays(p: Parameters) -> list:
+    """The rays of the closed form of the case of ``p``, if one covers it."""
+    a = p.a
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        if a[i] == a[j]:
+            return solve_two_equal(a[i], a[k])[0]
+    if sum(map(Fraction, a)) == HALF:
+        return solve_sum_half(p) if p.interior else []
+    return solve_general(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(triples)
+@example((HALF, Fraction(1, 3), HALF))
+@example((Fraction(1, 6), Fraction(1, 4), Fraction(1, 3)))
+def test_every_ray_is_its_x3_one_point(a):
+    # the census and each closed form give x3 = 1 exactly for an exact ray
+    # and 1.0 for a float one, at exact and at float parameters
+    for p in (Parameters(*a), Parameters(*map(float, a))):
+        for ray in solve_all(p) + _closed_form_rays(p):
+            assert ray.rep.x3 == 1 and type(ray.rep.x3) is type(ray.rep.x1), (p.a, ray)
 
 
 def _gamma(n: int) -> Fraction:
@@ -92,7 +117,7 @@ def test_laid_out_forms_over_the_closed_cube(a):
     xs = SimpleNamespace(x=tuple(Poly.var(k, 3) for k in range(3)))
     polys = [form(p, xs) for form in (f1, f2, _g_form)]
     for ray in solve_all(p):
-        x = ray.rep_x3one()
+        x = ray.rep
         lin = linearize_at(p, x)
         if x.exact:
             prod = x.x1 * x.x2 * x.x3
@@ -119,7 +144,7 @@ def test_laid_out_forms_over_the_closed_cube(a):
         # every ray is a census ray, so it linearizes, also near a face where
         # a float closed form returned rays that are no equilibria, e.g. at
         # (0.49999999, 1/30, 1/2)
-        x = ray.rep_x3one()
+        x = ray.rep
         lin = linearize_at(pf, x)
         prod = x.x1 * x.x2 * x.x3
         rho = 2 * f1(pf, x) / (pf.A * prod)

@@ -16,6 +16,7 @@ from wallachflow.core import Parameters
 from wallachflow.equilibria import (
     _SHEAR,
     _quartic,
+    EquilibriumRay,
     FamilyTag,
     census,
     equations,
@@ -55,9 +56,12 @@ def closed_form(p: Parameters) -> list:
     a = p.a
     for perm in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         if a[perm[0]] == a[perm[1]]:
-            # the closed form puts the equal pair first
+            # the closed form puts the equal pair first; the permuted point
+            # is scaled back to x3 = 1
             rays = solve_two_equal(a[perm[0]], a[perm[2]])[0]
-            return [replace(r, rep=MetricPoint(*(r.rep.x[perm.index(i)] for i in range(3)))) for r in rays]
+            points = [[r.rep.x[perm.index(i)] for i in range(3)] for r in rays]
+            return [replace(r, rep=MetricPoint(x1 / x3, x2 / x3, x3 / x3))
+                    for r, (x1, x2, x3) in zip(rays, points)]
     if sum(map(Fraction, a)) == Fraction(1, 2):
         return solve_sum_half(p)
     return solve_general(p)
@@ -143,7 +147,7 @@ class TestSingleSource:
             for ray in rays:
                 if k % 4 != 1:
                     assert ray.multiplicity == 1, (a, ray)
-                x = ray.rep_x3one()
+                x = ray.rep
                 e1, e2 = residual(p, x)
                 assert max(abs(e1), abs(e2)) <= 1e-15 * (1 + max(x.x1, x.x2)) ** 2, (a, x)
                 rays_checked += 1
@@ -291,11 +295,33 @@ class TestSolveGeneral:
         assert len(rays) == 2
         exact = [r for r in rays if r.rep.exact]
         assert len(exact) == 1
-        assert exact[0].rep.x == (1, Fraction(3, 4), Fraction(5, 4))
-        assert exact[0].convention == "x1=1"
+        assert exact[0].rep.x == (Fraction(4, 5), Fraction(3, 5), 1)
         other = [r for r in rays if not r.rep.exact][0].key()
         assert abs(other[0] - 2.284185494) < 1e-6
         assert abs(other[1] - 2.372799295) < 1e-6
+
+    @pytest.mark.parametrize("exact, count", [(False, 300), (True, 200)])
+    def test_matches_the_census_bit_for_bit(self, exact, count):
+        # in general position the closed form gives the census's x3 = 1
+        # points and multiplicities to the last bit: 1/s and t/s are each
+        # rounded once, at the root s
+        rng = random.Random(4)
+        checked = 0
+        while checked < count:
+            if exact:
+                a = tuple(Fraction(rng.randint(1, d // 2), d) for d in (rng.randint(2, 60) for _ in range(3)))
+            else:
+                a = tuple(rng.uniform(1e-3, 0.5) for _ in range(3))
+            if len(set(a)) < 3 or sum(map(Fraction, a)) == Fraction(1, 2):
+                continue
+            p = Parameters(*a)
+            got, want = ([(*r.rep.x[:2], r.multiplicity) for r in f(p)] for f in (solve_general, solve_all))
+            assert _float_bits(got) == _float_bits(want), a
+            checked += 1
+
+    def test_rep_off_x3_one_raises(self):
+        with pytest.raises(ValueError, match="x3 = 1"):
+            EquilibriumRay(MetricPoint(1, 2, 2), FamilyTag.GENERAL_QUARTIC)
 
     def test_double_root_case(self):
         p = Parameters(Fraction(5, 36), Fraction(1, 6), Fraction(1, 4))
@@ -318,17 +344,12 @@ class TestSolveGeneral:
         # den of t = num/den nearly vanishes: t from the rounded s gave 3 rays
         # (and 4 with one twice), one of them no equilibrium
         p = Parameters(*a)
-        rays, ref = solve_general(p), solve_all(p)
-        assert len(rays) == len(ref) == 4
+        rays = solve_general(p)
+        assert len(rays) == 4 and rays == solve_all(p)
         exact = Parameters(*map(Fraction, a))
-        matched = set()
         for ray in rays:
-            key = ray.key()
-            matched |= {i for i, r in enumerate(ref)
-                        if all(abs(u - v) <= 1e-12 * abs(v) for u, v in zip(key, r.key()))}
-            x = MetricPoint(*map(Fraction, ray.rep_x3one().x))
-            assert all(abs(e) <= 1e-12 for e in residual(exact, x)), key
-        assert matched == set(range(4))
+            x = MetricPoint(*map(Fraction, ray.rep.x))
+            assert all(abs(e) <= 1e-12 for e in residual(exact, x)), ray
 
     def test_ray_beyond_float_range_is_dropped(self):
         # a1 = 1/2 - 10**-400 gives the quartic a root s = x3/x1 near 10**400,
@@ -720,9 +741,9 @@ class TestMultiplicity:
     ])
     def test_degenerate_rays(self, a, ray, mult):
         p = Parameters(*a)
-        (got,) = [r for r in solve_all(p) if r.rep_x3one().x[:2] == ray]
+        (got,) = [r for r in solve_all(p) if r.rep.x[:2] == ray]
         assert got.rep.exact and got.multiplicity == mult
-        assert linearize_at(p, got.as_x3one()).delta == 0
+        assert linearize_at(p, got.rep).delta == 0
 
     def test_double_root_of_the_general_quartic(self):
         rays = solve_all(Parameters(Fraction(5, 36), Fraction(1, 6), Fraction(1, 4)))
@@ -742,7 +763,7 @@ class TestMultiplicity:
             # pairwise distinct ones on a face with sum 1/2, and there are none
             assert FamilyTag.NUMERIC not in {r.family_tag for r in rays}, a
             for ray in rays:
-                flat = linearize_at(p, ray.as_x3one()).delta == 0
+                flat = linearize_at(p, ray.rep).delta == 0
                 assert flat == (ray.multiplicity >= 2), (a, ray)
                 if flat:
                     degenerate[a] = ray.multiplicity

@@ -128,7 +128,7 @@ class TestLinearizeAt:
         # 3.3e4 at 1e20, where the tolerance once scaled with x alone
         p = Parameters(*a)
         (ray,) = solve_all(p)
-        linearize_at(p, ray.as_x3one())
+        linearize_at(p, ray.rep)
 
     def test_scale_law(self):
         p = Parameters(Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))
@@ -172,8 +172,8 @@ class TestClassify:
         # rho^2 - 4 delta cancels to 1.6e-10 relative
         a = (0.11764705882352941, 0.125, 0.11764705882352941)
         p = Parameters(*a)
-        (x,) = [r.rep_x3one() for r in solve_all(p)
-                if classify(linearize_at(p, r.rep_x3one())).kind is PointKind.UNSTABLE_NODE]
+        (x,) = [r.rep for r in solve_all(p)
+                if classify(linearize_at(p, r.rep)).kind is PointKind.UNSTABLE_NODE]
         sigma = linearize_at(p, x).sigma
         want = sigma_expression(Parameters(*map(Fraction, a)), MetricPoint(*map(Fraction, x.x)))
         assert abs(Fraction(sigma) - want) <= Fraction(5e-11) * want
