@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -64,6 +65,9 @@ COUNTED = {
     "flow.field_components": ("flow", "_field"),
 }
 FLOW_SUMS = ("field_evals", "steps_accepted", "steps_rejected")
+# every module a command can load besides ``verify``; the CLI imports most of
+# them on a command's first call, so ``counting`` imports them all first
+COMMAND_MODULES = ("cli", "linearize", "surfaces", "integrate", "blowup")
 
 
 def short_commit() -> str:
@@ -97,9 +101,11 @@ def run_benchmark(workload: str, seed: int, seconds: float) -> tuple[dict, dict]
 @contextlib.contextmanager
 def counting(counts: Counter):
     """Count calls to the ``COUNTED`` functions, under every name that the
-    loaded ``wallachflow`` modules bind them to."""
-    import wallachflow.cli  # noqa: F401  (loads the modules the CLI uses)
-
+    ``wallachflow`` modules bind them to. Each module a command can load is
+    imported first: one imported during the replay would bind a wrapper and
+    keep it after the patches are undone."""
+    for owner in {*COMMAND_MODULES, *(owner for owner, _name in COUNTED.values())}:
+        importlib.import_module(f"wallachflow.{owner}")
     modules = [m for name, m in list(sys.modules.items()) if name.startswith("wallachflow") and m]
     patched = []
     for key, (owner, name) in COUNTED.items():

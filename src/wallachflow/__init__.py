@@ -1,108 +1,74 @@
 """Planar dynamical-system analysis of the volume-normalized curvature flow
-on three-parameter families of homogeneous metrics."""
+on three-parameter families of homogeneous metrics.
 
-from .blowup import blowup_linearizations, delta_u_roots, shifted_quadratic_parts
-from .core import LieData, Parameters, params_from_dims
-from .equilibria import (
-    CaseDiscriminants,
-    EquilibriumRay,
-    FamilyTag,
-    census,
-    normalize_unit_volume,
-    quartic_coefficients,
-    quartic_discriminant,
-    residual,
-    solve_all,
-    solve_general,
-    solve_sum_half,
-    solve_two_equal,
-)
-from .flow import (
-    MetricPoint,
-    Velocity3,
-    b_term,
-    phi,
-    vector_field_2d,
-    vector_field_3d,
-    volume,
-)
-from .integrate import Trajectory, integrate_flow, integrate_flow_3d
-from .linearize import (
-    Classification,
-    Linearization,
-    PointKind,
-    classify,
-    f1,
-    f2,
-    linearize_at,
-    sigma_expression,
-    sigma_zero_family,
-    sigma_zero_points,
-)
-from .surfaces import (
-    Region,
-    SurfaceSample,
-    component_classify,
-    cube_grid,
-    edge_curve,
-    grad_q,
-    omega_slice_a1_half,
-    q1_eval,
-    q_and_grad,
-    q_eval,
-    scan,
-)
+Importing the package loads none of its modules: each public name is
+imported from its module on first access (PEP 562), so ``import
+wallachflow.cli`` and a one-shot command load only the modules they use.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LieData",
-    "Parameters",
-    "params_from_dims",
-    "MetricPoint",
-    "Velocity3",
-    "b_term",
-    "vector_field_3d",
-    "vector_field_2d",
-    "volume",
-    "phi",
-    "EquilibriumRay",
-    "FamilyTag",
-    "CaseDiscriminants",
-    "residual",
-    "solve_two_equal",
-    "solve_sum_half",
-    "solve_general",
-    "solve_all",
-    "census",
-    "quartic_coefficients",
-    "quartic_discriminant",
-    "normalize_unit_volume",
-    "Linearization",
-    "Classification",
-    "PointKind",
-    "f1",
-    "f2",
-    "linearize_at",
-    "classify",
-    "sigma_expression",
-    "sigma_zero_family",
-    "sigma_zero_points",
-    "shifted_quadratic_parts",
-    "delta_u_roots",
-    "blowup_linearizations",
-    "Region",
-    "SurfaceSample",
-    "q_eval",
-    "grad_q",
-    "q_and_grad",
-    "q1_eval",
-    "edge_curve",
-    "omega_slice_a1_half",
-    "component_classify",
-    "cube_grid",
-    "scan",
-    "Trajectory",
-    "integrate_flow",
-    "integrate_flow_3d",
-]
+# module -> the public names it defines, in the order of ``__all__``
+_EXPORTS = {
+    "core": ("LieData", "Parameters", "params_from_dims"),
+    "flow": ("MetricPoint", "Velocity3", "b_term", "vector_field_3d", "vector_field_2d", "volume", "phi"),
+    "equilibria": (
+        "EquilibriumRay",
+        "FamilyTag",
+        "CaseDiscriminants",
+        "residual",
+        "solve_two_equal",
+        "solve_sum_half",
+        "solve_general",
+        "solve_all",
+        "census",
+        "quartic_coefficients",
+        "quartic_discriminant",
+        "normalize_unit_volume",
+    ),
+    "linearize": (
+        "Linearization",
+        "Classification",
+        "PointKind",
+        "f1",
+        "f2",
+        "linearize_at",
+        "classify",
+        "sigma_expression",
+        "sigma_zero_family",
+        "sigma_zero_points",
+    ),
+    "blowup": ("shifted_quadratic_parts", "delta_u_roots", "blowup_linearizations"),
+    "surfaces": (
+        "Region",
+        "SurfaceSample",
+        "q_eval",
+        "grad_q",
+        "q_and_grad",
+        "q1_eval",
+        "edge_curve",
+        "omega_slice_a1_half",
+        "component_classify",
+        "cube_grid",
+        "scan",
+    ),
+    "integrate": ("Trajectory", "integrate_flow", "integrate_flow_3d"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -9,6 +9,14 @@ report), ``verify`` (the reproduction suite).
 Exit codes: 0 success, 1 verification failure, 2 usage error (including an
 ``--out`` path that cannot be written), 3 domain error, 141 (128 + SIGPIPE)
 when the reader of stdout goes away, as in ``| head``.
+
+Importing this module loads ``core`` and ``equilibria`` (with ``_poly`` and
+``flow``), which every command uses; each handler imports the rest of what
+it runs: ``analyze``, ``scan`` and ``surface`` load ``linearize`` and
+``surfaces``, ``flow`` loads ``integrate``, ``blowup`` loads ``blowup``, and
+``verify`` loads ``verify`` and numpy. ``flow --random-starts`` draws numpy's seeded
+PCG64 starts through the pure-Python ``_pcg64``, so no command but
+``verify`` imports numpy.
 """
 
 from __future__ import annotations
@@ -22,12 +30,8 @@ from fractions import Fraction
 from functools import partial
 
 from . import equilibria as eq_mod
-from . import linearize as lin_mod
-from .blowup import blowup_linearizations
 from .core import Parameters, Scalar, is_exact, parse_scalar, scalar_to_json
 from .flow import MetricPoint
-from .integrate import check_rtol, integrate_flow, integrate_flow_3d
-from .surfaces import classify_region, cube_grid, q1_eval, q_and_grad, q_eval, scan
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -110,6 +114,9 @@ def _write_text(path: str | None, text: str):
 
 
 def _analyze_payload(p: Parameters) -> dict:
+    from . import linearize as lin_mod
+    from .surfaces import classify_region, q1_eval, q_and_grad
+
     rays = eq_mod.solve_all(p)
     entries = []
     notes: list[str] = []
@@ -166,6 +173,8 @@ def cmd_analyze(args) -> int:
 
 
 def _run_one_flow(x0, p, rays, t_max, rel_tol, three_d):
+    from .integrate import integrate_flow, integrate_flow_3d
+
     if three_d:
         return integrate_flow_3d(
             p, MetricPoint(*x0), t_max=t_max, rel_tol=rel_tol, equilibria=rays
@@ -174,6 +183,8 @@ def _run_one_flow(x0, p, rays, t_max, rel_tol, three_d):
 
 
 def cmd_flow(args) -> int:
+    from .integrate import check_rtol
+
     p = _parse_triple(args.a)
     if not (math.isfinite(args.tmax) and args.tmax > 0):
         raise UsageError("--tmax must be finite and positive")
@@ -194,13 +205,13 @@ def cmd_flow(args) -> int:
             raise UsageError(f"--x0 needs {dim} positive finite values")
         starts.append(tuple(vals))
     if args.random_starts:
-        import numpy as np
+        from ._pcg64 import Uniform
 
-        # math.exp, not numpy's CPU-dispatched one: the same draws give the
-        # same starts on every host
-        rng = np.random.default_rng(args.seed)
+        # numpy's default_rng(seed).uniform draws, through math.exp: the same
+        # draws give the same starts on every host
+        rng = Uniform(args.seed)
         for _ in range(args.random_starts):
-            starts.append(tuple(map(math.exp, rng.uniform(-0.5, 0.5, dim).tolist())))
+            starts.append(tuple(map(math.exp, rng.draw(-0.5, 0.5, dim))))
     if not starts:
         raise UsageError("provide --x0 and/or --random-starts")
 
@@ -240,6 +251,8 @@ def cmd_flow(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .surfaces import cube_grid, scan
+
     if args.n < 2:
         raise UsageError("--n must be at least 2")
     # serial at any --threads: the pool's start-up and pickling cost more
@@ -261,6 +274,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    from .surfaces import q1_eval, q_eval
+
     try:
         index, value_text = args.fix.split("=")
         fixed = {"a1": 0, "a2": 1, "a3": 2}[index.strip()]
@@ -296,6 +311,8 @@ def cmd_surface(args) -> int:
 
 
 def cmd_blowup(args) -> int:
+    from .blowup import blowup_linearizations
+
     report = blowup_linearizations()
     _write_text(args.out, json.dumps(report.to_json(), indent=2))
     return EXIT_OK

@@ -288,7 +288,7 @@ class TestFlow:
         assert "provide --x0" not in err
 
     def test_negative_seed_is_usage_error(self, capsys):
-        # checked before numpy's generator, which rejects it as a domain error
+        # checked before the seeded generator, which rejects it as a domain error
         rc = cli.main(["flow", "--a", "1/6,1/4,1/3", "--random-starts", "1", "--seed", "-1"])
         assert rc == 2
         out, err = capsys.readouterr()
@@ -380,7 +380,7 @@ class TestFlow:
                 ["0x1.84fb445bc9131p-1", "0x1.a34285f269838p-1", "0x1.73f07b59cd056p+0"]]),
     ])
     def test_random_starts_are_pinned(self, three_d, x0, capsys):
-        # the seeded PCG64 starts are numpy's, imported only for this branch
+        # the seeded PCG64 starts are numpy's default_rng draws, made without numpy
         args = ["flow", "--a", "1/6,1/4,1/3", "--random-starts", "2", "--seed", "7", "--tmax", "1"]
         assert cli.main(args + ["--three-d"] * three_d) == 0
         runs = json.loads(capsys.readouterr().err)["runs"]
@@ -417,7 +417,8 @@ class TestFlow:
     def test_flow_output_bits_are_pinned(self, args, digest, capsys):
         # SHA-256 of stdout + stderr: every CSV coordinate, volume, drift and
         # work counter, so any change to the order of the stage arithmetic
-        # shows; the first start is checked apart, since numpy draws it
+        # shows; the first start is checked apart, since the seeded generator
+        # draws it
         argv = ["--threads", "1", "flow", *args, "--random-starts", "3", "--seed", "5"]
         assert cli.main(argv) == 0
         out, err = capsys.readouterr()
@@ -613,10 +614,32 @@ class TestClosedStdout:
 
 
 class TestImportPath:
-    """numpy, ``verify`` and the process pool load only for the commands
-    that use them, so a one-shot command does not pay for them at start-up."""
+    """numpy, ``verify``, the process pool and each package module load only
+    for the commands that use them, so a one-shot command does not pay for
+    them at start-up."""
 
     LAZY = ("numpy", "wallachflow.verify", "concurrent.futures.process")
+    # what importing the CLI loads: the modules every command uses
+    CLI = {"wallachflow", "wallachflow.cli", "wallachflow.core", "wallachflow._poly", "wallachflow.flow",
+           "wallachflow.equilibria"}
+    RANDOM_STARTS = ["flow", "--a", "1/6,1/4,1/3", "--random-starts", "3", "--tmax", "1"]
+
+    @staticmethod
+    def _main(argv: list[str]) -> str:
+        """Code that runs ``cli.main(argv)`` quietly and checks its exit code."""
+        return (
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+        )
+
+    @staticmethod
+    def _package_modules(code: str) -> set[str]:
+        """The ``wallachflow`` modules loaded once ``code`` has run in a fresh
+        interpreter."""
+        code += "\nimport sys\nprint(' '.join(m for m in sys.modules if m.partition('.')[0] == 'wallachflow'))\n"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
 
     def _loaded_after(self, body: str) -> list[str]:
         code = (
@@ -651,6 +674,30 @@ class TestImportPath:
             "        assert cli.main(argv) == 0, argv\n"
         )
         assert self._loaded_after(body) == []
+
+    def test_package_import_loads_no_module(self):
+        assert self._package_modules("import wallachflow") == {"wallachflow"}
+
+    def test_cli_import_loads_the_modules_every_command_uses(self):
+        assert self._package_modules("import wallachflow.cli") == self.CLI
+
+    @pytest.mark.parametrize("argv, added", [
+        (["analyze", "--a", "1/6,1/4,1/3"], {"linearize", "surfaces"}),
+        (["scan", "--n", "3"], {"linearize", "surfaces"}),
+        (["flow", "--a", "1/6,1/4,1/3", "--x0", "1.05,0.95", "--tmax", "1"], {"integrate"}),
+        (RANDOM_STARTS, {"integrate", "_pcg64"}),
+        (["blowup"], {"blowup"}),
+    ], ids=["analyze", "scan", "flow-x0", "flow-random-starts", "blowup"])
+    def test_each_command_loads_its_own_modules(self, argv, added):
+        code = "import contextlib, io\nimport wallachflow.cli as cli\n" + self._main(argv)
+        assert self._package_modules(code) == self.CLI | {f"wallachflow.{m}" for m in added}
+
+    @pytest.mark.parametrize("argv", [
+        RANDOM_STARTS,
+        ["--threads", "2", "flow", "--a", "1/6,1/4,1/3", "--random-starts", "2", "--tmax", "1"],
+    ], ids=["serial", "pool"])
+    def test_random_starts_load_no_numpy(self, argv):
+        assert "numpy" not in self._loaded_after(self._main(argv))
 
     def test_scan_starts_no_pool_at_any_thread_count(self):
         # scan is serial; --threads sizes the pool of batch flow alone

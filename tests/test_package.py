@@ -1,0 +1,38 @@
+"""The package namespace: every ``__all__`` name resolves, on first access,
+to the object of the one module that exports it."""
+
+import importlib
+
+import pytest
+
+import wallachflow
+
+MODULES = ("core", "flow", "equilibria", "linearize", "blowup", "surfaces", "integrate")
+
+
+def _owner(name: str):
+    (owner,) = [m for m in MODULES if name in importlib.import_module(f"wallachflow.{m}").__all__]
+    return importlib.import_module(f"wallachflow.{owner}")
+
+
+@pytest.mark.parametrize("name", wallachflow.__all__)
+def test_name_is_its_modules_object(name):
+    assert getattr(wallachflow, name) is getattr(_owner(name), name)
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from wallachflow import *", namespace)
+    assert all(namespace[name] is getattr(_owner(name), name) for name in wallachflow.__all__)
+
+
+def test_dir_lists_every_name():
+    assert set(wallachflow.__all__) <= set(dir(wallachflow))
+    assert "__version__" in dir(wallachflow)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wallachflow.no_such_name  # noqa: B018
+    assert not hasattr(wallachflow, "no_such_name")
+
