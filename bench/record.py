@@ -30,8 +30,8 @@ median end-to-end metrics, the operations attempted and failed over all
 runs, and the counters. ``--compare`` prints the ratios new/old of every metric and
 counter, against the new recording or between two given files.
 
-Only the standard library is used here; the benchmark itself needs what the
-package needs.
+Only the standard library is used here; the benchmark itself also imports
+numpy, which the package's ``test`` extra provides.
 """
 
 from __future__ import annotations

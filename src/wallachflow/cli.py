@@ -14,9 +14,9 @@ Importing this module loads ``core`` and ``equilibria`` (with ``_poly`` and
 ``flow``), which every command uses; each handler imports the rest of what
 it runs: ``analyze``, ``scan`` and ``surface`` load ``linearize`` and
 ``surfaces``, ``flow`` loads ``integrate``, ``blowup`` loads ``blowup``, and
-``verify`` loads ``verify`` and numpy. ``flow --random-starts`` draws numpy's seeded
-PCG64 starts through the pure-Python ``_pcg64``, so no command but
-``verify`` imports numpy.
+``verify`` loads ``verify`` with all of those.  No command imports numpy:
+``flow --random-starts`` draws numpy's seeded PCG64 starts through the
+pure-Python ``_pcg64``, and ``verify`` draws from ``random.Random``.
 """
 
 from __future__ import annotations

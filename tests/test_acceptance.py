@@ -3,19 +3,33 @@ tolerance.  One line is printed per criterion (visible with ``pytest -s``)."""
 
 import pytest
 
-from wallachflow.verify import CHECKS, run_check
+from wallachflow import verify
+from wallachflow.verify import CHECKS, run_all, run_check
 
 _RESULTS = {}
 
 
-def _result_for(func):
-    if func.__name__ not in _RESULTS:
-        _RESULTS[func.__name__] = run_check(func)
-    return _RESULTS[func.__name__]
+def _result_for(name, func):
+    if name not in _RESULTS:
+        _RESULTS[name] = run_check(name, func)
+    return _RESULTS[name]
 
 
-@pytest.mark.parametrize("check", CHECKS, ids=lambda f: f.__name__)
-def test_acceptance_criterion(check):
-    result = _result_for(check)
+@pytest.mark.parametrize("name, check", CHECKS, ids=[func.__name__ for _, func in CHECKS])
+def test_acceptance_criterion(name, check):
+    result = _result_for(name, check)
     print(f"{result.name}: {'PASS' if result.passed else 'FAIL'} - {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
+
+
+def test_a_crashed_check_keeps_its_registry_name(monkeypatch):
+    # A8's surface polynomial raises: the failure is reported as A8, in place
+    def crash(p):
+        raise RuntimeError("no surface")
+
+    monkeypatch.setattr(verify, "q1_eval", crash)
+    results = run_all()
+    assert [r.name for r in results] == [f"A{i}" for i in range(1, 13)]
+    (a8,) = [r for r in results if not r.passed]
+    assert a8.name == "A8"
+    assert a8.detail == "raised RuntimeError: no surface"

@@ -614,9 +614,9 @@ class TestClosedStdout:
 
 
 class TestImportPath:
-    """numpy, ``verify``, the process pool and each package module load only
-    for the commands that use them, so a one-shot command does not pay for
-    them at start-up."""
+    """``verify``, the process pool and each package module load only for
+    the commands that use them, so a one-shot command does not pay for them
+    at start-up.  numpy loads for no command."""
 
     LAZY = ("numpy", "wallachflow.verify", "concurrent.futures.process")
     # what importing the CLI loads: the modules every command uses
@@ -687,7 +687,8 @@ class TestImportPath:
         (["flow", "--a", "1/6,1/4,1/3", "--x0", "1.05,0.95", "--tmax", "1"], {"integrate"}),
         (RANDOM_STARTS, {"integrate", "_pcg64"}),
         (["blowup"], {"blowup"}),
-    ], ids=["analyze", "scan", "flow-x0", "flow-random-starts", "blowup"])
+        (["verify"], {"verify", "blowup", "integrate", "linearize", "surfaces"}),
+    ], ids=["analyze", "scan", "flow-x0", "flow-random-starts", "blowup", "verify"])
     def test_each_command_loads_its_own_modules(self, argv, added):
         code = "import contextlib, io\nimport wallachflow.cli as cli\n" + self._main(argv)
         assert self._package_modules(code) == self.CLI | {f"wallachflow.{m}" for m in added}
@@ -698,6 +699,24 @@ class TestImportPath:
     ], ids=["serial", "pool"])
     def test_random_starts_load_no_numpy(self, argv):
         assert "numpy" not in self._loaded_after(self._main(argv))
+
+    def test_verify_loads_no_numpy(self):
+        assert self._loaded_after(self._main(["verify"])) == ["wallachflow.verify"]
+
+    def test_verify_passes_with_numpy_blocked(self):
+        # an import of numpy raises ImportError in this process
+        code = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import wallachflow.cli as cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    assert cli.main(['verify', '--json']) == 0\n"
+            "results = json.loads(out.getvalue())\n"
+            "assert [r['name'] for r in results if r['passed']] == [f'A{i}' for i in range(1, 13)], results\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_scan_starts_no_pool_at_any_thread_count(self):
         # scan is serial; --threads sizes the pool of batch flow alone
@@ -754,5 +773,5 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(lin_mod, "f2", perturbed)
         monkeypatch.setattr(lin_mod, "_LAYOUT", None)
-        result = check_census_two_saddles()
-        assert not result.passed
+        problems, _ = check_census_two_saddles()
+        assert problems

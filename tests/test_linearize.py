@@ -25,7 +25,7 @@ from wallachflow.linearize import (
     sigma_zero_family,
     sigma_zero_points,
 )
-from wallachflow.verify import jacobian_2d_fd, jacobian_3d_fd
+from wallachflow.verify import eigenvalues_3x3, jacobian_2d_fd, jacobian_3d_fd
 
 wallach = st.fractions(
     min_value=Fraction(1, 18), max_value=Fraction(9, 20), max_denominator=24
@@ -315,3 +315,64 @@ class TestFiniteDifferenceJacobians:
         jac = jacobian_3d_fd(p, MetricPoint(1.3, 0.8, 1.9))
         eigs = np.linalg.eigvals(jac)
         assert np.min(np.abs(eigs)) < 1e-6 * max(1.0, np.max(np.abs(eigs)))
+
+
+class TestEigenvalues3x3:
+    """The Cardano eigenvalues of A10 against numpy's."""
+
+    @staticmethod
+    def _assert_matches_numpy(m):
+        # sorted by modulus, each root is paired with the nearest unpaired
+        # numpy root, since a conjugate pair has one modulus
+        ours = sorted(eigenvalues_3x3(m), key=abs)
+        ref = list(np.linalg.eigvals(np.array(m, dtype=float)))
+        scale = max(1.0, max(abs(w) for w in ref))
+        for z in ours:
+            w = min(ref, key=lambda w: abs(w - z))
+            assert abs(w - z) <= 1e-9 * scale, (m, ours, ref)
+            ref.remove(w)
+
+    def test_at_every_a10_equilibrium(self):
+        cases = [
+            Parameters(Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)),
+            Parameters(Fraction(7, 15), Fraction(7, 15), Fraction(7, 15)),
+            Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3)),
+        ]
+        points = [(p, normalize_unit_volume(p, ray)) for p in cases for ray in solve_all(p)]
+        assert len(points) == 10
+        for p, m in points:
+            self._assert_matches_numpy(jacobian_3d_fd(p, m))
+
+    def test_double_eigenvalue_of_the_stable_node(self):
+        # the finite differences leave -13/15 a double root at 7/15,7/15,7/15,
+        # which a float discriminant would split by ~1e-8 into a complex pair
+        p = Parameters(Fraction(7, 15), Fraction(7, 15), Fraction(7, 15))
+        (ray,) = [r for r in solve_all(p) if r.key() == (1.0, 1.0)]
+        eigs = sorted(eigenvalues_3x3(jacobian_3d_fd(p, normalize_unit_volume(p, ray))), key=abs)
+        assert abs(eigs[0]) <= 1e-9
+        for z in eigs[1:]:
+            assert abs(z - (-13 / 15)) <= 1e-9
+
+    @pytest.mark.parametrize("spectrum", ["real", "repeated", "complex"])
+    def test_seeded_matrices(self, spectrum):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            lam, mu, beta = rng.uniform(-3, 3, 3)
+            if spectrum == "real":
+                block = np.diag([lam, mu, rng.uniform(-3, 3)])
+            elif spectrum == "repeated":
+                block = np.diag([lam, lam, mu])
+            else:
+                block = np.array([[lam, beta, 0], [-beta, lam, 0], [0, 0, mu]])
+            # a rotation times a stretch of at most 4: eigenvalues that no
+            # 3x3 method pins below 1e-9 of max |l| need a worse basis
+            basis = np.linalg.qr(rng.normal(size=(3, 3)))[0] @ np.diag(rng.uniform(0.5, 2, 3))
+            m = basis @ block @ np.linalg.inv(basis)
+            self._assert_matches_numpy(m.tolist())
+
+    def test_integer_matrices_with_repeated_roots(self):
+        # exact coefficients: a zero discriminant, and d0 = d1 = 0 for 2 * I
+        for m in ([[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+                  [[3, 1, 1], [1, 3, 1], [1, 1, 3]],
+                  [[4, -1, 2], [1, 2, 2], [0, 0, 3]]):
+            self._assert_matches_numpy(m)
