@@ -28,7 +28,9 @@ with ``-dirty`` when ``src/`` differs from it. It holds the environment of
 the run (``PYTHONDONTWRITEBYTECODE`` included), the number of runs, the
 median end-to-end metrics, the operations attempted and failed over all
 runs, and the counters. ``--compare`` prints the ratios new/old of every metric and
-counter, against the new recording or between two given files.
+counter, against the new recording or between two given files. When the
+reader of stdout goes away, as in ``| head``, it exits 141 (128 + SIGPIPE)
+without a traceback.
 
 Only the standard library is used here; the benchmark itself also imports
 numpy, which the package's ``test`` extra provides.
@@ -65,6 +67,8 @@ COUNTED = {
     "flow.field_components": ("flow", "_field"),
 }
 FLOW_SUMS = ("field_evals", "steps_accepted", "steps_rejected")
+# the exit code when stdout's reader goes away (128 + SIGPIPE), as the CLI's
+EXIT_BROKEN_PIPE = 141
 # every module a command can load besides ``verify``; the CLI imports most of
 # them on a command's first call, so ``counting`` imports them all first
 COMMAND_MODULES = ("cli", "linearize", "surfaces", "integrate", "blowup")
@@ -213,14 +217,30 @@ def main(argv=None) -> int:
 
     if args.compare and len(args.compare) == 2:
         old, new = (json.loads(Path(p).read_text()) for p in args.compare)
+        lines = []
     else:
         new = record(list(WORKLOADS) if args.workload == "all" else [args.workload], args.seed, args.seconds)
         path = ROOT / f"BENCH_{new['commit']}.json"
         path.write_text(json.dumps(new, indent=1) + "\n")
-        print(f"# wrote {path}")
+        lines = [f"# wrote {path}"]
         old = json.loads(Path(args.compare[0]).read_text()) if args.compare else None
     if old is not None:
-        print("\n".join(compare(old, new)))
+        lines += compare(old, new)
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone, as in `| head`: point stdout's descriptor at
+        # devnull, so that the interpreter's final flush of the rest does not
+        # fail again, and exit as the CLI does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # a stdout without a descriptor has nothing left to flush
+        finally:
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return 0
 
 

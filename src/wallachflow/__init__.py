@@ -13,15 +13,11 @@ __version__ = "0.1.0"
 # module -> the public names it defines, in the order of ``__all__``
 _EXPORTS = {
     "core": ("LieData", "Parameters", "params_from_dims"),
-    "flow": ("MetricPoint", "Velocity3", "b_term", "vector_field_3d", "vector_field_2d", "volume", "phi"),
+    "flow": ("MetricPoint", "Velocity3", "vector_field_3d", "vector_field_2d", "phi"),
     "equilibria": (
         "EquilibriumRay",
         "FamilyTag",
-        "CaseDiscriminants",
         "residual",
-        "solve_two_equal",
-        "solve_sum_half",
-        "solve_general",
         "solve_all",
         "census",
         "quartic_coefficients",
@@ -45,7 +41,6 @@ _EXPORTS = {
         "Region",
         "SurfaceSample",
         "q_eval",
-        "grad_q",
         "q_and_grad",
         "q1_eval",
         "edge_curve",

@@ -34,9 +34,8 @@ bracket that ``narrow`` refines in place.  At a ``Root``, ``sign_at`` is the
 one sign oracle of an integer polynomial (ch. 10), and ``enclose`` rounds
 quotients of integer polynomials correctly to floats.
 
-Exact input keeps its rational roots exact: the census and the closed forms
-substitute a root back into exact equations, and a rounded root would make
-them inexact.  Each isolating interval of a factor is therefore tested for
+Exact input keeps its rational roots exact: the census substitutes a root
+back into exact equations, and a rounded root would make them inexact.  Each isolating interval of a factor is therefore tested for
 a rational root, whose denominator divides the factor's leading coefficient.
 Before that test a screen reduces the factor modulo a few small primes that
 do not divide its leading coefficient.  A rational root ``p/q`` has ``q``

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from ._poly import Poly, real_roots
 from .core import Parameters
-from .flow import field_components, vector_field_2d
+from .flow import field_components
 
 __all__ = [
     "QuadraticPart",
@@ -30,7 +30,6 @@ __all__ = [
     "BlowupReport",
     "DEGENERATE_PARAMETERS",
     "shifted_quadratic_parts",
-    "quadratic_parts_fd",
     "delta_u_roots",
     "blowup_linearizations",
 ]
@@ -123,47 +122,6 @@ def shifted_quadratic_parts(series: tuple[Poly, Poly] | None = None) -> Quadrati
             raise RuntimeError(f"{name}: quadratic jet {got} != expected {expected}")
         jets += got.values()
     return QuadraticPart(*jets)
-
-
-def quadratic_parts_fd() -> QuadraticPart:
-    """Float cross-check of the quadratic jets via Richardson-extrapolated
-    central second differences of the composed planar field."""
-    p = DEGENERATE_PARAMETERS
-
-    def fval(i, xx, yy):
-        return float(vector_field_2d(p, xx, yy)[i])
-
-    def second(i, dx, dy, h):
-        # pure second derivative along axis when one of dx, dy is 0
-        if dy == 0:
-            def d2(step):
-                return (
-                    fval(i, 1 + step, 1) - 2 * fval(i, 1, 1) + fval(i, 1 - step, 1)
-                ) / step**2
-        elif dx == 0:
-            def d2(step):
-                return (
-                    fval(i, 1, 1 + step) - 2 * fval(i, 1, 1) + fval(i, 1, 1 - step)
-                ) / step**2
-        else:
-            def d2(step):
-                return (
-                    fval(i, 1 + step, 1 + step)
-                    - fval(i, 1 + step, 1 - step)
-                    - fval(i, 1 - step, 1 + step)
-                    + fval(i, 1 - step, 1 - step)
-                ) / (4 * step**2)
-        coarse, fine = d2(h), d2(h / 2)
-        return (4 * fine - coarse) / 3
-
-    h = 1e-3
-    vals = {}
-    for i, tag in ((0, "p"), (1, "q")):
-        vals[f"{tag}_xx"] = second(i, 1, 0, h) / 2
-        vals[f"{tag}_yy"] = second(i, 0, 1, h) / 2
-        vals[f"{tag}_xy"] = second(i, 1, 1, h)
-    return QuadraticPart(**{k: vals[k] for k in (
-        "p_xx", "p_xy", "p_yy", "q_xx", "q_xy", "q_yy")})
 
 
 def _delta_cubic(parts: QuadraticPart) -> list[Fraction]:

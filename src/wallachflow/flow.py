@@ -18,12 +18,10 @@ from .core import Parameters, Scalar, _canonical, _exec_source, is_exact
 __all__ = [
     "MetricPoint",
     "Velocity3",
-    "b_term",
     "normalization_weight",
     "normalization_term",
     "field_components",
     "vector_field_3d",
-    "volume",
     "log_volume",
     "phi",
     "vector_field_2d",
@@ -144,12 +142,6 @@ _field = _exec_source(
 )["_field"]
 
 
-def b_term(p: Parameters, x: MetricPoint) -> Scalar:
-    """The scalar-curvature normalization term at a metric point."""
-    _require_reduced(p)
-    return normalization_term(*p.a, *x.x)
-
-
 def vector_field_3d(p: Parameters, x: MetricPoint) -> Velocity3:
     """Right-hand side of the 3D flow; scale-invariant (degree 0) in ``x``."""
     _require_reduced(p)
@@ -165,20 +157,6 @@ def log_volume(p: Parameters, x: MetricPoint) -> float:
     if 0.0 in a:
         raise OverflowError("a parameter rounds to 0.0 in floats")
     return sum(math.log(float(xi)) / ai for xi, ai in zip(x.x, a))
-
-
-def volume(p: Parameters, x: MetricPoint) -> Scalar:
-    """The conserved volume ``V``; exact when every exponent 1/a_i is integral."""
-    _require_reduced(p)
-    exps = [1 / Fraction(ai) if is_exact(ai) else 1.0 / ai for ai in p.a]
-    if x.exact and all(
-        is_exact(e) and Fraction(e).denominator == 1 for e in exps
-    ):
-        out = Fraction(1)
-        for xi, e in zip(x.x, exps):
-            out *= Fraction(xi) ** int(e)
-        return out
-    return math.exp(log_volume(p, x))
 
 
 def phi(p: Parameters, x1: Scalar, x2: Scalar) -> Scalar:

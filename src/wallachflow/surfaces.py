@@ -27,7 +27,6 @@ __all__ = [
     "SurfaceSample",
     "EdgeCurvePoint",
     "q_eval",
-    "grad_q",
     "q_and_grad",
     "q1_eval",
     "grad_q1",
@@ -144,32 +143,6 @@ def _chain(ds1, ds2, ds3, a1, a2, a3) -> tuple:
     )
 
 
-def _evaluate(p: Parameters, with_q: bool, with_grad: bool):
-    """``(Q, gradQ)`` at ``p``, each ``None`` unless asked for.
-
-    Exact input: ``s_j = N_j / D**j`` with ``a_i = A_i / D``, and
-    ``_Q_LAYOUT`` gives Q and its partials in ``s`` over ``D**w`` (Q alone
-    comes from ``_Q_ALONE``); the gradient in ``a`` is then ``_chain(P1
-    D**2, P2 D, P3, A)`` over ``D**(w + 2)``. Float input: power tables of
-    ``s_j ** e`` reach the exponents the asked polynomials use, so a power
-    that leaves the float range raises ``OverflowError``, and each monomial
-    is ``float(c) * s1**e1 * ...`` in the same order as the ``Fraction``
-    coefficients' float fallback.
-    """
-    if not p.exact:
-        kernels = ((_Q_KERNEL,) if with_q else ()) + (_GRAD_KERNELS if with_grad else ())
-        sums = _float_sums((p.s1, p.s2, p.s3), kernels)
-        return (sums[0] if with_q else None), (_chain(*sums[-3:], *p.a) if with_grad else None)
-    if not with_grad:
-        return _exact_q(p.a), None
-    (A1, A2, A3), d = cleared(p.a)
-    s = (A1 + A2 + A3, A1 * A2 + A1 * A3 + A2 * A3, A1 * A2 * A3)
-    (q,), (p1,), (p2,), (p3,) = _Q_LAYOUT.at(s, d)
-    d_pow = d**_Q_LAYOUT.weight
-    q = Fraction(q, d_pow) if with_q else None
-    return q, tuple(Fraction(g, d_pow * d * d) for g in _chain(p1 * d * d, p2 * d, p3, A1, A2, A3))
-
-
 def _exact_q(a) -> Fraction:
     """Q at the triple ``a`` as a ``Fraction``; a float counts as its dyadic
     value."""
@@ -181,18 +154,33 @@ def _exact_q(a) -> Fraction:
 def q_eval(p: Parameters) -> Scalar:
     """The degeneracy polynomial, evaluated through (s1, s2, s3): a
     ``Fraction`` for exact input, a ``float`` for float input."""
-    return _evaluate(p, True, False)[0]
-
-
-def grad_q(p: Parameters) -> tuple[Scalar, Scalar, Scalar]:
-    """Exact gradient of the degeneracy polynomial in the parameters, via the
-    chain rule through the symmetric functions."""
-    return _evaluate(p, False, True)[1]
+    if p.exact:
+        return _exact_q(p.a)
+    return _float_sums((p.s1, p.s2, p.s3), (_Q_KERNEL,))[0]
 
 
 def q_and_grad(p: Parameters) -> tuple[Scalar, tuple[Scalar, Scalar, Scalar]]:
-    """``(q_eval(p), grad_q(p))`` from one set of power tables."""
-    return _evaluate(p, True, True)
+    """``q_eval(p)`` and the gradient of Q in the parameters, by the chain
+    rule through the symmetric functions.
+
+    Exact input: ``s_j = N_j / D**j`` with ``a_i = A_i / D``, and
+    ``_Q_LAYOUT`` gives Q and its partials in ``s`` over ``D**w``; the
+    gradient in ``a`` is then ``_chain(P1 D**2, P2 D, P3, A)`` over
+    ``D**(w + 2)``. Float input: one set of power tables of ``s_j ** e``
+    reaches the exponents of Q and its partials, so a power that leaves the
+    float range raises ``OverflowError``, and each monomial is
+    ``float(c) * s1**e1 * ...`` in the same order as the ``Fraction``
+    coefficients' float fallback.
+    """
+    if not p.exact:
+        q, *partials = _float_sums((p.s1, p.s2, p.s3), (_Q_KERNEL, *_GRAD_KERNELS))
+        return q, _chain(*partials, *p.a)
+    (A1, A2, A3), d = cleared(p.a)
+    s = (A1 + A2 + A3, A1 * A2 + A1 * A3 + A2 * A3, A1 * A2 * A3)
+    (q,), (p1,), (p2,), (p3,) = _Q_LAYOUT.at(s, d)
+    d_pow = d**_Q_LAYOUT.weight
+    grad = _chain(p1 * d * d, p2 * d, p3, A1, A2, A3)
+    return Fraction(q, d_pow), tuple(Fraction(g, d_pow * d * d) for g in grad)
 
 
 def q1_eval(p: Parameters) -> Scalar:

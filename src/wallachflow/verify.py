@@ -20,10 +20,12 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import blowup as blowup_mod
 from . import equilibria as eq_mod
 from . import linearize as lin_mod
+from ._poly import Poly, real_roots
 from .core import Parameters, Scalar
 from .flow import MetricPoint, vector_field_2d, vector_field_3d
 from .integrate import integrate_flow, integrate_flow_3d
@@ -261,59 +263,34 @@ def check_sigma_zero_families() -> tuple[list[str], str]:
     return problems, f"family points have |sigma| <= 1e-10; off-family minimum {smallest:.2e}"
 
 
-def _min_rho_closed_form(a1: float, a2: float, a3: float):
-    """Signed trace closest to zero over the closed-form census, or None."""
-    try:
-        p = Parameters(a1, a2, a3)
-        rays = eq_mod.solve_general(p)
-    except (ValueError, ZeroDivisionError):
-        return None, 0
-    if not rays:
-        return None, 0
-    rhos = [float(lin_mod.linearize_at(p, r.rep).rho) for r in rays]
-    return min(rhos, key=abs), len(rhos)
+def _min_rho(a1: float, a2: float, a3: float):
+    """Signed trace closest to zero over the census, and the number of rays."""
+    p = Parameters(a1, a2, a3)
+    rhos = [float(lin_mod.linearize_at(p, r.rep).rho) for r in eq_mod.solve_all(p)]
+    return min(rhos, key=abs, default=None), len(rhos)
 
 
-def _bisect_zero_trace(a1: float, a2: float) -> float | None:
-    """An a3 in (0, 1/2) where some equilibrium's trace vanishes, found by
-    bracketing a sign change of the smallest trace and bisecting."""
+def _zero_trace_a3(a1: float, a2: float) -> float | None:
+    """An a3 in (0, 1/2) where some equilibrium's trace vanishes, or None.
+
+    A sign change of the smallest trace between two points of a 24-point
+    grid along a3 brackets the real branch of the trace surface, where the
+    zero-trace point is a positive ray.  Along a3, Q1 is a quadratic: over
+    ``Poly`` in a3 at the dyadic a1, a2 its roots are exact, and the one in
+    the bracket, rounded by ``real_roots``, is the a3 returned.  A bracket
+    that holds no root or two gives None.
+    """
     grid = [0.02 + i * ((0.48 - 0.02) / 23) for i in range(23)] + [0.48]
-    vals = [_min_rho_closed_form(a1, a2, a3) for a3 in grid]
+    vals = [_min_rho(a1, a2, a3) for a3 in grid]
     for i in range(len(grid) - 1):
         (v0, c0), (v1, c1) = vals[i], vals[i + 1]
         if v0 is None or v1 is None or c0 != c1:
             continue
         if v0 * v1 < 0:
-            lo, hi, flo = grid[i], grid[i + 1], v0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm, _ = _min_rho_closed_form(a1, a2, mid)
-                if fm is None or fm == 0.0 or hi - lo < 1e-16:
-                    return mid
-                if (flo < 0) == (fm < 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-    return None
-
-
-def _polish_on_surface(a1: float, a2: float, a3: float) -> float | None:
-    """Secant-polish a3 so the trace-surface polynomial vanishes to <= 1e-13."""
-    def q1_at(v: float) -> float:
-        return float(q1_eval(Parameters(a1, a2, v)))
-
-    x0, x1v = a3, a3 * (1 + 1e-7) + 1e-12
-    f0, f1v = q1_at(x0), q1_at(x1v)
-    for _ in range(60):
-        if abs(f1v) <= 1e-13:
-            return x1v
-        if f1v == f0:
-            return None
-        x0, x1v, f0 = x1v, x1v - f1v * (x1v - x0) / (f1v - f0), f1v
-        if not (0 < x1v < 0.5):
-            return None
-        f1v = q1_at(x1v)
+            q1 = q1_eval(SimpleNamespace(a=(Fraction(a1), Fraction(a2), Poly.var(0, 1))))
+            roots = [r for r, _m in real_roots([q1.get((k,), 0) for k in (2, 1, 0)], False)
+                     if grid[i] < r < grid[i + 1]]
+            return roots[0] if len(roots) == 1 else None
     return None
 
 
@@ -322,8 +299,8 @@ def check_trace_surface() -> tuple[list[str], str]:
     20 constructed surface points, and none off the surface.
 
     Construction: bracket a sign change of an equilibrium trace along a3
-    (guaranteeing the real branch of the surface), then polish a3 onto the
-    polynomial's zero set.
+    (guaranteeing the real branch of the surface), then take the root of
+    the polynomial in that bracket.
     """
     problems: list[str] = []
     p0 = Parameters(Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
@@ -337,10 +314,7 @@ def check_trace_surface() -> tuple[list[str], str]:
         attempts += 1
         a1 = rng.uniform(0.05, 0.45)
         a2 = rng.uniform(0.05, 0.45)
-        a3 = _bisect_zero_trace(a1, a2)
-        if a3 is None:
-            continue
-        a3 = _polish_on_surface(a1, a2, a3)
+        a3 = _zero_trace_a3(a1, a2)
         if a3 is None:
             continue
         p = Parameters(a1, a2, a3)

@@ -3,6 +3,9 @@ benchmark's TINY sizes, which count calls and so are the same on every
 host, and its comparison of two BENCH files."""
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -64,6 +67,25 @@ def test_compare_prints_ratios():
     assert lines[0] == "# a -> b"
     assert [line.split()[0] for line in lines[1:]] == ["scan.pass_ref_s", "scan.x", "scan.y"]
     assert [line.split()[-1] for line in lines[1:]] == ["x0.500", "x0.500", "x-"]
+
+
+def test_compare_into_a_closed_pipe_exits_141(tmp_path):
+    # as in `--compare OLD NEW | head`, with the reader closed before the
+    # recorder starts, so that it cannot take the output before it goes
+    paths = []
+    for commit, value in (("a", 0.2), ("b", 0.1)):
+        paths.append(tmp_path / f"BENCH_{commit}.json")
+        paths[-1].write_text(json.dumps(
+            {"commit": commit, "workloads": {"scan": {"metrics": {"pass_ref_s": value}, "counters": {}}}}))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, str(ROOT / "bench" / "record.py"), "--compare", *map(str, paths)],
+                              stdout=write, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == record.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == b""
 
 
 def test_record_keeps_the_median_of_three_runs(monkeypatch):

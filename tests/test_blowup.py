@@ -1,12 +1,33 @@
 from fractions import Fraction
 
 from wallachflow.blowup import (
+    DEGENERATE_PARAMETERS,
+    QuadraticPart,
     blowup_linearizations,
     delta_u_roots,
-    quadratic_parts_fd,
     shifted_quadratic_parts,
     shifted_taylor,
 )
+from wallachflow.flow import vector_field_2d
+
+
+def quadratic_parts_fd() -> QuadraticPart:
+    """Float cross-check of the quadratic jets via Richardson-extrapolated
+    central second differences of the composed planar field."""
+    def f(i, dx, dy):
+        return float(vector_field_2d(DEGENERATE_PARAMETERS, 1 + dx, 1 + dy)[i])
+
+    def d2(i, ex, ey, step):
+        # the pure second difference along the axis (ex, ey), or the mixed one
+        if ex and ey:
+            return (f(i, step, step) - f(i, step, -step) - f(i, -step, step) + f(i, -step, -step)) / (4 * step**2)
+        return (f(i, ex * step, ey * step) - 2 * f(i, 0, 0) + f(i, -ex * step, -ey * step)) / step**2
+
+    def second(i, ex, ey, h=1e-3):
+        return (4 * d2(i, ex, ey, h / 2) - d2(i, ex, ey, h)) / 3
+
+    return QuadraticPart(*(second(i, ex, ey) / (1 if ex and ey else 2)
+                           for i in (0, 1) for ex, ey in ((1, 0), (1, 1), (0, 1))))
 
 
 class TestQuadraticParts:

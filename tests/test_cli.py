@@ -81,8 +81,9 @@ class TestAnalyze:
         # census does not find; this once exited 3 when linearize_at refused
         # them.  The quartic of the dyadic parameters, in integers, has the
         # one ray only
+        from closed_forms import solve_general
         from wallachflow.core import Parameters
-        from wallachflow.equilibria import FamilyTag, solve_all, solve_general
+        from wallachflow.equilibria import FamilyTag, solve_all
 
         assert cli.main(["analyze", "--a", "0.49999999,0.03333333333333333,0.5"]) == 0
         rays = json.loads(capsys.readouterr().out)["equilibria"]

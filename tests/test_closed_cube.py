@@ -9,11 +9,10 @@ from types import SimpleNamespace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from closed_forms import closed_form
 from wallachflow._poly import Poly
 from wallachflow.core import Parameters
-from wallachflow.equilibria import (
-    census, residual, solve_all, solve_general, solve_sum_half, solve_two_equal,
-)
+from wallachflow.equilibria import census, residual, solve_all
 from wallachflow.flow import MetricPoint
 from wallachflow.linearize import PointKind, _g_form, _laid_out_forms, f1, f2, linearize_at
 from wallachflow.surfaces import census_kinds, component_classify
@@ -72,17 +71,6 @@ def test_census_rays_and_labels_over_the_closed_cube(a):
         assert Counter(r.family_tag for r in q_rays) == tags, (a, order)
 
 
-def _closed_form_rays(p: Parameters) -> list:
-    """The rays of the closed form of the case of ``p``, if one covers it."""
-    a = p.a
-    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        if a[i] == a[j]:
-            return solve_two_equal(a[i], a[k])[0]
-    if sum(map(Fraction, a)) == HALF:
-        return solve_sum_half(p) if p.interior else []
-    return solve_general(p)
-
-
 @settings(max_examples=100, deadline=None)
 @given(triples)
 @example((HALF, Fraction(1, 3), HALF))
@@ -91,7 +79,7 @@ def test_every_ray_is_its_x3_one_point(a):
     # the census and each closed form give x3 = 1 exactly for an exact ray
     # and 1.0 for a float one, at exact and at float parameters
     for p in (Parameters(*a), Parameters(*map(float, a))):
-        for ray in solve_all(p) + _closed_form_rays(p):
+        for ray in solve_all(p) + closed_form(p):
             assert ray.rep.x3 == 1 and type(ray.rep.x3) is type(ray.rep.x1), (p.a, ray)
 
 

@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import closed_form, solve_general, solve_sum_half, solve_two_equal
 from wallachflow._poly import Poly, real_roots
 from wallachflow.core import Parameters
 from wallachflow.equilibria import (
@@ -25,9 +25,6 @@ from wallachflow.equilibria import (
     quartic_discriminant,
     residual,
     solve_all,
-    solve_general,
-    solve_sum_half,
-    solve_two_equal,
 )
 from wallachflow.flow import MetricPoint, field_components, log_volume
 from wallachflow.linearize import linearize_at
@@ -48,23 +45,6 @@ def tag_weights(rays) -> Counter:
     for ray in rays:
         out[ray.family_tag] += ray.multiplicity
     return out
-
-
-def closed_form(p: Parameters) -> list:
-    """The rays of the public closed form of the case of ``p``: two equal
-    parameters, a dyadic sum of 1/2, or general position."""
-    a = p.a
-    for perm in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        if a[perm[0]] == a[perm[1]]:
-            # the closed form puts the equal pair first; the permuted point
-            # is scaled back to x3 = 1
-            rays = solve_two_equal(a[perm[0]], a[perm[2]])[0]
-            points = [[r.rep.x[perm.index(i)] for i in range(3)] for r in rays]
-            return [replace(r, rep=MetricPoint(x1 / x3, x2 / x3, x3 / x3))
-                    for r, (x1, x2, x3) in zip(rays, points)]
-    if sum(map(Fraction, a)) == Fraction(1, 2):
-        return solve_sum_half(p)
-    return solve_general(p)
 
 
 def assert_matches(reference, rays, tol: float = 1e-8, tags: bool = True):

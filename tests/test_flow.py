@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallachflow import blowup, cli, flow
-from wallachflow.core import Parameters
+from wallachflow.core import Parameters, is_exact
 from wallachflow.flow import (
     MetricPoint,
-    b_term,
     field_components,
     log_volume,
     normalization_term,
@@ -19,7 +18,6 @@ from wallachflow.flow import (
     phi,
     vector_field_2d,
     vector_field_3d,
-    volume,
 )
 
 positive_rationals = st.fractions(
@@ -32,6 +30,22 @@ wallach_rationals = st.fractions(
 
 def triple(p=wallach_rationals):
     return st.tuples(p, p, p)
+
+
+def b_term(p: Parameters, x: MetricPoint):
+    """The scalar-curvature normalization term at a metric point."""
+    return normalization_term(*p.a, *x.x)
+
+
+def volume(p: Parameters, x: MetricPoint):
+    """The conserved volume ``V``; exact when every exponent 1/a_i is integral."""
+    exps = [1 / Fraction(ai) if is_exact(ai) else 1.0 / ai for ai in p.a]
+    if x.exact and all(is_exact(e) and Fraction(e).denominator == 1 for e in exps):
+        out = Fraction(1)
+        for xi, e in zip(x.x, exps):
+            out *= Fraction(xi) ** int(e)
+        return out
+    return math.exp(log_volume(p, x))
 
 
 class TestBTerm:
@@ -55,13 +69,13 @@ class TestBTerm:
         x = MetricPoint(Fraction(3, 4), Fraction(5, 3), Fraction(7, 6))
         assert b_term(p, x.scaled(lam)) == b_term(p, x) / lam
 
+
+class TestVectorField3D:
     def test_requires_nonzero_parameters(self):
         p = Parameters(1, -1, 0)
         with pytest.raises(ValueError):
-            b_term(p, MetricPoint(1, 1, 1))
+            vector_field_3d(p, MetricPoint(1, 1, 1))
 
-
-class TestVectorField3D:
     @pytest.mark.parametrize(
         "x",
         [(1, 1, 1), (2, 1, 1), (1, 2, 1), (Fraction(1, 2), Fraction(1, 2), 1)],

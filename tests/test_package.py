@@ -8,6 +8,11 @@ import pytest
 import wallachflow
 
 MODULES = ("core", "flow", "equilibria", "linearize", "blowup", "surfaces", "integrate")
+# the closed-form solvers and the other names that only tests called: they
+# live under tests/ (closed_forms.py, test_blowup.py, test_flow.py), and
+# grad_q is q_and_grad(p)[1]
+MOVED = ("solve_two_equal", "solve_sum_half", "solve_general", "CaseDiscriminants", "quadratic_parts_fd", "b_term",
+         "volume", "grad_q")
 
 
 def _owner(name: str):
@@ -36,3 +41,8 @@ def test_unknown_name_raises_attribute_error():
         wallachflow.no_such_name  # noqa: B018
     assert not hasattr(wallachflow, "no_such_name")
 
+
+@pytest.mark.parametrize("name", MOVED)
+def test_moved_names_are_not_in_the_package(name):
+    assert name not in wallachflow.__all__
+    assert not any(hasattr(importlib.import_module(f"wallachflow.{m}"), name) for m in MODULES)

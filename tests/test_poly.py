@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import closed_forms
 from wallachflow import blowup, cli, equilibria
 from wallachflow._poly import (
     _SCREEN_PRIMES,
@@ -635,11 +636,16 @@ class TestReferenceParity:
 
     def test_scan_inputs(self, monkeypatch):
         # the 164 census resultants of the scan grid's orbits off Omega (the
-        # censuses of verify's A12 cross-check), and the quartics that
-        # solve_general solves at its orbits in general position
+        # censuses of verify's A12 cross-check), and the quartics that the
+        # oracle's solve_general solves at its orbits in general position
         corpus = []
-        monkeypatch.setattr(equilibria, "root_brackets",
-                            lambda coeffs, exact=True: corpus.append(list(coeffs)) or root_brackets(coeffs, exact))
+
+        def recorded(coeffs, exact=True):
+            corpus.append(list(coeffs))
+            return root_brackets(coeffs, exact)
+
+        monkeypatch.setattr(equilibria, "root_brackets", recorded)
+        monkeypatch.setattr(closed_forms, "root_brackets", recorded)
         orbits = sorted({tuple(sorted(a)) for a in cube_grid(9)})
         for a in orbits:
             if a != (0.25, 0.25, 0.25):
@@ -647,7 +653,7 @@ class TestReferenceParity:
         assert len(corpus) == 164
         for a in orbits:
             if len(set(a)) == 3:
-                equilibria.solve_general(Parameters(*a))
+                closed_forms.solve_general(Parameters(*a))
         monkeypatch.undo()
         assert len(corpus) > 200
         self._assert_parity(corpus)

@@ -20,7 +20,6 @@ from wallachflow.surfaces import (
     component_classify,
     cube_grid,
     edge_curve,
-    grad_q,
     grad_q1,
     omega_slice_a1_half,
     q1_eval,
@@ -43,7 +42,7 @@ class TestDegeneracyPolynomial:
     def test_umbilic_point(self):
         p = Parameters(Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
         assert q_eval(p) == 0
-        assert grad_q(p) == (0, 0, 0)
+        assert q_and_grad(p)[1] == (0, 0, 0)
 
     @pytest.mark.parametrize("s", [Fraction(1, 6), Fraction(1, 3), Fraction(2, 5)])
     def test_diagonal_closed_form(self, s):
@@ -78,7 +77,7 @@ class TestDegeneracyPolynomial:
 
     def test_gradient_matches_finite_differences(self):
         p = Parameters(0.21, 0.37, 0.44)
-        g = [float(v) for v in grad_q(p)]
+        g = [float(v) for v in q_and_grad(p)[1]]
         h = 1e-6
         for i in range(3):
             a_up = list(p.a)
@@ -148,9 +147,8 @@ class TestKernelParity:
             q, grad = q_and_grad(p)
             for got in (q, q_eval(p)):
                 assert type(got) is float and got.hex() == q_ref.hex(), a
-            for got in (grad, grad_q(p)):
-                assert all(type(g) is float for g in got), a
-                assert [g.hex() for g in got] == [g.hex() for g in grad_ref], a
+            assert all(type(g) is float for g in grad), a
+            assert [g.hex() for g in grad] == [g.hex() for g in grad_ref], a
 
     def test_exact_input_equal_fractions(self):
         for a in _exact_parity_triples():
@@ -160,9 +158,8 @@ class TestKernelParity:
             q, grad = q_and_grad(p)
             for got in (q, q_eval(p)):
                 assert type(got) is Fraction and got == q_ref, a
-            for got in (grad, grad_q(p)):
-                assert all(type(g) is Fraction for g in got), a
-                assert got == grad_ref, a
+            assert all(type(g) is Fraction for g in grad), a
+            assert grad == grad_ref, a
 
     @settings(max_examples=200, deadline=None)
     @given(a=st.tuples(*[st.fractions(min_value=Fraction(1, 10**4), max_value=1, max_denominator=10**4)] * 3))
@@ -176,17 +173,16 @@ class TestKernelParity:
         p = Parameters(1e200, 0.25, 0.25)
         with pytest.raises(OverflowError):
             _monomial_sum(_Q_POLY, (p.s1, p.s2, p.s3))
-        for fn in (q_eval, grad_q, q_and_grad):
+        for fn in (q_eval, q_and_grad):
             with pytest.raises(OverflowError):
                 fn(p)
-        # s1 ~ 1e55: s1**6, in Q, leaves the float range; s1**5, the highest
-        # power in the partials, does not
+        # s1 ~ 1e55: s1**6, in Q, leaves the float range, and the gradient
+        # comes with Q
         p = Parameters(1e55, 1e-30, 1e-30)
         with pytest.raises(OverflowError):
             q_eval(p)
         with pytest.raises(OverflowError):
             q_and_grad(p)
-        assert [g.hex() for g in grad_q(p)] == [g.hex() for g in _reference_grad(p)]
 
 
 class TestEdgeCurves:
@@ -200,7 +196,7 @@ class TestEdgeCurves:
         # the edge curves consist of singular points of the surface
         ec = edge_curve(t, i)
         assert q_eval(ec.params) == 0
-        assert grad_q(ec.params) == (0, 0, 0)
+        assert q_and_grad(ec.params)[1] == (0, 0, 0)
 
     def test_permutation_symmetry(self):
         t = Fraction(3, 10)
@@ -350,7 +346,7 @@ class TestScanOrbits:
             # repr compares the floats bit for bit, signed zeros included
             assert repr(s.Q) == repr(q_eval(p)), p.a
             assert s.Q1 == q1_eval(p), p.a
-            assert repr(s.gradQ) == repr(grad_q(p)), p.a
+            assert repr(s.gradQ) == repr(q_and_grad(p)[1]), p.a
             assert s.region is component_classify(p), p.a
 
     def test_float_sums_once_per_key(self, monkeypatch):
