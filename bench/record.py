@@ -57,8 +57,8 @@ RUNS = 3
 # counter name -> (module, function) whose calls it counts during the replay;
 # a census runs in ``equilibria._census``, which ``census`` and ``solve_all``
 # both call, and a field evaluation outside the flow runs in ``flow._field``,
-# which ``field_components`` and ``normalization_term`` call (the float
-# charts of ``integrate`` splice the field's text into their steps instead)
+# which ``field_components`` calls (the float charts of ``integrate`` splice
+# the field's text into their runs instead)
 COUNTED = {
     "equilibria.census": ("equilibria", "_census"),
     "_poly.real_roots": ("_poly", "real_roots"),

@@ -44,7 +44,6 @@ _EXPORTS = {
         "q_and_grad",
         "q1_eval",
         "edge_curve",
-        "omega_slice_a1_half",
         "component_classify",
         "cube_grid",
         "scan",

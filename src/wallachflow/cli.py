@@ -241,7 +241,9 @@ def cmd_flow(args) -> int:
             "exit_face": traj.exit_face,
         })
 
-    _write_text(args.out, "\n".join(lines) + "\n")
+    # the last newline is joined in: text + "\n" would copy the whole CSV
+    # once more at the command's peak memory
+    _write_text(args.out, "\n".join([*lines, ""]))
     # the summary goes to stderr when the CSV takes stdout
     print(json.dumps({"runs": summary}, indent=2), file=sys.stderr if args.out is None else sys.stdout)
     return EXIT_OK

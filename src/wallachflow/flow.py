@@ -19,7 +19,6 @@ __all__ = [
     "MetricPoint",
     "Velocity3",
     "normalization_weight",
-    "normalization_term",
     "field_components",
     "vector_field_3d",
     "log_volume",
@@ -91,14 +90,6 @@ def normalization_weight(a1, a2, a3):
     return 1 / (1 / a1 + 1 / a2 + 1 / a3)
 
 
-def normalization_term(a1, a2, a3, x1, x2, x3):
-    """The scalar-curvature normalization term, over any ring with division.
-
-    Homogeneous of degree -1 in the metric coefficients.
-    """
-    return _field(a1, a2, a3, x1, x2, x3)[3]
-
-
 def field_components(a1, a2, a3, x1, x2, x3):
     """The three field components, over any ring with division.
 
@@ -115,7 +106,7 @@ def field_components(a1, a2, a3, x1, x2, x3):
 # ``one``: they bind the normalization term ``B`` and the components ``v1, v2,
 # v3``, computing each ratio ``x_i / (x_j x_k)`` once.  ``_field`` is compiled
 # from this text, and the float charts of ``integrate`` splice it into their
-# generated steps with the float unit ``one = 1.0``, which gives the same
+# generated runs with the float unit ``one = 1.0``, which gives the same
 # bits as the int 1 without an int-float conversion per operation.
 _FIELD_TEXT = """\
 r1, r2, r3 = x1 / (x2 * x3), x2 / (x1 * x3), x3 / (x1 * x2)

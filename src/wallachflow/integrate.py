@@ -8,14 +8,16 @@ quality diagnostic.
 
 The stepper and both charts work on Python floats and the ``math`` module,
 so a run's bits do not depend on a vectorized ``exp`` kernel.  Each chart
-converts the parameters once, which changes no bit of the field, and steps
-with one Python call per attempted step: straight-line code generated from
+converts the parameters once, which changes no bit of the field, and makes
+a whole run in one Python call: ``run``, straight-line code generated from
 the tableau, the chart's map and ``flow._FIELD_TEXT`` (see
-``_compile_chart``), which writes each stage's map, tests, field and
-derivative inline, tests the result and computes the error norm.
-The seventh stage of an accepted step is reused as the next step's first
-and for the step's diagnosis, so a run costs one field evaluation at the
-start and six per attempted step.
+``_compile_chart``), which holds the adaptive loop, writes each stage's
+map, tests, field and derivative inline, and records each taken step.  It
+calls back into Python only to name the face where a run leaves the box
+and to match a convergence target.  The planar chart omits the field's
+``v3``, which it never reads.  The seventh stage of an accepted step is
+reused as the next step's first and for the step's diagnosis, so a run
+costs one field evaluation at the start and six per attempted step.
 """
 
 from __future__ import annotations
@@ -163,25 +165,35 @@ _CHARTS = {
 def _compile_chart(name: str):
     """The factory of a float chart, generated from its map in ``_CHARTS``,
     ``flow._FIELD_TEXT`` and the tableau.  ``chart(traj, a1, a2, a3, weight,
-    *params)`` returns ``(point, stage, step)``:
+    *params)`` returns ``(point, stage, run)``:
 
     - ``point(y)``, the point of the log state ``y``;
     - ``stage(ya, yb[, yc])``, which counts one evaluation on ``traj`` and
       returns ``(k, x, v)``, the derivative of the log state, the point and
       the chart's velocity, or None where the stage fails;
-    - ``step(y, h, first, rtol)``, one Dormand-Prince step from ``y`` whose
-      derivative is ``first``, with the map, the field and ``k = v / x`` of
-      each stage written inline (see ``_step_text``).  It counts the
-      stages it attempted on ``traj`` and returns ``(y5, err_norm, k7, x7,
-      v7)``: the result, the error norm ``_rms(err, rtol * (1 + max(|u|,
-      |w|)))`` over the state ``u`` and the result ``w``, and the seventh
-      stage; or None where a stage fails or the result is not finite.
+    - ``run(y, first, h, t_max, rtol, v_ref, exit_face, match)``, the
+      adaptive loop from the log state ``y``, whose derivative is ``first``,
+      with the first step size ``h`` (see ``_drive``).
 
-    The field is evaluated in the float unit ``one = 1.0``.  The text is
-    registered in ``linecache`` under ``<name chart>``.
+    ``run`` writes each Dormand-Prince step inline (see ``_step_text``): a
+    stage that fails or a result that is not finite retries the step at a
+    quarter of its size; otherwise the error norm is ``_rms(err, rtol * (1 +
+    max(|u|, |w|)))`` over the state ``u`` and the result ``w``, and the PI
+    controller takes or retries the step.  The seventh stage of a taken step
+    is the next step's first.  At its point ``x`` and velocity ``v``, ``run``
+    appends ``(t, x1, x2, x3, V)`` to ``traj.samples``, keeps the largest
+    drift ``|V - v_ref| / v_ref`` of the volume ``V`` in
+    ``traj.max_volume_drift``, and ends the run where ``exit_face(x)`` names
+    a face of a point outside the box, or where ``max(|v|) <= _FIELD_TOL``
+    and ``match(x)`` names a target.  It adds its evaluations and steps to
+    ``traj`` and returns the verdict ``(status, face or target)``.
+
+    The field is evaluated in the float unit ``one = 1.0``; the planar chart
+    splices it in without the ``v3`` line, which nothing there reads.  The
+    text is registered in ``linecache`` under ``<name chart>``.
     """
     n, params, chart_map = _CHARTS[name]
-    ys = _names("y", n)
+    ys, u, w = _names("y", n), _names("u", n), _names("y5", n)
     x = "x1, x2, x3"
     v = ", ".join(f"v{j}" for j in range(1, n + 1))
     k = ", ".join(f"v{j} / x{j}" for j in range(1, n + 1))
@@ -191,10 +203,9 @@ def _compile_chart(name: str):
     evaluate = []
     for statement, test in chart_map:
         evaluate += [statement, f"if not ({test}):", "    raise ArithmeticError"]
-    evaluate += _FIELD_TEXT.splitlines()
+    evaluate += [line for line in _FIELD_TEXT.splitlines() if n == 3 or not line.startswith("v3 =")]
 
     stages, y5, err = _step_text(n, evaluate, k)
-    u, w = _names("u", n), _names("y5", n)
     norm = []
     for uj, wj, ej in zip(u, w, err):
         # one term of _rms, with |u| and |w| as comparisons
@@ -205,6 +216,73 @@ def _compile_chart(name: str):
             "r = e / (rtol * (1.0 + (q if q > m else m)))",
             "s = s + r * r",
         ]
+    # max(map(abs, v)) <= _FIELD_TOL as comparisons: a NaN first component
+    # fails it, and a later one is skipped, as max skips it
+    field_test = " and ".join(
+        [f"abs(v1) <= {_FIELD_TOL!r}", *(f"not abs(v{j}) > {_FIELD_TOL!r}" for j in range(2, n + 1))]
+    )
+    box = " and ".join(f"{_DOMAIN_LO!r} <= x{j} <= {_DOMAIN_HI!r}" for j in (1, 2, 3))
+    loop = [
+        "while t < t_max:",
+        "    # the test precedes the clip to t_max, so a last step shorter",
+        "    # than _MIN_STEP is still taken and the run ends at t_max",
+        f"    if h < {_MIN_STEP!r}:",
+        f"        return {TrajectoryStatus.STEP_UNDERFLOW!r}, None",
+        "    if t_max - t < h:",
+        "        h = t_max - t",
+        "    try:",
+        *_indent(stages, 8),
+        "    except ArithmeticError:",
+        "        field_evals += evals",
+        "        rejected += 1",
+        "        h *= 0.25",
+        "        continue",
+        "    field_evals += 6",
+        *(f"    {wj} = {e}" for wj, e in zip(w, y5)),
+        f"    if not ({' and '.join(f'-inf < {wj} < inf' for wj in w)}):",
+        "        rejected += 1",
+        "        h *= 0.25",
+        "        continue",
+        "    s = 0.0",
+        *_indent(norm, 4),
+        f"    err_norm = sqrt(s / {float(n)!r})",
+        "    if err_norm <= 1.0:",
+        "        accepted += 1",
+        "        t += h",
+        f"        {', '.join(u)} = {', '.join(w)}",
+        f"        {', '.join(_names('k1', n))} = {', '.join(_names('k7', n))}",
+        "        # log V summed left to right, as ``sum`` did before Python 3.12",
+        "        vol = exp(log(x1) / a1 + log(x2) / a2 + log(x3) / a3)",
+        "        # max(drift_max, drift), which keeps the maximum at a NaN drift",
+        "        drift = abs(vol - v_ref) / v_ref",
+        "        if drift > drift_max:",
+        "            drift_max = drift",
+        f"        append((t, {x}, vol))",
+        "        # every stage's point is finite, so exit_face names a face",
+        f"        if not ({box}):",
+        f"            return {TrajectoryStatus.LEFT_DOMAIN!r}, exit_face(({x}))",
+        f"        if {field_test}:",
+        f"            target = match(({x}))",
+        "            if target is not None:",
+        f"                return {TrajectoryStatus.CONVERGED!r}, target",
+        "        # the clamps are comparisons that give what max and min gave,",
+        "        # NaN included: max(a, b) is ``b if b > a else a`` and min(a, b)",
+        "        # is ``b if b < a else a``; err_prev is 1.0 or a clamped norm",
+        "        if err_norm < 1e-10:",
+        "            err_norm = 1e-10",
+        f"        factor = {_SAFETY!r} * err_norm ** {-_PI_ALPHA!r} * err_prev ** {_PI_BETA!r}",
+        "        err_prev = err_norm",
+        f"        if not factor > {_MIN_SHRINK!r}:",
+        f"            factor = {_MIN_SHRINK!r}",
+        f"        elif factor > {_MAX_GROWTH!r}:",
+        f"            factor = {_MAX_GROWTH!r}",
+        "        h *= factor",
+        "    else:",
+        "        rejected += 1",
+        f"        factor = {_SAFETY!r} * err_norm ** {-_PI_ALPHA!r}",
+        f"        h *= factor if factor > {_MIN_SHRINK!r} else {_MIN_SHRINK!r}",
+        f"return {TrajectoryStatus.MAX_TIME!r}, None",
+    ]
     lines = [
         f"def chart(traj, a1, a2, a3, weight{''.join(f', {p}' for p in params)}):",
         "    exp, log, inf, sqrt = math.exp, math.log, math.inf, math.sqrt",
@@ -223,24 +301,20 @@ def _compile_chart(name: str):
         "        except ArithmeticError:",
         "            return None",
         "",
-        "    def step(y, h, first, rtol):",
+        "    def run(y, first, h, t_max, rtol, v_ref, exit_face, match):",
         "        one = 1.0",
         f"        {', '.join(u)} = y",
         f"        {', '.join(_names('k1', n))} = first",
+        "        field_evals, accepted, rejected = traj.field_evals, traj.steps_accepted, traj.steps_rejected",
+        "        drift_max, append = traj.max_volume_drift, traj.samples.append",
+        "        t, err_prev = 0.0, 1.0",
         "        try:",
-        *_indent(stages, 12),
-        "        except ArithmeticError:",
-        "            traj.field_evals += evals",
-        "            return None",
-        "        traj.field_evals += 6",
-        *(f"        {wj} = {e}" for wj, e in zip(w, y5)),
-        f"        if not ({' and '.join(f'-inf < {wj} < inf' for wj in w)}):",
-        "            return None",
-        "        s = 0.0",
-        *_indent(norm, 8),
-        f"        return ({', '.join(w)}), sqrt(s / {float(n)!r}), ({', '.join(_names('k7', n))}), ({x}), ({v})",
+        *_indent(loop, 12),
+        "        finally:",
+        "            traj.field_evals, traj.steps_accepted, traj.steps_rejected = field_evals, accepted, rejected",
+        "            traj.max_volume_drift = drift_max",
         "",
-        "    return point, stage, step",
+        "    return point, stage, run",
     ]
     source = "\n".join(lines) + "\n"
     return _exec_source(source, f"<{name} chart>", {"__name__": __name__, "math": math})["chart"]
@@ -251,64 +325,11 @@ _CHART_FACTORIES: dict = {}
 
 
 def _chart(name: str, traj: Trajectory, *args):
-    """``(point, stage, step)`` of chart ``name`` (see ``_compile_chart``)."""
+    """``(point, stage, run)`` of chart ``name`` (see ``_compile_chart``)."""
     factory = _CHART_FACTORIES.get(name)
     if factory is None:
         factory = _CHART_FACTORIES[name] = _compile_chart(name)
     return factory(traj, *args)
-
-
-def _integrate(step, y, first, t_max: float, rtol: float, observe, traj: Trajectory):
-    """Step from ``y``, whose derivative is ``first``, until an observer
-    verdict, step underflow or ``t_max``; return the verdict.
-
-    ``step(y, h, first, rtol)`` is a chart's step (see ``_compile_chart``):
-    it returns ``(y5, err_norm, k7, x7, v7)``, or None for a step that
-    failed.  ``observe(t, x, v)`` sees every accepted step and may return a
-    (status, payload) pair that ends the run.  ``traj`` counts the steps.
-    """
-    t = 0.0
-    scale = [rtol * (1.0 + abs(c)) for c in y]
-    d0, d1 = _rms(y, scale), _rms(first, scale)
-    h = min(max(1e-6 if d1 <= 1e-15 else 0.01 * d0 / d1, 1e-8), 1.0)
-    err_prev = 1.0
-    while t < t_max:
-        # the test precedes the clip to t_max, so a last step shorter than
-        # _MIN_STEP is still taken and the run ends at t_max
-        if h < _MIN_STEP:
-            return (TrajectoryStatus.STEP_UNDERFLOW, None)
-        if t_max - t < h:
-            h = t_max - t
-        result = step(y, h, first, rtol)
-        if result is None:
-            traj.steps_rejected += 1
-            h *= 0.25
-            continue
-        y_new, err_norm, k, x, v = result
-        if err_norm <= 1.0:
-            traj.steps_accepted += 1
-            t += h
-            y, first = y_new, k
-            verdict = observe(t, x, v)
-            if verdict is not None:
-                return verdict
-            # the clamps are comparisons that give what max and min gave,
-            # NaN included: max(a, b) is ``b if b > a else a`` and min(a, b)
-            # is ``b if b < a else a``; err_prev is 1.0 or a clamped norm
-            if err_norm < 1e-10:
-                err_norm = 1e-10
-            factor = _SAFETY * err_norm**-_PI_ALPHA * err_prev**_PI_BETA
-            err_prev = err_norm
-            if not factor > _MIN_SHRINK:
-                factor = _MIN_SHRINK
-            elif factor > _MAX_GROWTH:
-                factor = _MAX_GROWTH
-            h *= factor
-        else:
-            traj.steps_rejected += 1
-            factor = _SAFETY * err_norm**-_PI_ALPHA
-            h *= factor if factor > _MIN_SHRINK else _MIN_SHRINK
-    return (TrajectoryStatus.MAX_TIME, None)
 
 
 def check_rtol(rel_tol: float):
@@ -327,71 +348,60 @@ def _domain_exit(x: tuple[float, float, float]) -> str | None:
 
 
 def _drive(
-    traj: Trajectory, a, point, stage, step, targets, y0: list[float], t_max: float, rel_tol: float
+    traj: Trajectory, a, point, stage, run, targets, y0: list[float], t_max: float, rel_tol: float
 ) -> Trajectory:
     """Integrate the log-coordinate flow from ``y0`` into ``traj`` and
     diagnose the run.
 
     ``a`` holds the parameters as floats, and ``point``, ``stage`` and
-    ``step`` are a chart's (see ``_compile_chart``).  ``stage(*y0)``
+    ``run`` are a chart's (see ``_compile_chart``).  ``stage(*y0)``
     evaluates the start: it counts the evaluation on ``traj`` and returns
     ``(k, x, v)``, the derivative of the log state, the point ``(x1, x2,
     x3)`` and the chart's velocity, or None where the point is not strictly
     positive and finite or the evaluation raises ``ArithmeticError``.
     ``point(y)`` maps a log state to its point; it serves only the start,
     where a point outside the box ends the run even if the field fails
-    there.  ``step`` makes every later evaluation (see ``_integrate``).  A
-    run converges when the velocity is below ``_FIELD_TOL`` and the point
-    lies within ``_EQ_DIST_TOL`` (scaled) of a target, compared over the
-    target's leading coordinates.
+    there.  ``run`` makes every later evaluation and observes every taken
+    step as the start is observed here.  A run converges when the velocity
+    is below ``_FIELD_TOL`` and the point lies within ``_EQ_DIST_TOL``
+    (scaled) of a target, compared over the target's leading coordinates.
     """
-    v_ref = abs_ref = None
     a1, a2, a3 = a
-    lo, hi, tol = _DOMAIN_LO, _DOMAIN_HI, _FIELD_TOL
-    exp, log = math.exp, math.log
 
-    def observe(t, x, v):
-        nonlocal v_ref, abs_ref
-        # log V summed left to right, as ``sum`` did before Python 3.12
-        x1, x2, x3 = x
-        vol = exp(log(x1) / a1 + log(x2) / a2 + log(x3) / a3)
-        if v_ref is None:
-            v_ref, abs_ref = vol, abs(vol)
-        drift = abs(vol - v_ref) / abs_ref
-        # max(traj.max_volume_drift, drift), which keeps the maximum at a NaN drift
-        if drift > traj.max_volume_drift:
-            traj.max_volume_drift = drift
-        traj.samples.append((t, *x, vol))
-        # a NaN coordinate fails the range test, and _domain_exit names no face for it
-        if not (lo <= x1 <= hi and lo <= x2 <= hi and lo <= x3 <= hi):
-            face = _domain_exit(x)
-            if face is not None:
-                return (TrajectoryStatus.LEFT_DOMAIN, face)
-        # max(map(abs, v)) <= tol as comparisons: a NaN first component
-        # fails it, and a later one is skipped, as max skips it; v has 2 or
-        # 3 components, so v[-1] is the last or tested twice
-        if v is not None and abs(v[0]) <= tol and not abs(v[1]) > tol and not abs(v[-1]) > tol:
-            for idx, target in enumerate(targets):
-                d = max(abs(xi - ti) for xi, ti in zip(x, target)) / (
-                    1.0 + max(abs(c) for c in target)
-                )
-                if d <= _EQ_DIST_TOL:
-                    return (TrajectoryStatus.CONVERGED, idx)
+    def match(x):
+        for idx, target in enumerate(targets):
+            d = max(abs(xi - ti) for xi, ti in zip(x, target)) / (1.0 + max(abs(c) for c in target))
+            if d <= _EQ_DIST_TOL:
+                return idx
         return None
 
     first = stage(*y0)
     try:
         # a start outside the box ends the run even where the field fails there
-        verdict = observe(0.0, *(first[1:] if first else (point(y0), None)))
-        if not all(map(math.isfinite, traj.samples[0])):
+        x, v = first[1:] if first else (point(y0), None)
+        # log V summed left to right, as ``sum`` did before Python 3.12
+        vol = math.exp(math.log(x[0]) / a1 + math.log(x[1]) / a2 + math.log(x[2]) / a3)
+        if vol == 0.0 or not all(map(math.isfinite, (*x, vol))):
             raise OverflowError
     except (ArithmeticError, ValueError):
         raise ValueError("the start point's x3 or volume is outside the float range") from None
+    traj.samples.append((0.0, *x, vol))
+    verdict = None
+    face = _domain_exit(x)
+    if face is not None:
+        verdict = (TrajectoryStatus.LEFT_DOMAIN, face)
+    elif v is not None and max(map(abs, v)) <= _FIELD_TOL:
+        target = match(x)
+        if target is not None:
+            verdict = (TrajectoryStatus.CONVERGED, target)
     if verdict is None:
         # a NaN first step size would never fall below _MIN_STEP
         if first is None or not all(map(math.isfinite, first[0])):
             raise ValueError("the flow field cannot be evaluated in floats at the start point")
-        verdict = _integrate(step, y0, first[0], t_max, rel_tol, observe, traj)
+        scale = [rel_tol * (1.0 + abs(c)) for c in y0]
+        d0, d1 = _rms(y0, scale), _rms(first[0], scale)
+        h = min(max(1e-6 if d1 <= 1e-15 else 0.01 * d0 / d1, 1e-8), 1.0)
+        verdict = run(y0, first[0], h, t_max, rel_tol, vol, _domain_exit, match)
     traj.status, payload = verdict
     if traj.status == TrajectoryStatus.CONVERGED:
         traj.equilibrium_id = payload
@@ -402,7 +412,7 @@ def _drive(
 
 def _planar_chart(p: Parameters, traj: Trajectory):
     """The planar chart in floats: the parameters, ``point``, ``stage`` and
-    ``step``, which count their evaluations on ``traj`` (see
+    ``run``, which count their evaluations on ``traj`` (see
     ``_compile_chart``).
 
     Mixing an exact scalar into a float operation rounds it to float there,
@@ -461,7 +471,7 @@ def integrate_flow_3d(
     check_rtol(rel_tol)
 
     traj = Trajectory()
-    a, point, stage, step = _chart_3d(p, traj)
+    a, point, stage, run = _chart_3d(p, traj)
     # the flow keeps the start's volume, so the targets are the equilibrium
     # rays scaled onto that level set
     y0 = [math.log(float(v)) for v in x0.x]
@@ -470,4 +480,4 @@ def integrate_flow_3d(
         tuple(float(c) for c in scale_to_log_volume(p, ray.rep, lv).x)
         for ray in (solve_all(p) if equilibria is None else equilibria)
     ]
-    return _drive(traj, a, point, stage, step, targets, y0, float(t_max), float(rel_tol))
+    return _drive(traj, a, point, stage, run, targets, y0, float(t_max), float(rel_tol))

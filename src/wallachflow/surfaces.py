@@ -31,7 +31,6 @@ __all__ = [
     "q1_eval",
     "grad_q1",
     "edge_curve",
-    "omega_slice_a1_half",
     "classify_region",
     "component_classify",
     "census_kinds",
@@ -214,21 +213,6 @@ def edge_curve(t: Scalar, i: int = 1) -> EdgeCurvePoint:
     a = [t, t, t]
     a[i - 1] = val
     return EdgeCurvePoint(t=t, params=Parameters(*a))
-
-
-def omega_slice_a1_half(a2: Scalar, a3: Scalar) -> Scalar:
-    """Restriction of the degeneracy surface to the face a1 = 1/2, as a
-    quartic in the symmetric functions of (a2, a3); vanishes exactly where
-    the full polynomial vanishes on that face."""
-    u = a2 + a3
-    v = a2 * a3
-    return (
-        4 * v * (4 * v + 1) ** 2
-        - 4 * (4 * v - 1) * (4 * v + 1) ** 2 * u
-        - 13 * (4 * v + 1) ** 2 * u * u
-        + 4 * (4 * v - 1) * u**3
-        + 44 * u**4
-    )
 
 
 def _q_error_majorant(m: float) -> float:

@@ -502,7 +502,7 @@ def check_component_classification() -> tuple[list[str], str]:
         _expect(regions == {want}, problems,
                 f"{a}: sign labels {sorted(r.value for r in regions)}, census {want.value}")
     return problems, (
-        f"representatives map to O1/O2/O3; 729-point scan {labels} in {elapsed:.2f}s; "
+        f"representatives map to O1/O2/O3; 729-point scan {labels}; "
         f"census labels agree on {agree} of {len(orbits)} orbits"
     )
 

@@ -32,6 +32,14 @@ def test_trace_surface_construction_is_pinned():
     assert result.detail.endswith("; off-surface min |rho| = 3.47e-02")
 
 
+def test_component_classification_detail_is_reproducible():
+    # A12's detail holds no wall time (CheckResult.seconds carries it), so
+    # two calls of the same code give the same problems and detail
+    first = verify.check_component_classification()
+    assert first == verify.check_component_classification()
+    assert first[0] == [] and "s;" not in first[1]
+
+
 def test_a_crashed_check_keeps_its_registry_name(monkeypatch):
     # A8's surface polynomial raises: the failure is reported as A8, in place
     def crash(p):

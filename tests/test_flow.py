@@ -13,7 +13,6 @@ from wallachflow.flow import (
     MetricPoint,
     field_components,
     log_volume,
-    normalization_term,
     normalization_weight,
     phi,
     vector_field_2d,
@@ -30,6 +29,13 @@ wallach_rationals = st.fractions(
 
 def triple(p=wallach_rationals):
     return st.tuples(p, p, p)
+
+
+def normalization_term(a1, a2, a3, x1, x2, x3):
+    """The scalar-curvature normalization term ``B`` of ``flow._field``, over
+    any ring with division; homogeneous of degree -1 in the metric
+    coefficients."""
+    return flow._field(a1, a2, a3, x1, x2, x3)[3]
 
 
 def b_term(p: Parameters, x: MetricPoint):

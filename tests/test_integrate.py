@@ -1,8 +1,10 @@
 import inspect
 import itertools
 import json
+import linecache
 import math
 import os
+import random
 import re
 import struct
 import subprocess
@@ -26,7 +28,6 @@ from wallachflow.integrate import (
     _chart_3d,
     _domain_exit,
     _drive,
-    _integrate,
     _planar_chart,
     integrate_flow,
     integrate_flow_3d,
@@ -120,9 +121,10 @@ def _bits(obj):
 
 def _step_over(f):
     """``step(y, h, first, rtol)`` over the stage function ``f``, shaped as
-    a chart's generated step: ``_reference_step``, the finiteness test of
-    the result and ``_rms`` of the error estimate.  The oracle of those
-    steps, and the step of the stage functions written here."""
+    the step that each chart's ``run`` writes inline: ``_reference_step``,
+    the finiteness test of the result and ``_rms`` of the error estimate.
+    It returns ``(y5, err_norm, k7, x7, v7)``, or None for a step that
+    failed."""
 
     def step(y, h, first, rtol):
         got = _reference_step(f, y, h, (first,))
@@ -135,19 +137,119 @@ def _step_over(f):
     return step
 
 
-def _constant_field(n, bad_call=None, bad_value=math.nan, component=0):
-    """``y' = (1, 2, 3)[:n]`` whatever ``y``, except that call ``bad_call``
-    (0 is the first stage) puts ``bad_value`` in one component."""
-    calls = []
+def _reference_observe(traj, a, targets, v_ref=None):
+    """``observe(t, x, v)``, which records an accepted step on ``traj`` and
+    may return a (status, payload) pair that ends the run; the volume's
+    reference is ``v_ref``, or the volume at the first call."""
+    abs_ref = None if v_ref is None else abs(v_ref)
+    a1, a2, a3 = a
+    lo, hi, tol = integrate_mod._DOMAIN_LO, integrate_mod._DOMAIN_HI, integrate_mod._FIELD_TOL
+    exp, log = math.exp, math.log
 
-    def f(*y):
-        k = [1.0, 2.0, 3.0][:n]
-        if len(calls) == bad_call:
-            k[component] = bad_value
-        calls.append(y)
-        return (k, y, None)
+    def observe(t, x, v):
+        nonlocal v_ref, abs_ref
+        # log V summed left to right, as ``sum`` did before Python 3.12
+        x1, x2, x3 = x
+        vol = exp(log(x1) / a1 + log(x2) / a2 + log(x3) / a3)
+        if v_ref is None:
+            v_ref, abs_ref = vol, abs(vol)
+        drift = abs(vol - v_ref) / abs_ref
+        # max(traj.max_volume_drift, drift), which keeps the maximum at a NaN drift
+        if drift > traj.max_volume_drift:
+            traj.max_volume_drift = drift
+        traj.samples.append((t, *x, vol))
+        # a NaN coordinate fails the range test, and _domain_exit names no face for it
+        if not (lo <= x1 <= hi and lo <= x2 <= hi and lo <= x3 <= hi):
+            face = integrate_mod._domain_exit(x)
+            if face is not None:
+                return (TrajectoryStatus.LEFT_DOMAIN, face)
+        # max(map(abs, v)) <= tol as comparisons: a NaN first component
+        # fails it, and a later one is skipped, as max skips it; v has 2 or
+        # 3 components, so v[-1] is the last or tested twice
+        if v is not None and abs(v[0]) <= tol and not abs(v[1]) > tol and not abs(v[-1]) > tol:
+            for idx, target in enumerate(targets):
+                d = max(abs(xi - ti) for xi, ti in zip(x, target)) / (
+                    1.0 + max(abs(c) for c in target)
+                )
+                if d <= integrate_mod._EQ_DIST_TOL:
+                    return (TrajectoryStatus.CONVERGED, idx)
+        return None
 
-    return f
+    return observe
+
+
+def _reference_integrate(step, y, first, h, t_max, rtol, observe, traj):
+    """Step from ``y``, whose derivative is ``first``, with the first step
+    size ``h``, until an observer verdict, step underflow or ``t_max``;
+    return the verdict.  ``step`` is shaped as ``_step_over``'s, and
+    ``observe(t, x, v)`` sees every accepted step.  ``traj`` counts the
+    steps, and ``step``'s stages count the field evaluations.  The step
+    controller clamps with ``max`` and ``min``, which
+    ``TestClampComparisons`` holds equal to the comparisons of ``run``."""
+    t = 0.0
+    err_prev = 1.0
+    while t < t_max:
+        if h < integrate_mod._MIN_STEP:
+            return (TrajectoryStatus.STEP_UNDERFLOW, None)
+        if t_max - t < h:
+            h = t_max - t
+        result = step(y, h, first, rtol)
+        if result is None:
+            traj.steps_rejected += 1
+            h *= 0.25
+            continue
+        y_new, err_norm, k, x, v = result
+        if err_norm <= 1.0:
+            traj.steps_accepted += 1
+            t += h
+            y, first = y_new, k
+            verdict = observe(t, x, v)
+            if verdict is not None:
+                return verdict
+            factor = integrate_mod._SAFETY * max(err_norm, 1e-10) ** -integrate_mod._PI_ALPHA
+            factor *= err_prev**integrate_mod._PI_BETA
+            err_prev = max(err_norm, 1e-10)
+            h *= min(integrate_mod._MAX_GROWTH, max(integrate_mod._MIN_SHRINK, factor))
+        else:
+            traj.steps_rejected += 1
+            h *= max(integrate_mod._MIN_SHRINK, integrate_mod._SAFETY * err_norm**-integrate_mod._PI_ALPHA)
+    return (TrajectoryStatus.MAX_TIME, None)
+
+
+def _reference_drive(traj, a, point, stage, _run, targets, y0, t_max, rel_tol):
+    """``_drive`` as plain Python: the start, then ``_reference_integrate``
+    over ``_step_over(stage)`` with ``_reference_observe``.  The oracle of
+    each chart's ``run``, which shares no code with its generator; it takes
+    ``_drive``'s arguments and ignores ``run``."""
+    observe = _reference_observe(traj, a, targets)
+    first = stage(*y0)
+    try:
+        verdict = observe(0.0, *(first[1:] if first else (point(y0), None)))
+        if not all(map(math.isfinite, traj.samples[0])):
+            raise OverflowError
+    except (ArithmeticError, ValueError):
+        raise ValueError("the start point's x3 or volume is outside the float range") from None
+    if verdict is None:
+        if first is None or not all(map(math.isfinite, first[0])):
+            raise ValueError("the flow field cannot be evaluated in floats at the start point")
+        scale = [rel_tol * (1.0 + abs(c)) for c in y0]
+        d0, d1 = integrate_mod._rms(y0, scale), integrate_mod._rms(first[0], scale)
+        h = min(max(1e-6 if d1 <= 1e-15 else 0.01 * d0 / d1, 1e-8), 1.0)
+        verdict = _reference_integrate(_step_over(stage), y0, first[0], h, t_max, rel_tol, observe, traj)
+    traj.status, payload = verdict
+    if traj.status == TrajectoryStatus.CONVERGED:
+        traj.equilibrium_id = payload
+    elif traj.status == TrajectoryStatus.LEFT_DOMAIN:
+        traj.exit_face = payload
+    return traj
+
+
+def _outcome(traj):
+    """Everything a run records on ``traj``, floats as bytes."""
+    return _bits((
+        traj.samples, traj.status, traj.exit_face, traj.equilibrium_id, traj.max_volume_drift,
+        traj.field_evals, traj.steps_accepted, traj.steps_rejected,
+    ))
 
 
 @pytest.fixture
@@ -202,66 +304,68 @@ def _stage_point(chart, x):
     return dict(enumerate(x if chart is _chart_3d else (x[0], x[1], x[2], 1.0)))
 
 
-def _run_step(chart, p, y, h, rtol, exp_calls, bad=None, oracle=False):
-    """One step of ``chart`` at ``p`` from ``y`` on a fresh chart and
-    Trajectory, with the replacements ``bad`` in the ``math.exp`` calls of
-    the step (see ``exp_calls``): the result, the count of field
-    evaluations and the arguments of ``math.exp``, floats as bytes.  With
-    ``oracle``, the step is ``_step_over`` the chart's ``stage``."""
+# a first step size whose quarter is below _MIN_STEP: a run from it up to
+# t_max = _ONE_TRY makes one attempt, taken or retried into step underflow
+_ONE_TRY = 2e-14
+
+
+def _run_from(chart, p, y, h, rtol, exp_calls, bad=None, oracle=False, first=None):
+    """A run of ``chart`` at ``p`` from ``y`` up to ``t_max = h`` with the
+    first step size ``h``, on a fresh chart and Trajectory, with the
+    replacements ``bad`` in the ``math.exp`` calls of the run (see
+    ``exp_calls``): the verdict, the outcome on the Trajectory, whose counts
+    leave out the start's evaluation, and the arguments of ``math.exp``,
+    floats as bytes.  The start's derivative is its stage's unless
+    ``first`` is given, and the volume's reference is 1.  The run is the
+    chart's ``run``, or with ``oracle`` ``_reference_integrate`` over
+    ``_step_over`` the chart's ``stage``; neither has a target."""
     traj = Trajectory()
-    _a, _point, stage, step = chart(p, traj)
+    a, _point, stage, run = chart(p, traj)
     exp_calls.update(calls=0, bad={})
-    first = stage(*y)[0]
+    k = stage(*y)[0] if first is None else first
+    traj.field_evals = 0
     exp_calls.update(calls=0, bad=bad or {}, args=[])
-    before = traj.field_evals
-    got = (_step_over(stage) if oracle else step)(y, h, first, rtol)
-    if got is not None:
-        got = [list(part) if isinstance(part, (list, tuple)) else part for part in got]
-    return _bits(got), traj.field_evals - before, _bits(exp_calls["args"])
+    if oracle:
+        observe = _reference_observe(traj, a, [], 1.0)
+        verdict = _reference_integrate(_step_over(stage), y, k, h, h, rtol, observe, traj)
+    else:
+        verdict = run(y, k, h, h, rtol, 1.0, _domain_exit, lambda _x: None)
+    return _bits(verdict), _outcome(traj), _bits(exp_calls["args"])
 
 
 class TestStepper:
     @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
     def test_local_error_estimate_order(self, chart):
         # the embedded error estimate of the 5(4) pair shrinks like h^5
-        _a, _point, stage, step = chart(_P, Trajectory())
+        _a, _point, stage, _run = chart(_P, Trajectory())
         y = _start(chart)
         first = stage(*y)[0]
-        errs = [step(y, h, first, 1e-6)[1] for h in (0.1, 0.05, 0.025)]
+        errs = [_step_over(stage)(y, h, first, 1e-6)[1] for h in (0.1, 0.05, 0.025)]
         assert errs[0] / errs[1] > 2**4.5
         assert errs[1] / errs[2] > 2**4.5
 
-    def test_global_error_tracks_tolerance(self):
-        # manufactured linear problem with known solution, on two equal
-        # components because the stepper takes a chart's 2 or 3
-        lam = -1.3
-
-        def f(*y):
-            return ([lam * y[0], lam * y[1]], y, None)
-
-        errors = []
-        for rtol in (1e-6, 1e-9):
-            final = {}
-
-            def observe(t, x, _v):
-                final["t"], final["y"] = t, x[0]
-                assert x[1] == x[0]
-                return None
-
-            status, _ = _integrate(_step_over(f), [1.0, 1.0], f(1.0, 1.0)[0], 3.0, rtol, observe, Trajectory())
-            assert status == TrajectoryStatus.MAX_TIME
-            errors.append(abs(final["y"] - math.exp(lam * final["t"])))
+    def test_global_error_tracks_tolerance(self, stable_params):
+        # the error at t = 3 of runs at two tolerances, against a run at the
+        # least tolerance, shrinks with the tolerance
+        x0 = MetricPoint(1.8, 0.7, 1.3)
+        finals = []
+        for rtol in (1e-6, 1e-9, 1e-12):
+            traj = integrate_flow_3d(stable_params, x0, t_max=3.0, rel_tol=rtol)
+            assert traj.status == TrajectoryStatus.MAX_TIME and traj.samples[-1][0] == 3.0
+            finals.append(traj.final_point)
+        errors = [max(abs(c - e) for c, e in zip(final, finals[-1])) for final in finals[:2]]
         assert errors[0] / max(errors[1], 1e-18) > 10
 
     @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
     def test_seventh_stage_is_the_stage_at_the_result(self, chart):
         # FSAL: the last row of the tableau is the 5th-order weights, so the
-        # stage the step returns is, bit for bit, the stage at its result
-        _a, _point, stage, step = chart(_P, Trajectory())
+        # seventh stage of a step, which the next step takes as its first,
+        # is, bit for bit, the stage at its result
+        _a, _point, stage, _run = chart(_P, Trajectory())
         rng = np.random.default_rng(5)
         for _ in range(20):
             y = rng.uniform(-0.5, 0.5, 2 if chart is _planar_chart else 3).tolist()
-            y5, _err_norm, *last = step(y, float(rng.uniform(0.01, 0.5)), stage(*y)[0], 1e-6)
+            y5, _err_norm, *last = _step_over(stage)(y, float(rng.uniform(0.01, 0.5)), stage(*y)[0], 1e-6)
             assert _bits(tuple(last)) == _bits(stage(*y5))
 
 
@@ -276,8 +380,9 @@ _NON_FINITE_POINTS = {
 
 
 class TestStraightLineStep:
-    """The straight-line step that each float chart generates from the
-    tableau, on its own; ``TestFusedSteps`` holds it to the reference."""
+    """The Dormand-Prince step that each float chart's ``run`` writes
+    inline from the tableau, on its own; ``TestFusedRun`` holds ``run`` to
+    the reference."""
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("weights", [0, 1, 2, 3, 4, 5, "_B", "_E"])
@@ -300,13 +405,17 @@ class TestStraightLineStep:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("bad_call", range(1, 7))
     def test_a_stage_that_cannot_be_evaluated_fails_the_step(self, n, bad_call, exp_calls):
-        # the first math.exp call of stage bad_call + 1 (stages 2 to 7)
-        # raises; no later one runs
+        # the first math.exp call of stage bad_call + 1 (stages 2 to 7) of
+        # the one attempt raises; no later one runs, and the retry at a
+        # quarter of the step size underflows
         chart = _CHART_OF_SIZE[n]
         per, y = _EXPS_PER_STAGE[chart], _start(chart)
-        assert _run_step(chart, _P, y, 0.1, 1e-6, exp_calls)[0] is not None
+        verdict, outcome, _args = _run_from(chart, _P, y, _ONE_TRY, 1e-6, exp_calls)
+        assert verdict == (TrajectoryStatus.MAX_TIME, None) and outcome[-3:] == (6, 1, 0)
         bad = {(bad_call - 1) * per: OverflowError}
-        assert _run_step(chart, _P, y, 0.1, 1e-6, exp_calls, bad)[:2] == (None, bad_call)
+        verdict, outcome, _args = _run_from(chart, _P, y, _ONE_TRY, 1e-6, exp_calls, bad)
+        assert verdict == (TrajectoryStatus.STEP_UNDERFLOW, None)
+        assert outcome[-3:] == (bad_call, 0, 1)
         assert exp_calls["calls"] == (bad_call - 1) * per + 1
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -317,52 +426,56 @@ class TestStraightLineStep:
         # component: the start's is given so, a later stage sits at a point
         # of _NON_FINITE_POINTS, and every stage after it at (1, 1, 1),
         # whatever its log state; so stage 2 or 7 reaches the result only
-        # through its zero weight, which must be kept.  Every stage is
-        # evaluated, and the step fails on its result
+        # through its zero weight, which must be kept.  Every stage of the
+        # one attempt is evaluated, and the step fails on its result
         chart = _CHART_OF_SIZE[n]
         per, y = _EXPS_PER_STAGE[chart], _start(chart)
         for component in range(n):
             results = []
             for x_bad in ((1.0, 1.0, 1.0), _NON_FINITE_POINTS[repr(bad_value)][component]):
-                traj = Trajectory()
-                _a, _point, stage, step = chart(_P, traj)
                 exp_calls.update(calls=0, bad={})
-                first = list(stage(*y)[0])
+                first = list(chart(_P, Trajectory())[2](*y)[0])
                 if bad_call == 0 and x_bad != (1.0, 1.0, 1.0):
                     first[component] = bad_value
                 bad = {}
                 for stage_no in range(2, 8):
                     x = x_bad if stage_no == bad_call + 1 else (1.0, 1.0, 1.0)
                     bad.update({(stage_no - 2) * per + j: v for j, v in _stage_point(chart, x).items()})
-                exp_calls.update(calls=0, bad=bad)
-                results.append((step(y, 0.1, first, 1e-6), traj.field_evals - 1, exp_calls["calls"]))
-            assert results[0][0] is not None
-            assert results[1] == (None, 6, 6 * per), component
+                verdict, outcome, _args = _run_from(chart, _P, y, _ONE_TRY, 1e-6, exp_calls, bad, first=first)
+                results.append((verdict, outcome[-3:], exp_calls["calls"]))
+            assert results[0] == (_bits((TrajectoryStatus.MAX_TIME, None)), (6, 1, 0), 6 * per + 1)
+            assert results[1] == (_bits((TrajectoryStatus.STEP_UNDERFLOW, None)), (6, 0, 1), 6 * per), component
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("bad_call", range(1, 7))
-    def test_the_driver_rejects_a_step_with_a_non_finite_stage(self, n, bad_call):
-        # call 0 is the start's stage, calls 1 to 6 are stages 2 to 7 of the
-        # first attempted step; that step is rejected and the run goes on
-        f = _constant_field(n, bad_call)
+    def test_the_driver_rejects_a_step_with_a_non_finite_stage(self, n, bad_call, exp_calls):
+        # stage bad_call + 1 of the first attempted step sits where the
+        # field is NaN; the calls before it are the start's stage and
+        # volume.  That step is rejected and the run goes on
+        chart = _CHART_OF_SIZE[n]
+        per, y = _EXPS_PER_STAGE[chart], _start(chart)
+        point = _stage_point(chart, _NON_FINITE_POINTS["nan"][0])
+        exp_calls.update(calls=0, bad={per + 1 + (bad_call - 1) * per + j: v for j, v in point.items()})
         traj = Trajectory()
-        status, _ = _integrate(_step_over(f), [0.0] * n, f(*[0.0] * n)[0], 1.0, 1e-6, lambda *_: None, traj)
-        assert status == TrajectoryStatus.MAX_TIME
+        _drive(traj, *chart(_P, traj), [], y, 1.0, 1e-3)
+        assert traj.status == TrajectoryStatus.MAX_TIME
         assert traj.steps_rejected == 1
         assert traj.steps_accepted > 0
 
 
-class TestFusedSteps:
-    """Each float chart's generated ``step`` against ``_step_over`` its own
-    ``stage`` (``_reference_step``, the finiteness test and ``_rms``), bit
-    for bit, with the same count of field evaluations and the same
-    arguments of ``math.exp``, the log states of the stages."""
+class TestFusedRun:
+    """Each float chart's generated ``run`` against ``_reference_integrate``
+    over ``_step_over`` its own ``stage`` (``_reference_step``, the
+    finiteness test and ``_rms``) and ``_reference_observe``, bit for bit:
+    the same verdict, samples, volume drift and counts, and the same
+    arguments of ``math.exp``, the log states of the stages and the volumes
+    of the samples."""
 
     @staticmethod
     def _both(chart, p, y, h, rtol, exp_calls, bad=None):
-        # the oracle and the fused step, each on its own chart and Trajectory
-        oracle = _run_step(chart, p, y, h, rtol, exp_calls, bad, oracle=True)
-        fused = _run_step(chart, p, y, h, rtol, exp_calls, bad)
+        # the oracle and the fused run, each on its own chart and Trajectory
+        oracle = _run_from(chart, p, y, h, rtol, exp_calls, bad, oracle=True)
+        fused = _run_from(chart, p, y, h, rtol, exp_calls, bad)
         assert oracle == fused
         return fused[:2]
 
@@ -372,27 +485,31 @@ class TestFusedSteps:
         p = Parameters(*(Fraction(s) if "/" in s else float(s) for s in a.split(",")))
         n = 2 if chart is _planar_chart else 3
         rng = np.random.default_rng(23)
-        counts = set()
-        for _ in range(200):
+        seen = set()
+        for _ in range(60):
             y = rng.uniform(-3.0, 3.0, n).tolist()
-            h = float(10 ** rng.uniform(-8, 1.5))
+            h = float(10 ** rng.uniform(-8, 0))
             rtol = float(10 ** rng.uniform(-12, -3))
-            _a, _point, stage, _step = chart(p, Trajectory())
+            _a, _point, stage, _run = chart(p, Trajectory())
             if stage(*y) is None:
                 continue
-            got, evals = self._both(chart, p, y, h, rtol, exp_calls)
-            counts.add((got is None, evals))
-        # the draws include steps that fail at a stage and steps that do not
-        assert (False, 6) in counts and any(failed for failed, _evals in counts)
+            _verdict, outcome = self._both(chart, p, y, h, rtol, exp_calls)
+            evals, accepted, rejected = outcome[-3:]
+            seen.add((rejected > 0, evals < 6 * (accepted + rejected)))
+        # the draws include runs with no retry, and retries after a failed
+        # stage
+        assert (False, False) in seen and (True, True) in seen
 
     @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
     @pytest.mark.parametrize("stage_no", range(2, 8))
     def test_a_failed_stage_is_counted_alike(self, chart, stage_no, exp_calls):
         per, y = _EXPS_PER_STAGE[chart], _start(chart)
-        assert self._both(chart, _P, y, 0.1, 1e-6, exp_calls)[0] is not None
+        assert self._both(chart, _P, y, _ONE_TRY, 1e-6, exp_calls)[1][-3:] == (6, 1, 0)
         for failure in _STAGE_FAILURES[chart]:
             bad = {(stage_no - 2) * per + j: value for j, value in failure.items()}
-            assert self._both(chart, _P, y, 0.1, 1e-6, exp_calls, bad) == (None, stage_no - 1), failure
+            verdict, outcome = self._both(chart, _P, y, _ONE_TRY, 1e-6, exp_calls, bad)
+            assert verdict == _bits((TrajectoryStatus.STEP_UNDERFLOW, None)), failure
+            assert outcome[-3:] == (stage_no - 1, 0, 1), failure
 
     @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
     def test_a_result_that_is_not_finite_fails_the_step(self, chart, exp_calls):
@@ -402,37 +519,80 @@ class TestFusedSteps:
         # weight
         per, y = _EXPS_PER_STAGE[chart], _start(chart)
         bad = {5 * per + j: value for j, value in _stage_point(chart, (1e-300, 1e300, 1.0)).items()}
-        assert self._both(chart, _P, y, 0.1, 1e-6, exp_calls, bad) == (None, 6)
+        verdict, outcome = self._both(chart, _P, y, _ONE_TRY, 1e-6, exp_calls, bad)
+        assert verdict == _bits((TrajectoryStatus.STEP_UNDERFLOW, None))
+        assert outcome[-3:] == (6, 0, 1)
         # the reference evaluates every stage and returns a NaN result
-        _a, _point, stage, _step = chart(_P, Trajectory())
+        _a, _point, stage, _run = chart(_P, Trajectory())
         exp_calls.update(calls=0, bad={})
         first = stage(*y)
         exp_calls.update(calls=0, bad=bad)
-        y5, _err, _last = _reference_step(stage, y, 0.1, first)
+        y5, _err, _last = _reference_step(stage, y, _ONE_TRY, first)
         assert not all(map(math.isfinite, y5))
 
+    @pytest.mark.parametrize("three_d", [False, True])
+    def test_seeded_runs_equal_the_reference_driver(self, three_d, exp_calls, monkeypatch):
+        # integrate_flow and integrate_flow_3d from seeded starts, at exact
+        # and float parameters, through _drive and through _reference_drive:
+        # the same samples, status, exit face, equilibrium, volume drift and
+        # counts, bit for bit, and the same arguments of math.exp
+        rng = random.Random(11)
+        drive = integrate_mod._drive
+        seen = []
+        for a in ("1/6,1/4,1/3", "7/15,7/15,7/15", "1/6,1/6,1/6", "0.17,0.26,0.33"):
+            p = Parameters(*(Fraction(s) if "/" in s else float(s) for s in a.split(",")))
+            rays = solve_all(p)
+            for rtol in (1e-6, 1e-10):
+                for _ in range(3):
+                    x = [math.exp(rng.uniform(-0.5, 0.5)) for _ in range(3 if three_d else 2)]
+                    runs = []
+                    for driver in (_reference_drive, drive):
+                        monkeypatch.setattr(integrate_mod, "_drive", driver)
+                        exp_calls.update(calls=0, bad={}, args=[])
+                        if three_d:
+                            traj = integrate_flow_3d(p, MetricPoint(*x), t_max=60.0, rel_tol=rtol, equilibria=rays)
+                        else:
+                            traj = integrate_flow(p, tuple(x), t_max=60.0, rel_tol=rtol, equilibria=rays)
+                        runs.append((_outcome(traj), _bits(exp_calls["args"])))
+                    assert runs[0] == runs[1], (a, x, rtol)
+                    seen.append((a, traj.status, traj.steps_rejected > 0))
+        assert {status for _a, status, _rejected in seen} == {
+            TrajectoryStatus.CONVERGED, TrajectoryStatus.LEFT_DOMAIN, TrajectoryStatus.MAX_TIME,
+        }
+        assert any(rejected for _a, _status, rejected in seen)
+
     def test_the_generated_text_is_shown(self):
-        # each chart's step is compiled from text registered in linecache,
-        # with the map and the field's text spliced into each of its stages
+        # each chart's run is compiled from text registered in linecache,
+        # with the map and the field's text spliced into each of its stages;
+        # the planar chart leaves out the field's v3, which it never reads
         field = flow_mod._FIELD_TEXT.splitlines()
         for chart, name in ((_planar_chart, "planar"), (_chart_3d, "3d")):
-            _a, point, stage, step = chart(_P, Trajectory())
-            source = inspect.getsource(step)
-            assert source.startswith("    def step(y, h, first, rtol):\n")
-            assert inspect.getsourcefile(step) == f"<{name} chart>"
+            _a, point, stage, run = chart(_P, Trajectory())
+            source = inspect.getsource(run)
+            assert source.startswith("    def run(y, first, h, t_max, rtol, v_ref, exit_face, match):\n")
+            assert inspect.getsourcefile(run) == f"<{name} chart>"
             statements = [statement for statement, _test in integrate_mod._CHARTS[name][2]]
-            for line in field + statements:
-                assert source.count(f"            {line}\n") == 6, line
-            assert "_field" not in source
-            for line in field + statements:
+            spliced = [line for line in field if name == "3d" or not line.startswith("v3 =")]
+            for line in spliced + statements:
+                assert source.count(f"                {line}\n") == 6, line
                 assert inspect.getsource(stage).count(f"{line}\n") == 1, line
+            assert "_field" not in source and "step(" not in source
             assert inspect.getsource(point).count(statements[-1]) == 1
         # _field is compiled from the same text
         source = inspect.getsource(flow_mod._field)
         assert all(f"    {line}\n" in source for line in field)
 
+    def test_only_the_3d_chart_computes_v3(self):
+        # the planar chart's k and velocity read v1 and v2 only, and v3's
+        # float products and sums never raise, so its line is left out
+        _planar_chart(_P, Trajectory())
+        _chart_3d(_P, Trajectory())
+        texts = {name: "".join(linecache.getlines(f"<{name} chart>")) for name in ("planar", "3d")}
+        assert not re.search(r"^ *v3 = ", texts["planar"], re.M)
+        assert len(re.findall(r"^ *v3 = ", texts["3d"], re.M)) == 7
+
     def test_importing_the_cli_compiles_no_step(self):
-        # the chart steps are compiled on first use
+        # the chart runs are compiled on first use
         code = "import wallachflow.cli, wallachflow.integrate as i\nprint(sorted(i._CHART_FACTORIES))"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
@@ -443,11 +603,11 @@ _CLAMP_VALUES = [math.nan, math.inf, -math.inf, 1e-10, 0.2, 5.0, 0.0, -0.0, 1.0]
 
 
 class TestClampComparisons:
-    """``_integrate`` and ``_drive`` clamp by comparisons where they called
+    """Each chart's ``run`` clamps by comparisons where the driver called
     ``max`` and ``min``: ``max(a, b)`` is ``b if b > a else a`` and ``min(a,
     b)`` is ``b if b < a else a``, so the bits are the same, NaN and the
     infinities included.  The step controller's forms are written here as in
-    ``_integrate``; ``observe``'s field test runs through ``_drive``."""
+    ``run``; the field test is read from ``run``'s text."""
 
     @settings(max_examples=300, deadline=None)
     @given(x=st.one_of(st.sampled_from(_CLAMP_VALUES), st.floats()))
@@ -474,47 +634,55 @@ class TestClampComparisons:
         new=st.one_of(st.sampled_from(_CLAMP_VALUES), st.floats()),
     )
     def test_drift_update(self, old, new):
-        traj = Trajectory(max_volume_drift=old)
-        if new > traj.max_volume_drift:
-            traj.max_volume_drift = new
-        assert _bits(traj.max_volume_drift) == _bits(max(old, new))
+        drift_max = old
+        if new > drift_max:
+            drift_max = new
+        assert _bits(drift_max) == _bits(max(old, new))
 
-    def test_a_huge_error_shrinks_the_step_by_the_floor(self):
-        # stage 7 of the first step is 1e12 where every other stage is 1:
-        # it has no weight in the result but the error weight -1/40, so the
-        # error norm is about 2.5e8 and 0.9 * err_norm**-0.14 about 0.06;
-        # the retry takes h * _MIN_SHRINK
-        calls = []
+    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
+    def test_a_huge_error_shrinks_the_step_by_the_floor(self, chart, exp_calls):
+        # stage 7 of the first step sits at (1e-100, 1, 1), where the
+        # derivative is about 1e100: it has no weight in the result but the
+        # error weight -1/40, so 0.9 * err_norm**-0.14 is far below
+        # _MIN_SHRINK and the retry takes h * _MIN_SHRINK
+        per, y = _EXPS_PER_STAGE[chart], _start(chart)
+        bad = {5 * per + j: value for j, value in _stage_point(chart, (1e-100, 1.0, 1.0)).items()}
+        _verdict, outcome, args = _run_from(chart, _P, y, 0.1, 1e-6, exp_calls, bad)
+        assert outcome[-1] == 1
+        # the first call of each attempt is the second stage's exp(ya), at
+        # ya = y[0] + h * _A21 * k1a
+        h1, h2 = (struct.unpack("<d", args[i])[0] - y[0] for i in (0, 6 * per))
+        assert h2 / h1 == pytest.approx(integrate_mod._MIN_SHRINK, rel=1e-9)
 
-        def f(*y):
-            calls.append(y)
-            return ((1e12, 1e12) if len(calls) == 7 else (1.0, 1.0), y, None)
-
-        traj = Trajectory()
-        _integrate(_step_over(f), [0.0, 0.0], f(0.0, 0.0)[0], 1e-6, 1e-6, lambda *_: None, traj)
-        assert traj.steps_rejected == 1
-        # with k1 = 1 the second stage of a step from 0 is at h * _A21
-        a21 = integrate_mod._A[0][0]
-        h1, h2 = calls[1][0] / a21, calls[7][0] / a21
-        assert h2 / h1 == pytest.approx(integrate_mod._MIN_SHRINK, rel=1e-12)
+    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
+    def test_field_test_of_run(self, chart):
+        # run ends in convergence at a target only where max(map(abs, v))
+        # <= _FIELD_TOL, which fails at a NaN first component and skips a
+        # later one; its test is read from the generated text
+        n = 2 if chart is _planar_chart else 3
+        (test,) = re.findall(r"^ *if (abs\(v1\) .*):$", inspect.getsource(chart(_P, Trajectory())[3]), re.M)
+        tol = integrate_mod._FIELD_TOL
+        values = [math.nan, math.inf, 0.0, -tol, tol, 2 * tol]
+        seen = set()
+        for v in itertools.product(values, repeat=n):
+            want = max(map(abs, v)) <= tol
+            assert eval(test, {}, {f"v{j}": vj for j, vj in enumerate(v, 1)}) == want, v
+            seen.add((want, math.isnan(v[0]), any(map(math.isnan, v[1:]))))
+        assert seen >= {(False, True, False), (True, False, True), (False, False, True)}
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_field_test_of_observe(self, n):
+    def test_field_test_of_the_start(self, n):
         # the start sits on the one target with velocity v; the run
-        # converges at once iff max(map(abs, v)) <= _FIELD_TOL, which
-        # fails at a NaN first component and skips a later one
+        # converges at once iff max(map(abs, v)) <= _FIELD_TOL
         tol = integrate_mod._FIELD_TOL
         values = [math.nan, math.inf, 0.0, -tol, tol, 2 * tol]
         x = (1.0, 1.0, 1.0)
-        seen = set()
         for v in itertools.product(values, repeat=n):
             traj = Trajectory()
             stage = lambda *_y, v=v: ((0.0,) * n, x, v)  # noqa: E731
-            _drive(traj, x, None, stage, _step_over(stage), [x[:n]], [0.0] * n, 1e-3, 1e-6)
-            want = max(map(abs, v)) <= tol
-            assert (traj.status == TrajectoryStatus.CONVERGED) == want, v
-            seen.add((want, math.isnan(v[0]), any(map(math.isnan, v[1:]))))
-        assert seen >= {(False, True, False), (True, False, True), (False, False, True)}
+            run = lambda *_args: (TrajectoryStatus.MAX_TIME, None)  # noqa: E731
+            _drive(traj, x, None, stage, run, [x[:n]], [0.0] * n, 1e-3, 1e-6)
+            assert (traj.status == TrajectoryStatus.CONVERGED) == (max(map(abs, v)) <= tol), v
 
 
 class TestRunStatus:
@@ -533,24 +701,28 @@ class TestRunStatus:
         assert (run["status"], run["steps"]) == ("max_time", 2)
 
     def test_a_stage_that_fails_everywhere_ends_step_underflow(self, stable_params, monkeypatch):
-        # the field works at the start only: once the driver steps, math.exp
-        # raises OverflowError in every stage, so every step is retried at a
-        # quarter of its size until the size drops below _MIN_STEP
+        # the field works at the start only: once the chart's run starts,
+        # math.exp raises OverflowError in every stage, so every step is
+        # retried at a quarter of its size until the size drops below
+        # _MIN_STEP
         stepping = []
-        exp, integrate = math.exp, integrate_mod._integrate
+        exp, drive = math.exp, integrate_mod._drive
 
         def failing_exp(u):
             if stepping:
                 raise OverflowError
             return exp(u)
 
-        def start_stepping(*args):
-            stepping.append(True)
-            return integrate(*args)
+        def drive_stepping(traj, a, point, stage, run, *args):
+            def start_stepping(*run_args):
+                stepping.append(True)
+                return run(*run_args)
+
+            return drive(traj, a, point, stage, start_stepping, *args)
 
         # the charts bind math.exp when they are made, inside integrate_flow
         monkeypatch.setattr(math, "exp", failing_exp)
-        monkeypatch.setattr(integrate_mod, "_integrate", start_stepping)
+        monkeypatch.setattr(integrate_mod, "_drive", drive_stepping)
         for x0 in ((1.05, 0.95), MetricPoint(1.05, 0.95, 1.0)):
             stepping.clear()
             run = integrate_flow if isinstance(x0, tuple) else integrate_flow_3d
@@ -696,27 +868,28 @@ class TestLimitClassification:
         (math.nextafter(1e8, math.inf), "max"),
         (math.nan, None),
     ])
-    def test_the_box_is_closed(self, i, value, side, monkeypatch):
-        # the driver tests the range first and asks _domain_exit for the
-        # face only outside it; a NaN fails the range test but has no face
+    def test_the_box_is_closed(self, i, value, side, exp_calls, monkeypatch):
+        # the run tests the range first and asks _domain_exit for the face
+        # only outside it; a NaN fails the range test but has no face, and
+        # no stage has a NaN point
         x = tuple(value if j == i else 1.0 for j in range(3))
         face = None if side is None else f"x{i + 1}-{side}"
         assert _domain_exit(x) == face
+        if math.isnan(value):
+            return
         asked = []
         monkeypatch.setattr(integrate_mod, "_domain_exit", lambda x: asked.append(x) or _domain_exit(x))
-        calls = []
-
-        def stage(*y):
-            # a start at (1, 1, 1), then x at every later stage
-            calls.append(y)
-            return ((0.0, 0.0), (1.0, 1.0, 1.0) if len(calls) == 1 else x, (1.0, 1.0))
-
+        # the 3D chart from (1, 1, 1), then every stage of the first 40
+        # steps at x: the start's stage and volume take math.exp calls 0 to
+        # 3, and each step 18 stage calls and one for the volume.  At
+        # rel_tol 1e20 every step is taken
+        exp_calls.update(calls=0, bad={4 + 19 * step + j: x[j % 3] for step in range(40) for j in range(18)})
         traj = Trajectory()
-        _drive(traj, (1.0, 1.0, 1.0), None, stage, _step_over(stage), [], [0.0, 0.0], 1.0, 1e-6)
+        _drive(traj, *_chart_3d(_P, traj), [], [0.0, 0.0, 0.0], 1.0, 1e20)
         assert traj.exit_face == face
-        assert bool(asked) == (not 1e-8 <= value <= 1e8)
+        assert asked[0] == (1.0, 1.0, 1.0) and bool(asked[1:]) == (face is not None)
         if face is None:
-            assert traj.status == TrajectoryStatus.MAX_TIME and traj.steps_accepted > 1
+            assert traj.status == TrajectoryStatus.MAX_TIME and 1 < traj.steps_accepted < 40
         else:
             assert traj.status == TrajectoryStatus.LEFT_DOMAIN and traj.steps_accepted == 1
 
@@ -753,28 +926,20 @@ class TestLimitClassification:
         assert out == ""
         assert err == "error: the flow field cannot be evaluated in floats at the start point\n"
 
-    def test_3d_stage_beyond_the_float_range_is_rejected(self, stable_params, monkeypatch):
+    def test_3d_stage_beyond_the_float_range_is_rejected(self, stable_params):
         # math.exp raises OverflowError at this log state; the stage and the
-        # step count the evaluation and reject the stage instead of raising
+        # run count the evaluation and reject the stage instead of raising
         traj = Trajectory()
-        a, point, stage, step = _chart_3d(stable_params, traj)
+        _a, point, stage, run = _chart_3d(stable_params, traj)
         with pytest.raises(OverflowError):
             point([800.0, 0.0, 0.0])
         assert stage(800.0, 0.0, 0.0) is None
         assert traj.field_evals == 1
-        seen = {}
-
-        def drive_one_step(step, _y0, first, _t_max, rel_tol, _observe, traj):
-            # the step's second stage lies next to the log state 800
-            before = traj.field_evals
-            seen["step"] = step([800.0, 0.0, 0.0], 0.1, first, rel_tol)
-            seen["counted"] = traj.field_evals - before
-            return (TrajectoryStatus.MAX_TIME, None)
-
-        monkeypatch.setattr(integrate_mod, "_integrate", drive_one_step)
-        assert _drive(traj, a, point, stage, step, [], [0.0, 0.0, 0.0], 1.0, 1e-6) is traj
-        assert seen == {"step": None, "counted": 1}
-        assert traj.status == TrajectoryStatus.MAX_TIME
+        # the one attempt's second stage lies next to the log state 800
+        first = stage(0.0, 0.0, 0.0)[0]
+        verdict = run([800.0, 0.0, 0.0], first, _ONE_TRY, _ONE_TRY, 1e-6, 1.0, _domain_exit, lambda _x: None)
+        assert verdict == (TrajectoryStatus.STEP_UNDERFLOW, None)
+        assert (traj.field_evals, traj.steps_accepted, traj.steps_rejected) == (3, 0, 1)
 
     def test_3d_start_at_the_largest_float_is_a_domain_error(self, capsys):
         # the start's volume leaves the float range

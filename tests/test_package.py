@@ -9,10 +9,10 @@ import wallachflow
 
 MODULES = ("core", "flow", "equilibria", "linearize", "blowup", "surfaces", "integrate")
 # the closed-form solvers and the other names that only tests called: they
-# live under tests/ (closed_forms.py, test_blowup.py, test_flow.py), and
-# grad_q is q_and_grad(p)[1]
+# live under tests/ (closed_forms.py, test_blowup.py, test_flow.py,
+# test_surfaces.py), and grad_q is q_and_grad(p)[1]
 MOVED = ("solve_two_equal", "solve_sum_half", "solve_general", "CaseDiscriminants", "quadratic_parts_fd", "b_term",
-         "volume", "grad_q")
+         "volume", "grad_q", "normalization_term", "omega_slice_a1_half")
 
 
 def _owner(name: str):

@@ -21,7 +21,6 @@ from wallachflow.surfaces import (
     cube_grid,
     edge_curve,
     grad_q1,
-    omega_slice_a1_half,
     q1_eval,
     q_and_grad,
     q_eval,
@@ -209,6 +208,21 @@ class TestEdgeCurves:
         # nearby the distinguished coordinate grows without bound
         ec = edge_curve(1 / math.sqrt(8))
         assert abs(float(ec.params.a1)) > 1e6
+
+
+def omega_slice_a1_half(a2, a3):
+    """Restriction of the degeneracy surface to the face a1 = 1/2, as a
+    quartic in the symmetric functions of (a2, a3); vanishes exactly where
+    the full polynomial vanishes on that face."""
+    u = a2 + a3
+    v = a2 * a3
+    return (
+        4 * v * (4 * v + 1) ** 2
+        - 4 * (4 * v - 1) * (4 * v + 1) ** 2 * u
+        - 13 * (4 * v + 1) ** 2 * u * u
+        + 4 * (4 * v - 1) * u**3
+        + 44 * u**4
+    )
 
 
 class TestFaceSlice:
