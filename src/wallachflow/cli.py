@@ -271,7 +271,7 @@ def cmd_scan(args) -> int:
     lines = [",".join(fields)]
     for row in rows:
         lines.append(",".join([f"{v:.17g}" for v in row[:8]] + [row[8]]))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join([*lines, ""]))
     return EXIT_OK
 
 
@@ -305,7 +305,7 @@ def cmd_surface(args) -> int:
                     + [f"{float(q_eval(p)):.17g}", f"{float(q1_eval(p)):.17g}"]
                 )
             )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join([*lines, ""]))
     return EXIT_OK
 
 
@@ -341,7 +341,7 @@ def cmd_verify(args) -> int:
         for r in results:
             flag = "PASS" if r.passed else "FAIL"
             lines.append(f"{r.name:<{width}}  {flag}  {r.seconds:7.2f}s  {r.detail}")
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_text(args.out, "\n".join([*lines, ""]))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 

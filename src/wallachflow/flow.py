@@ -147,7 +147,11 @@ def log_volume(p: Parameters, x: MetricPoint) -> float:
     a = [float(ai) for ai in p.a]
     if 0.0 in a:
         raise OverflowError("a parameter rounds to 0.0 in floats")
-    return sum(math.log(float(xi)) / ai for xi, ai in zip(x.x, a))
+    # left to right from 0: ``sum`` of floats is compensated from Python 3.12
+    total = 0
+    for xi, ai in zip(x.x, a):
+        total = total + math.log(float(xi)) / ai
+    return total
 
 
 def phi(p: Parameters, x1: Scalar, x2: Scalar) -> Scalar:

@@ -11,17 +11,18 @@ exact.  Both rho and delta scale simply under rescaling of the
 representative (rho ~ 1/lam, delta ~ 1/lam^2), so signs and the resulting
 classification do not depend on the chosen representative.
 
-``f1``, ``f2`` and ``g_matrix`` are the one source of the three forms.  For
-exact parameters ``linearize_at`` evaluates them from a ``_poly.Layout`` of
-their monomials in ``(a, x)``, built once, on first use, which gives the
-coefficient of every x-monomial in integers.  An exact ray is then
-evaluated in integers, so rho, delta and sigma are the same
-``Fraction``s as the forms give.  The layout also holds the two equilibrium
-``equations``, which check an exact ray's residual in the same integers.  At
-a float ray each coefficient is rounded once and each form is one float sum
-of its terms.  Float parameters evaluate ``f1``, ``f2`` and the G form
-directly.  In both cases sigma comes from G, which does not cancel as
-``rho^2 - 4*delta`` does near a node/focus boundary.
+``f1``, ``f2`` and ``g_matrix`` are the one source of the three forms, and
+``linearize_at`` has one path per number type of the parameters.  Exact
+parameters evaluate the forms from a ``_poly.Layout`` of their monomials in
+``(a, x)``, built once, on first use, which gives the coefficient of every
+x-monomial in integers.  The layout also holds the two equilibrium
+``equations``, so the same evaluation gives the residual that checks the
+point.  An exact ray is evaluated in integers, so rho, delta, sigma and the
+residual are the same ``Fraction``s as the forms and equations give.  At a
+float ray each coefficient is rounded once and each form or equation is the
+``math.fsum`` of its terms.  Float parameters evaluate ``f1``, ``f2``, the G
+form and ``residual`` as written.  In both cases sigma comes from G, which
+does not cancel as ``rho^2 - 4*delta`` does near a node/focus boundary.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from types import SimpleNamespace
 
 from ._poly import Layout, Poly, cleared
 from .core import Parameters, Scalar, is_exact, sqrt_scalar
-from .equilibria import equations, residual
+from .equilibria import equations, residual, scale_to_log_volume
 from .flow import MetricPoint
 
 __all__ = [
@@ -169,7 +170,12 @@ def _g_form(p: Parameters, x: MetricPoint) -> Scalar:
     """The quadratic form of ``g_matrix`` at the squared coordinates."""
     m = g_matrix(p)
     sq = [xi * xi for xi in x.x]
-    return sum(m[i][j] * sq[i] * sq[j] for i in range(3) for j in range(3))
+    # left to right from 0: ``sum`` of floats is compensated from Python 3.12
+    total = 0
+    for i in range(3):
+        for j in range(3):
+            total = total + m[i][j] * sq[i] * sq[j]
+    return total
 
 
 def sigma_expression(p: Parameters, x: MetricPoint) -> Scalar:
@@ -274,15 +280,10 @@ def linearize_at(p: Parameters, x: MetricPoint) -> Linearization:
     The values refer to the point as given; rescaling it rescales rho and
     delta but never their signs.
     """
-    # an exact ray is checked with the laid-out equations, in integers
-    laid_out = _laid_out_forms(p, x) if p.exact and x.exact else None
-    if laid_out is not None:
-        r1, r2 = laid_out[3:]
-    elif p.exact:
-        # a float ray is checked at the float a_i, as the census checks it
-        r1, r2 = equations(*map(float, p.a), *map(float, x.x))
-    else:
-        r1, r2 = residual(p, x)
+    # exact parameters: the forms and the equations from the layout, at an
+    # exact or a float ray; float parameters: ``residual`` and the forms
+    laid_out = _laid_out_forms(p, x) if p.exact else None
+    r1, r2 = laid_out[3:] if laid_out else residual(p, x)
     scale = ((1 + max(abs(float(v)) for v in x.x)) * (1 + max(abs(float(ai)) for ai in p.a))) ** 2
     if max(abs(float(r1)), abs(float(r2))) > _EQUILIBRIUM_RESIDUAL_TOL * scale:
         raise ValueError(
@@ -292,10 +293,7 @@ def linearize_at(p: Parameters, x: MetricPoint) -> Linearization:
 
     A = p.A
     prod = x.x1 * x.x2 * x.x3
-    if p.exact:
-        form1, form2, g = (laid_out or _laid_out_forms(p, x))[:3]
-    else:
-        form1, form2, g = f1(p, x), f2(p, x), _g_form(p, x)
+    form1, form2, g = laid_out[:3] if laid_out else (f1(p, x), f2(p, x), _g_form(p, x))
     rho = 2 * form1 / (A * prod)
     delta = form2 / (A * A * prod * prod)
     sigma = 4 * g / (prod * prod)
@@ -366,39 +364,19 @@ def sigma_zero_family(which: str, s: Scalar, k: int = 3) -> Parameters:
     return Parameters(*a)
 
 
-def _two_equal_structure(p: Parameters):
-    """(k, s) for a triple from the two-equal sigma=0 family, else None."""
-    a = p.a
-    for k in (3, 1, 2):
-        i, j = [m for m in (0, 1, 2) if m != k - 1]
-        if a[i] == a[j] and a[i] != a[k - 1]:
-            s_sq = a[i] + a[k - 1]  # equals the family parameter squared
-            if s_sq <= 0:
-                return None
-            return k, math.sqrt(float(s_sq))
-    return None
-
-
 def sigma_zero_points(p: Parameters) -> list[MetricPoint]:
     """The sigma = 0 equilibria of the planar system for a family triple.
 
-    For the diagonal family this is the point (1, 1, 1).  For the two-equal
-    family it is the single point with equal coordinates ``2*s^2*q`` at the
-    two equal-parameter slots and ``(1-2*s^2)*q`` at the distinguished slot,
-    with ``q`` fixed by unit volume.
+    For the diagonal family this is the exact point (1, 1, 1).  For the
+    two-equal family it is the sigma-minimizing ray at unit volume:
+    ``scale_to_log_volume(p, sigma_minimizing_point(p))``.  At parameter
+    ``s`` that ray is proportional to ``2*s^2`` at the two equal-parameter
+    slots and ``1 - 2*s^2`` at the distinguished one.  A triple without
+    exactly two equal parameters raises ``ValueError``.
     """
     a1, a2, a3 = p.a
     if a1 == a2 == a3:
         return [MetricPoint(1, 1, 1)]
-    structure = _two_equal_structure(p)
-    if structure is None:
+    if len({a1, a2, a3}) == 3:
         raise ValueError("parameters do not belong to either sigma=0 family")
-    k, s = structure
-    s2 = s * s
-    denom = (6.0 * s2 - 1.0) * (2.0 * s2 + 1.0)
-    q = (2.0 * s2) ** (-2.0 * (4.0 * s2 * s2 + 4.0 * s2 - 1.0) / denom) * (
-        1.0 - 2.0 * s2
-    ) ** (-((2.0 * s2 - 1.0) ** 2) / denom)
-    coords = [2.0 * s2 * q] * 3
-    coords[k - 1] = (1.0 - 2.0 * s2) * q
-    return [MetricPoint(*coords)]
+    return [scale_to_log_volume(p, sigma_minimizing_point(p))]

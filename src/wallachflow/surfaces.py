@@ -7,8 +7,11 @@ and ``s1 - 3/4``, and ``component_classify``, the independent cross-check,
 by the equilibrium census. Both put a point on the surface exactly where
 Q = 0 at its exact (for floats, dyadic) parameters.
 
-At exact parameters Q and its partials in ``(s1, s2, s3)`` are integer sums
-from one ``_poly.Layout``.
+Q and its partials in ``(s1, s2, s3)`` have one evaluation per number type.
+At exact parameters they are integer sums from a ``_poly.Layout``, of Q
+alone or of Q with its partials.  At float parameters ``_float_sums`` sums
+their terms left to right from one set of power tables; ``q_eval``,
+``q_and_grad`` and ``scan`` all take Q's float value from it.
 """
 
 from __future__ import annotations
@@ -85,57 +88,41 @@ def _build_q_polynomial() -> Poly:
 
 _Q_POLY = _build_q_polynomial()
 _Q_GRAD = tuple(_Q_POLY.diff(i) for i in range(3))
-# Q and its partials for exact input, and Q alone for ``q_eval``; s_j has
-# weight j.  Their coefficients are integers, so every scale is 1.
-_Q_LAYOUT = Layout((_Q_POLY, *_Q_GRAD), (1, 2, 3))
+# Exact input: Q alone for ``q_eval``, and Q with its partials for
+# ``q_and_grad``; s_j has weight j.  Their coefficients are integers, so
+# every scale is 1.
 _Q_ALONE = Layout((_Q_POLY,), (1, 2, 3))
+_Q_AND_GRAD = Layout((_Q_POLY, *_Q_GRAD), (1, 2, 3))
+# Float input: the terms ``(float(c), e1, e2, e3)`` of Q, then of each
+# partial, in the monomial order of its dict; Q's exponents bound theirs.
+_FLOAT_TERMS = tuple(tuple((float(c), *mono) for mono, c in poly.items()) for poly in (_Q_POLY, *_Q_GRAD))
+_TOP = tuple(max(mono[j] for mono in _Q_POLY) for j in range(3))
 
 
-@dataclass(frozen=True)
-class _Kernel:
-    """A polynomial of (s1, s2, s3) with integer coefficients, laid out for
-    float evaluation from power tables, in the monomial order of its dict.
-
-    ``floats`` holds ``(float(c), e1, e2, e3)``. ``top`` is the highest
-    exponent of each ``s_j``.
-    """
-
-    floats: tuple[tuple[float, int, int, int], ...]
-    top: tuple[int, int, int]
-
-
-def _kernel(poly) -> _Kernel:
-    return _Kernel(
-        floats=tuple((float(c), *mono) for mono, c in poly.items()),
-        top=tuple(max(mono[j] for mono in poly) for j in range(3)),
-    )
+def _float_sums(s: tuple[float, float, float], count: int) -> list[float]:
+    """The first ``count`` of Q and its partials in ``(s1, s2, s3)`` at the
+    floats ``s``, each summed left to right from 0 over one set of power
+    tables ``s_j ** e``, so a power that leaves the float range raises
+    ``OverflowError``.  They depend on ``s`` alone, and not on the sign of a
+    zero ``s_j``: a term with a zero factor is a zero, and a sum started from
+    0 is never -0.0."""
+    t1, t2, t3 = ([v**e for e in range(top + 1)] for v, top in zip(s, _TOP))
+    sums = []
+    for terms in _FLOAT_TERMS[:count]:
+        # a zero exponent multiplies by s**0 = 1.0, which changes no bit
+        total = 0
+        for c, e1, e2, e3 in terms:
+            total = total + c * t1[e1] * t2[e2] * t3[e3]
+        sums.append(total)
+    return sums
 
 
-_Q_KERNEL = _kernel(_Q_POLY)
-_GRAD_KERNELS = tuple(map(_kernel, _Q_GRAD))
-
-
-def _float_sum(terms, s1, s2, s3) -> float:
-    # a zero exponent multiplies by s**0 = 1.0, which changes no bit
-    total = 0
-    for c, e1, e2, e3 in terms:
-        total = total + c * s1[e1] * s2[e2] * s3[e3]
-    return total
-
-
-def _float_sums(s: tuple[float, float, float], kernels) -> list[float]:
-    """The sums of ``kernels`` at the floats ``s = (s1, s2, s3)``, from one
-    set of power tables ``s_j ** e``.  They depend on ``s`` alone, and not
-    on the sign of a zero ``s_j``: a term with a zero factor is a zero, and
-    a sum started from 0 is never -0.0."""
-    top = [max(k.top[j] for k in kernels) for j in range(3)]
-    tables = [[v**e for e in range(t + 1)] for v, t in zip(s, top)]
-    return [_float_sum(k.floats, *tables) for k in kernels]
-
-
-def _chain(ds1, ds2, ds3, a1, a2, a3) -> tuple:
-    """The gradient in the parameters from the partials in (s1, s2, s3)."""
-    return (
+def _q_and_chain(sums, a) -> tuple:
+    """Q and its gradient in the parameters ``a``, from ``sums``: Q and its
+    partials in (s1, s2, s3), by the chain rule."""
+    q, ds1, ds2, ds3 = sums
+    a1, a2, a3 = a
+    return q, (
         ds1 + ds2 * (a2 + a3) + ds3 * (a2 * a3),
         ds1 + ds2 * (a1 + a3) + ds3 * (a1 * a3),
         ds1 + ds2 * (a1 + a2) + ds3 * (a1 * a2),
@@ -155,7 +142,7 @@ def q_eval(p: Parameters) -> Scalar:
     ``Fraction`` for exact input, a ``float`` for float input."""
     if p.exact:
         return _exact_q(p.a)
-    return _float_sums((p.s1, p.s2, p.s3), (_Q_KERNEL,))[0]
+    return _float_sums((p.s1, p.s2, p.s3), 1)[0]
 
 
 def q_and_grad(p: Parameters) -> tuple[Scalar, tuple[Scalar, Scalar, Scalar]]:
@@ -163,22 +150,18 @@ def q_and_grad(p: Parameters) -> tuple[Scalar, tuple[Scalar, Scalar, Scalar]]:
     rule through the symmetric functions.
 
     Exact input: ``s_j = N_j / D**j`` with ``a_i = A_i / D``, and
-    ``_Q_LAYOUT`` gives Q and its partials in ``s`` over ``D**w``; the
-    gradient in ``a`` is then ``_chain(P1 D**2, P2 D, P3, A)`` over
-    ``D**(w + 2)``. Float input: one set of power tables of ``s_j ** e``
-    reaches the exponents of Q and its partials, so a power that leaves the
-    float range raises ``OverflowError``, and each monomial is
-    ``float(c) * s1**e1 * ...`` in the same order as the ``Fraction``
-    coefficients' float fallback.
+    ``_Q_AND_GRAD`` gives Q and its partials in ``s`` over ``D**w``; the
+    gradient in ``a`` is then the chain rule at ``(P1 D**2, P2 D, P3)`` and
+    ``A``, over ``D**(w + 2)``.  Float input: the four ``_float_sums`` at
+    ``(s1, s2, s3)``, the sums ``q_eval`` makes for Q, chained at ``a``.
     """
     if not p.exact:
-        q, *partials = _float_sums((p.s1, p.s2, p.s3), (_Q_KERNEL, *_GRAD_KERNELS))
-        return q, _chain(*partials, *p.a)
+        return _q_and_chain(_float_sums((p.s1, p.s2, p.s3), 4), p.a)
     (A1, A2, A3), d = cleared(p.a)
     s = (A1 + A2 + A3, A1 * A2 + A1 * A3 + A2 * A3, A1 * A2 * A3)
-    (q,), (p1,), (p2,), (p3,) = _Q_LAYOUT.at(s, d)
-    d_pow = d**_Q_LAYOUT.weight
-    grad = _chain(p1 * d * d, p2 * d, p3, A1, A2, A3)
+    (q,), (p1,), (p2,), (p3,) = _Q_AND_GRAD.at(s, d)
+    d_pow = d**_Q_AND_GRAD.weight
+    q, grad = _q_and_chain((q, p1 * d * d, p2 * d, p3), (A1, A2, A3))
     return Fraction(q, d_pow), tuple(Fraction(g, d_pow * d * d) for g in grad)
 
 
@@ -344,10 +327,10 @@ def scan(points) -> list[SurfaceSample]:
     triple; a triple where the flow is undefined raises ``ValueError``.
 
     ``Q1``, ``gradQ`` and the region are computed per point, with no
-    equilibrium census. ``Q`` and the partials of ``gradQ`` in
-    ``(s1, s2, s3)`` are functions of ``(s1, s2, s3)``: at float points they
-    are summed once per distinct float key and chained to ``gradQ`` per
-    point, which gives the bits of ``q_and_grad``.
+    equilibrium census. ``Q`` and its partials in ``(s1, s2, s3)`` depend
+    on ``(s1, s2, s3)`` alone: at float points ``_float_sums`` runs once per
+    distinct float key, and its sums are chained to ``gradQ`` per point as
+    ``q_and_grad`` chains them, which gives ``q_and_grad``'s bits.
     """
     key_sums: dict[tuple, list[float]] = {}
     samples = []
@@ -358,9 +341,8 @@ def scan(points) -> list[SurfaceSample]:
         else:
             key = (p.s1, p.s2, p.s3)
             if key not in key_sums:
-                key_sums[key] = _float_sums(key, (_Q_KERNEL, *_GRAD_KERNELS))
-            q, *partials = key_sums[key]
-            grad = _chain(*partials, *p.a)
+                key_sums[key] = _float_sums(key, 4)
+            q, grad = _q_and_chain(key_sums[key], p.a)
         samples.append(SurfaceSample(
             params=p,
             Q=q,

@@ -151,6 +151,15 @@ class TestVolumeAndPhi:
         lv = log_volume(p, MetricPoint(3.0, 5.0, 2.0))
         assert math.isfinite(lv)
 
+    def test_log_volume_sums_left_to_right(self):
+        # the terms are (1e16, 1.0, -1e16): left to right from 0 the 1.0 is
+        # lost, as on every Python version; a compensated sum keeps it
+        p = Parameters(1e-14, 1.0, 1e-14)
+        x = MetricPoint(math.exp(100), math.e, math.exp(-100))
+        terms = [math.log(xi) / ai for xi, ai in zip(x.x, p.a)]
+        assert terms == [1e16, 1.0, -1e16] and math.fsum(terms) == 1.0
+        assert repr(log_volume(p, x)) == "0.0"
+
     def test_a_parameter_that_rounds_to_0_is_overflow(self):
         # 10**-330 is a positive exact parameter whose float is 0.0, where
         # log(x) / a would divide by zero

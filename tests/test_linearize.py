@@ -14,6 +14,7 @@ from wallachflow.linearize import (
     SIGMA_ZERO_S_LOW,
     Linearization,
     PointKind,
+    _g_form,
     _laid_out_forms,
     classify,
     f1,
@@ -121,6 +122,17 @@ class TestLinearizeAt:
             linearize_at(p, pt)
         assert str(info.value) == message
 
+    def test_exact_parameters_reject_a_float_non_equilibrium(self):
+        # a float point at exact parameters is checked with the fsum'd
+        # laid-out equations
+        p, pt = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3)), MetricPoint(1.0, 2.0, 1.0)
+        r1, r2 = _laid_out_forms(p, pt)[3:]
+        assert (r1, r2) == pytest.approx(tuple(map(float, residual(p, MetricPoint(1, 2, 1)))), rel=1e-15)
+        message = f"point (1.0, 2.0, 1.0) is not an equilibrium (residual {r1:.3e}, {r2:.3e})"
+        with pytest.raises(ValueError) as info:
+            linearize_at(p, pt)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("a", [(1e10, 2.0, 3.0), (1e20, 0.2, 0.3)])
     def test_residual_tolerance_scales_with_the_parameters(self, a):
         # the equations are of degree 2 in the parameters too, so the float
@@ -177,6 +189,16 @@ class TestClassify:
         sigma = linearize_at(p, x).sigma
         want = sigma_expression(Parameters(*map(Fraction, a)), MetricPoint(*map(Fraction, x.x)))
         assert abs(Fraction(sigma) - want) <= Fraction(5e-11) * want
+
+    def test_float_g_form_sums_left_to_right(self):
+        # the nine terms are (0, -0, T, -0, 0, 0.5, T, 0.5, -2T) with
+        # T = 2.7e16: left to right from 0 both halves are lost, as on every
+        # Python version; a compensated sum keeps them
+        p, x = Parameters(1.0, -1.0, 0.5), MetricPoint(8192.0, 2.0**-14, 16384.0)
+        m, sq = g_matrix(p), [v * v for v in x.x]
+        terms = [m[i][j] * sq[i] * sq[j] for i in range(3) for j in range(3)]
+        assert terms[5] == terms[7] == 0.5 and math.fsum(terms) == 1.0
+        assert repr(_g_form(p, x)) == "0.0"
 
     def test_float_near_zero_sigma_is_still_a_node(self):
         # float rounding drives sigma a few ulp below zero on the diagonal
@@ -248,24 +270,24 @@ class TestSigmaZeroFamilies:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_points_two_equal_family(self, k):
-        s = 0.7
-        p = sigma_zero_family("two_equal", s, k)
-        (pt,) = sigma_zero_points(p)
-        # the distinguished slot carries (1 - 2 s^2) q, the others 2 s^2 q
-        vals = list(pt.x)
-        distinguished = vals.pop(k - 1)
-        assert vals[0] == vals[1]
-        assert abs(distinguished / vals[0] - (1 - 2 * s * s) / (2 * s * s)) < 1e-12
-        # unit volume fixes q: the third coordinate is determined by the rest
-        assert abs(float(pt.x3) - float(phi(p, pt.x1, pt.x2))) < 1e-12
-        # it is an equilibrium, and a parabolic one
-        r1, r2 = residual(p, pt)
-        assert max(abs(float(r1)), abs(float(r2))) < 1e-12
-        assert abs(float(sigma_expression(p, pt))) < 1e-10
-        # and it matches the square-root parametrization of the zero set
-        q = float(pt.x1) / math.sqrt(float(p.a2 + p.a3))
-        for coord, pair in zip(pt.x, (p.a2 + p.a3, p.a1 + p.a3, p.a1 + p.a2)):
-            assert abs(float(coord) - q * math.sqrt(float(pair))) < 1e-12
+        for s in (0.7, Fraction(7, 10)):
+            p = sigma_zero_family("two_equal", s, k)
+            (pt,) = sigma_zero_points(p)
+            # the distinguished slot carries (1 - 2 s^2) q, the others 2 s^2 q
+            vals = [float(v) for v in pt.x]
+            distinguished = vals.pop(k - 1)
+            assert vals[0] == vals[1]
+            assert abs(distinguished / vals[0] - float((1 - 2 * s * s) / (2 * s * s))) < 1e-12
+            # unit volume fixes q: the third coordinate is determined by the rest
+            assert abs(float(pt.x3) - float(phi(p, pt.x1, pt.x2))) < 1e-12
+            # it is an equilibrium, and a parabolic one
+            r1, r2 = residual(p, pt)
+            assert max(abs(float(r1)), abs(float(r2))) < 1e-12
+            assert abs(float(sigma_expression(p, pt))) < 1e-10
+            # and it matches the square-root parametrization of the zero set
+            q = float(pt.x1) / math.sqrt(float(p.a2 + p.a3))
+            for coord, pair in zip(pt.x, (p.a2 + p.a3, p.a1 + p.a3, p.a1 + p.a2)):
+                assert abs(float(coord) - q * math.sqrt(float(pair))) < 1e-12
 
     def test_points_reject_generic_parameters(self):
         with pytest.raises(ValueError):

@@ -134,9 +134,9 @@ def _exact_parity_triples():
 
 
 class TestKernelParity:
-    """The power-table kernels give what evaluating the monomials of Q and
-    its partials one term at a time gives: equal ``Fraction``s for exact
-    input, the same bits for float input."""
+    """The exact layouts and ``_float_sums`` give what evaluating the
+    monomials of Q and its partials one term at a time gives: equal
+    ``Fraction``s for exact input, the same bits for float input."""
 
     def test_float_input_bit_for_bit(self):
         for a in _float_parity_triples():
@@ -368,7 +368,7 @@ class TestScanOrbits:
         # the distinct (s1, s2, s3) lie between the orbits and the points
         counted = []
         float_sums = surfaces._float_sums
-        monkeypatch.setattr(surfaces, "_float_sums", lambda s, kernels: counted.append(s) or float_sums(s, kernels))
+        monkeypatch.setattr(surfaces, "_float_sums", lambda s, count: counted.append(s) or float_sums(s, count))
         points = cube_grid(9)
         samples = scan(points)
         keys = {(p.s1, p.s2, p.s3) for p in (Parameters(*a) for a in points)}
@@ -382,9 +382,8 @@ class TestScanOrbits:
     @given(s=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
     def test_float_sums_ignore_the_sign_of_a_zero(self, s):
         # -0.0 == 0.0 as a key of the scan's shared sums, so the sums must not tell them apart
-        kernels = (surfaces._Q_KERNEL, *surfaces._GRAD_KERNELS)
         flipped = tuple(-v if v == 0 else v for v in s)
-        assert repr(surfaces._float_sums(flipped, kernels)) == repr(surfaces._float_sums(s, kernels))
+        assert repr(surfaces._float_sums(flipped, 4)) == repr(surfaces._float_sums(s, 4))
 
     def test_no_census(self, monkeypatch):
         # the labels come from the signs of Q and s1 - 3/4 alone
