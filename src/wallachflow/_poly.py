@@ -199,9 +199,9 @@ class Poly(dict):
 def cleared(values) -> tuple[list[int], int]:
     """``(ints, d)`` with ``values[i] == ints[i] / d`` and ``d`` the lcm of
     the denominators; a float counts as its dyadic value."""
-    fracs = [Fraction(v) if isinstance(v, float) else v for v in values]
-    d = math.lcm(*(v.denominator for v in fracs))
-    return [v.numerator * (d // v.denominator) for v in fracs], d
+    pairs = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*(q for _, q in pairs))
+    return [n * (d // q) for n, q in pairs], d
 
 
 class Layout:

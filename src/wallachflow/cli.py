@@ -75,9 +75,12 @@ def _parse_values(text: str, count: int, what: str, exact: bool = False) -> list
 def _parse_triple(text: str, exact: bool = False) -> Parameters:
     """Parse ``a1,a2,a3`` (exactly, with ``exact``): malformed or non-finite
     values raise ``UsageError``, a triple outside the flow's domain
-    (including a zero parameter) raises a plain ``ValueError``."""
+    (including a zero parameter) raises a plain ``ValueError``, and nonzero
+    floats whose product underflows to 0.0 raise ``OverflowError``."""
     p = Parameters(*_parse_values(text, 3, "--a", exact))
     if not p.reduced_ok:
+        if all(p.a):
+            raise OverflowError("a1*a2*a3 underflows to 0.0")
         raise ValueError("a1*a2*a3 = 0: every parameter must be nonzero")
     return p
 

@@ -5,37 +5,35 @@ rational functions of the point and the parameters: ``rho = 2*F1/(A*x1*x2*x3)``
 and ``delta = F2/(A^2*x1^2*x2^2*x3^2)`` for two fixed homogeneous polynomial
 forms F1 (degree 2) and F2 (degree 4).  The discriminant is
 ``sigma = rho^2 - 4*delta = 4*G/(x1*x2*x3)^2``, where G is the quadratic form
-of ``g_matrix`` in the squared coordinates (``F1^2 - F2 = A^2 G``).  This
+of ``g_matrix`` in the squared coordinates, and ``F2 = F1^2 - A^2 G``.  This
 avoids differentiating the composed planar field and keeps rational inputs
 exact.  Both rho and delta scale simply under rescaling of the
 representative (rho ~ 1/lam, delta ~ 1/lam^2), so signs and the resulting
 classification do not depend on the chosen representative.
 
-``f1``, ``f2`` and ``g_matrix`` are the one source of the three forms, and
-``linearize_at`` has one path per number type of the parameters.  Exact
-parameters evaluate the forms from a ``_poly.Layout`` of their monomials in
-``(a, x)``, built once, on first use, which gives the coefficient of every
-x-monomial in integers.  The layout also holds the two equilibrium
-``equations``, so the same evaluation gives the residual that checks the
-point.  An exact ray is evaluated in integers, so rho, delta, sigma and the
-residual are the same ``Fraction``s as the forms and equations give.  At a
-float ray each coefficient is rounded once and each form or equation is the
-``math.fsum`` of its terms.  Float parameters evaluate ``f1``, ``f2``, the G
-form and ``residual`` as written.  In both cases sigma comes from G, which
-does not cancel as ``rho^2 - 4*delta`` does near a node/focus boundary.
+``linearize_at`` has one path: the forms from a ``_poly.Layout`` of their
+monomials in ``(a, x)``, built once, on first use, with the coefficient of
+every x-monomial in integers at the exact parameters (float ones count as
+their dyadic values).  The layout also holds the two equilibrium
+``equations``, which give the residual that checks the point.  An exact ray
+gives the same ``Fraction``s as the forms and equations; at a float ray each
+coefficient is rounded once and each form is the ``math.fsum`` of its
+terms.  Sigma comes from G, which does not cancel as ``rho^2 - 4*delta``
+does near a node/focus boundary.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
 from ._poly import Layout, Poly, cleared
 from .core import Parameters, Scalar, is_exact, sqrt_scalar
-from .equilibria import equations, residual, scale_to_log_volume
+from .equilibria import equations, scale_to_log_volume
 from .flow import MetricPoint
 
 __all__ = [
@@ -111,48 +109,11 @@ def f1(p: Parameters, x: MetricPoint) -> Scalar:
 
 
 def f2(p: Parameters, x: MetricPoint) -> Scalar:
-    """Degree-4 homogeneous form whose value gives the Jacobian determinant."""
-    a1, a2, a3 = p.a
-    x1, x2, x3 = x.x
-    A = p.A
-    A3 = A * A * A
-    return (
-        (a1 * a1 * a2 * a3 * (2 * A + a2 * a3) - A3) * x1**4
-        + (a1 * a2 * a2 * a3 * (2 * A + a1 * a3) - A3) * x2**4
-        + (a1 * a2 * a3 * a3 * (2 * A + a1 * a2) - A3) * x3**4
-        - 2 * a1 * a1 * (A + a2 * a3) * (a2 * x2 + a3 * x3) * x1**3
-        - 2 * a2 * a2 * (A + a1 * a3) * (a1 * x1 + a3 * x3) * x2**3
-        - 2 * a3 * a3 * (A + a1 * a2) * (a2 * x2 + a1 * x1) * x3**3
-        + (
-            a1 * a2 * (
-                2 * (3 * a1 * a2 + a2 * a2 + a1 * a1) * a3 * a3
-                + 2 * (a1 + a2) * a1 * a2 * a3
-                + a1 * a2
-            )
-            + 2 * A3
-        ) * x1**2 * x2**2
-        + (
-            a1 * a3 * (
-                2 * (3 * a1 * a3 + a3 * a3 + a1 * a1) * a2 * a2
-                + 2 * (a1 + a3) * a1 * a2 * a3
-                + a1 * a3
-            )
-            + 2 * A3
-        ) * x1**2 * x3**2
-        + (
-            a2 * a3 * (
-                2 * (3 * a2 * a3 + a3 * a3 + a2 * a2) * a1 * a1
-                + 2 * (a2 + a3) * a1 * a2 * a3
-                + a2 * a3
-            )
-            + 2 * A3
-        ) * x2**2 * x3**2
-        - 2 * a1 * a2 * a3 * (
-            (A + a2 * a3 - a1) * x1
-            + (A + a1 * a3 - a2) * x2
-            + (A + a1 * a2 - a3) * x3
-        ) * x1 * x2 * x3
-    )
+    """Degree-4 homogeneous form whose value gives the Jacobian determinant,
+    ``F1^2 - A^2 G``: the identity holds at ``A = a1*a2 + a1*a3 + a2*a3``.
+    In floats it cancels where ``|F2| << F1^2``; ``linearize_at`` takes it
+    from the layout, expanded exactly, instead."""
+    return f1(p, x) ** 2 - p.A**2 * _g_form(p, x)
 
 
 def g_matrix(p: Parameters) -> list[list[Scalar]]:
@@ -179,13 +140,9 @@ def _g_form(p: Parameters, x: MetricPoint) -> Scalar:
 
 
 def sigma_expression(p: Parameters, x: MetricPoint) -> Scalar:
-    """``sigma = rho^2 - 4*delta`` as an explicit quadratic form in the squared
-    coordinates; valid at every positive point, equilibrium or not.
-
-    Satisfies the exact identity ``F1^2 - F2 = A^2 * G(x1^2, x2^2, x3^2)``
-    where G is the quadratic form of ``g_matrix``; sigma is four times the
-    form value divided by the squared coordinate product.
-    """
+    """``sigma = rho^2 - 4*delta`` as ``4 G / (x1 x2 x3)^2``, with G the
+    quadratic form of ``g_matrix`` in the squared coordinates; valid at every
+    positive point, equilibrium or not."""
     x1, x2, x3 = x.x
     return 4 * _g_form(p, x) / ((x1 * x1) * (x2 * x2) * (x3 * x3))
 
@@ -193,7 +150,7 @@ def sigma_expression(p: Parameters, x: MetricPoint) -> Scalar:
 def _build_layout() -> Layout:
     """F1, F2, G and ``equations`` over ``Poly`` in ``(a1, a2, a3, A, x1, x2,
     x3)``, laid out with ``A`` a parameter of weight 2, as the forms are
-    written."""
+    written; F2's row is the determinant form only at ``A = s2``."""
     a1, a2, a3, A, x1, x2, x3 = (Poly.var(k, 7) for k in range(7))
     p = SimpleNamespace(a=(a1, a2, a3), A=A)
     x = SimpleNamespace(x=(x1, x2, x3), x1=x1, x2=x2, x3=x3)
@@ -201,13 +158,14 @@ def _build_layout() -> Layout:
 
 
 # Built on first use: expanding F2 takes milliseconds, which a command that
-# never linearizes at exact parameters should not pay at import.
+# never linearizes should not pay at import.
 _LAYOUT: Layout | None = None
 
 
-def _laid_out_forms(p: Parameters, x: MetricPoint) -> list[Scalar]:
-    """``[F1, F2, G, e1, e2]`` at ``x`` for exact ``p``, from the layout,
-    where ``(e1, e2)`` are the equilibrium ``equations``.
+def _laid_out_forms(p: Parameters, x: MetricPoint) -> tuple[Fraction, list[Scalar]]:
+    """``A`` and ``[F1, F2, G, e1, e2]`` at ``x`` from the layout, where
+    ``(e1, e2)`` are the equilibrium ``equations``, at the exact (for floats,
+    dyadic) ``p``.
 
     Each x-monomial's coefficient is an ``int`` over ``scale * D**weight``.
     An exact ``x`` is cleared to integers over the lcm ``M`` of its
@@ -222,7 +180,8 @@ def _laid_out_forms(p: Parameters, x: MetricPoint) -> list[Scalar]:
     if _LAYOUT is None:
         _LAYOUT = _build_layout()
     (n1, n2, n3), d = cleared(p.a)
-    coeffs = _LAYOUT.at((n1, n2, n3, n1 * n2 + n1 * n3 + n2 * n3), d)
+    a_num = n1 * n2 + n1 * n3 + n2 * n3
+    coeffs = _LAYOUT.at((n1, n2, n3, a_num), d)
     d_pow = d**_LAYOUT.weight
     degrees = [sum(monos[0]) for monos in _LAYOUT.monos]
     exact = x.exact
@@ -239,7 +198,7 @@ def _laid_out_forms(p: Parameters, x: MetricPoint) -> list[Scalar]:
             out.append(Fraction(num, den * m**degree))
             continue
         out.append(math.fsum(c / den * t1[i] * t2[j] * t3[l] for c, (i, j, l) in zip(cs, monos)))
-    return out
+    return Fraction(a_num, d * d), out
 
 
 def sigma_minimizing_point(p: Parameters) -> MetricPoint:
@@ -273,30 +232,33 @@ def _eigenvalues(rho: Scalar, sigma: Scalar, delta: Scalar):
     return sorted((lam_a, lam_b), key=lambda z: abs(complex(z)))
 
 
+def _quotient(num: Scalar, den: Scalar) -> Scalar:
+    """``num / den``; a float ``den`` that is zero, subnormal or not finite
+    lost its relative precision and raises ``OverflowError``."""
+    if isinstance(den, float) and not sys.float_info.min <= abs(den) < math.inf:
+        raise OverflowError(f"denominator {den!r} outside the normal float range")
+    return num / den
+
+
 def linearize_at(p: Parameters, x: MetricPoint) -> Linearization:
     """Linearization invariants at an equilibrium point ``x``, such as a
     ray's ``rep``.
 
     The values refer to the point as given; rescaling it rescales rho and
-    delta but never their signs.
+    delta but never their signs.  Float parameters give bit for bit the
+    values of their dyadic ``Fraction``s.
     """
-    # exact parameters: the forms and the equations from the layout, at an
-    # exact or a float ray; float parameters: ``residual`` and the forms
-    laid_out = _laid_out_forms(p, x) if p.exact else None
-    r1, r2 = laid_out[3:] if laid_out else residual(p, x)
+    A, (form1, form2, g, r1, r2) = _laid_out_forms(p, x)
     scale = ((1 + max(abs(float(v)) for v in x.x)) * (1 + max(abs(float(ai)) for ai in p.a))) ** 2
     if max(abs(float(r1)), abs(float(r2))) > _EQUILIBRIUM_RESIDUAL_TOL * scale:
         raise ValueError(
             f"point {tuple(float(v) for v in x.x)} is not an equilibrium "
             f"(residual {float(r1):.3e}, {float(r2):.3e})"
         )
-
-    A = p.A
     prod = x.x1 * x.x2 * x.x3
-    form1, form2, g = laid_out[:3] if laid_out else (f1(p, x), f2(p, x), _g_form(p, x))
-    rho = 2 * form1 / (A * prod)
-    delta = form2 / (A * A * prod * prod)
-    sigma = 4 * g / (prod * prod)
+    rho = _quotient(2 * form1, A * prod)
+    delta = _quotient(form2, A * A * prod * prod)
+    sigma = _quotient(4 * g, prod * prod)
     lam1, lam2 = _eigenvalues(rho, sigma, delta)
     measure = abs(float(delta)) * float(prod) ** 2 / float(A) ** 2
     return Linearization(
@@ -371,12 +333,19 @@ def sigma_zero_points(p: Parameters) -> list[MetricPoint]:
     two-equal family it is the sigma-minimizing ray at unit volume:
     ``scale_to_log_volume(p, sigma_minimizing_point(p))``.  At parameter
     ``s`` that ray is proportional to ``2*s^2`` at the two equal-parameter
-    slots and ``1 - 2*s^2`` at the distinguished one.  A triple without
-    exactly two equal parameters raises ``ValueError``.
+    slots and ``1 - 2*s^2`` at the distinguished one.  A triple with three
+    distinct parameters, or a two-equal one where that ray fails
+    ``linearize_at``'s equilibrium test (off the family), raises
+    ``ValueError``.
     """
     a1, a2, a3 = p.a
     if a1 == a2 == a3:
         return [MetricPoint(1, 1, 1)]
     if len({a1, a2, a3}) == 3:
         raise ValueError("parameters do not belong to either sigma=0 family")
-    return [scale_to_log_volume(p, sigma_minimizing_point(p))]
+    point = scale_to_log_volume(p, sigma_minimizing_point(p))
+    try:
+        linearize_at(p, point)
+    except ValueError as exc:
+        raise ValueError(f"parameters do not belong to either sigma=0 family: {exc}") from None
+    return [point]

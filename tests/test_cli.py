@@ -174,6 +174,16 @@ class TestAnalyze:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: a value left the float range\n"
 
+    @pytest.mark.parametrize("flags", [["--exact"], []], ids=["exact", "float"])
+    def test_tiny_parameters_are_overflow(self, flags, capsys):
+        # exact: A^2 (x1 x2 x3)^2 is 0.0 at a float ray, once a
+        # ZeroDivisionError traceback (exit 1, as a failed verify); float:
+        # the product a1 a2 a3 underflows to 0.0, which once read as a zero
+        # parameter
+        assert cli.main(["analyze", "--a", "1e-200,1e-200,0.3", *flags]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: a value left the float range\n"
+
     @pytest.mark.parametrize("triple, kind", [("1e10,2,3", "stable node"), ("1e20,0.2,0.3", "saddle")])
     def test_large_parameters_keep_their_ray(self, triple, kind, capsys):
         # the census ray was once refused as "not an equilibrium"

@@ -89,6 +89,18 @@ def _gamma(n: int) -> Fraction:
     return n * u / (1 - n * u)
 
 
+def _assert_within_gamma_11(p, x, polys):
+    """At a float ray each term is a coefficient rounded once times three
+    powers (each within 2u) in three products, so within gamma_10 of its
+    exact value, and the float sum rounds once more: each laid-out form is
+    within gamma_11 * sum |terms| of the exact form at that point."""
+    xq = tuple(map(Fraction, x.x))
+    for got, poly in zip(_laid_out_forms(p, x)[1], polys):
+        terms = [c * xq[0] ** i * xq[1] ** j * xq[2] ** k for (i, j, k), c in poly.items()]
+        err = abs(Fraction(got) - sum(terms))
+        assert err <= _gamma(11) * sum(map(abs, terms)), (p.a, x, poly)
+
+
 @settings(max_examples=60, deadline=None)
 @given(triples)
 @example((HALF, Fraction(1, 3), HALF))
@@ -114,28 +126,19 @@ def test_laid_out_forms_over_the_closed_cube(a):
             assert lin.sigma == lin.rho**2 - 4 * lin.delta, (a, ray)
             assert all(isinstance(v, Fraction) for v in (lin.rho, lin.delta, lin.sigma))
             # the residual check runs on the laid-out equations
-            assert tuple(_laid_out_forms(p, x)[3:]) == residual(p, x), (a, ray)
+            assert tuple(_laid_out_forms(p, x)[1][3:]) == residual(p, x), (a, ray)
             continue
-        # at a float ray each term is a coefficient rounded once times three
-        # powers (each within 2u) in three products, so within gamma_10 of its
-        # exact value, and the float sum rounds once more: the laid-out form
-        # is within gamma_11 * sum |terms| of the exact form at that point
-        xq = tuple(map(Fraction, x.x))
-        for got, poly in zip(_laid_out_forms(p, x), polys):
-            terms = [c * xq[0] ** i * xq[1] ** j * xq[2] ** k for (i, j, k), c in poly.items()]
-            err = abs(Fraction(got) - sum(terms))
-            assert err <= _gamma(11) * sum(map(abs, terms)), (a, ray, poly)
+        _assert_within_gamma_11(p, x, polys)
 
-    # float parameters keep the ring-generic forms, sigma from the G form
+    # float parameters take the same path at their dyadic values, with the
+    # same bound, and linearize as those values do
     pf = Parameters(*map(float, a))
+    pq = Parameters(*map(Fraction, pf.a))
+    polys = [form(pq, xs) for form in (f1, f2, _g_form)]
     for ray in solve_all(pf):
         # every ray is a census ray, so it linearizes, also near a face where
         # a float closed form returned rays that are no equilibria, e.g. at
         # (0.49999999, 1/30, 1/2)
         x = ray.rep
-        lin = linearize_at(pf, x)
-        prod = x.x1 * x.x2 * x.x3
-        rho = 2 * f1(pf, x) / (pf.A * prod)
-        delta = f2(pf, x) / (pf.A * pf.A * prod * prod)
-        sigma = 4 * _g_form(pf, x) / (prod * prod)
-        assert (lin.rho, lin.delta, lin.sigma) == (rho, delta, sigma), (a, ray)
+        assert repr(linearize_at(pf, x)) == repr(linearize_at(pq, x)), (a, ray)
+        _assert_within_gamma_11(pf, x, polys)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wallachflow._poly import Poly
 from wallachflow.core import Parameters
 from wallachflow.equilibria import normalize_unit_volume, residual, solve_all
-from wallachflow.flow import MetricPoint, phi
+from wallachflow.flow import MetricPoint, field_components, phi
 from wallachflow.linearize import (
     SIGMA_ZERO_S_HIGH,
     SIGMA_ZERO_S_LOW,
@@ -57,18 +59,47 @@ class TestForms:
         p = Parameters(Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
         assert f2(p, MetricPoint(1, 1, 1)) == 0
 
-    @given(wallach, wallach, wallach, positive, positive, positive)
-    @settings(max_examples=80)
-    def test_discriminant_identity(self, a1, a2, a3, x1, x2, x3):
-        # 4 F1^2 - 4 F2 equals A^2 times the sigma expression scaled back by
-        # the squared coordinate product: an exact polynomial identity tying
-        # the trace and determinant forms together
-        p = Parameters(a1, a2, a3)
-        x = MetricPoint(x1, x2, x3)
-        lhs = 4 * f1(p, x) ** 2 - 4 * f2(p, x)
-        prod_sq = (x1 * x2 * x3) ** 2
-        rhs = p.A**2 * sigma_expression(p, x) * prod_sq
-        assert lhs == rhs
+
+def _jacobian_3d(p, x):
+    """The exact 3D Jacobian at ``x``: the linear terms of the field's own
+    text over the order-1 series ``x + t``."""
+    ts = [Poly.var(k, 3, 1) for k in range(3)]
+    components = field_components(*p.a, *(xi + t for xi, t in zip(x.x, ts)))
+    units = [tuple(int(j == k) for k in range(3)) for j in range(3)]
+    return [[c.get(unit, 0) for unit in units] for c in components]
+
+
+# the pinned and named exact triples, and seeded ones with a_i = k/24
+_ORACLE_TRIPLES = [
+    (Fraction(1, 6),) * 3,
+    (Fraction(7, 15),) * 3,
+    (Fraction(1, 6), Fraction(1, 4), Fraction(1, 3)),
+    (Fraction(1, 8), Fraction(1, 8), Fraction(17, 56)),
+    (Fraction(1, 4),) * 3,
+    (Fraction(5, 36), Fraction(1, 6), Fraction(1, 4)),
+]
+_rng = random.Random(2)
+_ORACLE_TRIPLES += [tuple(Fraction(_rng.randint(1, 12), 24) for _ in range(3)) for _ in range(300)]
+
+
+def test_invariants_match_the_exact_3d_jacobian():
+    # J3 x = 0 (the field is homogeneous of degree 0) and grad V^T J3 = 0 (V
+    # is a first integral), so the planar Jacobian's eigenvalues are J3's
+    # two others: its trace is rho and the sum of its principal 2x2 minors
+    # delta, an oracle independent of F1, F2 and G
+    rays = 0
+    for a in _ORACLE_TRIPLES:
+        p = Parameters(*a)
+        for ray in solve_all(p):
+            if not ray.rep.exact:
+                continue
+            j = _jacobian_3d(p, ray.rep)
+            trace = j[0][0] + j[1][1] + j[2][2]
+            minors = sum(j[i][i] * j[k][k] - j[i][k] * j[k][i] for i, k in ((0, 1), (0, 2), (1, 2)))
+            lin = linearize_at(p, ray.rep)
+            assert (lin.rho, lin.delta, lin.sigma) == (trace, minors, trace**2 - 4 * minors), (a, ray)
+            rays += 1
+    assert rays >= 40
 
 
 class TestLinearizeAt:
@@ -113,7 +144,7 @@ class TestLinearizeAt:
         # the same Fractions as ``equations``, so the same message
         p, pt = Parameters(*a), MetricPoint(*x)
         r1, r2 = residual(p, pt)
-        assert _laid_out_forms(p, pt)[3:] == [r1, r2]
+        assert _laid_out_forms(p, pt)[1][3:] == [r1, r2]
         message = (
             f"point {tuple(float(v) for v in pt.x)} is not an equilibrium "
             f"(residual {float(r1):.3e}, {float(r2):.3e})"
@@ -126,7 +157,7 @@ class TestLinearizeAt:
         # a float point at exact parameters is checked with the fsum'd
         # laid-out equations
         p, pt = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3)), MetricPoint(1.0, 2.0, 1.0)
-        r1, r2 = _laid_out_forms(p, pt)[3:]
+        r1, r2 = _laid_out_forms(p, pt)[1][3:]
         assert (r1, r2) == pytest.approx(tuple(map(float, residual(p, MetricPoint(1, 2, 1)))), rel=1e-15)
         message = f"point (1.0, 2.0, 1.0) is not an equilibrium (residual {r1:.3e}, {r2:.3e})"
         with pytest.raises(ValueError) as info:
@@ -141,6 +172,35 @@ class TestLinearizeAt:
         p = Parameters(*a)
         (ray,) = solve_all(p)
         linearize_at(p, ray.rep)
+
+    def test_float_parameters_linearize_as_their_dyadic_values(self):
+        # one path: a float triple gives the values of its dyadic Fractions
+        # bit for bit, at every ray whose representative is the same float
+        # in both censuses
+        rng = random.Random(5)
+        same = 0
+        for _ in range(40):
+            pf = Parameters(*(rng.uniform(0.02, 0.5) for _ in range(3)))
+            pq = Parameters(*map(Fraction, pf.a))
+            exact_reps = {ray.rep.x for ray in solve_all(pq)}
+            for ray in solve_all(pf):
+                if ray.rep.x in exact_reps:
+                    lf, lq = linearize_at(pf, ray.rep), linearize_at(pq, ray.rep)
+                    assert repr((lf.rho, lf.delta, lf.sigma)) == repr((lq.rho, lq.delta, lq.sigma)), pf.a
+                    same += 1
+        assert same >= 80
+
+    def test_tiny_exact_parameters_leave_the_float_range(self):
+        # at a float ray A^2 (x1 x2 x3)^2 is 5.4e-323 here, a subnormal whose
+        # quotient once gave delta -5.818 for -5.934; at 1e-200 it is 0.0,
+        # which once raised ZeroDivisionError
+        for k in (160, 200):
+            p = Parameters(Fraction(1, 10**k), Fraction(1, 10**k), Fraction(3, 10))
+            rays = [ray for ray in solve_all(p) if not ray.rep.exact]
+            assert rays
+            for ray in rays:
+                with pytest.raises(OverflowError):
+                    linearize_at(p, ray.rep)
 
     def test_scale_law(self):
         p = Parameters(Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))
@@ -288,6 +348,18 @@ class TestSigmaZeroFamilies:
             q = float(pt.x1) / math.sqrt(float(p.a2 + p.a3))
             for coord, pair in zip(pt.x, (p.a2 + p.a3, p.a1 + p.a3, p.a1 + p.a2)):
                 assert abs(float(coord) - q * math.sqrt(float(pair))) < 1e-12
+
+    @pytest.mark.parametrize("a", [
+        (0.1, 0.1, 0.2),
+        (Fraction(1, 10), Fraction(1, 10), Fraction(1, 5)),
+        (0.3, 0.3, 0.1),
+        (0.45, 0.45, 0.02),
+    ])
+    def test_points_reject_two_equal_parameters_off_the_family(self, a):
+        # the sigma-minimizing ray is no equilibrium there: its residual is
+        # at least 3e-4 of the scale, family points are within 2e-17
+        with pytest.raises(ValueError, match="sigma=0 family"):
+            sigma_zero_points(Parameters(*a))
 
     def test_points_reject_generic_parameters(self):
         with pytest.raises(ValueError):
