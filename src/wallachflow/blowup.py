@@ -17,11 +17,10 @@ expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._poly import Poly, real_roots
-from .core import Parameters
+from .core import Parameters, Record
 from .flow import field_components
 
 __all__ = [
@@ -42,16 +41,14 @@ _EXPECTED_Q2 = {"xx": Fraction(1), "xy": Fraction(1), "yy": Fraction(-1, 2)}
 VERDICT = "saddle with six hyperbolic sectors"
 
 
-@dataclass(frozen=True)
-class QuadraticPart:
+class QuadraticPart(Record):
     """Degree-2 jets of the shifted planar field in x = x1-1, y = x2-1."""
 
-    p_xx: Fraction
-    p_xy: Fraction
-    p_yy: Fraction
-    q_xx: Fraction
-    q_xy: Fraction
-    q_yy: Fraction
+    _fields = ("p_xx", "p_xy", "p_yy", "q_xx", "q_xy", "q_yy")
+
+    def __init__(self, p_xx: Fraction, p_xy: Fraction, p_yy: Fraction,
+                 q_xx: Fraction, q_xy: Fraction, q_yy: Fraction):
+        self.__dict__.update(p_xx=p_xx, p_xy=p_xy, p_yy=p_yy, q_xx=q_xx, q_xy=q_xy, q_yy=q_yy)
 
     def p2_at(self, x, y):
         return self.p_xx * x * x + self.p_xy * x * y + self.p_yy * y * y
@@ -60,22 +57,22 @@ class QuadraticPart:
         return self.q_xx * x * x + self.q_xy * x * y + self.q_yy * y * y
 
 
-@dataclass(frozen=True)
-class BlowupPoint:
+class BlowupPoint(Record):
     """One singular point (0, u) of the directional blow-up system."""
 
-    u: Fraction
-    beta: Fraction
-    off_diagonal: Fraction
-    eigenvalues: tuple[Fraction, Fraction]
-    verdict: str
+    _fields = ("u", "beta", "off_diagonal", "eigenvalues", "verdict")
+
+    def __init__(self, u: Fraction, beta: Fraction, off_diagonal: Fraction,
+                 eigenvalues: tuple[Fraction, Fraction], verdict: str):
+        self.__dict__.update(u=u, beta=beta, off_diagonal=off_diagonal, eigenvalues=eigenvalues, verdict=verdict)
 
 
-@dataclass(frozen=True)
-class BlowupReport:
-    roots: tuple[Fraction, Fraction, Fraction]
-    points: tuple[BlowupPoint, BlowupPoint, BlowupPoint]
-    verdict: str
+class BlowupReport(Record):
+    _fields = ("roots", "points", "verdict")
+
+    def __init__(self, roots: tuple[Fraction, Fraction, Fraction],
+                 points: tuple[BlowupPoint, BlowupPoint, BlowupPoint], verdict: str):
+        self.__dict__.update(roots=roots, points=points, verdict=verdict)
 
     def to_json(self) -> dict:
         from .core import scalar_to_json

@@ -10,19 +10,21 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (including an
 ``--out`` path that cannot be written), 3 domain error, 141 (128 + SIGPIPE)
 when the reader of stdout goes away, as in ``| head``.
 
-Importing this module loads ``core`` and ``equilibria`` (with ``_poly`` and
-``flow``), which every command uses; each handler imports the rest of what
-it runs: ``analyze``, ``scan`` and ``surface`` load ``linearize`` and
-``surfaces``, ``flow`` loads ``integrate``, ``blowup`` loads ``blowup``, and
-``verify`` loads ``verify`` with all of those.  No command imports numpy:
-``flow --random-starts`` draws numpy's seeded PCG64 starts through the
-pure-Python ``_pcg64``, and ``verify`` draws from ``random.Random``.
+Importing this module loads ``core``, ``_poly`` and ``flow``, which every
+command uses, and ``equilibria``, which every command but ``blowup`` uses;
+each handler imports the rest of what it runs: ``analyze``, ``scan`` and
+``surface`` load ``linearize`` and ``surfaces``, ``flow`` loads
+``integrate``, ``blowup`` loads ``blowup``, and ``verify`` loads ``verify``
+with all of those.  ``json`` loads in the handlers that write JSON:
+``analyze``, ``flow`` (its run summary), ``blowup``, and ``scan`` and
+``verify`` under ``--json``.  No command imports numpy: ``flow
+--random-starts`` draws numpy's seeded PCG64 starts through the pure-Python
+``_pcg64``, and ``verify`` draws from ``random.Random``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -100,6 +102,14 @@ def _map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _json_text(payload) -> str:
+    """``payload`` as indented JSON text: ``json`` loads here, in the
+    commands that write JSON, and not at import."""
+    import json
+
+    return json.dumps(payload, indent=2)
+
+
 def _write_text(path: str | None, text: str):
     if path is None:
         sys.stdout.write(text)
@@ -168,7 +178,7 @@ def _analyze_payload(p: Parameters) -> dict:
 
 def cmd_analyze(args) -> int:
     p = _parse_triple(args.a, args.exact)
-    _write_text(args.out, json.dumps(_analyze_payload(p), indent=2))
+    _write_text(args.out, _json_text(_analyze_payload(p)))
     return EXIT_OK
 
 
@@ -248,7 +258,7 @@ def cmd_flow(args) -> int:
     # once more at the command's peak memory
     _write_text(args.out, "\n".join([*lines, ""]))
     # the summary goes to stderr when the CSV takes stdout
-    print(json.dumps({"runs": summary}, indent=2), file=sys.stderr if args.out is None else sys.stdout)
+    print(_json_text({"runs": summary}), file=sys.stderr if args.out is None else sys.stdout)
     return EXIT_OK
 
 
@@ -269,7 +279,7 @@ def cmd_scan(args) -> int:
 
     fields = ("a1", "a2", "a3", "Q", "Q1", "gQ1", "gQ2", "gQ3", "region")
     if args.json:
-        _write_text(args.out, json.dumps([dict(zip(fields, row)) for row in rows], indent=2))
+        _write_text(args.out, _json_text([dict(zip(fields, row)) for row in rows]))
         return EXIT_OK
     lines = [",".join(fields)]
     for row in rows:
@@ -319,7 +329,7 @@ def cmd_blowup(args) -> int:
     from .blowup import blowup_linearizations
 
     report = blowup_linearizations()
-    _write_text(args.out, json.dumps(report.to_json(), indent=2))
+    _write_text(args.out, _json_text(report.to_json()))
     return EXIT_OK
 
 
@@ -337,7 +347,7 @@ def cmd_verify(args) -> int:
             }
             for r in results
         ]
-        _write_text(args.out, json.dumps(payload, indent=2))
+        _write_text(args.out, _json_text(payload))
     else:
         width = max(len(r.name) for r in results)
         lines = []

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import linecache
 import math
-from dataclasses import dataclass, field
+import operator
 from fractions import Fraction
-from typing import Union
 
-Scalar = Union[int, Fraction, float]
+Scalar = int | Fraction | float
 
 # 1/2 for exact scalars; a float compares with 0.5, exactly and without a Fraction
 _HALF = Fraction(1, 2)
@@ -97,8 +96,51 @@ def _canonical(x: Scalar) -> Scalar:
     raise TypeError(f"unsupported scalar type: {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class Parameters:
+class Record:
+    """Base of the package's records: plain classes with value semantics.
+
+    A record lists its fields in ``_fields`` and its ``__init__`` stores them
+    in the instance ``__dict__``.  Two records are equal when they are of the
+    same class with equal field tuples, the ``repr`` shows every field, and
+    the default ``__reduce_ex__`` pickles the ``__dict__``, which unpickling
+    fills without ``__setattr__``.  A record is frozen: hashable by its field
+    tuple, with assignment and deletion raising ``AttributeError``, unless its
+    class is declared with ``frozen=False``, which makes it mutable and
+    unhashable.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field tuple, read in C (every record has two or more fields)
+        cls._values = operator.attrgetter(*cls._fields)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            # both hold exactly the fields: this compares the field tuples
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Parameters(Record):
     """Immutable parameter triple with cached elementary symmetric functions.
 
     ``s1 = a1+a2+a3``, ``s2 = a1*a2+a1*a3+a2*a3`` (also exposed as ``A``),
@@ -107,27 +149,16 @@ class Parameters:
     requirement of the volume-reduced planar system.
     """
 
-    a1: Scalar
-    a2: Scalar
-    a3: Scalar
-    s1: Scalar = field(init=False)
-    s2: Scalar = field(init=False)
-    s3: Scalar = field(init=False)
+    _fields = ("a1", "a2", "a3", "s1", "s2", "s3")
 
-    def __post_init__(self):
-        a1 = _canonical(self.a1)
-        a2 = _canonical(self.a2)
-        a3 = _canonical(self.a3)
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "a3", a3)
-        object.__setattr__(self, "s1", a1 + a2 + a3)
-        object.__setattr__(self, "s2", a1 * a2 + a1 * a3 + a2 * a3)
-        object.__setattr__(self, "s3", a1 * a2 * a3)
-        if self.s2 == 0:
+    def __init__(self, a1: Scalar, a2: Scalar, a3: Scalar):
+        a1, a2, a3 = _canonical(a1), _canonical(a2), _canonical(a3)
+        s2 = a1 * a2 + a1 * a3 + a2 * a3
+        if s2 == 0:
             raise ValueError(
                 "a1*a2 + a1*a3 + a2*a3 = 0: the flow is undefined for this triple"
             )
+        self.__dict__.update(a1=a1, a2=a2, a3=a3, s1=a1 + a2 + a3, s2=s2, s3=a1 * a2 * a3)
 
     @property
     def A(self) -> Scalar:
@@ -160,8 +191,7 @@ class Parameters:
         }
 
 
-@dataclass(frozen=True)
-class LieData:
+class LieData(Record):
     """Module dimensions and the structure constant that set the parameters.
 
     ``d1, d2, d3`` are the dimensions of the three isotropy summands and
@@ -169,21 +199,18 @@ class LieData:
     ``d_i >= 2*A``.
     """
 
-    d1: int
-    d2: int
-    d3: int
-    A: Scalar
+    _fields = ("d1", "d2", "d3", "A")
 
-    def __post_init__(self):
-        for d in (self.d1, self.d2, self.d3):
-            if not isinstance(d, int) or d <= 0:
-                raise ValueError("dimensions must be positive integers")
-        A = _canonical(self.A)
-        object.__setattr__(self, "A", A)
-        if A <= 0:
+    def __init__(self, d1: int, d2: int, d3: int, A: Scalar):
+        dims = (d1, d2, d3)
+        if not all(isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in dims):
+            raise ValueError("dimensions must be positive integers")
+        A = _canonical(A)
+        if not A > 0:  # NaN fails too
             raise ValueError("structure constant A must be positive")
-        if any(d < 2 * A for d in (self.d1, self.d2, self.d3)):
+        if any(d < 2 * A for d in dims):
             raise ValueError("dimensions must satisfy d_i >= 2*A")
+        self.__dict__.update(d1=d1, d2=d2, d3=d3, A=A)
 
 
 def params_from_dims(lie: LieData) -> Parameters:

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._poly import Layout, Poly, Root, cleared, enclose, float_bits, real_roots, sign_at
 from ._poly import quartic_discriminant_coeffs, root_brackets
-from .core import Parameters, Scalar, is_exact
+from .core import Parameters, Record, Scalar, is_exact
 from .flow import MetricPoint, log_volume
 
 __all__ = [
@@ -66,19 +65,17 @@ class CensusWarning(UserWarning):
     counts it around ``solve_all``."""
 
 
-@dataclass(frozen=True)
-class EquilibriumRay:
+class EquilibriumRay(Record):
     """One positive equilibrium ray, reported through its ``x3 = 1`` point
     ``rep``: exact where the root it comes from is rational, correctly
     rounded otherwise.  A ``rep`` off ``x3 = 1`` raises ``ValueError``."""
 
-    rep: MetricPoint
-    family_tag: FamilyTag
-    multiplicity: int = 1
+    _fields = ("rep", "family_tag", "multiplicity")
 
-    def __post_init__(self):
-        if self.rep.x3 != 1:
-            raise ValueError(f"a ray is represented by its x3 = 1 point, not x3 = {self.rep.x3}")
+    def __init__(self, rep: MetricPoint, family_tag: FamilyTag, multiplicity: int = 1):
+        if rep.x3 != 1:
+            raise ValueError(f"a ray is represented by its x3 = 1 point, not x3 = {rep.x3}")
+        self.__dict__.update(rep=rep, family_tag=family_tag, multiplicity=multiplicity)
 
     def key(self) -> tuple[float, float]:
         return (float(self.rep.x1), float(self.rep.x2))
@@ -153,16 +150,19 @@ def quartic_discriminant(p: Parameters) -> Scalar:
 # census by elimination
 
 
-# the two equations over ``Poly`` in (a1, a2, a3, x1, u), in the census chart
-_CHART = Layout(
-    equations(*(Poly.var(k, 5) for k in range(4)), Poly.var(4, 5) - _SHEAR * Poly.var(3, 5), 1), (1, 1, 1)
-)
+# the two equations over ``Poly`` in (a1, a2, a3, x1, u), in the census chart,
+# laid out on the first census: ``scan``, ``surface`` and ``blowup`` run none
+_CHART: Layout | None = None
 
 
 def _census_rows(a) -> list[list[list[int]]]:
     """``rows[e][i][j]``: the coefficient of ``x1**i * u**j`` in equation
     ``e`` of the census chart at ``a``, an integer over the common
     denominator of ``_CHART.at``."""
+    global _CHART
+    if _CHART is None:
+        a1, a2, a3, x1, u = (Poly.var(k, 5) for k in range(5))
+        _CHART = Layout(equations(a1, a2, a3, x1, u - _SHEAR * x1, 1), (1, 1, 1))
     out = []
     for coeffs, monos in zip(_CHART.at(*cleared(a)), _CHART.monos):
         rows = [[0] * (3 - i) for i in range(3)]

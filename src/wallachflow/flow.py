@@ -10,10 +10,9 @@ field is the 3D field restricted to the ``V = 1`` surface via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Parameters, Scalar, _canonical, _exec_source, is_exact
+from .core import Parameters, Record, Scalar, _canonical, _exec_source, is_exact
 
 __all__ = [
     "MetricPoint",
@@ -28,19 +27,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MetricPoint:
+class MetricPoint(Record):
     """A positive metric coefficient triple."""
 
-    x1: Scalar
-    x2: Scalar
-    x3: Scalar
+    _fields = ("x1", "x2", "x3")
 
-    def __post_init__(self):
-        for name in ("x1", "x2", "x3"):
-            object.__setattr__(self, name, _canonical(getattr(self, name)))
-        if not (self.x1 > 0 and self.x2 > 0 and self.x3 > 0):
+    def __init__(self, x1: Scalar, x2: Scalar, x3: Scalar):
+        x1, x2, x3 = _canonical(x1), _canonical(x2), _canonical(x3)
+        if not (x1 > 0 and x2 > 0 and x3 > 0):
             raise ValueError("metric coefficients must be strictly positive")
+        self.__dict__.update(x1=x1, x2=x2, x3=x3)
 
     @property
     def x(self) -> tuple[Scalar, Scalar, Scalar]:
@@ -54,13 +50,13 @@ class MetricPoint:
         return MetricPoint(self.x1 * factor, self.x2 * factor, self.x3 * factor)
 
 
-@dataclass(frozen=True)
-class Velocity3:
+class Velocity3(Record):
     """Time-derivatives of the three metric coefficients."""
 
-    v1: Scalar
-    v2: Scalar
-    v3: Scalar
+    _fields = ("v1", "v2", "v3")
+
+    def __init__(self, v1: Scalar, v2: Scalar, v3: Scalar):
+        self.__dict__.update(v1=v1, v2=v2, v3=v3)
 
     @property
     def v(self) -> tuple[Scalar, Scalar, Scalar]:

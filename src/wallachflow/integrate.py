@@ -23,9 +23,8 @@ costs one field evaluation at the start and six per attempted step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .core import Parameters, _exec_source
+from .core import Parameters, Record, _exec_source
 from .equilibria import normalize_unit_volume, scale_to_log_volume, solve_all
 from .flow import _FIELD_TEXT, MetricPoint, _phi_exponents, log_volume, normalization_weight
 
@@ -72,8 +71,7 @@ class TrajectoryStatus:
     STEP_UNDERFLOW = "step_underflow"
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record, frozen=False):
     """Accepted integration steps plus the terminal diagnosis.
 
     ``steps_rejected`` counts every attempted step that was not accepted,
@@ -82,14 +80,25 @@ class Trajectory:
     and six per attempted step, fewer when a stage ended its step early.
     """
 
-    samples: list[tuple[float, float, float, float, float]] = field(default_factory=list)
-    status: str = TrajectoryStatus.MAX_TIME
-    equilibrium_id: int | None = None
-    exit_face: str | None = None
-    max_volume_drift: float = 0.0
-    steps_accepted: int = 0
-    steps_rejected: int = 0
-    field_evals: int = 0
+    _fields = ("samples", "status", "equilibrium_id", "exit_face", "max_volume_drift", "steps_accepted",
+               "steps_rejected", "field_evals")
+
+    def __init__(
+        self,
+        samples: list[tuple[float, float, float, float, float]] | None = None,
+        status: str = TrajectoryStatus.MAX_TIME,
+        equilibrium_id: int | None = None,
+        exit_face: str | None = None,
+        max_volume_drift: float = 0.0,
+        steps_accepted: int = 0,
+        steps_rejected: int = 0,
+        field_evals: int = 0,
+    ):
+        self.__dict__.update(
+            samples=[] if samples is None else samples, status=status, equilibrium_id=equilibrium_id,
+            exit_face=exit_face, max_volume_drift=max_volume_drift, steps_accepted=steps_accepted,
+            steps_rejected=steps_rejected, field_evals=field_evals,
+        )
 
     @property
     def final_point(self) -> tuple[float, ...]:

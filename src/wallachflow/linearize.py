@@ -27,12 +27,11 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
 from ._poly import Layout, Poly, cleared
-from .core import Parameters, Scalar, is_exact, sqrt_scalar
+from .core import Parameters, Record, Scalar, is_exact, sqrt_scalar
 from .equilibria import equations, scale_to_log_volume
 from .flow import MetricPoint
 
@@ -75,22 +74,22 @@ class PointKind(enum.Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
-class Linearization:
+class Linearization(Record):
     """Trace, determinant and discriminant of the planar Jacobian."""
 
-    rho: Scalar
-    delta: Scalar
-    sigma: Scalar
-    lambda1: complex
-    lambda2: complex
-    degeneracy_measure: float | None = None
+    _fields = ("rho", "delta", "sigma", "lambda1", "lambda2", "degeneracy_measure")
+
+    def __init__(self, rho: Scalar, delta: Scalar, sigma: Scalar, lambda1: complex, lambda2: complex,
+                 degeneracy_measure: float | None = None):
+        self.__dict__.update(rho=rho, delta=delta, sigma=sigma, lambda1=lambda1, lambda2=lambda2,
+                             degeneracy_measure=degeneracy_measure)
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: PointKind
-    near_degenerate: bool
+class Classification(Record):
+    _fields = ("kind", "near_degenerate")
+
+    def __init__(self, kind: PointKind, near_degenerate: bool):
+        self.__dict__.update(kind=kind, near_degenerate=near_degenerate)
 
 
 def f1(p: Parameters, x: MetricPoint) -> Scalar:
@@ -160,6 +159,9 @@ def _build_layout() -> Layout:
 # Built on first use: expanding F2 takes milliseconds, which a command that
 # never linearizes should not pay at import.
 _LAYOUT: Layout | None = None
+# ``(layout, key, coefficients)`` of the last ``at`` call, keyed by the cleared
+# integers ``(n1, n2, n3, d)`` of its triple: the rays of one triple share it
+_LAST_AT: tuple = (None, None, None)
 
 
 def _laid_out_forms(p: Parameters, x: MetricPoint) -> tuple[Fraction, list[Scalar]]:
@@ -176,12 +178,15 @@ def _laid_out_forms(p: Parameters, x: MetricPoint) -> tuple[Fraction, list[Scala
     the exact form at ``x`` (Higham, *Accuracy and Stability of Numerical
     Algorithms*, ch. 3).
     """
-    global _LAYOUT
+    global _LAYOUT, _LAST_AT
     if _LAYOUT is None:
         _LAYOUT = _build_layout()
     (n1, n2, n3), d = cleared(p.a)
     a_num = n1 * n2 + n1 * n3 + n2 * n3
-    coeffs = _LAYOUT.at((n1, n2, n3, a_num), d)
+    layout, key, coeffs = _LAST_AT
+    if layout is not _LAYOUT or key != (n1, n2, n3, d):
+        coeffs = _LAYOUT.at((n1, n2, n3, a_num), d)
+        _LAST_AT = (_LAYOUT, (n1, n2, n3, d), coeffs)
     d_pow = d**_LAYOUT.weight
     degrees = [sum(monos[0]) for monos in _LAYOUT.monos]
     exact = x.exact

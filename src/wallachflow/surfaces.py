@@ -17,11 +17,10 @@ their terms left to right from one set of power tables; ``q_eval``,
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._poly import Layout, Poly, cleared
-from .core import Parameters, Scalar
+from .core import Parameters, Record, Scalar
 from .equilibria import solve_all
 from .linearize import PointKind, classify, linearize_at
 
@@ -50,21 +49,21 @@ class Region(enum.Enum):
     OUTSIDE = "Outside"
 
 
-@dataclass(frozen=True)
-class SurfaceSample:
-    params: Parameters
-    Q: Scalar
-    Q1: Scalar
-    gradQ: tuple[Scalar, Scalar, Scalar]
-    region: Region
+class SurfaceSample(Record):
+    _fields = ("params", "Q", "Q1", "gradQ", "region")
+
+    def __init__(self, params: Parameters, Q: Scalar, Q1: Scalar, gradQ: tuple[Scalar, Scalar, Scalar],
+                 region: Region):
+        self.__dict__.update(params=params, Q=Q, Q1=Q1, gradQ=gradQ, region=region)
 
 
-@dataclass(frozen=True)
-class EdgeCurvePoint:
+class EdgeCurvePoint(Record):
     """A point of one of the three singular curves of the degeneracy surface."""
 
-    t: Scalar
-    params: Parameters
+    _fields = ("t", "params")
+
+    def __init__(self, t: Scalar, params: Parameters):
+        self.__dict__.update(t=t, params=params)
 
 
 def _build_q_polynomial() -> Poly:

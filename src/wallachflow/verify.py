@@ -18,7 +18,6 @@ import cmath
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -26,7 +25,7 @@ from . import blowup as blowup_mod
 from . import equilibria as eq_mod
 from . import linearize as lin_mod
 from ._poly import Poly, real_roots
-from .core import Parameters, Scalar
+from .core import Parameters, Record, Scalar
 from .flow import MetricPoint, vector_field_2d, vector_field_3d
 from .integrate import integrate_flow, integrate_flow_3d
 from .linearize import PointKind, classify
@@ -35,12 +34,11 @@ from .surfaces import Region, component_classify, cube_grid, grad_q1, q1_eval, q
 __all__ = ["CheckResult", "CHECKS", "run_all", "run_check"]
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float = 0.0
+class CheckResult(Record, frozen=False):
+    _fields = ("name", "passed", "detail", "seconds")
+
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float = 0.0):
+        self.__dict__.update(name=name, passed=passed, detail=detail, seconds=seconds)
 
 
 def _census(p: Parameters):

@@ -12,7 +12,7 @@ families come from ``equilibria._sum_half_rays``, which the labels use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from wallachflow._poly import Root, cleared, enclose, root_brackets
@@ -154,7 +154,7 @@ def closed_form(p: Parameters) -> list[EquilibriumRay]:
             if perm == (0, 1, 2):
                 return rays
             points = [[r.rep.x[perm.index(i)] for i in range(3)] for r in rays]
-            return [replace(r, rep=MetricPoint(x1 / x3, x2 / x3, x3 / x3))
+            return [EquilibriumRay(MetricPoint(x1 / x3, x2 / x3, x3 / x3), r.family_tag, r.multiplicity)
                     for r, (x1, x2, x3) in zip(rays, points)]
     if _sums_to_half(a):
         return solve_sum_half(p) if p.interior else []

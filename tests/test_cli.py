@@ -686,6 +686,42 @@ class TestImportPath:
         )
         assert self._loaded_after(body) == []
 
+    def _added_by(self, body: str) -> set[str]:
+        """The modules that ``import wallachflow.cli`` and then ``body`` add
+        to ``sys.modules`` in a fresh interpreter: a difference, because
+        ``site`` may preload some (``typing`` on some hosts)."""
+        code = (
+            "import sys\nbefore = set(sys.modules)\n"
+            "import contextlib, io\nimport wallachflow.cli as cli\n"
+            f"{body}\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    def test_cli_import_adds_no_dataclasses_inspect_typing_or_json(self):
+        # the records are plain classes, ``core.Scalar`` is a union of
+        # types, and ``json`` loads in the handlers that write JSON
+        added = self._added_by("")
+        assert "wallachflow.cli" in added
+        assert not added & {"dataclasses", "inspect", "typing", "json"}
+
+    @pytest.mark.parametrize("argv, writes_json, census", [
+        (["scan", "--n", "3"], False, False),
+        (["surface", "--fix", "a1=1/2", "--n", "3"], False, False),
+        (["blowup"], True, False),
+        (["analyze", "--a", "1/6,1/4,1/3"], True, True),
+    ], ids=["scan", "surface", "blowup", "analyze"])
+    def test_json_and_the_census_chart_load_for_the_commands_that_use_them(self, argv, writes_json, census):
+        # the census chart is laid out on the first census
+        body = (
+            "assert cli.eq_mod._CHART is None\n"
+            + self._main(argv)
+            + f"assert (cli.eq_mod._CHART is not None) is {census}\n"
+        )
+        assert ("json" in self._added_by(body)) is writes_json
+
     def test_package_import_loads_no_module(self):
         assert self._package_modules("import wallachflow") == {"wallachflow"}
 

@@ -127,6 +127,16 @@ class TestLieData:
         with pytest.raises(ValueError):
             LieData(4, 4, 4, 0)
 
+    def test_rejects_bool_dimension(self):
+        # True is an int: it would give a1 = A/True = A
+        with pytest.raises(ValueError, match="positive integers"):
+            LieData(True, 1, 1, Fraction(1, 2))
+
+    def test_rejects_nan_structure_constant(self):
+        # every comparison with NaN is false, so NaN <= 0 does not reject it
+        with pytest.raises(ValueError, match="must be positive"):
+            LieData(2, 2, 2, float("nan"))
+
     @given(st.integers(2, 30), st.integers(2, 30), st.integers(2, 30))
     def test_dims_give_exact_ratios(self, d1, d2, d3):
         amax = min(d1, d2, d3)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallachflow._poly import Poly
+from wallachflow._poly import Layout, Poly
 from wallachflow.core import Parameters
 from wallachflow.equilibria import normalize_unit_volume, residual, solve_all
 from wallachflow.flow import MetricPoint, field_components, phi
@@ -163,6 +163,19 @@ class TestLinearizeAt:
         with pytest.raises(ValueError) as info:
             linearize_at(p, pt)
         assert str(info.value) == message
+
+    def test_rays_of_one_triple_share_the_layout_coefficients(self, monkeypatch):
+        # the parameter-only coefficients are kept for the last triple only
+        p, q = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3)), Parameters(0.17, 0.26, 0.33)
+        rays = {t: solve_all(t) for t in (p, q)}
+        expected = {t: [linearize_at(t, ray.rep) for ray in rays[t]] for t in (p, q)}
+        calls = []
+        original = Layout.at
+        monkeypatch.setattr(Layout, "at", lambda self, *args: calls.append(args) or original(self, *args))
+        for t in (p, q, p):
+            assert len(rays[t]) > 1
+            assert [linearize_at(t, ray.rep) for ray in rays[t]] == expected[t]
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("a", [(1e10, 2.0, 3.0), (1e20, 0.2, 0.3)])
     def test_residual_tolerance_scales_with_the_parameters(self, a):
