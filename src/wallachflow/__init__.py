@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # module -> the public names it defines, in the order of ``__all__``
 _EXPORTS = {
     "core": ("LieData", "Parameters", "params_from_dims"),
-    "flow": ("MetricPoint", "Velocity3", "vector_field_3d", "vector_field_2d", "phi"),
+    "flow": ("MetricPoint", "vector_field_3d", "vector_field_2d", "phi"),
     "equilibria": (
         "EquilibriumRay",
         "FamilyTag",
@@ -48,7 +48,7 @@ _EXPORTS = {
         "cube_grid",
         "scan",
     ),
-    "integrate": ("Trajectory", "integrate_flow", "integrate_flow_3d"),
+    "integrate": ("Trajectory", "integrate_flow"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -33,7 +33,6 @@ from functools import partial
 
 from . import equilibria as eq_mod
 from .core import Parameters, Scalar, is_exact, parse_scalar, scalar_to_json
-from .flow import MetricPoint
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -185,18 +184,8 @@ def cmd_analyze(args) -> int:
 # --- flow ------------------------------------------------------------------
 
 
-def _run_one_flow(x0, p, rays, t_max, rel_tol, three_d):
-    from .integrate import integrate_flow, integrate_flow_3d
-
-    if three_d:
-        return integrate_flow_3d(
-            p, MetricPoint(*x0), t_max=t_max, rel_tol=rel_tol, equilibria=rays
-        )
-    return integrate_flow(p, x0, t_max=t_max, rel_tol=rel_tol, equilibria=rays)
-
-
 def cmd_flow(args) -> int:
-    from .integrate import check_rtol
+    from .integrate import check_rtol, integrate_flow
 
     p = _parse_triple(args.a)
     if not (math.isfinite(args.tmax) and args.tmax > 0):
@@ -228,9 +217,9 @@ def cmd_flow(args) -> int:
     if not starts:
         raise UsageError("provide --x0 and/or --random-starts")
 
+    # the length of each start picks the planar or the 3D flow
     run_one = partial(
-        _run_one_flow, p=p, rays=eq_mod.solve_all(p),
-        t_max=args.tmax, rel_tol=args.rtol, three_d=args.three_d,
+        integrate_flow, p, t_max=args.tmax, rel_tol=args.rtol, equilibria=eq_mod.solve_all(p)
     )
     trajectories = _map(run_one, starts, args.threads)
 

@@ -16,7 +16,6 @@ from .core import Parameters, Record, Scalar, _canonical, _exec_source, is_exact
 
 __all__ = [
     "MetricPoint",
-    "Velocity3",
     "normalization_weight",
     "field_components",
     "vector_field_3d",
@@ -48,19 +47,6 @@ class MetricPoint(Record):
 
     def scaled(self, factor: Scalar) -> "MetricPoint":
         return MetricPoint(self.x1 * factor, self.x2 * factor, self.x3 * factor)
-
-
-class Velocity3(Record):
-    """Time-derivatives of the three metric coefficients."""
-
-    _fields = ("v1", "v2", "v3")
-
-    def __init__(self, v1: Scalar, v2: Scalar, v3: Scalar):
-        self.__dict__.update(v1=v1, v2=v2, v3=v3)
-
-    @property
-    def v(self) -> tuple[Scalar, Scalar, Scalar]:
-        return (self.v1, self.v2, self.v3)
 
 
 def power(base: Scalar, exponent: Scalar) -> Scalar:
@@ -129,10 +115,11 @@ _field = _exec_source(
 )["_field"]
 
 
-def vector_field_3d(p: Parameters, x: MetricPoint) -> Velocity3:
-    """Right-hand side of the 3D flow; scale-invariant (degree 0) in ``x``."""
+def vector_field_3d(p: Parameters, x: MetricPoint) -> tuple[Scalar, Scalar, Scalar]:
+    """Right-hand side of the 3D flow, the time-derivatives ``(v1, v2, v3)``
+    of the metric coefficients; scale-invariant (degree 0) in ``x``."""
     _require_reduced(p)
-    return Velocity3(*field_components(*p.a, *x.x))
+    return field_components(*p.a, *x.x)
 
 
 def log_volume(p: Parameters, x: MetricPoint) -> float:
@@ -170,5 +157,4 @@ def _phi_exponents(p: Parameters) -> tuple[Scalar, Scalar]:
 
 def vector_field_2d(p: Parameters, x1: Scalar, x2: Scalar) -> tuple[Scalar, Scalar]:
     """First two components of the 3D field on the ``V = 1`` surface."""
-    v = vector_field_3d(p, MetricPoint(x1, x2, phi(p, x1, x2)))
-    return (v.v1, v.v2)
+    return vector_field_3d(p, MetricPoint(x1, x2, phi(p, x1, x2)))[:2]

@@ -1,5 +1,9 @@
 """Adaptive time integration of the planar and 3D flows.
 
+``integrate_flow`` is the one entry point, and the length of its start
+picks the system: two coordinates ``(x1, x2)`` run the planar flow on the
+``V = 1`` surface, three run the unreduced 3D flow.
+
 The stepper is an embedded Dormand-Prince 5(4) pair with a PI step
 controller (safety 0.9, growth capped at 5x).  Integration happens in
 logarithmic coordinates, which keeps the metric coefficients positive
@@ -25,14 +29,13 @@ from __future__ import annotations
 import math
 
 from .core import Parameters, Record, _exec_source
-from .equilibria import normalize_unit_volume, scale_to_log_volume, solve_all
+from .equilibria import scale_to_log_volume, solve_all
 from .flow import _FIELD_TEXT, MetricPoint, _phi_exponents, log_volume, normalization_weight
 
 __all__ = [
     "Trajectory",
     "TrajectoryStatus",
     "integrate_flow",
-    "integrate_flow_3d",
     "check_rtol",
 ]
 
@@ -154,27 +157,27 @@ def _indent(lines, depth):
     return [" " * depth + line for line in lines]
 
 
-# The float charts: the size of the log state ``ya, yb[, yc]``, the
-# parameters the map reads beside ``a1, a2, a3`` and the normalization
+# The float charts by the size of the log state ``ya, yb[, yc]``: the name,
+# the parameters the map reads beside ``a1, a2, a3`` and the normalization
 # weight, and the map from the log state to the point ``x1, x2, x3`` as
 # (statement, test) pairs.  A point that fails a test, or whose evaluation
 # raises ``ArithmeticError``, has no stage.  The planar chart's x3 is
 # ``phi(x1, x2)``, evaluated as ``flow.power`` evaluates it.
 _CHARTS = {
-    "planar": (2, ("e1", "e2"), (
+    2: ("planar", ("e1", "e2"), (
         ("x1, x2 = exp(ya), exp(yb)", "0.0 < x1 < inf and 0.0 < x2 < inf"),
         ("x3 = exp(e1 * log(x1)) * exp(e2 * log(x2))", "0.0 < x3 < inf"),
     )),
-    "3d": (3, (), (
+    3: ("3d", (), (
         ("x1, x2, x3 = exp(ya), exp(yb), exp(yc)", "0.0 < x1 < inf and 0.0 < x2 < inf and 0.0 < x3 < inf"),
     )),
 }
 
 
-def _compile_chart(name: str):
-    """The factory of a float chart, generated from its map in ``_CHARTS``,
-    ``flow._FIELD_TEXT`` and the tableau.  ``chart(traj, a1, a2, a3, weight,
-    *params)`` returns ``(point, stage, run)``:
+def _compile_chart(n: int):
+    """The factory of the float chart of size ``n``, generated from its map
+    in ``_CHARTS``, ``flow._FIELD_TEXT`` and the tableau.  ``chart(traj, a1,
+    a2, a3, weight, *params)`` returns ``(point, stage, run)``:
 
     - ``point(y)``, the point of the log state ``y``;
     - ``stage(ya, yb[, yc])``, which counts one evaluation on ``traj`` and
@@ -201,7 +204,7 @@ def _compile_chart(name: str):
     splices it in without the ``v3`` line, which nothing there reads.  The
     text is registered in ``linecache`` under ``<name chart>``.
     """
-    n, params, chart_map = _CHARTS[name]
+    name, params, chart_map = _CHARTS[n]
     ys, u, w = _names("y", n), _names("u", n), _names("y5", n)
     x = "x1, x2, x3"
     v = ", ".join(f"v{j}" for j in range(1, n + 1))
@@ -333,12 +336,23 @@ def _compile_chart(name: str):
 _CHART_FACTORIES: dict = {}
 
 
-def _chart(name: str, traj: Trajectory, *args):
-    """``(point, stage, run)`` of chart ``name`` (see ``_compile_chart``)."""
-    factory = _CHART_FACTORIES.get(name)
+def _chart(p: Parameters, traj: Trajectory, n: int):
+    """The chart of size ``n`` in floats: the parameters, ``point``,
+    ``stage`` and ``run``, which count their evaluations on ``traj`` (see
+    ``_compile_chart``).
+
+    Mixing an exact scalar into a float operation rounds it to float there,
+    so converting the parameters once, and evaluating the field in the unit
+    ``1.0``, changes no bit of the field; only the all-exact normalization
+    weight and the planar chart's phi exponents are computed from the
+    original scalars before they are rounded.
+    """
+    factory = _CHART_FACTORIES.get(n)
     if factory is None:
-        factory = _CHART_FACTORIES[name] = _compile_chart(name)
-    return factory(traj, *args)
+        factory = _CHART_FACTORIES[n] = _compile_chart(n)
+    a = tuple(float(ai) for ai in p.a)
+    exponents = [float(e) for e in _phi_exponents(p)] if n == 2 else []
+    return (a, *factory(traj, *a, float(normalization_weight(*p.a)), *exponents))
 
 
 def check_rtol(rel_tol: float):
@@ -419,74 +433,39 @@ def _drive(
     return traj
 
 
-def _planar_chart(p: Parameters, traj: Trajectory):
-    """The planar chart in floats: the parameters, ``point``, ``stage`` and
-    ``run``, which count their evaluations on ``traj`` (see
-    ``_compile_chart``).
-
-    Mixing an exact scalar into a float operation rounds it to float there,
-    so converting the parameters once, and evaluating the field in the unit
-    ``1.0``, changes no bit of the field; only the all-exact normalization
-    weight and phi's exponents are computed from the original scalars before
-    they are rounded.
-    """
-    a = tuple(float(ai) for ai in p.a)
-    weight = float(normalization_weight(*p.a))
-    e1, e2 = (float(e) for e in _phi_exponents(p))
-    return (a, *_chart("planar", traj, *a, weight, e1, e2))
-
-
-def _chart_3d(p: Parameters, traj: Trajectory):
-    """The 3D chart in floats, converted and shaped as ``_planar_chart``."""
-    a = tuple(float(ai) for ai in p.a)
-    return (a, *_chart("3d", traj, *a, float(normalization_weight(*p.a))))
-
-
 def integrate_flow(
     p: Parameters,
-    x0: tuple[float, float],
+    x0: tuple[float, ...],
     t_max: float = 50.0,
     rel_tol: float = 1e-10,
     equilibria=None,
 ) -> Trajectory:
-    """Integrate the planar flow from ``x0`` until it settles on a known
-    equilibrium, exits the positivity box, or reaches ``t_max``."""
+    """Integrate the flow from ``x0`` until it settles on a known
+    equilibrium, exits the positivity box, or reaches ``t_max``.
+
+    Two coordinates ``(x1, x2)`` run the planar flow on ``V = 1``, whose
+    targets are the equilibrium rays at unit volume.  Three run the
+    unreduced 3D flow, whose recorded volume must stay at its initial value
+    up to integration error, so its targets are the rays scaled onto that
+    level set.
+    """
     if not p.reduced_ok:
-        raise ValueError("planar flow requires all a_i nonzero")
+        raise ValueError("the flow requires all a_i nonzero")
     check_rtol(rel_tol)
-    if not (x0[0] > 0 and x0[1] > 0):
+    n = len(x0)
+    if n not in (2, 3):
+        raise ValueError("initial point must have 2 or 3 coordinates")
+    if not all(c > 0 for c in x0):
         raise ValueError("initial point must be positive")
 
-    rays = solve_all(p) if equilibria is None else equilibria
-    targets = [
-        (float(m.x1), float(m.x2)) for m in (normalize_unit_volume(p, ray) for ray in rays)
-    ]
-    y0 = [math.log(float(x0[0])), math.log(float(x0[1]))]
     traj = Trajectory()
-    return _drive(traj, *_planar_chart(p, traj), targets, y0, float(t_max), float(rel_tol))
-
-
-def integrate_flow_3d(
-    p: Parameters,
-    x0: MetricPoint,
-    t_max: float = 50.0,
-    rel_tol: float = 1e-10,
-    equilibria=None,
-) -> Trajectory:
-    """Integrate the unreduced 3D flow; the recorded volume must stay at its
-    initial value up to integration error."""
-    if not p.reduced_ok:
-        raise ValueError("volume tracking requires all a_i nonzero")
-    check_rtol(rel_tol)
-
-    traj = Trajectory()
-    a, point, stage, run = _chart_3d(p, traj)
-    # the flow keeps the start's volume, so the targets are the equilibrium
-    # rays scaled onto that level set
-    y0 = [math.log(float(v)) for v in x0.x]
-    lv = log_volume(p, MetricPoint(*point(y0)))
+    a, point, stage, run = _chart(p, traj, n)
+    y0 = [math.log(float(c)) for c in x0]
+    # the targets are the rays on the run's level set of the volume: V = 1
+    # for the planar flow, the start's volume for the 3D flow, which keeps it
+    lv = 0.0 if n == 2 else log_volume(p, MetricPoint(*point(y0)))
     targets = [
-        tuple(float(c) for c in scale_to_log_volume(p, ray.rep, lv).x)
+        tuple(float(c) for c in scale_to_log_volume(p, ray.rep, lv).x[:n])
         for ray in (solve_all(p) if equilibria is None else equilibria)
     ]
     return _drive(traj, a, point, stage, run, targets, y0, float(t_max), float(rel_tol))

@@ -27,14 +27,14 @@ from . import linearize as lin_mod
 from ._poly import Poly, real_roots
 from .core import Parameters, Record, Scalar
 from .flow import MetricPoint, vector_field_2d, vector_field_3d
-from .integrate import integrate_flow, integrate_flow_3d
+from .integrate import integrate_flow
 from .linearize import PointKind, classify
 from .surfaces import Region, component_classify, cube_grid, grad_q1, q1_eval, q_eval, scan
 
 __all__ = ["CheckResult", "CHECKS", "run_all", "run_check"]
 
 
-class CheckResult(Record, frozen=False):
+class CheckResult(Record):
     _fields = ("name", "passed", "detail", "seconds")
 
     def __init__(self, name: str, passed: bool, detail: str, seconds: float = 0.0):
@@ -390,7 +390,7 @@ def jacobian_2d_fd(p: Parameters, x1: Scalar, x2: Scalar) -> list[list[float]]:
 def jacobian_3d_fd(p: Parameters, x: MetricPoint) -> list[list[float]]:
     """Central finite-difference Jacobian of the 3D field."""
     return _central_difference(
-        lambda y: vector_field_3d(p, MetricPoint(*y)).v, [float(v) for v in x.x]
+        lambda y: vector_field_3d(p, MetricPoint(*y)), [float(v) for v in x.x]
     )
 
 
@@ -456,8 +456,8 @@ def check_first_integral() -> tuple[list[str], str]:
               Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3))):
         rays = eq_mod.solve_all(p)
         for _ in range(5):
-            x0 = MetricPoint(*(math.exp(rng.uniform(-0.7, 0.7)) for _ in range(3)))
-            traj = integrate_flow_3d(p, x0, t_max=50.0, rel_tol=1e-10, equilibria=rays)
+            x0 = tuple(math.exp(rng.uniform(-0.7, 0.7)) for _ in range(3))
+            traj = integrate_flow(p, x0, t_max=50.0, rel_tol=1e-10, equilibria=rays)
             _expect(traj.max_volume_drift <= 1e-7, problems,
                     f"3D drift {traj.max_volume_drift:.2e} > 1e-7")
         for _ in range(3):
@@ -526,11 +526,10 @@ def run_check(name: str, func) -> CheckResult:
     t0 = time.perf_counter()
     try:
         problems, detail = func()
-        result = CheckResult(name, not problems, "; ".join(problems) or detail)
+        passed, detail = not problems, "; ".join(problems) or detail
     except Exception as exc:  # a crash is a failure, not an abort
-        result = CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
-    result.seconds = time.perf_counter() - t0
-    return result
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CheckResult(name, passed, detail, time.perf_counter() - t0)
 
 
 def run_all() -> list[CheckResult]:

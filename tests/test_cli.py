@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallachflow import cli
+from wallachflow import integrate as integrate_mod
 from wallachflow.integrate import Trajectory
 from wallachflow.verify import CheckResult
 
@@ -203,7 +204,7 @@ def _flow_csv(runs):
     integrator is replaced by one that returns them."""
     samples = iter(runs)
 
-    def run_one(_x0, **_kwargs):
+    def integrate_flow(_p, _x0, **_kwargs):
         return Trajectory(samples=list(next(samples)))
 
     argv = ["--threads", "1", "flow", "--a", "1/6,1/4,1/3", "--x0", "1,1"]
@@ -211,7 +212,7 @@ def _flow_csv(runs):
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        mp.setattr(cli, "_run_one_flow", run_one)
+        mp.setattr(integrate_mod, "integrate_flow", integrate_flow)
         assert cli.main(argv) == 0
     return out.getvalue()
 
@@ -371,11 +372,12 @@ class TestFlow:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "float range" in err
 
-    def test_batch_reproducible(self, tmp_path):
+    @pytest.mark.parametrize("three_d", [False, True])
+    def test_batch_reproducible(self, three_d, tmp_path):
         # the CSV and the summary are byte-identical from run to run and
-        # across thread counts
+        # across thread counts, planar and 3D
         args = ["flow", "--a", "7/15,7/15,7/15", "--random-starts", "3",
-                "--seed", "5", "--tmax", "3"]
+                "--seed", "5", "--tmax", "3"] + ["--three-d"] * three_d
         outputs = []
         for i, threads in enumerate(("1", "1", "2")):
             out = tmp_path / f"{i}.csv"
@@ -383,6 +385,7 @@ class TestFlow:
             assert proc.returncode == 0
             outputs.append((out.read_bytes(), proc.stdout))
         assert outputs[0] == outputs[1] == outputs[2]
+        assert {len(run["x0"]) for run in json.loads(outputs[0][1])["runs"]} == {2 + three_d}
 
     @pytest.mark.parametrize("three_d, x0", [
         (False, [["0x1.221d1b5de0f68p+0", "0x1.7cd83366b51ddp+0"],

@@ -22,16 +22,7 @@ from wallachflow import integrate as integrate_mod
 from wallachflow.core import Parameters
 from wallachflow.equilibria import normalize_unit_volume, solve_all
 from wallachflow.flow import MetricPoint, phi, vector_field_2d, vector_field_3d
-from wallachflow.integrate import (
-    Trajectory,
-    TrajectoryStatus,
-    _chart_3d,
-    _domain_exit,
-    _drive,
-    _planar_chart,
-    integrate_flow,
-    integrate_flow_3d,
-)
+from wallachflow.integrate import Trajectory, TrajectoryStatus, _chart, _domain_exit, _drive, integrate_flow
 
 
 @pytest.fixture(scope="module")
@@ -277,31 +268,31 @@ def exp_calls(monkeypatch):
     return state
 
 
-# math.exp calls per stage of each chart: x1, x2 and phi's two factors in
-# the planar chart, x1, x2, x3 in 3D
-_EXPS_PER_STAGE = {_planar_chart: 4, _chart_3d: 3}
+# math.exp calls per stage of the chart of each size: x1, x2 and phi's two
+# factors in the planar chart, x1, x2, x3 in 3D
+_EXPS_PER_STAGE = {2: 4, 3: 3}
 # replacements of the calls of one stage, keyed by the call within the
 # stage: an exception of exp, a point outside the float range, and a point
 # (1e-200, 1e-200, 1) where x1 * x2 underflows and the field divides by 0
 _STAGE_FAILURES = {
-    _planar_chart: [{0: OverflowError}, {3: OverflowError}, {0: math.inf}, {1: math.nan}, {2: 0.0},
-                    {3: math.inf}, {0: 1e-200, 1: 1e-200, 2: 1.0, 3: 1.0}],
-    _chart_3d: [{0: OverflowError}, {2: OverflowError}, {0: math.inf}, {1: math.nan}, {2: 0.0},
-                {0: 1e-200, 1: 1e-200, 2: 1.0}],
+    2: [{0: OverflowError}, {3: OverflowError}, {0: math.inf}, {1: math.nan}, {2: 0.0},
+        {3: math.inf}, {0: 1e-200, 1: 1e-200, 2: 1.0, 3: 1.0}],
+    3: [{0: OverflowError}, {2: OverflowError}, {0: math.inf}, {1: math.nan}, {2: 0.0},
+        {0: 1e-200, 1: 1e-200, 2: 1.0}],
 }
 _P = Parameters(Fraction(1, 6), Fraction(1, 4), Fraction(1, 3))
 
 
-def _start(chart):
-    # a log state of the chart's size, away from the equilibria of _P
-    return [0.1, -0.2, 0.05][:2 if chart is _planar_chart else 3]
+def _start(n):
+    # a log state of size n, away from the equilibria of _P
+    return [0.1, -0.2, 0.05][:n]
 
 
-def _stage_point(chart, x):
-    """The replacements of one stage's ``math.exp`` calls that put its
-    point at ``x``; the planar chart's x3 is the product of its two
-    factors."""
-    return dict(enumerate(x if chart is _chart_3d else (x[0], x[1], x[2], 1.0)))
+def _stage_point(n, x):
+    """The replacements of one stage's ``math.exp`` calls in the chart of
+    size ``n`` that put its point at ``x``; the planar chart's x3 is the
+    product of its two factors."""
+    return dict(enumerate(x if n == 3 else (x[0], x[1], x[2], 1.0)))
 
 
 # a first step size whose quarter is below _MIN_STEP: a run from it up to
@@ -309,10 +300,10 @@ def _stage_point(chart, x):
 _ONE_TRY = 2e-14
 
 
-def _run_from(chart, p, y, h, rtol, exp_calls, bad=None, oracle=False, first=None):
-    """A run of ``chart`` at ``p`` from ``y`` up to ``t_max = h`` with the
-    first step size ``h``, on a fresh chart and Trajectory, with the
-    replacements ``bad`` in the ``math.exp`` calls of the run (see
+def _run_from(n, p, y, h, rtol, exp_calls, bad=None, oracle=False, first=None):
+    """A run of the chart of size ``n`` at ``p`` from ``y`` up to ``t_max =
+    h`` with the first step size ``h``, on a fresh chart and Trajectory, with
+    the replacements ``bad`` in the ``math.exp`` calls of the run (see
     ``exp_calls``): the verdict, the outcome on the Trajectory, whose counts
     leave out the start's evaluation, and the arguments of ``math.exp``,
     floats as bytes.  The start's derivative is its stage's unless
@@ -320,7 +311,7 @@ def _run_from(chart, p, y, h, rtol, exp_calls, bad=None, oracle=False, first=Non
     chart's ``run``, or with ``oracle`` ``_reference_integrate`` over
     ``_step_over`` the chart's ``stage``; neither has a target."""
     traj = Trajectory()
-    a, _point, stage, run = chart(p, traj)
+    a, _point, stage, run = _chart(p, traj, n)
     exp_calls.update(calls=0, bad={})
     k = stage(*y)[0] if first is None else first
     traj.field_evals = 0
@@ -334,11 +325,11 @@ def _run_from(chart, p, y, h, rtol, exp_calls, bad=None, oracle=False, first=Non
 
 
 class TestStepper:
-    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
-    def test_local_error_estimate_order(self, chart):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_local_error_estimate_order(self, n):
         # the embedded error estimate of the 5(4) pair shrinks like h^5
-        _a, _point, stage, _run = chart(_P, Trajectory())
-        y = _start(chart)
+        _a, _point, stage, _run = _chart(_P, Trajectory(), n)
+        y = _start(n)
         first = stage(*y)[0]
         errs = [_step_over(stage)(y, h, first, 1e-6)[1] for h in (0.1, 0.05, 0.025)]
         assert errs[0] / errs[1] > 2**4.5
@@ -347,30 +338,27 @@ class TestStepper:
     def test_global_error_tracks_tolerance(self, stable_params):
         # the error at t = 3 of runs at two tolerances, against a run at the
         # least tolerance, shrinks with the tolerance
-        x0 = MetricPoint(1.8, 0.7, 1.3)
         finals = []
         for rtol in (1e-6, 1e-9, 1e-12):
-            traj = integrate_flow_3d(stable_params, x0, t_max=3.0, rel_tol=rtol)
+            traj = integrate_flow(stable_params, (1.8, 0.7, 1.3), t_max=3.0, rel_tol=rtol)
             assert traj.status == TrajectoryStatus.MAX_TIME and traj.samples[-1][0] == 3.0
             finals.append(traj.final_point)
         errors = [max(abs(c - e) for c, e in zip(final, finals[-1])) for final in finals[:2]]
         assert errors[0] / max(errors[1], 1e-18) > 10
 
-    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
-    def test_seventh_stage_is_the_stage_at_the_result(self, chart):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_seventh_stage_is_the_stage_at_the_result(self, n):
         # FSAL: the last row of the tableau is the 5th-order weights, so the
         # seventh stage of a step, which the next step takes as its first,
         # is, bit for bit, the stage at its result
-        _a, _point, stage, _run = chart(_P, Trajectory())
+        _a, _point, stage, _run = _chart(_P, Trajectory(), n)
         rng = np.random.default_rng(5)
         for _ in range(20):
-            y = rng.uniform(-0.5, 0.5, 2 if chart is _planar_chart else 3).tolist()
+            y = rng.uniform(-0.5, 0.5, n).tolist()
             y5, _err_norm, *last = _step_over(stage)(y, float(rng.uniform(0.01, 0.5)), stage(*y)[0], 1e-6)
             assert _bits(tuple(last)) == _bits(stage(*y5))
 
 
-# the chart whose log state has n components
-_CHART_OF_SIZE = {2: _planar_chart, 3: _chart_3d}
 # points where the derivative at _P holds inf, -inf or NaN in component i
 _NON_FINITE_POINTS = {
     "inf": [(1e50, 1e-300, 1e50), (1e-300, 1e50, 1e50), (1e-300, 1e50, 1e50)],
@@ -394,7 +382,7 @@ class TestStraightLineStep:
         # coefficients a72, b2, b7 and e2 are kept, so that a non-finite
         # stage always reaches the sum
         row = getattr(integrate_mod, weights) if isinstance(weights, str) else integrate_mod._A[weights]
-        sums = re.findall(r"h \* \(([^()]*)\)", inspect.getsource(_CHART_OF_SIZE[n](_P, Trajectory())[3]))
+        sums = re.findall(r"h \* \(([^()]*)\)", inspect.getsource(_chart(_P, Trajectory(), n)[3]))
         # stages 2 to 7, the result and the error estimate of each component
         assert len(sums) == 8 * n and all(s.startswith("0.0 + ") for s in sums)
         for c in "abc"[:n]:
@@ -408,12 +396,11 @@ class TestStraightLineStep:
         # the first math.exp call of stage bad_call + 1 (stages 2 to 7) of
         # the one attempt raises; no later one runs, and the retry at a
         # quarter of the step size underflows
-        chart = _CHART_OF_SIZE[n]
-        per, y = _EXPS_PER_STAGE[chart], _start(chart)
-        verdict, outcome, _args = _run_from(chart, _P, y, _ONE_TRY, 1e-6, exp_calls)
+        per, y = _EXPS_PER_STAGE[n], _start(n)
+        verdict, outcome, _args = _run_from(n, _P, y, _ONE_TRY, 1e-6, exp_calls)
         assert verdict == (TrajectoryStatus.MAX_TIME, None) and outcome[-3:] == (6, 1, 0)
         bad = {(bad_call - 1) * per: OverflowError}
-        verdict, outcome, _args = _run_from(chart, _P, y, _ONE_TRY, 1e-6, exp_calls, bad)
+        verdict, outcome, _args = _run_from(n, _P, y, _ONE_TRY, 1e-6, exp_calls, bad)
         assert verdict == (TrajectoryStatus.STEP_UNDERFLOW, None)
         assert outcome[-3:] == (bad_call, 0, 1)
         assert exp_calls["calls"] == (bad_call - 1) * per + 1
@@ -428,20 +415,19 @@ class TestStraightLineStep:
         # whatever its log state; so stage 2 or 7 reaches the result only
         # through its zero weight, which must be kept.  Every stage of the
         # one attempt is evaluated, and the step fails on its result
-        chart = _CHART_OF_SIZE[n]
-        per, y = _EXPS_PER_STAGE[chart], _start(chart)
+        per, y = _EXPS_PER_STAGE[n], _start(n)
         for component in range(n):
             results = []
             for x_bad in ((1.0, 1.0, 1.0), _NON_FINITE_POINTS[repr(bad_value)][component]):
                 exp_calls.update(calls=0, bad={})
-                first = list(chart(_P, Trajectory())[2](*y)[0])
+                first = list(_chart(_P, Trajectory(), n)[2](*y)[0])
                 if bad_call == 0 and x_bad != (1.0, 1.0, 1.0):
                     first[component] = bad_value
                 bad = {}
                 for stage_no in range(2, 8):
                     x = x_bad if stage_no == bad_call + 1 else (1.0, 1.0, 1.0)
-                    bad.update({(stage_no - 2) * per + j: v for j, v in _stage_point(chart, x).items()})
-                verdict, outcome, _args = _run_from(chart, _P, y, _ONE_TRY, 1e-6, exp_calls, bad, first=first)
+                    bad.update({(stage_no - 2) * per + j: v for j, v in _stage_point(n, x).items()})
+                verdict, outcome, _args = _run_from(n, _P, y, _ONE_TRY, 1e-6, exp_calls, bad, first=first)
                 results.append((verdict, outcome[-3:], exp_calls["calls"]))
             assert results[0] == (_bits((TrajectoryStatus.MAX_TIME, None)), (6, 1, 0), 6 * per + 1)
             assert results[1] == (_bits((TrajectoryStatus.STEP_UNDERFLOW, None)), (6, 0, 1), 6 * per), component
@@ -452,12 +438,11 @@ class TestStraightLineStep:
         # stage bad_call + 1 of the first attempted step sits where the
         # field is NaN; the calls before it are the start's stage and
         # volume.  That step is rejected and the run goes on
-        chart = _CHART_OF_SIZE[n]
-        per, y = _EXPS_PER_STAGE[chart], _start(chart)
-        point = _stage_point(chart, _NON_FINITE_POINTS["nan"][0])
+        per, y = _EXPS_PER_STAGE[n], _start(n)
+        point = _stage_point(n, _NON_FINITE_POINTS["nan"][0])
         exp_calls.update(calls=0, bad={per + 1 + (bad_call - 1) * per + j: v for j, v in point.items()})
         traj = Trajectory()
-        _drive(traj, *chart(_P, traj), [], y, 1.0, 1e-3)
+        _drive(traj, *_chart(_P, traj, n), [], y, 1.0, 1e-3)
         assert traj.status == TrajectoryStatus.MAX_TIME
         assert traj.steps_rejected == 1
         assert traj.steps_accepted > 0
@@ -472,68 +457,67 @@ class TestFusedRun:
     of the samples."""
 
     @staticmethod
-    def _both(chart, p, y, h, rtol, exp_calls, bad=None):
+    def _both(n, p, y, h, rtol, exp_calls, bad=None):
         # the oracle and the fused run, each on its own chart and Trajectory
-        oracle = _run_from(chart, p, y, h, rtol, exp_calls, bad, oracle=True)
-        fused = _run_from(chart, p, y, h, rtol, exp_calls, bad)
+        oracle = _run_from(n, p, y, h, rtol, exp_calls, bad, oracle=True)
+        fused = _run_from(n, p, y, h, rtol, exp_calls, bad)
         assert oracle == fused
         return fused[:2]
 
     @pytest.mark.parametrize("a", ["1/6,1/4,1/3", "0.17,0.26,0.33", "0.01,0.01,0.49"])
-    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
-    def test_equals_the_reference_bit_for_bit(self, chart, a, exp_calls):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_equals_the_reference_bit_for_bit(self, n, a, exp_calls):
         p = Parameters(*(Fraction(s) if "/" in s else float(s) for s in a.split(",")))
-        n = 2 if chart is _planar_chart else 3
         rng = np.random.default_rng(23)
         seen = set()
         for _ in range(60):
             y = rng.uniform(-3.0, 3.0, n).tolist()
             h = float(10 ** rng.uniform(-8, 0))
             rtol = float(10 ** rng.uniform(-12, -3))
-            _a, _point, stage, _run = chart(p, Trajectory())
+            _a, _point, stage, _run = _chart(p, Trajectory(), n)
             if stage(*y) is None:
                 continue
-            _verdict, outcome = self._both(chart, p, y, h, rtol, exp_calls)
+            _verdict, outcome = self._both(n, p, y, h, rtol, exp_calls)
             evals, accepted, rejected = outcome[-3:]
             seen.add((rejected > 0, evals < 6 * (accepted + rejected)))
         # the draws include runs with no retry, and retries after a failed
         # stage
         assert (False, False) in seen and (True, True) in seen
 
-    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
+    @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("stage_no", range(2, 8))
-    def test_a_failed_stage_is_counted_alike(self, chart, stage_no, exp_calls):
-        per, y = _EXPS_PER_STAGE[chart], _start(chart)
-        assert self._both(chart, _P, y, _ONE_TRY, 1e-6, exp_calls)[1][-3:] == (6, 1, 0)
-        for failure in _STAGE_FAILURES[chart]:
+    def test_a_failed_stage_is_counted_alike(self, n, stage_no, exp_calls):
+        per, y = _EXPS_PER_STAGE[n], _start(n)
+        assert self._both(n, _P, y, _ONE_TRY, 1e-6, exp_calls)[1][-3:] == (6, 1, 0)
+        for failure in _STAGE_FAILURES[n]:
             bad = {(stage_no - 2) * per + j: value for j, value in failure.items()}
-            verdict, outcome = self._both(chart, _P, y, _ONE_TRY, 1e-6, exp_calls, bad)
+            verdict, outcome = self._both(n, _P, y, _ONE_TRY, 1e-6, exp_calls, bad)
             assert verdict == _bits((TrajectoryStatus.STEP_UNDERFLOW, None)), failure
             assert outcome[-3:] == (stage_no - 1, 0, 1), failure
 
-    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
-    def test_a_result_that_is_not_finite_fails_the_step(self, chart, exp_calls):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_result_that_is_not_finite_fails_the_step(self, n, exp_calls):
         # the seventh stage at (1e-300, 1e300, 1), where the ratio x2 / (x1
         # x3) overflows and the field is inf - inf = NaN: every stage is
         # evaluated, and the NaN reaches the result through the stage's zero
         # weight
-        per, y = _EXPS_PER_STAGE[chart], _start(chart)
-        bad = {5 * per + j: value for j, value in _stage_point(chart, (1e-300, 1e300, 1.0)).items()}
-        verdict, outcome = self._both(chart, _P, y, _ONE_TRY, 1e-6, exp_calls, bad)
+        per, y = _EXPS_PER_STAGE[n], _start(n)
+        bad = {5 * per + j: value for j, value in _stage_point(n, (1e-300, 1e300, 1.0)).items()}
+        verdict, outcome = self._both(n, _P, y, _ONE_TRY, 1e-6, exp_calls, bad)
         assert verdict == _bits((TrajectoryStatus.STEP_UNDERFLOW, None))
         assert outcome[-3:] == (6, 0, 1)
         # the reference evaluates every stage and returns a NaN result
-        _a, _point, stage, _run = chart(_P, Trajectory())
+        _a, _point, stage, _run = _chart(_P, Trajectory(), n)
         exp_calls.update(calls=0, bad={})
         first = stage(*y)
         exp_calls.update(calls=0, bad=bad)
         y5, _err, _last = _reference_step(stage, y, _ONE_TRY, first)
         assert not all(map(math.isfinite, y5))
 
-    @pytest.mark.parametrize("three_d", [False, True])
-    def test_seeded_runs_equal_the_reference_driver(self, three_d, exp_calls, monkeypatch):
-        # integrate_flow and integrate_flow_3d from seeded starts, at exact
-        # and float parameters, through _drive and through _reference_drive:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_seeded_runs_equal_the_reference_driver(self, n, exp_calls, monkeypatch):
+        # integrate_flow from seeded starts of n coordinates, at exact and
+        # float parameters, through _drive and through _reference_drive:
         # the same samples, status, exit face, equilibrium, volume drift and
         # counts, bit for bit, and the same arguments of math.exp
         rng = random.Random(11)
@@ -544,15 +528,12 @@ class TestFusedRun:
             rays = solve_all(p)
             for rtol in (1e-6, 1e-10):
                 for _ in range(3):
-                    x = [math.exp(rng.uniform(-0.5, 0.5)) for _ in range(3 if three_d else 2)]
+                    x = tuple(math.exp(rng.uniform(-0.5, 0.5)) for _ in range(n))
                     runs = []
                     for driver in (_reference_drive, drive):
                         monkeypatch.setattr(integrate_mod, "_drive", driver)
                         exp_calls.update(calls=0, bad={}, args=[])
-                        if three_d:
-                            traj = integrate_flow_3d(p, MetricPoint(*x), t_max=60.0, rel_tol=rtol, equilibria=rays)
-                        else:
-                            traj = integrate_flow(p, tuple(x), t_max=60.0, rel_tol=rtol, equilibria=rays)
+                        traj = integrate_flow(p, x, t_max=60.0, rel_tol=rtol, equilibria=rays)
                         runs.append((_outcome(traj), _bits(exp_calls["args"])))
                     assert runs[0] == runs[1], (a, x, rtol)
                     seen.append((a, traj.status, traj.steps_rejected > 0))
@@ -566,12 +547,12 @@ class TestFusedRun:
         # with the map and the field's text spliced into each of its stages;
         # the planar chart leaves out the field's v3, which it never reads
         field = flow_mod._FIELD_TEXT.splitlines()
-        for chart, name in ((_planar_chart, "planar"), (_chart_3d, "3d")):
-            _a, point, stage, run = chart(_P, Trajectory())
+        for n, name in ((2, "planar"), (3, "3d")):
+            _a, point, stage, run = _chart(_P, Trajectory(), n)
             source = inspect.getsource(run)
             assert source.startswith("    def run(y, first, h, t_max, rtol, v_ref, exit_face, match):\n")
             assert inspect.getsourcefile(run) == f"<{name} chart>"
-            statements = [statement for statement, _test in integrate_mod._CHARTS[name][2]]
+            statements = [statement for statement, _test in integrate_mod._CHARTS[n][2]]
             spliced = [line for line in field if name == "3d" or not line.startswith("v3 =")]
             for line in spliced + statements:
                 assert source.count(f"                {line}\n") == 6, line
@@ -585,11 +566,21 @@ class TestFusedRun:
     def test_only_the_3d_chart_computes_v3(self):
         # the planar chart's k and velocity read v1 and v2 only, and v3's
         # float products and sums never raise, so its line is left out
-        _planar_chart(_P, Trajectory())
-        _chart_3d(_P, Trajectory())
+        _chart(_P, Trajectory(), 2)
+        _chart(_P, Trajectory(), 3)
         texts = {name: "".join(linecache.getlines(f"<{name} chart>")) for name in ("planar", "3d")}
         assert not re.search(r"^ *v3 = ", texts["planar"], re.M)
         assert len(re.findall(r"^ *v3 = ", texts["3d"], re.M)) == 7
+
+    def test_each_size_is_compiled_once(self, monkeypatch):
+        # two runs of each dimension compile the chart of each size once
+        compiled = []
+        compile_chart = integrate_mod._compile_chart
+        monkeypatch.setattr(integrate_mod, "_CHART_FACTORIES", {})
+        monkeypatch.setattr(integrate_mod, "_compile_chart", lambda n: compiled.append(n) or compile_chart(n))
+        for x0 in ((1.05, 0.95), (1.05, 0.95, 1.0), (0.9, 1.1), (0.9, 1.1, 1.2)):
+            integrate_flow(_P, x0, t_max=0.1)
+        assert compiled == [2, 3]
 
     def test_importing_the_cli_compiles_no_step(self):
         # the chart runs are compiled on first use
@@ -639,28 +630,27 @@ class TestClampComparisons:
             drift_max = new
         assert _bits(drift_max) == _bits(max(old, new))
 
-    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
-    def test_a_huge_error_shrinks_the_step_by_the_floor(self, chart, exp_calls):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_huge_error_shrinks_the_step_by_the_floor(self, n, exp_calls):
         # stage 7 of the first step sits at (1e-100, 1, 1), where the
         # derivative is about 1e100: it has no weight in the result but the
         # error weight -1/40, so 0.9 * err_norm**-0.14 is far below
         # _MIN_SHRINK and the retry takes h * _MIN_SHRINK
-        per, y = _EXPS_PER_STAGE[chart], _start(chart)
-        bad = {5 * per + j: value for j, value in _stage_point(chart, (1e-100, 1.0, 1.0)).items()}
-        _verdict, outcome, args = _run_from(chart, _P, y, 0.1, 1e-6, exp_calls, bad)
+        per, y = _EXPS_PER_STAGE[n], _start(n)
+        bad = {5 * per + j: value for j, value in _stage_point(n, (1e-100, 1.0, 1.0)).items()}
+        _verdict, outcome, args = _run_from(n, _P, y, 0.1, 1e-6, exp_calls, bad)
         assert outcome[-1] == 1
         # the first call of each attempt is the second stage's exp(ya), at
         # ya = y[0] + h * _A21 * k1a
         h1, h2 = (struct.unpack("<d", args[i])[0] - y[0] for i in (0, 6 * per))
         assert h2 / h1 == pytest.approx(integrate_mod._MIN_SHRINK, rel=1e-9)
 
-    @pytest.mark.parametrize("chart", [_planar_chart, _chart_3d])
-    def test_field_test_of_run(self, chart):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_field_test_of_run(self, n):
         # run ends in convergence at a target only where max(map(abs, v))
         # <= _FIELD_TOL, which fails at a NaN first component and skips a
         # later one; its test is read from the generated text
-        n = 2 if chart is _planar_chart else 3
-        (test,) = re.findall(r"^ *if (abs\(v1\) .*):$", inspect.getsource(chart(_P, Trajectory())[3]), re.M)
+        (test,) = re.findall(r"^ *if (abs\(v1\) .*):$", inspect.getsource(_chart(_P, Trajectory(), n)[3]), re.M)
         tol = integrate_mod._FIELD_TOL
         values = [math.nan, math.inf, 0.0, -tol, tol, 2 * tol]
         seen = set()
@@ -723,10 +713,9 @@ class TestRunStatus:
         # the charts bind math.exp when they are made, inside integrate_flow
         monkeypatch.setattr(math, "exp", failing_exp)
         monkeypatch.setattr(integrate_mod, "_drive", drive_stepping)
-        for x0 in ((1.05, 0.95), MetricPoint(1.05, 0.95, 1.0)):
+        for x0 in ((1.05, 0.95), (1.05, 0.95, 1.0)):
             stepping.clear()
-            run = integrate_flow if isinstance(x0, tuple) else integrate_flow_3d
-            traj = run(stable_params, x0, t_max=1.0)
+            traj = integrate_flow(stable_params, x0, t_max=1.0)
             assert traj.status == TrajectoryStatus.STEP_UNDERFLOW
             assert traj.steps_accepted == 0 and traj.steps_rejected > 0
             assert traj.field_evals == 1 + traj.steps_rejected
@@ -748,11 +737,11 @@ class TestFloatCharts:
     @given(a=st.tuples(_param, _param, _param), x=st.tuples(_coord, _coord, _coord))
     def test_float_field_equals_the_formula(self, a, x):
         p = Parameters(*a)
-        _a, point, stage, _step = _chart_3d(p, Trajectory())
+        _a, point, stage, _step = _chart(p, Trajectory(), 3)
         y = [math.log(c) for c in x]
         k, xs, v = stage(*y)
         assert xs == point(y) == tuple(math.exp(u) for u in y)
-        assert _bits(v) == _bits(vector_field_3d(p, MetricPoint(*xs)).v)
+        assert _bits(v) == _bits(vector_field_3d(p, MetricPoint(*xs)))
         assert _bits(k) == _bits(tuple(vi / xi for vi, xi in zip(v, xs)))
 
     @settings(max_examples=300, deadline=None)
@@ -765,7 +754,7 @@ class TestFloatCharts:
         # is converted to 1.0 in each float operation, so the bits are the
         # same as flow._field's, over the float range of the field
         p = Parameters(*a)
-        _a, _point, stage, _step = _chart_3d(p, Trajectory())
+        _a, _point, stage, _step = _chart(p, Trajectory(), 3)
         _k, xs, v = stage(*(math.log(c) for c in x))
         assert _bits(v) == _bits(flow_mod._field(*p.a, *xs)[:3])
 
@@ -773,7 +762,7 @@ class TestFloatCharts:
     @given(a=st.tuples(_param, _param, _param), x=st.tuples(_coord, _coord))
     def test_planar_chart_equals_phi_and_the_planar_field(self, a, x):
         p = Parameters(*a)
-        _a, point, stage, _step = _planar_chart(p, Trajectory())
+        _a, point, stage, _step = _chart(p, Trajectory(), 2)
         y = [math.log(c) for c in x]
         k, (x1, x2, x3), v = stage(*y)
         assert (x1, x2, x3) == point(y)
@@ -818,26 +807,53 @@ class TestPlanarIntegration:
         assert all(b > a for a, b in zip(times, times[1:]))
 
 
+class TestStartSize:
+    """The length of the start picks the system: two coordinates run the
+    planar flow, three the 3D flow, and any other length is an error."""
+
+    def test_three_coordinates_run_the_3d_flow(self):
+        # the start (1, 1, 5) lies off V = 1 and the 3D flow keeps its
+        # volume; a planar run would start from (1, 1, phi(1, 1)) = (1, 1, 1)
+        traj = integrate_flow(_P, (1.0, 1.0, 5.0), t_max=1.0)
+        assert traj.samples[0][1:4] == (1.0, 1.0, math.exp(math.log(5.0)))
+        assert traj.samples[0][4] == pytest.approx(125.0, rel=1e-14)
+        assert traj.max_volume_drift <= 1e-12
+
+    @pytest.mark.parametrize("x0", [(), (1.0,), (1.0, 1.0, 1.0, 1.0)])
+    def test_another_length_is_an_error(self, x0, monkeypatch):
+        monkeypatch.setattr(integrate_mod, "_CHART_FACTORIES", {})
+        monkeypatch.setattr(integrate_mod, "_compile_chart", None)
+        with pytest.raises(ValueError, match="2 or 3 coordinates"):
+            integrate_flow(_P, x0)
+
+    @pytest.mark.parametrize("x0", [(math.nan, 1.0), (1.0, 0.0), (1.0, -1.0, 1.0), (1.0, 1.0, math.nan)])
+    def test_a_coordinate_that_is_not_positive_is_an_error(self, x0, monkeypatch):
+        # the start is checked before a chart is compiled
+        monkeypatch.setattr(integrate_mod, "_CHART_FACTORIES", {})
+        monkeypatch.setattr(integrate_mod, "_compile_chart", None)
+        with pytest.raises(ValueError, match="positive"):
+            integrate_flow(_P, x0)
+
+
 class TestVolumeConservation3D:
     def test_equilibrium_ray_start(self, unstable_params):
-        traj = integrate_flow_3d(unstable_params, MetricPoint(2.0, 1.0, 1.0), t_max=10.0)
+        traj = integrate_flow(unstable_params, (2.0, 1.0, 1.0), t_max=10.0)
         assert traj.status == TrajectoryStatus.CONVERGED
         assert traj.max_volume_drift == 0.0
 
     def test_drift_small_on_random_starts(self, stable_params):
         rng = np.random.default_rng(9)
         for _ in range(3):
-            x0 = MetricPoint(*np.exp(rng.uniform(-0.5, 0.5, 3)))
-            traj = integrate_flow_3d(stable_params, x0, t_max=50.0, rel_tol=1e-10)
+            x0 = tuple(np.exp(rng.uniform(-0.5, 0.5, 3)).tolist())
+            traj = integrate_flow(stable_params, x0, t_max=50.0, rel_tol=1e-10)
             assert traj.max_volume_drift <= 1e-7
 
     def test_drift_stays_at_rounding_for_any_tolerance(self, stable_params):
         # log-coordinate integration makes the conserved volume a linear
         # invariant of the transformed system, so the stepper preserves it to
         # rounding regardless of tolerance
-        x0 = MetricPoint(1.8, 0.7, 1.3)
         for rtol in (1e-4, 1e-8, 1e-12):
-            traj = integrate_flow_3d(stable_params, x0, t_max=20.0, rel_tol=rtol)
+            traj = integrate_flow(stable_params, (1.8, 0.7, 1.3), t_max=20.0, rel_tol=rtol)
             assert traj.max_volume_drift <= 1e-12
 
 
@@ -885,7 +901,7 @@ class TestLimitClassification:
         # rel_tol 1e20 every step is taken
         exp_calls.update(calls=0, bad={4 + 19 * step + j: x[j % 3] for step in range(40) for j in range(18)})
         traj = Trajectory()
-        _drive(traj, *_chart_3d(_P, traj), [], [0.0, 0.0, 0.0], 1.0, 1e20)
+        _drive(traj, *_chart(_P, traj, 3), [], [0.0, 0.0, 0.0], 1.0, 1e20)
         assert traj.exit_face == face
         assert asked[0] == (1.0, 1.0, 1.0) and bool(asked[1:]) == (face is not None)
         if face is None:
@@ -905,12 +921,13 @@ class TestLimitClassification:
         # raises ZeroDivisionError (1 / (a1 x1) at a1 = 0) or is NaN (a NaN
         # weight): the stage rejects the ArithmeticError, a NaN derivative
         # fails the start like it, and the field is evaluated once.  The
-        # driver's volume reads the parameters (1, 1, 1)
-        for name, y0, exponents in (("planar", [0.0, 0.0], (-1.0, -1.0)), ("3d", [0.0] * 3, ())):
+        # driver's volume reads the parameters (1, 1, 1).  Parameters rejects
+        # a1 = 0, so each compiled factory is called directly
+        for n, exponents in ((2, (-1.0, -1.0)), (3, ())):
             traj = Trajectory()
-            chart = integrate_mod._chart(name, traj, a1, 1.0, 1.0, weight, *exponents)
+            chart = integrate_mod._compile_chart(n)(traj, a1, 1.0, 1.0, weight, *exponents)
             with pytest.raises(ValueError, match="cannot be evaluated in floats at the start point"):
-                _drive(traj, (1.0, 1.0, 1.0), *chart, [], y0, 1.0, 1e-6)
+                _drive(traj, (1.0, 1.0, 1.0), *chart, [], [0.0] * n, 1.0, 1e-6)
             assert traj.field_evals == 1
 
     def test_start_where_the_field_is_nan_is_an_error(self, capsys):
@@ -919,7 +936,7 @@ class TestLimitClassification:
         # would be NaN and no rejection would end the run
         p = Parameters(1e-309, 1e10, 1e10)
         with pytest.raises(ValueError, match="cannot be evaluated in floats at the start point"):
-            integrate_flow_3d(p, MetricPoint(1.0, 1.0, 1.0))
+            integrate_flow(p, (1.0, 1.0, 1.0))
         argv = ["flow", "--a", "1e-309,1e10,1e10", "--x0", "1,1,1", "--three-d"]
         assert cli.main(argv) == 3
         out, err = capsys.readouterr()
@@ -930,7 +947,7 @@ class TestLimitClassification:
         # math.exp raises OverflowError at this log state; the stage and the
         # run count the evaluation and reject the stage instead of raising
         traj = Trajectory()
-        _a, point, stage, run = _chart_3d(stable_params, traj)
+        _a, point, stage, run = _chart(stable_params, traj, 3)
         with pytest.raises(OverflowError):
             point([800.0, 0.0, 0.0])
         assert stage(800.0, 0.0, 0.0) is None
